@@ -53,7 +53,6 @@ from .index import (
     build_indices,
     build_keyword_table,
     build_vector_index,
-    embed_default,
     extract_keywords,
     load_index,
     save_index,

@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import logging
+import os
 import sys
 from collections import defaultdict
 from dataclasses import dataclass, fields, replace
@@ -212,7 +213,7 @@ def run_query(cfg: AppConfig, query_text: str) -> dict:
     by_key = bundle.segment_by_key()
     results = []
     for row in outcome.top:
-        seg = by_key.get(row.segment_key)
+        seg = by_key[row.segment_key]
         results.append(
             {
                 "rank": row.rank,
@@ -221,10 +222,10 @@ def run_query(cfg: AppConfig, query_text: str) -> dict:
                 "score_v": row.score_v,
                 "score_r": row.score_r,
                 "keyword_hits": row.keyword_hits,
-                "metadata_path": seg.metadata_path if seg else [],
-                "title": seg.title if seg else "",
-                "kind": seg.kind if seg else "",
-                "content": seg.content if seg else "",
+                "metadata_path": seg.metadata_path,
+                "title": seg.title,
+                "kind": seg.kind,
+                "content": seg.content,
             }
         )
     return {"query": query_text, "top_k": cfg.top_k, "results": results}
@@ -406,17 +407,13 @@ def main(argv: list[str] | None = None) -> int:
                 f"({report['skipped']} skipped, {report['warnings']} warnings) "
                 f"-> {report['index_dir']}"
             )
-            return 0
-
-        if args.command == "query":
+        elif args.command == "query":
             result = run_query(cfg, args.text)
             if args.json:
                 print(json.dumps(result, ensure_ascii=False, indent=2))
             else:
                 _print_query_result(result)
-            return 0
-
-        if args.command == "eval":
+        elif args.command == "eval":
             report = run_eval(cfg, args.bank)
             write_eval_csv(report, args.output)
             print(
@@ -424,20 +421,23 @@ def main(argv: list[str] | None = None) -> int:
                 f"max={report.max:.6f} min={report.min:.6f} std={report.std:.6f} "
                 f"(gamma={report.gamma}, N={report.corpus_size}) -> {args.output}"
             )
-            return 0
-
-        if args.command == "cohesion":
+        elif args.command == "cohesion":
             rows = run_cohesion(cfg, args.grouping)
             write_cohesion_csv(rows, args.output)
             print(f"wrote {len(rows)} rows -> {args.output}")
-            return 0
-
-        raise UsageError(f"unknown command {args.command!r}")
+        else:
+            raise UsageError(f"unknown command {args.command!r}")
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return 0
+    except BrokenPipeError:
+        # The reader left early (`hiret query ... | head`): drop the rest of
+        # the output, including what is still buffered for the exit flush.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (CorpusError, ConversionError, DataError, index.IndexFormatError,
-            retriever.InconsistentIndexError) as exc:
+    except (CorpusError, ConversionError, DataError, index.IndexFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -107,12 +107,11 @@ def _images_from_sidecar(meta: dict, path: Path) -> list[ImageAsset]:
     return assets
 
 
-def load_corpus(root_dir: str | Path, manifest: str | Path | None = None) -> list[DocumentRecord]:
+def load_corpus(root_dir: str | Path) -> list[DocumentRecord]:
     """Load every document file under ``root_dir``, ordered by path.
 
-    ``manifest`` optionally names a JSON array of root-relative paths; only
-    those files are loaded (ordering stays by path). One record per file;
-    doc_id is the filename stem and must be unique across the corpus.
+    One record per file; doc_id is the filename stem and must be unique
+    across the corpus.
     """
     root = Path(root_dir)
     if not root.is_dir():
@@ -122,15 +121,6 @@ def load_corpus(root_dir: str | Path, manifest: str | Path | None = None) -> lis
         (p for p in root.rglob("*") if p.is_file() and p.suffix.lower() in DOCUMENT_SUFFIXES),
         key=lambda p: p.relative_to(root).as_posix(),
     )
-    if manifest is not None:
-        try:
-            wanted = json.loads(Path(manifest).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
-            raise CorpusError(f"unreadable manifest {manifest}: {exc}") from exc
-        if not isinstance(wanted, list):
-            raise CorpusError(f"manifest {manifest} must hold a JSON array of paths")
-        allowed = {str(entry) for entry in wanted}
-        paths = [p for p in paths if p.relative_to(root).as_posix() in allowed]
 
     records: list[DocumentRecord] = []
     seen_ids: dict[str, Path] = {}

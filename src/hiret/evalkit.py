@@ -106,14 +106,20 @@ def evaluate_dataset(
     if not queries:
         raise ValueError("evaluate_dataset needs at least one query")
     per_query: dict[str, float] = {}
-    corpus_size = 0
+    corpus_size = None
     for eq in queries:
         try:
             ranking = rank_fn(eq)
             per_query[eq.query_id] = evaluate_query(ranking, eq, gamma)
         except Exception as exc:
             raise EvalError(f"query {eq.query_id!r}: {exc}") from exc
-        corpus_size = len(ranking)
+        if corpus_size is None:
+            corpus_size = len(ranking)
+        elif len(ranking) != corpus_size:
+            raise EvalError(
+                f"query {eq.query_id!r}: ranking holds {len(ranking)} segments, "
+                f"the first ranking {corpus_size}"
+            )
     values = list(per_query.values())
     mean = sum(values) / len(values)
     variance = sum((v - mean) ** 2 for v in values) / len(values)
@@ -157,7 +163,6 @@ def cohesion_stats(
 def export_coordinates(
     vectors: Mapping[str, np.ndarray],
     groups: Mapping[str, str] | None = None,
-    method: str = "pca2d",
 ) -> PcaProjection:
     """Project vectors to 2-D via PCA with a fixed sign convention.
 
@@ -165,8 +170,6 @@ def export_coordinates(
     vectors; each eigenvector's first nonzero entry is made positive so the
     output is deterministic across runs.
     """
-    if method != "pca2d":
-        raise ValueError(f"unknown projection method: {method!r}")
     keys = list(vectors)
     if len(keys) < 2:
         raise ValueError("pca2d needs at least 2 vectors")

@@ -202,8 +202,10 @@ def convert_document(doc_text: str, converter: DocumentConverter, plan: WindowPl
     """Run the converter over every window in order and join the fragments.
 
     Turns are strictly sequential: each receives the previous turn's input
-    and output. On converter failure the raised ConversionError carries the
-    turn number and the output assembled so far, for resumption.
+    and output. Fragments are joined with the whitespace that separates
+    their cores in ``doc_text``, so a line cut by a core boundary comes out
+    whole. On converter failure the raised ConversionError carries the turn
+    number and the output assembled so far, for resumption.
     """
     words = list(_WORD_RE.finditer(doc_text))
     if len(words) != plan.total_words:
@@ -213,7 +215,7 @@ def convert_document(doc_text: str, converter: DocumentConverter, plan: WindowPl
     if plan.iterations == 0:
         return ""
 
-    fragments: list[str] = []
+    parts: list[str] = []
     previous_input = ""
     previous_output = ""
     for t in range(1, plan.iterations + 1):
@@ -233,11 +235,13 @@ def convert_document(doc_text: str, converter: DocumentConverter, plan: WindowPl
         try:
             fragment = converter.convert(turn)
         except Exception as exc:
-            raise ConversionError(t, "\n".join(fragments), str(exc)) from exc
-        fragments.append(fragment)
+            raise ConversionError(t, "".join(parts), str(exc)) from exc
+        if t > 1:
+            parts.append(doc_text[words[core_start - 1].end() : words[core_start].start()])
+        parts.append(fragment)
         previous_input = turn.current_input
         previous_output = fragment
-    return "\n".join(fragments)
+    return "".join(parts)
 
 
 def _detect_kind(content: str) -> str:

@@ -3,7 +3,9 @@
 All three are built over the augmented ``embedding_text`` of each segment,
 keyed by ``doc_id#segment_id``, and persist to a directory as a JSON
 manifest, a raw float32 vector blob (5-byte magic ``HIQA1``), JSON postings
-and keyword files, and the segment payloads. Saving is deterministic:
+and keyword files, and the segment payloads. The segment list is the one
+source of the key order; an :class:`IndexBundle` checks at construction
+that the three indices cover exactly its keys. Saving is deterministic:
 re-saving an unchanged index reproduces the files byte for byte.
 """
 
@@ -14,6 +16,7 @@ import json
 import logging
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Protocol
@@ -24,7 +27,7 @@ from .corpus import Segment
 
 log = logging.getLogger(__name__)
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 VECTOR_MAGIC = b"HIQA1"
 DEFAULT_DIM = 256
 DEFAULT_K1 = 1.2
@@ -46,6 +49,10 @@ _HAS_DIGIT_RE = re.compile(r"\d")
 
 class IndexFormatError(Exception):
     """A persisted index is missing, corrupt, or from another version."""
+
+
+class InconsistentIndexError(IndexFormatError):
+    """The indices of a bundle do not describe the same segment universe."""
 
 
 def tokenize(text: str) -> list[str]:
@@ -93,11 +100,6 @@ class HashingEmbedder:
         return {"kind": "hash", "dim": self.dim}
 
 
-def embed_default(text: str, dim: int = DEFAULT_DIM) -> np.ndarray:
-    """Module-level shortcut for the default hashing embedder."""
-    return HashingEmbedder(dim).embed(text)
-
-
 def is_embeddable(vector: np.ndarray) -> bool:
     return bool(np.any(vector))
 
@@ -112,14 +114,22 @@ class VectorIndex:
 
 @dataclass
 class Bm25Index:
-    """Okapi BM25 statistics over segment embedding_text tokens."""
+    """Okapi BM25 statistics over segment embedding_text tokens.
+
+    ``corpus_size`` and ``avgdl`` are derived from ``doc_lengths``.
+    """
 
     k1: float
     b: float
-    corpus_size: int
-    avgdl: float
     doc_lengths: dict[str, int] = field(default_factory=dict)
     postings: dict[str, dict[str, int]] = field(default_factory=dict)
+    corpus_size: int = field(init=False)
+    avgdl: float = field(init=False)
+
+    def __post_init__(self):
+        self.corpus_size = len(self.doc_lengths)
+        total = sum(self.doc_lengths.values())
+        self.avgdl = total / self.corpus_size if self.corpus_size else 0.0
 
 
 @dataclass
@@ -196,11 +206,7 @@ def build_bm25_index(
         for token in tokens:
             slot = postings.setdefault(token, {})
             slot[seg.key] = slot.get(seg.key, 0) + 1
-    n = len(segments)
-    avgdl = sum(doc_lengths.values()) / n if n else 0.0
-    return Bm25Index(
-        k1=k1, b=b, corpus_size=n, avgdl=avgdl, doc_lengths=doc_lengths, postings=postings
-    )
+    return Bm25Index(k1=k1, b=b, doc_lengths=doc_lengths, postings=postings)
 
 
 def _idf(index: Bm25Index, term: str) -> float:
@@ -265,15 +271,43 @@ def build_keyword_table(
 
 @dataclass
 class IndexBundle:
-    """Everything a query needs: the three indices plus segment payloads."""
+    """Everything a query needs: the three indices plus segment payloads.
 
-    keys: list[str]  # full ranking universe, in corpus order
+    The segments, in corpus order, are the ranking universe. Construction
+    raises :class:`InconsistentIndexError` unless their keys are unique,
+    the BM25 index and keyword table cover exactly those keys, and every
+    vector key is one of them (segments without embeddable text have none).
+    """
+
     vectors: VectorIndex
     bm25: Bm25Index
     keywords: KeywordTable
     segments: list[Segment]
     embedder_spec: dict
     user_keywords: list[str] = field(default_factory=list)
+
+    def __post_init__(self):
+        keys = self.keys
+        universe = set(keys)
+        if len(universe) != len(keys):
+            dupes = sorted(key for key, n in Counter(keys).items() if n > 1)
+            raise InconsistentIndexError(f"duplicate segment keys: {dupes}")
+        complete = {"bm25 index": self.bm25.doc_lengths, "keyword table": self.keywords.keywords}
+        for name, table in {"vector index": self.vectors.entries, **complete}.items():
+            extra = table.keys() - universe
+            if extra:
+                raise InconsistentIndexError(
+                    f"{name} has keys outside the segments: {sorted(extra)}"
+                )
+        for name, table in complete.items():
+            missing = universe - table.keys()
+            if missing:
+                raise InconsistentIndexError(f"{name} is missing keys: {sorted(missing)}")
+
+    @property
+    def keys(self) -> list[str]:
+        """The ranking universe, in corpus order."""
+        return [seg.key for seg in self.segments]
 
     def segment_by_key(self) -> dict[str, Segment]:
         return {seg.key: seg for seg in self.segments}
@@ -290,7 +324,6 @@ def build_indices(
     """Build all three substrates over one augmented segment list."""
     user = sorted({kw.casefold().strip() for kw in user_keywords or [] if kw.strip()})
     return IndexBundle(
-        keys=[seg.key for seg in segments],
         vectors=build_vector_index(segments, embedder),
         bm25=build_bm25_index(segments, k1=k1, b=b),
         keywords=build_keyword_table(segments, extractor, user),
@@ -321,34 +354,6 @@ def _dump_json(path: Path, payload: object, indent: int | None = None) -> None:
     path.write_text(text + "\n", encoding="utf-8")
 
 
-def _segment_to_dict(seg: Segment) -> dict:
-    return {
-        "segment_id": seg.segment_id,
-        "chapter_number": seg.chapter_number,
-        "level": seg.level,
-        "title": seg.title,
-        "kind": seg.kind,
-        "content": seg.content,
-        "doc_id": seg.doc_id,
-        "embedding_text": seg.embedding_text,
-        "metadata_path": seg.metadata_path,
-    }
-
-
-def _segment_from_dict(data: dict) -> Segment:
-    return Segment(
-        segment_id=data["segment_id"],
-        chapter_number=data["chapter_number"],
-        level=data["level"],
-        title=data["title"],
-        kind=data["kind"],
-        content=data["content"],
-        doc_id=data["doc_id"],
-        embedding_text=data["embedding_text"],
-        metadata_path=list(data["metadata_path"]),
-    )
-
-
 def save_index(bundle: IndexBundle, path: str | Path) -> dict:
     """Persist the bundle to a directory; returns the manifest written."""
     directory = Path(path)
@@ -360,9 +365,6 @@ def save_index(bundle: IndexBundle, path: str | Path) -> dict:
         "dim": bundle.vectors.dim,
         "k1": bundle.bm25.k1,
         "b": bundle.bm25.b,
-        "corpus_size": bundle.bm25.corpus_size,
-        "avgdl": bundle.bm25.avgdl,
-        "segment_keys": bundle.keys,
         "vector_keys": vector_keys,
         "embedder": bundle.embedder_spec,
         "user_keywords": bundle.user_keywords,
@@ -388,12 +390,16 @@ def save_index(bundle: IndexBundle, path: str | Path) -> dict:
         directory / KEYWORDS_FILE,
         {key: sorted(words) for key, words in bundle.keywords.keywords.items()},
     )
-    _dump_json(directory / SEGMENTS_FILE, [_segment_to_dict(s) for s in bundle.segments])
+    _dump_json(directory / SEGMENTS_FILE, [vars(s) for s in bundle.segments])
     return manifest
 
 
 def load_index(path: str | Path) -> IndexBundle:
-    """Load a bundle persisted by :func:`save_index`; round-trip is exact."""
+    """Load a bundle persisted by :func:`save_index`; round-trip is exact.
+
+    Raises :class:`IndexFormatError` for a missing, corrupt, other-version
+    or inconsistent index.
+    """
     directory = Path(path)
     manifest_path = directory / MANIFEST_FILE
     if not manifest_path.exists():
@@ -430,8 +436,6 @@ def load_index(path: str | Path) -> IndexBundle:
     bm25 = Bm25Index(
         k1=float(manifest["k1"]),
         b=float(manifest["b"]),
-        corpus_size=int(manifest["corpus_size"]),
-        avgdl=float(manifest["avgdl"]),
         doc_lengths={k: int(v) for k, v in stored["doc_lengths"].items()},
         postings=postings,
     )
@@ -440,11 +444,9 @@ def load_index(path: str | Path) -> IndexBundle:
     keywords = KeywordTable(keywords={key: set(words) for key, words in raw_keywords.items()})
 
     segments = [
-        _segment_from_dict(d)
-        for d in json.loads((directory / SEGMENTS_FILE).read_text(encoding="utf-8"))
+        Segment(**d) for d in json.loads((directory / SEGMENTS_FILE).read_text(encoding="utf-8"))
     ]
     return IndexBundle(
-        keys=list(manifest["segment_keys"]),
         vectors=VectorIndex(dim=dim, entries=entries),
         bm25=bm25,
         keywords=keywords,

@@ -33,10 +33,6 @@ from .index import (
 log = logging.getLogger(__name__)
 
 
-class InconsistentIndexError(Exception):
-    """The loaded indices do not describe the same segment universe."""
-
-
 @dataclass(frozen=True)
 class RetrievalConfig:
     """Fusion hyperparameters; gamma rides along for the evaluation kit."""
@@ -145,27 +141,6 @@ def fuse_and_rank(
     ]
 
 
-def _check_universe(bundle: IndexBundle) -> None:
-    universe = set(bundle.keys)
-    for name, keys in (
-        ("vector index", set(bundle.vectors.entries)),
-        ("bm25 index", set(bundle.bm25.doc_lengths)),
-        ("keyword table", set(bundle.keywords.keywords)),
-    ):
-        extra = keys - universe
-        if extra:
-            raise InconsistentIndexError(
-                f"{name} has keys outside the corpus universe: {sorted(extra)}"
-            )
-    for name, keys in (
-        ("bm25 index", set(bundle.bm25.doc_lengths)),
-        ("keyword table", set(bundle.keywords.keywords)),
-    ):
-        missing = universe - keys
-        if missing:
-            raise InconsistentIndexError(f"{name} is missing keys: {sorted(missing)}")
-
-
 def retrieve(
     query: str,
     bundle: IndexBundle,
@@ -174,10 +149,19 @@ def retrieve(
     user_keywords: set[str] | None = None,
     embedder: Embedder | None = None,
 ) -> RetrievalOutcome:
-    """Run all three routes, fuse, and return top-k plus the full ranking."""
-    _check_universe(bundle)
-    embedder = embedder or make_embedder(bundle.embedder_spec)
-    raw_v = vector_route(query, bundle.vectors, embedder)
+    """Run all three routes, fuse, and return top-k plus the full ranking.
+
+    Without ``embedder`` one is made from the bundle's spec and closed
+    before returning.
+    """
+    made = embedder is None
+    if made:
+        embedder = make_embedder(bundle.embedder_spec)
+    try:
+        raw_v = vector_route(query, bundle.vectors, embedder)
+    finally:
+        if made and hasattr(embedder, "close"):
+            embedder.close()
     raw_r = bm25_scores(bundle.bm25, query)
     hits = keyword_route(query, bundle.keywords, extractor, user_keywords)
     ranking = fuse_and_rank(normalize_scores(raw_v), normalize_scores(raw_r), hits, cfg)

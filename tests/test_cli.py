@@ -1,9 +1,13 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+import hiret
 
 from conftest import (
     manual_doc_stem,
@@ -13,6 +17,9 @@ from conftest import (
     write_manual_corpus,
 )
 from hiret.cli import AppConfig, load_config, main, run_cohesion, run_eval, run_ingest
+from hiret.index import InconsistentIndexError, load_index
+
+SRC_DIR = str(Path(hiret.__file__).resolve().parents[1])
 
 
 def dir_bytes(directory):
@@ -155,6 +162,39 @@ class TestQuery:
         code = main(["--index-dir", str(tmp_path / "missing"), "query", "x"])
         assert code == 2
         assert "ingest" in capsys.readouterr().err
+
+    def test_inconsistent_index_is_refused_at_load(self, manual_setup, capsys):
+        cfg, _ = manual_setup
+        path = Path(cfg.index_dir) / "keywords.json"
+        table = json.loads(path.read_text(encoding="utf-8"))
+        dropped = sorted(table)[1]
+        del table[dropped]
+        path.write_text(json.dumps(table), encoding="utf-8")
+        with pytest.raises(InconsistentIndexError, match=dropped):
+            load_index(cfg.index_dir)
+        code = main(["--index-dir", cfg.index_dir, "query", "pinout"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert dropped in err and "run 'hiret ingest'" in err
+
+    def test_closed_stdout_pipe_exits_cleanly(self, manual_setup):
+        # `hiret query ... | head`: the reader is gone before the output is written
+        cfg, _ = manual_setup
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "hiret.cli", "--index-dir", cfg.index_dir,
+                 "--top-k", "50", "query", "pinout", "--json"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env={**os.environ, "PYTHONPATH": SRC_DIR},
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr == ""
+        assert proc.returncode == 0
 
     def test_empty_index_query_is_graceful(self, tmp_path, capsys):
         (tmp_path / "corpus").mkdir()

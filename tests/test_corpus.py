@@ -72,15 +72,6 @@ def test_unreadable_file_error_names_the_path(tmp_path):
         load_corpus(tmp_path)
 
 
-def test_manifest_filters_and_keeps_path_order(tmp_path):
-    for name in ["a.md", "b.md", "c.md"]:
-        (tmp_path / name).write_text("x", encoding="utf-8")
-    manifest = tmp_path / "pick.json"
-    manifest.write_text(json.dumps(["c.md", "a.md"]), encoding="utf-8")
-    ids = [r.doc_id for r in load_corpus(tmp_path, manifest=manifest)]
-    assert ids == ["a", "c"]
-
-
 def test_other_suffixes_are_ignored(tmp_path):
     (tmp_path / "a.md").write_text("x", encoding="utf-8")
     (tmp_path / "notes.pdf").write_text("x", encoding="utf-8")

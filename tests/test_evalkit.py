@@ -172,6 +172,15 @@ class TestEvaluateDataset:
         with pytest.raises(EvalError, match="broken-query"):
             evaluate_dataset(queries, self.rank_fn_for(["a", "b"]), 1.0)
 
+    def test_ranking_length_mismatch_names_the_query(self):
+        queries = [
+            EvalQuery("q1", "x", frozenset({"a"})),
+            EvalQuery("shorter", "y", frozenset({"a"})),
+        ]
+        rankings = {"q1": ranking_of(["a", "b", "c"]), "shorter": ranking_of(["a", "b"])}
+        with pytest.raises(EvalError, match="shorter"):
+            evaluate_dataset(queries, lambda eq: rankings[eq.query_id], 1.0)
+
 
 class TestCohesionStats:
     def brute_force(self, vectors):
@@ -261,10 +270,6 @@ class TestExportCoordinates:
     def test_fewer_than_two_vectors_rejected(self):
         with pytest.raises(ValueError, match="2 vectors"):
             export_coordinates({"a": np.ones(4)})
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError, match="method"):
-            export_coordinates({"a": np.ones(2), "b": np.zeros(2)}, method="tsne")
 
     def test_groups_flow_into_rows(self):
         vectors = {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])}

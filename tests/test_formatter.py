@@ -184,6 +184,22 @@ class TestHeadingPromotionConverter:
         out = self.run("## Introduction\nbody")
         assert out.splitlines()[0] == "## Introduction"
 
+    @pytest.mark.parametrize("body_words", [394, 395, 396])
+    def test_heading_cut_by_core_boundary_stays_whole(self, body_words):
+        # the 400-word core boundary falls after "electrical", "3.2" or "#"
+        body = [f"b{i}" for i in range(body_words)]
+        lines = ["# 1 introduction"]
+        lines += [" ".join(body[i : i + 10]) for i in range(0, body_words, 10)]
+        lines += ["# 3.2 electrical ratings", "vcc is five volts"]
+        text = "\n".join(lines)
+        out = self.run(text, window=400, padding=50)
+        segments = parse_markdown(out, "doc")
+        assert [(s.segment_id, s.title) for s in segments] == [
+            ("1", "introduction"),
+            ("3.2", "electrical ratings"),
+        ]
+        assert segments[1].content == "vcc is five volts"
+
     def test_word_content_preserved_across_windows(self):
         lines = []
         for i in range(1, 21):

@@ -6,7 +6,9 @@ import pytest
 
 from hiret.corpus import Segment
 from hiret.index import (
+    FORMAT_VERSION,
     HashingEmbedder,
+    InconsistentIndexError,
     IndexFormatError,
     PatternKeywordExtractor,
     bm25_score,
@@ -15,7 +17,6 @@ from hiret.index import (
     build_indices,
     build_keyword_table,
     build_vector_index,
-    embed_default,
     extract_keywords,
     is_embeddable,
     load_index,
@@ -72,7 +73,6 @@ class TestHashingEmbedder:
     def test_deterministic(self):
         e = HashingEmbedder()
         assert np.array_equal(e.embed("abc"), e.embed("abc"))
-        assert np.array_equal(e.embed("abc"), embed_default("abc"))
 
     def test_unit_norm(self):
         e = HashingEmbedder()
@@ -211,6 +211,12 @@ class TestKeywords:
         assert extract_keywords("the pinout table", Fixed()) == {"pinout"}
 
 
+def test_duplicate_segment_keys_are_refused():
+    segments = [seg("d", "1", "alpha"), seg("d", "2", "beta"), seg("d", "1", "gamma")]
+    with pytest.raises(InconsistentIndexError, match="d#1"):
+        build_indices(segments, HashingEmbedder())
+
+
 class TestPersistence:
     def build_bundle(self):
         segments = [
@@ -265,7 +271,7 @@ class TestPersistence:
         save_index(self.build_bundle(), tmp_path)
         manifest = (tmp_path / "manifest.json").read_text(encoding="utf-8")
         (tmp_path / "manifest.json").write_text(
-            manifest.replace('"format_version": 1', '"format_version": 99'),
+            manifest.replace(f'"format_version": {FORMAT_VERSION}', '"format_version": 99'),
             encoding="utf-8",
         )
         with pytest.raises(IndexFormatError, match="format_version"):

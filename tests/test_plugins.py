@@ -3,8 +3,9 @@ import sys
 import numpy as np
 import pytest
 
-from hiret.index import build_vector_index, make_embedder
+from hiret.index import build_indices, build_vector_index, make_embedder
 from hiret.corpus import Segment
+from hiret.retriever import RetrievalConfig, retrieve
 from hiret.plugins import (
     PluginError,
     SubprocessCaptioner,
@@ -92,6 +93,26 @@ class TestSubprocessEmbedder:
             assert embedder.embed("aa")[2] == 2.0
         finally:
             embedder.close()
+
+    def test_retrieve_closes_the_embedder_it_made(self, monkeypatch):
+        segments = [
+            Segment(segment_id=sid, chapter_number=sid, level=1, title=sid, kind="text",
+                    content=text, doc_id="d", embedding_text=text)
+            for sid, text in [("1", "banana"), ("2", "apple pie")]
+        ]
+        with SubprocessEmbedder(py(EMBED_WORKER), dim=3) as embedder:
+            bundle = build_indices(segments, embedder)
+        closes = []
+        original = SubprocessEmbedder.close
+
+        def counting_close(self):
+            closes.append(self)
+            original(self)
+
+        monkeypatch.setattr(SubprocessEmbedder, "close", counting_close)
+        for _ in range(3):
+            retrieve("banana", bundle, RetrievalConfig())
+        assert len(closes) == 3
 
 
 class TestSubprocessKeywordExtractor:

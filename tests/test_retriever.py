@@ -5,9 +5,15 @@ import numpy as np
 import pytest
 
 from hiret.corpus import Segment
-from hiret.index import HashingEmbedder, KeywordTable, VectorIndex, build_indices
-from hiret.retriever import (
+from hiret.index import (
+    HashingEmbedder,
     InconsistentIndexError,
+    IndexBundle,
+    KeywordTable,
+    VectorIndex,
+    build_indices,
+)
+from hiret.retriever import (
     RankedResult,
     RetrievalConfig,
     RetrievalOutcome,
@@ -251,15 +257,17 @@ class TestRetrieve:
 
     def test_inconsistent_universe_names_keys(self):
         bundle = self.make_bundle()
-        bundle.keys.remove("d#2")
+        segments = [s for s in bundle.segments if s.key != "d#2"]
         with pytest.raises(InconsistentIndexError, match="d#2"):
-            retrieve("alpha", bundle, RetrievalConfig())
+            IndexBundle(bundle.vectors, bundle.bm25, bundle.keywords, segments,
+                        bundle.embedder_spec)
 
     def test_missing_bm25_key_detected(self):
         bundle = self.make_bundle()
         del bundle.bm25.doc_lengths["d#2"]
         with pytest.raises(InconsistentIndexError, match="d#2"):
-            retrieve("alpha", bundle, RetrievalConfig())
+            IndexBundle(bundle.vectors, bundle.bm25, bundle.keywords, bundle.segments,
+                        bundle.embedder_spec)
 
     def test_vector_skips_are_tolerated(self):
         segments = [seg("d", "1", "alpha"), seg("d", "2", "")]
