@@ -47,6 +47,7 @@ from .index import (
     KeywordTable,
     PatternKeywordExtractor,
     VectorIndex,
+    bm25_route,
     bm25_score,
     bm25_scores,
     build_bm25_index,
@@ -60,9 +61,11 @@ from .index import (
 )
 from .retriever import (
     RankedResult,
+    Ranking,
     RetrievalConfig,
     RetrievalOutcome,
     fuse_and_rank,
+    keyword_hits,
     keyword_route,
     normalize_scores,
     retrieve,

@@ -176,7 +176,7 @@ def run_ingest(cfg: AppConfig) -> dict:
     return {
         "documents": len(records),
         "segments": len(all_segments),
-        "skipped": len(bundle.keys) - len(bundle.vectors.entries),
+        "skipped": len(bundle.keys) - len(bundle.vectors.keys),
         "warnings": len(warnings),
         "warning_messages": warnings,
         "index_dir": str(cfg.index_dir),
@@ -210,10 +210,9 @@ def run_query(cfg: AppConfig, query_text: str) -> dict:
         )
     finally:
         _close_quietly(embedder)
-    by_key = bundle.segment_by_key()
     results = []
     for row in outcome.top:
-        seg = by_key[row.segment_key]
+        seg = bundle.segments[bundle.row_of[row.segment_key]]
         results.append(
             {
                 "rank": row.rank,
@@ -302,7 +301,7 @@ def run_cohesion(cfg: AppConfig, grouping: str) -> list[list]:
 
     rows: list[list] = []
     variants = [
-        ("augmented", {k: np.asarray(v, dtype=np.float64) for k, v in bundle.vectors.entries.items()}),
+        ("augmented", dict(zip(bundle.vectors.keys, bundle.vectors.matrix.astype(np.float64)))),
         ("raw", raw_vectors),
     ]
     for variant, vectors in variants:

@@ -20,7 +20,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .retriever import RankedResult
+from .retriever import Ranking
 
 UNIT_NORM_TOLERANCE = 1e-6
 
@@ -86,20 +86,21 @@ def log_rank_score(rank: int, corpus_size: int, gamma: float) -> float:
     return 1.0 - math.log1p(gamma * (rank - 1)) / math.log1p(gamma * (corpus_size - 1))
 
 
-def evaluate_query(ranking: Sequence[RankedResult], eq: EvalQuery, gamma: float) -> float:
+def evaluate_query(ranking: Ranking, eq: EvalQuery, gamma: float) -> float:
     """Mean log-rank score over the query's relevant segments."""
-    rank_of = {r.segment_key: r.rank for r in ranking}
-    missing = sorted(k for k in eq.relevant_keys if k not in rank_of)
+    relevant = sorted(eq.relevant_keys)
+    ranks = [ranking.rank_of(key) for key in relevant]
+    missing = [key for key, rank in zip(relevant, ranks) if rank is None]
     if missing:
         raise ValueError(f"relevant keys missing from the ranking: {missing}")
     n = len(ranking)
-    scores = [log_rank_score(rank_of[key], n, gamma) for key in sorted(eq.relevant_keys)]
+    scores = [log_rank_score(rank, n, gamma) for rank in ranks]
     return sum(scores) / len(scores)
 
 
 def evaluate_dataset(
     queries: Sequence[EvalQuery],
-    rank_fn: Callable[[EvalQuery], Sequence[RankedResult]],
+    rank_fn: Callable[[EvalQuery], Ranking],
     gamma: float,
 ) -> EvalReport:
     """Run retrieval per query and aggregate log-rank statistics."""

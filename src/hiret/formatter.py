@@ -131,8 +131,10 @@ class HeadingPromotionConverter:
     number ("## 3.2 Title") and short plain numbered lines ("3.2 Title") to
     first-level ``# 3.2 Title`` headings; all other lines pass through.
     Output covers exactly the core words, so conversion never drops or
-    duplicates content; lines cut by a core boundary pass through
-    untransformed (the padding tells partial lines apart from whole ones).
+    duplicates content. A line cut by the end of the core is promoted when
+    the right padding shows the whole line and it is a heading: this core
+    emits the promoted start, the next core the rest of the line as it is.
+    A line continued from the previous core passes through untransformed.
     """
 
     max_heading_words = 12
@@ -144,11 +146,27 @@ class HeadingPromotionConverter:
         out: list[str] = []
         last = len(lines) - 1
         for i, line in enumerate(lines):
-            if (i == 0 and first_partial) or (i == last and last_partial):
+            if i == 0 and first_partial:
                 out.append(line)
+            elif i == last and last_partial:
+                out.append(self._transform_start(line, turn))
             else:
                 out.append(self._transform(line))
         return "\n".join(out)
+
+    def _transform_start(self, start: str, turn: ConverterTurn) -> str:
+        """Promoted form of ``start``, a line cut by the core end, when the
+        whole line is a heading; ``start`` itself otherwise."""
+        line_end = turn.current_input.find("\n", turn.core_end)
+        if line_end < 0:
+            return start  # the padding ends before the line does
+        tail = turn.current_input[turn.core_end : line_end]
+        whole = start + tail
+        promoted = self._transform(whole)
+        rest = tail.strip()
+        if promoted == whole or not promoted.endswith(rest):
+            return start
+        return promoted[: len(promoted) - len(rest)].rstrip()
 
     def _transform(self, line: str) -> str:
         md = _MD_HEADING_RE.match(line)

@@ -4,9 +4,12 @@ All three are built over the augmented ``embedding_text`` of each segment,
 keyed by ``doc_id#segment_id``, and persist to a directory as a JSON
 manifest, a raw float32 vector blob (5-byte magic ``HIQA1``), JSON postings
 and keyword files, and the segment payloads. The segment list is the one
-source of the key order; an :class:`IndexBundle` checks at construction
-that the three indices cover exactly its keys. Saving is deterministic:
-re-saving an unchanged index reproduces the files byte for byte.
+source of the key order: in memory every index is a set of arrays whose
+rows follow it (the BM25 and keyword rows are the segment rows; the vector
+matrix holds a row per embeddable segment). An :class:`IndexBundle` checks
+at construction that the three indices cover exactly its keys. Saving is
+deterministic: re-saving an unchanged index reproduces the files byte for
+byte.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Protocol
+from typing import AbstractSet, Iterable, Protocol
 
 import numpy as np
 
@@ -104,39 +107,86 @@ def is_embeddable(vector: np.ndarray) -> bool:
     return bool(np.any(vector))
 
 
-@dataclass
+@dataclass(eq=False)
 class VectorIndex:
-    """Unit vectors over embeddable segments, keyed by doc_id#segment_id."""
+    """Unit vectors over embeddable segments: row ``i`` of the float32
+    ``(len(keys), dim)`` matrix is the vector of segment ``keys[i]``."""
 
     dim: int
-    entries: dict[str, np.ndarray] = field(default_factory=dict)
+    keys: list[str] = field(default_factory=list)
+    matrix: np.ndarray | None = None  # None: no vectors
+
+    def __post_init__(self):
+        if self.matrix is None:
+            self.matrix = np.zeros((0, self.dim), dtype=np.float32)
+        if self.matrix.shape != (len(self.keys), self.dim):
+            raise ValueError(
+                f"vector matrix shape {self.matrix.shape} != ({len(self.keys)}, {self.dim})"
+            )
+
+    @property
+    def entries(self) -> dict[str, np.ndarray]:
+        """Each key's row of the matrix (views, not copies)."""
+        return dict(zip(self.keys, self.matrix))
 
 
-@dataclass
+@dataclass(eq=False)
+class Postings:
+    """The rows holding one term and the term's count in each of them."""
+
+    rows: np.ndarray
+    tf: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+
+@dataclass(eq=False)
 class Bm25Index:
     """Okapi BM25 statistics over segment embedding_text tokens.
 
-    ``corpus_size`` and ``avgdl`` are derived from ``doc_lengths``.
+    Row ``i`` is segment ``keys[i]`` with ``lengths[i]`` tokens; each term
+    maps to the :class:`Postings` of the rows holding it. ``corpus_size``,
+    ``avgdl`` and each row's length ``norm`` are derived.
     """
 
     k1: float
     b: float
-    doc_lengths: dict[str, int] = field(default_factory=dict)
-    postings: dict[str, dict[str, int]] = field(default_factory=dict)
+    keys: list[str] = field(default_factory=list)
+    lengths: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    postings: dict[str, Postings] = field(default_factory=dict)
     corpus_size: int = field(init=False)
     avgdl: float = field(init=False)
+    norm: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.corpus_size = len(self.doc_lengths)
-        total = sum(self.doc_lengths.values())
+        self.lengths = np.asarray(self.lengths, dtype=np.int64)
+        if self.lengths.shape != (len(self.keys),):
+            raise ValueError(f"{len(self.lengths)} lengths for {len(self.keys)} keys")
+        self.corpus_size = len(self.keys)
+        total = int(self.lengths.sum())
         self.avgdl = total / self.corpus_size if self.corpus_size else 0.0
+        ratio = self.lengths / self.avgdl if self.avgdl > 0 else np.zeros(self.corpus_size)
+        self.norm = 1.0 - self.b + self.b * ratio
 
 
 @dataclass
 class KeywordTable:
-    """Critical keywords per segment, case-folded."""
+    """Critical keywords per segment, case-folded.
+
+    ``rows`` maps each keyword to the positions, in ``keywords`` order, of
+    the segments that hold it; it is derived at construction.
+    """
 
     keywords: dict[str, set[str]] = field(default_factory=dict)
+    rows: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        found: dict[str, list[int]] = {}
+        for row, words in enumerate(self.keywords.values()):
+            for word in words:
+                found.setdefault(word, []).append(row)
+        self.rows = {word: np.array(rows, dtype=np.intp) for word, rows in found.items()}
 
 
 class KeywordExtractor(Protocol):
@@ -178,14 +228,16 @@ def extract_keywords(
 
 def build_vector_index(segments: list[Segment], embedder: Embedder) -> VectorIndex:
     """Embed every augmented segment; unembeddable ones are skipped."""
-    index = VectorIndex(dim=embedder.dim)
+    keys: list[str] = []
+    matrix = np.empty((len(segments), embedder.dim), dtype=np.float32)
     for seg in segments:
         vector = embedder.embed(seg.embedding_text)
         if not is_embeddable(vector):
             log.warning("segment %s has no embeddable text; skipped from vector index", seg.key)
             continue
-        index.entries[seg.key] = vector.astype(np.float32)
-    return index
+        matrix[len(keys)] = vector
+        keys.append(seg.key)
+    return VectorIndex(dim=embedder.dim, keys=keys, matrix=matrix[: len(keys)])
 
 
 def build_bm25_index(
@@ -198,15 +250,21 @@ def build_bm25_index(
         raise ValueError(f"k1 must be > 0, got {k1}")
     if not 0 <= b <= 1:
         raise ValueError(f"b must be in [0, 1], got {b}")
-    doc_lengths: dict[str, int] = {}
-    postings: dict[str, dict[str, int]] = {}
-    for seg in segments:
+    lengths: list[int] = []
+    found: dict[str, tuple[list[int], list[int]]] = {}
+    for row, seg in enumerate(segments):
         tokens = tokenize(seg.embedding_text)
-        doc_lengths[seg.key] = len(tokens)
-        for token in tokens:
-            slot = postings.setdefault(token, {})
-            slot[seg.key] = slot.get(seg.key, 0) + 1
-    return Bm25Index(k1=k1, b=b, doc_lengths=doc_lengths, postings=postings)
+        lengths.append(len(tokens))
+        for token, tf in Counter(tokens).items():
+            rows, tfs = found.setdefault(token, ([], []))
+            rows.append(row)
+            tfs.append(tf)
+    postings = {
+        term: Postings(np.array(rows, dtype=np.intp), np.array(tfs, dtype=np.int64))
+        for term, (rows, tfs) in found.items()
+    }
+    return Bm25Index(k1=k1, b=b, keys=[seg.key for seg in segments], lengths=lengths,
+                     postings=postings)
 
 
 def _idf(index: Bm25Index, term: str) -> float:
@@ -214,8 +272,7 @@ def _idf(index: Bm25Index, term: str) -> float:
     return math.log(1.0 + (index.corpus_size - n + 0.5) / (n + 0.5))
 
 
-def _length_norm(index: Bm25Index, key: str) -> float:
-    dl = index.doc_lengths[key]
+def _length_norm(index: Bm25Index, dl: int) -> float:
     ratio = dl / index.avgdl if index.avgdl > 0 else 0.0
     return 1.0 - index.b + index.b * ratio
 
@@ -224,36 +281,47 @@ def bm25_score(index: Bm25Index, query: str, key: str) -> float:
     """Okapi BM25 score of one segment against the query.
 
     IDF uses the ln(1 + (N - n + 0.5)/(n + 0.5)) variant, which never goes
-    negative; query terms are summed with multiplicity.
+    negative; query terms are summed with multiplicity. This is the scalar
+    oracle that :func:`bm25_route` matches bit for bit.
     """
-    if key not in index.doc_lengths:
-        raise KeyError(f"segment key not indexed: {key}")
-    norm = _length_norm(index, key)
+    try:
+        row = index.keys.index(key)
+    except ValueError:
+        raise KeyError(f"segment key not indexed: {key}") from None
+    norm = _length_norm(index, int(index.lengths[row]))
     score = 0.0
     for token in tokenize(query):
-        freq = index.postings.get(token, {}).get(key, 0)
-        if not freq:
+        postings = index.postings.get(token)
+        if postings is None:
             continue
+        hit = np.flatnonzero(postings.rows == row)
+        if hit.size == 0:
+            continue
+        freq = int(postings.tf[hit[0]])
         score += _idf(index, token) * (freq * (index.k1 + 1.0)) / (freq + index.k1 * norm)
     return score
 
 
-def bm25_scores(index: Bm25Index, query: str) -> dict[str, float]:
-    """BM25 scores for every indexed segment (0.0 where nothing matches).
+def bm25_route(index: Bm25Index, query: str) -> np.ndarray:
+    """BM25 score of every row (0.0 where nothing matches), as float64.
 
-    Bit-identical to calling :func:`bm25_score` per key: contributions are
-    accumulated in query-token order for each key.
+    Bit-identical to :func:`bm25_score` per key: each query token adds its
+    contribution to the rows holding it, in query-token order.
     """
-    scores = {key: 0.0 for key in index.doc_lengths}
+    scores = np.zeros(index.corpus_size)
     for token in tokenize(query):
-        slot = index.postings.get(token)
-        if not slot:
+        postings = index.postings.get(token)
+        if postings is None:
             continue
         idf = _idf(index, token)
-        for key, freq in slot.items():
-            norm = _length_norm(index, key)
-            scores[key] += idf * (freq * (index.k1 + 1.0)) / (freq + index.k1 * norm)
+        rows, tf = postings.rows, postings.tf
+        scores[rows] += idf * (tf * (index.k1 + 1.0)) / (tf + index.k1 * index.norm[rows])
     return scores
+
+
+def bm25_scores(index: Bm25Index, query: str) -> dict[str, float]:
+    """:func:`bm25_route` by key."""
+    return dict(zip(index.keys, bm25_route(index, query).tolist()))
 
 
 def build_keyword_table(
@@ -263,19 +331,32 @@ def build_keyword_table(
 ) -> KeywordTable:
     extractor = extractor or PatternKeywordExtractor()
     user = list(user_keywords or [])
-    table = KeywordTable()
-    for seg in segments:
-        table.keywords[seg.key] = extract_keywords(seg.embedding_text, extractor, user)
-    return table
+    return KeywordTable(
+        {seg.key: extract_keywords(seg.embedding_text, extractor, user) for seg in segments}
+    )
+
+
+def _require_keys(name: str, table: Iterable[str], universe: AbstractSet[str],
+                  complete: bool = True) -> None:
+    """Raise :class:`InconsistentIndexError` naming the keys of ``table``
+    outside ``universe`` and, if ``complete``, the keys it lacks."""
+    table = set(table)
+    extra = table - universe
+    if extra:
+        raise InconsistentIndexError(f"{name} has keys outside the segments: {sorted(extra)}")
+    missing = universe - table if complete else ()
+    if missing:
+        raise InconsistentIndexError(f"{name} is missing keys: {sorted(missing)}")
 
 
 @dataclass
 class IndexBundle:
     """Everything a query needs: the three indices plus segment payloads.
 
-    The segments, in corpus order, are the ranking universe. Construction
-    raises :class:`InconsistentIndexError` unless their keys are unique,
-    the BM25 index and keyword table cover exactly those keys, and every
+    The segments, in corpus order, are the ranking universe: ``keys`` and
+    the arrays derived at construction follow that order. Construction
+    raises :class:`InconsistentIndexError` unless the keys are unique, the
+    BM25 and keyword rows are exactly those keys in that order, and every
     vector key is one of them (segments without embeddable text have none).
     """
 
@@ -285,32 +366,28 @@ class IndexBundle:
     segments: list[Segment]
     embedder_spec: dict
     user_keywords: list[str] = field(default_factory=list)
+    keys: list[str] = field(init=False, repr=False, compare=False)
+    row_of: dict[str, int] = field(init=False, repr=False, compare=False)
+    key_rank: np.ndarray = field(init=False, repr=False, compare=False)  # lexicographic
+    vector_rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        keys = self.keys
-        universe = set(keys)
+        keys = self.keys = [seg.key for seg in self.segments]
+        self.row_of = {key: row for row, key in enumerate(keys)}
+        universe = self.row_of.keys()
         if len(universe) != len(keys):
             dupes = sorted(key for key, n in Counter(keys).items() if n > 1)
             raise InconsistentIndexError(f"duplicate segment keys: {dupes}")
-        complete = {"bm25 index": self.bm25.doc_lengths, "keyword table": self.keywords.keywords}
-        for name, table in {"vector index": self.vectors.entries, **complete}.items():
-            extra = table.keys() - universe
-            if extra:
-                raise InconsistentIndexError(
-                    f"{name} has keys outside the segments: {sorted(extra)}"
-                )
-        for name, table in complete.items():
-            missing = universe - table.keys()
-            if missing:
-                raise InconsistentIndexError(f"{name} is missing keys: {sorted(missing)}")
-
-    @property
-    def keys(self) -> list[str]:
-        """The ranking universe, in corpus order."""
-        return [seg.key for seg in self.segments]
-
-    def segment_by_key(self) -> dict[str, Segment]:
-        return {seg.key: seg for seg in self.segments}
+        for name, rows in (("bm25 index", self.bm25.keys),
+                           ("keyword table", list(self.keywords.keywords))):
+            if rows != keys:
+                _require_keys(name, rows, universe)
+                raise InconsistentIndexError(f"{name} rows are not in segment order")
+        _require_keys("vector index", self.vectors.keys, universe, complete=False)
+        self.vector_rows = np.array([self.row_of[key] for key in self.vectors.keys],
+                                    dtype=np.intp)
+        self.key_rank = np.empty(len(keys), dtype=np.intp)
+        self.key_rank[sorted(range(len(keys)), key=keys.__getitem__)] = np.arange(len(keys))
 
 
 def build_indices(
@@ -359,7 +436,7 @@ def save_index(bundle: IndexBundle, path: str | Path) -> dict:
     directory = Path(path)
     directory.mkdir(parents=True, exist_ok=True)
 
-    vector_keys = list(bundle.vectors.entries)
+    vector_keys = bundle.vectors.keys
     manifest = {
         "format_version": FORMAT_VERSION,
         "dim": bundle.vectors.dim,
@@ -371,18 +448,18 @@ def save_index(bundle: IndexBundle, path: str | Path) -> dict:
     }
     _dump_json(directory / MANIFEST_FILE, manifest, indent=2)
 
-    blob = bytearray(VECTOR_MAGIC)
-    for key in vector_keys:
-        blob += bundle.vectors.entries[key].astype("<f4").tobytes()
-    (directory / VECTORS_FILE).write_bytes(bytes(blob))
+    with open(directory / VECTORS_FILE, "wb") as handle:
+        handle.write(VECTOR_MAGIC)
+        handle.write(np.asarray(bundle.vectors.matrix, dtype="<f4").tobytes())
 
+    keys = bundle.bm25.keys
     _dump_json(
         directory / POSTINGS_FILE,
         {
-            "doc_lengths": bundle.bm25.doc_lengths,
+            "doc_lengths": dict(zip(keys, bundle.bm25.lengths.tolist())),
             "postings": {
-                term: sorted((key, tf) for key, tf in slot.items())
-                for term, slot in bundle.bm25.postings.items()
+                term: sorted(zip([keys[row] for row in p.rows.tolist()], p.tf.tolist()))
+                for term, p in bundle.bm25.postings.items()
             },
         },
     )
@@ -414,40 +491,49 @@ def load_index(path: str | Path) -> IndexBundle:
             f"unsupported index format_version {version!r} (expected {FORMAT_VERSION})"
         )
 
-    blob = (directory / VECTORS_FILE).read_bytes()
-    if blob[: len(VECTOR_MAGIC)] != VECTOR_MAGIC:
-        raise IndexFormatError(f"bad vector blob magic in {directory / VECTORS_FILE}")
+    with open(directory / VECTORS_FILE, "rb") as handle:
+        if handle.read(len(VECTOR_MAGIC)) != VECTOR_MAGIC:
+            raise IndexFormatError(f"bad vector blob magic in {directory / VECTORS_FILE}")
+        data = np.fromfile(handle, dtype="<f4")
     dim = int(manifest["dim"])
     vector_keys = list(manifest["vector_keys"])
-    data = np.frombuffer(blob[len(VECTOR_MAGIC) :], dtype="<f4")
     if data.size != dim * len(vector_keys):
         raise IndexFormatError(
             f"vector blob holds {data.size} floats, expected {dim * len(vector_keys)}"
         )
-    entries = {
-        key: data[i * dim : (i + 1) * dim].copy() for i, key in enumerate(vector_keys)
-    }
-
-    stored = json.loads((directory / POSTINGS_FILE).read_text(encoding="utf-8"))
-    postings = {
-        term: {key: int(tf) for key, tf in pairs}
-        for term, pairs in stored["postings"].items()
-    }
-    bm25 = Bm25Index(
-        k1=float(manifest["k1"]),
-        b=float(manifest["b"]),
-        doc_lengths={k: int(v) for k, v in stored["doc_lengths"].items()},
-        postings=postings,
-    )
-
-    raw_keywords = json.loads((directory / KEYWORDS_FILE).read_text(encoding="utf-8"))
-    keywords = KeywordTable(keywords={key: set(words) for key, words in raw_keywords.items()})
+    vectors = VectorIndex(dim=dim, keys=vector_keys,
+                          matrix=data.astype(np.float32, copy=False).reshape(-1, dim))
 
     segments = [
         Segment(**d) for d in json.loads((directory / SEGMENTS_FILE).read_text(encoding="utf-8"))
     ]
+    keys = [seg.key for seg in segments]
+    row_of = {key: row for row, key in enumerate(keys)}
+
+    # The files hold keys in sorted order; rows follow the segments.
+    stored = json.loads((directory / POSTINGS_FILE).read_text(encoding="utf-8"))
+    lengths = stored["doc_lengths"]
+    _require_keys("bm25 index", lengths, row_of.keys())
+    postings = {}
+    for term, pairs in stored["postings"].items():
+        try:
+            rows = np.array([row_of[key] for key, _ in pairs], dtype=np.intp)
+        except KeyError as exc:
+            raise InconsistentIndexError(
+                f"bm25 postings of {term!r} hold a key outside the segments: {exc}"
+            ) from None
+        tf = np.array([tf for _, tf in pairs], dtype=np.int64)
+        order = np.argsort(rows)
+        postings[term] = Postings(rows[order], tf[order])
+    bm25 = Bm25Index(k1=float(manifest["k1"]), b=float(manifest["b"]), keys=keys,
+                     lengths=[lengths[key] for key in keys], postings=postings)
+
+    raw_keywords = json.loads((directory / KEYWORDS_FILE).read_text(encoding="utf-8"))
+    _require_keys("keyword table", raw_keywords, row_of.keys())
+    keywords = KeywordTable({key: set(raw_keywords[key]) for key in keys})
+
     return IndexBundle(
-        vectors=VectorIndex(dim=dim, entries=entries),
+        vectors=vectors,
         bm25=bm25,
         keywords=keywords,
         segments=segments,

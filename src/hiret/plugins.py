@@ -26,7 +26,9 @@ class _LineProtocolClient:
         self._proc: subprocess.Popen | None = None
 
     def _ensure_started(self) -> subprocess.Popen:
-        if self._proc is None or self._proc.poll() is not None:
+        if self._proc is not None and self._proc.poll() is not None:
+            self.close()  # the worker died; its pipes are still open
+        if self._proc is None:
             self._proc = subprocess.Popen(
                 self.command,
                 stdin=subprocess.PIPE,
@@ -56,11 +58,18 @@ class _LineProtocolClient:
         return response
 
     def close(self) -> None:
-        if self._proc is not None and self._proc.poll() is None:
-            if self._proc.stdin is not None:
-                self._proc.stdin.close()
-            self._proc.wait(timeout=10)
-        self._proc = None
+        """End the worker (EOF on its stdin) and close both pipes."""
+        proc, self._proc = self._proc, None
+        if proc is None:
+            return
+        try:
+            proc.stdin.close()
+        except OSError:  # flushing into a worker that already exited
+            pass
+        try:
+            proc.wait(timeout=10)
+        finally:
+            proc.stdout.close()
 
     def __enter__(self):
         return self

@@ -8,12 +8,16 @@ are min-max normalized per query, then fused as
 
 and every segment in the corpus receives a rank (ties broken by vector
 score, then key), so downstream evaluation always sees a full permutation.
+Every route is a numpy array aligned to ``IndexBundle.keys``; the ranking
+keeps those arrays and builds a :class:`RankedResult` only when one is read.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +28,8 @@ from .index import (
     KeywordExtractor,
     KeywordTable,
     VectorIndex,
-    bm25_scores,
+    bm25_route,
+    bm25_scores,  # noqa: F401  (bench/spans.py times the BM25 layer under this name)
     extract_keywords,
     is_embeddable,
     make_embedder,
@@ -63,26 +68,113 @@ class RankedResult:
     rank: int
 
 
+class Ranking(Sequence[RankedResult]):
+    """Every segment in rank order; a row is built only when it is read.
+
+    The score columns are aligned to ``keys`` and ``order[i]`` is the row
+    ranked ``i + 1``. Rows read as :class:`RankedResult` with Python
+    ``float``/``int`` fields; :meth:`rank_of` looks a key's rank up through
+    the inverse permutation without building any row.
+    """
+
+    def __init__(self, keys: list[str], order: np.ndarray, score_v: np.ndarray,
+                 score_r: np.ndarray, hits: np.ndarray, fused: np.ndarray,
+                 row_of: dict[str, int] | None = None):
+        self.keys = keys
+        self.order = order
+        self.score_v = score_v
+        self.score_r = score_r
+        self.hits = hits
+        self.fused = fused
+        self._row_of = row_of
+        self._ranks: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.order)
+
+    def _result(self, position: int) -> RankedResult:
+        row = int(self.order[position])
+        return RankedResult(
+            segment_key=self.keys[row],
+            score_v=float(self.score_v[row]),
+            score_r=float(self.score_r[row]),
+            keyword_hits=int(self.hits[row]),
+            fused_score=float(self.fused[row]),
+            rank=position + 1,
+        )
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._result(i) for i in range(*index.indices(len(self)))]
+        position = operator.index(index)
+        if position < 0:
+            position += len(self)
+        if not 0 <= position < len(self):
+            raise IndexError(f"rank position {index} outside a ranking of {len(self)}")
+        return self._result(position)
+
+    def __iter__(self):
+        order = self.order
+        columns = zip(order.tolist(), self.score_v[order].tolist(),
+                      self.score_r[order].tolist(), self.hits[order].tolist(),
+                      self.fused[order].tolist())
+        for rank, (row, v, r, c, fused) in enumerate(columns, start=1):
+            yield RankedResult(self.keys[row], v, r, c, fused, rank)
+
+    def __eq__(self, other):
+        if not isinstance(other, Ranking):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None
+
+    def rank_of(self, key: str) -> int | None:
+        """1-based rank of ``key``, or None when the key is not ranked."""
+        if self._row_of is None:
+            self._row_of = {k: row for row, k in enumerate(self.keys)}
+        if self._ranks is None:
+            self._ranks = np.empty(len(self), dtype=np.intp)
+            self._ranks[self.order] = np.arange(1, len(self) + 1)
+        row = self._row_of.get(key)
+        return None if row is None else int(self._ranks[row])
+
+
 @dataclass(frozen=True)
 class RetrievalOutcome:
     """Top-k slice for serving plus the full ranking for evaluation."""
 
     top: list[RankedResult]
-    ranking: list[RankedResult]
+    ranking: Ranking
 
 
-def vector_route(query: str, vindex: VectorIndex, embedder: Embedder) -> dict[str, float]:
-    """Raw cosine similarity of the query against every stored vector."""
+def vector_route(query: str, vindex: VectorIndex, embedder: Embedder) -> np.ndarray:
+    """Raw cosine similarity of the query against every stored vector.
+
+    Float64 scores in ``vindex.keys`` order, from one float32-by-float64
+    ``einsum``. It sums each row in a fixed order without BLAS, so a score
+    does not depend on the thread count or on the other rows.
+    """
     if embedder.dim != vindex.dim:
         raise ValueError(f"embedder dim {embedder.dim} != index dim {vindex.dim}")
     q = np.asarray(embedder.embed(query), dtype=np.float64)
     if not is_embeddable(q):
         log.warning("query %r has no embeddable tokens; vector route scores all zero", query)
-        return {key: 0.0 for key in vindex.entries}
+        return np.zeros(len(vindex.keys))
     q = q / np.linalg.norm(q)
-    return {
-        key: float(np.dot(vec.astype(np.float64), q)) for key, vec in vindex.entries.items()
-    }
+    return np.einsum("ij,j->i", vindex.matrix, q)
+
+
+def keyword_hits(
+    query: str,
+    ktable: KeywordTable,
+    extractor: KeywordExtractor | None = None,
+    user_keywords: set[str] | None = None,
+) -> np.ndarray:
+    """Distinct critical keywords shared between the query and each row."""
+    query_keywords = extract_keywords(query, extractor, user_keywords)
+    rows = [ktable.rows[kw] for kw in query_keywords if kw in ktable.rows]
+    hit_rows = np.concatenate(rows) if rows else np.zeros(0, dtype=np.intp)
+    return np.bincount(hit_rows, minlength=len(ktable.keywords))
 
 
 def keyword_route(
@@ -91,21 +183,30 @@ def keyword_route(
     extractor: KeywordExtractor | None = None,
     user_keywords: set[str] | None = None,
 ) -> dict[str, int]:
-    """Distinct critical keywords shared between the query and each segment."""
-    query_keywords = extract_keywords(query, extractor, user_keywords)
-    return {key: len(query_keywords & words) for key, words in ktable.keywords.items()}
+    """:func:`keyword_hits` by key."""
+    return dict(zip(ktable.keywords, keyword_hits(query, ktable, extractor,
+                                                  user_keywords).tolist()))
 
 
-def normalize_scores(raw: dict[str, float]) -> dict[str, float]:
-    """Min-max normalize over the map's key set; all-equal maps to 0.5."""
-    if not raw:
-        return {}
-    lo = min(raw.values())
-    hi = max(raw.values())
+def normalize_scores(raw: np.ndarray) -> np.ndarray:
+    """Min-max normalize to [0, 1]; all-equal scores map to 0.5."""
+    if raw.size == 0:
+        return np.zeros(0)
+    lo = raw.min()
+    hi = raw.max()
     if hi == lo:
-        return {key: 0.5 for key in raw}
-    span = hi - lo
-    return {key: (value - lo) / span for key, value in raw.items()}
+        return np.full(raw.shape, 0.5)
+    return (raw - lo) / (hi - lo)
+
+
+def _fuse_and_sort(keys: list[str], key_rank: np.ndarray, v: np.ndarray, r: np.ndarray,
+                   hits: np.ndarray, cfg: RetrievalConfig,
+                   row_of: dict[str, int] | None = None) -> Ranking:
+    """Fuse aligned route columns and rank every row by (-fused, -v, key)."""
+    log_hits = np.array([math.log(1 + c) for c in range(int(hits.max(initial=0)) + 1)])
+    fused = cfg.alpha * v + (1.0 - cfg.alpha) * r + cfg.beta * log_hits[hits]
+    order = np.lexsort((key_rank, -v, -fused))
+    return Ranking(keys, order, v, r, hits, fused, row_of)
 
 
 def fuse_and_rank(
@@ -113,32 +214,17 @@ def fuse_and_rank(
     scores_r: dict[str, float],
     hits: dict[str, int],
     cfg: RetrievalConfig,
-) -> list[RankedResult]:
-    """Fuse normalized route scores and rank every segment.
+) -> Ranking:
+    """Fuse normalized route scores given by key and rank every key.
 
     Keys absent from a map score 0 on that route. Ties break on higher
     vector score, then lexicographic key, making the ranking deterministic.
     """
-    universe = set(scores_v) | set(scores_r) | set(hits)
-    rows = []
-    for key in universe:
-        v = scores_v.get(key, 0.0)
-        r = scores_r.get(key, 0.0)
-        c = hits.get(key, 0)
-        fused = cfg.alpha * v + (1.0 - cfg.alpha) * r + cfg.beta * math.log(1 + c)
-        rows.append((key, v, r, c, fused))
-    rows.sort(key=lambda row: (-row[4], -row[1], row[0]))
-    return [
-        RankedResult(
-            segment_key=key,
-            score_v=v,
-            score_r=r,
-            keyword_hits=c,
-            fused_score=fused,
-            rank=i,
-        )
-        for i, (key, v, r, c, fused) in enumerate(rows, start=1)
-    ]
+    keys = sorted(set(scores_v) | set(scores_r) | set(hits))
+    v = np.array([scores_v.get(key, 0.0) for key in keys], dtype=np.float64)
+    r = np.array([scores_r.get(key, 0.0) for key in keys], dtype=np.float64)
+    c = np.array([hits.get(key, 0) for key in keys], dtype=np.int64)
+    return _fuse_and_sort(keys, np.arange(len(keys)), v, r, c, cfg)
 
 
 def retrieve(
@@ -152,7 +238,8 @@ def retrieve(
     """Run all three routes, fuse, and return top-k plus the full ranking.
 
     Without ``embedder`` one is made from the bundle's spec and closed
-    before returning.
+    before returning. Segments without a vector score 0 on the vector route;
+    the others are normalized among themselves.
     """
     made = embedder is None
     if made:
@@ -162,7 +249,9 @@ def retrieve(
     finally:
         if made and hasattr(embedder, "close"):
             embedder.close()
-    raw_r = bm25_scores(bundle.bm25, query)
-    hits = keyword_route(query, bundle.keywords, extractor, user_keywords)
-    ranking = fuse_and_rank(normalize_scores(raw_v), normalize_scores(raw_r), hits, cfg)
+    v = np.zeros(len(bundle.keys))
+    v[bundle.vector_rows] = normalize_scores(raw_v)
+    r = normalize_scores(bm25_route(bundle.bm25, query))
+    hits = keyword_hits(query, bundle.keywords, extractor, user_keywords)
+    ranking = _fuse_and_sort(bundle.keys, bundle.key_rank, v, r, hits, cfg, bundle.row_of)
     return RetrievalOutcome(top=ranking[: cfg.top_k], ranking=ranking)

@@ -15,20 +15,18 @@ from hiret.evalkit import (
     load_question_bank,
     log_rank_score,
 )
-from hiret.retriever import RankedResult
+from hiret.retriever import Ranking
 
 LOG_RANK_R2_N100 = 0.8494850021680094  # 1 - ln 2 / ln 100
 TWO_RELEVANT_EXAMPLE = 0.7614393726401688  # (1 + (1 - ln 3 / ln 10)) / 2
 
 
 def ranking_of(keys):
-    return [
-        RankedResult(
-            segment_key=key, score_v=0.0, score_r=0.0, keyword_hits=0,
-            fused_score=float(len(keys) - i), rank=i + 1,
-        )
-        for i, key in enumerate(keys)
-    ]
+    """A ranking holding ``keys`` at ranks 1..n."""
+    n = len(keys)
+    zeros = np.zeros(n)
+    return Ranking(list(keys), np.arange(n), zeros, zeros, np.zeros(n, dtype=np.int64),
+                   np.arange(n, 0, -1, dtype=np.float64))
 
 
 def unit(v):

@@ -200,6 +200,32 @@ class TestHeadingPromotionConverter:
         ]
         assert segments[1].content == "vcc is five volts"
 
+    @pytest.mark.parametrize(
+        "heading, body_words",
+        [("## 3.2 electrical ratings", n) for n in (394, 395, 396)]
+        + [("3.2 electrical ratings", n) for n in (395, 396)],
+    )
+    def test_noncanonical_heading_cut_by_core_boundary_is_promoted(self, heading, body_words):
+        # the 400-word core boundary falls inside the heading line
+        body = [f"b{i}" for i in range(body_words)]
+        lines = ["# 1 introduction"]
+        lines += [" ".join(body[i : i + 10]) for i in range(0, body_words, 10)]
+        lines += [heading, "vcc is five volts"]
+        out = self.run("\n".join(lines), window=400, padding=50)
+        assert "# 3.2 electrical ratings" in out.splitlines()
+        segments = parse_markdown(out, "doc")
+        assert [(s.segment_id, s.title) for s in segments] == [
+            ("1", "introduction"),
+            ("3.2", "electrical ratings"),
+        ]
+        assert segments[1].content == "vcc is five volts"
+
+    def test_cut_line_that_is_no_heading_passes_through(self):
+        body = " ".join(f"b{i}" for i in range(396))
+        text = f"# 1 introduction\n{body}\n3.2 volts is applied to the rail, then it settles."
+        out = self.run(text, window=400, padding=50)
+        assert out == text
+
     def test_word_content_preserved_across_windows(self):
         lines = []
         for i in range(1, 21):

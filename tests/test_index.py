@@ -126,7 +126,8 @@ class TestBm25:
         index = self.two_doc_index()
         assert index.avgdl == 1.5
         assert index.corpus_size == 2
-        assert set(index.postings["a"]) == {"c#d1", "c#d2"}
+        assert [index.keys[row] for row in index.postings["a"].rows] == ["c#d1", "c#d2"]
+        assert index.postings["b"].tf.tolist() == [1]
 
     def test_worked_example(self):
         index = self.two_doc_index()
@@ -237,7 +238,11 @@ class TestPersistence:
         assert loaded.keys == bundle.keys
         assert loaded.bm25.k1 == bundle.bm25.k1
         assert loaded.bm25.avgdl == bundle.bm25.avgdl
-        assert loaded.bm25.postings == bundle.bm25.postings
+        assert loaded.bm25.postings.keys() == bundle.bm25.postings.keys()
+        for term, postings in bundle.bm25.postings.items():
+            assert np.array_equal(loaded.bm25.postings[term].rows, postings.rows)
+            assert np.array_equal(loaded.bm25.postings[term].tf, postings.tf)
+        assert np.array_equal(loaded.bm25.lengths, bundle.bm25.lengths)
         assert loaded.keywords.keywords == bundle.keywords.keywords
         assert loaded.user_keywords == bundle.user_keywords
         assert [s.metadata_path for s in loaded.segments] == [

@@ -115,6 +115,41 @@ class TestSubprocessEmbedder:
         assert len(closes) == 3
 
 
+ONE_SHOT_WORKER = """
+import json, sys
+sys.stdin.readline()
+print(json.dumps({"vector": [1.0, 0.0, 0.0]}), flush=True)
+"""
+
+
+class TestWorkerPipes:
+    def test_close_closes_both_pipes(self):
+        embedder = SubprocessEmbedder(py(EMBED_WORKER), dim=3)
+        embedder.embed("x")
+        proc = embedder._proc
+        embedder.close()
+        assert proc.stdin.closed and proc.stdout.closed
+        assert proc.returncode == 0
+
+    def test_close_after_the_worker_died_closes_both_pipes(self):
+        embedder = SubprocessEmbedder([sys.executable, "-c", "pass"], dim=3)
+        with pytest.raises(PluginError):
+            embedder.embed("x")
+        proc = embedder._proc
+        proc.wait(timeout=10)
+        embedder.close()
+        assert proc.stdin.closed and proc.stdout.closed
+
+    def test_replacing_a_dead_worker_closes_its_pipes(self):
+        with SubprocessEmbedder(py(ONE_SHOT_WORKER), dim=3) as embedder:
+            embedder.embed("x")
+            first = embedder._proc
+            first.wait(timeout=10)
+            embedder.embed("y")
+            assert embedder._proc is not first
+            assert first.stdin.closed and first.stdout.closed
+
+
 class TestSubprocessKeywordExtractor:
     def test_extract(self):
         with SubprocessKeywordExtractor(py(KEYWORD_WORKER)) as extractor:

@@ -1,8 +1,11 @@
 import math
 import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import load_and_ingest, write_datasheet_corpus
 
 from hiret.corpus import Segment
 from hiret.index import (
@@ -11,7 +14,11 @@ from hiret.index import (
     IndexBundle,
     KeywordTable,
     VectorIndex,
+    bm25_score,
+    bm25_scores,
+    build_bm25_index,
     build_indices,
+    extract_keywords,
 )
 from hiret.retriever import (
     RankedResult,
@@ -65,7 +72,7 @@ class TestVectorRoute:
     def test_identical_text_scores_one(self):
         e = HashingEmbedder()
         bundle = bundle_for({"1": "alpha beta gamma", "2": "something else entirely"})
-        scores = vector_route("alpha beta gamma", bundle.vectors, e)
+        scores = raw_vector_scores(bundle, "alpha beta gamma", e)
         assert scores["d#1"] == pytest.approx(1.0, abs=1e-6)
 
     def test_disjoint_hash_buckets_score_zero(self):
@@ -75,15 +82,16 @@ class TestVectorRoute:
         a = pool[0]
         b = next(w for w in pool[1:] if np.argmax(np.abs(e.embed(w))) != np.argmax(np.abs(e.embed(a))))
         bundle = bundle_for({"1": a})
-        scores = vector_route(b, bundle.vectors, e)
+        scores = raw_vector_scores(bundle, b, e)
         assert scores["d#1"] == 0.0
 
-    def test_empty_index_gives_empty_map(self):
-        assert vector_route("q", VectorIndex(dim=256), HashingEmbedder()) == {}
+    def test_empty_index_gives_empty_array(self):
+        scores = vector_route("q", VectorIndex(dim=256), HashingEmbedder())
+        assert scores.shape == (0,)
 
     def test_unembeddable_query_scores_all_zero(self):
         bundle = bundle_for({"1": "alpha", "2": "beta"})
-        scores = vector_route("", bundle.vectors, HashingEmbedder())
+        scores = raw_vector_scores(bundle, "", HashingEmbedder())
         assert scores == {"d#1": 0.0, "d#2": 0.0}
 
     def test_dim_mismatch_is_error(self):
@@ -117,16 +125,16 @@ class TestKeywordRoute:
 
 class TestNormalizeScores:
     def test_min_max(self):
-        assert normalize_scores({"a": 2, "b": 4, "c": 6}) == {"a": 0.0, "b": 0.5, "c": 1.0}
+        assert normalize_scores(np.array([2.0, 4.0, 6.0])).tolist() == [0.0, 0.5, 1.0]
 
     def test_all_equal_maps_to_half(self):
-        assert normalize_scores({"a": 7, "b": 7}) == {"a": 0.5, "b": 0.5}
+        assert normalize_scores(np.array([7.0, 7.0])).tolist() == [0.5, 0.5]
 
     def test_singleton_maps_to_half(self):
-        assert normalize_scores({"a": 3}) == {"a": 0.5}
+        assert normalize_scores(np.array([3.0])).tolist() == [0.5]
 
-    def test_empty_map(self):
-        assert normalize_scores({}) == {}
+    def test_empty_array(self):
+        assert normalize_scores(np.zeros(0)).shape == (0,)
 
 
 class TestFuseAndRank:
@@ -264,10 +272,22 @@ class TestRetrieve:
 
     def test_missing_bm25_key_detected(self):
         bundle = self.make_bundle()
-        del bundle.bm25.doc_lengths["d#2"]
+        bm25 = build_bm25_index([s for s in bundle.segments if s.key != "d#2"])
         with pytest.raises(InconsistentIndexError, match="d#2"):
-            IndexBundle(bundle.vectors, bundle.bm25, bundle.keywords, bundle.segments,
+            IndexBundle(bundle.vectors, bm25, bundle.keywords, bundle.segments,
                         bundle.embedder_spec)
+
+    def test_bm25_rows_out_of_segment_order_detected(self):
+        bundle = self.make_bundle()
+        bm25 = build_bm25_index(bundle.segments[::-1])
+        with pytest.raises(InconsistentIndexError, match="segment order"):
+            IndexBundle(bundle.vectors, bm25, bundle.keywords, bundle.segments,
+                        bundle.embedder_spec)
+
+    def test_different_queries_rank_differently(self):
+        bundle = self.make_bundle()
+        cfg = RetrievalConfig()
+        assert retrieve("alpha", bundle, cfg).ranking != retrieve("golf", bundle, cfg).ranking
 
     def test_vector_skips_are_tolerated(self):
         segments = [seg("d", "1", "alpha"), seg("d", "2", "")]
@@ -275,3 +295,133 @@ class TestRetrieve:
         outcome = retrieve("alpha", bundle, RetrievalConfig(top_k=5))
         assert len(outcome.ranking) == 2
         assert outcome.ranking[0].segment_key == "d#1"
+
+
+class TestRanking:
+    def outcome(self):
+        bundle = bundle_for({"1": "alpha bravo", "2": "alpha CA-IS3641", "3": "charlie"})
+        return retrieve("alpha CA-IS3641", bundle, RetrievalConfig(top_k=2))
+
+    def test_rows_hold_python_scalars(self):
+        outcome = self.outcome()
+        ranking = outcome.ranking
+        for row in [ranking[0], ranking[-1], ranking[1:][0], next(iter(ranking)), outcome.top[0]]:
+            assert isinstance(row, RankedResult)
+            for value in (row.score_v, row.score_r, row.fused_score):
+                assert type(value) is float
+            assert type(row.keyword_hits) is int
+            assert type(row.rank) is int
+
+    def test_indexing_agrees_with_iteration(self):
+        ranking = self.outcome().ranking
+        rows = list(ranking)
+        assert [ranking[i] for i in range(len(ranking))] == rows
+        assert ranking[-1] == rows[-1]
+        assert ranking[np.int64(1)] == rows[1]
+        assert ranking[:2] == rows[:2] == self.outcome().top
+        with pytest.raises(IndexError):
+            ranking[len(ranking)]
+
+    def test_rank_of_is_the_inverse_permutation(self):
+        ranking = self.outcome().ranking
+        for row in ranking:
+            assert ranking.rank_of(row.segment_key) == row.rank
+        assert ranking.rank_of("d#ghost") is None
+
+    def test_fuse_and_rank_result_looks_keys_up(self):
+        ranking = fuse_and_rank({"b": 0.2, "a": 0.9}, {}, {"c": 1}, RetrievalConfig(beta=1.0))
+        assert [r.segment_key for r in ranking] == ["c", "a", "b"]
+        assert [ranking.rank_of(k) for k in "abc"] == [2, 3, 1]
+
+
+def _corpus_gen():
+    bench = str(Path(__file__).resolve().parents[1] / "bench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    import corpus_gen
+
+    return corpus_gen
+
+
+def _datasheet_case(tmp_path):
+    _, segments = load_and_ingest(write_datasheet_corpus(tmp_path / "ds"))
+    queries = ["vcc supply voltage", "CA-IS3641 isolation", "pinout package", "zzz", ""]
+    return segments, [], queries
+
+
+def _generated_case(tmp_path):
+    corpus_gen = _corpus_gen()
+    corpus = corpus_gen.generate(3, 4, bank_size=12)
+    corpus_gen.write(corpus, tmp_path / "gen")
+    _, segments = load_and_ingest(tmp_path / "gen")
+    return segments, corpus.keyword_dict, [q["query"] for q in corpus.bank]
+
+
+def raw_vector_scores(bundle, query, embedder):
+    """Raw cosine of the query against every stored vector, by key."""
+    return dict(zip(bundle.vectors.keys, vector_route(query, bundle.vectors, embedder).tolist()))
+
+
+class TestRankingCoreProperties:
+    """Every row of a full ranking follows from the scalar definitions."""
+
+    @pytest.fixture(params=["datasheet", "generated"])
+    def case(self, request, tmp_path):
+        make = {"datasheet": _datasheet_case, "generated": _generated_case}[request.param]
+        return make(tmp_path)
+
+    def test_every_row_matches_the_scalar_oracles(self, case):
+        segments, user_keywords, queries = case
+        embedder = HashingEmbedder()
+        bundle = build_indices(segments, embedder, user_keywords=user_keywords)
+        cfg = RetrievalConfig(alpha=0.4, beta=0.3, top_k=5)
+        user = set(bundle.user_keywords)
+        for query in queries:
+            ranking = list(retrieve(query, bundle, cfg, user_keywords=user).ranking)
+            assert sorted(r.segment_key for r in ranking) == sorted(bundle.keys)
+            assert [r.rank for r in ranking] == list(range(1, len(ranking) + 1))
+
+            raw_r = bm25_scores(bundle.bm25, query)
+            for key in bundle.keys:
+                assert raw_r[key] == bm25_score(bundle.bm25, query, key)
+            lo_r, hi_r = min(raw_r.values()), max(raw_r.values())
+            raw_v = raw_vector_scores(bundle, query, embedder)
+            lo_v, hi_v = min(raw_v.values()), max(raw_v.values())
+            query_keywords = extract_keywords(query, None, user)
+            for row in ranking:
+                key = row.segment_key
+                expected_r = 0.5 if hi_r == lo_r else (raw_r[key] - lo_r) / (hi_r - lo_r)
+                assert row.score_r == expected_r
+                if key not in raw_v:
+                    expected_v = 0.0
+                elif hi_v == lo_v:
+                    expected_v = 0.5
+                else:
+                    expected_v = (raw_v[key] - lo_v) / (hi_v - lo_v)
+                assert row.score_v == expected_v
+                words = bundle.keywords.keywords[key]
+                assert row.keyword_hits == len(query_keywords & words)
+                assert row.fused_score == (
+                    cfg.alpha * row.score_v
+                    + (1.0 - cfg.alpha) * row.score_r
+                    + cfg.beta * math.log(1 + row.keyword_hits)
+                )
+            order = sorted(ranking, key=lambda r: (-r.fused_score, -r.score_v, r.segment_key))
+            assert [r.segment_key for r in ranking] == [r.segment_key for r in order]
+
+    def test_raw_vector_scores_match_per_row_dot(self, case):
+        segments, user_keywords, queries = case
+        embedder = HashingEmbedder()
+        forward = build_indices(segments, embedder, user_keywords=user_keywords)
+        backward = build_indices(segments[::-1], embedder, user_keywords=user_keywords)
+        vectors = dict(zip(forward.keys, (embedder.embed(s.embedding_text) for s in segments)))
+        for query in queries:
+            q = embedder.embed(query)
+            if not q.any():
+                continue
+            q = q / np.linalg.norm(q)
+            scores = raw_vector_scores(forward, query, embedder)
+            assert scores == raw_vector_scores(backward, query, embedder)
+            for key, score in scores.items():
+                per_row = float(np.dot(vectors[key].astype(np.float32).astype(np.float64), q))
+                assert abs(score - per_row) <= 1e-15
