@@ -291,11 +291,11 @@ def run_cohesion(cfg: AppConfig, grouping: str) -> list[list]:
     raw_vectors: dict[str, np.ndarray] = {}
     try:
         for seg in bundle.segments:
-            vec = np.asarray(embedder.embed(seg.content), dtype=np.float64)
-            if index.is_embeddable(vec):
-                raw_vectors[seg.key] = vec / np.linalg.norm(vec)
+            vec, problem = index.unit_vector(embedder.embed(seg.content), embedder.dim)
+            if vec is None:
+                log.warning("segment %s: raw content vector %s; skipped", seg.key, problem)
             else:
-                log.warning("segment %s has no embeddable raw content; skipped", seg.key)
+                raw_vectors[seg.key] = vec
     finally:
         _close_quietly(embedder)
 

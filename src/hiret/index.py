@@ -1,25 +1,34 @@
 """Retrieval substrates: hashed vector index, BM25 index, keyword table.
 
 All three are built over the augmented ``embedding_text`` of each segment,
-keyed by ``doc_id#segment_id``, and persist to a directory as a JSON
-manifest, a raw float32 vector blob (5-byte magic ``HIQA1``), JSON postings
-and keyword files, and the segment payloads. The segment list is the one
-source of the key order: in memory every index is a set of arrays whose
-rows follow it (the BM25 and keyword rows are the segment rows; the vector
-matrix holds a row per embeddable segment). An :class:`IndexBundle` checks
-at construction that the three indices cover exactly its keys. Saving is
-deterministic: re-saving an unchanged index reproduces the files byte for
-byte.
+keyed by ``doc_id#segment_id``. The segment list is the one source of the
+key order: in memory every index is a set of arrays whose rows follow it
+(the BM25 and keyword rows are the segment rows; the vector matrix holds a
+unit vector per embeddable segment). An :class:`IndexBundle` checks at
+construction that the three indices cover exactly its keys.
+
+An index persists to a directory as ``.npy`` arrays, a few small JSON
+files and one blob of per-segment JSON lines, described by a manifest that
+records each file's size and sha256 (format 3). Saving is atomic and
+deterministic: the files are written into a sibling directory that then
+replaces the old index, and re-saving an unchanged index reproduces them
+byte for byte. Loading checks every file against the manifest, maps the
+vector matrix from disk and decodes a segment only when it is read.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import logging
 import math
+import operator
+import os
 import re
+import shutil
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import AbstractSet, Iterable, Protocol
@@ -30,17 +39,28 @@ from .corpus import Segment
 
 log = logging.getLogger(__name__)
 
-FORMAT_VERSION = 2
-VECTOR_MAGIC = b"HIQA1"
+FORMAT_VERSION = 3
 DEFAULT_DIM = 256
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
 
 MANIFEST_FILE = "manifest.json"
-VECTORS_FILE = "vectors.bin"
-POSTINGS_FILE = "postings.json"
-KEYWORDS_FILE = "keywords.json"
-SEGMENTS_FILE = "segments.json"
+# Every file the manifest describes, in the order save_index writes them.
+INDEX_FILES = (
+    "vectors.npy",  # float32 (n_vectors, dim) unit vectors
+    "vector_rows.npy",  # <i4 segment row of each vector
+    "bm25_lengths.npy",  # <i8 token count of each segment
+    "postings_terms.json",  # sorted BM25 terms
+    "postings_offsets.npy",  # <i8 term i holds entries offsets[i]:offsets[i + 1]
+    "postings_rows.npy",  # <i4 segment row of each posting entry
+    "postings_tf.npy",  # <i4 term count of each posting entry
+    "keywords.json",  # key -> sorted critical keywords
+    "segment_keys.json",  # segment keys in segment order
+    "segments.jsonl",  # one JSON line per segment, UTF-8
+    "segment_offsets.npy",  # <i8 segment i is bytes offsets[i]:offsets[i + 1]
+)
+# Files of earlier formats; save_index may replace a directory holding them.
+_OLD_FORMAT_FILES = ("vectors.bin", "postings.json", "segments.json")
 
 # Unicode letter/digit runs; underscores and hyphens split tokens.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -51,7 +71,8 @@ _HAS_DIGIT_RE = re.compile(r"\d")
 
 
 class IndexFormatError(Exception):
-    """A persisted index is missing, corrupt, or from another version."""
+    """A persisted index is missing, corrupt, or from another version, or a
+    save would replace a directory that is not an index."""
 
 
 class InconsistentIndexError(IndexFormatError):
@@ -103,8 +124,20 @@ class HashingEmbedder:
         return {"kind": "hash", "dim": self.dim}
 
 
-def is_embeddable(vector: np.ndarray) -> bool:
-    return bool(np.any(vector))
+def unit_vector(vector: np.ndarray, dim: int) -> tuple[np.ndarray | None, str]:
+    """``vector`` as float64 scaled to unit L2 norm, and ``""``; or None and
+    why it cannot be: a shape other than ``(dim,)``, a non-finite component
+    (or a norm that overflows), or no non-zero component."""
+    vector = np.asarray(vector, dtype=np.float64)
+    if vector.shape != (dim,):
+        return None, f"has shape {vector.shape}, expected ({dim},)"
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow reads as not finite
+        norm = math.sqrt(vector.dot(vector))  # the sum np.linalg.norm takes
+    if not math.isfinite(norm):
+        return None, "is not finite"
+    if norm == 0.0:
+        return None, "is zero (no embeddable text)"
+    return vector / norm, ""
 
 
 @dataclass(eq=False)
@@ -226,14 +259,15 @@ def extract_keywords(
     return found
 
 
-def build_vector_index(segments: list[Segment], embedder: Embedder) -> VectorIndex:
-    """Embed every augmented segment; unembeddable ones are skipped."""
+def build_vector_index(segments: Sequence[Segment], embedder: Embedder) -> VectorIndex:
+    """Embed every augmented segment as a unit vector; a segment whose
+    vector is zero, not finite or of the wrong dimension is skipped."""
     keys: list[str] = []
     matrix = np.empty((len(segments), embedder.dim), dtype=np.float32)
     for seg in segments:
-        vector = embedder.embed(seg.embedding_text)
-        if not is_embeddable(vector):
-            log.warning("segment %s has no embeddable text; skipped from vector index", seg.key)
+        vector, problem = unit_vector(embedder.embed(seg.embedding_text), embedder.dim)
+        if vector is None:
+            log.warning("segment %s: vector %s; skipped from vector index", seg.key, problem)
             continue
         matrix[len(keys)] = vector
         keys.append(seg.key)
@@ -241,7 +275,7 @@ def build_vector_index(segments: list[Segment], embedder: Embedder) -> VectorInd
 
 
 def build_bm25_index(
-    segments: list[Segment],
+    segments: Sequence[Segment],
     k1: float = DEFAULT_K1,
     b: float = DEFAULT_B,
 ) -> Bm25Index:
@@ -260,7 +294,7 @@ def build_bm25_index(
             rows.append(row)
             tfs.append(tf)
     postings = {
-        term: Postings(np.array(rows, dtype=np.intp), np.array(tfs, dtype=np.int64))
+        term: Postings(np.array(rows, dtype=np.intp), np.array(tfs, dtype=np.int32))
         for term, (rows, tfs) in found.items()
     }
     return Bm25Index(k1=k1, b=b, keys=[seg.key for seg in segments], lengths=lengths,
@@ -325,7 +359,7 @@ def bm25_scores(index: Bm25Index, query: str) -> dict[str, float]:
 
 
 def build_keyword_table(
-    segments: list[Segment],
+    segments: Sequence[Segment],
     extractor: KeywordExtractor | None = None,
     user_keywords: Iterable[str] | None = None,
 ) -> KeywordTable:
@@ -349,6 +383,43 @@ def _require_keys(name: str, table: Iterable[str], universe: AbstractSet[str],
         raise InconsistentIndexError(f"{name} is missing keys: {sorted(missing)}")
 
 
+class StoredSegments(Sequence[Segment]):
+    """Segments of a saved index, decoded from their JSON line when read.
+
+    ``keys`` is the segment key order; reading row ``i`` decodes a fresh
+    :class:`Segment` from ``blob[offsets[i]:offsets[i + 1]]``, so a query
+    decodes only the rows it shows.
+    """
+
+    def __init__(self, keys: list[str], blob: bytes, offsets: list[int]):
+        self.keys = keys
+        self._blob = blob
+        self._offsets = offsets
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        row = operator.index(index)
+        if row < 0:
+            row += len(self)
+        if not 0 <= row < len(self):
+            raise IndexError(f"segment row {index} outside {len(self)} segments")
+        seg = Segment(**json.loads(self._blob[self._offsets[row]:self._offsets[row + 1]]))
+        if seg.key != self.keys[row]:
+            raise IndexFormatError(f"segment row {row} holds {seg.key!r}, not {self.keys[row]!r}")
+        return seg
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None
+
+
 @dataclass
 class IndexBundle:
     """Everything a query needs: the three indices plus segment payloads.
@@ -363,7 +434,7 @@ class IndexBundle:
     vectors: VectorIndex
     bm25: Bm25Index
     keywords: KeywordTable
-    segments: list[Segment]
+    segments: Sequence[Segment]
     embedder_spec: dict
     user_keywords: list[str] = field(default_factory=list)
     keys: list[str] = field(init=False, repr=False, compare=False)
@@ -372,7 +443,10 @@ class IndexBundle:
     vector_rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        keys = self.keys = [seg.key for seg in self.segments]
+        if isinstance(self.segments, StoredSegments):
+            keys = self.keys = self.segments.keys
+        else:
+            keys = self.keys = [seg.key for seg in self.segments]
         self.row_of = {key: row for row, key in enumerate(keys)}
         universe = self.row_of.keys()
         if len(universe) != len(keys):
@@ -391,7 +465,7 @@ class IndexBundle:
 
 
 def build_indices(
-    segments: list[Segment],
+    segments: Sequence[Segment],
     embedder: Embedder,
     k1: float = DEFAULT_K1,
     b: float = DEFAULT_B,
@@ -399,12 +473,13 @@ def build_indices(
     user_keywords: Iterable[str] | None = None,
 ) -> IndexBundle:
     """Build all three substrates over one augmented segment list."""
+    segments = list(segments)  # decode stored segments once, not per index
     user = sorted({kw.casefold().strip() for kw in user_keywords or [] if kw.strip()})
     return IndexBundle(
         vectors=build_vector_index(segments, embedder),
         bm25=build_bm25_index(segments, k1=k1, b=b),
         keywords=build_keyword_table(segments, extractor, user),
-        segments=list(segments),
+        segments=segments,
         embedder_spec=embedder.spec(),
         user_keywords=user,
     )
@@ -424,60 +499,104 @@ def make_embedder(spec: dict) -> Embedder:
     raise ValueError(f"unknown embedder kind: {kind!r}")
 
 
-def _dump_json(path: Path, payload: object, indent: int | None = None) -> None:
+def _json_bytes(payload: object, indent: int | None = None) -> bytes:
     separators = (",", ": ") if indent else (",", ":")
     text = json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=indent,
                       separators=separators)
-    path.write_text(text + "\n", encoding="utf-8")
+    return (text + "\n").encode("utf-8")
 
 
-def save_index(bundle: IndexBundle, path: str | Path) -> dict:
-    """Persist the bundle to a directory; returns the manifest written."""
-    directory = Path(path)
-    directory.mkdir(parents=True, exist_ok=True)
+def _npy_bytes(array: np.ndarray, dtype: str) -> bytes:
+    buffer = io.BytesIO()
+    np.save(buffer, np.ascontiguousarray(array, dtype=dtype), allow_pickle=False)
+    return buffer.getvalue()
 
-    vector_keys = bundle.vectors.keys
+
+def _concat(arrays: list[np.ndarray]) -> np.ndarray:
+    return np.concatenate(arrays) if arrays else np.zeros(0, dtype=np.intp)
+
+
+def _write_files(bundle: IndexBundle, directory: Path) -> dict:
+    """Write every index file, then the manifest that lists their sizes and
+    sha256 digests; returns the manifest."""
+    files = {}
+
+    def put(name: str, data: bytes) -> None:
+        (directory / name).write_bytes(data)
+        files[name] = {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
+
+    put("vectors.npy", _npy_bytes(bundle.vectors.matrix, "<f4"))
+    put("vector_rows.npy", _npy_bytes(bundle.vector_rows, "<i4"))
+    put("bm25_lengths.npy", _npy_bytes(bundle.bm25.lengths, "<i8"))
+    terms = sorted(bundle.bm25.postings)
+    postings = [bundle.bm25.postings[term] for term in terms]
+    put("postings_terms.json", _json_bytes(terms))
+    put("postings_offsets.npy", _npy_bytes(np.cumsum([0] + [len(p) for p in postings]), "<i8"))
+    put("postings_rows.npy", _npy_bytes(_concat([p.rows for p in postings]), "<i4"))
+    put("postings_tf.npy", _npy_bytes(_concat([p.tf for p in postings]), "<i4"))
+    put("keywords.json",
+        _json_bytes({key: sorted(words) for key, words in bundle.keywords.keywords.items()}))
+    put("segment_keys.json", _json_bytes(bundle.keys))
+    lines = [_json_bytes(vars(seg)) for seg in bundle.segments]
+    put("segment_offsets.npy", _npy_bytes(np.cumsum([0] + [len(line) for line in lines]), "<i8"))
+    put("segments.jsonl", b"".join(lines))
+
     manifest = {
         "format_version": FORMAT_VERSION,
         "dim": bundle.vectors.dim,
         "k1": bundle.bm25.k1,
         "b": bundle.bm25.b,
-        "vector_keys": vector_keys,
         "embedder": bundle.embedder_spec,
         "user_keywords": bundle.user_keywords,
+        "files": files,
     }
-    _dump_json(directory / MANIFEST_FILE, manifest, indent=2)
-
-    with open(directory / VECTORS_FILE, "wb") as handle:
-        handle.write(VECTOR_MAGIC)
-        handle.write(np.asarray(bundle.vectors.matrix, dtype="<f4").tobytes())
-
-    keys = bundle.bm25.keys
-    _dump_json(
-        directory / POSTINGS_FILE,
-        {
-            "doc_lengths": dict(zip(keys, bundle.bm25.lengths.tolist())),
-            "postings": {
-                term: sorted(zip([keys[row] for row in p.rows.tolist()], p.tf.tolist()))
-                for term, p in bundle.bm25.postings.items()
-            },
-        },
-    )
-    _dump_json(
-        directory / KEYWORDS_FILE,
-        {key: sorted(words) for key, words in bundle.keywords.keywords.items()},
-    )
-    _dump_json(directory / SEGMENTS_FILE, [vars(s) for s in bundle.segments])
+    (directory / MANIFEST_FILE).write_bytes(_json_bytes(manifest, indent=2))
     return manifest
 
 
-def load_index(path: str | Path) -> IndexBundle:
-    """Load a bundle persisted by :func:`save_index`; round-trip is exact.
+def save_index(bundle: IndexBundle, path: str | Path) -> dict:
+    """Persist the bundle to a directory; returns the manifest written.
 
-    Raises :class:`IndexFormatError` for a missing, corrupt, other-version
-    or inconsistent index.
+    The files are written into a new sibling directory, which then takes
+    the place of ``path``: an interrupted save leaves the previous index
+    (or none) in place and no partial one. A ``path`` that holds anything
+    but index files is refused with :class:`IndexFormatError`.
     """
-    directory = Path(path)
+    target = Path(os.path.abspath(path))
+    if target.is_dir():
+        known = {MANIFEST_FILE, *INDEX_FILES, *_OLD_FORMAT_FILES}
+        stray = sorted(p.name for p in target.iterdir() if p.name not in known)
+        if stray:
+            raise IndexFormatError(f"refusing to replace {target}: it holds {stray}, "
+                                   "which are not index files")
+    elif target.exists():
+        raise IndexFormatError(f"refusing to replace {target}: it is not a directory")
+    target.parent.mkdir(parents=True, exist_ok=True)
+
+    def sibling(tag: str) -> Path:
+        return target.with_name(f".{target.name}.{tag}-{os.urandom(4).hex()}")
+
+    staging = sibling("new")
+    staging.mkdir()
+    try:
+        manifest = _write_files(bundle, staging)
+        if target.exists():
+            old = sibling("old")
+            os.rename(target, old)
+            try:
+                os.rename(staging, target)
+            except BaseException:
+                os.rename(old, target)
+                raise
+            shutil.rmtree(old)
+        else:
+            os.rename(staging, target)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+    return manifest
+
+
+def _read_manifest(directory: Path) -> dict:
     manifest_path = directory / MANIFEST_FILE
     if not manifest_path.exists():
         raise IndexFormatError(f"no index manifest at {manifest_path}")
@@ -485,58 +604,111 @@ def load_index(path: str | Path) -> IndexBundle:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except ValueError as exc:
         raise IndexFormatError(f"corrupt manifest {manifest_path}: {exc}") from exc
-    version = manifest.get("format_version")
+    version = manifest.get("format_version") if isinstance(manifest, dict) else None
     if version != FORMAT_VERSION:
         raise IndexFormatError(
             f"unsupported index format_version {version!r} (expected {FORMAT_VERSION})"
         )
+    files = manifest.get("files")
+    if not isinstance(files, dict) or sorted(files) != sorted(INDEX_FILES):
+        raise IndexFormatError(f"manifest {manifest_path} does not list the index files")
+    return manifest
 
-    with open(directory / VECTORS_FILE, "rb") as handle:
-        if handle.read(len(VECTOR_MAGIC)) != VECTOR_MAGIC:
-            raise IndexFormatError(f"bad vector blob magic in {directory / VECTORS_FILE}")
-        data = np.fromfile(handle, dtype="<f4")
-    dim = int(manifest["dim"])
-    vector_keys = list(manifest["vector_keys"])
-    if data.size != dim * len(vector_keys):
+
+def _read_checked(path: Path, entry: dict) -> bytes:
+    """The bytes of ``path`` once their size and sha256 match ``entry``."""
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise IndexFormatError(f"cannot read index file {path}: {exc}") from exc
+    if len(data) != entry["bytes"]:
         raise IndexFormatError(
-            f"vector blob holds {data.size} floats, expected {dim * len(vector_keys)}"
+            f"index file {path} holds {len(data)} bytes, the manifest says {entry['bytes']}"
         )
-    vectors = VectorIndex(dim=dim, keys=vector_keys,
-                          matrix=data.astype(np.float32, copy=False).reshape(-1, dim))
+    if hashlib.sha256(data).hexdigest() != entry["sha256"]:
+        raise IndexFormatError(f"index file {path} does not match its sha256 in the manifest")
+    return data
 
-    segments = [
-        Segment(**d) for d in json.loads((directory / SEGMENTS_FILE).read_text(encoding="utf-8"))
-    ]
-    keys = [seg.key for seg in segments]
-    row_of = {key: row for row, key in enumerate(keys)}
 
-    # The files hold keys in sorted order; rows follow the segments.
-    stored = json.loads((directory / POSTINGS_FILE).read_text(encoding="utf-8"))
-    lengths = stored["doc_lengths"]
-    _require_keys("bm25 index", lengths, row_of.keys())
-    postings = {}
-    for term, pairs in stored["postings"].items():
+def _check_offsets(name: str, offsets: np.ndarray, count: int, end: int) -> None:
+    if (offsets.shape != (count + 1,) or offsets[0] != 0 or offsets[-1] != end
+            or np.any(offsets[1:] < offsets[:-1])):
+        raise IndexFormatError(f"{name} does not split {end} entries into {count} parts")
+
+
+def _check_rows(name: str, rows: np.ndarray, count: int) -> None:
+    if rows.size and (rows.min() < 0 or rows.max() >= count):
+        raise IndexFormatError(f"{name} holds rows outside the {count} segments")
+
+
+def load_index(path: str | Path) -> IndexBundle:
+    """Load a bundle persisted by :func:`save_index`; round-trip is exact.
+
+    Every file must match the size and sha256 the manifest records. The
+    vector matrix is memory-mapped read-only and segments are decoded
+    when read (:class:`StoredSegments`). Raises :class:`IndexFormatError`
+    for a missing, corrupt, other-version or inconsistent index.
+    """
+    directory = Path(path)
+    manifest = _read_manifest(directory)
+
+    def read(name: str) -> bytes:
+        return _read_checked(directory / name, manifest["files"][name])
+
+    def parse(name: str):
         try:
-            rows = np.array([row_of[key] for key, _ in pairs], dtype=np.intp)
-        except KeyError as exc:
-            raise InconsistentIndexError(
-                f"bm25 postings of {term!r} hold a key outside the segments: {exc}"
-            ) from None
-        tf = np.array([tf for _, tf in pairs], dtype=np.int64)
-        order = np.argsort(rows)
-        postings[term] = Postings(rows[order], tf[order])
-    bm25 = Bm25Index(k1=float(manifest["k1"]), b=float(manifest["b"]), keys=keys,
-                     lengths=[lengths[key] for key in keys], postings=postings)
+            return json.loads(read(name))
+        except ValueError as exc:
+            raise IndexFormatError(f"corrupt index file {directory / name}: {exc}") from exc
 
-    raw_keywords = json.loads((directory / KEYWORDS_FILE).read_text(encoding="utf-8"))
-    _require_keys("keyword table", raw_keywords, row_of.keys())
-    keywords = KeywordTable({key: set(raw_keywords[key]) for key in keys})
+    def array(name: str, dtype: str, ndim: int = 1, mmap: bool = False) -> np.ndarray:
+        data = read(name)
+        try:
+            if mmap:
+                loaded = np.asarray(np.load(directory / name, mmap_mode="r", allow_pickle=False))
+            else:
+                loaded = np.load(io.BytesIO(data), allow_pickle=False)
+        except ValueError as exc:
+            raise IndexFormatError(f"corrupt index file {directory / name}: {exc}") from exc
+        if loaded.dtype != np.dtype(dtype) or loaded.ndim != ndim:
+            raise IndexFormatError(f"index file {directory / name} holds {loaded.dtype} "
+                                   f"{loaded.ndim}-d data, expected {dtype} {ndim}-d")
+        return loaded
 
-    return IndexBundle(
-        vectors=vectors,
-        bm25=bm25,
-        keywords=keywords,
-        segments=segments,
-        embedder_spec=dict(manifest["embedder"]),
-        user_keywords=[str(kw) for kw in manifest.get("user_keywords", [])],
-    )
+    keys = parse("segment_keys.json")
+    blob = read("segments.jsonl")
+    segment_offsets = array("segment_offsets.npy", "<i8")
+    _check_offsets("segment_offsets.npy", segment_offsets, len(keys), len(blob))
+    segments = StoredSegments(keys, blob, segment_offsets.tolist())
+
+    vector_rows = array("vector_rows.npy", "<i4")
+    _check_rows("vector_rows.npy", vector_rows, len(keys))
+    terms = parse("postings_terms.json")
+    offsets = array("postings_offsets.npy", "<i8")
+    rows = array("postings_rows.npy", "<i4")
+    tf = array("postings_tf.npy", "<i4")
+    _check_offsets("postings_offsets.npy", offsets, len(terms), len(rows))
+    _check_rows("postings_rows.npy", rows, len(keys))
+    if len(tf) != len(rows):
+        raise IndexFormatError(f"{len(tf)} posting counts for {len(rows)} posting rows")
+    rows = rows.astype(np.intp)  # once here, not per query
+    bounds = offsets.tolist()
+    postings = {term: Postings(rows[lo:hi], tf[lo:hi])
+                for term, lo, hi in zip(terms, bounds, bounds[1:])}
+    raw_keywords = parse("keywords.json")
+    _require_keys("keyword table", raw_keywords, set(keys))
+
+    try:
+        return IndexBundle(
+            vectors=VectorIndex(dim=int(manifest["dim"]),
+                                keys=[keys[row] for row in vector_rows.tolist()],
+                                matrix=array("vectors.npy", "<f4", ndim=2, mmap=True)),
+            bm25=Bm25Index(k1=float(manifest["k1"]), b=float(manifest["b"]), keys=keys,
+                           lengths=array("bm25_lengths.npy", "<i8"), postings=postings),
+            keywords=KeywordTable({key: set(raw_keywords[key]) for key in keys}),
+            segments=segments,
+            embedder_spec=dict(manifest["embedder"]),
+            user_keywords=[str(kw) for kw in manifest.get("user_keywords", [])],
+        )
+    except ValueError as exc:  # shapes that do not fit together
+        raise IndexFormatError(f"corrupt index {directory}: {exc}") from exc

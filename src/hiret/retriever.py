@@ -31,8 +31,8 @@ from .index import (
     bm25_route,
     bm25_scores,  # noqa: F401  (bench/spans.py times the BM25 layer under this name)
     extract_keywords,
-    is_embeddable,
     make_embedder,
+    unit_vector,
 )
 
 log = logging.getLogger(__name__)
@@ -152,15 +152,19 @@ def vector_route(query: str, vindex: VectorIndex, embedder: Embedder) -> np.ndar
 
     Float64 scores in ``vindex.keys`` order, from one float32-by-float64
     ``einsum``. It sums each row in a fixed order without BLAS, so a score
-    does not depend on the thread count or on the other rows.
+    does not depend on the thread count or on the other rows. A zero or
+    non-finite query vector scores every row 0; a query vector of the wrong
+    dimension raises ValueError.
     """
     if embedder.dim != vindex.dim:
         raise ValueError(f"embedder dim {embedder.dim} != index dim {vindex.dim}")
     q = np.asarray(embedder.embed(query), dtype=np.float64)
-    if not is_embeddable(q):
-        log.warning("query %r has no embeddable tokens; vector route scores all zero", query)
+    if q.shape != (vindex.dim,):
+        raise ValueError(f"query vector has shape {q.shape}, expected ({vindex.dim},)")
+    q, problem = unit_vector(q, vindex.dim)
+    if q is None:
+        log.warning("query %r: vector %s; vector route scores all zero", query, problem)
         return np.zeros(len(vindex.keys))
-    q = q / np.linalg.norm(q)
     return np.einsum("ij,j->i", vindex.matrix, q)
 
 

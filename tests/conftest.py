@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -181,3 +182,13 @@ def write_datasheet_corpus(root: Path) -> Path:
     (root / "ca-is3641.md").write_text(DATASHEET_TEXT, encoding="utf-8")
     (root / "ca-is3641.meta.json").write_text(json.dumps(DATASHEET_META), encoding="utf-8")
     return root
+
+
+def restamp_manifest(index_dir: Path, name: str) -> None:
+    """Record the current size and sha256 of index file ``name`` in the
+    manifest, as if the file had been saved as it now is."""
+    path = Path(index_dir) / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    data = (Path(index_dir) / name).read_bytes()
+    manifest["files"][name] = {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
+    path.write_text(json.dumps(manifest), encoding="utf-8")

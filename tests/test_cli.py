@@ -13,6 +13,7 @@ from conftest import (
     manual_doc_stem,
     manual_doc_title,
     manual_queries,
+    restamp_manifest,
     write_datasheet_corpus,
     write_manual_corpus,
 )
@@ -46,11 +47,28 @@ class TestIngest:
         names = {p.name for p in (tmp_path / "index").iterdir()}
         assert names == {
             "manifest.json",
-            "vectors.bin",
-            "postings.json",
+            "vectors.npy",
+            "vector_rows.npy",
+            "bm25_lengths.npy",
+            "postings_terms.json",
+            "postings_offsets.npy",
+            "postings_rows.npy",
+            "postings_tf.npy",
             "keywords.json",
-            "segments.json",
+            "segment_keys.json",
+            "segments.jsonl",
+            "segment_offsets.npy",
         }
+        assert [p.name for p in tmp_path.iterdir()] == ["corpus", "index"]  # no staging left
+
+    def test_refuses_to_replace_a_directory_of_other_files(self, tmp_path, capsys):
+        corpus = write_manual_corpus(tmp_path / "corpus", 1)
+        before = dir_bytes(corpus)
+        code = main(["--corpus-dir", str(corpus), "--index-dir", str(corpus), "ingest"])
+        assert code == 2
+        assert "not index files" in capsys.readouterr().err
+        assert dir_bytes(corpus) == before
+        assert [p.name for p in tmp_path.iterdir()] == ["corpus"]
 
     def test_reingest_is_byte_identical(self, tmp_path):
         corpus = write_manual_corpus(tmp_path / "corpus", 3)
@@ -170,12 +188,36 @@ class TestQuery:
         dropped = sorted(table)[1]
         del table[dropped]
         path.write_text(json.dumps(table), encoding="utf-8")
+        restamp_manifest(cfg.index_dir, "keywords.json")  # consistent file sums, bad contents
         with pytest.raises(InconsistentIndexError, match=dropped):
             load_index(cfg.index_dir)
         code = main(["--index-dir", cfg.index_dir, "query", "pinout"])
         assert code == 2
         err = capsys.readouterr().err
         assert dropped in err and "run 'hiret ingest'" in err
+
+    def test_previous_format_asks_for_a_reingest(self, tmp_path, capsys):
+        index_dir = tmp_path / "index"
+        index_dir.mkdir()
+        manifest = {"format_version": 2, "dim": 256, "k1": 1.2, "b": 0.75,
+                    "vector_keys": [], "embedder": {"kind": "hash", "dim": 256},
+                    "user_keywords": []}
+        (index_dir / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        for name in ["vectors.bin", "postings.json", "keywords.json", "segments.json"]:
+            (index_dir / name).write_text("{}", encoding="utf-8")
+        code = main(["--index-dir", str(index_dir), "query", "pinout"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "format_version 2 (expected 3)" in err and "run 'hiret ingest'" in err
+
+    def test_damaged_file_is_refused_with_its_name(self, manual_setup, capsys):
+        cfg, _ = manual_setup
+        path = Path(cfg.index_dir) / "postings_tf.npy"
+        path.write_bytes(path.read_bytes()[:-4])
+        code = main(["--index-dir", cfg.index_dir, "query", "pinout"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "postings_tf.npy" in err and "run 'hiret ingest'" in err
 
     def test_closed_stdout_pipe_exits_cleanly(self, manual_setup):
         # `hiret query ... | head`: the reader is gone before the output is written

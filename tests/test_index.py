@@ -1,16 +1,25 @@
+import json
 import math
 import random
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import restamp_manifest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hiret.corpus import Segment
 from hiret.index import (
     FORMAT_VERSION,
+    INDEX_FILES,
     HashingEmbedder,
     InconsistentIndexError,
     IndexFormatError,
+    StoredSegments,
     PatternKeywordExtractor,
+    bm25_route,
     bm25_score,
     bm25_scores,
     build_bm25_index,
@@ -18,11 +27,12 @@ from hiret.index import (
     build_keyword_table,
     build_vector_index,
     extract_keywords,
-    is_embeddable,
     load_index,
     save_index,
     tokenize,
+    unit_vector,
 )
+from hiret.retriever import RetrievalConfig, keyword_hits, retrieve, vector_route
 
 BM25_WORKED_EXAMPLE = 0.6099695188927519  # ln 2 * 0.88, recomputed by hand
 
@@ -81,7 +91,7 @@ class TestHashingEmbedder:
 
     def test_empty_input_is_unembeddable(self):
         v = HashingEmbedder().embed("")
-        assert not is_embeddable(v)
+        assert unit_vector(v, 256)[0] is None
         assert np.all(v == 0.0)
 
     def test_dimension(self):
@@ -109,6 +119,26 @@ class TestVectorIndex:
         index = build_vector_index(segments, e)
         expected = e.embed("alpha beta").astype(np.float32)
         assert np.array_equal(index.entries["d#1"], expected)
+
+    def test_bad_vectors_are_skipped_with_a_warning(self, caplog):
+        class Fixed:
+            dim = 2
+            vectors = {"good": [3.0, 4.0], "nan": [math.nan, 1.0], "inf": [-math.inf, 0.0],
+                       "huge": [1e308, 1e308], "wrong": [1.0, 2.0, 3.0], "zero": [0.0, 0.0]}
+
+            def embed(self, text):
+                return np.asarray(self.vectors[text], dtype=np.float64)
+
+        segments = [seg("d", name, name) for name in Fixed.vectors]
+        with caplog.at_level("WARNING", logger="hiret.index"):
+            index = build_vector_index(segments, Fixed())
+        assert index.keys == ["d#good"]
+        assert index.matrix.tolist() == [[np.float32(0.6), np.float32(0.8)]]
+        warned = "\n".join(r.getMessage() for r in caplog.records)
+        for key, problem in [("nan", "is not finite"), ("inf", "is not finite"),
+                             ("huge", "is not finite"), ("wrong", "has shape (3,)"),
+                             ("zero", "is zero")]:
+            assert f"segment d#{key}: vector {problem}" in warned
 
     def test_self_cosine_is_one(self):
         segments = [seg("d", str(i), f"text number {i}") for i in range(5)]
@@ -267,10 +297,55 @@ class TestPersistence:
 
     def test_corrupted_magic_refuses_to_load(self, tmp_path):
         save_index(self.build_bundle(), tmp_path)
-        blob = (tmp_path / "vectors.bin").read_bytes()
-        (tmp_path / "vectors.bin").write_bytes(b"XXXXX" + blob[5:])
-        with pytest.raises(IndexFormatError, match="magic"):
+        blob = (tmp_path / "vectors.npy").read_bytes()
+        (tmp_path / "vectors.npy").write_bytes(b"XXXXXX" + blob[6:])  # the .npy magic
+        with pytest.raises(IndexFormatError, match="vectors.npy"):
             load_index(tmp_path)
+        # a manifest that vouches for the bad file does not get it parsed either
+        restamp_manifest(tmp_path, "vectors.npy")
+        with pytest.raises(IndexFormatError, match="corrupt index file .*vectors.npy"):
+            load_index(tmp_path)
+
+    @pytest.mark.parametrize("name", INDEX_FILES)
+    def test_truncated_file_is_refused(self, tmp_path, name):
+        save_index(self.build_bundle(), tmp_path)
+        data = (tmp_path / name).read_bytes()
+        (tmp_path / name).write_bytes(data[: len(data) // 2])
+        with pytest.raises(IndexFormatError, match=f"{name} holds {len(data) // 2} bytes"):
+            load_index(tmp_path)
+
+    @pytest.mark.parametrize("name", INDEX_FILES)
+    def test_flipped_byte_is_refused(self, tmp_path, name):
+        save_index(self.build_bundle(), tmp_path)
+        data = bytearray((tmp_path / name).read_bytes())
+        data[len(data) // 2] ^= 0x01
+        (tmp_path / name).write_bytes(bytes(data))
+        with pytest.raises(IndexFormatError, match=f"{name} does not match its sha256"):
+            load_index(tmp_path)
+
+    def test_missing_file_is_refused(self, tmp_path):
+        save_index(self.build_bundle(), tmp_path)
+        (tmp_path / "postings_rows.npy").unlink()
+        with pytest.raises(IndexFormatError, match="postings_rows.npy"):
+            load_index(tmp_path)
+
+    def test_manifest_must_list_every_file(self, tmp_path):
+        save_index(self.build_bundle(), tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+        del manifest["files"]["segments.jsonl"]
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(IndexFormatError, match="does not list the index files"):
+            load_index(tmp_path)
+
+    def test_segment_row_holding_another_key_is_refused_when_read(self, tmp_path):
+        save_index(self.build_bundle(), tmp_path)
+        keys = json.loads((tmp_path / "segment_keys.json").read_text(encoding="utf-8"))
+        keys[0], keys[1] = keys[1], keys[0]
+        (tmp_path / "segment_keys.json").write_text(json.dumps(keys), encoding="utf-8")
+        restamp_manifest(tmp_path, "segment_keys.json")
+        loaded = load_index(tmp_path)
+        with pytest.raises(IndexFormatError, match="segment row 0 holds 'd1#1', not 'd1#1.1'"):
+            loaded.segments[0]
 
     def test_version_mismatch_refuses_to_load(self, tmp_path):
         save_index(self.build_bundle(), tmp_path)
@@ -293,3 +368,147 @@ class TestPersistence:
         assert loaded.keys == []
         assert loaded.vectors.entries == {}
         assert loaded.bm25.corpus_size == 0
+
+
+class TestStoredSegments:
+    def saved(self, tmp_path):
+        segments = [seg("d", str(i), f"text {i} \u00e9\u2028\n") for i in range(4)]
+        segments[2].metadata_path = ["d title", "2 body"]
+        save_index(build_indices(segments, HashingEmbedder()), tmp_path)
+        return segments, load_index(tmp_path).segments
+
+    def test_rows_decode_to_the_saved_segments(self, tmp_path):
+        segments, stored = self.saved(tmp_path)
+        assert isinstance(stored, StoredSegments)
+        assert len(stored) == 4
+        assert [stored[i] for i in range(4)] == segments
+        assert stored[-1] == segments[-1]
+        assert stored[1:3] == segments[1:3]
+        assert list(stored) == segments
+        assert stored == segments
+        with pytest.raises(IndexError):
+            stored[4]
+
+    def test_each_read_decodes_a_fresh_segment(self, tmp_path):
+        _, stored = self.saved(tmp_path)
+        stored[0].title = "changed"
+        assert stored[0].title == "0"
+
+
+class TestAtomicSave:
+    def bundle(self, texts):
+        segments = [seg("d", str(i), text) for i, text in enumerate(texts)]
+        return build_indices(segments, HashingEmbedder())
+
+    def test_replaces_an_index_and_leaves_no_staging_directory(self, tmp_path):
+        target = tmp_path / "index"
+        save_index(self.bundle(["alpha", "beta"]), target)
+        save_index(self.bundle(["gamma delta"]), target)
+        assert [p.name for p in tmp_path.iterdir()] == ["index"]
+        assert load_index(target).keys == ["d#0"]
+
+    def test_save_that_raises_between_writes_keeps_the_previous_index(self, tmp_path,
+                                                                     monkeypatch):
+        target = tmp_path / "index"
+        before = self.bundle(["alpha beta CA-IS3641", "gamma", "alpha epsilon"])
+        save_index(before, target)
+        saved = {p.name: p.read_bytes() for p in target.iterdir()}
+        cfg = RetrievalConfig()
+        expected = [retrieve(q, load_index(target), cfg).ranking for q in ["alpha", "ca-is3641"]]
+
+        real_save, calls = np.save, []
+
+        def save_then_fail(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:  # vectors.npy is written, vector_rows.npy is not
+                raise OSError("disk full")
+            return real_save(*args, **kwargs)
+
+        monkeypatch.setattr(np, "save", save_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_index(self.bundle(["other", "texts"]), target)
+        monkeypatch.undo()
+
+        assert len(calls) == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["index"]
+        assert {p.name: p.read_bytes() for p in target.iterdir()} == saved
+        loaded = load_index(target)
+        assert [retrieve(q, loaded, cfg).ranking for q in ["alpha", "ca-is3641"]] == expected
+
+    def test_refuses_a_directory_holding_other_files(self, tmp_path):
+        target = tmp_path / "index"
+        target.mkdir()
+        (target / "notes.txt").write_text("keep me", encoding="utf-8")
+        with pytest.raises(IndexFormatError, match="notes.txt"):
+            save_index(self.bundle(["alpha"]), target)
+        assert [p.name for p in target.iterdir()] == ["notes.txt"]
+        assert [p.name for p in tmp_path.iterdir()] == ["index"]
+
+    def test_refuses_a_file(self, tmp_path):
+        (tmp_path / "index").write_text("x", encoding="utf-8")
+        with pytest.raises(IndexFormatError, match="not a directory"):
+            save_index(self.bundle(["alpha"]), tmp_path / "index")
+
+    def test_replaces_an_index_of_the_previous_format(self, tmp_path):
+        for name in ["manifest.json", "vectors.bin", "postings.json", "keywords.json",
+                     "segments.json"]:
+            (tmp_path / name).write_text("{}", encoding="utf-8")
+        save_index(self.bundle(["alpha"]), tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["manifest.json", *INDEX_FILES])
+        assert load_index(tmp_path).keys == ["d#0"]
+
+
+@st.composite
+def small_bundles(draw):
+    """Bundles of up to six segments: unicode text, segments with no
+    embeddable text (so no vector), keys in any order, maybe none."""
+    keys = draw(st.lists(st.tuples(st.text(max_size=4), st.text(max_size=4)), max_size=6,
+                         unique_by=lambda pair: f"{pair[0]}#{pair[1]}"))
+    words = st.sampled_from(["alpha", "beta", "CA-IS3641", "\u00e9t\u00e9", "\u4e2d\u6587",
+                             "x9", "", "--", "\n"])
+    segments = []
+    for doc_id, segment_id in keys:
+        text = " ".join(draw(st.lists(words, max_size=5)))
+        segments.append(Segment(
+            segment_id=segment_id,
+            chapter_number=draw(st.text(max_size=3)),
+            level=draw(st.integers(0, 4)),
+            title=draw(st.text(max_size=6)),
+            kind=draw(st.sampled_from(["text", "table", "image"])),
+            content=draw(st.text(max_size=12)) + text,
+            doc_id=doc_id,
+            embedding_text=text,
+            metadata_path=draw(st.lists(st.text(max_size=5), max_size=3)),
+        ))
+    user_keywords = draw(st.lists(st.sampled_from(["alpha", "\u00e9t\u00e9", "zz"]), max_size=2))
+    return build_indices(segments, HashingEmbedder(dim=8), user_keywords=user_keywords)
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(bundle=small_bundles(), extra_query=st.text(max_size=10))
+    def test_save_load_save_keeps_bytes_routes_and_segments(self, bundle, extra_query):
+        embedder = HashingEmbedder(dim=8)
+        queries = [extra_query, "alpha beta x9", "ca-is3641 \u00e9t\u00e9"]
+        queries += [seg.embedding_text for seg in bundle.segments[:2]]
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "a", Path(tmp) / "b"
+            save_index(bundle, first)
+            loaded = load_index(first)
+            save_index(loaded, second)
+            for name in ["manifest.json", *INDEX_FILES]:
+                assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+            assert loaded.keys == bundle.keys
+            assert len(loaded.segments) == len(bundle.segments)
+            for row, seg in enumerate(bundle.segments):
+                assert loaded.segments[row] == seg
+            user = set(bundle.user_keywords)
+            for query in queries:
+                assert (bm25_route(loaded.bm25, query).tobytes()
+                        == bm25_route(bundle.bm25, query).tobytes())
+                assert (keyword_hits(query, loaded.keywords, user_keywords=user).tobytes()
+                        == keyword_hits(query, bundle.keywords, user_keywords=user).tobytes())
+                assert (vector_route(query, loaded.vectors, embedder).tobytes()
+                        == vector_route(query, bundle.vectors, embedder).tobytes())

@@ -68,7 +68,41 @@ class TestRetrievalConfig:
             RetrievalConfig(gamma=0)
 
 
+class FakeEmbedder:
+    """A plug-in-like embedder that answers ``vectors[text]``, or ``default``."""
+
+    def __init__(self, dim, vectors=None, default=(3.0, 4.0)):
+        self.dim = dim
+        self.vectors = vectors or {}
+        self.default = default
+
+    def embed(self, text):
+        return np.asarray(self.vectors.get(text, self.default), dtype=np.float64)
+
+    def spec(self):
+        return {"kind": "fake", "dim": self.dim}
+
+
 class TestVectorRoute:
+    def test_non_unit_plugin_vectors_score_a_cosine(self):
+        # a 2-dim plug-in answering [3, 4] used to score a "cosine" of 5.0
+        embedder = FakeEmbedder(2)
+        bundle = build_indices([seg("d", "1", "alpha"), seg("d", "2", "beta")], embedder)
+        assert bundle.vectors.matrix.tolist() == [[0.6000000238418579, 0.800000011920929]] * 2
+        scores = vector_route("query", bundle.vectors, embedder)
+        assert scores.tolist() == pytest.approx([1.0, 1.0], abs=1e-7)
+
+    def test_non_finite_query_vector_scores_all_zero(self):
+        bundle = build_indices([seg("d", "1", "alpha")], FakeEmbedder(2))
+        for bad in [(math.nan, 1.0), (math.inf, 0.0), (1e308, 1e308)]:
+            scores = vector_route("q", bundle.vectors, FakeEmbedder(2, {"q": bad}))
+            assert scores.tolist() == [0.0]
+
+    def test_wrong_dimension_query_vector_is_error(self):
+        bundle = build_indices([seg("d", "1", "alpha")], FakeEmbedder(2))
+        with pytest.raises(ValueError, match=r"shape \(3,\)"):
+            vector_route("q", bundle.vectors, FakeEmbedder(2, {"q": (1.0, 2.0, 3.0)}))
+
     def test_identical_text_scores_one(self):
         e = HashingEmbedder()
         bundle = bundle_for({"1": "alpha beta gamma", "2": "something else entirely"})
