@@ -27,6 +27,7 @@ import operator
 import os
 import re
 import shutil
+from array import array
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -94,27 +95,51 @@ class Embedder(Protocol):
     def spec(self) -> dict: ...
 
 
+class _Memo(dict):
+    """A dict that fills a missing key with ``compute(key)`` on lookup, so
+    ``map(memo.__getitem__, tokens)`` runs ``compute`` once per distinct
+    token and is a plain dict lookup for every repeat."""
+
+    def __init__(self, compute):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
+
+
+def _hash_code(token: str, dim: int) -> int:
+    """``2 * bucket + 1`` for a +1 sign, ``2 * bucket`` for -1, from the
+    blake2b digest of the case-folded token."""
+    digest = hashlib.blake2b(token.casefold().encode("utf-8"), digest_size=5).digest()
+    return 2 * (int.from_bytes(digest[:4], "little") % dim) + (digest[4] & 1)
+
+
 class HashingEmbedder:
     """Signed feature-hashed bag of words, L2-normalized.
 
-    Each token is hashed to one of ``dim`` buckets with a +/-1 sign; the
-    bucket and sign come from a keyed blake2b digest, so equal text always
-    embeds identically across processes. Zero-token input yields the zero
-    vector, the unembeddable marker.
+    Each token is hashed to one of ``dim`` buckets with a +/-1 sign, both
+    taken from an unkeyed blake2b digest of the case-folded token, so equal
+    text always embeds identically across processes. Bucket and sign are
+    memoized per instance for each distinct raw token: the memo holds one
+    entry per distinct token seen, the same order of memory as the BM25
+    postings. Zero-token input yields the zero vector, the unembeddable
+    marker.
     """
 
     def __init__(self, dim: int = DEFAULT_DIM):
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
         self.dim = dim
+        self._codes = _Memo(lambda token: _hash_code(token, dim))
 
     def embed(self, text: str) -> np.ndarray:
-        vec = np.zeros(self.dim, dtype=np.float64)
-        tokens = tokenize(text)
-        for token in tokens:
-            digest = hashlib.blake2b(token.encode("utf-8"), digest_size=5).digest()
-            bucket = int.from_bytes(digest[:4], "little") % self.dim
-            vec[bucket] += 1.0 if digest[4] & 1 else -1.0
+        tokens = _TOKEN_RE.findall(text)
+        codes = np.fromiter(map(self._codes.__getitem__, tokens), np.intp, len(tokens))
+        counts = np.bincount(codes, minlength=2 * self.dim)
+        # Counts of +1 minus counts of -1 per bucket: the exact sum of signs.
+        vec = (counts[1::2] - counts[0::2]).astype(np.float64)
         norm = float(np.linalg.norm(vec))
         if norm > 0.0:
             vec /= norm
@@ -231,14 +256,23 @@ class PatternKeywordExtractor:
 
     Catches part-number-shaped identifiers ("CA-IS3641", "iPhone15") that
     vector similarity tends to blur together. Stand-in for a trained named
-    entity detector behind the same interface.
+    entity detector behind the same interface. The rule's verdict, the
+    case-folded keyword or ``""``, is memoized per instance for each
+    distinct raw token: one entry per distinct token seen.
     """
 
+    def __init__(self):
+        self._keywords = _Memo(self._keyword)  # raw token -> keyword or ""
+
+    @staticmethod
+    def _keyword(token: str) -> str:
+        if _HAS_LETTER_RE.search(token) and _HAS_DIGIT_RE.search(token):
+            return token.casefold()
+        return ""
+
     def extract(self, text: str) -> set[str]:
-        found: set[str] = set()
-        for token in _KEYWORD_TOKEN_RE.findall(text):
-            if _HAS_LETTER_RE.search(token) and _HAS_DIGIT_RE.search(token):
-                found.add(token.casefold())
+        found = set(map(self._keywords.__getitem__, _KEYWORD_TOKEN_RE.findall(text)))
+        found.discard("")
         return found
 
 
@@ -279,24 +313,34 @@ def build_bm25_index(
     k1: float = DEFAULT_K1,
     b: float = DEFAULT_B,
 ) -> Bm25Index:
-    """Inverted index with document-length statistics over embedding_text."""
+    """Inverted index with document-length statistics over embedding_text.
+
+    Tokens are mapped to term ids through a memo holding one entry per
+    distinct raw token (the postings hold one per term), and the postings
+    are counted with one sort of all (term, row) pairs.
+    """
     if k1 <= 0:
         raise ValueError(f"k1 must be > 0, got {k1}")
     if not 0 <= b <= 1:
         raise ValueError(f"b must be in [0, 1], got {b}")
+    # Each distinct raw token is case-folded once; term ids follow first use.
+    term_ids: dict[str, int] = {}
+    token_ids = _Memo(lambda token: term_ids.setdefault(token.casefold(), len(term_ids)))
+    ids = array("q")
     lengths: list[int] = []
-    found: dict[str, tuple[list[int], list[int]]] = {}
-    for row, seg in enumerate(segments):
-        tokens = tokenize(seg.embedding_text)
+    for seg in segments:
+        tokens = _TOKEN_RE.findall(seg.embedding_text)
         lengths.append(len(tokens))
-        for token, tf in Counter(tokens).items():
-            rows, tfs = found.setdefault(token, ([], []))
-            rows.append(row)
-            tfs.append(tf)
-    postings = {
-        term: Postings(np.array(rows, dtype=np.intp), np.array(tfs, dtype=np.int32))
-        for term, (rows, tfs) in found.items()
-    }
+        ids.extend(map(token_ids.__getitem__, tokens))
+    # One sort of (term, row) pairs: each term's rows ascend, counts are tf.
+    n = len(segments)
+    rows = np.repeat(np.arange(n, dtype=np.int64), lengths)
+    pairs, tf = np.unique(np.frombuffer(ids, dtype=np.int64) * n + rows, return_counts=True)
+    rows = (pairs % max(n, 1)).astype(np.intp)
+    tf = tf.astype(np.int32)
+    bounds = np.searchsorted(pairs, np.arange(len(term_ids) + 1, dtype=np.int64) * n).tolist()
+    postings = {term: Postings(rows[lo:hi], tf[lo:hi])
+                for term, lo, hi in zip(term_ids, bounds, bounds[1:])}
     return Bm25Index(k1=k1, b=b, keys=[seg.key for seg in segments], lengths=lengths,
                      postings=postings)
 

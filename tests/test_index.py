@@ -1,12 +1,15 @@
+import hashlib
 import json
 import math
 import random
+import re
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import restamp_manifest
+from conftest import load_and_ingest, restamp_manifest, write_datasheet_corpus
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -14,9 +17,12 @@ from hiret.corpus import Segment
 from hiret.index import (
     FORMAT_VERSION,
     INDEX_FILES,
+    Bm25Index,
     HashingEmbedder,
     InconsistentIndexError,
+    IndexBundle,
     IndexFormatError,
+    Postings,
     StoredSegments,
     PatternKeywordExtractor,
     bm25_route,
@@ -68,6 +74,70 @@ def naive_bm25(token_lists: dict[str, list[str]], query_tokens: list[str], key: 
     return score
 
 
+def oracle_embed(text: str, dim: int) -> np.ndarray:
+    """Scalar oracle for HashingEmbedder.embed: one blake2b digest and one
+    signed add per token."""
+    vec = np.zeros(dim, dtype=np.float64)
+    for token in tokenize(text):
+        digest = hashlib.blake2b(token.encode("utf-8"), digest_size=5).digest()
+        bucket = int.from_bytes(digest[:4], "little") % dim
+        vec[bucket] += 1.0 if digest[4] & 1 else -1.0
+    norm = float(np.linalg.norm(vec))
+    if norm > 0.0:
+        vec /= norm
+    return vec
+
+
+class OracleEmbedder:
+    def __init__(self, dim: int):
+        self.dim = dim
+
+    def embed(self, text: str) -> np.ndarray:
+        return oracle_embed(text, self.dim)
+
+    def spec(self) -> dict:
+        return {"kind": "hash", "dim": self.dim}
+
+
+def oracle_bm25(segments, k1: float = 1.2, b: float = 0.75) -> Bm25Index:
+    """Scalar oracle for build_bm25_index: a Counter of each row's tokens."""
+    lengths = []
+    found: dict[str, tuple[list[int], list[int]]] = {}
+    for row, segment in enumerate(segments):
+        tokens = tokenize(segment.embedding_text)
+        lengths.append(len(tokens))
+        for token, tf in Counter(tokens).items():
+            rows, tfs = found.setdefault(token, ([], []))
+            rows.append(row)
+            tfs.append(tf)
+    postings = {term: Postings(np.array(rows, dtype=np.intp), np.array(tfs, dtype=np.int32))
+                for term, (rows, tfs) in found.items()}
+    return Bm25Index(k1=k1, b=b, keys=[s.key for s in segments], lengths=lengths,
+                     postings=postings)
+
+
+class OracleExtractor:
+    """The letters-and-digits keyword rule, applied to every token."""
+
+    token = re.compile(r"[^\W_]+(?:-[^\W_]+)*")
+    letter = re.compile(r"[^\W\d_]")
+    digit = re.compile(r"\d")
+
+    def extract(self, text: str) -> set[str]:
+        return {t.casefold() for t in self.token.findall(text)
+                if self.letter.search(t) and self.digit.search(t)}
+
+
+# Case variants of one token, case folds that change length (ß, İ), digits,
+# underscores and hyphens.
+_WORDS = st.sampled_from(["Vcc", "VCC", "vcc", "\u00df", "SS", "ss", "stra\u00dfe", "STRASSE",
+                          "\u0130", "i\u0307", "x9", "9", "42", "a_b", "_", "-", "--",
+                          "CA-IS3641", "ca-is3641", "\u4e2d\u6587", "\u00e9t\u00e9", ""])
+_TEXTS = st.lists(st.tuples(st.one_of(_WORDS, st.text(max_size=6)),
+                            st.sampled_from([" ", "\n", "-", "_", ", ", ""])).map("".join),
+                  max_size=12).map("".join)
+
+
 class TestTokenizer:
     def test_part_numbers_split_on_hyphen(self):
         assert tokenize("CA-IS3641") == ["ca", "is3641"]
@@ -90,9 +160,26 @@ class TestHashingEmbedder:
             assert abs(np.linalg.norm(e.embed(text)) - 1.0) <= 1e-6
 
     def test_empty_input_is_unembeddable(self):
-        v = HashingEmbedder().embed("")
-        assert unit_vector(v, 256)[0] is None
-        assert np.all(v == 0.0)
+        for text in ["", " _-_ \n--"]:
+            v = HashingEmbedder().embed(text)
+            assert unit_vector(v, 256)[0] is None
+            assert v.dtype == np.float64
+            assert v.tobytes() == np.zeros(256).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(texts=st.lists(_TEXTS, min_size=1, max_size=4), dim=st.sampled_from([1, 7, 256]))
+    def test_matches_scalar_oracle_bit_for_bit(self, texts, dim):
+        embedder = HashingEmbedder(dim)
+        for text in texts + texts[::-1]:  # the second pass reads the memo
+            vec = embedder.embed(text)
+            assert vec.dtype == np.float64
+            assert vec.tobytes() == oracle_embed(text, dim).tobytes()
+
+    def test_instances_of_different_dim_do_not_share_buckets(self):
+        small, large = HashingEmbedder(dim=8), HashingEmbedder(dim=256)
+        for text in ["Vcc VCC vcc", "alpha x9", "Vcc alpha"]:
+            assert small.embed(text).tobytes() == oracle_embed(text, 8).tobytes()
+            assert large.embed(text).tobytes() == oracle_embed(text, 256).tobytes()
 
     def test_dimension(self):
         assert HashingEmbedder().embed("x").shape == (256,)
@@ -214,9 +301,46 @@ class TestBm25:
                 assert bulk[key] == bm25_score(index, query, key)  # bit-identical paths
 
 
+class TestBm25Build:
+    def assert_matches_oracle(self, segments):
+        index, oracle = build_bm25_index(segments), oracle_bm25(segments)
+        assert index.keys == oracle.keys
+        assert index.lengths.tobytes() == oracle.lengths.tobytes()
+        assert list(index.postings) == list(oracle.postings)  # terms in order of first use
+        for term, expected in oracle.postings.items():
+            got = index.postings[term]
+            assert got.rows.dtype == np.intp and got.tf.dtype == np.int32
+            assert got.rows.tolist() == expected.rows.tolist(), term
+            assert got.tf.tolist() == expected.tf.tolist(), term
+            assert np.all(np.diff(got.rows) > 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(texts=st.lists(_TEXTS, max_size=8))
+    def test_matches_counter_oracle(self, texts):
+        self.assert_matches_oracle([seg("d", str(i), t) for i, t in enumerate(texts + [""])])
+        # "every" (and "EVERY") is in every row, so its postings are all rows.
+        everywhere = [seg("d", str(i), t + " EVERY") for i, t in enumerate(texts + ["every"])]
+        self.assert_matches_oracle(everywhere)
+        assert build_bm25_index(everywhere).postings["every"].rows.tolist() == list(
+            range(len(everywhere)))
+
+
 class TestKeywords:
     def test_part_number_pattern(self):
         assert extract_keywords("the CA-IS3641 transceiver") == {"ca-is3641"}
+
+    def test_case_variants_yield_one_keyword(self):
+        extractor = PatternKeywordExtractor()
+        assert extractor.extract("CA-IS3641") == {"ca-is3641"}
+        assert extractor.extract("ca-is3641") == {"ca-is3641"}
+        assert extractor.extract("ca-is3641 CA-IS3641 Ca-Is3641") == {"ca-is3641"}
+
+    @settings(max_examples=200, deadline=None)
+    @given(texts=st.lists(_TEXTS, min_size=1, max_size=4))
+    def test_pattern_extractor_matches_the_rule(self, texts):
+        extractor = PatternKeywordExtractor()
+        for text in texts + texts[::-1]:  # the second pass reads the memo
+            assert extractor.extract(text) == OracleExtractor().extract(text)
 
     def test_plain_prose_yields_nothing(self):
         assert extract_keywords("plain prose with no identifiers") == set()
@@ -240,6 +364,25 @@ class TestKeywords:
                 return {"pinout"} if "pinout" in text else set()
 
         assert extract_keywords("the pinout table", Fixed()) == {"pinout"}
+
+
+def test_datasheet_index_bytes_equal_the_oracle_bundle(tmp_path):
+    _, segments = load_and_ingest(write_datasheet_corpus(tmp_path / "ds"))
+    user = ["kvrms", "pinout"]
+    built = build_indices(segments, HashingEmbedder(), user_keywords=user)
+    oracle = IndexBundle(
+        vectors=build_vector_index(segments, OracleEmbedder(256)),
+        bm25=oracle_bm25(segments),
+        keywords=build_keyword_table(segments, OracleExtractor(), user),
+        segments=segments,
+        embedder_spec=OracleEmbedder(256).spec(),
+        user_keywords=user,
+    )
+    save_index(built, tmp_path / "built")
+    save_index(oracle, tmp_path / "oracle")
+    for name in ["manifest.json", *INDEX_FILES]:
+        assert ((tmp_path / "built" / name).read_bytes()
+                == (tmp_path / "oracle" / name).read_bytes()), name
 
 
 def test_duplicate_segment_keys_are_refused():
