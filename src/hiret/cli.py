@@ -16,6 +16,7 @@ import sys
 from collections import defaultdict
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -94,28 +95,23 @@ def load_config(path: str | Path | None) -> AppConfig:
     unknown = sorted(set(data) - known)
     if unknown:
         raise UsageError(f"config {path} has unknown keys: {unknown}")
+    hints = get_type_hints(AppConfig)
+    for key, value in data.items():
+        allowed = (int, float) if hints[key] is float else hints[key]
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise UsageError(f"config {path}: {key} must be "
+                             f"{AppConfig.__annotations__[key]}, got {value!r}")
     return AppConfig(**data)
 
 
 def _apply_overrides(cfg: AppConfig, args: argparse.Namespace) -> AppConfig:
+    """Every flag whose dest names an AppConfig field overrides that field."""
     overrides = {}
-    for name, attr in [
-        ("corpus_dir", "corpus_dir"),
-        ("index_dir", "index_dir"),
-        ("window", "window"),
-        ("padding", "padding"),
-        ("alpha", "alpha"),
-        ("beta", "beta"),
-        ("gamma", "gamma"),
-        ("top_k", "top_k"),
-        ("k1", "k1"),
-        ("b", "b"),
-        ("keyword_dict", "keywords"),
-    ]:
-        value = getattr(args, attr, None)
+    for f in fields(AppConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            overrides[name] = value
-    return replace(cfg, **overrides) if overrides else cfg
+            overrides[f.name] = value
+    return replace(cfg, **overrides)
 
 
 def _load_keyword_dict(path: str | None) -> list[str]:
@@ -199,17 +195,7 @@ def _close_quietly(obj) -> None:
 def run_query(cfg: AppConfig, query_text: str) -> dict:
     """Retrieve top-k segments; returns the serializable context bundle."""
     bundle = _load_bundle(cfg)
-    embedder = index.make_embedder(bundle.embedder_spec)
-    try:
-        outcome = retriever.retrieve(
-            query_text,
-            bundle,
-            cfg.retrieval(),
-            user_keywords=set(bundle.user_keywords),
-            embedder=embedder,
-        )
-    finally:
-        _close_quietly(embedder)
+    outcome = retriever.retrieve(query_text, bundle, cfg.retrieval())
     results = []
     for row in outcome.top:
         seg = bundle.segments[bundle.row_of[row.segment_key]]
@@ -248,16 +234,11 @@ def run_eval(cfg: AppConfig, bank_path: str | Path) -> evalkit.EvalReport:
         )
 
     rcfg = cfg.retrieval()
-    base_keywords = set(bundle.user_keywords)
     embedder = index.make_embedder(bundle.embedder_spec)
 
     def rank_fn(eq: evalkit.EvalQuery):
         return retriever.retrieve(
-            eq.query,
-            bundle,
-            rcfg,
-            user_keywords=base_keywords | set(eq.user_keywords),
-            embedder=embedder,
+            eq.query, bundle, rcfg, user_keywords=eq.user_keywords, embedder=embedder
         ).ranking
 
     try:
@@ -287,10 +268,11 @@ def run_cohesion(cfg: AppConfig, grouping: str) -> list[list]:
     def group_label(seg) -> str:
         return seg.doc_id if grouping == "by-document" else seg.title
 
-    group_of = {seg.key: group_label(seg) for seg in bundle.segments}
+    segments = list(bundle.segments)
+    group_of = {seg.key: group_label(seg) for seg in segments}
     raw_vectors: dict[str, np.ndarray] = {}
     try:
-        for seg in bundle.segments:
+        for seg in segments:
             vec, problem = index.unit_vector(embedder.embed(seg.content), embedder.dim)
             if vec is None:
                 log.warning("segment %s: raw content vector %s; skipped", seg.key, problem)
@@ -307,7 +289,7 @@ def run_cohesion(cfg: AppConfig, grouping: str) -> list[list]:
     for variant, vectors in variants:
         grouped: dict[str, list[np.ndarray]] = defaultdict(list)
         for key, vec in vectors.items():
-            grouped[group_of[key]].append(vec / np.linalg.norm(vec))
+            grouped[group_of[key]].append(vec)
         try:
             stats = evalkit.cohesion_stats(grouped)
             projection = evalkit.export_coordinates(vectors, group_of)
@@ -350,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--top-k", dest="top_k", type=int)
     parser.add_argument("--k1", type=float)
     parser.add_argument("--b", type=float)
-    parser.add_argument("--keywords", help="user keyword dictionary (one per line)")
+    parser.add_argument("--keywords", dest="keyword_dict", help="user keyword dictionary (one per line)")
 
     commands = parser.add_subparsers(dest="command", required=True)
     commands.add_parser("ingest", help="convert, augment, and index the corpus")
@@ -424,8 +406,6 @@ def main(argv: list[str] | None = None) -> int:
             rows = run_cohesion(cfg, args.grouping)
             write_cohesion_csv(rows, args.output)
             print(f"wrote {len(rows)} rows -> {args.output}")
-        else:
-            raise UsageError(f"unknown command {args.command!r}")
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return 0
     except BrokenPipeError:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Protocol
 
 from .corpus import DocumentRecord, ImageAsset, Segment
@@ -113,19 +113,22 @@ def augment_table(seg: Segment) -> str:
     """
     captions: list[str] = []
     rows: list[list[str]] = []
+    has_separator = False
     for line in seg.content.splitlines():
         stripped = line.strip()
         if not stripped:
             continue
         if stripped.startswith("|"):
             cells = _split_cells(stripped)
-            if not _is_separator_row(cells):
+            if _is_separator_row(cells):
+                has_separator = True
+            else:
                 rows.append(cells)
         else:
             captions.append(stripped)
 
     pieces = list(captions)
-    if rows and _has_separator(seg.content):
+    if rows and has_separator:
         pieces.append(" ".join(cell for cell in rows[0] if cell))
         body = rows[1:]
     else:
@@ -134,14 +137,6 @@ def augment_table(seg: Segment) -> str:
         if row and row[0]:
             pieces.append(row[0])
     return "\n".join(pieces)
-
-
-def _has_separator(content: str) -> bool:
-    for line in content.splitlines():
-        stripped = line.strip()
-        if stripped.startswith("|") and _is_separator_row(_split_cells(stripped)):
-            return True
-    return False
 
 
 def augment_image(
@@ -176,12 +171,11 @@ def _resolve_image(seg: Segment, doc: DocumentRecord) -> tuple[ImageAsset, str]:
             alt = match.group("alt")
         elif line.strip():
             rest.append(line.strip())
+    surrounding = " ".join(filter(None, [alt, *rest]))
     for asset in doc.images:
         if asset.file_ref == ref or asset.image_id == ref:
-            return asset, " ".join(filter(None, [alt, *rest]))
-    return ImageAsset(image_id=ref, file_ref=ref, description=""), " ".join(
-        filter(None, [alt, *rest])
-    )
+            return asset, surrounding
+    return ImageAsset(image_id=ref, file_ref=ref, description=""), surrounding
 
 
 def cascade_metadata(
@@ -239,19 +233,4 @@ def augment_document(
 
 def without_augmentation(segments: list[Segment]) -> list[Segment]:
     """Copies whose embedding text is the raw content (baseline pipeline)."""
-    plain: list[Segment] = []
-    for seg in segments:
-        plain.append(
-            Segment(
-                segment_id=seg.segment_id,
-                chapter_number=seg.chapter_number,
-                level=seg.level,
-                title=seg.title,
-                kind=seg.kind,
-                content=seg.content,
-                doc_id=seg.doc_id,
-                embedding_text=seg.content,
-                metadata_path=[],
-            )
-        )
-    return plain
+    return [replace(seg, embedding_text=seg.content, metadata_path=[]) for seg in segments]

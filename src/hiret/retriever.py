@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import logging
 import math
-import operator
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,34 +91,23 @@ class Ranking(Sequence[RankedResult]):
     def __len__(self) -> int:
         return len(self.order)
 
-    def _result(self, position: int) -> RankedResult:
-        row = int(self.order[position])
-        return RankedResult(
-            segment_key=self.keys[row],
-            score_v=float(self.score_v[row]),
-            score_r=float(self.score_r[row]),
-            keyword_hits=int(self.hits[row]),
-            fused_score=float(self.fused[row]),
-            rank=position + 1,
-        )
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self._result(i) for i in range(*index.indices(len(self)))]
-        position = operator.index(index)
-        if position < 0:
-            position += len(self)
-        if not 0 <= position < len(self):
-            raise IndexError(f"rank position {index} outside a ranking of {len(self)}")
-        return self._result(position)
-
-    def __iter__(self):
-        order = self.order
-        columns = zip(order.tolist(), self.score_v[order].tolist(),
+    def _rows(self, positions: range) -> Iterator[RankedResult]:
+        """The rows at 0-based rank ``positions``, in that order."""
+        order = self.order[np.arange(positions.start, positions.stop, positions.step)]
+        columns = zip(positions, order.tolist(), self.score_v[order].tolist(),
                       self.score_r[order].tolist(), self.hits[order].tolist(),
                       self.fused[order].tolist())
-        for rank, (row, v, r, c, fused) in enumerate(columns, start=1):
-            yield RankedResult(self.keys[row], v, r, c, fused, rank)
+        for position, row, v, r, c, fused in columns:
+            yield RankedResult(self.keys[row], v, r, c, fused, position + 1)
+
+    def __getitem__(self, index):
+        positions = range(len(self))[index]  # list semantics, IndexError included
+        if isinstance(index, slice):
+            return list(self._rows(positions))
+        return next(self._rows(range(positions, positions + 1)))
+
+    def __iter__(self) -> Iterator[RankedResult]:
+        return self._rows(range(len(self)))
 
     def __eq__(self, other):
         if not isinstance(other, Ranking):
@@ -241,6 +229,8 @@ def retrieve(
 ) -> RetrievalOutcome:
     """Run all three routes, fuse, and return top-k plus the full ranking.
 
+    The keyword route applies the bundle's own dictionary
+    (``bundle.user_keywords``); ``user_keywords`` adds per-query words to it.
     Without ``embedder`` one is made from the bundle's spec and closed
     before returning. Segments without a vector score 0 on the vector route;
     the others are normalized among themselves.
@@ -256,6 +246,7 @@ def retrieve(
     v = np.zeros(len(bundle.keys))
     v[bundle.vector_rows] = normalize_scores(raw_v)
     r = normalize_scores(bm25_route(bundle.bm25, query))
-    hits = keyword_hits(query, bundle.keywords, extractor, user_keywords)
+    keywords = set(bundle.user_keywords).union(user_keywords or ())
+    hits = keyword_hits(query, bundle.keywords, extractor, keywords)
     ranking = _fuse_and_sort(bundle.keys, bundle.key_rank, v, r, hits, cfg, bundle.row_of)
     return RetrievalOutcome(top=ranking[: cfg.top_k], ranking=ranking)

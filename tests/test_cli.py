@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,16 @@ from conftest import (
     write_datasheet_corpus,
     write_manual_corpus,
 )
-from hiret.cli import AppConfig, load_config, main, run_cohesion, run_eval, run_ingest
+from hiret.cli import (
+    AppConfig,
+    _apply_overrides,
+    build_parser,
+    load_config,
+    main,
+    run_cohesion,
+    run_eval,
+    run_ingest,
+)
 from hiret.index import InconsistentIndexError, load_index
 
 SRC_DIR = str(Path(hiret.__file__).resolve().parents[1])
@@ -343,6 +353,55 @@ class TestConfigAndExitCodes:
         config.write_text(json.dumps({"alpha": 0.9, "top_k": 3}), encoding="utf-8")
         cfg = load_config(config)
         assert cfg.alpha == 0.9 and cfg.top_k == 3
+
+    @pytest.mark.parametrize("data", [{"window": "400"}, {"embedder": "hash"}])
+    def test_mistyped_config_value_is_usage_error(self, tmp_path, capsys, data):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(data), encoding="utf-8")
+        code = main(["--config", str(config), "ingest"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:")
+        assert next(iter(data)) in err
+
+    @pytest.mark.parametrize("data", [{"alpha": 1}, {"keyword_dict": None}])
+    def test_int_for_float_and_null_for_optional_load(self, tmp_path, data):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(data), encoding="utf-8")
+        assert asdict(load_config(config)) == {**asdict(AppConfig()), **data}
+
+    FILE_VALUES = {
+        "corpus_dir": "c1", "index_dir": "i1", "window": 100, "padding": 3,
+        "alpha": 0.75, "beta": 0.2, "gamma": 3.0, "top_k": 4, "k1": 1.1, "b": 0.6,
+        "keyword_dict": "file.txt", "embedder": {"kind": "hash", "dim": 64},
+        "captioner": {"kind": "subprocess", "command": ["describe"]},
+    }
+    FLAGS = [
+        ("--corpus-dir", "c2", "corpus_dir", "c2"),
+        ("--index-dir", "i2", "index_dir", "i2"),
+        ("--window", "300", "window", 300),
+        ("--padding", "7", "padding", 7),
+        ("--alpha", "0.25", "alpha", 0.25),
+        ("--beta", "0.5", "beta", 0.5),
+        ("--gamma", "2.0", "gamma", 2.0),
+        ("--top-k", "9", "top_k", 9),
+        ("--k1", "1.5", "k1", 1.5),
+        ("--b", "0.5", "b", 0.5),
+        ("--keywords", "flag.txt", "keyword_dict", "flag.txt"),
+    ]
+
+    def test_every_field_but_the_plugins_has_a_flag(self):
+        flagged = {name for _, _, name, _ in self.FLAGS}
+        assert flagged == {f.name for f in fields(AppConfig)} - {"embedder", "captioner"}
+        assert set(self.FILE_VALUES) == {f.name for f in fields(AppConfig)}
+
+    @pytest.mark.parametrize("flag,text,name,value", FLAGS)
+    def test_flag_overrides_its_config_value(self, tmp_path, flag, text, name, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(self.FILE_VALUES), encoding="utf-8")
+        args = build_parser().parse_args(["--config", str(config), flag, text, "ingest"])
+        cfg = _apply_overrides(load_config(args.config), args)
+        assert asdict(cfg) == {**self.FILE_VALUES, name: value}
 
     def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
         config = tmp_path / "config.json"

@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -252,5 +253,13 @@ def test_without_augmentation_uses_raw_content():
     plain = without_augmentation(augmented)
     assert [s.embedding_text for s in plain] == [s.content for s in augmented]
     assert [s.key for s in plain] == [s.key for s in augmented]
+    copied = [f.name for f in fields(Segment) if f.name not in ("embedding_text", "metadata_path")]
+    for copy, original in zip(plain, augmented):
+        assert [getattr(copy, name) for name in copied] == [getattr(original, name) for name in copied]
+        assert copy.metadata_path == []
+    # each copy owns its list, shared with no other copy and no original
+    path_lists = [s.metadata_path for s in plain + augmented]
+    assert len({id(path) for path in path_lists}) == len(path_lists)
     # originals untouched
     assert all(s.embedding_text.startswith("T") for s in augmented)
+    assert all(s.metadata_path for s in augmented)

@@ -6,7 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import load_and_ingest, write_datasheet_corpus
+from hypothesis import given
+from hypothesis import strategies as st
 
+from hiret.cli import AppConfig, run_query
 from hiret.corpus import Segment
 from hiret.index import (
     HashingEmbedder,
@@ -19,6 +22,7 @@ from hiret.index import (
     build_bm25_index,
     build_indices,
     extract_keywords,
+    save_index,
 )
 from hiret.retriever import (
     RankedResult,
@@ -350,11 +354,23 @@ class TestRanking:
         ranking = self.outcome().ranking
         rows = list(ranking)
         assert [ranking[i] for i in range(len(ranking))] == rows
-        assert ranking[-1] == rows[-1]
+        assert [ranking[i] for i in range(-len(ranking), 0)] == rows
         assert ranking[np.int64(1)] == rows[1]
         assert ranking[:2] == rows[:2] == self.outcome().top
-        with pytest.raises(IndexError):
-            ranking[len(ranking)]
+        for past_either_end in (len(ranking), -len(ranking) - 1):
+            with pytest.raises(IndexError):
+                ranking[past_either_end]
+
+    @given(st.builds(slice, st.none() | st.integers(-6, 6), st.none() | st.integers(-6, 6),
+                     st.none() | st.integers(-4, 4)))
+    def test_slicing_agrees_with_list_slicing(self, positions):
+        ranking = self.outcome().ranking
+        rows = list(ranking)
+        if positions.step == 0:
+            with pytest.raises(ValueError):
+                ranking[positions]
+        else:
+            assert ranking[positions] == rows[positions]
 
     def test_rank_of_is_the_inverse_permutation(self):
         ranking = self.outcome().ranking
@@ -366,6 +382,34 @@ class TestRanking:
         ranking = fuse_and_rank({"b": 0.2, "a": 0.9}, {}, {"c": 1}, RetrievalConfig(beta=1.0))
         assert [r.segment_key for r in ranking] == ["c", "a", "b"]
         assert [ranking.rank_of(k) for k in "abc"] == [2, 3, 1]
+
+
+class TestUserDictionary:
+    TEXTS = {"1": "power supply pinout regulator", "2": "power regulator block"}
+
+    def test_retrieve_applies_the_bundle_dictionary_like_the_cli(self, tmp_path):
+        bundle = bundle_for(self.TEXTS, user_keywords=["pinout"])
+        save_index(bundle, tmp_path / "index")
+        cfg = AppConfig(index_dir=str(tmp_path / "index"))
+        for query in ("pinout", "power pinout", "regulator"):
+            shown = [(row["segment_key"], row["keyword_hits"], row["fused_score"])
+                     for row in run_query(cfg, query)["results"]]
+            got = [(row.segment_key, row.keyword_hits, row.fused_score)
+                   for row in retrieve(query, bundle, cfg.retrieval()).top]
+            assert got == shown
+        assert retrieve("pinout", bundle, cfg.retrieval()).top[0].keyword_hits == 1
+
+    def test_per_query_words_add_to_the_dictionary(self):
+        built = bundle_for(self.TEXTS, user_keywords=["pinout", "regulator"])
+        bundle = IndexBundle(built.vectors, built.bm25, built.keywords, built.segments,
+                             built.embedder_spec, user_keywords=["pinout"])
+
+        def hits(**kwargs):
+            ranking = retrieve("pinout regulator", bundle, RetrievalConfig(), **kwargs).ranking
+            return {row.segment_key: row.keyword_hits for row in ranking}
+
+        assert hits() == {"d#1": 1, "d#2": 0}
+        assert hits(user_keywords={"regulator"}) == {"d#1": 2, "d#2": 1}
 
 
 def _corpus_gen():
