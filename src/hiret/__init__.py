@@ -45,7 +45,6 @@ from .index import (
     IndexBundle,
     IndexFormatError,
     KeywordTable,
-    PatternKeywordExtractor,
     VectorIndex,
     bm25_route,
     bm25_score,

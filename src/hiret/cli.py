@@ -71,12 +71,9 @@ class AppConfig:
     captioner: dict | None = None
 
     def retrieval(self) -> retriever.RetrievalConfig:
-        try:
-            return retriever.RetrievalConfig(
-                alpha=self.alpha, beta=self.beta, top_k=self.top_k, gamma=self.gamma
-            )
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        return retriever.RetrievalConfig(
+            alpha=self.alpha, beta=self.beta, top_k=self.top_k, gamma=self.gamma
+        )
 
     def embedder_spec(self) -> dict:
         return self.embedder or {"kind": "hash", "dim": index.DEFAULT_DIM}
@@ -128,6 +125,8 @@ def _make_captioner(spec: dict | None):
     if not spec:
         return None
     if spec.get("kind") == "subprocess":
+        if "command" not in spec:
+            raise UsageError("subprocess captioner spec lacks ['command']")
         from . import plugins
 
         return plugins.SubprocessCaptioner(list(spec["command"]))
@@ -374,6 +373,12 @@ def _print_query_result(result: dict) -> None:
             print(f"     {snippet}")
 
 
+def _plugin_errors() -> tuple[type[Exception], ...]:
+    """``PluginError`` once a plug-in is loaded; importing it sooner loads subprocess."""
+    plugins = sys.modules.get(f"{__package__}.plugins")
+    return (plugins.PluginError,) if plugins else ()
+
+
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
@@ -416,7 +421,8 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (CorpusError, ConversionError, DataError, index.IndexFormatError) as exc:
+    except (CorpusError, ConversionError, DataError, index.IndexFormatError,
+            *_plugin_errors()) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -16,8 +16,6 @@ log = logging.getLogger(__name__)
 
 DOCUMENT_SUFFIXES = (".md", ".txt")
 
-SEGMENT_KINDS = ("text", "table", "image")
-
 
 class CorpusError(Exception):
     """A corpus directory or one of its files cannot be loaded."""
@@ -50,7 +48,7 @@ class Segment:
     chapter_number: str  # dotted numeric string; "" for the preamble
     level: int  # number of dotted components; 0 for the preamble
     title: str
-    kind: str  # one of SEGMENT_KINDS
+    kind: str  # "text", "table" or "image"
     content: str
     doc_id: str = ""  # stamped when attached to a DocumentRecord
     embedding_text: str = ""

@@ -18,7 +18,7 @@ import logging
 import math
 import re
 from dataclasses import dataclass
-from typing import Protocol
+from typing import Iterable, Protocol
 
 from .corpus import Segment
 
@@ -88,27 +88,22 @@ class ConverterTurn:
 
     def core_starts_mid_line(self) -> bool:
         """True when the first core word continues a line begun earlier."""
-        gap = self.current_input[: self.core_start]
-        if not gap:
-            return self.index > 1  # no left padding to inspect
-        for ch in reversed(gap):
-            if ch == "\n":
-                return False
-            if not ch.isspace():
-                return True
-        return self.index > 1
+        return _continues_line(reversed(self.current_input[: self.core_start]), self.index > 1)
 
     def core_ends_mid_line(self) -> bool:
         """True when the last core line continues past the core boundary."""
-        rest = self.current_input[self.core_end :]
-        if not rest:
-            return self.index < self.total  # no right padding to inspect
-        for ch in rest:
-            if ch == "\n":
-                return False
-            if not ch.isspace():
-                return True
-        return self.index < self.total
+        return _continues_line(self.current_input[self.core_end :], self.index < self.total)
+
+
+def _continues_line(chars: Iterable[str], at_padding_end: bool) -> bool:
+    """True at the first non-space character of ``chars``, False at the
+    first newline; ``at_padding_end`` when ``chars`` (the padding) has neither."""
+    for ch in chars:
+        if ch == "\n":
+            return False
+        if not ch.isspace():
+            return True
+    return at_padding_end
 
 
 class DocumentConverter(Protocol):

@@ -91,10 +91,6 @@ def node_path(node: TreeNode) -> list[str]:
     return labels
 
 
-def serialize_path(path: list[str]) -> str:
-    return PATH_SEPARATOR.join(path)
-
-
 def _split_cells(line: str) -> list[str]:
     return [cell.strip() for cell in line.strip().strip("|").split("|")]
 
@@ -197,7 +193,7 @@ def cascade_metadata(
         assert seg is not None
         path = node_path(node)
         seg.metadata_path = path
-        prefix = serialize_path(path)
+        prefix = PATH_SEPARATOR.join(path)
         if seg.kind == "table":
             body = augment_table(seg)
         elif seg.kind == "image":

@@ -23,7 +23,6 @@ import io
 import json
 import logging
 import math
-import operator
 import os
 import re
 import shutil
@@ -32,7 +31,7 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import AbstractSet, Iterable, Protocol
+from typing import AbstractSet, Callable, Iterable, Protocol
 
 import numpy as np
 
@@ -60,6 +59,9 @@ INDEX_FILES = (
     "segments.jsonl",  # one JSON line per segment, UTF-8
     "segment_offsets.npy",  # <i8 segment i is bytes offsets[i]:offsets[i + 1]
 )
+# The manifest fields load_index reads and the JSON types they hold.
+_MANIFEST_FIELDS = {"dim": int, "k1": (int, float), "b": (int, float), "embedder": dict,
+                    "user_keywords": list, "files": dict}
 # Files of earlier formats; save_index may replace a directory holding them.
 _OLD_FORMAT_FILES = ("vectors.bin", "postings.json", "segments.json")
 
@@ -218,6 +220,10 @@ class Bm25Index:
     norm: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not self.k1 > 0:
+            raise ValueError(f"k1 must be > 0, got {self.k1}")
+        if not 0 <= self.b <= 1:
+            raise ValueError(f"b must be in [0, 1], got {self.b}")
         self.lengths = np.asarray(self.lengths, dtype=np.int64)
         if self.lengths.shape != (len(self.keys),):
             raise ValueError(f"{len(self.lengths)} lengths for {len(self.keys)} keys")
@@ -247,50 +253,32 @@ class KeywordTable:
         self.rows = {word: np.array(rows, dtype=np.intp) for word, rows in found.items()}
 
 
-class KeywordExtractor(Protocol):
-    def extract(self, text: str) -> set[str]: ...
+def _keyword(token: str) -> str:
+    """The critical-keyword rule: the case-folded token if it mixes letters
+    and digits, else ``""``. It catches part-number-shaped identifiers
+    ("CA-IS3641", "iPhone15") that vector similarity tends to blur together."""
+    if _HAS_LETTER_RE.search(token) and _HAS_DIGIT_RE.search(token):
+        return token.casefold()
+    return ""
 
 
-class PatternKeywordExtractor:
-    """Default critical-keyword rule: tokens mixing letters and digits.
-
-    Catches part-number-shaped identifiers ("CA-IS3641", "iPhone15") that
-    vector similarity tends to blur together. Stand-in for a trained named
-    entity detector behind the same interface. The rule's verdict, the
-    case-folded keyword or ``""``, is memoized per instance for each
-    distinct raw token: one entry per distinct token seen.
-    """
-
-    def __init__(self):
-        self._keywords = _Memo(self._keyword)  # raw token -> keyword or ""
-
-    @staticmethod
-    def _keyword(token: str) -> str:
-        if _HAS_LETTER_RE.search(token) and _HAS_DIGIT_RE.search(token):
-            return token.casefold()
-        return ""
-
-    def extract(self, text: str) -> set[str]:
-        found = set(map(self._keywords.__getitem__, _KEYWORD_TOKEN_RE.findall(text)))
-        found.discard("")
-        return found
-
-
-def extract_keywords(
-    text: str,
-    extractor: KeywordExtractor | None = None,
-    user_keywords: Iterable[str] | None = None,
-) -> set[str]:
-    """Union of extractor hits and user-dictionary keywords present in text."""
-    extractor = extractor or PatternKeywordExtractor()
-    found = {kw for kw in extractor.extract(text) if kw}
+def _keywords_in(text: str, user_keywords: Iterable[str] | None,
+                 keyword: Callable[[str], str]) -> set[str]:
+    found = set(map(keyword, _KEYWORD_TOKEN_RE.findall(text)))
+    found.discard("")
     if user_keywords:
         folded_text = text.casefold()
         for raw in user_keywords:
-            keyword = raw.casefold().strip()
-            if keyword and keyword in folded_text:
-                found.add(keyword)
+            word = raw.casefold().strip()
+            if word and word in folded_text:
+                found.add(word)
     return found
+
+
+def extract_keywords(text: str, user_keywords: Iterable[str] | None = None) -> set[str]:
+    """Tokens of ``text`` that mix letters and digits, plus the
+    user-dictionary keywords it contains, all case-folded."""
+    return _keywords_in(text, user_keywords, _keyword)
 
 
 def build_vector_index(segments: Sequence[Segment], embedder: Embedder) -> VectorIndex:
@@ -319,10 +307,6 @@ def build_bm25_index(
     distinct raw token (the postings hold one per term), and the postings
     are counted with one sort of all (term, row) pairs.
     """
-    if k1 <= 0:
-        raise ValueError(f"k1 must be > 0, got {k1}")
-    if not 0 <= b <= 1:
-        raise ValueError(f"b must be in [0, 1], got {b}")
     # Each distinct raw token is case-folded once; term ids follow first use.
     term_ids: dict[str, int] = {}
     token_ids = _Memo(lambda token: term_ids.setdefault(token.casefold(), len(term_ids)))
@@ -404,13 +388,14 @@ def bm25_scores(index: Bm25Index, query: str) -> dict[str, float]:
 
 def build_keyword_table(
     segments: Sequence[Segment],
-    extractor: KeywordExtractor | None = None,
     user_keywords: Iterable[str] | None = None,
 ) -> KeywordTable:
-    extractor = extractor or PatternKeywordExtractor()
+    """:func:`extract_keywords` of every segment's embedding_text, with the
+    rule's verdict memoized for this build only: one entry per distinct raw token."""
     user = list(user_keywords or [])
+    keyword = _Memo(_keyword).__getitem__
     return KeywordTable(
-        {seg.key: extract_keywords(seg.embedding_text, extractor, user) for seg in segments}
+        {seg.key: _keywords_in(seg.embedding_text, user, keyword) for seg in segments}
     )
 
 
@@ -444,13 +429,9 @@ class StoredSegments(Sequence[Segment]):
         return len(self.keys)
 
     def __getitem__(self, index):
+        row = range(len(self))[index]  # list semantics, IndexError included
         if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        row = operator.index(index)
-        if row < 0:
-            row += len(self)
-        if not 0 <= row < len(self):
-            raise IndexError(f"segment row {index} outside {len(self)} segments")
+            return [self[i] for i in row]
         seg = Segment(**json.loads(self._blob[self._offsets[row]:self._offsets[row + 1]]))
         if seg.key != self.keys[row]:
             raise IndexFormatError(f"segment row {row} holds {seg.key!r}, not {self.keys[row]!r}")
@@ -513,7 +494,6 @@ def build_indices(
     embedder: Embedder,
     k1: float = DEFAULT_K1,
     b: float = DEFAULT_B,
-    extractor: KeywordExtractor | None = None,
     user_keywords: Iterable[str] | None = None,
 ) -> IndexBundle:
     """Build all three substrates over one augmented segment list."""
@@ -522,7 +502,7 @@ def build_indices(
     return IndexBundle(
         vectors=build_vector_index(segments, embedder),
         bm25=build_bm25_index(segments, k1=k1, b=b),
-        keywords=build_keyword_table(segments, extractor, user),
+        keywords=build_keyword_table(segments, user),
         segments=segments,
         embedder_spec=embedder.spec(),
         user_keywords=user,
@@ -537,6 +517,9 @@ def make_embedder(spec: dict) -> Embedder:
     if kind == "subprocess":
         from . import plugins
 
+        missing = sorted({"command", "dim"} - spec.keys())
+        if missing:
+            raise ValueError(f"subprocess embedder spec lacks {missing}")
         return plugins.SubprocessEmbedder(
             command=list(spec["command"]), dim=int(spec["dim"])
         )
@@ -653,9 +636,17 @@ def _read_manifest(directory: Path) -> dict:
         raise IndexFormatError(
             f"unsupported index format_version {version!r} (expected {FORMAT_VERSION})"
         )
-    files = manifest.get("files")
-    if not isinstance(files, dict) or sorted(files) != sorted(INDEX_FILES):
+    for name, kind in _MANIFEST_FIELDS.items():
+        if isinstance(manifest.get(name), bool) or not isinstance(manifest.get(name), kind):
+            raise IndexFormatError(f"manifest {manifest_path}: {name!r} is missing or mistyped")
+    files = manifest["files"]
+    if sorted(files) != sorted(INDEX_FILES):
         raise IndexFormatError(f"manifest {manifest_path} does not list the index files")
+    for name, entry in files.items():
+        if not (isinstance(entry, dict) and isinstance(entry.get("bytes"), int)
+                and isinstance(entry.get("sha256"), str)):
+            raise IndexFormatError(f"manifest {manifest_path}: files[{name!r}] needs "
+                                   "an int 'bytes' and a str 'sha256'")
     return manifest
 
 
@@ -752,7 +743,7 @@ def load_index(path: str | Path) -> IndexBundle:
             keywords=KeywordTable({key: set(raw_keywords[key]) for key in keys}),
             segments=segments,
             embedder_spec=dict(manifest["embedder"]),
-            user_keywords=[str(kw) for kw in manifest.get("user_keywords", [])],
+            user_keywords=[str(kw) for kw in manifest["user_keywords"]],
         )
     except ValueError as exc:  # shapes that do not fit together
         raise IndexFormatError(f"corrupt index {directory}: {exc}") from exc

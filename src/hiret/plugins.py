@@ -2,9 +2,9 @@
 
 Each adapter spawns a long-lived worker process and exchanges one JSON
 object per line over its standard I/O: the request is ``{"text": ...}``
-and the response carries ``{"vector": [...]}``, ``{"keywords": [...]}`` or
-``{"caption": "..."}`` depending on the plug-in role. Workers that exit or
-answer with malformed JSON raise PluginError.
+and the response carries ``{"vector": [...]}`` or ``{"caption": "..."}``
+depending on the plug-in role. Workers that cannot start, exit or answer
+with malformed JSON raise PluginError.
 """
 
 from __future__ import annotations
@@ -29,13 +29,16 @@ class _LineProtocolClient:
         if self._proc is not None and self._proc.poll() is not None:
             self.close()  # the worker died; its pipes are still open
         if self._proc is None:
-            self._proc = subprocess.Popen(
-                self.command,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                text=True,
-                bufsize=1,
-            )
+            try:
+                self._proc = subprocess.Popen(
+                    self.command,
+                    stdin=subprocess.PIPE,
+                    stdout=subprocess.PIPE,
+                    text=True,
+                    bufsize=1,
+                )
+            except OSError as exc:
+                raise PluginError(f"plug-in {self.command!r} cannot start: {exc}") from exc
         return self._proc
 
     def request(self, text: str) -> dict:
@@ -96,17 +99,6 @@ class SubprocessEmbedder(_LineProtocolClient):
 
     def spec(self) -> dict:
         return {"kind": "subprocess", "command": self.command, "dim": self.dim}
-
-
-class SubprocessKeywordExtractor(_LineProtocolClient):
-    """Keyword extractor backed by a worker answering {"keywords": [...]}."""
-
-    def extract(self, text: str) -> set[str]:
-        response = self.request(text)
-        keywords = response.get("keywords")
-        if not isinstance(keywords, list):
-            raise PluginError("keyword plug-in must answer a 'keywords' list")
-        return {str(kw).casefold() for kw in keywords if str(kw)}
 
 
 class SubprocessCaptioner(_LineProtocolClient):

@@ -24,7 +24,6 @@ import numpy as np
 from .index import (
     Embedder,
     IndexBundle,
-    KeywordExtractor,
     KeywordTable,
     VectorIndex,
     bm25_route,
@@ -159,11 +158,10 @@ def vector_route(query: str, vindex: VectorIndex, embedder: Embedder) -> np.ndar
 def keyword_hits(
     query: str,
     ktable: KeywordTable,
-    extractor: KeywordExtractor | None = None,
     user_keywords: set[str] | None = None,
 ) -> np.ndarray:
     """Distinct critical keywords shared between the query and each row."""
-    query_keywords = extract_keywords(query, extractor, user_keywords)
+    query_keywords = extract_keywords(query, user_keywords)
     rows = [ktable.rows[kw] for kw in query_keywords if kw in ktable.rows]
     hit_rows = np.concatenate(rows) if rows else np.zeros(0, dtype=np.intp)
     return np.bincount(hit_rows, minlength=len(ktable.keywords))
@@ -172,12 +170,10 @@ def keyword_hits(
 def keyword_route(
     query: str,
     ktable: KeywordTable,
-    extractor: KeywordExtractor | None = None,
     user_keywords: set[str] | None = None,
 ) -> dict[str, int]:
     """:func:`keyword_hits` by key."""
-    return dict(zip(ktable.keywords, keyword_hits(query, ktable, extractor,
-                                                  user_keywords).tolist()))
+    return dict(zip(ktable.keywords, keyword_hits(query, ktable, user_keywords).tolist()))
 
 
 def normalize_scores(raw: np.ndarray) -> np.ndarray:
@@ -223,7 +219,6 @@ def retrieve(
     query: str,
     bundle: IndexBundle,
     cfg: RetrievalConfig,
-    extractor: KeywordExtractor | None = None,
     user_keywords: set[str] | None = None,
     embedder: Embedder | None = None,
 ) -> RetrievalOutcome:
@@ -247,6 +242,6 @@ def retrieve(
     v[bundle.vector_rows] = normalize_scores(raw_v)
     r = normalize_scores(bm25_route(bundle.bm25, query))
     keywords = set(bundle.user_keywords).union(user_keywords or ())
-    hits = keyword_hits(query, bundle.keywords, extractor, keywords)
+    hits = keyword_hits(query, bundle.keywords, keywords)
     ranking = _fuse_and_sort(bundle.keys, bundle.key_rank, v, r, hits, cfg, bundle.row_of)
     return RetrievalOutcome(top=ranking[: cfg.top_k], ranking=ranking)

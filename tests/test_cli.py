@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import asdict, fields
@@ -28,7 +29,7 @@ from hiret.cli import (
     run_eval,
     run_ingest,
 )
-from hiret.index import InconsistentIndexError, load_index
+from hiret.index import InconsistentIndexError, IndexFormatError, load_index
 
 SRC_DIR = str(Path(hiret.__file__).resolve().parents[1])
 
@@ -153,6 +154,39 @@ class TestIngest:
         assert result["results"][0]["keyword_hits"] == 1
 
 
+class TestPluginFailures:
+    """A plug-in that cannot start, dies at once or lacks its command ends
+    ``ingest`` with a one-line message and an exit code, not a traceback."""
+
+    def ingest(self, tmp_path, **plugins):
+        corpus = write_datasheet_corpus(tmp_path / "corpus")  # holds an image to caption
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(plugins), encoding="utf-8")
+        return main(["--config", str(config), "--corpus-dir", str(corpus),
+                     "--index-dir", str(tmp_path / "index"), "ingest"])
+
+    @pytest.mark.parametrize("role", ["embedder", "captioner"])
+    @pytest.mark.parametrize("command,says", [
+        ([sys.executable, "-c", "pass"], "'-c', 'pass']"),
+        (["hiret-test-no-such-worker"], "hiret-test-no-such-worker'] cannot start"),
+    ], ids=["exits-at-once", "missing-executable"])
+    def test_failing_worker_is_a_data_error(self, tmp_path, capsys, role, command, says):
+        code = self.ingest(tmp_path, **{role: {"kind": "subprocess", "command": command,
+                                               "dim": 3}})
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: plug-in [") and says in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "index").exists()
+
+    @pytest.mark.parametrize("role", ["embedder", "captioner"])
+    def test_spec_without_command_is_usage_error(self, tmp_path, capsys, role):
+        code = self.ingest(tmp_path, **{role: {"kind": "subprocess", "dim": 3}})
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("usage error:") and "command" in err
+
+
 class TestQuery:
     def test_unique_title_path_ranks_first(self, manual_setup, capsys):
         cfg, tmp_path = manual_setup
@@ -219,6 +253,31 @@ class TestQuery:
         assert code == 2
         err = capsys.readouterr().err
         assert "format_version 2 (expected 3)" in err and "run 'hiret ingest'" in err
+
+    @pytest.mark.parametrize("edit,named", [
+        (lambda m: m.pop("dim"), "'dim' is missing or mistyped"),
+        (lambda m: m.update(k1=None), "'k1' is missing or mistyped"),
+        (lambda m: m.update(b="0.75"), "'b' is missing or mistyped"),
+        (lambda m: m.update(user_keywords=None), "'user_keywords' is missing or mistyped"),
+        (lambda m: m.update(k1=0), "k1 must be > 0, got 0"),
+        (lambda m: m.update(b=1.5), "b must be in [0, 1], got 1.5"),
+        (lambda m: m["files"]["keywords.json"].pop("sha256"), "files['keywords.json'] needs"),
+        (lambda m: m["files"].update({"vectors.npy": 7}), "files['vectors.npy'] needs"),
+    ], ids=["no-dim", "null-k1", "string-b", "null-dictionary", "zero-k1", "b-above-1",
+            "no-sha256", "entry-not-object"])
+    def test_bad_manifest_field_is_named_and_asks_for_a_reingest(self, manual_setup, capsys,
+                                                                 edit, named):
+        cfg, _ = manual_setup
+        path = Path(cfg.index_dir) / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        edit(manifest)
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(IndexFormatError, match=re.escape(named)):
+            load_index(cfg.index_dir)
+        code = main(["--index-dir", cfg.index_dir, "query", "pinout"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert named in err and "run 'hiret ingest'" in err
 
     def test_damaged_file_is_refused_with_its_name(self, manual_setup, capsys):
         cfg, _ = manual_setup
@@ -418,6 +477,15 @@ class TestConfigAndExitCodes:
         code = main(["--index-dir", cfg.index_dir, "--alpha", "2.0", "query", "x"])
         assert code == 1
         assert "alpha" in capsys.readouterr().err
+
+    def test_importing_the_cli_loads_no_plugin_machinery(self):
+        # Every `hiret query` pays for what `import hiret.cli` loads; plug-ins
+        # (and subprocess with them) load only when a spec asks for one.
+        code = ("import sys, hiret.cli; "
+                "print(sorted({'subprocess', 'hiret.plugins'} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": SRC_DIR}, check=True)
+        assert proc.stdout == "[]\n"
 
     def test_console_script_runs(self, tmp_path):
         corpus = write_manual_corpus(tmp_path / "corpus", 1)

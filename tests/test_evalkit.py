@@ -1,5 +1,7 @@
+import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -320,6 +322,24 @@ class TestQuestionBank:
         bank = tmp_path / "bank.jsonl"
         bank.write_text('{"id": "q1", "query": "a"}\n')
         with pytest.raises(QuestionBankError, match="relevant"):
+            load_question_bank(bank)
+
+    @pytest.mark.parametrize("fields,named", [
+        ({"query": 7}, "'query' must be a string"),
+        ({"query": None}, "'query' must be a string"),
+        ({"relevant": "d#1"}, "'relevant' must be a list of strings"),
+        ({"relevant": ["d#1", 2]}, "'relevant' must be a list of strings"),
+        ({"keywords": "pinout"}, "'keywords' must be a list of strings"),
+        ({"keywords": [["pinout"]]}, "'keywords' must be a list of strings"),
+        ({"keywords": None}, "'keywords' must be a list of strings"),
+    ], ids=["int-query", "null-query", "string-relevant", "int-in-relevant", "string-keywords",
+            "nested-keywords", "null-keywords"])
+    def test_mistyped_field_rejected_with_line_and_name(self, tmp_path, fields, named):
+        bank = tmp_path / "bank.jsonl"
+        good = {"id": "q1", "query": "a", "relevant": ["d#1"], "keywords": ["x9"]}
+        bank.write_text(json.dumps(good) + "\n" + json.dumps({**good, "id": "q2", **fields}),
+                        encoding="utf-8")
+        with pytest.raises(QuestionBankError, match=re.escape(f"{bank}:2: {named}")):
             load_question_bank(bank)
 
     def test_empty_bank_rejected(self, tmp_path):

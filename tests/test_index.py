@@ -22,9 +22,9 @@ from hiret.index import (
     InconsistentIndexError,
     IndexBundle,
     IndexFormatError,
+    KeywordTable,
     Postings,
     StoredSegments,
-    PatternKeywordExtractor,
     bm25_route,
     bm25_score,
     bm25_scores,
@@ -330,17 +330,25 @@ class TestKeywords:
         assert extract_keywords("the CA-IS3641 transceiver") == {"ca-is3641"}
 
     def test_case_variants_yield_one_keyword(self):
-        extractor = PatternKeywordExtractor()
-        assert extractor.extract("CA-IS3641") == {"ca-is3641"}
-        assert extractor.extract("ca-is3641") == {"ca-is3641"}
-        assert extractor.extract("ca-is3641 CA-IS3641 Ca-Is3641") == {"ca-is3641"}
+        assert extract_keywords("CA-IS3641") == {"ca-is3641"}
+        assert extract_keywords("ca-is3641") == {"ca-is3641"}
+        assert extract_keywords("ca-is3641 CA-IS3641 Ca-Is3641") == {"ca-is3641"}
 
     @settings(max_examples=200, deadline=None)
     @given(texts=st.lists(_TEXTS, min_size=1, max_size=4))
     def test_pattern_extractor_matches_the_rule(self, texts):
-        extractor = PatternKeywordExtractor()
-        for text in texts + texts[::-1]:  # the second pass reads the memo
-            assert extractor.extract(text) == OracleExtractor().extract(text)
+        rows = texts + texts[::-1]  # the second pass reads the build's memo
+        table = build_keyword_table([seg("d", str(i), t) for i, t in enumerate(rows)])
+        assert list(table.keywords.values()) == [OracleExtractor().extract(t) for t in rows]
+        for text in rows:
+            assert extract_keywords(text) == OracleExtractor().extract(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=_TEXTS, user=st.lists(st.one_of(_WORDS, st.text(max_size=4)), max_size=3))
+    def test_build_and_query_share_one_rule(self, text, user):
+        table = build_keyword_table([seg("d", "1", text)], user)
+        hits = keyword_hits(text, table, user_keywords=set(user))
+        assert hits.tolist() == [len(extract_keywords(text, user))]
 
     def test_plain_prose_yields_nothing(self):
         assert extract_keywords("plain prose with no identifiers") == set()
@@ -358,13 +366,6 @@ class TestKeywords:
         assert table.keywords["d#1"] == {"ca-is3641"}
         assert table.keywords["d#2"] == set()
 
-    def test_extractor_protocol(self):
-        class Fixed:
-            def extract(self, text):
-                return {"pinout"} if "pinout" in text else set()
-
-        assert extract_keywords("the pinout table", Fixed()) == {"pinout"}
-
 
 def test_datasheet_index_bytes_equal_the_oracle_bundle(tmp_path):
     _, segments = load_and_ingest(write_datasheet_corpus(tmp_path / "ds"))
@@ -373,7 +374,9 @@ def test_datasheet_index_bytes_equal_the_oracle_bundle(tmp_path):
     oracle = IndexBundle(
         vectors=build_vector_index(segments, OracleEmbedder(256)),
         bm25=oracle_bm25(segments),
-        keywords=build_keyword_table(segments, OracleExtractor(), user),
+        keywords=KeywordTable({s.key: OracleExtractor().extract(s.embedding_text)
+                               | {kw for kw in user if kw in s.embedding_text.casefold()}
+                               for s in segments}),
         segments=segments,
         embedder_spec=OracleEmbedder(256).spec(),
         user_keywords=user,

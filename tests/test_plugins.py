@@ -10,7 +10,6 @@ from hiret.plugins import (
     PluginError,
     SubprocessCaptioner,
     SubprocessEmbedder,
-    SubprocessKeywordExtractor,
 )
 
 EMBED_WORKER = """
@@ -20,14 +19,6 @@ for line in sys.stdin:
     text = req["text"]
     vec = [float(len(text) % 7), 1.0, float(text.count("a"))]
     print(json.dumps({"vector": vec}), flush=True)
-"""
-
-KEYWORD_WORKER = """
-import json, sys
-for line in sys.stdin:
-    req = json.loads(line)
-    words = [w for w in req["text"].split() if w.endswith("9")]
-    print(json.dumps({"keywords": words}), flush=True)
 """
 
 CAPTION_WORKER = """
@@ -148,13 +139,6 @@ class TestWorkerPipes:
             embedder.embed("y")
             assert embedder._proc is not first
             assert first.stdin.closed and first.stdout.closed
-
-
-class TestSubprocessKeywordExtractor:
-    def test_extract(self):
-        with SubprocessKeywordExtractor(py(KEYWORD_WORKER)) as extractor:
-            assert extractor.extract("part x9 and plain words") == {"x9"}
-            assert extractor.extract("nothing") == set()
 
 
 class TestSubprocessCaptioner:

@@ -465,7 +465,7 @@ class TestRankingCoreProperties:
             lo_r, hi_r = min(raw_r.values()), max(raw_r.values())
             raw_v = raw_vector_scores(bundle, query, embedder)
             lo_v, hi_v = min(raw_v.values()), max(raw_v.values())
-            query_keywords = extract_keywords(query, None, user)
+            query_keywords = extract_keywords(query, user)
             for row in ranking:
                 key = row.segment_key
                 expected_r = 0.5 if hi_r == lo_r else (raw_r[key] - lo_r) / (hi_r - lo_r)
