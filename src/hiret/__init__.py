@@ -31,12 +31,9 @@ from .formatter import (
     plan_windows,
 )
 from .hca import (
-    SegmentTree,
     augment_document,
     augment_image,
     augment_table,
-    build_tree,
-    cascade_metadata,
     without_augmentation,
 )
 from .index import (

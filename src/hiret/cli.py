@@ -18,8 +18,6 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
-import numpy as np
-
 from . import evalkit, hca, index, retriever
 from .corpus import CorpusError, load_corpus
 from .formatter import (
@@ -264,29 +262,18 @@ def run_cohesion(cfg: AppConfig, grouping: str) -> list[list]:
     bundle = _load_bundle(cfg)
     embedder = index.make_embedder(bundle.embedder_spec)
 
-    def group_label(seg) -> str:
-        return seg.doc_id if grouping == "by-document" else seg.title
-
     segments = list(bundle.segments)
-    group_of = {seg.key: group_label(seg) for seg in segments}
-    raw_vectors: dict[str, np.ndarray] = {}
+    by_document = grouping == "by-document"
+    group_of = {seg.key: seg.doc_id if by_document else seg.title for seg in segments}
     try:
-        for seg in segments:
-            vec, problem = index.unit_vector(embedder.embed(seg.content), embedder.dim)
-            if vec is None:
-                log.warning("segment %s: raw content vector %s; skipped", seg.key, problem)
-            else:
-                raw_vectors[seg.key] = vec
+        raw = index.build_vector_index(hca.without_augmentation(segments), embedder)
     finally:
         _close_quietly(embedder)
 
     rows: list[list] = []
-    variants = [
-        ("augmented", dict(zip(bundle.vectors.keys, bundle.vectors.matrix.astype(np.float64)))),
-        ("raw", raw_vectors),
-    ]
+    variants = [("augmented", bundle.vectors.entries), ("raw", raw.entries)]
     for variant, vectors in variants:
-        grouped: dict[str, list[np.ndarray]] = defaultdict(list)
+        grouped: dict[str, list] = defaultdict(list)
         for key, vec in vectors.items():
             grouped[group_of[key]].append(vec)
         try:

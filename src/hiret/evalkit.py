@@ -219,13 +219,14 @@ def load_question_bank(path: str | Path) -> list[EvalQuery]:
             raise QuestionBankError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
         if not isinstance(data, dict) or "query" not in data or "relevant" not in data:
             raise QuestionBankError(f"{path}:{lineno}: need 'query' and 'relevant' fields")
-        if not isinstance(data["query"], str):
-            raise QuestionBankError(f"{path}:{lineno}: 'query' must be a string")
+        for name in ("query", "id"):
+            if name in data and not isinstance(data[name], str):
+                raise QuestionBankError(f"{path}:{lineno}: {name!r} must be a string")
         for name in ("relevant", "keywords"):
             words = data.get(name, [])
             if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
                 raise QuestionBankError(f"{path}:{lineno}: {name!r} must be a list of strings")
-        query_id = str(data.get("id", f"q{lineno}"))
+        query_id = data.get("id", f"q{lineno}")
         if query_id in seen:
             raise QuestionBankError(f"{path}:{lineno}: duplicate query id {query_id!r}")
         seen.add(query_id)

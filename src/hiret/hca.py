@@ -1,19 +1,20 @@
-"""Chapter-tree construction and cascading metadata augmentation.
+"""Cascading metadata augmentation over a per-document path table.
 
-Every document forms a tree: the document title is the root and each
-numbered chapter is a node, parented by its deepest existing dotted-number
-prefix. Walking the tree top-down prepends the root-to-node title path to
-every segment's embedding text, so that structurally identical chapters in
-different documents embed differently. Tables and images get kind-specific
-treatment before embedding: table data cells are dropped (labels kept),
-images are represented by their descriptions plus surrounding text.
+Every segment's embedding text starts with its root-to-chapter title path,
+so that structurally identical chapters in different documents embed
+differently. One walk over a document's segments keeps each chapter
+number's path: the document title is the root, and a chapter's path is the
+path of its deepest dotted-number prefix seen so far plus its own label.
+Tables and images get kind-specific treatment before embedding: table data
+cells are dropped (labels kept), images are represented by their
+descriptions plus surrounding text.
 """
 
 from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from typing import Protocol
 
 from .corpus import DocumentRecord, ImageAsset, Segment
@@ -30,65 +31,6 @@ class Captioner(Protocol):
     """Produces a textual description for an image from its file reference."""
 
     def describe(self, file_ref: str, context: str) -> str: ...
-
-
-@dataclass
-class TreeNode:
-    segment: Segment | None  # None at the root
-    label: str  # path entry; "" contributes nothing (root uses doc title)
-    parent: "TreeNode | None" = None
-    children: list["TreeNode"] = field(default_factory=list)
-
-
-@dataclass
-class SegmentTree:
-    """Chapter tree of one document; ``nodes`` keeps original segment order."""
-
-    doc: DocumentRecord
-    root: TreeNode
-    nodes: list[TreeNode]
-
-
-def build_tree(doc: DocumentRecord) -> SegmentTree:
-    """Attach every segment under its deepest existing chapter prefix.
-
-    Missing intermediate levels are bridged: "1.2.1" with no "1.2" seen yet
-    attaches under "1". Level-0 preamble segments hang off the root and
-    contribute no path entry of their own.
-    """
-    root = TreeNode(segment=None, label=doc.title)
-    nodes: list[TreeNode] = []
-    latest: dict[str, TreeNode] = {}
-
-    for seg in doc.segments:
-        if seg.level == 0:
-            node = TreeNode(segment=seg, label="", parent=root)
-        else:
-            parent = root
-            parts = seg.chapter_number.split(".")
-            for cut in range(len(parts) - 1, 0, -1):
-                prefix = ".".join(parts[:cut])
-                if prefix in latest:
-                    parent = latest[prefix]
-                    break
-            label = f"{seg.chapter_number} {seg.title}".strip()
-            node = TreeNode(segment=seg, label=label, parent=parent)
-            latest[seg.chapter_number] = node
-        node.parent.children.append(node)
-        nodes.append(node)
-    return SegmentTree(doc=doc, root=root, nodes=nodes)
-
-
-def node_path(node: TreeNode) -> list[str]:
-    """Labels on the root-to-node chain, skipping empty entries."""
-    labels: list[str] = []
-    cursor: TreeNode | None = node
-    while cursor is not None:
-        if cursor.label:
-            labels.append(cursor.label)
-        cursor = cursor.parent
-    labels.reverse()
-    return labels
 
 
 def _split_cells(line: str) -> list[str]:
@@ -174,30 +116,43 @@ def _resolve_image(seg: Segment, doc: DocumentRecord) -> tuple[ImageAsset, str]:
     return ImageAsset(image_id=ref, file_ref=ref, description=""), surrounding
 
 
-def cascade_metadata(
-    tree: SegmentTree,
+def augment_document(
+    doc: DocumentRecord,
     captioner: Captioner | None = None,
     warnings: list[str] | None = None,
 ) -> list[Segment]:
-    """Prepend each segment's root-to-node title path to its embedding text.
+    """Set each segment's ``metadata_path`` and prepend it to its embedding text.
 
-    The path is serialized with `` > `` on the first line, followed by the
-    kind-specific body (plain content, the table projection, or the image
-    description bundle). Image segments with no obtainable description get
-    an empty embedding_text and are later skipped by the vector index.
-    Running the cascade twice produces identical results.
+    "1.2.1" with no "1.2" yet hangs under "1"; a repeated number takes over
+    for the chapters after it; preambles get the title alone; empty titles
+    and labels add no entry. The path is joined with `` > `` on the first
+    line, followed by the kind-specific body (plain content, the table
+    projection, or the image description bundle). Image segments with no
+    obtainable description get an empty embedding_text and are later
+    skipped by the vector index. Augmenting twice gives identical results.
     """
-    augmented: list[Segment] = []
-    for node in tree.nodes:
-        seg = node.segment
-        assert seg is not None
-        path = node_path(node)
+    root = [doc.title] if doc.title else []
+    latest: dict[str, list[str]] = {}  # chapter number -> its path
+    for seg in doc.segments:
+        if seg.level == 0:
+            path = list(root)
+        else:
+            parent = root
+            parts = seg.chapter_number.split(".")
+            for cut in range(len(parts) - 1, 0, -1):
+                prefix = ".".join(parts[:cut])
+                if prefix in latest:
+                    parent = latest[prefix]
+                    break
+            label = f"{seg.chapter_number} {seg.title}".strip()
+            path = parent + [label] if label else list(parent)
+            latest[seg.chapter_number] = path
         seg.metadata_path = path
         prefix = PATH_SEPARATOR.join(path)
         if seg.kind == "table":
             body = augment_table(seg)
         elif seg.kind == "image":
-            asset, surrounding = _resolve_image(seg, tree.doc)
+            asset, surrounding = _resolve_image(seg, doc)
             body = augment_image(asset, surrounding, captioner)
             if not body:
                 name = seg.key if seg.doc_id else seg.segment_id
@@ -209,22 +164,11 @@ def cascade_metadata(
                 if warnings is not None:
                     warnings.append(message)
                 seg.embedding_text = ""
-                augmented.append(seg)
                 continue
         else:
             body = seg.content
         seg.embedding_text = f"{prefix}\n{body}" if body else prefix
-        augmented.append(seg)
-    return augmented
-
-
-def augment_document(
-    doc: DocumentRecord,
-    captioner: Captioner | None = None,
-    warnings: list[str] | None = None,
-) -> list[Segment]:
-    """Build the chapter tree and cascade metadata in one step."""
-    return cascade_metadata(build_tree(doc), captioner=captioner, warnings=warnings)
+    return list(doc.segments)
 
 
 def without_augmentation(segments: list[Segment]) -> list[Segment]:

@@ -509,21 +509,35 @@ def build_indices(
     )
 
 
-def make_embedder(spec: dict) -> Embedder:
-    """Instantiate an embedder from its manifest descriptor."""
+def _embedder_spec_problem(spec: dict) -> str:
+    """Why :func:`make_embedder` refuses ``spec``, or "" when it accepts it."""
     kind = spec.get("kind", "hash")
-    if kind == "hash":
-        return HashingEmbedder(dim=int(spec.get("dim", DEFAULT_DIM)))
+    if kind not in ("hash", "subprocess"):
+        return f"unknown embedder kind: {kind!r}"
+    dim = spec.get("dim", DEFAULT_DIM)
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        return f"embedder 'dim' must be an integer >= 1, got {dim!r}"
     if kind == "subprocess":
-        from . import plugins
-
         missing = sorted({"command", "dim"} - spec.keys())
         if missing:
-            raise ValueError(f"subprocess embedder spec lacks {missing}")
-        return plugins.SubprocessEmbedder(
-            command=list(spec["command"]), dim=int(spec["dim"])
-        )
-    raise ValueError(f"unknown embedder kind: {kind!r}")
+            return f"subprocess embedder spec lacks {missing}"
+        command = spec["command"]
+        if not (isinstance(command, list) and command
+                and all(isinstance(part, str) for part in command)):
+            return "subprocess embedder 'command' must be a non-empty list of strings"
+    return ""
+
+
+def make_embedder(spec: dict) -> Embedder:
+    """Instantiate an embedder from its manifest descriptor."""
+    problem = _embedder_spec_problem(spec)
+    if problem:
+        raise ValueError(problem)
+    if spec.get("kind", "hash") == "hash":
+        return HashingEmbedder(dim=spec.get("dim", DEFAULT_DIM))
+    from . import plugins
+
+    return plugins.SubprocessEmbedder(command=list(spec["command"]), dim=spec["dim"])
 
 
 def _json_bytes(payload: object, indent: int | None = None) -> bytes:
@@ -639,6 +653,12 @@ def _read_manifest(directory: Path) -> dict:
     for name, kind in _MANIFEST_FIELDS.items():
         if isinstance(manifest.get(name), bool) or not isinstance(manifest.get(name), kind):
             raise IndexFormatError(f"manifest {manifest_path}: {name!r} is missing or mistyped")
+    spec = manifest["embedder"]
+    problem = _embedder_spec_problem(spec)
+    if not problem and spec.get("dim", DEFAULT_DIM) != manifest["dim"]:
+        problem = f"embedder dim {spec.get('dim', DEFAULT_DIM)!r} != index dim {manifest['dim']}"
+    if problem:
+        raise IndexFormatError(f"manifest {manifest_path}: {problem}")
     files = manifest["files"]
     if sorted(files) != sorted(INDEX_FILES):
         raise IndexFormatError(f"manifest {manifest_path} does not list the index files")

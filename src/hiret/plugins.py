@@ -91,10 +91,10 @@ class SubprocessEmbedder(_LineProtocolClient):
     def embed(self, text: str) -> np.ndarray:
         response = self.request(text)
         vector = response.get("vector")
-        if not isinstance(vector, list) or len(vector) != self.dim:
-            raise PluginError(
-                f"embedder plug-in must answer a {self.dim}-component 'vector' list"
-            )
+        if (not isinstance(vector, list) or len(vector) != self.dim
+                or not set(map(type, vector)) <= {int, float}):  # bool is not a number here
+            raise PluginError(f"plug-in {self.command!r} must answer a {self.dim}-component "
+                              "'vector' of JSON numbers")
         return np.asarray(vector, dtype=np.float64)
 
     def spec(self) -> dict:

@@ -179,6 +179,24 @@ class TestPluginFailures:
         assert "Traceback" not in err
         assert not (tmp_path / "index").exists()
 
+    def test_non_numeric_vector_is_a_data_error(self, tmp_path, capsys):
+        worker = ("import json, sys\nfor line in sys.stdin:\n"
+                  "    print(json.dumps({'vector': ['a', 'b', 'c']}), flush=True)\n")
+        code = self.ingest(tmp_path, embedder={"kind": "subprocess", "dim": 3,
+                                               "command": [sys.executable, "-c", worker]})
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: plug-in [") and "'vector' of JSON numbers" in err
+        assert not (tmp_path / "index").exists()
+
+    @pytest.mark.parametrize("dim", [64.7, True, 0, "64"])
+    def test_embedder_dim_must_be_a_positive_int(self, tmp_path, capsys, dim):
+        code = self.ingest(tmp_path, embedder={"kind": "hash", "dim": dim})
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("usage error: embedder 'dim' must be an integer >= 1")
+        assert not (tmp_path / "index").exists()
+
     @pytest.mark.parametrize("role", ["embedder", "captioner"])
     def test_spec_without_command_is_usage_error(self, tmp_path, capsys, role):
         code = self.ingest(tmp_path, **{role: {"kind": "subprocess", "dim": 3}})
@@ -263,8 +281,14 @@ class TestQuery:
         (lambda m: m.update(b=1.5), "b must be in [0, 1], got 1.5"),
         (lambda m: m["files"]["keywords.json"].pop("sha256"), "files['keywords.json'] needs"),
         (lambda m: m["files"].update({"vectors.npy": 7}), "files['vectors.npy'] needs"),
+        (lambda m: m.update(embedder={"kind": "bogus"}), "unknown embedder kind: 'bogus'"),
+        (lambda m: m.update(embedder={"kind": "subprocess", "dim": 256}), "lacks ['command']"),
+        (lambda m: m.update(embedder={"kind": "subprocess", "command": "w", "dim": 256}),
+         "'command' must be a non-empty list of strings"),
+        (lambda m: m.update(embedder={"kind": "hash", "dim": 64}), "embedder dim 64 != index"),
     ], ids=["no-dim", "null-k1", "string-b", "null-dictionary", "zero-k1", "b-above-1",
-            "no-sha256", "entry-not-object"])
+            "no-sha256", "entry-not-object", "unknown-embedder", "embedder-no-command",
+            "embedder-string-command", "embedder-other-dim"])
     def test_bad_manifest_field_is_named_and_asks_for_a_reingest(self, manual_setup, capsys,
                                                                  edit, named):
         cfg, _ = manual_setup

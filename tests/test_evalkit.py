@@ -332,8 +332,11 @@ class TestQuestionBank:
         ({"keywords": "pinout"}, "'keywords' must be a list of strings"),
         ({"keywords": [["pinout"]]}, "'keywords' must be a list of strings"),
         ({"keywords": None}, "'keywords' must be a list of strings"),
+        ({"id": 5}, "'id' must be a string"),
+        ({"id": None}, "'id' must be a string"),
+        ({"id": ["x"]}, "'id' must be a string"),
     ], ids=["int-query", "null-query", "string-relevant", "int-in-relevant", "string-keywords",
-            "nested-keywords", "null-keywords"])
+            "nested-keywords", "null-keywords", "int-id", "null-id", "list-id"])
     def test_mistyped_field_rejected_with_line_and_name(self, tmp_path, fields, named):
         bank = tmp_path / "bank.jsonl"
         good = {"id": "q1", "query": "a", "relevant": ["d#1"], "keywords": ["x9"]}

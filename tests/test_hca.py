@@ -9,8 +9,6 @@ from hiret.hca import (
     augment_document,
     augment_image,
     augment_table,
-    build_tree,
-    cascade_metadata,
     without_augmentation,
 )
 
@@ -46,49 +44,60 @@ class StubCaptioner:
 class TestBuildTree:
     def test_children_follow_dotted_prefixes(self):
         doc = make_doc("D", [("1", "A"), ("1.1", "B"), ("2", "C")])
-        tree = build_tree(doc)
-        assert [n.label for n in tree.root.children] == ["1 A", "2 C"]
-        node_one = tree.root.children[0]
-        assert [n.label for n in node_one.children] == ["1.1 B"]
+        assert [s.metadata_path for s in augment_document(doc)] == [
+            ["D", "1 A"],
+            ["D", "1 A", "1.1 B"],
+            ["D", "2 C"],
+        ]
 
     def test_missing_intermediate_bridges_to_deepest_prefix(self):
         doc = make_doc("D", [("1", "A"), ("1.2.1", "Deep")])
-        tree = build_tree(doc)
-        node_one = tree.root.children[0]
-        assert [n.label for n in node_one.children] == ["1.2.1 Deep"]
+        assert augment_document(doc)[1].metadata_path == ["D", "1 A", "1.2.1 Deep"]
 
     def test_preamble_only_document(self):
         doc = make_doc("D", [("", "D")])
-        tree = build_tree(doc)
-        assert len(tree.root.children) == 1
-        assert tree.nodes[0].segment.level == 0
+        (seg,) = augment_document(doc)
+        assert seg.level == 0
+        assert seg.metadata_path == ["D"]
 
     def test_orphan_attaches_to_root(self):
         doc = make_doc("D", [("3.4", "Lost")])
-        tree = build_tree(doc)
-        assert tree.root.children[0].label == "3.4 Lost"
+        assert augment_document(doc)[0].metadata_path == ["D", "3.4 Lost"]
 
-    def test_traversal_reproduces_document_order(self):
-        doc = make_doc(
-            "D",
-            [("", "D"), ("1", "A"), ("1.1", "B"), ("1.2", "C"), ("2", "E"), ("2.1", "F")],
-        )
-        tree = build_tree(doc)
 
-        def dfs(node):
-            out = []
-            for child in node.children:
-                out.append(child.segment.segment_id)
-                out.extend(dfs(child))
-            return out
-
-        assert dfs(tree.root) == [s.segment_id for s in doc.segments]
+def test_path_rules_repeats_empty_entries_and_owned_lists():
+    doc = DocumentRecord(doc_id="d", title="", source_path="d.md")
+    doc.attach_segments([
+        make_segment("", ""),
+        make_segment("1", "A"),
+        make_segment("1.1", "B"),
+        make_segment("1", "A again"),
+        make_segment("1.1", "C"),
+        make_segment("1.1.1", "D"),
+        Segment(segment_id="blank", chapter_number="", level=1, title="", kind="text",
+                content="body"),
+        make_segment("", ""),
+    ])
+    segments = augment_document(doc)
+    assert [s.metadata_path for s in segments] == [
+        [],
+        ["1 A"],
+        ["1 A", "1.1 B"],
+        ["1 A again"],
+        ["1 A again", "1.1 C"],
+        ["1 A again", "1.1 C", "1.1.1 D"],
+        [],
+        [],
+    ]
+    # each segment owns its list, even where an empty label adds nothing
+    path_lists = [s.metadata_path for s in segments]
+    assert len({id(path) for path in path_lists}) == len(path_lists)
 
 
 class TestCascadeMetadata:
     def test_two_hop_path(self):
         doc = make_doc("CA-IS3641 Datasheet", [("1", "Features"), ("1.1", "Isolation")])
-        segments = cascade_metadata(build_tree(doc))
+        segments = augment_document(doc)
         assert segments[1].metadata_path == [
             "CA-IS3641 Datasheet",
             "1 Features",
@@ -97,33 +106,33 @@ class TestCascadeMetadata:
 
     def test_one_hop_path(self):
         doc = make_doc("CA-IS3641 Datasheet", [("2", "Pinout")])
-        (seg,) = cascade_metadata(build_tree(doc))
+        (seg,) = augment_document(doc)
         assert seg.metadata_path == ["CA-IS3641 Datasheet", "2 Pinout"]
         assert seg.embedding_text.startswith("CA-IS3641 Datasheet > 2 Pinout\n")
 
     def test_preamble_path_is_title_only(self):
         doc = make_doc("Doc Title", [("", "Doc Title")])
-        (seg,) = cascade_metadata(build_tree(doc))
+        (seg,) = augment_document(doc)
         assert seg.metadata_path == ["Doc Title"]
 
     def test_identical_chapters_differ_by_document_root(self):
         doc_a = make_doc("Alpha Manual", [("3", "Application")], doc_id="a")
         doc_b = make_doc("Beta Manual", [("3", "Application")], doc_id="b")
-        (seg_a,) = cascade_metadata(build_tree(doc_a))
-        (seg_b,) = cascade_metadata(build_tree(doc_b))
+        (seg_a,) = augment_document(doc_a)
+        (seg_b,) = augment_document(doc_b)
         assert seg_a.metadata_path[0] != seg_b.metadata_path[0]
         assert seg_a.embedding_text != seg_b.embedding_text
 
     def test_embedding_text_joins_path_and_content(self):
         doc = make_doc("T", [("1", "A")])
-        (seg,) = cascade_metadata(build_tree(doc))
+        (seg,) = augment_document(doc)
         assert seg.embedding_text == "T > 1 A\nbody"
         assert PATH_SEPARATOR in seg.embedding_text
 
     def test_cascade_is_idempotent(self):
         doc = make_doc("T", [("1", "A"), ("1.1", "B"), ("2", "C")])
-        first = [s.embedding_text for s in cascade_metadata(build_tree(doc))]
-        second = [s.embedding_text for s in cascade_metadata(build_tree(doc))]
+        first = [s.embedding_text for s in augment_document(doc)]
+        second = [s.embedding_text for s in augment_document(doc)]
         assert first == second
 
     def test_path_length_is_level_plus_one_on_gapless_trees(self):
@@ -140,7 +149,7 @@ class TestCascadeMetadata:
                 ]
                 chapters.append((".".join(map(str, counters)), f"S{len(chapters)}"))
             doc = make_doc("Root", chapters)
-            for seg in cascade_metadata(build_tree(doc)):
+            for seg in augment_document(doc):
                 assert len(seg.metadata_path) == seg.level + 1
 
     def test_child_path_extends_parent_path(self):
@@ -148,7 +157,7 @@ class TestCascadeMetadata:
             "Root",
             [("1", "A"), ("1.1", "B"), ("1.1.1", "C"), ("1.2", "D"), ("2", "E")],
         )
-        segments = cascade_metadata(build_tree(doc))
+        segments = augment_document(doc)
         by_number = {s.chapter_number: s for s in segments}
         parent_of = {"1.1": "1", "1.1.1": "1.1", "1.2": "1", "1": None, "2": None}
         for number, parent in parent_of.items():
@@ -228,7 +237,7 @@ class TestAugmentImage:
             [make_segment("1", "Fig", content="![alt text](missing.png)", kind="image")]
         )
         warnings = []
-        (seg,) = cascade_metadata(build_tree(doc), warnings=warnings)
+        (seg,) = augment_document(doc, warnings=warnings)
         assert seg.embedding_text == ""
         assert len(warnings) == 1
 
@@ -242,7 +251,7 @@ class TestAugmentImage:
         doc.attach_segments(
             [make_segment("2", "Package", content="![pins](p3.png)\nseen from above", kind="image")]
         )
-        (seg,) = cascade_metadata(build_tree(doc))
+        (seg,) = augment_document(doc)
         assert seg.embedding_text.startswith("T > 2 Package\npinout diagram")
         assert "seen from above" in seg.embedding_text
 

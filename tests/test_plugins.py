@@ -58,6 +58,15 @@ class TestSubprocessEmbedder:
             with pytest.raises(PluginError, match="5-component"):
                 embedder.embed("x")
 
+    @pytest.mark.parametrize("vector", [["a", "b", "c"], [True, 1, 2], [1.0, None, 2.0]],
+                             ids=["strings", "bool", "null"])
+    def test_non_numeric_vector_names_the_plugin(self, vector):
+        worker = ("import json, sys\nfor line in sys.stdin:\n"
+                  f"    print(json.dumps({{'vector': {vector!r}}}), flush=True)\n")
+        with SubprocessEmbedder(py(worker), dim=3) as embedder:
+            with pytest.raises(PluginError, match=r"plug-in \[.*'vector' of JSON numbers"):
+                embedder.embed("x")
+
     def test_invalid_response_raises(self):
         with SubprocessEmbedder(py(BROKEN_WORKER), dim=3) as embedder:
             with pytest.raises(PluginError, match="invalid JSON"):
