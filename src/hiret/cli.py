@@ -122,13 +122,14 @@ def _load_keyword_dict(path: str | None) -> list[str]:
 def _make_captioner(spec: dict | None):
     if not spec:
         return None
-    if spec.get("kind") == "subprocess":
-        if "command" not in spec:
-            raise UsageError("subprocess captioner spec lacks ['command']")
-        from . import plugins
+    kind, command = spec.get("kind"), spec.get("command")
+    problem = (index._command_problem("captioner", command) if kind == "subprocess"
+               else f"unknown captioner kind: {kind!r}")
+    if problem:
+        raise UsageError(problem)
+    from . import plugins
 
-        return plugins.SubprocessCaptioner(list(spec["command"]))
-    raise UsageError(f"unknown captioner kind: {spec.get('kind')!r}")
+    return plugins.SubprocessCaptioner(command)
 
 
 def run_ingest(cfg: AppConfig) -> dict:

@@ -1,11 +1,11 @@
 """Retrieval substrates: hashed vector index, BM25 index, keyword table.
 
-All three are built over the augmented ``embedding_text`` of each segment,
-keyed by ``doc_id#segment_id``. The segment list is the one source of the
-key order: in memory every index is a set of arrays whose rows follow it
-(the BM25 and keyword rows are the segment rows; the vector matrix holds a
-unit vector per embeddable segment). An :class:`IndexBundle` checks at
-construction that the three indices cover exactly its keys.
+All three are built from one tokenization of the augmented ``embedding_text``
+of each segment, keyed by ``doc_id#segment_id``. The segment list is the one
+source of the key order: in memory every index is a set of arrays whose rows
+follow it (the BM25 and keyword rows are the segment rows; the vector matrix
+holds a unit vector per embeddable segment). An :class:`IndexBundle` checks
+at construction that the three indices cover exactly its keys.
 
 An index persists to a directory as ``.npy`` arrays, a few small JSON
 files and one blob of per-segment JSON lines, described by a manifest that
@@ -23,6 +23,7 @@ import io
 import json
 import logging
 import math
+import mmap
 import os
 import re
 import shutil
@@ -30,8 +31,10 @@ from array import array
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 from pathlib import Path
-from typing import AbstractSet, Callable, Iterable, Protocol
+from typing import AbstractSet, Iterable, Protocol
 
 import numpy as np
 
@@ -111,41 +114,38 @@ class _Memo(dict):
         return value
 
 
-def _hash_code(token: str, dim: int) -> int:
-    """``2 * bucket + 1`` for a +1 sign, ``2 * bucket`` for -1, from the
-    blake2b digest of the case-folded token."""
-    digest = hashlib.blake2b(token.casefold().encode("utf-8"), digest_size=5).digest()
-    return 2 * (int.from_bytes(digest[:4], "little") % dim) + (digest[4] & 1)
-
-
 class HashingEmbedder:
     """Signed feature-hashed bag of words, L2-normalized.
 
-    Each token is hashed to one of ``dim`` buckets with a +/-1 sign, both
-    taken from an unkeyed blake2b digest of the case-folded token, so equal
-    text always embeds identically across processes. Bucket and sign are
-    memoized per instance for each distinct raw token: the memo holds one
-    entry per distinct token seen, the same order of memory as the BM25
-    postings. Zero-token input yields the zero vector, the unembeddable
-    marker.
+    Each term (a case-folded token) is hashed to one of ``dim`` buckets with
+    a +/-1 sign from an unkeyed blake2b digest, so equal text embeds alike
+    across processes. Ingest hashes each term of the token scan shared with
+    BM25 and the keyword table once and sums blocks of rows with the same
+    :meth:`_vectors`. Zero-token input yields the zero (unembeddable) vector.
     """
 
     def __init__(self, dim: int = DEFAULT_DIM):
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
         self.dim = dim
-        self._codes = _Memo(lambda token: _hash_code(token, dim))
 
     def embed(self, text: str) -> np.ndarray:
-        tokens = _TOKEN_RE.findall(text)
-        codes = np.fromiter(map(self._codes.__getitem__, tokens), np.intp, len(tokens))
-        counts = np.bincount(codes, minlength=2 * self.dim)
-        # Counts of +1 minus counts of -1 per bucket: the exact sum of signs.
-        vec = (counts[1::2] - counts[0::2]).astype(np.float64)
-        norm = float(np.linalg.norm(vec))
-        if norm > 0.0:
-            vec /= norm
-        return vec
+        codes = np.fromiter(map(self._code, tokenize(text)), np.intp)
+        return self._vectors(codes, [len(codes)])[0]
+
+    def _code(self, term: str) -> int:
+        """``2 * bucket + 1`` for a +1 sign, ``2 * bucket`` for -1."""
+        digest = hashlib.blake2b(term.encode("utf-8"), digest_size=5).digest()
+        return 2 * (int.from_bytes(digest[:4], "little") % self.dim) + (digest[4] & 1)
+
+    def _vectors(self, codes: np.ndarray, lengths: Sequence[int]) -> np.ndarray:
+        """Row ``i``: the normalized signed bucket sums of the next ``lengths[i]`` codes."""
+        rows = np.repeat(np.arange(len(lengths)), lengths)
+        # Sums of +/-1 are integers, so every order of adding them is exact.
+        vecs = np.bincount(rows * self.dim + (codes >> 1), weights=(codes & 1) * 2.0 - 1.0,
+                           minlength=len(lengths) * self.dim).reshape(len(lengths), self.dim)
+        norms = np.sqrt(np.einsum("ij,ij->i", vecs, vecs))[:, None]  # np.linalg.norm's, exactly
+        return vecs / np.where(norms > 0, norms, 1.0)
 
     def spec(self) -> dict:
         return {"kind": "hash", "dim": self.dim}
@@ -262,69 +262,92 @@ def _keyword(token: str) -> str:
     return ""
 
 
-def _keywords_in(text: str, user_keywords: Iterable[str] | None,
-                 keyword: Callable[[str], str]) -> set[str]:
-    found = set(map(keyword, _KEYWORD_TOKEN_RE.findall(text)))
+def _with_user_keywords(found: set[str], text: str, user_keywords: Iterable[str]) -> set[str]:
+    """``found`` less the no-keyword verdict "", plus the user keywords in ``text``."""
     found.discard("")
-    if user_keywords:
-        folded_text = text.casefold()
-        for raw in user_keywords:
-            word = raw.casefold().strip()
-            if word and word in folded_text:
-                found.add(word)
+    words = [word for word in (raw.casefold().strip() for raw in user_keywords) if word]
+    folded_text = text.casefold() if words else ""
+    found.update(word for word in words if word in folded_text)
     return found
 
 
 def extract_keywords(text: str, user_keywords: Iterable[str] | None = None) -> set[str]:
     """Tokens of ``text`` that mix letters and digits, plus the
     user-dictionary keywords it contains, all case-folded."""
-    return _keywords_in(text, user_keywords, _keyword)
+    return _with_user_keywords(set(map(_keyword, _KEYWORD_TOKEN_RE.findall(text))), text,
+                               user_keywords or ())
+
+
+class _Scan(list):
+    """Segments and, once a builder reads :attr:`tokens`, the one pass of
+    ``_KEYWORD_TOKEN_RE`` over their embedding_text that all three builders share. A
+    keyword token's ``-`` pieces are its ``_TOKEN_RE`` tokens, its term ids once folded."""
+
+    @cached_property
+    def tokens(self) -> tuple[dict[str, int], np.ndarray, np.ndarray, list[set[str]]]:
+        """Term ids in order of first use; every row's term ids, row ``i``'s
+        being ``ids[offsets[i]:offsets[i + 1]]``; each row's verdict set."""
+        terms: dict[str, int] = {}
+        term_ids = _Memo(lambda token: [terms.setdefault(piece.casefold(), len(terms))
+                                        for piece in token.split("-")])
+        verdict = _Memo(_keyword)
+        ids, offsets, verdicts = array("i"), array("q", [0]), []
+        for seg in self:
+            tokens = _KEYWORD_TOKEN_RE.findall(seg.embedding_text)
+            ids.extend(chain.from_iterable(map(term_ids.__getitem__, tokens)))
+            offsets.append(len(ids))
+            verdicts.append(set(map(verdict.__getitem__, tokens)))
+        return terms, np.frombuffer(ids, np.intc), np.frombuffer(offsets, np.int64), verdicts
+
+
+def _tokens(segments: Sequence[Segment]) -> tuple:  # the scan segments carry, or a new one
+    return (segments if isinstance(segments, _Scan) else _Scan(segments)).tokens
 
 
 def build_vector_index(segments: Sequence[Segment], embedder: Embedder) -> VectorIndex:
-    """Embed every augmented segment as a unit vector; a segment whose
-    vector is zero, not finite or of the wrong dimension is skipped."""
+    """Embed every augmented segment as a unit vector, skipping one whose vector
+    is zero, not finite or of the wrong dimension. :class:`HashingEmbedder` builds
+    blocks of rows from the shared token scan; others embed each text in turn."""
     keys: list[str] = []
     matrix = np.empty((len(segments), embedder.dim), dtype=np.float32)
-    for seg in segments:
-        vector, problem = unit_vector(embedder.embed(seg.embedding_text), embedder.dim)
-        if vector is None:
-            log.warning("segment %s: vector %s; skipped from vector index", seg.key, problem)
-            continue
-        matrix[len(keys)] = vector
-        keys.append(seg.key)
+    if type(embedder) is HashingEmbedder:
+        terms, ids, offsets, _ = _tokens(segments)
+        codes = np.fromiter(map(embedder._code, terms), np.intp, len(terms))
+        for lo in range(0, len(segments), 1024):  # blocks bound the temporary arrays
+            bounds = offsets[lo:lo + 1025]
+            block = embedder._vectors(codes[ids[bounds[0]:bounds[-1]]], np.diff(bounds))
+            norms = np.sqrt([row.dot(row) for row in block])[:, None]  # unit_vector's, per row
+            kept = np.flatnonzero(norms)
+            matrix[len(keys):len(keys) + len(kept)] = block[kept] / norms[kept]
+            keys.extend(segments[lo + i].key for i in kept.tolist())
+            for i in np.flatnonzero(norms == 0).tolist():
+                log.warning("segment %s: vector is zero (no embeddable text); skipped from "
+                            "vector index", segments[lo + i].key)
+    else:
+        for seg in segments:
+            vector, problem = unit_vector(embedder.embed(seg.embedding_text), embedder.dim)
+            if vector is None:
+                log.warning("segment %s: vector %s; skipped from vector index", seg.key, problem)
+                continue
+            matrix[len(keys)] = vector
+            keys.append(seg.key)
     return VectorIndex(dim=embedder.dim, keys=keys, matrix=matrix[: len(keys)])
 
 
-def build_bm25_index(
-    segments: Sequence[Segment],
-    k1: float = DEFAULT_K1,
-    b: float = DEFAULT_B,
-) -> Bm25Index:
-    """Inverted index with document-length statistics over embedding_text.
-
-    Tokens are mapped to term ids through a memo holding one entry per
-    distinct raw token (the postings hold one per term), and the postings
-    are counted with one sort of all (term, row) pairs.
-    """
-    # Each distinct raw token is case-folded once; term ids follow first use.
-    term_ids: dict[str, int] = {}
-    token_ids = _Memo(lambda token: term_ids.setdefault(token.casefold(), len(term_ids)))
-    ids = array("q")
-    lengths: list[int] = []
-    for seg in segments:
-        tokens = _TOKEN_RE.findall(seg.embedding_text)
-        lengths.append(len(tokens))
-        ids.extend(map(token_ids.__getitem__, tokens))
-    # One sort of (term, row) pairs: each term's rows ascend, counts are tf.
+def build_bm25_index(segments: Sequence[Segment], k1: float = DEFAULT_K1,
+                     b: float = DEFAULT_B) -> Bm25Index:
+    """Inverted index with length statistics over the shared token scan: one
+    sort of all (term, row) pairs gives each term's ascending rows and counts."""
+    terms, ids, offsets, _ = _tokens(segments)
     n = len(segments)
-    rows = np.repeat(np.arange(n, dtype=np.int64), lengths)
-    pairs, tf = np.unique(np.frombuffer(ids, dtype=np.int64) * n + rows, return_counts=True)
-    rows = (pairs % max(n, 1)).astype(np.intp)
+    lengths = np.diff(offsets)
+    rows = np.repeat(np.arange(n, dtype=np.int64), lengths)  # lives through the sort (peak RSS)
+    pairs, tf = np.unique(ids * np.int64(n) + rows, return_counts=True)
+    bounds = np.searchsorted(pairs, np.arange(len(terms) + 1, dtype=np.int64) * n).tolist()
+    rows = np.remainder(pairs, max(n, 1), out=pairs).astype(np.intp, copy=False)
     tf = tf.astype(np.int32)
-    bounds = np.searchsorted(pairs, np.arange(len(term_ids) + 1, dtype=np.int64) * n).tolist()
     postings = {term: Postings(rows[lo:hi], tf[lo:hi])
-                for term, lo, hi in zip(term_ids, bounds, bounds[1:])}
+                for term, lo, hi in zip(terms, bounds, bounds[1:])}
     return Bm25Index(k1=k1, b=b, keys=[seg.key for seg in segments], lengths=lengths,
                      postings=postings)
 
@@ -386,17 +409,12 @@ def bm25_scores(index: Bm25Index, query: str) -> dict[str, float]:
     return dict(zip(index.keys, bm25_route(index, query).tolist()))
 
 
-def build_keyword_table(
-    segments: Sequence[Segment],
-    user_keywords: Iterable[str] | None = None,
-) -> KeywordTable:
-    """:func:`extract_keywords` of every segment's embedding_text, with the
-    rule's verdict memoized for this build only: one entry per distinct raw token."""
+def build_keyword_table(segments: Sequence[Segment],
+                        user_keywords: Iterable[str] | None = None) -> KeywordTable:
+    """:func:`extract_keywords` of every segment, from the shared token scan's verdicts."""
     user = list(user_keywords or [])
-    keyword = _Memo(_keyword).__getitem__
-    return KeywordTable(
-        {seg.key: _keywords_in(seg.embedding_text, user, keyword) for seg in segments}
-    )
+    return KeywordTable({seg.key: _with_user_keywords(found, seg.embedding_text, user)
+                         for seg, found in zip(segments, _tokens(segments)[3])})
 
 
 def _require_keys(name: str, table: Iterable[str], universe: AbstractSet[str],
@@ -489,21 +507,16 @@ class IndexBundle:
         self.key_rank[sorted(range(len(keys)), key=keys.__getitem__)] = np.arange(len(keys))
 
 
-def build_indices(
-    segments: Sequence[Segment],
-    embedder: Embedder,
-    k1: float = DEFAULT_K1,
-    b: float = DEFAULT_B,
-    user_keywords: Iterable[str] | None = None,
-) -> IndexBundle:
-    """Build all three substrates over one augmented segment list."""
-    segments = list(segments)  # decode stored segments once, not per index
+def build_indices(segments: Sequence[Segment], embedder: Embedder, k1: float = DEFAULT_K1,
+                  b: float = DEFAULT_B, user_keywords: Iterable[str] | None = None) -> IndexBundle:
+    """Build all three substrates over one augmented segment list and one token scan."""
+    scan = _Scan(segments)  # decodes stored segments once, not per index
     user = sorted({kw.casefold().strip() for kw in user_keywords or [] if kw.strip()})
     return IndexBundle(
-        vectors=build_vector_index(segments, embedder),
-        bm25=build_bm25_index(segments, k1=k1, b=b),
-        keywords=build_keyword_table(segments, user),
-        segments=segments,
+        vectors=build_vector_index(scan, embedder),
+        bm25=build_bm25_index(scan, k1=k1, b=b),
+        keywords=build_keyword_table(scan, user),
+        segments=list(scan),  # not the scan, which is freed on return
         embedder_spec=embedder.spec(),
         user_keywords=user,
     )
@@ -521,11 +534,14 @@ def _embedder_spec_problem(spec: dict) -> str:
         missing = sorted({"command", "dim"} - spec.keys())
         if missing:
             return f"subprocess embedder spec lacks {missing}"
-        command = spec["command"]
-        if not (isinstance(command, list) and command
-                and all(isinstance(part, str) for part in command)):
-            return "subprocess embedder 'command' must be a non-empty list of strings"
+        return _command_problem("embedder", spec["command"])
     return ""
+
+
+def _command_problem(role: str, command: object) -> str:  # the embedder's and captioner's rule
+    if isinstance(command, list) and command and all(isinstance(part, str) for part in command):
+        return ""
+    return f"subprocess {role} 'command' must be a non-empty list of strings"
 
 
 def make_embedder(spec: dict) -> Embedder:
@@ -578,9 +594,10 @@ def _write_files(bundle: IndexBundle, directory: Path) -> dict:
     put("keywords.json",
         _json_bytes({key: sorted(words) for key, words in bundle.keywords.keywords.items()}))
     put("segment_keys.json", _json_bytes(bundle.keys))
-    lines = [_json_bytes(vars(seg)) for seg in bundle.segments]
-    put("segment_offsets.npy", _npy_bytes(np.cumsum([0] + [len(line) for line in lines]), "<i8"))
-    put("segments.jsonl", b"".join(lines))
+    blob = io.BytesIO()  # one growing buffer, not every line and then their join
+    lengths = [blob.write(_json_bytes(vars(seg))) for seg in bundle.segments]
+    put("segment_offsets.npy", _npy_bytes(np.cumsum([0] + lengths), "<i8"))
+    put("segments.jsonl", blob.getvalue())
 
     manifest = {
         "format_version": FORMAT_VERSION,
@@ -670,11 +687,13 @@ def _read_manifest(directory: Path) -> dict:
     return manifest
 
 
-def _read_checked(path: Path, entry: dict) -> bytes:
-    """The bytes of ``path`` once their size and sha256 match ``entry``."""
+def _read_checked(path: Path, entry: dict, mapped: bool = False) -> bytes | mmap.mmap:
+    """The bytes of ``path`` once their size and sha256 match ``entry``; with
+    ``mapped``, a read-only map of the file, checked without a heap copy."""
     try:
-        data = path.read_bytes()
-    except OSError as exc:
+        with open(path, "rb") as f:
+            data = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) if mapped else f.read()
+    except (OSError, ValueError) as exc:  # ValueError: an empty file cannot be mapped
         raise IndexFormatError(f"cannot read index file {path}: {exc}") from exc
     if len(data) != entry["bytes"]:
         raise IndexFormatError(
@@ -707,8 +726,8 @@ def load_index(path: str | Path) -> IndexBundle:
     directory = Path(path)
     manifest = _read_manifest(directory)
 
-    def read(name: str) -> bytes:
-        return _read_checked(directory / name, manifest["files"][name])
+    def read(name: str, mapped: bool = False) -> bytes | mmap.mmap:
+        return _read_checked(directory / name, manifest["files"][name], mapped)
 
     def parse(name: str):
         try:
@@ -717,7 +736,7 @@ def load_index(path: str | Path) -> IndexBundle:
             raise IndexFormatError(f"corrupt index file {directory / name}: {exc}") from exc
 
     def array(name: str, dtype: str, ndim: int = 1, mmap: bool = False) -> np.ndarray:
-        data = read(name)
+        data = read(name, mapped=mmap)
         try:
             if mmap:
                 loaded = np.asarray(np.load(directory / name, mmap_mode="r", allow_pickle=False))

@@ -197,6 +197,15 @@ class TestPluginFailures:
         assert err.startswith("usage error: embedder 'dim' must be an integer >= 1")
         assert not (tmp_path / "index").exists()
 
+    @pytest.mark.parametrize("command", [5, "python w.py", []], ids=["int", "string", "empty"])
+    def test_captioner_command_must_be_a_list_of_strings(self, tmp_path, capsys, command):
+        code = self.ingest(tmp_path, captioner={"kind": "subprocess", "command": command})
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == ("usage error: subprocess captioner 'command' must be a non-empty "
+                       "list of strings\n")
+        assert not (tmp_path / "index").exists()
+
     @pytest.mark.parametrize("role", ["embedder", "captioner"])
     def test_spec_without_command_is_usage_error(self, tmp_path, capsys, role):
         code = self.ingest(tmp_path, **{role: {"kind": "subprocess", "dim": 3}})

@@ -1,6 +1,9 @@
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hiret.formatter import (
     ConversionError,
@@ -16,6 +19,12 @@ from hiret.formatter import (
 
 def words_of(text):
     return text.split()
+
+
+# Unicode whitespace (str.isspace) beyond ASCII, and look-alikes that are not.
+_SPACES = ["\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u1680", "\u2000", "\u2009",
+           "\u2028", "\u2029", "\u202f", "\u205f", "\u3000", " ", "\t", "\n", "\x0b", "\r"]
+_NOT_SPACES = ["\u200b", "\u180e", "\ufeff", "\u2060", "a", "\u00e9", "#"]
 
 
 class RecordingConverter:
@@ -92,6 +101,13 @@ class TestPlanWindows:
 
 
 class TestConvertDocument:
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.one_of(st.text(), st.text(st.sampled_from(_SPACES + _NOT_SPACES))))
+    def test_count_words_is_the_word_pattern_count(self, text):
+        assert count_words(text) == len(re.findall(r"\S+", text))
+        # A plan from count_words passes convert_document's own word check.
+        convert_document(text, IdentityConverter(), plan_windows(count_words(text), 3, 1))
+
     def test_identity_is_word_exact_without_padding(self):
         text = " ".join(f"w{i}" for i in range(997))
         plan = plan_windows(count_words(text), 100, 0)

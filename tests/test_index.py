@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 
 from hiret.corpus import Segment
 from hiret.index import (
+    _KEYWORD_TOKEN_RE,
+    _TOKEN_RE,
     FORMAT_VERSION,
     INDEX_FILES,
     Bm25Index,
@@ -367,6 +369,91 @@ class TestKeywords:
         assert table.keywords["d#2"] == set()
 
 
+# Texts rich in what the shared token scan must split alike: hyphen runs,
+# underscores, case folds that change length, combining marks, punctuation.
+_SCAN_TEXTS = st.one_of(_TEXTS, st.text(), st.text(st.sampled_from(
+    ["a", "Z", "9", "-", "_", " ", ".", "\u00df", "\u0130", "\u0301", "\u00b2",
+     "\u0660", "\u4e2d", "!", "\n"]), max_size=30))
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=_SCAN_TEXTS)
+def test_keyword_token_pieces_are_the_bm25_tokens(text):
+    """The identity the one-pass ingest rests on."""
+    pieces = [piece for token in _KEYWORD_TOKEN_RE.findall(text) for piece in token.split("-")]
+    assert _TOKEN_RE.findall(text) == pieces
+
+
+class TestOneScanMatchesTheOracles:
+    """build_indices reads each embedding_text once; every route it builds
+    equals the route the independent oracles build from the raw text."""
+
+    def assert_bundle_matches(self, segments, bundle, user):
+        vectors = build_vector_index(segments, OracleEmbedder(bundle.vectors.dim))
+        assert bundle.vectors.keys == vectors.keys
+        assert bundle.vectors.matrix.tobytes() == vectors.matrix.tobytes()
+        bm25 = oracle_bm25(segments)
+        assert bundle.bm25.lengths.tobytes() == bm25.lengths.tobytes()
+        assert list(bundle.bm25.postings) == list(bm25.postings)  # first-use order
+        for term, expected in bm25.postings.items():
+            got = bundle.bm25.postings[term]
+            assert (got.rows.tolist(), got.tf.tolist()) == (expected.rows.tolist(),
+                                                            expected.tf.tolist()), term
+        assert list(bundle.keywords.keywords.values()) == [
+            OracleExtractor().extract(s.embedding_text)
+            | {kw.casefold().strip() for kw in user
+               if kw.strip() and kw.casefold().strip() in s.embedding_text.casefold()}
+            for s in segments]
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(texts=st.lists(_SCAN_TEXTS, max_size=10),
+           user=st.lists(st.one_of(_WORDS, st.text(max_size=4)), max_size=3),
+           dim=st.sampled_from([1, 7, 256]))
+    def test_hashing_embedder(self, texts, user, dim):
+        # Zero-token, all-punctuation and repeated rows ride along every time.
+        rows = texts + ["", "-_-. !", "STRASSE stra\u00dfe"] + texts[:2]
+        segments = [seg("d", str(i), t) for i, t in enumerate(rows)]
+        bundle = build_indices(segments, HashingEmbedder(dim), user_keywords=user)
+        self.assert_bundle_matches(segments, bundle, user)
+
+    def test_blocks_of_rows_cover_a_long_list(self):
+        rng = random.Random(5)
+        words = ["Vcc", "CA-IS3641", "x9", "stra\u00dfe", "a_b", "--", "\u0130", "gain"]
+        rows = [" ".join(rng.choices(words, k=rng.randrange(4))) for _ in range(2600)]
+        segments = [seg("d", str(i), t) for i, t in enumerate(rows)]
+        self.assert_bundle_matches(segments, build_indices(segments, HashingEmbedder()), [])
+
+    def test_other_embedders_embed_each_text_once_in_order(self):
+        class Recording:
+            dim = 16
+
+            def __init__(self):
+                self.texts = []
+
+            def embed(self, text):
+                self.texts.append(text)
+                return oracle_embed(text, self.dim)
+
+            def spec(self):
+                return {"kind": "hash", "dim": self.dim}
+
+        class Subclassed(HashingEmbedder):  # overrides embed: not the default embedder
+            def __init__(self, dim):
+                super().__init__(dim)
+                self.texts = []
+
+            def embed(self, text):
+                self.texts.append(text)
+                return super().embed(text)
+
+        rows = ["alpha CA-IS3641", "", "Beta beta x9", "alpha", "-_-"]
+        segments = [seg("d", str(i), t) for i, t in enumerate(rows)]
+        for embedder in (Recording(), Subclassed(16)):
+            bundle = build_indices(segments, embedder, user_keywords=["beta"])
+            assert embedder.texts == rows
+            self.assert_bundle_matches(segments, bundle, ["beta"])
+
+
 def test_datasheet_index_bytes_equal_the_oracle_bundle(tmp_path):
     _, segments = load_and_ingest(write_datasheet_corpus(tmp_path / "ds"))
     user = ["kvrms", "pinout"]
@@ -458,6 +545,13 @@ class TestPersistence:
         data = (tmp_path / name).read_bytes()
         (tmp_path / name).write_bytes(data[: len(data) // 2])
         with pytest.raises(IndexFormatError, match=f"{name} holds {len(data) // 2} bytes"):
+            load_index(tmp_path)
+
+    @pytest.mark.parametrize("name", INDEX_FILES)
+    def test_emptied_file_is_refused(self, tmp_path, name):
+        save_index(self.build_bundle(), tmp_path)
+        (tmp_path / name).write_bytes(b"")  # the memory-mapped vectors.npy cannot even be mapped
+        with pytest.raises(IndexFormatError, match=f"{name}"):
             load_index(tmp_path)
 
     @pytest.mark.parametrize("name", INDEX_FILES)
