@@ -77,32 +77,37 @@ class DocumentRecord:
         self.segments = list(segments)
 
 
-def _read_sidecar(path: Path) -> dict:
+def _string(entry: dict, name: str, default: str, where: str) -> str:
+    """``entry[name]`` (``default`` when absent), which must be a string."""
+    value = entry.get(name, default)
+    if not isinstance(value, str):
+        raise CorpusError(f"{where}: {name!r} must be a string, got {value!r}")
+    return value
+
+
+def _read_sidecar(path: Path) -> tuple[str, list[ImageAsset]]:
+    """The title (the filename stem unless the sidecar gives one) and images of ``path``."""
     sidecar = path.with_name(path.stem + ".meta.json")
     if not sidecar.exists():
-        return {}
+        return path.stem, []
     try:
         data = json.loads(sidecar.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise CorpusError(f"unreadable sidecar {sidecar}: {exc}") from exc
     if not isinstance(data, dict):
         raise CorpusError(f"sidecar {sidecar} must hold a JSON object")
-    return data
-
-
-def _images_from_sidecar(meta: dict, path: Path) -> list[ImageAsset]:
-    assets = []
-    for i, entry in enumerate(meta.get("images", [])):
+    entries = data.get("images", [])
+    if not isinstance(entries, list):
+        raise CorpusError(f"sidecar {sidecar}: 'images' must be a list")
+    images = []
+    for i, entry in enumerate(entries):
+        where = f"sidecar {sidecar}: images[{i}]"
         if not isinstance(entry, dict):
-            raise CorpusError(f"sidecar for {path}: images[{i}] must be an object")
-        assets.append(
-            ImageAsset(
-                image_id=str(entry.get("id", f"img{i}")),
-                file_ref=str(entry.get("file", "")),
-                description=str(entry.get("description", "")),
-            )
-        )
-    return assets
+            raise CorpusError(f"{where} must be an object")
+        images.append(ImageAsset(image_id=_string(entry, "id", f"img{i}", where),
+                                 file_ref=_string(entry, "file", "", where),
+                                 description=_string(entry, "description", "", where)))
+    return _string(data, "title", "", f"sidecar {sidecar}") or path.stem, images
 
 
 def load_corpus(root_dir: str | Path) -> list[DocumentRecord]:
@@ -133,14 +138,9 @@ def load_corpus(root_dir: str | Path) -> list[DocumentRecord]:
             text = path.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise CorpusError(f"unreadable document {path}: {exc}") from exc
-        meta = _read_sidecar(path)
+        title, images = _read_sidecar(path)
         records.append(
-            DocumentRecord(
-                doc_id=doc_id,
-                title=str(meta.get("title") or path.stem),
-                source_path=str(path),
-                text=text,
-                images=_images_from_sidecar(meta, path),
-            )
+            DocumentRecord(doc_id=doc_id, title=title, source_path=str(path), text=text,
+                           images=images)
         )
     return records

@@ -7,13 +7,14 @@ follow it (the BM25 and keyword rows are the segment rows; the vector matrix
 holds a unit vector per embeddable segment). An :class:`IndexBundle` checks
 at construction that the three indices cover exactly its keys.
 
-An index persists to a directory as ``.npy`` arrays, a few small JSON
-files and one blob of per-segment JSON lines, described by a manifest that
-records each file's size and sha256 (format 3). Saving is atomic and
-deterministic: the files are written into a sibling directory that then
-replaces the old index, and re-saving an unchanged index reproduces them
-byte for byte. Loading checks every file against the manifest, maps the
-vector matrix from disk and decodes a segment only when it is read.
+An index persists to a directory as ``.npy`` arrays, a few small JSON files and
+one blob of per-segment JSON lines, described by a manifest that records each
+file's size and sha256 (format 4: each fact once; postings and keywords share
+one inverted-list encoding). Saving is atomic and deterministic: the files go
+into a sibling directory that then replaces the old index, and re-saving an
+unchanged index reproduces them byte for byte. Loading checks every file
+against the manifest, maps the vector matrix from disk and decodes a segment
+only when it is read.
 """
 
 from __future__ import annotations
@@ -42,31 +43,33 @@ from .corpus import Segment
 
 log = logging.getLogger(__name__)
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 DEFAULT_DIM = 256
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
 
 MANIFEST_FILE = "manifest.json"
-# Every file the manifest describes, in the order save_index writes them.
+# Every file the manifest describes.
 INDEX_FILES = (
     "vectors.npy",  # float32 (n_vectors, dim) unit vectors
     "vector_rows.npy",  # <i4 segment row of each vector
-    "bm25_lengths.npy",  # <i8 token count of each segment
     "postings_terms.json",  # sorted BM25 terms
     "postings_offsets.npy",  # <i8 term i holds entries offsets[i]:offsets[i + 1]
     "postings_rows.npy",  # <i4 segment row of each posting entry
     "postings_tf.npy",  # <i4 term count of each posting entry
-    "keywords.json",  # key -> sorted critical keywords
+    "keywords_terms.json",  # sorted critical keywords
+    "keywords_offsets.npy",  # <i8 keyword i holds rows offsets[i]:offsets[i + 1]
+    "keywords_rows.npy",  # <i4 segment row holding the keyword
     "segment_keys.json",  # segment keys in segment order
     "segments.jsonl",  # one JSON line per segment, UTF-8
     "segment_offsets.npy",  # <i8 segment i is bytes offsets[i]:offsets[i + 1]
 )
 # The manifest fields load_index reads and the JSON types they hold.
-_MANIFEST_FIELDS = {"dim": int, "k1": (int, float), "b": (int, float), "embedder": dict,
+_MANIFEST_FIELDS = {"k1": (int, float), "b": (int, float), "embedder": dict,
                     "user_keywords": list, "files": dict}
 # Files of earlier formats; save_index may replace a directory holding them.
-_OLD_FORMAT_FILES = ("vectors.bin", "postings.json", "segments.json")
+_OLD_FORMAT_FILES = ("vectors.bin", "postings.json", "segments.json", "keywords.json",
+                     "bm25_lengths.npy")
 
 # Unicode letter/digit runs; underscores and hyphens split tokens.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -234,23 +237,13 @@ class Bm25Index:
         self.norm = 1.0 - self.b + self.b * ratio
 
 
-@dataclass
+@dataclass(eq=False)
 class KeywordTable:
-    """Critical keywords per segment, case-folded.
+    """Critical keywords as inverted lists: ``rows`` maps each case-folded
+    keyword to the ascending ``intp`` rows, of ``row_count``, holding it."""
 
-    ``rows`` maps each keyword to the positions, in ``keywords`` order, of
-    the segments that hold it; it is derived at construction.
-    """
-
-    keywords: dict[str, set[str]] = field(default_factory=dict)
-    rows: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        found: dict[str, list[int]] = {}
-        for row, words in enumerate(self.keywords.values()):
-            for word in words:
-                found.setdefault(word, []).append(row)
-        self.rows = {word: np.array(rows, dtype=np.intp) for word, rows in found.items()}
+    row_count: int
+    rows: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def _keyword(token: str) -> str:
@@ -411,10 +404,13 @@ def bm25_scores(index: Bm25Index, query: str) -> dict[str, float]:
 
 def build_keyword_table(segments: Sequence[Segment],
                         user_keywords: Iterable[str] | None = None) -> KeywordTable:
-    """:func:`extract_keywords` of every segment, from the shared token scan's verdicts."""
+    """:func:`extract_keywords` of every segment (the token scan's verdicts), inverted."""
     user = list(user_keywords or [])
-    return KeywordTable({seg.key: _with_user_keywords(found, seg.embedding_text, user)
-                         for seg, found in zip(segments, _tokens(segments)[3])})
+    found: dict[str, list[int]] = {}
+    for row, (seg, words) in enumerate(zip(segments, _tokens(segments)[3])):
+        for word in _with_user_keywords(words, seg.embedding_text, user):
+            found.setdefault(word, []).append(row)
+    return KeywordTable(len(segments), {w: np.array(rows, np.intp) for w, rows in found.items()})
 
 
 def _require_keys(name: str, table: Iterable[str], universe: AbstractSet[str],
@@ -470,8 +466,8 @@ class IndexBundle:
     The segments, in corpus order, are the ranking universe: ``keys`` and
     the arrays derived at construction follow that order. Construction
     raises :class:`InconsistentIndexError` unless the keys are unique, the
-    BM25 and keyword rows are exactly those keys in that order, and every
-    vector key is one of them (segments without embeddable text have none).
+    BM25 rows are exactly those keys in that order, the keyword table has as
+    many rows, and every vector key is one of them (some segments have none).
     """
 
     vectors: VectorIndex
@@ -495,11 +491,12 @@ class IndexBundle:
         if len(universe) != len(keys):
             dupes = sorted(key for key, n in Counter(keys).items() if n > 1)
             raise InconsistentIndexError(f"duplicate segment keys: {dupes}")
-        for name, rows in (("bm25 index", self.bm25.keys),
-                           ("keyword table", list(self.keywords.keywords))):
-            if rows != keys:
-                _require_keys(name, rows, universe)
-                raise InconsistentIndexError(f"{name} rows are not in segment order")
+        if self.bm25.keys != keys:
+            _require_keys("bm25 index", self.bm25.keys, universe)
+            raise InconsistentIndexError("bm25 index rows are not in segment order")
+        if self.keywords.row_count != len(keys):
+            raise InconsistentIndexError(f"keyword table has {self.keywords.row_count} rows "
+                                         f"for {len(keys)} segments")
         _require_keys("vector index", self.vectors.keys, universe, complete=False)
         self.vector_rows = np.array([self.row_of[key] for key in self.vectors.keys],
                                     dtype=np.intp)
@@ -563,14 +560,17 @@ def _json_bytes(payload: object, indent: int | None = None) -> bytes:
     return (text + "\n").encode("utf-8")
 
 
-def _npy_bytes(array: np.ndarray, dtype: str) -> bytes:
-    buffer = io.BytesIO()
-    np.save(buffer, np.ascontiguousarray(array, dtype=dtype), allow_pickle=False)
-    return buffer.getvalue()
-
-
 def _concat(arrays: list[np.ndarray]) -> np.ndarray:
     return np.concatenate(arrays) if arrays else np.zeros(0, dtype=np.intp)
+
+
+def _file_entry(path: Path) -> dict:
+    """The size and sha256 of the bytes on disk, read back in blocks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        while block := f.read(1 << 20):
+            digest.update(block)
+        return {"bytes": f.tell(), "sha256": digest.hexdigest()}
 
 
 def _write_files(bundle: IndexBundle, directory: Path) -> dict:
@@ -578,30 +578,32 @@ def _write_files(bundle: IndexBundle, directory: Path) -> dict:
     sha256 digests; returns the manifest."""
     files = {}
 
-    def put(name: str, data: bytes) -> None:
-        (directory / name).write_bytes(data)
-        files[name] = {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
+    def put(name: str, data: bytes | np.ndarray, dtype: str = "") -> None:  # dtype: as .npy
+        with open(directory / name, "wb") as f:
+            if dtype:  # np.save writes a file straight from the array's buffer: no heap copy
+                np.save(f, np.ascontiguousarray(data, dtype=dtype), allow_pickle=False)
+            else:
+                f.write(data)
+        files[name] = _file_entry(directory / name)
 
-    put("vectors.npy", _npy_bytes(bundle.vectors.matrix, "<f4"))
-    put("vector_rows.npy", _npy_bytes(bundle.vector_rows, "<i4"))
-    put("bm25_lengths.npy", _npy_bytes(bundle.bm25.lengths, "<i8"))
-    terms = sorted(bundle.bm25.postings)
-    postings = [bundle.bm25.postings[term] for term in terms]
-    put("postings_terms.json", _json_bytes(terms))
-    put("postings_offsets.npy", _npy_bytes(np.cumsum([0] + [len(p) for p in postings]), "<i8"))
-    put("postings_rows.npy", _npy_bytes(_concat([p.rows for p in postings]), "<i4"))
-    put("postings_tf.npy", _npy_bytes(_concat([p.tf for p in postings]), "<i4"))
-    put("keywords.json",
-        _json_bytes({key: sorted(words) for key, words in bundle.keywords.keywords.items()}))
+    put("vectors.npy", bundle.vectors.matrix, "<f4")
+    put("vector_rows.npy", bundle.vector_rows, "<i4")
+    postings = bundle.bm25.postings
+    for stem, lists in (("postings", {term: p.rows for term, p in postings.items()}),
+                        ("keywords", bundle.keywords.rows)):  # one inverted-list encoding
+        terms = sorted(lists)
+        put(f"{stem}_terms.json", _json_bytes(terms))
+        put(f"{stem}_offsets.npy", np.cumsum([0] + [len(lists[t]) for t in terms]), "<i8")
+        put(f"{stem}_rows.npy", _concat([lists[t] for t in terms]), "<i4")
+    put("postings_tf.npy", _concat([postings[term].tf for term in sorted(postings)]), "<i4")
     put("segment_keys.json", _json_bytes(bundle.keys))
-    blob = io.BytesIO()  # one growing buffer, not every line and then their join
-    lengths = [blob.write(_json_bytes(vars(seg))) for seg in bundle.segments]
-    put("segment_offsets.npy", _npy_bytes(np.cumsum([0] + lengths), "<i8"))
-    put("segments.jsonl", blob.getvalue())
+    with open(directory / "segments.jsonl", "wb") as f:  # line by line: no blob on the heap
+        lengths = [f.write(_json_bytes(vars(seg))) for seg in bundle.segments]
+    files["segments.jsonl"] = _file_entry(directory / "segments.jsonl")
+    put("segment_offsets.npy", np.cumsum([0] + lengths), "<i8")
 
     manifest = {
         "format_version": FORMAT_VERSION,
-        "dim": bundle.vectors.dim,
         "k1": bundle.bm25.k1,
         "b": bundle.bm25.b,
         "embedder": bundle.embedder_spec,
@@ -670,10 +672,9 @@ def _read_manifest(directory: Path) -> dict:
     for name, kind in _MANIFEST_FIELDS.items():
         if isinstance(manifest.get(name), bool) or not isinstance(manifest.get(name), kind):
             raise IndexFormatError(f"manifest {manifest_path}: {name!r} is missing or mistyped")
-    spec = manifest["embedder"]
-    problem = _embedder_spec_problem(spec)
-    if not problem and spec.get("dim", DEFAULT_DIM) != manifest["dim"]:
-        problem = f"embedder dim {spec.get('dim', DEFAULT_DIM)!r} != index dim {manifest['dim']}"
+    problem = _embedder_spec_problem(manifest["embedder"])
+    if not all(isinstance(word, str) for word in manifest["user_keywords"]):
+        problem = "'user_keywords' must be a list of strings"
     if problem:
         raise IndexFormatError(f"manifest {manifest_path}: {problem}")
     files = manifest["files"]
@@ -755,34 +756,35 @@ def load_index(path: str | Path) -> IndexBundle:
     _check_offsets("segment_offsets.npy", segment_offsets, len(keys), len(blob))
     segments = StoredSegments(keys, blob, segment_offsets.tolist())
 
+    def inverted(stem: str):  # (term, lo, hi) spans and the rows, widened to intp once
+        terms = parse(f"{stem}_terms.json")
+        offsets = array(f"{stem}_offsets.npy", "<i8")
+        rows = array(f"{stem}_rows.npy", "<i4")
+        _check_offsets(f"{stem}_offsets.npy", offsets, len(terms), len(rows))
+        _check_rows(f"{stem}_rows.npy", rows, len(keys))
+        return zip(terms, offsets.tolist(), offsets[1:].tolist()), rows.astype(np.intp)
+
     vector_rows = array("vector_rows.npy", "<i4")
     _check_rows("vector_rows.npy", vector_rows, len(keys))
-    terms = parse("postings_terms.json")
-    offsets = array("postings_offsets.npy", "<i8")
-    rows = array("postings_rows.npy", "<i4")
+    spans, rows = inverted("postings")
     tf = array("postings_tf.npy", "<i4")
-    _check_offsets("postings_offsets.npy", offsets, len(terms), len(rows))
-    _check_rows("postings_rows.npy", rows, len(keys))
     if len(tf) != len(rows):
         raise IndexFormatError(f"{len(tf)} posting counts for {len(rows)} posting rows")
-    rows = rows.astype(np.intp)  # once here, not per query
-    bounds = offsets.tolist()
-    postings = {term: Postings(rows[lo:hi], tf[lo:hi])
-                for term, lo, hi in zip(terms, bounds, bounds[1:])}
-    raw_keywords = parse("keywords.json")
-    _require_keys("keyword table", raw_keywords, set(keys))
+    postings = {term: Postings(rows[lo:hi], tf[lo:hi]) for term, lo, hi in spans}
+    lengths = np.bincount(rows, tf, len(keys)).astype(np.int64)  # exact: integer sums
+    spans, rows = inverted("keywords")
 
     try:
         return IndexBundle(
-            vectors=VectorIndex(dim=int(manifest["dim"]),
+            vectors=VectorIndex(dim=manifest["embedder"].get("dim", DEFAULT_DIM),
                                 keys=[keys[row] for row in vector_rows.tolist()],
                                 matrix=array("vectors.npy", "<f4", ndim=2, mmap=True)),
             bm25=Bm25Index(k1=float(manifest["k1"]), b=float(manifest["b"]), keys=keys,
-                           lengths=array("bm25_lengths.npy", "<i8"), postings=postings),
-            keywords=KeywordTable({key: set(raw_keywords[key]) for key in keys}),
+                           lengths=lengths, postings=postings),
+            keywords=KeywordTable(len(keys), {word: rows[lo:hi] for word, lo, hi in spans}),
             segments=segments,
             embedder_spec=dict(manifest["embedder"]),
-            user_keywords=[str(kw) for kw in manifest["user_keywords"]],
+            user_keywords=list(manifest["user_keywords"]),
         )
     except ValueError as exc:  # shapes that do not fit together
         raise IndexFormatError(f"corrupt index {directory}: {exc}") from exc

@@ -164,16 +164,13 @@ def keyword_hits(
     query_keywords = extract_keywords(query, user_keywords)
     rows = [ktable.rows[kw] for kw in query_keywords if kw in ktable.rows]
     hit_rows = np.concatenate(rows) if rows else np.zeros(0, dtype=np.intp)
-    return np.bincount(hit_rows, minlength=len(ktable.keywords))
+    return np.bincount(hit_rows, minlength=ktable.row_count)
 
 
-def keyword_route(
-    query: str,
-    ktable: KeywordTable,
-    user_keywords: set[str] | None = None,
-) -> dict[str, int]:
-    """:func:`keyword_hits` by key."""
-    return dict(zip(ktable.keywords, keyword_hits(query, ktable, user_keywords).tolist()))
+def keyword_route(query: str, bundle: IndexBundle,
+                  user_keywords: set[str] | None = None) -> dict[str, int]:
+    """:func:`keyword_hits` of the bundle's keyword table, by key."""
+    return dict(zip(bundle.keys, keyword_hits(query, bundle.keywords, user_keywords).tolist()))
 
 
 def normalize_scores(raw: np.ndarray) -> np.ndarray:

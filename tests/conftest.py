@@ -6,6 +6,8 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
+
 from hiret.corpus import DocumentRecord, load_corpus
 from hiret.formatter import (
     HeadingPromotionConverter,
@@ -15,6 +17,7 @@ from hiret.formatter import (
     plan_windows,
 )
 from hiret.hca import augment_document
+from hiret.index import KeywordTable
 
 SECTION_TITLES = [
     "overview",
@@ -192,3 +195,30 @@ def restamp_manifest(index_dir: Path, name: str) -> None:
     data = (Path(index_dir) / name).read_bytes()
     manifest["files"][name] = {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
     path.write_text(json.dumps(manifest), encoding="utf-8")
+
+
+# The files of a format-3 index, which format 4 replaces.
+FORMAT_3_FILES = ["vectors.npy", "vector_rows.npy", "bm25_lengths.npy", "postings_terms.json",
+                  "postings_offsets.npy", "postings_rows.npy", "postings_tf.npy", "keywords.json",
+                  "segment_keys.json", "segments.jsonl", "segment_offsets.npy"]
+
+
+def keyword_sets(table: KeywordTable) -> list[set[str]]:
+    """Each row's keywords, read back from the table's keyword -> rows lists,
+    which must hold ascending, distinct ``intp`` rows."""
+    sets: list[set[str]] = [set() for _ in range(table.row_count)]
+    for word, rows in table.rows.items():
+        assert rows.dtype == np.intp and rows.tolist() == sorted(set(rows.tolist())), word
+        for row in rows.tolist():
+            sets[row].add(word)
+    return sets
+
+
+def keyword_table(sets: list[set[str]]) -> KeywordTable:
+    """The keyword table whose rows hold ``sets``."""
+    found: dict[str, list[int]] = {}
+    for row, words in enumerate(sets):
+        for word in words:
+            found.setdefault(word, []).append(row)
+    return KeywordTable(len(sets), {word: np.array(rows, dtype=np.intp)
+                                    for word, rows in found.items()})

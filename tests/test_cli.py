@@ -7,11 +7,13 @@ import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hiret
 
 from conftest import (
+    FORMAT_3_FILES,
     manual_doc_stem,
     manual_doc_title,
     manual_queries,
@@ -60,12 +62,13 @@ class TestIngest:
             "manifest.json",
             "vectors.npy",
             "vector_rows.npy",
-            "bm25_lengths.npy",
             "postings_terms.json",
             "postings_offsets.npy",
             "postings_rows.npy",
             "postings_tf.npy",
-            "keywords.json",
+            "keywords_terms.json",
+            "keywords_offsets.npy",
+            "keywords_rows.npy",
             "segment_keys.json",
             "segments.jsonl",
             "segment_offsets.npy",
@@ -130,8 +133,9 @@ class TestIngest:
         )
         run_ingest(cfg)
         manifest = json.loads((tmp_path / "index" / "manifest.json").read_text())
-        assert manifest["dim"] == 64
+        assert "dim" not in manifest  # the embedder's dim is the one vector width
         assert manifest["embedder"] == {"dim": 64, "kind": "hash"}
+        assert load_index(cfg.index_dir).vectors.matrix.shape == (10, 64)
 
     def test_keyword_dictionary_persists_and_boosts(self, tmp_path):
         corpus = tmp_path / "corpus"
@@ -254,50 +258,67 @@ class TestQuery:
 
     def test_inconsistent_index_is_refused_at_load(self, manual_setup, capsys):
         cfg, _ = manual_setup
-        path = Path(cfg.index_dir) / "keywords.json"
-        table = json.loads(path.read_text(encoding="utf-8"))
-        dropped = sorted(table)[1]
-        del table[dropped]
-        path.write_text(json.dumps(table), encoding="utf-8")
-        restamp_manifest(cfg.index_dir, "keywords.json")  # consistent file sums, bad contents
-        with pytest.raises(InconsistentIndexError, match=dropped):
-            load_index(cfg.index_dir)
-        code = main(["--index-dir", cfg.index_dir, "query", "pinout"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert dropped in err and "run 'hiret ingest'" in err
+        index_dir = Path(cfg.index_dir)
+        saved = dir_bytes(index_dir)
+
+        def refused(error, named):
+            with pytest.raises(error, match=re.escape(named)):
+                load_index(index_dir)
+            assert main(["--index-dir", cfg.index_dir, "query", "pinout"]) == 2
+            err = capsys.readouterr().err
+            assert named in err and "run 'hiret ingest'" in err
+
+        # Consistent file sums, bad contents: a key twice in the key order ...
+        keys = json.loads(saved["segment_keys.json"])
+        duplicated = keys[0]
+        keys[1] = duplicated
+        (index_dir / "segment_keys.json").write_text(json.dumps(keys), encoding="utf-8")
+        restamp_manifest(index_dir, "segment_keys.json")
+        refused(InconsistentIndexError, f"duplicate segment keys: [{duplicated!r}]")
+
+        # ... and a keyword row past the last segment.
+        (index_dir / "segment_keys.json").write_bytes(saved["segment_keys.json"])
+        restamp_manifest(index_dir, "segment_keys.json")
+        rows = np.load(index_dir / "keywords_rows.npy")
+        rows[-1] = len(keys)
+        np.save(index_dir / "keywords_rows.npy", rows)
+        restamp_manifest(index_dir, "keywords_rows.npy")
+        refused(IndexFormatError, f"keywords_rows.npy holds rows outside the {len(keys)} segments")
 
     def test_previous_format_asks_for_a_reingest(self, tmp_path, capsys):
         index_dir = tmp_path / "index"
         index_dir.mkdir()
-        manifest = {"format_version": 2, "dim": 256, "k1": 1.2, "b": 0.75,
-                    "vector_keys": [], "embedder": {"kind": "hash", "dim": 256},
-                    "user_keywords": []}
+        manifest = {"format_version": 3, "dim": 256, "k1": 1.2, "b": 0.75,
+                    "embedder": {"kind": "hash", "dim": 256}, "user_keywords": [],
+                    "files": {name: {"bytes": 2, "sha256": "0" * 64} for name in FORMAT_3_FILES}}
         (index_dir / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
-        for name in ["vectors.bin", "postings.json", "keywords.json", "segments.json"]:
+        for name in FORMAT_3_FILES:
             (index_dir / name).write_text("{}", encoding="utf-8")
         code = main(["--index-dir", str(index_dir), "query", "pinout"])
         assert code == 2
         err = capsys.readouterr().err
-        assert "format_version 2 (expected 3)" in err and "run 'hiret ingest'" in err
+        assert "format_version 3 (expected 4)" in err and "run 'hiret ingest'" in err
 
     @pytest.mark.parametrize("edit,named", [
-        (lambda m: m.pop("dim"), "'dim' is missing or mistyped"),
+        (lambda m: m.update(embedder={"kind": "subprocess", "command": ["w"]}), "lacks ['dim']"),
         (lambda m: m.update(k1=None), "'k1' is missing or mistyped"),
         (lambda m: m.update(b="0.75"), "'b' is missing or mistyped"),
         (lambda m: m.update(user_keywords=None), "'user_keywords' is missing or mistyped"),
+        (lambda m: m.update(user_keywords=[None]), "'user_keywords' must be a list of strings"),
         (lambda m: m.update(k1=0), "k1 must be > 0, got 0"),
         (lambda m: m.update(b=1.5), "b must be in [0, 1], got 1.5"),
-        (lambda m: m["files"]["keywords.json"].pop("sha256"), "files['keywords.json'] needs"),
+        (lambda m: m["files"]["keywords_rows.npy"].pop("sha256"),
+         "files['keywords_rows.npy'] needs"),
         (lambda m: m["files"].update({"vectors.npy": 7}), "files['vectors.npy'] needs"),
         (lambda m: m.update(embedder={"kind": "bogus"}), "unknown embedder kind: 'bogus'"),
         (lambda m: m.update(embedder={"kind": "subprocess", "dim": 256}), "lacks ['command']"),
         (lambda m: m.update(embedder={"kind": "subprocess", "command": "w", "dim": 256}),
          "'command' must be a non-empty list of strings"),
-        (lambda m: m.update(embedder={"kind": "hash", "dim": 64}), "embedder dim 64 != index"),
-    ], ids=["no-dim", "null-k1", "string-b", "null-dictionary", "zero-k1", "b-above-1",
-            "no-sha256", "entry-not-object", "unknown-embedder", "embedder-no-command",
-            "embedder-string-command", "embedder-other-dim"])
+        (lambda m: m.update(embedder={"kind": "hash", "dim": 64}),
+         "vector matrix shape (50, 256) != (50, 64)"),
+    ], ids=["no-dim", "null-k1", "string-b", "null-dictionary", "null-dictionary-word",
+            "zero-k1", "b-above-1", "no-sha256", "entry-not-object", "unknown-embedder",
+            "embedder-no-command", "embedder-string-command", "embedder-other-dim"])
     def test_bad_manifest_field_is_named_and_asks_for_a_reingest(self, manual_setup, capsys,
                                                                  edit, named):
         cfg, _ = manual_setup

@@ -1,7 +1,9 @@
 import json
+import re
 
 import pytest
 
+from hiret.cli import main
 from hiret.corpus import CorpusError, load_corpus, segment_key
 
 
@@ -42,6 +44,29 @@ def test_sidecar_supplies_title_and_images(tmp_path):
     assert record.images[0].image_id == "img1"
     assert record.images[0].file_ref == "p3.png"
     assert record.images[0].description == "pinout diagram"
+
+
+@pytest.mark.parametrize("meta,named", [
+    ({"title": 5}, "'title' must be a string, got 5"),
+    ({"title": None}, "'title' must be a string, got None"),
+    ({"images": [{"id": 1}]}, "images[0]: 'id' must be a string, got 1"),
+    ({"images": [{"file": ["p3.png"]}]}, "images[0]: 'file' must be a string, got ['p3.png']"),
+    ({"images": [{"id": "a"}, {"description": None}]},
+     "images[1]: 'description' must be a string, got None"),
+    ({"images": None}, "'images' must be a list"),
+], ids=["int-title", "null-title", "int-id", "list-file", "null-description", "null-images"])
+def test_non_string_sidecar_value_is_refused(tmp_path, capsys, meta, named):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "ds.md").write_text("# 1 Intro\nfig\n", encoding="utf-8")
+    (corpus / "ds.meta.json").write_text(json.dumps(meta), encoding="utf-8")
+    named = f"sidecar {corpus / 'ds.meta.json'}: {named}"
+    with pytest.raises(CorpusError, match=re.escape(named)):
+        load_corpus(corpus)
+    assert main(["--corpus-dir", str(corpus), "--index-dir", str(tmp_path / "idx"),
+                 "ingest"]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "idx").exists()
 
 
 def test_ordering_is_stable_by_path(tmp_path):

@@ -9,7 +9,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import load_and_ingest, restamp_manifest, write_datasheet_corpus
+from conftest import (
+    FORMAT_3_FILES,
+    keyword_sets,
+    keyword_table,
+    load_and_ingest,
+    restamp_manifest,
+    write_datasheet_corpus,
+)
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +31,6 @@ from hiret.index import (
     InconsistentIndexError,
     IndexBundle,
     IndexFormatError,
-    KeywordTable,
     Postings,
     StoredSegments,
     bm25_route,
@@ -341,7 +347,7 @@ class TestKeywords:
     def test_pattern_extractor_matches_the_rule(self, texts):
         rows = texts + texts[::-1]  # the second pass reads the build's memo
         table = build_keyword_table([seg("d", str(i), t) for i, t in enumerate(rows)])
-        assert list(table.keywords.values()) == [OracleExtractor().extract(t) for t in rows]
+        assert keyword_sets(table) == [OracleExtractor().extract(t) for t in rows]
         for text in rows:
             assert extract_keywords(text) == OracleExtractor().extract(text)
 
@@ -365,8 +371,8 @@ class TestKeywords:
     def test_table_built_per_segment(self):
         segments = [seg("d", "1", "uses CA-IS3641"), seg("d", "2", "no parts")]
         table = build_keyword_table(segments)
-        assert table.keywords["d#1"] == {"ca-is3641"}
-        assert table.keywords["d#2"] == set()
+        assert table.row_count == 2
+        assert keyword_sets(table) == [{"ca-is3641"}, set()]
 
 
 # Texts rich in what the shared token scan must split alike: hyphen runs,
@@ -399,7 +405,7 @@ class TestOneScanMatchesTheOracles:
             got = bundle.bm25.postings[term]
             assert (got.rows.tolist(), got.tf.tolist()) == (expected.rows.tolist(),
                                                             expected.tf.tolist()), term
-        assert list(bundle.keywords.keywords.values()) == [
+        assert keyword_sets(bundle.keywords) == [
             OracleExtractor().extract(s.embedding_text)
             | {kw.casefold().strip() for kw in user
                if kw.strip() and kw.casefold().strip() in s.embedding_text.casefold()}
@@ -461,9 +467,9 @@ def test_datasheet_index_bytes_equal_the_oracle_bundle(tmp_path):
     oracle = IndexBundle(
         vectors=build_vector_index(segments, OracleEmbedder(256)),
         bm25=oracle_bm25(segments),
-        keywords=KeywordTable({s.key: OracleExtractor().extract(s.embedding_text)
-                               | {kw for kw in user if kw in s.embedding_text.casefold()}
-                               for s in segments}),
+        keywords=keyword_table([OracleExtractor().extract(s.embedding_text)
+                                | {kw for kw in user if kw in s.embedding_text.casefold()}
+                                for s in segments]),
         segments=segments,
         embedder_spec=OracleEmbedder(256).spec(),
         user_keywords=user,
@@ -506,7 +512,7 @@ class TestPersistence:
             assert np.array_equal(loaded.bm25.postings[term].rows, postings.rows)
             assert np.array_equal(loaded.bm25.postings[term].tf, postings.tf)
         assert np.array_equal(loaded.bm25.lengths, bundle.bm25.lengths)
-        assert loaded.keywords.keywords == bundle.keywords.keywords
+        assert keyword_sets(loaded.keywords) == keyword_sets(bundle.keywords)
         assert loaded.user_keywords == bundle.user_keywords
         assert [s.metadata_path for s in loaded.segments] == [
             s.metadata_path for s in bundle.segments
@@ -690,13 +696,16 @@ class TestAtomicSave:
             save_index(self.bundle(["alpha"]), tmp_path / "index")
 
     def test_replaces_an_index_of_the_previous_format(self, tmp_path):
-        for name in ["manifest.json", "vectors.bin", "postings.json", "keywords.json",
-                     "segments.json"]:
-            (tmp_path / name).write_text("{}", encoding="utf-8")
-        save_index(self.bundle(["alpha"]), tmp_path)
-        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-            ["manifest.json", *INDEX_FILES])
-        assert load_index(tmp_path).keys == ["d#0"]
+        format_2 = ["vectors.bin", "postings.json", "keywords.json", "segments.json"]
+        for old in (format_2, FORMAT_3_FILES):
+            target = tmp_path / f"index{len(old)}"
+            target.mkdir()
+            for name in ["manifest.json", *old]:
+                (target / name).write_text("{}", encoding="utf-8")
+            save_index(self.bundle(["alpha"]), target)
+            assert sorted(p.name for p in target.iterdir()) == sorted(
+                ["manifest.json", *INDEX_FILES])
+            assert load_index(target).keys == ["d#0"]
 
 
 @st.composite

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import load_and_ingest, write_datasheet_corpus
+from conftest import keyword_sets, load_and_ingest, write_datasheet_corpus
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -15,12 +15,12 @@ from hiret.index import (
     HashingEmbedder,
     InconsistentIndexError,
     IndexBundle,
-    KeywordTable,
     VectorIndex,
     bm25_score,
     bm25_scores,
     build_bm25_index,
     build_indices,
+    build_keyword_table,
     extract_keywords,
     save_index,
 )
@@ -139,25 +139,21 @@ class TestVectorRoute:
 
 
 class TestKeywordRoute:
-    def table(self):
-        return KeywordTable(
-            keywords={
-                "d#1": {"ca-is3641", "rs485"},
-                "d#2": {"rs485"},
-                "d#3": set(),
-            }
-        )
+    def bundle(self):
+        bundle = bundle_for({"1": "RS485 and CA-IS3641", "2": "RS485 only", "3": "no parts"})
+        assert keyword_sets(bundle.keywords) == [{"ca-is3641", "rs485"}, {"rs485"}, set()]
+        return bundle
 
     def test_single_shared_keyword(self):
-        hits = keyword_route("the CA-IS3641 part", self.table())
+        hits = keyword_route("the CA-IS3641 part", self.bundle())
         assert hits["d#1"] == 1 and hits["d#2"] == 0 and hits["d#3"] == 0
 
     def test_two_shared_keywords(self):
-        hits = keyword_route("CA-IS3641 with RS485 mode", self.table())
+        hits = keyword_route("CA-IS3641 with RS485 mode", self.bundle())
         assert hits["d#1"] == 2 and hits["d#2"] == 1
 
     def test_no_shared_keywords(self):
-        hits = keyword_route("plain words only", self.table())
+        hits = keyword_route("plain words only", self.bundle())
         assert set(hits.values()) == {0}
 
 
@@ -322,6 +318,13 @@ class TestRetrieve:
             IndexBundle(bundle.vectors, bm25, bundle.keywords, bundle.segments,
                         bundle.embedder_spec)
 
+    def test_keyword_table_of_other_rows_detected(self):
+        bundle = self.make_bundle()
+        keywords = build_keyword_table(bundle.segments[:2])
+        with pytest.raises(InconsistentIndexError, match="keyword table has 2 rows for 3"):
+            IndexBundle(bundle.vectors, bundle.bm25, keywords, bundle.segments,
+                        bundle.embedder_spec)
+
     def test_different_queries_rank_differently(self):
         bundle = self.make_bundle()
         cfg = RetrievalConfig()
@@ -466,6 +469,7 @@ class TestRankingCoreProperties:
             raw_v = raw_vector_scores(bundle, query, embedder)
             lo_v, hi_v = min(raw_v.values()), max(raw_v.values())
             query_keywords = extract_keywords(query, user)
+            words_of = dict(zip(bundle.keys, keyword_sets(bundle.keywords)))
             for row in ranking:
                 key = row.segment_key
                 expected_r = 0.5 if hi_r == lo_r else (raw_r[key] - lo_r) / (hi_r - lo_r)
@@ -477,8 +481,7 @@ class TestRankingCoreProperties:
                 else:
                     expected_v = (raw_v[key] - lo_v) / (hi_v - lo_v)
                 assert row.score_v == expected_v
-                words = bundle.keywords.keywords[key]
-                assert row.keyword_hits == len(query_keywords & words)
+                assert row.keyword_hits == len(query_keywords & words_of[key])
                 assert row.fused_score == (
                     cfg.alpha * row.score_v
                     + (1.0 - cfg.alpha) * row.score_r
