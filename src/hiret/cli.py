@@ -170,7 +170,7 @@ def run_ingest(cfg: AppConfig) -> dict:
     return {
         "documents": len(records),
         "segments": len(all_segments),
-        "skipped": len(bundle.keys) - len(bundle.vectors.keys),
+        "skipped": len(bundle.keys) - len(bundle.vectors.rows),
         "warnings": len(warnings),
         "warning_messages": warnings,
         "index_dir": str(cfg.index_dir),

@@ -2,10 +2,10 @@
 
 All three are built from one tokenization of the augmented ``embedding_text``
 of each segment, keyed by ``doc_id#segment_id``. The segment list is the one
-source of the key order: in memory every index is a set of arrays whose rows
-follow it (the BM25 and keyword rows are the segment rows; the vector matrix
-holds a unit vector per embeddable segment). An :class:`IndexBundle` checks
-at construction that the three indices cover exactly its keys.
+source of the key order: every index's ``keys`` is that order and its arrays
+hold segment rows (the vector matrix holds a unit vector per embeddable segment,
+at ascending ``rows``). An :class:`IndexBundle` checks at construction that the
+three indices are over its keys.
 
 An index persists to a directory as ``.npy`` arrays, a few small JSON files and
 one blob of per-segment JSON lines, described by a manifest that records each
@@ -33,9 +33,9 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, zip_longest
 from pathlib import Path
-from typing import AbstractSet, Iterable, Protocol
+from typing import Iterable, Protocol
 
 import numpy as np
 
@@ -172,25 +172,26 @@ def unit_vector(vector: np.ndarray, dim: int) -> tuple[np.ndarray | None, str]:
 
 @dataclass(eq=False)
 class VectorIndex:
-    """Unit vectors over embeddable segments: row ``i`` of the float32
-    ``(len(keys), dim)`` matrix is the vector of segment ``keys[i]``."""
+    """Unit vectors over ``keys``: row ``i`` of the float32 ``(len(rows), dim)``
+    matrix is the vector of segment row ``rows[i]``; ``rows`` ascends."""
 
     dim: int
     keys: list[str] = field(default_factory=list)
+    rows: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
     matrix: np.ndarray | None = None  # None: no vectors
 
     def __post_init__(self):
         if self.matrix is None:
             self.matrix = np.zeros((0, self.dim), dtype=np.float32)
-        if self.matrix.shape != (len(self.keys), self.dim):
+        if self.matrix.shape != (len(self.rows), self.dim):
             raise ValueError(
-                f"vector matrix shape {self.matrix.shape} != ({len(self.keys)}, {self.dim})"
+                f"vector matrix shape {self.matrix.shape} != ({len(self.rows)}, {self.dim})"
             )
 
     @property
     def entries(self) -> dict[str, np.ndarray]:
-        """Each key's row of the matrix (views, not copies)."""
-        return dict(zip(self.keys, self.matrix))
+        """Each vector's segment key to its row of the matrix (views, not copies)."""
+        return {self.keys[row]: vector for row, vector in zip(self.rows.tolist(), self.matrix)}
 
 
 @dataclass(eq=False)
@@ -240,9 +241,9 @@ class Bm25Index:
 @dataclass(eq=False)
 class KeywordTable:
     """Critical keywords as inverted lists: ``rows`` maps each case-folded
-    keyword to the ascending ``intp`` rows, of ``row_count``, holding it."""
+    keyword to the ascending ``intp`` rows, of the key order ``keys``, holding it."""
 
-    row_count: int
+    keys: list[str]
     rows: dict[str, np.ndarray] = field(default_factory=dict)
 
 
@@ -272,9 +273,13 @@ def extract_keywords(text: str, user_keywords: Iterable[str] | None = None) -> s
 
 
 class _Scan(list):
-    """Segments and, once a builder reads :attr:`tokens`, the one pass of
+    """Segments, their keys and, once a builder reads :attr:`tokens`, the one pass of
     ``_KEYWORD_TOKEN_RE`` over their embedding_text that all three builders share. A
     keyword token's ``-`` pieces are its ``_TOKEN_RE`` tokens, its term ids once folded."""
+
+    @cached_property
+    def keys(self) -> list[str]:
+        return [seg.key for seg in self]
 
     @cached_property
     def tokens(self) -> tuple[dict[str, int], np.ndarray, np.ndarray, list[set[str]]]:
@@ -293,46 +298,50 @@ class _Scan(list):
         return terms, np.frombuffer(ids, np.intc), np.frombuffer(offsets, np.int64), verdicts
 
 
-def _tokens(segments: Sequence[Segment]) -> tuple:  # the scan segments carry, or a new one
-    return (segments if isinstance(segments, _Scan) else _Scan(segments)).tokens
+def _scan(segments: Sequence[Segment]) -> _Scan:  # the scan segments carry, or a new one
+    return segments if isinstance(segments, _Scan) else _Scan(segments)
 
 
 def build_vector_index(segments: Sequence[Segment], embedder: Embedder) -> VectorIndex:
     """Embed every augmented segment as a unit vector, skipping one whose vector
     is zero, not finite or of the wrong dimension. :class:`HashingEmbedder` builds
     blocks of rows from the shared token scan; others embed each text in turn."""
-    keys: list[str] = []
-    matrix = np.empty((len(segments), embedder.dim), dtype=np.float32)
+    scan = _scan(segments)
+    rows = np.empty(len(scan), dtype=np.intp)
+    matrix = np.empty((len(scan), embedder.dim), dtype=np.float32)
+    n = 0  # vectors kept so far
     if type(embedder) is HashingEmbedder:
-        terms, ids, offsets, _ = _tokens(segments)
+        terms, ids, offsets, _ = scan.tokens
         codes = np.fromiter(map(embedder._code, terms), np.intp, len(terms))
-        for lo in range(0, len(segments), 1024):  # blocks bound the temporary arrays
+        for lo in range(0, len(scan), 1024):  # blocks bound the temporary arrays
             bounds = offsets[lo:lo + 1025]
             block = embedder._vectors(codes[ids[bounds[0]:bounds[-1]]], np.diff(bounds))
             norms = np.sqrt([row.dot(row) for row in block])[:, None]  # unit_vector's, per row
             kept = np.flatnonzero(norms)
-            matrix[len(keys):len(keys) + len(kept)] = block[kept] / norms[kept]
-            keys.extend(segments[lo + i].key for i in kept.tolist())
+            matrix[n:n + len(kept)] = block[kept] / norms[kept]
+            rows[n:n + len(kept)] = kept + lo
+            n += len(kept)
             for i in np.flatnonzero(norms == 0).tolist():
                 log.warning("segment %s: vector is zero (no embeddable text); skipped from "
-                            "vector index", segments[lo + i].key)
+                            "vector index", scan.keys[lo + i])
     else:
-        for seg in segments:
+        for row, seg in enumerate(scan):
             vector, problem = unit_vector(embedder.embed(seg.embedding_text), embedder.dim)
             if vector is None:
                 log.warning("segment %s: vector %s; skipped from vector index", seg.key, problem)
                 continue
-            matrix[len(keys)] = vector
-            keys.append(seg.key)
-    return VectorIndex(dim=embedder.dim, keys=keys, matrix=matrix[: len(keys)])
+            matrix[n], rows[n] = vector, row
+            n += 1
+    return VectorIndex(dim=embedder.dim, keys=scan.keys, rows=rows[:n], matrix=matrix[:n])
 
 
 def build_bm25_index(segments: Sequence[Segment], k1: float = DEFAULT_K1,
                      b: float = DEFAULT_B) -> Bm25Index:
     """Inverted index with length statistics over the shared token scan: one
     sort of all (term, row) pairs gives each term's ascending rows and counts."""
-    terms, ids, offsets, _ = _tokens(segments)
-    n = len(segments)
+    scan = _scan(segments)
+    terms, ids, offsets, _ = scan.tokens
+    n = len(scan)
     lengths = np.diff(offsets)
     rows = np.repeat(np.arange(n, dtype=np.int64), lengths)  # lives through the sort (peak RSS)
     pairs, tf = np.unique(ids * np.int64(n) + rows, return_counts=True)
@@ -341,8 +350,7 @@ def build_bm25_index(segments: Sequence[Segment], k1: float = DEFAULT_K1,
     tf = tf.astype(np.int32)
     postings = {term: Postings(rows[lo:hi], tf[lo:hi])
                 for term, lo, hi in zip(terms, bounds, bounds[1:])}
-    return Bm25Index(k1=k1, b=b, keys=[seg.key for seg in segments], lengths=lengths,
-                     postings=postings)
+    return Bm25Index(k1=k1, b=b, keys=scan.keys, lengths=lengths, postings=postings)
 
 
 def _idf(index: Bm25Index, term: str) -> float:
@@ -406,24 +414,12 @@ def build_keyword_table(segments: Sequence[Segment],
                         user_keywords: Iterable[str] | None = None) -> KeywordTable:
     """:func:`extract_keywords` of every segment (the token scan's verdicts), inverted."""
     user = list(user_keywords or [])
+    scan = _scan(segments)
     found: dict[str, list[int]] = {}
-    for row, (seg, words) in enumerate(zip(segments, _tokens(segments)[3])):
+    for row, (seg, words) in enumerate(zip(scan, scan.tokens[3])):
         for word in _with_user_keywords(words, seg.embedding_text, user):
             found.setdefault(word, []).append(row)
-    return KeywordTable(len(segments), {w: np.array(rows, np.intp) for w, rows in found.items()})
-
-
-def _require_keys(name: str, table: Iterable[str], universe: AbstractSet[str],
-                  complete: bool = True) -> None:
-    """Raise :class:`InconsistentIndexError` naming the keys of ``table``
-    outside ``universe`` and, if ``complete``, the keys it lacks."""
-    table = set(table)
-    extra = table - universe
-    if extra:
-        raise InconsistentIndexError(f"{name} has keys outside the segments: {sorted(extra)}")
-    missing = universe - table if complete else ()
-    if missing:
-        raise InconsistentIndexError(f"{name} is missing keys: {sorted(missing)}")
+    return KeywordTable(scan.keys, {w: np.array(rows, np.intp) for w, rows in found.items()})
 
 
 class StoredSegments(Sequence[Segment]):
@@ -465,9 +461,9 @@ class IndexBundle:
 
     The segments, in corpus order, are the ranking universe: ``keys`` and
     the arrays derived at construction follow that order. Construction
-    raises :class:`InconsistentIndexError` unless the keys are unique, the
-    BM25 rows are exactly those keys in that order, the keyword table has as
-    many rows, and every vector key is one of them (some segments have none).
+    raises :class:`InconsistentIndexError` unless the keys are unique, every
+    index's ``keys`` is that order, and the vector rows are ascending rows of
+    it (some segments have no vector).
     """
 
     vectors: VectorIndex
@@ -479,7 +475,6 @@ class IndexBundle:
     keys: list[str] = field(init=False, repr=False, compare=False)
     row_of: dict[str, int] = field(init=False, repr=False, compare=False)
     key_rank: np.ndarray = field(init=False, repr=False, compare=False)  # lexicographic
-    vector_rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if isinstance(self.segments, StoredSegments):
@@ -491,15 +486,14 @@ class IndexBundle:
         if len(universe) != len(keys):
             dupes = sorted(key for key, n in Counter(keys).items() if n > 1)
             raise InconsistentIndexError(f"duplicate segment keys: {dupes}")
-        if self.bm25.keys != keys:
-            _require_keys("bm25 index", self.bm25.keys, universe)
-            raise InconsistentIndexError("bm25 index rows are not in segment order")
-        if self.keywords.row_count != len(keys):
-            raise InconsistentIndexError(f"keyword table has {self.keywords.row_count} rows "
-                                         f"for {len(keys)} segments")
-        _require_keys("vector index", self.vectors.keys, universe, complete=False)
-        self.vector_rows = np.array([self.row_of[key] for key in self.vectors.keys],
-                                    dtype=np.intp)
+        for name, index in (("vector index", self.vectors), ("bm25 index", self.bm25),
+                            ("keyword table", self.keywords)):
+            if index.keys != keys:
+                pairs = enumerate(zip_longest(index.keys, keys))
+                row, (own, seg) = next((row, pair) for row, pair in pairs if pair[0] != pair[1])
+                raise InconsistentIndexError(f"{name} is not in segment order: row {row} is "
+                                             f"{seg!r} in the segments, {own!r} in the {name}")
+        _check_rows("vector index", self.vectors.rows, len(keys))
         self.key_rank = np.empty(len(keys), dtype=np.intp)
         self.key_rank[sorted(range(len(keys)), key=keys.__getitem__)] = np.arange(len(keys))
 
@@ -587,7 +581,7 @@ def _write_files(bundle: IndexBundle, directory: Path) -> dict:
         files[name] = _file_entry(directory / name)
 
     put("vectors.npy", bundle.vectors.matrix, "<f4")
-    put("vector_rows.npy", bundle.vector_rows, "<i4")
+    put("vector_rows.npy", bundle.vectors.rows, "<i4")
     postings = bundle.bm25.postings
     for stem, lists in (("postings", {term: p.rows for term, p in postings.items()}),
                         ("keywords", bundle.keywords.rows)):  # one inverted-list encoding
@@ -764,8 +758,6 @@ def load_index(path: str | Path) -> IndexBundle:
         _check_rows(f"{stem}_rows.npy", rows, len(keys))
         return zip(terms, offsets.tolist(), offsets[1:].tolist()), rows.astype(np.intp)
 
-    vector_rows = array("vector_rows.npy", "<i4")
-    _check_rows("vector_rows.npy", vector_rows, len(keys))
     spans, rows = inverted("postings")
     tf = array("postings_tf.npy", "<i4")
     if len(tf) != len(rows):
@@ -776,12 +768,12 @@ def load_index(path: str | Path) -> IndexBundle:
 
     try:
         return IndexBundle(
-            vectors=VectorIndex(dim=manifest["embedder"].get("dim", DEFAULT_DIM),
-                                keys=[keys[row] for row in vector_rows.tolist()],
+            vectors=VectorIndex(dim=manifest["embedder"].get("dim", DEFAULT_DIM), keys=keys,
+                                rows=array("vector_rows.npy", "<i4").astype(np.intp),
                                 matrix=array("vectors.npy", "<f4", ndim=2, mmap=True)),
             bm25=Bm25Index(k1=float(manifest["k1"]), b=float(manifest["b"]), keys=keys,
                            lengths=lengths, postings=postings),
-            keywords=KeywordTable(len(keys), {word: rows[lo:hi] for word, lo, hi in spans}),
+            keywords=KeywordTable(keys, {word: rows[lo:hi] for word, lo, hi in spans}),
             segments=segments,
             embedder_spec=dict(manifest["embedder"]),
             user_keywords=list(manifest["user_keywords"]),

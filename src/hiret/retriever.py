@@ -164,7 +164,7 @@ def keyword_hits(
     query_keywords = extract_keywords(query, user_keywords)
     rows = [ktable.rows[kw] for kw in query_keywords if kw in ktable.rows]
     hit_rows = np.concatenate(rows) if rows else np.zeros(0, dtype=np.intp)
-    return np.bincount(hit_rows, minlength=ktable.row_count)
+    return np.bincount(hit_rows, minlength=len(ktable.keys))
 
 
 def keyword_route(query: str, bundle: IndexBundle,
@@ -236,7 +236,7 @@ def retrieve(
         if made and hasattr(embedder, "close"):
             embedder.close()
     v = np.zeros(len(bundle.keys))
-    v[bundle.vector_rows] = normalize_scores(raw_v)
+    v[bundle.vectors.rows] = normalize_scores(raw_v)
     r = normalize_scores(bm25_route(bundle.bm25, query))
     keywords = set(bundle.user_keywords).union(user_keywords or ())
     hits = keyword_hits(query, bundle.keywords, keywords)

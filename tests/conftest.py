@@ -206,7 +206,7 @@ FORMAT_3_FILES = ["vectors.npy", "vector_rows.npy", "bm25_lengths.npy", "posting
 def keyword_sets(table: KeywordTable) -> list[set[str]]:
     """Each row's keywords, read back from the table's keyword -> rows lists,
     which must hold ascending, distinct ``intp`` rows."""
-    sets: list[set[str]] = [set() for _ in range(table.row_count)]
+    sets: list[set[str]] = [set() for _ in table.keys]
     for word, rows in table.rows.items():
         assert rows.dtype == np.intp and rows.tolist() == sorted(set(rows.tolist())), word
         for row in rows.tolist():
@@ -214,11 +214,11 @@ def keyword_sets(table: KeywordTable) -> list[set[str]]:
     return sets
 
 
-def keyword_table(sets: list[set[str]]) -> KeywordTable:
-    """The keyword table whose rows hold ``sets``."""
+def keyword_table(keys: list[str], sets: list[set[str]]) -> KeywordTable:
+    """The keyword table over ``keys`` whose rows hold ``sets``."""
     found: dict[str, list[int]] = {}
     for row, words in enumerate(sets):
         for word in words:
             found.setdefault(word, []).append(row)
-    return KeywordTable(len(sets), {word: np.array(rows, dtype=np.intp)
+    return KeywordTable(keys, {word: np.array(rows, dtype=np.intp)
                                     for word, rows in found.items()})

@@ -227,7 +227,7 @@ class TestVectorIndex:
         segments = [seg("d", name, name) for name in Fixed.vectors]
         with caplog.at_level("WARNING", logger="hiret.index"):
             index = build_vector_index(segments, Fixed())
-        assert index.keys == ["d#good"]
+        assert list(index.entries) == ["d#good"]
         assert index.matrix.tolist() == [[np.float32(0.6), np.float32(0.8)]]
         warned = "\n".join(r.getMessage() for r in caplog.records)
         for key, problem in [("nan", "is not finite"), ("inf", "is not finite"),
@@ -371,7 +371,7 @@ class TestKeywords:
     def test_table_built_per_segment(self):
         segments = [seg("d", "1", "uses CA-IS3641"), seg("d", "2", "no parts")]
         table = build_keyword_table(segments)
-        assert table.row_count == 2
+        assert table.keys == ["d#1", "d#2"]
         assert keyword_sets(table) == [{"ca-is3641"}, set()]
 
 
@@ -396,7 +396,7 @@ class TestOneScanMatchesTheOracles:
 
     def assert_bundle_matches(self, segments, bundle, user):
         vectors = build_vector_index(segments, OracleEmbedder(bundle.vectors.dim))
-        assert bundle.vectors.keys == vectors.keys
+        assert bundle.vectors.rows.tolist() == vectors.rows.tolist()
         assert bundle.vectors.matrix.tobytes() == vectors.matrix.tobytes()
         bm25 = oracle_bm25(segments)
         assert bundle.bm25.lengths.tobytes() == bm25.lengths.tobytes()
@@ -467,7 +467,8 @@ def test_datasheet_index_bytes_equal_the_oracle_bundle(tmp_path):
     oracle = IndexBundle(
         vectors=build_vector_index(segments, OracleEmbedder(256)),
         bm25=oracle_bm25(segments),
-        keywords=keyword_table([OracleExtractor().extract(s.embedding_text)
+        keywords=keyword_table([s.key for s in segments],
+                               [OracleExtractor().extract(s.embedding_text)
                                 | {kw for kw in user if kw in s.embedding_text.casefold()}
                                 for s in segments]),
         segments=segments,

@@ -321,7 +321,8 @@ class TestRetrieve:
     def test_keyword_table_of_other_rows_detected(self):
         bundle = self.make_bundle()
         keywords = build_keyword_table(bundle.segments[:2])
-        with pytest.raises(InconsistentIndexError, match="keyword table has 2 rows for 3"):
+        with pytest.raises(InconsistentIndexError,
+                           match="keyword table .* row 2 is 'd#3' in the segments, None"):
             IndexBundle(bundle.vectors, bundle.bm25, keywords, bundle.segments,
                         bundle.embedder_spec)
 
@@ -440,7 +441,7 @@ def _generated_case(tmp_path):
 
 def raw_vector_scores(bundle, query, embedder):
     """Raw cosine of the query against every stored vector, by key."""
-    return dict(zip(bundle.vectors.keys, vector_route(query, bundle.vectors, embedder).tolist()))
+    return dict(zip(bundle.vectors.entries, vector_route(query, bundle.vectors, embedder).tolist()))
 
 
 class TestRankingCoreProperties:
