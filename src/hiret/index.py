@@ -705,9 +705,19 @@ def _check_offsets(name: str, offsets: np.ndarray, count: int, end: int) -> None
         raise IndexFormatError(f"{name} does not split {end} entries into {count} parts")
 
 
-def _check_rows(name: str, rows: np.ndarray, count: int) -> None:
+def _check_rows(name: str, rows: np.ndarray, count: int,
+                offsets: np.ndarray | None = None) -> None:
+    """Raise :class:`InconsistentIndexError` unless ``rows`` are rows of ``count``
+    segments, strictly ascending within each list ``rows[offsets[i]:offsets[i + 1]]``
+    (without ``offsets``, one list)."""
     if rows.size and (rows.min() < 0 or rows.max() >= count):
-        raise IndexFormatError(f"{name} holds rows outside the {count} segments")
+        raise InconsistentIndexError(f"{name} holds rows outside the {count} segments")
+    stalls = rows[1:] <= rows[:-1]  # stalls[j]: rows[j + 1] does not ascend from rows[j]
+    if offsets is not None:  # unless rows[j + 1] begins a list
+        stalls[offsets[(offsets > 0) & (offsets < len(rows))] - 1] = False
+    if stalls.any():
+        raise InconsistentIndexError(f"{name} holds a list of rows that is not strictly "
+                                     "ascending")
 
 
 def load_index(path: str | Path) -> IndexBundle:
@@ -752,10 +762,13 @@ def load_index(path: str | Path) -> IndexBundle:
 
     def inverted(stem: str):  # (term, lo, hi) spans and the rows, widened to intp once
         terms = parse(f"{stem}_terms.json")
+        if not (isinstance(terms, list) and set(map(type, terms)) <= {str}
+                and all(map(str.__lt__, terms, terms[1:]))):
+            raise IndexFormatError(f"{stem}_terms.json does not hold distinct sorted strings")
         offsets = array(f"{stem}_offsets.npy", "<i8")
         rows = array(f"{stem}_rows.npy", "<i4")
         _check_offsets(f"{stem}_offsets.npy", offsets, len(terms), len(rows))
-        _check_rows(f"{stem}_rows.npy", rows, len(keys))
+        _check_rows(f"{stem}_rows.npy", rows, len(keys), offsets)
         return zip(terms, offsets.tolist(), offsets[1:].tolist()), rows.astype(np.intp)
 
     spans, rows = inverted("postings")

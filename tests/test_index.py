@@ -584,6 +584,44 @@ class TestPersistence:
         with pytest.raises(IndexFormatError, match="does not list the index files"):
             load_index(tmp_path)
 
+    def test_rows_and_terms_out_of_order_are_refused(self, tmp_path):
+        """Each change below keeps every file's sum in the manifest right."""
+        save_index(self.build_bundle(), tmp_path)
+        saved = self.read_all(tmp_path)
+        assert json.loads(saved["keywords_terms.json"]) == ["ca-is3641", "epsilon"]
+        assert np.load(tmp_path / "keywords_rows.npy").tolist() == [0, 2]
+        terms = json.loads(saved["postings_terms.json"])
+        offsets = np.load(tmp_path / "postings_offsets.npy")
+        lo, hi = offsets[terms.index("alpha")], offsets[terms.index("alpha") + 1]
+        postings_rows = np.load(tmp_path / "postings_rows.npy")
+        assert postings_rows[lo:hi].tolist() == [0, 2]
+        postings_rows[lo:hi] = [2, 0]
+
+        def refused(changes: dict, problem: str) -> None:
+            for name, data in changes.items():
+                if isinstance(data, np.ndarray):
+                    np.save(tmp_path / name, data)
+                else:
+                    (tmp_path / name).write_text(json.dumps(data), encoding="utf-8")
+                restamp_manifest(tmp_path, name)
+            with pytest.raises(IndexFormatError, match=problem):
+                load_index(tmp_path)
+            for name in changes:
+                (tmp_path / name).write_bytes(saved[name])
+                restamp_manifest(tmp_path, name)
+
+        not_ascending = "holds a list of rows that is not strictly ascending"
+        refused({"keywords_rows.npy": np.array([0, 0, 2], "<i4"),  # row 0 holds ca-is3641 twice
+                 "keywords_offsets.npy": np.array([0, 2, 3], "<i8")},
+                f"keywords_rows.npy {not_ascending}")
+        refused({"keywords_terms.json": ["epsilon", "ca-is3641"]},
+                "keywords_terms.json does not hold distinct sorted strings")
+        refused({"postings_terms.json": sorted(terms + terms[:1])},
+                "postings_terms.json does not hold distinct sorted strings")
+        refused({"postings_rows.npy": postings_rows}, f"postings_rows.npy {not_ascending}")
+        refused({"vector_rows.npy": np.array([1, 0, 2], "<i4")}, f"vector index {not_ascending}")
+        load_index(tmp_path)  # each change undone, the index loads again
+
     def test_segment_row_holding_another_key_is_refused_when_read(self, tmp_path):
         save_index(self.build_bundle(), tmp_path)
         keys = json.loads((tmp_path / "segment_keys.json").read_text(encoding="utf-8"))
