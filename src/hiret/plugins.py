@@ -15,6 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
+CLOSE_GRACE_S = 10.0  # seconds a worker has to exit after EOF before it is killed
+
 
 class PluginError(Exception):
     """A plug-in subprocess died or returned an invalid response."""
@@ -61,7 +63,8 @@ class _LineProtocolClient:
         return response
 
     def close(self) -> None:
-        """End the worker (EOF on its stdin) and close both pipes."""
+        """End the worker (EOF on its stdin, a kill after ``CLOSE_GRACE_S``),
+        reap it and close both pipes."""
         proc, self._proc = self._proc, None
         if proc is None:
             return
@@ -70,7 +73,10 @@ class _LineProtocolClient:
         except OSError:  # flushing into a worker that already exited
             pass
         try:
-            proc.wait(timeout=10)
+            proc.wait(timeout=CLOSE_GRACE_S)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
         finally:
             proc.stdout.close()
 

@@ -1,8 +1,10 @@
 import sys
+import time
 
 import numpy as np
 import pytest
 
+from hiret import plugins
 from hiret.index import build_indices, build_vector_index, make_embedder
 from hiret.corpus import Segment
 from hiret.retriever import RetrievalConfig, retrieve
@@ -121,6 +123,15 @@ sys.stdin.readline()
 print(json.dumps({"vector": [1.0, 0.0, 0.0]}), flush=True)
 """
 
+# Answers once, then waits out EOF on stdin without exiting.
+EOF_IGNORING_WORKER = """
+import json, sys, time
+sys.stdin.readline()
+print(json.dumps({"vector": [1.0, 0.0, 0.0]}), flush=True)
+sys.stdin.read()
+time.sleep(60)
+"""
+
 
 class TestWorkerPipes:
     def test_close_closes_both_pipes(self):
@@ -130,6 +141,17 @@ class TestWorkerPipes:
         embedder.close()
         assert proc.stdin.closed and proc.stdout.closed
         assert proc.returncode == 0
+
+    def test_close_kills_a_worker_that_ignores_eof(self, monkeypatch):
+        monkeypatch.setattr(plugins, "CLOSE_GRACE_S", 0.2)
+        embedder = SubprocessEmbedder(py(EOF_IGNORING_WORKER), dim=3)
+        embedder.embed("x")
+        proc = embedder._proc
+        start = time.monotonic()
+        embedder.close()
+        assert time.monotonic() - start < 5
+        assert proc.returncode is not None and proc.returncode != 0  # killed and reaped
+        assert proc.stdin.closed and proc.stdout.closed
 
     def test_close_after_the_worker_died_closes_both_pipes(self):
         embedder = SubprocessEmbedder([sys.executable, "-c", "pass"], dim=3)
