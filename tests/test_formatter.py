@@ -74,19 +74,16 @@ class TestPlanWindows:
         with pytest.raises(ValueError, match="padding"):
             plan_windows(100, 10, -1)
 
-    def test_cores_tile_document_exactly(self):
-        rng = random.Random(20240)
-        for _ in range(300):
-            n = rng.randrange(0, 5000)
-            w = rng.randrange(1, 600)
-            k = rng.randrange(0, 200)
-            plan = plan_windows(n, w, k)
-            covered = []
-            for t in range(1, plan.iterations + 1):
-                lo, hi = plan.core(t)
-                assert lo < hi
-                covered.extend(range(lo, hi))
-            assert covered == list(range(n))
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(0, 5000), w=st.integers(1, 600), k=st.integers(0, 200))
+    def test_cores_tile_document_exactly(self, n, w, k):
+        plan = plan_windows(n, w, k)
+        covered = []
+        for t in range(1, plan.iterations + 1):
+            lo, hi = plan.core(t)
+            assert lo < hi
+            covered.extend(range(lo, hi))
+        assert covered == list(range(n))
 
     def test_spans_clip_at_boundaries(self):
         rng = random.Random(77)
@@ -107,6 +104,13 @@ class TestConvertDocument:
         assert count_words(text) == len(re.findall(r"\S+", text))
         # A plan from count_words passes convert_document's own word check.
         convert_document(text, IdentityConverter(), plan_windows(count_words(text), 3, 1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.one_of(st.text(), st.text(st.sampled_from(_SPACES + _NOT_SPACES))),
+           w=st.integers(1, 12), k=st.integers(0, 12))
+    def test_identity_keeps_the_word_sequence_for_any_text_and_plan(self, text, w, k):
+        out = convert_document(text, IdentityConverter(), plan_windows(count_words(text), w, k))
+        assert words_of(out) == words_of(text)
 
     def test_identity_is_word_exact_without_padding(self):
         text = " ".join(f"w{i}" for i in range(997))
