@@ -137,7 +137,7 @@ class RetrievalOutcome:
 def vector_route(query: str, vindex: VectorIndex, embedder: Embedder) -> np.ndarray:
     """Raw cosine similarity of the query against every stored vector.
 
-    Float64 scores in ``vindex.keys`` order, from one float32-by-float64
+    Float64 scores in ``vindex.rows`` order, from one float32-by-float64
     ``einsum``. It sums each row in a fixed order without BLAS, so a score
     does not depend on the thread count or on the other rows. A zero or
     non-finite query vector scores every row 0; a query vector of the wrong
@@ -151,7 +151,7 @@ def vector_route(query: str, vindex: VectorIndex, embedder: Embedder) -> np.ndar
     q, problem = unit_vector(q, vindex.dim)
     if q is None:
         log.warning("query %r: vector %s; vector route scores all zero", query, problem)
-        return np.zeros(len(vindex.keys))
+        return np.zeros(len(vindex.rows))
     return np.einsum("ij,j->i", vindex.matrix, q)
 
 

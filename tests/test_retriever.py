@@ -128,9 +128,11 @@ class TestVectorRoute:
         assert scores.shape == (0,)
 
     def test_unembeddable_query_scores_all_zero(self):
-        bundle = bundle_for({"1": "alpha", "2": "beta"})
+        bundle = bundle_for({"1": "alpha", "2": "beta", "3": ""})  # d#3 has no vector
         scores = raw_vector_scores(bundle, "", HashingEmbedder())
         assert scores == {"d#1": 0.0, "d#2": 0.0}
+        ranking = retrieve("-", bundle, RetrievalConfig()).ranking
+        assert ranking.score_v.tolist() == [0.5, 0.5, 0.0]
 
     def test_dim_mismatch_is_error(self):
         bundle = bundle_for({"1": "alpha"})
