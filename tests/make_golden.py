@@ -4,7 +4,9 @@ The fixture under ``tests/data/`` is 20 near-identical datasheets (a table,
 an image and part numbers each), a keyword dictionary and a question bank.
 ``golden.json`` records what ingesting it gives: the sha256 of every index
 file and, per bank query, digests of the full ranking's ``order``, of the
-float64 bytes of ``fused`` and of ``hits``. Regenerate both with
+float64 bytes of ``fused`` and of ``hits``, and the ``repr`` of its log-rank
+score, which reads every relevant key's rank through ``rank_of``. Regenerate
+both with
 
     PYTHONPATH=src python tests/make_golden.py
 
@@ -22,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from hiret.cli import AppConfig, run_ingest
-from hiret.evalkit import load_question_bank
+from hiret.evalkit import evaluate_query, load_question_bank
 from hiret.index import MANIFEST_FILE, INDEX_FILES, load_index
 from hiret.retriever import RetrievalConfig, retrieve
 
@@ -120,6 +122,7 @@ def golden_record(root: Path, index_dir: Path) -> dict:
             "order": _sha256(ranking.order.astype("<i8").tobytes()),
             "fused": _sha256(ranking.fused.astype("<f8").tobytes()),
             "hits": _sha256(ranking.hits.astype("<i8").tobytes()),
+            "logrank": repr(evaluate_query(ranking, eq, 1.0)),
         }
     files = {name: _sha256((index_dir / name).read_bytes())
              for name in (MANIFEST_FILE, *INDEX_FILES)}
