@@ -195,8 +195,8 @@ def run_query(cfg: AppConfig, query_text: str) -> dict:
     bundle = _load_bundle(cfg)
     outcome = retriever.retrieve(query_text, bundle, cfg.retrieval())
     results = []
-    for row in outcome.top:
-        seg = bundle.segments[bundle.row_of[row.segment_key]]
+    for row, seg_row in zip(outcome.top, outcome.ranking.order.tolist()):
+        seg = bundle.segments[seg_row]
         results.append(
             {
                 "rank": row.rank,

@@ -29,7 +29,6 @@ import os
 import re
 import shutil
 from array import array
-from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -459,8 +458,8 @@ class StoredSegments(Sequence[Segment]):
 class IndexBundle:
     """Everything a query needs: the three indices plus segment payloads.
 
-    The segments, in corpus order, are the ranking universe: ``keys`` and
-    the arrays derived at construction follow that order. Construction
+    The segments, in corpus order, are the ranking universe: ``keys``
+    follows that order and ``key_order`` holds its rows sorted by key. Construction
     raises :class:`InconsistentIndexError` unless the keys are unique, every
     index's ``keys`` is that order, and the vector rows are ascending rows of
     it (some segments have no vector).
@@ -473,19 +472,18 @@ class IndexBundle:
     embedder_spec: dict
     user_keywords: list[str] = field(default_factory=list)
     keys: list[str] = field(init=False, repr=False, compare=False)
-    row_of: dict[str, int] = field(init=False, repr=False, compare=False)
-    key_rank: np.ndarray = field(init=False, repr=False, compare=False)  # lexicographic
+    key_order: np.ndarray = field(init=False, repr=False, compare=False)  # rows by key
 
     def __post_init__(self):
         if isinstance(self.segments, StoredSegments):
             keys = self.keys = self.segments.keys
         else:
             keys = self.keys = [seg.key for seg in self.segments]
-        self.row_of = {key: row for row, key in enumerate(keys)}
-        universe = self.row_of.keys()
-        if len(universe) != len(keys):
-            dupes = sorted(key for key, n in Counter(keys).items() if n > 1)
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        dupes = sorted({keys[a] for a, b in zip(order, order[1:]) if keys[a] == keys[b]})
+        if dupes:
             raise InconsistentIndexError(f"duplicate segment keys: {dupes}")
+        self.key_order = np.array(order, dtype=np.intp)
         for name, index in (("vector index", self.vectors), ("bm25 index", self.bm25),
                             ("keyword table", self.keywords)):
             if index.keys != keys:
@@ -494,8 +492,6 @@ class IndexBundle:
                 raise InconsistentIndexError(f"{name} is not in segment order: row {row} is "
                                              f"{seg!r} in the segments, {own!r} in the {name}")
         _check_rows("vector index", self.vectors.rows, len(keys))
-        self.key_rank = np.empty(len(keys), dtype=np.intp)
-        self.key_rank[sorted(range(len(keys)), key=keys.__getitem__)] = np.arange(len(keys))
 
 
 def build_indices(segments: Sequence[Segment], embedder: Embedder, k1: float = DEFAULT_K1,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_left
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
@@ -69,23 +70,22 @@ class RankedResult:
 class Ranking(Sequence[RankedResult]):
     """Every segment in rank order; a row is built only when it is read.
 
-    The score columns are aligned to ``keys`` and ``order[i]`` is the row
-    ranked ``i + 1``. Rows read as :class:`RankedResult` with Python
-    ``float``/``int`` fields; :meth:`rank_of` looks a key's rank up through
-    the inverse permutation without building any row.
+    The score columns are aligned to ``keys``, ``key_order`` lists their rows
+    by key and ``order[i]`` is the row ranked ``i + 1``. Rows read as
+    :class:`RankedResult` with Python ``float``/``int`` fields; :meth:`rank_of`
+    bisects ``key_order`` and builds no row.
     """
 
-    def __init__(self, keys: list[str], order: np.ndarray, score_v: np.ndarray,
-                 score_r: np.ndarray, hits: np.ndarray, fused: np.ndarray,
-                 row_of: dict[str, int] | None = None):
+    def __init__(self, keys: list[str], key_order: np.ndarray, order: np.ndarray,
+                 score_v: np.ndarray, score_r: np.ndarray, hits: np.ndarray,
+                 fused: np.ndarray):
         self.keys = keys
+        self.key_order = key_order
         self.order = order
         self.score_v = score_v
         self.score_r = score_r
         self.hits = hits
         self.fused = fused
-        self._row_of = row_of
-        self._ranks: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.order)
@@ -117,13 +117,10 @@ class Ranking(Sequence[RankedResult]):
 
     def rank_of(self, key: str) -> int | None:
         """1-based rank of ``key``, or None when the key is not ranked."""
-        if self._row_of is None:
-            self._row_of = {k: row for row, k in enumerate(self.keys)}
-        if self._ranks is None:
-            self._ranks = np.empty(len(self), dtype=np.intp)
-            self._ranks[self.order] = np.arange(1, len(self) + 1)
-        row = self._row_of.get(key)
-        return None if row is None else int(self._ranks[row])
+        i = bisect_left(self.key_order, key, key=self.keys.__getitem__)
+        if i == len(self.key_order) or self.keys[self.key_order[i]] != key:
+            return None
+        return int((self.order == self.key_order[i]).argmax()) + 1
 
 
 @dataclass(frozen=True)
@@ -184,14 +181,14 @@ def normalize_scores(raw: np.ndarray) -> np.ndarray:
     return (raw - lo) / (hi - lo)
 
 
-def _fuse_and_sort(keys: list[str], key_rank: np.ndarray, v: np.ndarray, r: np.ndarray,
-                   hits: np.ndarray, cfg: RetrievalConfig,
-                   row_of: dict[str, int] | None = None) -> Ranking:
-    """Fuse aligned route columns and rank every row by (-fused, -v, key)."""
+def _fuse_and_sort(keys: list[str], key_order: np.ndarray, v: np.ndarray, r: np.ndarray,
+                   hits: np.ndarray, cfg: RetrievalConfig) -> Ranking:
+    """Fuse aligned route columns and rank every row by (-fused, -v, key):
+    a stable sort of the rows taken in key order breaks the last ties by key."""
     log_hits = np.array([math.log(1 + c) for c in range(int(hits.max(initial=0)) + 1)])
     fused = cfg.alpha * v + (1.0 - cfg.alpha) * r + cfg.beta * log_hits[hits]
-    order = np.lexsort((key_rank, -v, -fused))
-    return Ranking(keys, order, v, r, hits, fused, row_of)
+    order = key_order[np.lexsort((-v[key_order], -fused[key_order]))]
+    return Ranking(keys, key_order, order, v, r, hits, fused)
 
 
 def fuse_and_rank(
@@ -240,5 +237,5 @@ def retrieve(
     r = normalize_scores(bm25_route(bundle.bm25, query))
     keywords = set(bundle.user_keywords).union(user_keywords or ())
     hits = keyword_hits(query, bundle.keywords, keywords)
-    ranking = _fuse_and_sort(bundle.keys, bundle.key_rank, v, r, hits, cfg, bundle.row_of)
+    ranking = _fuse_and_sort(bundle.keys, bundle.key_order, v, r, hits, cfg)
     return RetrievalOutcome(top=ranking[: cfg.top_k], ranking=ranking)

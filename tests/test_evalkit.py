@@ -27,7 +27,9 @@ def ranking_of(keys):
     """A ranking holding ``keys`` at ranks 1..n."""
     n = len(keys)
     zeros = np.zeros(n)
-    return Ranking(list(keys), np.arange(n), zeros, zeros, np.zeros(n, dtype=np.int64),
+    keys = list(keys)
+    key_order = np.array(sorted(range(n), key=keys.__getitem__), dtype=np.intp)
+    return Ranking(keys, key_order, np.arange(n), zeros, zeros, np.zeros(n, dtype=np.int64),
                    np.arange(n, 0, -1, dtype=np.float64))
 
 
