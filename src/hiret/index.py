@@ -608,11 +608,12 @@ def save_index(bundle: IndexBundle, path: str | Path) -> dict:
     """Persist the bundle to a directory; returns the manifest written.
 
     The files are written into a new sibling directory, which then takes
-    the place of ``path``: an interrupted save leaves the previous index
-    (or none) in place and no partial one. A ``path`` that holds anything
-    but index files is refused with :class:`IndexFormatError`.
+    the place of ``path``, or of the directory a symlinked ``path`` names:
+    an interrupted save leaves the previous index (or none) in place and no
+    partial one. A ``path`` that holds anything but index files is refused
+    with :class:`IndexFormatError`.
     """
-    target = Path(os.path.abspath(path))
+    target = Path(os.path.realpath(path))
     if target.is_dir():
         known = {MANIFEST_FILE, *INDEX_FILES, *_OLD_FORMAT_FILES}
         stray = sorted(p.name for p in target.iterdir() if p.name not in known)

@@ -92,6 +92,19 @@ class TestIngest:
         run_ingest(cfg)
         assert dir_bytes(tmp_path / "index") == first
 
+    def test_reingest_through_a_symlink_replaces_the_directory_it_names(self, tmp_path):
+        (tmp_path / "link").symlink_to(tmp_path / "real")
+        for n_docs in (2, 3):  # the first ingest creates real, the second replaces it
+            corpus = write_manual_corpus(tmp_path / f"corpus{n_docs}", n_docs)
+            code = main(["--corpus-dir", str(corpus), "--index-dir", str(tmp_path / "link"),
+                         "ingest"])
+            assert code == 0
+        assert (tmp_path / "link").is_symlink()
+        assert {key.split("#")[0] for key in load_index(tmp_path / "link").keys} == {
+            manual_doc_stem(i) for i in (1, 2, 3)}
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "corpus2", "corpus3", "link", "real"]  # no staging or old directory left
+
     def test_empty_corpus_is_ok_with_warning(self, tmp_path, capsys):
         (tmp_path / "corpus").mkdir()
         code = main(
