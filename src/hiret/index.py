@@ -752,6 +752,8 @@ def load_index(path: str | Path) -> IndexBundle:
         return loaded
 
     keys = parse("segment_keys.json")
+    if not (isinstance(keys, list) and set(map(type, keys)) <= {str}):
+        raise IndexFormatError("segment_keys.json does not hold a list of strings")
     blob = read("segments.jsonl")
     segment_offsets = array("segment_offsets.npy", "<i8")
     _check_offsets("segment_offsets.npy", segment_offsets, len(keys), len(blob))

@@ -622,6 +622,16 @@ class TestPersistence:
         refused({"vector_rows.npy": np.array([1, 0, 2], "<i4")}, f"vector index {not_ascending}")
         load_index(tmp_path)  # each change undone, the index loads again
 
+    @pytest.mark.parametrize("keys", [7, "d1#1", {"d1#1": 0}, ["d1#1", 7, "d2#1"],
+                                      ["d1#1", None, "d2#1"]])
+    def test_keys_file_that_is_not_a_list_of_strings_is_refused(self, tmp_path, keys):
+        save_index(self.build_bundle(), tmp_path)
+        (tmp_path / "segment_keys.json").write_text(json.dumps(keys), encoding="utf-8")
+        restamp_manifest(tmp_path, "segment_keys.json")
+        with pytest.raises(IndexFormatError,
+                           match="segment_keys.json does not hold a list of strings"):
+            load_index(tmp_path)
+
     def test_segment_row_holding_another_key_is_refused_when_read(self, tmp_path):
         save_index(self.build_bundle(), tmp_path)
         keys = json.loads((tmp_path / "segment_keys.json").read_text(encoding="utf-8"))
