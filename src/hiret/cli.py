@@ -195,7 +195,7 @@ def run_query(cfg: AppConfig, query_text: str) -> dict:
     bundle = _load_bundle(cfg)
     outcome = retriever.retrieve(query_text, bundle, cfg.retrieval())
     results = []
-    for row, seg_row in zip(outcome.top, outcome.ranking.order.tolist()):
+    for row, seg_row in zip(outcome.top, outcome.ranking.order):
         seg = bundle.segments[seg_row]
         results.append(
             {

@@ -243,6 +243,19 @@ class TestQuery:
         assert payload["results"][0]["segment_key"] == f"{manual_doc_stem(3)}#3"
         assert payload["results"][0]["rank"] == 1
 
+    def test_each_result_shows_the_segment_its_key_names(self, manual_setup, capsys):
+        cfg, _ = manual_setup
+        code = main(["--index-dir", cfg.index_dir, "--top-k", "20", "query",
+                     "timing characteristics pinout", "--json"])
+        assert code == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        bundle = load_index(cfg.index_dir)
+        assert len(results) == 20
+        for result in results:
+            seg = bundle.segments[bundle.keys.index(result["segment_key"])]
+            shown = [result[name] for name in ("content", "metadata_path", "title", "kind")]
+            assert shown == [seg.content, seg.metadata_path, seg.title, seg.kind]
+
     def test_top_k_one_gives_one_row(self, manual_setup, capsys):
         cfg, _ = manual_setup
         code = main(["--index-dir", cfg.index_dir, "--top-k", "1", "query", "pinout", "--json"])

@@ -757,14 +757,17 @@ class TestAtomicSave:
             assert load_index(target).keys == ["d#0"]
 
 
+BUNDLE_WORDS = ["alpha", "beta", "CA-IS3641", "\u00e9t\u00e9", "\u4e2d\u6587", "x9", "", "--",
+                "\n"]
+
+
 @st.composite
 def small_bundles(draw):
     """Bundles of up to six segments: unicode text, segments with no
     embeddable text (so no vector), keys in any order, maybe none."""
     keys = draw(st.lists(st.tuples(st.text(max_size=4), st.text(max_size=4)), max_size=6,
                          unique_by=lambda pair: f"{pair[0]}#{pair[1]}"))
-    words = st.sampled_from(["alpha", "beta", "CA-IS3641", "\u00e9t\u00e9", "\u4e2d\u6587",
-                             "x9", "", "--", "\n"])
+    words = st.sampled_from(BUNDLE_WORDS)
     segments = []
     for doc_id, segment_id in keys:
         text = " ".join(draw(st.lists(words, max_size=5)))
@@ -781,6 +784,24 @@ def small_bundles(draw):
         ))
     user_keywords = draw(st.lists(st.sampled_from(["alpha", "\u00e9t\u00e9", "zz"]), max_size=2))
     return build_indices(segments, HashingEmbedder(dim=8), user_keywords=user_keywords)
+
+
+class TestRetrieveProperty:
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(bundle=small_bundles(), words=st.lists(st.sampled_from(BUNDLE_WORDS), max_size=4),
+           alpha=st.sampled_from([0.0, 0.5, 1.0]), beta=st.sampled_from([0.0, 0.1]),
+           absent=st.text(max_size=6))
+    def test_ranking_is_the_key_sort_by_fused_then_vector_then_key(self, bundle, words, alpha,
+                                                                   beta, absent):
+        cfg = RetrievalConfig(alpha=alpha, beta=beta)
+        ranking = retrieve(" ".join(words), bundle, cfg).ranking
+        fused = dict(zip(bundle.keys, ranking.fused.tolist()))
+        v = dict(zip(bundle.keys, ranking.score_v.tolist()))
+        expected = sorted(bundle.keys, key=lambda k: (-fused[k], -v[k], k))
+        assert [row.segment_key for row in ranking] == expected
+        assert [ranking.rank_of(key) for key in expected] == list(range(1, len(expected) + 1))
+        for key in {absent, "", "\U0010ffff"} - set(bundle.keys):  # "" and U+10FFFF: no "#"
+            assert ranking.rank_of(key) is None
 
 
 class TestRoundTripProperty:
