@@ -459,10 +459,10 @@ class IndexBundle:
     """Everything a query needs: the three indices plus segment payloads.
 
     The segments, in corpus order, are the ranking universe: ``keys``
-    follows that order and ``key_order`` holds its rows sorted by key. Construction
-    raises :class:`InconsistentIndexError` unless the keys are unique, every
-    index's ``keys`` is that order, and the vector rows are ascending rows of
-    it (some segments have no vector).
+    follows that order and ``key_order`` holds its rows sorted by key.
+    Construction raises :class:`InconsistentIndexError` unless the keys are
+    unique, every index's ``keys`` is that order, and the vector rows are
+    ascending rows of it (some segments have no vector).
     """
 
     vectors: VectorIndex

@@ -25,9 +25,9 @@ TWO_RELEVANT_EXAMPLE = 0.7614393726401688  # (1 + (1 - ln 3 / ln 10)) / 2
 
 def ranking_of(keys):
     """A ranking holding ``keys`` at ranks 1..n."""
+    keys = list(keys)
     n = len(keys)
     zeros = np.zeros(n)
-    keys = list(keys)
     key_order = np.array(sorted(range(n), key=keys.__getitem__), dtype=np.intp)
     return Ranking(keys, key_order, np.arange(n), zeros, zeros, np.zeros(n, dtype=np.int64),
                    np.arange(n, 0, -1, dtype=np.float64))
