@@ -41,6 +41,7 @@ from .index import (
     HashingEmbedder,
     IndexBundle,
     IndexFormatError,
+    InvertedLists,
     KeywordTable,
     VectorIndex,
     bm25_route,

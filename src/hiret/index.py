@@ -9,18 +9,17 @@ three indices are over its keys.
 
 An index persists to a directory as ``.npy`` arrays, a few small JSON files and
 one blob of per-segment JSON lines, described by a manifest that records each
-file's size and sha256 (format 4: each fact once; postings and keywords share
-one inverted-list encoding). Saving is atomic and deterministic: the files go
-into a sibling directory that then replaces the old index, and re-saving an
-unchanged index reproduces them byte for byte. Loading checks every file
-against the manifest, maps the vector matrix from disk and decodes a segment
-only when it is read.
+file's size and sha256 (format 4: each fact once). Postings and keywords are
+:class:`InvertedLists` over the arrays their files hold, saved and loaded as
+they are. Saving is atomic and deterministic: the files go into a sibling
+directory that then replaces the old index, and re-saving an unchanged index
+reproduces them byte for byte. Loading checks every file against the manifest,
+maps every array from disk and decodes a segment only when it is read.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import logging
 import math
@@ -29,7 +28,8 @@ import os
 import re
 import shutil
 from array import array
-from collections.abc import Sequence
+from bisect import bisect_left
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, zip_longest
@@ -193,32 +193,49 @@ class VectorIndex:
         return {self.keys[row]: vector for row, vector in zip(self.rows.tolist(), self.matrix)}
 
 
-@dataclass(eq=False)
-class Postings:
-    """The rows holding one term and the term's count in each of them."""
+class InvertedLists(Mapping[str, np.ndarray]):
+    """Read-only term -> rows lists over the arrays an index stores: term ``i``
+    of the sorted, distinct ``terms`` owns the ascending ``intp`` rows
+    ``rows[offsets[i]:offsets[i + 1]]`` (a view), and every term owns a row."""
 
-    rows: np.ndarray
-    tf: np.ndarray
+    def __init__(self, terms: list[str], offsets: np.ndarray, rows: np.ndarray):
+        self.terms, self.offsets, self.rows = terms, offsets, rows
+
+    def span(self, term: str) -> tuple[int, int]:
+        """The bounds of ``term``'s rows in ``rows``; ``(0, 0)`` for an absent term."""
+        i = bisect_left(self.terms, term)
+        if i == len(self.terms) or self.terms[i] != term:
+            return 0, 0
+        return int(self.offsets[i]), int(self.offsets[i + 1])
+
+    def __getitem__(self, term: str) -> np.ndarray:
+        lo, hi = self.span(term)
+        if lo == hi:
+            raise KeyError(term)
+        return self.rows[lo:hi]
+
+    def __iter__(self):
+        return iter(self.terms)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.terms)
 
 
 @dataclass(eq=False)
 class Bm25Index:
     """Okapi BM25 statistics over segment embedding_text tokens.
 
-    Row ``i`` is segment ``keys[i]`` with ``lengths[i]`` tokens; each term
-    maps to the :class:`Postings` of the rows holding it. ``corpus_size``,
-    ``avgdl`` and each row's length ``norm`` are derived.
+    Row ``i`` is segment ``keys[i]``; ``postings`` lists the rows holding each
+    term and ``tf[j]`` counts it in row ``postings.rows[j]``. Each row's token
+    count ``lengths`` (its counts' sum), ``avgdl`` and length ``norm`` are derived.
     """
 
     k1: float
     b: float
-    keys: list[str] = field(default_factory=list)
-    lengths: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    postings: dict[str, Postings] = field(default_factory=dict)
-    corpus_size: int = field(init=False)
+    keys: list[str]
+    postings: InvertedLists
+    tf: np.ndarray
+    lengths: np.ndarray = field(init=False, repr=False)
     avgdl: float = field(init=False)
     norm: np.ndarray = field(init=False, repr=False)
 
@@ -227,23 +244,22 @@ class Bm25Index:
             raise ValueError(f"k1 must be > 0, got {self.k1}")
         if not 0 <= self.b <= 1:
             raise ValueError(f"b must be in [0, 1], got {self.b}")
-        self.lengths = np.asarray(self.lengths, dtype=np.int64)
-        if self.lengths.shape != (len(self.keys),):
-            raise ValueError(f"{len(self.lengths)} lengths for {len(self.keys)} keys")
-        self.corpus_size = len(self.keys)
-        total = int(self.lengths.sum())
-        self.avgdl = total / self.corpus_size if self.corpus_size else 0.0
-        ratio = self.lengths / self.avgdl if self.avgdl > 0 else np.zeros(self.corpus_size)
+        rows = self.postings.rows
+        if len(self.tf) != len(rows):
+            raise ValueError(f"{len(self.tf)} posting counts for {len(rows)} posting rows")
+        self.lengths = np.bincount(rows, self.tf, len(self.keys)).astype(np.int64)  # exact sums
+        self.avgdl = int(self.lengths.sum()) / len(self.keys) if self.keys else 0.0
+        ratio = self.lengths / self.avgdl if self.avgdl > 0 else np.zeros(len(self.keys))
         self.norm = 1.0 - self.b + self.b * ratio
 
 
 @dataclass(eq=False)
 class KeywordTable:
-    """Critical keywords as inverted lists: ``rows`` maps each case-folded
-    keyword to the ascending ``intp`` rows, of the key order ``keys``, holding it."""
+    """Critical keywords as inverted lists: ``rows`` lists, for each case-folded
+    keyword, the rows of the key order ``keys`` holding it."""
 
     keys: list[str]
-    rows: dict[str, np.ndarray] = field(default_factory=dict)
+    rows: InvertedLists
 
 
 def _keyword(token: str) -> str:
@@ -334,27 +350,32 @@ def build_vector_index(segments: Sequence[Segment], embedder: Embedder) -> Vecto
     return VectorIndex(dim=embedder.dim, keys=scan.keys, rows=rows[:n], matrix=matrix[:n])
 
 
+def _invert(terms: list[str], ids: np.ndarray,
+            lengths: np.ndarray) -> tuple[InvertedLists, np.ndarray]:
+    """The lists of rows holding each of ``terms``, row ``r`` holding the terms of
+    the next ``lengths[r]`` of ``ids``, and how often each listed row holds its
+    term: one sort of all (term rank, row) pairs, the terms ranked in sorted order."""
+    n = len(lengths)
+    order = sorted(range(len(terms)), key=terms.__getitem__)
+    rank = np.argsort(order).astype(np.int64)  # the inverse permutation
+    rows = np.repeat(np.arange(n, dtype=np.int64), lengths)  # lives through the sort (peak RSS)
+    pairs, counts = np.unique(rank[ids] * np.int64(n) + rows, return_counts=True)
+    offsets = np.searchsorted(pairs, np.arange(len(terms) + 1, dtype=np.int64) * n)
+    rows = np.remainder(pairs, max(n, 1), out=pairs).astype(np.intp, copy=False)
+    return InvertedLists([terms[i] for i in order], offsets, rows), counts
+
+
 def build_bm25_index(segments: Sequence[Segment], k1: float = DEFAULT_K1,
                      b: float = DEFAULT_B) -> Bm25Index:
-    """Inverted index with length statistics over the shared token scan: one
-    sort of all (term, row) pairs gives each term's ascending rows and counts."""
+    """Inverted index with term counts over the shared token scan."""
     scan = _scan(segments)
     terms, ids, offsets, _ = scan.tokens
-    n = len(scan)
-    lengths = np.diff(offsets)
-    rows = np.repeat(np.arange(n, dtype=np.int64), lengths)  # lives through the sort (peak RSS)
-    pairs, tf = np.unique(ids * np.int64(n) + rows, return_counts=True)
-    bounds = np.searchsorted(pairs, np.arange(len(terms) + 1, dtype=np.int64) * n).tolist()
-    rows = np.remainder(pairs, max(n, 1), out=pairs).astype(np.intp, copy=False)
-    tf = tf.astype(np.int32)
-    postings = {term: Postings(rows[lo:hi], tf[lo:hi])
-                for term, lo, hi in zip(terms, bounds, bounds[1:])}
-    return Bm25Index(k1=k1, b=b, keys=scan.keys, lengths=lengths, postings=postings)
+    postings, tf = _invert(list(terms), ids, np.diff(offsets))
+    return Bm25Index(k1=k1, b=b, keys=scan.keys, postings=postings, tf=tf.astype(np.int32))
 
 
-def _idf(index: Bm25Index, term: str) -> float:
-    n = len(index.postings.get(term, ()))
-    return math.log(1.0 + (index.corpus_size - n + 0.5) / (n + 0.5))
+def _idf(index: Bm25Index, n: int) -> float:  # n: the rows holding the term
+    return math.log(1.0 + (len(index.keys) - n + 0.5) / (n + 0.5))
 
 
 def _length_norm(index: Bm25Index, dl: int) -> float:
@@ -376,14 +397,12 @@ def bm25_score(index: Bm25Index, query: str, key: str) -> float:
     norm = _length_norm(index, int(index.lengths[row]))
     score = 0.0
     for token in tokenize(query):
-        postings = index.postings.get(token)
-        if postings is None:
-            continue
-        hit = np.flatnonzero(postings.rows == row)
+        lo, hi = index.postings.span(token)
+        hit = np.flatnonzero(index.postings.rows[lo:hi] == row)
         if hit.size == 0:
             continue
-        freq = int(postings.tf[hit[0]])
-        score += _idf(index, token) * (freq * (index.k1 + 1.0)) / (freq + index.k1 * norm)
+        freq = int(index.tf[lo + hit[0]])
+        score += _idf(index, hi - lo) * (freq * (index.k1 + 1.0)) / (freq + index.k1 * norm)
     return score
 
 
@@ -393,13 +412,10 @@ def bm25_route(index: Bm25Index, query: str) -> np.ndarray:
     Bit-identical to :func:`bm25_score` per key: each query token adds its
     contribution to the rows holding it, in query-token order.
     """
-    scores = np.zeros(index.corpus_size)
+    scores = np.zeros(len(index.keys))
     for token in tokenize(query):
-        postings = index.postings.get(token)
-        if postings is None:
-            continue
-        idf = _idf(index, token)
-        rows, tf = postings.rows, postings.tf
+        lo, hi = index.postings.span(token)  # an absent term adds to no row
+        rows, tf, idf = index.postings.rows[lo:hi], index.tf[lo:hi], _idf(index, hi - lo)
         scores[rows] += idf * (tf * (index.k1 + 1.0)) / (tf + index.k1 * index.norm[rows])
     return scores
 
@@ -414,11 +430,12 @@ def build_keyword_table(segments: Sequence[Segment],
     """:func:`extract_keywords` of every segment (the token scan's verdicts), inverted."""
     user = list(user_keywords or [])
     scan = _scan(segments)
-    found: dict[str, list[int]] = {}
-    for row, (seg, words) in enumerate(zip(scan, scan.tokens[3])):
-        for word in _with_user_keywords(words, seg.embedding_text, user):
-            found.setdefault(word, []).append(row)
-    return KeywordTable(scan.keys, {w: np.array(rows, np.intp) for w, rows in found.items()})
+    found = [_with_user_keywords(words, seg.embedding_text, user)
+             for seg, words in zip(scan, scan.tokens[3])]
+    ids: dict[str, int] = {}
+    codes = np.fromiter((ids.setdefault(w, len(ids)) for words in found for w in words), np.intp)
+    rows, _ = _invert(list(ids), codes, np.fromiter(map(len, found), np.intp))
+    return KeywordTable(scan.keys, rows)
 
 
 class StoredSegments(Sequence[Segment]):
@@ -550,10 +567,6 @@ def _json_bytes(payload: object, indent: int | None = None) -> bytes:
     return (text + "\n").encode("utf-8")
 
 
-def _concat(arrays: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate(arrays) if arrays else np.zeros(0, dtype=np.intp)
-
-
 def _file_entry(path: Path) -> dict:
     """The size and sha256 of the bytes on disk, read back in blocks."""
     digest = hashlib.sha256()
@@ -578,14 +591,11 @@ def _write_files(bundle: IndexBundle, directory: Path) -> dict:
 
     put("vectors.npy", bundle.vectors.matrix, "<f4")
     put("vector_rows.npy", bundle.vectors.rows, "<i4")
-    postings = bundle.bm25.postings
-    for stem, lists in (("postings", {term: p.rows for term, p in postings.items()}),
-                        ("keywords", bundle.keywords.rows)):  # one inverted-list encoding
-        terms = sorted(lists)
-        put(f"{stem}_terms.json", _json_bytes(terms))
-        put(f"{stem}_offsets.npy", np.cumsum([0] + [len(lists[t]) for t in terms]), "<i8")
-        put(f"{stem}_rows.npy", _concat([lists[t] for t in terms]), "<i4")
-    put("postings_tf.npy", _concat([postings[term].tf for term in sorted(postings)]), "<i4")
+    for stem, lists in (("postings", bundle.bm25.postings), ("keywords", bundle.keywords.rows)):
+        put(f"{stem}_terms.json", _json_bytes(lists.terms))
+        put(f"{stem}_offsets.npy", lists.offsets, "<i8")
+        put(f"{stem}_rows.npy", lists.rows, "<i4")
+    put("postings_tf.npy", bundle.bm25.tf, "<i4")
     put("segment_keys.json", _json_bytes(bundle.keys))
     with open(directory / "segments.jsonl", "wb") as f:  # line by line: no blob on the heap
         lengths = [f.write(_json_bytes(vars(seg))) for seg in bundle.segments]
@@ -698,8 +708,8 @@ def _read_checked(path: Path, entry: dict, mapped: bool = False) -> bytes | mmap
 
 def _check_offsets(name: str, offsets: np.ndarray, count: int, end: int) -> None:
     if (offsets.shape != (count + 1,) or offsets[0] != 0 or offsets[-1] != end
-            or np.any(offsets[1:] < offsets[:-1])):
-        raise IndexFormatError(f"{name} does not split {end} entries into {count} parts")
+            or np.any(offsets[1:] <= offsets[:-1])):
+        raise IndexFormatError(f"{name} does not split {end} entries into {count} non-empty parts")
 
 
 def _check_rows(name: str, rows: np.ndarray, count: int,
@@ -720,10 +730,10 @@ def _check_rows(name: str, rows: np.ndarray, count: int,
 def load_index(path: str | Path) -> IndexBundle:
     """Load a bundle persisted by :func:`save_index`; round-trip is exact.
 
-    Every file must match the size and sha256 the manifest records. The
-    vector matrix is memory-mapped read-only and segments are decoded
-    when read (:class:`StoredSegments`). Raises :class:`IndexFormatError`
-    for a missing, corrupt, other-version or inconsistent index.
+    Every file must match the size and sha256 the manifest records. Every
+    array is memory-mapped read-only and segments are decoded when read
+    (:class:`StoredSegments`). Raises :class:`IndexFormatError` for a
+    missing, corrupt, other-version or inconsistent index.
     """
     directory = Path(path)
     manifest = _read_manifest(directory)
@@ -737,13 +747,10 @@ def load_index(path: str | Path) -> IndexBundle:
         except ValueError as exc:
             raise IndexFormatError(f"corrupt index file {directory / name}: {exc}") from exc
 
-    def array(name: str, dtype: str, ndim: int = 1, mmap: bool = False) -> np.ndarray:
-        data = read(name, mapped=mmap)
+    def array(name: str, dtype: str, ndim: int = 1) -> np.ndarray:
+        read(name, mapped=True)
         try:
-            if mmap:
-                loaded = np.asarray(np.load(directory / name, mmap_mode="r", allow_pickle=False))
-            else:
-                loaded = np.load(io.BytesIO(data), allow_pickle=False)
+            loaded = np.asarray(np.load(directory / name, mmap_mode="r", allow_pickle=False))
         except ValueError as exc:
             raise IndexFormatError(f"corrupt index file {directory / name}: {exc}") from exc
         if loaded.dtype != np.dtype(dtype) or loaded.ndim != ndim:
@@ -759,7 +766,7 @@ def load_index(path: str | Path) -> IndexBundle:
     _check_offsets("segment_offsets.npy", segment_offsets, len(keys), len(blob))
     segments = StoredSegments(keys, blob, segment_offsets.tolist())
 
-    def inverted(stem: str):  # (term, lo, hi) spans and the rows, widened to intp once
+    def inverted(stem: str) -> InvertedLists:  # the rows widened to intp once
         terms = parse(f"{stem}_terms.json")
         if not (isinstance(terms, list) and set(map(type, terms)) <= {str}
                 and all(map(str.__lt__, terms, terms[1:]))):
@@ -768,24 +775,16 @@ def load_index(path: str | Path) -> IndexBundle:
         rows = array(f"{stem}_rows.npy", "<i4")
         _check_offsets(f"{stem}_offsets.npy", offsets, len(terms), len(rows))
         _check_rows(f"{stem}_rows.npy", rows, len(keys), offsets)
-        return zip(terms, offsets.tolist(), offsets[1:].tolist()), rows.astype(np.intp)
-
-    spans, rows = inverted("postings")
-    tf = array("postings_tf.npy", "<i4")
-    if len(tf) != len(rows):
-        raise IndexFormatError(f"{len(tf)} posting counts for {len(rows)} posting rows")
-    postings = {term: Postings(rows[lo:hi], tf[lo:hi]) for term, lo, hi in spans}
-    lengths = np.bincount(rows, tf, len(keys)).astype(np.int64)  # exact: integer sums
-    spans, rows = inverted("keywords")
+        return InvertedLists(terms, offsets, rows.astype(np.intp))
 
     try:
         return IndexBundle(
             vectors=VectorIndex(dim=manifest["embedder"].get("dim", DEFAULT_DIM), keys=keys,
                                 rows=array("vector_rows.npy", "<i4").astype(np.intp),
-                                matrix=array("vectors.npy", "<f4", ndim=2, mmap=True)),
+                                matrix=array("vectors.npy", "<f4", ndim=2)),
             bm25=Bm25Index(k1=float(manifest["k1"]), b=float(manifest["b"]), keys=keys,
-                           lengths=lengths, postings=postings),
-            keywords=KeywordTable(keys, {word: rows[lo:hi] for word, lo, hi in spans}),
+                           postings=inverted("postings"), tf=array("postings_tf.npy", "<i4")),
+            keywords=KeywordTable(keys, inverted("keywords")),
             segments=segments,
             embedder_spec=dict(manifest["embedder"]),
             user_keywords=list(manifest["user_keywords"]),

@@ -17,7 +17,7 @@ from hiret.formatter import (
     plan_windows,
 )
 from hiret.hca import augment_document
-from hiret.index import KeywordTable
+from hiret.index import InvertedLists, KeywordTable
 
 SECTION_TITLES = [
     "overview",
@@ -214,11 +214,19 @@ def keyword_sets(table: KeywordTable) -> list[set[str]]:
     return sets
 
 
+def inverted_lists(lists: dict[str, list[int]]) -> InvertedLists:
+    """The inverted lists holding ``lists`` (term -> its ascending rows),
+    assembled term by term."""
+    terms = sorted(lists)
+    offsets = np.cumsum([0] + [len(lists[term]) for term in terms], dtype=np.int64)
+    rows = np.array([row for term in terms for row in lists[term]], dtype=np.intp)
+    return InvertedLists(terms, offsets, rows)
+
+
 def keyword_table(keys: list[str], sets: list[set[str]]) -> KeywordTable:
     """The keyword table over ``keys`` whose rows hold ``sets``."""
     found: dict[str, list[int]] = {}
     for row, words in enumerate(sets):
         for word in words:
             found.setdefault(word, []).append(row)
-    return KeywordTable(keys, {word: np.array(rows, dtype=np.intp)
-                                    for word, rows in found.items()})
+    return KeywordTable(keys, inverted_lists(found))

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from conftest import (
     FORMAT_3_FILES,
+    inverted_lists,
     keyword_sets,
     keyword_table,
     load_and_ingest,
@@ -31,7 +32,6 @@ from hiret.index import (
     InconsistentIndexError,
     IndexBundle,
     IndexFormatError,
-    Postings,
     StoredSegments,
     bm25_route,
     bm25_score,
@@ -109,19 +109,19 @@ class OracleEmbedder:
 
 def oracle_bm25(segments, k1: float = 1.2, b: float = 0.75) -> Bm25Index:
     """Scalar oracle for build_bm25_index: a Counter of each row's tokens."""
-    lengths = []
-    found: dict[str, tuple[list[int], list[int]]] = {}
+    found: dict[str, list[tuple[int, int]]] = {}
     for row, segment in enumerate(segments):
-        tokens = tokenize(segment.embedding_text)
-        lengths.append(len(tokens))
-        for token, tf in Counter(tokens).items():
-            rows, tfs = found.setdefault(token, ([], []))
-            rows.append(row)
-            tfs.append(tf)
-    postings = {term: Postings(np.array(rows, dtype=np.intp), np.array(tfs, dtype=np.int32))
-                for term, (rows, tfs) in found.items()}
-    return Bm25Index(k1=k1, b=b, keys=[s.key for s in segments], lengths=lengths,
-                     postings=postings)
+        for token, tf in Counter(tokenize(segment.embedding_text)).items():
+            found.setdefault(token, []).append((row, tf))
+    postings = inverted_lists({term: [row for row, _ in pairs] for term, pairs in found.items()})
+    tf = np.array([tf for term in postings for _, tf in found[term]], dtype=np.int32)
+    return Bm25Index(k1=k1, b=b, keys=[s.key for s in segments], postings=postings, tf=tf)
+
+
+def tf_of(index: Bm25Index, term: str) -> np.ndarray:
+    """The term's count in each row of ``index.postings[term]``."""
+    lo, hi = index.postings.span(term)
+    return index.tf[lo:hi]
 
 
 class OracleExtractor:
@@ -250,9 +250,9 @@ class TestBm25:
     def test_counting_example(self):
         index = self.two_doc_index()
         assert index.avgdl == 1.5
-        assert index.corpus_size == 2
-        assert [index.keys[row] for row in index.postings["a"].rows] == ["c#d1", "c#d2"]
-        assert index.postings["b"].tf.tolist() == [1]
+        assert len(index.keys) == 2
+        assert [index.keys[row] for row in index.postings["a"]] == ["c#d1", "c#d2"]
+        assert tf_of(index, "b").tolist() == [1]
 
     def test_worked_example(self):
         index = self.two_doc_index()
@@ -283,7 +283,7 @@ class TestBm25:
 
     def test_empty_corpus_scores_empty(self):
         index = build_bm25_index([])
-        assert index.corpus_size == 0
+        assert index.keys == []
         assert bm25_scores(index, "anything") == {}
 
     def test_matches_oracle_on_random_corpora(self):
@@ -313,14 +313,15 @@ class TestBm25Build:
     def assert_matches_oracle(self, segments):
         index, oracle = build_bm25_index(segments), oracle_bm25(segments)
         assert index.keys == oracle.keys
-        assert index.lengths.tobytes() == oracle.lengths.tobytes()
-        assert list(index.postings) == list(oracle.postings)  # terms in order of first use
+        assert index.lengths.tolist() == [len(tokenize(s.embedding_text)) for s in segments]
+        assert index.lengths.dtype == np.int64
+        assert list(index.postings) == list(oracle.postings)
+        assert index.postings.rows.dtype == np.intp and index.tf.dtype == np.int32
         for term, expected in oracle.postings.items():
             got = index.postings[term]
-            assert got.rows.dtype == np.intp and got.tf.dtype == np.int32
-            assert got.rows.tolist() == expected.rows.tolist(), term
-            assert got.tf.tolist() == expected.tf.tolist(), term
-            assert np.all(np.diff(got.rows) > 0)
+            assert got.tolist() == expected.tolist(), term
+            assert tf_of(index, term).tolist() == tf_of(oracle, term).tolist(), term
+            assert np.all(np.diff(got) > 0)
 
     @settings(max_examples=200, deadline=None)
     @given(texts=st.lists(_TEXTS, max_size=8))
@@ -329,7 +330,7 @@ class TestBm25Build:
         # "every" (and "EVERY") is in every row, so its postings are all rows.
         everywhere = [seg("d", str(i), t + " EVERY") for i, t in enumerate(texts + ["every"])]
         self.assert_matches_oracle(everywhere)
-        assert build_bm25_index(everywhere).postings["every"].rows.tolist() == list(
+        assert build_bm25_index(everywhere).postings["every"].tolist() == list(
             range(len(everywhere)))
 
 
@@ -400,11 +401,11 @@ class TestOneScanMatchesTheOracles:
         assert bundle.vectors.matrix.tobytes() == vectors.matrix.tobytes()
         bm25 = oracle_bm25(segments)
         assert bundle.bm25.lengths.tobytes() == bm25.lengths.tobytes()
-        assert list(bundle.bm25.postings) == list(bm25.postings)  # first-use order
+        assert list(bundle.bm25.postings) == list(bm25.postings)
         for term, expected in bm25.postings.items():
             got = bundle.bm25.postings[term]
-            assert (got.rows.tolist(), got.tf.tolist()) == (expected.rows.tolist(),
-                                                            expected.tf.tolist()), term
+            assert (got.tolist(), tf_of(bundle.bm25, term).tolist()) == (
+                expected.tolist(), tf_of(bm25, term).tolist()), term
         assert keyword_sets(bundle.keywords) == [
             OracleExtractor().extract(s.embedding_text)
             | {kw.casefold().strip() for kw in user
@@ -508,10 +509,12 @@ class TestPersistence:
         assert loaded.keys == bundle.keys
         assert loaded.bm25.k1 == bundle.bm25.k1
         assert loaded.bm25.avgdl == bundle.bm25.avgdl
-        assert loaded.bm25.postings.keys() == bundle.bm25.postings.keys()
-        for term, postings in bundle.bm25.postings.items():
-            assert np.array_equal(loaded.bm25.postings[term].rows, postings.rows)
-            assert np.array_equal(loaded.bm25.postings[term].tf, postings.tf)
+        # a built bundle and its loaded copy list the terms in one sorted order
+        assert list(loaded.bm25.postings) == list(bundle.bm25.postings)
+        assert list(bundle.bm25.postings) == sorted(bundle.bm25.postings)
+        for term, rows in bundle.bm25.postings.items():
+            assert np.array_equal(loaded.bm25.postings[term], rows)
+            assert np.array_equal(tf_of(loaded.bm25, term), tf_of(bundle.bm25, term))
         assert np.array_equal(loaded.bm25.lengths, bundle.bm25.lengths)
         assert keyword_sets(loaded.keywords) == keyword_sets(bundle.keywords)
         assert loaded.user_keywords == bundle.user_keywords
@@ -662,7 +665,7 @@ class TestPersistence:
         loaded = load_index(tmp_path)
         assert loaded.keys == []
         assert loaded.vectors.entries == {}
-        assert loaded.bm25.corpus_size == 0
+        assert loaded.bm25.keys == [] and len(loaded.bm25.postings) == 0
 
 
 class TestStoredSegments:
