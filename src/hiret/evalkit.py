@@ -75,12 +75,12 @@ def log_rank_score(rank: int, corpus_size: int, gamma: float) -> float:
     """Inverted-logarithmic rank score: 1 at rank 1, 0 at rank N.
 
     score = 1 - ln(1 + gamma*(rank-1)) / ln(1 + gamma*(N-1)), strictly
-    decreasing in rank for every gamma > 0.
+    decreasing in rank for every finite gamma > 0.
     """
     if corpus_size < 2:
         raise ValueError(f"corpus_size must be >= 2, got {corpus_size}")
-    if gamma <= 0:
-        raise ValueError(f"gamma must be > 0, got {gamma}")
+    if not 0 < gamma < math.inf:
+        raise ValueError(f"gamma must be finite and > 0, got {gamma}")
     if not 1 <= rank <= corpus_size:
         raise ValueError(f"rank {rank} outside 1..{corpus_size}")
     return 1.0 - math.log1p(gamma * (rank - 1)) / math.log1p(gamma * (corpus_size - 1))

@@ -242,6 +242,8 @@ class Bm25Index:
     def __post_init__(self):
         if not self.k1 > 0:
             raise ValueError(f"k1 must be > 0, got {self.k1}")
+        if not math.isfinite(self.k1):
+            raise ValueError(f"k1 must be finite, got {self.k1}")
         if not 0 <= self.b <= 1:
             raise ValueError(f"b must be in [0, 1], got {self.b}")
         rows = self.postings.rows
@@ -458,7 +460,10 @@ class StoredSegments(Sequence[Segment]):
         row = range(len(self))[index]  # list semantics, IndexError included
         if isinstance(index, slice):
             return [self[i] for i in row]
-        seg = Segment(**json.loads(self._blob[self._offsets[row]:self._offsets[row + 1]]))
+        try:
+            seg = Segment(**json.loads(self._blob[self._offsets[row]:self._offsets[row + 1]]))
+        except (TypeError, ValueError) as exc:  # not JSON, not an object, not Segment's fields
+            raise IndexFormatError(f"segment row {row} is not a segment: {exc}") from exc
         if seg.key != self.keys[row]:
             raise IndexFormatError(f"segment row {row} holds {seg.key!r}, not {self.keys[row]!r}")
         return seg
@@ -748,7 +753,7 @@ def load_index(path: str | Path) -> IndexBundle:
             raise IndexFormatError(f"corrupt index file {directory / name}: {exc}") from exc
 
     def array(name: str, dtype: str, ndim: int = 1) -> np.ndarray:
-        read(name, mapped=True)
+        read(name, mapped=True).close()  # checked; np.load maps the file itself
         try:
             loaded = np.asarray(np.load(directory / name, mmap_mode="r", allow_pickle=False))
         except ValueError as exc:

@@ -49,12 +49,12 @@ class RetrievalConfig:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.beta < 0.0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
+        if not 0.0 <= self.beta < math.inf:
+            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
         if self.top_k < 1:
             raise ValueError(f"top_k must be >= 1, got {self.top_k}")
-        if self.gamma <= 0.0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
+        if not 0.0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,41 @@
+"""The counts a traced benchmark run reads off the index layers agree with the
+bundle they describe, so a change to the index types cannot quietly turn a
+per-layer metric into a wrong figure or a 0."""
+
+import importlib.util
+from pathlib import Path
+
+from make_golden import DATA_DIR
+
+import hiret.cli as cli
+from hiret.index import load_index
+
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
+
+
+def load_spans():
+    """``bench/spans.py`` as a module of its own, leaving ``sys.path`` as it is."""
+    spec = importlib.util.spec_from_file_location("bench_spans", BENCH_DIR / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_ingest_counts_the_postings_the_index_holds(tmp_path):
+    spans = load_spans()
+    tracer = spans.Tracer()
+    cfg = cli.AppConfig(corpus_dir=str(DATA_DIR / "corpus"), index_dir=str(tmp_path / "index"),
+                        keyword_dict=str(DATA_DIR / "keywords.txt"))
+    with tracer.installed(spans.INGEST_WRAPS + spans.QUERY_WRAPS):
+        tracer.op = "ingest"
+        cli.run_ingest(cfg)
+        tracer.op = "query"
+        result = cli.run_query(cfg, "HX-3600A00 isolated bus transceiver ordering")
+        tracer.op = None
+    ops = spans.per_op(tracer)
+    bundle = load_index(tmp_path / "index")
+    assert ops["ingest"]["index.bm25_build.calls"] == 1
+    assert ops["ingest"]["index.bm25_terms"] == len(bundle.bm25.postings) > 0
+    assert ops["ingest"]["index.bm25_postings"] == len(bundle.bm25.postings.rows) > 0
+    assert ops["query"]["index.load.calls"] == ops["query"]["retriever.retrieve.calls"] == 1
+    assert result["results"]

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import re
 import subprocess
@@ -332,6 +333,7 @@ class TestQuery:
         (lambda m: m.update(user_keywords=None), "'user_keywords' is missing or mistyped"),
         (lambda m: m.update(user_keywords=[None]), "'user_keywords' must be a list of strings"),
         (lambda m: m.update(k1=0), "k1 must be > 0, got 0"),
+        (lambda m: m.update(k1=math.inf), "k1 must be finite, got inf"),
         (lambda m: m.update(b=1.5), "b must be in [0, 1], got 1.5"),
         (lambda m: m["files"]["keywords_rows.npy"].pop("sha256"),
          "files['keywords_rows.npy'] needs"),
@@ -343,7 +345,7 @@ class TestQuery:
         (lambda m: m.update(embedder={"kind": "hash", "dim": 64}),
          "vector matrix shape (50, 256) != (50, 64)"),
     ], ids=["no-dim", "null-k1", "string-b", "null-dictionary", "null-dictionary-word",
-            "zero-k1", "b-above-1", "no-sha256", "entry-not-object", "unknown-embedder",
+            "zero-k1", "infinite-k1", "b-above-1", "no-sha256", "entry-not-object", "unknown-embedder",
             "embedder-no-command", "embedder-string-command", "embedder-other-dim"])
     def test_bad_manifest_field_is_named_and_asks_for_a_reingest(self, manual_setup, capsys,
                                                                  edit, named):
@@ -358,6 +360,22 @@ class TestQuery:
         assert code == 2
         err = capsys.readouterr().err
         assert named in err and "run 'hiret ingest'" in err
+
+    @pytest.mark.parametrize("line", [b"[1]", b'{"zz": 1}', b'{"segment_id": 5}'])
+    def test_segment_line_that_is_not_a_segment_is_refused_by_row(self, manual_setup, capsys,
+                                                                  line):
+        cfg, _ = manual_setup
+        index_dir = Path(cfg.index_dir)
+        lines = (index_dir / "segments.jsonl").read_bytes().splitlines(keepends=True)
+        lines[3] = line + b"\n"
+        (index_dir / "segments.jsonl").write_bytes(b"".join(lines))
+        np.save(index_dir / "segment_offsets.npy",
+                np.cumsum([0] + [len(seg_line) for seg_line in lines], dtype="<i8"))
+        for name in ("segments.jsonl", "segment_offsets.npy"):
+            restamp_manifest(index_dir, name)
+        code = main(["--index-dir", cfg.index_dir, "--top-k", str(len(lines)), "query", "pinout"])
+        assert code == 2
+        assert "error: segment row 3 is not a segment" in capsys.readouterr().err
 
     def test_damaged_file_is_refused_with_its_name(self, manual_setup, capsys):
         cfg, _ = manual_setup
@@ -551,6 +569,14 @@ class TestConfigAndExitCodes:
 
     def test_bad_flag_is_usage_error(self, capsys):
         assert main(["--top-k", "not-a-number", "ingest"]) == 1
+
+    def test_infinite_k1_is_usage_error(self, tmp_path, capsys):
+        corpus = write_manual_corpus(tmp_path / "corpus", 1)
+        code = main(["--corpus-dir", str(corpus), "--index-dir", str(tmp_path / "index"),
+                     "--k1", "inf", "ingest"])
+        assert code == 1
+        assert "k1 must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "index").exists()
 
     def test_invalid_alpha_is_usage_error(self, manual_setup, capsys):
         cfg, _ = manual_setup

@@ -90,6 +90,11 @@ class TestLogRankScore:
         with pytest.raises(ValueError, match="gamma"):
             log_rank_score(1, 10, 0.0)
 
+    @pytest.mark.parametrize("gamma", [math.inf, math.nan])
+    def test_non_finite_gamma_rejected(self, gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            log_rank_score(1, 10, gamma)
+
 
 class TestEvaluateQuery:
     def test_two_relevant_at_ranks_one_and_three(self):

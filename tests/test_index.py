@@ -33,6 +33,7 @@ from hiret.index import (
     IndexBundle,
     IndexFormatError,
     StoredSegments,
+    _invert,
     bm25_route,
     bm25_score,
     bm25_scores,
@@ -281,6 +282,11 @@ class TestBm25:
         with pytest.raises(ValueError):
             build_bm25_index([], b=1.5)
 
+    @pytest.mark.parametrize("k1", [math.inf, math.nan])
+    def test_non_finite_k1_rejected(self, k1):
+        with pytest.raises(ValueError, match="k1"):
+            build_bm25_index([seg("c", "d1", "a b")], k1=k1)
+
     def test_empty_corpus_scores_empty(self):
         index = build_bm25_index([])
         assert index.keys == []
@@ -332,6 +338,44 @@ class TestBm25Build:
         self.assert_matches_oracle(everywhere)
         assert build_bm25_index(everywhere).postings["every"].tolist() == list(
             range(len(everywhere)))
+
+
+# Unicode terms, some drawn often enough to repeat within a row and across rows.
+_TERMS = st.one_of(st.sampled_from(["a", "B", "\u00df", "\u4e2d\u6587", "x9"]),
+                   st.text(min_size=1, max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=st.lists(st.tuples(_TERMS, st.integers(0, 5)), max_size=30),
+       empty_rows=st.integers(0, 2), absent=st.text(max_size=3))
+def test_invert_lists_each_terms_distinct_rows_and_counts(pairs, empty_rows, absent):
+    terms = list(dict.fromkeys(term for term, _ in pairs))  # in order of first use
+    n = max((row for _, row in pairs), default=-1) + 1 + empty_rows
+    by_row = sorted(pairs, key=lambda pair: pair[1])  # row r holds the next lengths[r] ids
+    ids = np.array([terms.index(term) for term, _ in by_row], dtype=np.intc)
+    lengths = np.bincount([row for _, row in pairs], minlength=n)
+    lists, counts = _invert(terms, ids, lengths)
+
+    assert list(lists) == lists.terms == sorted(terms)
+    assert len(lists) == len(terms)
+    assert lists.offsets[0] == 0 and lists.offsets[-1] == len(lists.rows) == len(counts)
+    assert np.all(np.diff(lists.offsets) > 0)  # every listed term owns a row
+    multiplicity = Counter(pairs)
+    for term in terms:
+        rows = lists[term]
+        assert rows.dtype == np.intp
+        assert rows.tolist() == sorted({row for t, row in pairs if t == term})
+        lo, hi = lists.span(term)
+        assert lists.rows[lo:hi].tolist() == rows.tolist()
+        assert counts[lo:hi].tolist() == [multiplicity[term, row] for row in rows.tolist()]
+        assert term in lists and lists.get(term) is not None
+    # "" sorts before every term, four U+10FFFF after every term of at most three
+    for missing in {absent, "", "\U0010ffff" * 4} - set(terms):
+        assert lists.span(missing) == (0, 0)
+        assert missing not in lists
+        assert lists.get(missing) is None
+        with pytest.raises(KeyError):
+            lists[missing]
 
 
 class TestKeywords:
@@ -623,6 +667,11 @@ class TestPersistence:
                 "postings_terms.json does not hold distinct sorted strings")
         refused({"postings_rows.npy": postings_rows}, f"postings_rows.npy {not_ascending}")
         refused({"vector_rows.npy": np.array([1, 0, 2], "<i4")}, f"vector index {not_ascending}")
+        tf = np.load(tmp_path / "postings_tf.npy")
+        refused({"postings_tf.npy": tf[:-1]},
+                f"{len(tf) - 1} posting counts for {len(tf)} posting rows")
+        refused({"keywords_offsets.npy": np.array([0, 0, 2], "<i8")},  # ca-is3641 owns no row
+                "keywords_offsets.npy does not split 2 entries into 2 non-empty parts")
         load_index(tmp_path)  # each change undone, the index loads again
 
     @pytest.mark.parametrize("keys", [7, "d1#1", {"d1#1": 0}, ["d1#1", 7, "d2#1"],

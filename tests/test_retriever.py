@@ -71,6 +71,12 @@ class TestRetrievalConfig:
         with pytest.raises(ValueError, match="gamma"):
             RetrievalConfig(gamma=0)
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["beta", "gamma"])
+    def test_non_finite_beta_and_gamma_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            RetrievalConfig(**{name: value})
+
 
 class FakeEmbedder:
     """A plug-in-like embedder that answers ``vectors[text]``, or ``default``."""
