@@ -354,12 +354,12 @@ def build_vector_index(segments: Sequence[Segment], embedder: Embedder) -> Vecto
 
 def _invert(terms: list[str], ids: np.ndarray,
             lengths: np.ndarray) -> tuple[InvertedLists, np.ndarray]:
-    """The lists of rows holding each of ``terms``, row ``r`` holding the terms of
-    the next ``lengths[r]`` of ``ids``, and how often each listed row holds its
-    term: one sort of all (term rank, row) pairs, the terms ranked in sorted order."""
+    """Invert rows of term ids (row ``r`` holds the next ``lengths[r]`` of ``ids``):
+    the rows holding each of ``terms`` and how often each listed row holds it,
+    from one sort of all (term rank, row) pairs, the terms ranked in sorted order."""
     n = len(lengths)
     order = sorted(range(len(terms)), key=terms.__getitem__)
-    rank = np.argsort(order).astype(np.int64)  # the inverse permutation
+    rank = np.argsort(order)  # the inverse permutation
     rows = np.repeat(np.arange(n, dtype=np.int64), lengths)  # lives through the sort (peak RSS)
     pairs, counts = np.unique(rank[ids] * np.int64(n) + rows, return_counts=True)
     offsets = np.searchsorted(pairs, np.arange(len(terms) + 1, dtype=np.int64) * n)
