@@ -18,6 +18,7 @@ import logging
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Protocol
 
 from .corpus import Segment
@@ -52,8 +53,16 @@ class WindowPlan:
     window_size: int
     padding: int
     total_words: int
-    spans: tuple[tuple[int, int], ...]
-    iterations: int
+
+    @property
+    def iterations(self) -> int:
+        return math.ceil(self.total_words / self.window_size)
+
+    @cached_property
+    def spans(self) -> tuple[tuple[int, int], ...]:
+        """Padded word range seen by each turn, in turn order."""
+        w, k, n = self.window_size, self.padding, self.total_words
+        return tuple((max(0, t * w - k), min(n, (t + 1) * w + k)) for t in range(self.iterations))
 
     def core(self, turn: int) -> tuple[int, int]:
         """Unpadded word range owned by 1-based ``turn``."""
@@ -135,19 +144,13 @@ class HeadingPromotionConverter:
     max_heading_words = 12
 
     def convert(self, turn: ConverterTurn) -> str:
-        lines = turn.core_text.split("\n")
-        first_partial = turn.core_starts_mid_line()
-        last_partial = turn.core_ends_mid_line()
-        out: list[str] = []
-        last = len(lines) - 1
-        for i, line in enumerate(lines):
-            if i == 0 and first_partial:
-                out.append(line)
-            elif i == last and last_partial:
-                out.append(self._transform_start(line, turn))
-            else:
-                out.append(self._transform(line))
-        return "\n".join(out)
+        raw = turn.core_text.split("\n")
+        lines = [self._transform(line) for line in raw]
+        if turn.core_ends_mid_line():
+            lines[-1] = self._transform_start(raw[-1], turn)
+        if turn.core_starts_mid_line():
+            lines[0] = raw[0]
+        return "\n".join(lines)
 
     def _transform_start(self, start: str, turn: ConverterTurn) -> str:
         """Promoted form of ``start``, a line cut by the core end, when the
@@ -188,22 +191,7 @@ def plan_windows(total_words: int, window_size: int, padding: int = 0) -> Window
         raise ValueError(f"padding must be >= 0, got {padding}")
     if total_words < 0:
         raise ValueError(f"total_words must be >= 0, got {total_words}")
-
-    iterations = math.ceil(total_words / window_size)
-    spans = tuple(
-        (
-            max(0, (t - 1) * window_size - padding),
-            min(total_words, t * window_size + padding),
-        )
-        for t in range(1, iterations + 1)
-    )
-    return WindowPlan(
-        window_size=window_size,
-        padding=padding,
-        total_words=total_words,
-        spans=spans,
-        iterations=iterations,
-    )
+    return WindowPlan(window_size=window_size, padding=padding, total_words=total_words)
 
 
 def count_words(text: str) -> int:
@@ -225,8 +213,6 @@ def convert_document(doc_text: str, converter: DocumentConverter, plan: WindowPl
         raise ValueError(
             f"plan covers {plan.total_words} words but document has {len(words)}"
         )
-    if plan.iterations == 0:
-        return ""
 
     parts: list[str] = []
     previous_input = ""
@@ -258,22 +244,22 @@ def convert_document(doc_text: str, converter: DocumentConverter, plan: WindowPl
 
 
 def _detect_kind(content: str) -> str:
-    for line in content.splitlines():
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("|") or stripped.startswith("Table:"):
-            return "table"
-        if _IMAGE_LINE_RE.match(stripped):
-            return "image"
-        return "text"
-    return "text"
+    first = next((line.strip() for line in content.splitlines() if line.strip()), "")
+    if first.startswith(("|", "Table:")):
+        return "table"
+    return "image" if _IMAGE_LINE_RE.match(first) else "text"
 
 
 def _finish_content(lines: list[str]) -> str:
     while lines and not lines[-1].strip():
         lines.pop()
     return "\n".join(line.rstrip() for line in lines)
+
+
+def _unique_id(base: str, seen_ids: dict[str, int]) -> str:
+    n = seen_ids.get(base, 0) + 1
+    seen_ids[base] = n
+    return base if n == 1 else f"{base}+{n}"
 
 
 def parse_markdown(
@@ -288,60 +274,37 @@ def parse_markdown(
     the document title. A heading whose number token is not purely numeric
     is accepted at level 1, and a warning is recorded.
     """
-    segments: list[Segment] = []
-    seen_ids: dict[str, int] = {}
-    current_lines: list[str] = []
-    current: Segment | None = None
-
-    def unique_id(base: str) -> str:
-        n = seen_ids.get(base, 0) + 1
-        seen_ids[base] = n
-        return base if n == 1 else f"{base}+{n}"
-
-    def close_current() -> None:
-        if current is None:
-            if any(line.strip() for line in current_lines):
-                content = _finish_content(current_lines)
-                segments.append(
-                    Segment(
-                        segment_id=unique_id("preamble"),
-                        chapter_number="",
-                        level=0,
-                        title=doc_title,
-                        kind=_detect_kind(content),
-                        content=content,
-                    )
-                )
-            return
-        current.content = _finish_content(current_lines)
-        current.kind = _detect_kind(current.content)
-        segments.append(current)
-
+    chunks: list[tuple[re.Match[str] | None, list[str]]] = [(None, [])]
     for line in markdown.splitlines():
         match = _HEADING_RE.match(line)
-        if not match:
-            current_lines.append(line)
-            continue
-        close_current()
-        current_lines = []
-        number, title = match.group(1), match.group(2) or ""
-        if _NUMBER_RE.match(number):
-            level = number.count(".") + 1
+        if match:
+            chunks.append((match, []))
         else:
-            level = 1
-            message = f"malformed heading number {number!r} in line {line!r}; kept at level 1"
-            log.warning(message)
-            if warnings is not None:
-                warnings.append(message)
-            if not title:
-                title = number
-        current = Segment(
-            segment_id=unique_id(number),
-            chapter_number=number,
-            level=level,
-            title=title.strip(),
-            kind="text",
-            content="",
-        )
-    close_current()
+            chunks[-1][1].append(line)
+
+    segments: list[Segment] = []
+    seen_ids: dict[str, int] = {}
+    for match, lines in chunks:
+        content = _finish_content(lines)
+        if match is None:  # the lines before the first heading
+            if not content:
+                continue
+            base, number, level, title = "preamble", "", 0, doc_title
+        else:
+            number, title = match.group(1), match.group(2) or ""
+            base = number
+            if _NUMBER_RE.match(number):
+                level = number.count(".") + 1
+            else:
+                level = 1
+                message = (f"malformed heading number {number!r} in line {match.string!r}; "
+                           "kept at level 1")
+                log.warning(message)
+                if warnings is not None:
+                    warnings.append(message)
+                title = title or number
+            title = title.strip()
+        segments.append(Segment(segment_id=_unique_id(base, seen_ids), chapter_number=number,
+                                level=level, title=title, kind=_detect_kind(content),
+                                content=content))
     return segments
