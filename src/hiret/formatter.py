@@ -80,7 +80,8 @@ class ConverterTurn:
     values (empty strings at the first turn). ``core_start``/``core_end``
     are character offsets of the unpadded core within ``current_input``;
     the returned fragment must cover only that core region. ``index`` and
-    ``total`` are the 1-based turn number and turn count.
+    ``total`` are the 1-based turn number and turn count. ``reaches_end``
+    is True when ``current_input`` runs to the end of the document.
     """
 
     index: int
@@ -90,6 +91,7 @@ class ConverterTurn:
     previous_output: str
     core_start: int
     core_end: int
+    reaches_end: bool = False
 
     @property
     def core_text(self) -> str:
@@ -136,8 +138,9 @@ class HeadingPromotionConverter:
     first-level ``# 3.2 Title`` headings; all other lines pass through.
     Output covers exactly the core words, so conversion never drops or
     duplicates content. A line cut by the end of the core is promoted when
-    the right padding shows the whole line and it is a heading: this core
-    emits the promoted start, the next core the rest of the line as it is.
+    the right padding shows the whole line, up to its newline or the end of
+    the document, and it is a heading: this core emits the promoted start,
+    the next core the rest of the line as it is.
     A line continued from the previous core passes through untransformed.
     """
 
@@ -157,7 +160,9 @@ class HeadingPromotionConverter:
         whole line is a heading; ``start`` itself otherwise."""
         line_end = turn.current_input.find("\n", turn.core_end)
         if line_end < 0:
-            return start  # the padding ends before the line does
+            if not turn.reaches_end:
+                return start  # the padding ends before the line does
+            line_end = len(turn.current_input)
         tail = turn.current_input[turn.core_end : line_end]
         whole = start + tail
         promoted = self._transform(whole)
@@ -230,6 +235,7 @@ def convert_document(doc_text: str, converter: DocumentConverter, plan: WindowPl
             previous_output=previous_output,
             core_start=words[core_start].start() - window_lo,
             core_end=words[core_end - 1].end() - window_lo,
+            reaches_end=span_end == plan.total_words,
         )
         try:
             fragment = converter.convert(turn)
@@ -256,10 +262,16 @@ def _finish_content(lines: list[str]) -> str:
     return "\n".join(line.rstrip() for line in lines)
 
 
-def _unique_id(base: str, seen_ids: dict[str, int]) -> str:
-    n = seen_ids.get(base, 0) + 1
-    seen_ids[base] = n
-    return base if n == 1 else f"{base}+{n}"
+def _unique_id(base: str, used: dict[str, int]) -> str:
+    """``base`` when the document has no such id yet, else the first free
+    ``base+n`` for n = 2, 3, …. ``used`` maps each id taken to the first n
+    a repeat of it has not tried, so every id is unique and found once."""
+    segment_id, n = base, used.get(base, 2)
+    while segment_id in used:
+        segment_id, n = f"{base}+{n}", n + 1
+    used[base] = n
+    used.setdefault(segment_id, 2)
+    return segment_id
 
 
 def parse_markdown(
@@ -283,7 +295,7 @@ def parse_markdown(
             chunks[-1][1].append(line)
 
     segments: list[Segment] = []
-    seen_ids: dict[str, int] = {}
+    used_ids: dict[str, int] = {}
     for match, lines in chunks:
         content = _finish_content(lines)
         if match is None:  # the lines before the first heading
@@ -304,7 +316,7 @@ def parse_markdown(
                     warnings.append(message)
                 title = title or number
             title = title.strip()
-        segments.append(Segment(segment_id=_unique_id(base, seen_ids), chapter_number=number,
+        segments.append(Segment(segment_id=_unique_id(base, used_ids), chapter_number=number,
                                 level=level, title=title, kind=_detect_kind(content),
                                 content=content))
     return segments

@@ -124,6 +124,16 @@ class TestIngest:
         assert report["warnings"] == 1
         assert report["segments"] == 1
 
+    @pytest.mark.parametrize("titles", [["1 Alpha", "1 Beta", "1+2 Gamma"],
+                                        ["1+2 Gamma", "1 Beta", "1 Alpha"]])
+    def test_plus_n_shaped_heading_number_ingests(self, tmp_path, titles):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "d.md").write_text("".join(f"# {t}\nbody\n" for t in titles), encoding="utf-8")
+        cfg = AppConfig(corpus_dir=str(corpus), index_dir=str(tmp_path / "index"))
+        assert run_ingest(cfg)["segments"] == 3
+        assert len(set(load_index(cfg.index_dir).keys)) == 3
+
     def test_missing_corpus_is_data_error(self, tmp_path, capsys):
         code = main(["--corpus-dir", str(tmp_path / "nope"), "ingest"])
         assert code == 2

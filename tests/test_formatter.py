@@ -27,6 +27,11 @@ _SPACES = ["\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u1680", "\u2000", "
 _NOT_SPACES = ["\u200b", "\u180e", "\ufeff", "\u2060", "a", "\u00e9", "#"]
 
 
+# Heading markers, chapter numbers and words, with and without heading-breaking punctuation.
+_CONVERTER_TOKENS = ["#", "##", "###", "1", "3.2", "1.1.4", "2)", "4.", "3.x", "alpha", "ratings",
+                     "volts.", "x,", "|", "![p](p.png)"]
+
+
 class RecordingConverter:
     """Echoes cores while keeping every turn for inspection."""
 
@@ -240,6 +245,25 @@ class TestHeadingPromotionConverter:
         ]
         assert segments[1].content == "vcc is five volts"
 
+    @pytest.mark.parametrize("end", ["", "\n"])
+    def test_heading_on_the_last_line_cut_by_a_core_boundary_is_promoted(self, end):
+        # the first window holds all 9 words; its 7-word core ends after "3.2"
+        text = "# 1 intro\nbody words here\n3.2 electrical ratings" + end
+        out = self.run(text, window=7, padding=5)
+        assert [s.segment_id for s in parse_markdown(out, "doc")] == ["1", "3.2"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(lines=st.lists(st.lists(st.sampled_from(_CONVERTER_TOKENS), max_size=6), max_size=10),
+           spaces=st.just(" "), end=st.sampled_from(["", "\n"]),
+           w=st.integers(1, 8), extra=st.integers(0, 3))
+    def test_padding_as_long_as_any_line_parses_as_one_window(self, lines, spaces, end, w, extra):
+        text = "\n".join(spaces.join(line) for line in lines) + end
+        n = count_words(text)
+        k = max((len(line) for line in lines), default=0) + extra
+        windowed = convert_document(text, HeadingPromotionConverter(), plan_windows(n, w, k))
+        whole = convert_document(text, HeadingPromotionConverter(), plan_windows(n, max(n, 1)))
+        assert parse_markdown(windowed, "doc") == parse_markdown(whole, "doc")
+
     def test_cut_line_that_is_no_heading_passes_through(self):
         body = " ".join(f"b{i}" for i in range(396))
         text = f"# 1 introduction\n{body}\n3.2 volts is applied to the rail, then it settles."
@@ -307,6 +331,21 @@ class TestParseMarkdown:
     def test_duplicate_chapter_numbers_get_unique_ids(self):
         segments = parse_markdown("# 1 A\nx\n# 1 B\ny", "Doc")
         assert [s.segment_id for s in segments] == ["1", "1+2"]
+
+    @pytest.mark.parametrize(
+        "numbers, ids",
+        [
+            (["1", "1", "1+2"], ["1", "1+2", "1+2+2"]),
+            (["1+2", "1", "1"], ["1+2", "1", "1+3"]),
+            (["1", "1", "1", "1+3", "1"], ["1", "1+2", "1+3", "1+3+2", "1+4"]),
+            (["preamble", "preamble"], ["preamble", "preamble+2", "preamble+3"]),
+        ],
+    )
+    def test_repeated_number_takes_the_next_free_plus_n_id(self, numbers, ids):
+        text = "\n".join(f"# {number} Title\nbody" for number in numbers)
+        if numbers[0] == "preamble":
+            text = "intro\n" + text
+        assert [s.segment_id for s in parse_markdown(text, "Doc")] == ids
 
     def test_empty_document(self):
         assert parse_markdown("", "Doc") == []
