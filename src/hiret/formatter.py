@@ -19,7 +19,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Protocol
+from typing import Protocol
 
 from .corpus import Segment
 
@@ -98,23 +98,20 @@ class ConverterTurn:
         return self.current_input[self.core_start : self.core_end]
 
     def core_starts_mid_line(self) -> bool:
-        """True when the first core word continues a line begun earlier."""
-        return _continues_line(reversed(self.current_input[: self.core_start]), self.index > 1)
+        """True when the first core word does not begin its line: the line
+        began earlier, if only with indentation."""
+        if self.core_start == 0:
+            return self.index > 1  # the window shows nothing before the core
+        return self.current_input[self.core_start - 1] != "\n"
 
     def core_ends_mid_line(self) -> bool:
         """True when the last core line continues past the core boundary."""
-        return _continues_line(self.current_input[self.core_end :], self.index < self.total)
-
-
-def _continues_line(chars: Iterable[str], at_padding_end: bool) -> bool:
-    """True at the first non-space character of ``chars``, False at the
-    first newline; ``at_padding_end`` when ``chars`` (the padding) has neither."""
-    for ch in chars:
-        if ch == "\n":
-            return False
-        if not ch.isspace():
-            return True
-    return at_padding_end
+        for ch in self.current_input[self.core_end :]:
+            if ch == "\n":
+                return False
+            if not ch.isspace():
+                return True
+        return self.index < self.total  # the padding ends before the line does
 
 
 class DocumentConverter(Protocol):
@@ -166,10 +163,11 @@ class HeadingPromotionConverter:
         tail = turn.current_input[turn.core_end : line_end]
         whole = start + tail
         promoted = self._transform(whole)
-        rest = tail.strip()
-        if promoted == whole or not promoted.endswith(rest):
+        if promoted == whole:
             return start
-        return promoted[: len(promoted) - len(rest)].rstrip()
+        # Promotion keeps a heading's last words; the tail's go to the next core.
+        starts = [word.start() for word in _WORD_RE.finditer(promoted)] + [len(promoted)]
+        return promoted[: starts[-1 - count_words(tail)]].rstrip()
 
     def _transform(self, line: str) -> str:
         md = _MD_HEADING_RE.match(line)

@@ -29,7 +29,9 @@ _NOT_SPACES = ["\u200b", "\u180e", "\ufeff", "\u2060", "a", "\u00e9", "#"]
 
 # Heading markers, chapter numbers and words, with and without heading-breaking punctuation.
 _CONVERTER_TOKENS = ["#", "##", "###", "1", "3.2", "1.1.4", "2)", "4.", "3.x", "alpha", "ratings",
-                     "volts.", "x,", "|", "![p](p.png)"]
+                     "volts.", "x,", "|", "![p](p.png)", "\u200b"]
+# What follows a token on its line: nothing (the next token joins it) or horizontal whitespace.
+_GAPS = ["", " ", " ", "  ", "\t", "\xa0", "\u3000", "\x1f"]
 
 
 class RecordingConverter:
@@ -252,14 +254,31 @@ class TestHeadingPromotionConverter:
         out = self.run(text, window=7, padding=5)
         assert [s.segment_id for s in parse_markdown(out, "doc")] == ["1", "3.2"]
 
-    @settings(max_examples=300, deadline=None)
-    @given(lines=st.lists(st.lists(st.sampled_from(_CONVERTER_TOKENS), max_size=6), max_size=10),
-           spaces=st.just(" "), end=st.sampled_from(["", "\n"]),
+    @pytest.mark.parametrize("heading", ["##\t3.2  electrical ratings", "##  3.2\telectrical ratings"])
+    def test_widely_spaced_heading_cut_after_its_marker_is_promoted(self, heading):
+        # the first 7-word core ends after "##"
+        text = f"# 1 intro\nbody words here\n{heading}\nvcc is five volts"
+        segments = parse_markdown(self.run(text, window=7, padding=5), "doc")
+        assert [(s.segment_id, s.title) for s in segments] == [("1", "intro"),
+                                                               ("3.2", "electrical ratings")]
+
+    def test_indented_numbered_line_at_a_core_start_passes_through(self):
+        # the second core starts at "3.2"; a single window keeps the indented line too
+        text = "# 1 intro\nbody words here\n  3.2 electrical ratings\nvcc"
+        assert self.run(text, window=6, padding=5) == text
+
+    @settings(max_examples=500, deadline=None)
+    @given(lines=st.lists(st.tuples(st.sampled_from(["", " ", "\t"]), st.lists(
+               st.tuples(st.sampled_from(_CONVERTER_TOKENS), st.sampled_from(_GAPS)), max_size=6)),
+               max_size=10),
+           newline=st.sampled_from(["\n", "\r\n"]), end=st.booleans(),
            w=st.integers(1, 8), extra=st.integers(0, 3))
-    def test_padding_as_long_as_any_line_parses_as_one_window(self, lines, spaces, end, w, extra):
-        text = "\n".join(spaces.join(line) for line in lines) + end
+    def test_padding_as_long_as_any_line_parses_as_one_window(self, lines, newline, end, w, extra):
+        # Lines break at "\n" only, the one line break the converter knows.
+        lines = [indent + "".join(token + gap for token, gap in tokens) for indent, tokens in lines]
+        text = newline.join(lines) + (newline if end else "")
         n = count_words(text)
-        k = max((len(line) for line in lines), default=0) + extra
+        k = max(map(count_words, lines), default=0) + extra
         windowed = convert_document(text, HeadingPromotionConverter(), plan_windows(n, w, k))
         whole = convert_document(text, HeadingPromotionConverter(), plan_windows(n, max(n, 1)))
         assert parse_markdown(windowed, "doc") == parse_markdown(whole, "doc")
