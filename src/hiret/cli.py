@@ -134,14 +134,15 @@ def _make_captioner(spec: dict | None):
 
 def run_ingest(cfg: AppConfig) -> dict:
     """Convert, augment, and index the corpus; returns the ingest report."""
-    records = load_corpus(cfg.corpus_dir)
-    if not records:
-        log.warning("corpus %s holds no documents; writing empty indices", cfg.corpus_dir)
-
     if cfg.window < 1:
         raise UsageError(f"window must be >= 1, got {cfg.window}")
     if cfg.padding < 0:
         raise UsageError(f"padding must be >= 0, got {cfg.padding}")
+    index._check_bm25_params(cfg.k1, cfg.b)
+    user_keywords = _load_keyword_dict(cfg.keyword_dict)
+    records = load_corpus(cfg.corpus_dir)
+    if not records:
+        log.warning("corpus %s holds no documents; writing empty indices", cfg.corpus_dir)
 
     converter = HeadingPromotionConverter()
     captioner = _make_captioner(cfg.captioner)
@@ -161,7 +162,7 @@ def run_ingest(cfg: AppConfig) -> dict:
             embedder,
             k1=cfg.k1,
             b=cfg.b,
-            user_keywords=_load_keyword_dict(cfg.keyword_dict),
+            user_keywords=user_keywords,
         )
         index.save_index(bundle, cfg.index_dir)
     finally:

@@ -221,6 +221,16 @@ class InvertedLists(Mapping[str, np.ndarray]):
         return len(self.terms)
 
 
+def _check_bm25_params(k1: float, b: float) -> None:
+    """Refuse a BM25 ``k1`` that is not finite and positive or a ``b`` outside [0, 1]."""
+    if not k1 > 0:
+        raise ValueError(f"k1 must be > 0, got {k1}")
+    if not math.isfinite(k1):
+        raise ValueError(f"k1 must be finite, got {k1}")
+    if not 0 <= b <= 1:
+        raise ValueError(f"b must be in [0, 1], got {b}")
+
+
 @dataclass(eq=False)
 class Bm25Index:
     """Okapi BM25 statistics over segment embedding_text tokens.
@@ -240,12 +250,7 @@ class Bm25Index:
     norm: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.k1 > 0:
-            raise ValueError(f"k1 must be > 0, got {self.k1}")
-        if not math.isfinite(self.k1):
-            raise ValueError(f"k1 must be finite, got {self.k1}")
-        if not 0 <= self.b <= 1:
-            raise ValueError(f"b must be in [0, 1], got {self.b}")
+        _check_bm25_params(self.k1, self.b)
         rows = self.postings.rows
         if len(self.tf) != len(rows):
             raise ValueError(f"{len(self.tf)} posting counts for {len(rows)} posting rows")

@@ -588,6 +588,24 @@ class TestConfigAndExitCodes:
         assert "k1 must be finite" in capsys.readouterr().err
         assert not (tmp_path / "index").exists()
 
+    @pytest.mark.parametrize("flags, code, says", [
+        (["--k1", "inf"], 1, "k1 must be finite"),
+        (["--b", "2"], 1, "b must be in [0, 1]"),
+        (["--window", "0"], 1, "window must be >= 1"),
+        (["--keywords", "missing.txt"], 2, "cannot read keyword dictionary"),
+    ])
+    def test_bad_ingest_setting_is_refused_before_any_conversion(self, tmp_path, capsys,
+                                                                  monkeypatch, flags, code, says):
+        calls = []
+        monkeypatch.setattr("hiret.cli.convert_document", lambda *args: calls.append(args) or "")
+        corpus = write_manual_corpus(tmp_path / "corpus", 2)
+        flags = [str(tmp_path / f) if f.endswith(".txt") else f for f in flags]
+        assert main(["--corpus-dir", str(corpus), "--index-dir", str(tmp_path / "index"),
+                     *flags, "ingest"]) == code
+        assert says in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "index").exists()
+
     def test_invalid_alpha_is_usage_error(self, manual_setup, capsys):
         cfg, _ = manual_setup
         code = main(["--index-dir", cfg.index_dir, "--alpha", "2.0", "query", "x"])
