@@ -1,6 +1,7 @@
-"""The counts a traced benchmark run reads off the index layers agree with the
-bundle they describe, so a change to the index types cannot quietly turn a
-per-layer metric into a wrong figure or a 0."""
+"""The counts a traced benchmark run reads off the formatter and index layers
+agree with the documents and bundle they describe, so a change to the window
+plan or the index types cannot quietly turn a per-layer metric into a wrong
+figure or a 0."""
 
 import importlib.util
 from pathlib import Path
@@ -8,6 +9,8 @@ from pathlib import Path
 from make_golden import DATA_DIR
 
 import hiret.cli as cli
+from hiret.corpus import load_corpus
+from hiret.formatter import count_words, plan_windows
 from hiret.index import load_index
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
@@ -24,8 +27,9 @@ def load_spans():
 def test_traced_ingest_counts_the_postings_the_index_holds(tmp_path):
     spans = load_spans()
     tracer = spans.Tracer()
+    # A window small enough that every fixture document takes several.
     cfg = cli.AppConfig(corpus_dir=str(DATA_DIR / "corpus"), index_dir=str(tmp_path / "index"),
-                        keyword_dict=str(DATA_DIR / "keywords.txt"))
+                        keyword_dict=str(DATA_DIR / "keywords.txt"), window=64, padding=16)
     with tracer.installed(spans.INGEST_WRAPS + spans.QUERY_WRAPS):
         tracer.op = "ingest"
         cli.run_ingest(cfg)
@@ -33,6 +37,13 @@ def test_traced_ingest_counts_the_postings_the_index_holds(tmp_path):
         result = cli.run_query(cfg, "HX-3600A00 isolated bus transceiver ordering")
         tracer.op = None
     ops = spans.per_op(tracer)
+    docs = load_corpus(cfg.corpus_dir)
+    windows = [plan_windows(count_words(doc.text), cfg.window, cfg.padding).iterations
+               for doc in docs]
+    assert min(windows) > 1
+    assert ops["ingest"]["formatter.windows"] == sum(windows)
+    assert ops["ingest"]["formatter.convert.calls"] == ops["ingest"]["formatter.parse.calls"] \
+        == len(docs)
     bundle = load_index(tmp_path / "index")
     assert ops["ingest"]["index.bm25_build.calls"] == 1
     assert ops["ingest"]["index.bm25_terms"] == len(bundle.bm25.postings) > 0

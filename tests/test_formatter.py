@@ -34,6 +34,28 @@ _CONVERTER_TOKENS = ["#", "##", "###", "1", "3.2", "1.1.4", "2)", "4.", "3.x", "
 _GAPS = ["", " ", " ", "  ", "\t", "\xa0", "\u3000", "\x1f"]
 
 
+# parse_markdown input: every str.splitlines line break, and lines tagged with their
+# heading number (None for a body or blank line). No body line starts with "#" and a space.
+_LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                "\u2029"]
+_H_SPACES = [" ", "\t", "\xa0", "\u3000", "\x1f"]
+_PARSE_HEADINGS = st.builds(
+    lambda gap, number, title: (number, f"#{gap}{number}{title}"),
+    st.sampled_from(_H_SPACES),
+    st.sampled_from(["1", "2", "3.2", "1.1.4", "10", "3.x", "A", "1.", "1..2", "1+2", "1+3", "2+2",
+                     "1+2+2", "preamble"]),
+    st.sampled_from(["", " ", " Title", "\tA  b ", "\u3000x"]),
+)
+_PARSE_BODIES = st.builds(
+    lambda lead, words, trail: (None, lead + " ".join(words) + trail),
+    st.sampled_from(["", " ", "\t", "\xa0"]),
+    st.lists(st.sampled_from(["alpha", "|", "5", "##", "#x", "## 3.2", "Table:", "\u200b",
+                              "![p](p.png)"]), min_size=1, max_size=4),
+    st.sampled_from(["", " ", "\t", "\x1f"]),
+)
+_PARSE_BLANKS = st.sampled_from(["", " ", "\t", "\xa0 ", "\u3000"]).map(lambda line: (None, line))
+
+
 class RecordingConverter:
     """Echoes cores while keeping every turn for inspection."""
 
@@ -369,29 +391,25 @@ class TestParseMarkdown:
     def test_empty_document(self):
         assert parse_markdown("", "Doc") == []
 
-    def test_reconstruction_up_to_whitespace(self):
-        rng = random.Random(5150)
-        for _ in range(25):
-            lines = []
-            lines.extend(f"pre{i} text" for i in range(rng.randrange(0, 3)))
-            for c in range(1, rng.randrange(2, 8)):
-                depth = rng.randrange(1, 4)
-                number = ".".join(str(rng.randrange(1, 9)) for _ in range(depth))
-                lines.append(f"# {number} Section {c}")
-                for j in range(rng.randrange(0, 4)):
-                    lines.append(f"body {c} line {j}")
-                if rng.random() < 0.3:
-                    lines.append("")
-            text = "\n".join(lines)
-            segments = parse_markdown(text, "Doc")
-            rebuilt = []
-            for seg in segments:
-                if seg.level > 0 or seg.chapter_number:
-                    rebuilt.append(f"# {seg.chapter_number} {seg.title}".rstrip())
-                if seg.content:
-                    rebuilt.append(seg.content)
-            normalize = lambda t: [ln.rstrip() for ln in t.splitlines() if ln.strip()]
-            assert normalize("\n".join(rebuilt)) == normalize(text)
+    @settings(max_examples=500, deadline=None)
+    @given(lines=st.lists(st.tuples(st.one_of(_PARSE_HEADINGS, _PARSE_BODIES, _PARSE_BLANKS),
+                                    st.sampled_from(_LINE_BREAKS))),
+           end=st.booleans())
+    def test_reconstruction_up_to_whitespace(self, lines, end):
+        text = "".join(line + brk for (_, line), brk in lines)
+        if not end and lines:
+            text = text[: -len(lines[-1][1])]
+        segments = parse_markdown(text, "Doc")
+
+        kept = [seg_line for seg in segments for seg_line in seg.content.split("\n")]
+        body = [line for (number, line), _ in lines if number is None]
+        assert [ln for ln in kept if ln.strip()] == [ln.rstrip() for ln in body if ln.strip()]
+        numbers = [number for (number, _), _ in lines if number is not None]
+        preamble = segments[: len(segments) - len(numbers)]
+        assert [s.chapter_number for s in segments[len(preamble):]] == numbers
+        assert [s.segment_id for s in preamble] == (["preamble"] if preamble else [])
+        ids = [s.segment_id for s in segments]
+        assert len(set(ids)) == len(ids)
 
     def test_level_matches_dotted_component_count(self):
         segments = parse_markdown("# 1 A\n# 1.1 B\n# 1.1.1 C\n# 2 D", "Doc")
