@@ -281,8 +281,14 @@ def parse_markdown(
 
     Headings are lines of the form ``# <dotted-number> <title>``. Lines
     before the first heading become a level-0 preamble segment titled with
-    the document title. A heading whose number token is not purely numeric
-    is accepted at level 1, and a warning is recorded.
+    the document title, kept only when they hold text. A heading whose
+    number token is not purely numeric is accepted at level 1, and a
+    warning is recorded. A segment's id is ``preamble`` for the preamble
+    and otherwise its chapter number; a number the document has already
+    used takes the first free ``<number>+2``, ``<number>+3``, ….
+    :class:`HeadingPromotionConverter` promotes a heading cut by a window
+    boundary whole, on the document's last line too, so it arrives here
+    as one line.
     """
     chunks: list[tuple[re.Match[str] | None, list[str]]] = [(None, [])]
     for line in markdown.splitlines():
