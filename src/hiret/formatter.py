@@ -138,7 +138,9 @@ class HeadingPromotionConverter:
     the right padding shows the whole line, up to its newline or the end of
     the document, and it is a heading: this core emits the promoted start,
     the next core the rest of the line as it is.
-    A line continued from the previous core passes through untransformed.
+    A core's first line passes through untransformed unless a newline
+    directly precedes it: otherwise it continues a line from the previous
+    core, or it is indented, and an indented line is never a heading.
     """
 
     max_heading_words = 12
@@ -305,10 +307,9 @@ def parse_markdown(
         if match is None:  # the lines before the first heading
             if not content:
                 continue
-            base, number, level, title = "preamble", "", 0, doc_title
+            number, level, title = "", 0, doc_title
         else:
             number, title = match.group(1), match.group(2) or ""
-            base = number
             if _NUMBER_RE.match(number):
                 level = number.count(".") + 1
             else:
@@ -320,7 +321,7 @@ def parse_markdown(
                     warnings.append(message)
                 title = title or number
             title = title.strip()
-        segments.append(Segment(segment_id=_unique_id(base, used_ids), chapter_number=number,
-                                level=level, title=title, kind=_detect_kind(content),
-                                content=content))
+        segment_id = _unique_id(number or "preamble", used_ids)
+        segments.append(Segment(segment_id=segment_id, chapter_number=number, level=level,
+                                title=title, kind=_detect_kind(content), content=content))
     return segments

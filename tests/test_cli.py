@@ -593,7 +593,7 @@ class TestConfigAndExitCodes:
         (["--b", "2"], 1, "b must be in [0, 1]"),
         (["--window", "0"], 1, "window must be >= 1"),
         (["--keywords", "missing.txt"], 2, "cannot read keyword dictionary"),
-    ])
+    ], ids=["k1-inf", "b-2", "window-0", "missing-keywords"])
     def test_bad_ingest_setting_is_refused_before_any_conversion(self, tmp_path, capsys,
                                                                   monkeypatch, flags, code, says):
         calls = []

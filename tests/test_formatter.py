@@ -276,7 +276,8 @@ class TestHeadingPromotionConverter:
         out = self.run(text, window=7, padding=5)
         assert [s.segment_id for s in parse_markdown(out, "doc")] == ["1", "3.2"]
 
-    @pytest.mark.parametrize("heading", ["##\t3.2  electrical ratings", "##  3.2\telectrical ratings"])
+    @pytest.mark.parametrize("heading", ["##\t3.2  electrical ratings",
+                                         "##  3.2\telectrical ratings"])
     def test_widely_spaced_heading_cut_after_its_marker_is_promoted(self, heading):
         # the first 7-word core ends after "##"
         text = f"# 1 intro\nbody words here\n{heading}\nvcc is five volts"
