@@ -35,15 +35,19 @@ _GAPS = ["", " ", " ", "  ", "\t", "\xa0", "\u3000", "\x1f"]
 
 
 # parse_markdown input: every str.splitlines line break, and lines tagged with their
-# heading number (None for a body or blank line). No body line starts with "#" and a space.
+# heading's (number, title) (None for a body or blank line). No body line starts with "#"
+# and a space. A heading with an empty title and a malformed number is titled by its number.
 _LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
                 "\u2029"]
 _H_SPACES = [" ", "\t", "\xa0", "\u3000", "\x1f"]
+_WELL_FORMED_NUMBERS = ["1", "2", "3.2", "1.1.4", "10"]
 _PARSE_HEADINGS = st.builds(
-    lambda gap, number, title: (number, f"#{gap}{number}{title}"),
+    lambda gap, number, title: (
+        (number, title.strip() or ("" if number in _WELL_FORMED_NUMBERS else number)),
+        f"#{gap}{number}{title}"),
     st.sampled_from(_H_SPACES),
-    st.sampled_from(["1", "2", "3.2", "1.1.4", "10", "3.x", "A", "1.", "1..2", "1+2", "1+3", "2+2",
-                     "1+2+2", "preamble"]),
+    st.sampled_from(_WELL_FORMED_NUMBERS + ["3.x", "A", "1.", "1..2", "1+2", "1+3", "2+2", "1+2+2",
+                                            "preamble"]),
     st.sampled_from(["", " ", " Title", "\tA  b ", "\u3000x"]),
 )
 _PARSE_BODIES = st.builds(
@@ -380,13 +384,10 @@ class TestParseMarkdown:
             (["1", "1", "1+2"], ["1", "1+2", "1+2+2"]),
             (["1+2", "1", "1"], ["1+2", "1", "1+3"]),
             (["1", "1", "1", "1+3", "1"], ["1", "1+2", "1+3", "1+3+2", "1+4"]),
-            (["preamble", "preamble"], ["preamble", "preamble+2", "preamble+3"]),
         ],
     )
     def test_repeated_number_takes_the_next_free_plus_n_id(self, numbers, ids):
         text = "\n".join(f"# {number} Title\nbody" for number in numbers)
-        if numbers[0] == "preamble":
-            text = "intro\n" + text
         assert [s.segment_id for s in parse_markdown(text, "Doc")] == ids
 
     def test_empty_document(self):
@@ -403,11 +404,11 @@ class TestParseMarkdown:
         segments = parse_markdown(text, "Doc")
 
         kept = [seg_line for seg in segments for seg_line in seg.content.split("\n")]
-        body = [line for (number, line), _ in lines if number is None]
+        body = [line for (heading, line), _ in lines if heading is None]
         assert [ln for ln in kept if ln.strip()] == [ln.rstrip() for ln in body if ln.strip()]
-        numbers = [number for (number, _), _ in lines if number is not None]
-        preamble = segments[: len(segments) - len(numbers)]
-        assert [s.chapter_number for s in segments[len(preamble):]] == numbers
+        headings = [heading for (heading, _), _ in lines if heading is not None]
+        preamble = segments[: len(segments) - len(headings)]
+        assert [(s.chapter_number, s.title) for s in segments[len(preamble):]] == headings
         assert [s.segment_id for s in preamble] == (["preamble"] if preamble else [])
         ids = [s.segment_id for s in segments]
         assert len(set(ids)) == len(ids)
