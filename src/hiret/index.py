@@ -172,7 +172,8 @@ def unit_vector(vector: np.ndarray, dim: int) -> tuple[np.ndarray | None, str]:
 @dataclass(eq=False)
 class VectorIndex:
     """Unit vectors over ``keys``: row ``i`` of the float32 ``(len(rows), dim)``
-    matrix is the vector of segment row ``rows[i]``; ``rows`` ascends."""
+    matrix is the vector of segment row ``rows[i]``; ``rows`` ascends. A built
+    matrix is column-major, so the vector route reads each dimension in one run."""
 
     dim: int
     keys: list[str] = field(default_factory=list)
@@ -327,7 +328,8 @@ def _scan(segments: Sequence[Segment]) -> _Scan:  # the scan segments carry, or 
 def build_vector_index(segments: Sequence[Segment], embedder: Embedder) -> VectorIndex:
     """Embed every augmented segment as a unit vector, skipping one whose vector
     is zero, not finite or of the wrong dimension. :class:`HashingEmbedder` builds
-    blocks of rows from the shared token scan; others embed each text in turn."""
+    blocks of rows from the shared token scan; others embed each text in turn.
+    The rows are filled in place, then copied once into a column-major matrix."""
     scan = _scan(segments)
     rows = np.empty(len(scan), dtype=np.intp)
     matrix = np.empty((len(scan), embedder.dim), dtype=np.float32)
@@ -354,7 +356,8 @@ def build_vector_index(segments: Sequence[Segment], embedder: Embedder) -> Vecto
                 continue
             matrix[n], rows[n] = vector, row
             n += 1
-    return VectorIndex(dim=embedder.dim, keys=scan.keys, rows=rows[:n], matrix=matrix[:n])
+    return VectorIndex(dim=embedder.dim, keys=scan.keys, rows=rows[:n],
+                       matrix=np.asfortranarray(matrix[:n]))
 
 
 def _invert(terms: list[str], ids: np.ndarray,
@@ -593,8 +596,8 @@ def _write_files(bundle: IndexBundle, directory: Path) -> dict:
 
     def put(name: str, data: bytes | np.ndarray, dtype: str = "") -> None:  # dtype: as .npy
         with open(directory / name, "wb") as f:
-            if dtype:  # np.save writes a file straight from the array's buffer: no heap copy
-                np.save(f, np.ascontiguousarray(data, dtype=dtype), allow_pickle=False)
+            if dtype:  # np.save writes a C- or F-ordered array from its buffer: no heap copy
+                np.save(f, np.asarray(data, dtype=dtype), allow_pickle=False)
             else:
                 f.write(data)
         files[name] = _file_entry(directory / name)

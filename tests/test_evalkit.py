@@ -29,7 +29,7 @@ def ranking_of(keys):
     n = len(keys)
     zeros = np.zeros(n)
     key_order = np.array(sorted(range(n), key=keys.__getitem__), dtype=np.intp)
-    return Ranking(keys, key_order, np.arange(n), zeros, zeros, np.zeros(n, dtype=np.int64),
+    return Ranking(keys, key_order, zeros, zeros, np.zeros(n, dtype=np.int64),
                    np.arange(n, 0, -1, dtype=np.float64))
 
 

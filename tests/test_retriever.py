@@ -6,16 +6,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import keyword_sets, load_and_ingest, write_datasheet_corpus
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hiret import retriever
 from hiret.cli import AppConfig, run_query
 from hiret.corpus import Segment
+from hiret.evalkit import EvalQuery, evaluate_query
 from hiret.index import (
     HashingEmbedder,
     InconsistentIndexError,
     IndexBundle,
     VectorIndex,
+    unit_vector,
     bm25_score,
     bm25_scores,
     build_bm25_index,
@@ -26,6 +29,7 @@ from hiret.index import (
 )
 from hiret.retriever import (
     RankedResult,
+    Ranking,
     RetrievalConfig,
     RetrievalOutcome,
     fuse_and_rank,
@@ -390,6 +394,64 @@ class TestRanking:
             assert ranking.rank_of(row.segment_key) == row.rank
         assert ranking.rank_of("d#ghost") is None
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.text(max_size=3), st.sampled_from([0.0, 0.5, 1.0]),
+                              st.sampled_from([0.0, 0.5, 1.0])),
+                    max_size=12, unique_by=lambda row: row[0]),
+           st.data())
+    def test_lazy_reads_agree_with_the_full_sort(self, rows, data):
+        # fused and v drawn from three values, so most rows tie on both
+        keys = [key for key, _, _ in rows]
+        v = np.array([v for _, v, _ in rows], dtype=np.float64)
+        fused = np.array([f for _, _, f in rows], dtype=np.float64)
+        r = np.arange(len(rows), dtype=np.float64)
+        hits = np.arange(len(rows), dtype=np.int64)
+        key_order = np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.intp)
+        by_rank = sorted(range(len(keys)), key=lambda i: (-fused[i], -v[i], keys[i]))
+        expected = [RankedResult(keys[i], float(v[i]), float(r[i]), int(hits[i]),
+                                 float(fused[i]), rank) for rank, i in enumerate(by_rank, 1)]
+
+        def fresh():  # no full order computed yet
+            return Ranking(keys, key_order, v, r, hits, fused)
+
+        ranking = fresh()
+        assert [ranking.rank_of(key) for key in keys] == [by_rank.index(i) + 1
+                                                          for i in range(len(keys))]
+        assert ranking.rank_of("ghost") is None
+        assert ranking._order is None
+        for k in range(len(keys) + 3):
+            assert fresh()[:k] == expected[:k]
+            assert fresh().top_rows(k).tolist() == by_rank[:k]
+        if keys:
+            position = data.draw(st.integers(-len(keys), len(keys) - 1))
+            assert fresh()[position] == expected[position]
+        positions = data.draw(st.builds(slice, st.none() | st.integers(-14, 14),
+                                        st.none() | st.integers(-14, 14),
+                                        st.sampled_from([None, -3, -1, 1, 2])))
+        assert fresh()[positions] == expected[positions]
+        assert list(ranking) == expected
+        assert ranking.order.tolist() == by_rank
+        assert ranking[:3] == expected[:3]  # served from the kept order
+
+    def test_retrieve_evaluate_and_run_query_sort_no_full_order(self, tmp_path, monkeypatch):
+        bundle = bundle_for({str(i): f"alpha text {i % 3}" for i in range(20)})
+        save_index(bundle, tmp_path / "index")
+        outcome = retrieve("alpha text 1", bundle, RetrievalConfig(top_k=3))
+        relevant = frozenset({"d#4", "d#7"})
+        evaluate_query(outcome.ranking, EvalQuery("q", "alpha text 1", relevant), 1.0)
+        assert len(outcome.top) == 3 and outcome.ranking._order is None
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(retrieve(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(retriever, "retrieve", spy)
+        shown = run_query(AppConfig(index_dir=str(tmp_path / "index"), top_k=3), "alpha text 1")
+        assert [row["segment_key"] for row in shown["results"]] == [
+            row.segment_key for row in outcome.top]
+        assert seen[0].ranking._order is None
+
     def test_fuse_and_rank_result_looks_keys_up(self):
         ranking = fuse_and_rank({"b": 0.2, "a": 0.9}, {}, {"c": 1}, RetrievalConfig(beta=1.0))
         assert [r.segment_key for r in ranking] == ["c", "a", "b"]
@@ -504,14 +566,35 @@ class TestRankingCoreProperties:
         embedder = HashingEmbedder()
         forward = build_indices(segments, embedder, user_keywords=user_keywords)
         backward = build_indices(segments[::-1], embedder, user_keywords=user_keywords)
-        vectors = dict(zip(forward.keys, (embedder.embed(s.embedding_text) for s in segments)))
         for query in queries:
-            q = embedder.embed(query)
-            if not q.any():
+            q, _ = unit_vector(embedder.embed(query), embedder.dim)
+            if q is None:
                 continue
-            q = q / np.linalg.norm(q)
             scores = raw_vector_scores(forward, query, embedder)
             assert scores == raw_vector_scores(backward, query, embedder)
-            for key, score in scores.items():
-                per_row = float(np.dot(vectors[key].astype(np.float32).astype(np.float64), q))
-                assert abs(score - per_row) <= 1e-15
+            assert list(scores.values()) == scalar_cosines(forward.vectors.matrix, q)
+
+
+def scalar_cosines(matrix, q):
+    """The vector route's exact scalar oracle: each row's float64 products
+    summed from 0.0 in ascending dimension order."""
+    scores = []
+    for row in matrix.tolist():
+        s = 0.0
+        for j in range(len(q)):
+            s += float(row[j]) * float(q[j])
+        scores.append(s)
+    return scores
+
+
+@pytest.mark.parametrize("dim", [2, 24, 256])
+def test_dense_query_scores_the_scalar_sum_in_either_matrix_order(dim):
+    rng = np.random.default_rng(dim)
+    matrix = rng.standard_normal((40, dim)).astype(np.float32)
+    query = rng.standard_normal(dim)
+    embedder = FakeEmbedder(dim, {"q": query})
+    scores = [vector_route("q", VectorIndex(dim, [f"k{i}" for i in range(40)], np.arange(40),
+                                            layout(matrix)), embedder)
+              for layout in (np.ascontiguousarray, np.asfortranarray)]
+    assert scores[0].tobytes() == scores[1].tobytes()
+    assert scores[0].tolist() == scalar_cosines(matrix, unit_vector(query, dim)[0])
