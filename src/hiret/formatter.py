@@ -31,6 +31,8 @@ _NUMBER_RE = re.compile(r"^\d+(\.\d+)*$")
 _MD_HEADING_RE = re.compile(r"^(#{1,6})\s+(\S+)(?:\s+(.*))?$")
 _PLAIN_HEADING_RE = re.compile(r"^(\d+(?:\.\d+)*)[.)]?\s+(\S.*)$")
 _IMAGE_LINE_RE = re.compile(r"^!\[[^\]]*\]\([^)]*\)\s*$")
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"  # where str.splitlines breaks
+_LINE_BREAK_RE = re.compile(f"(\r\n|[{_LINE_BREAKS}])")
 
 
 class ConversionError(Exception):
@@ -81,7 +83,10 @@ class ConverterTurn:
     are character offsets of the unpadded core within ``current_input``;
     the returned fragment must cover only that core region. ``index`` and
     ``total`` are the 1-based turn number and turn count. ``reaches_end``
-    is True when ``current_input`` runs to the end of the document.
+    is True when ``current_input`` runs to the end of the document, and
+    ``after_line_break`` when a line break directly precedes the core in the
+    document, which a window without left padding does not show. A line
+    break is any at which ``str.splitlines`` splits.
     """
 
     index: int
@@ -92,6 +97,7 @@ class ConverterTurn:
     core_start: int
     core_end: int
     reaches_end: bool = False
+    after_line_break: bool = False
 
     @property
     def core_text(self) -> str:
@@ -99,15 +105,14 @@ class ConverterTurn:
 
     def core_starts_mid_line(self) -> bool:
         """True when the first core word does not begin its line: the line
-        began earlier, if only with indentation."""
-        if self.core_start == 0:
-            return self.index > 1  # the window shows nothing before the core
-        return self.current_input[self.core_start - 1] != "\n"
+        began earlier, if only with indentation. The first core begins the
+        document's first line."""
+        return self.index > 1 and not self.after_line_break
 
     def core_ends_mid_line(self) -> bool:
         """True when the last core line continues past the core boundary."""
         for ch in self.current_input[self.core_end :]:
-            if ch == "\n":
+            if ch in _LINE_BREAKS:
                 return False
             if not ch.isspace():
                 return True
@@ -133,35 +138,43 @@ class HeadingPromotionConverter:
     Promotes markdown headings of any depth whose first token is a dotted
     number ("## 3.2 Title") and short plain numbered lines ("3.2 Title") to
     first-level ``# 3.2 Title`` headings; all other lines pass through.
-    Output covers exactly the core words, so conversion never drops or
-    duplicates content. A line cut by the end of the core is promoted when
-    the right padding shows the whole line, up to its newline or the end of
-    the document, and it is a heading: this core emits the promoted start,
+    Lines end at every line break ``str.splitlines`` knows, as in
+    :func:`parse_markdown`, and each break is kept as it is. Output covers
+    exactly the core words, so conversion never drops or duplicates content.
+    A line cut by the end of the core is promoted when the right padding
+    shows the whole line, up to its line break or the end of the document,
+    and it is a heading; or, where the padding ends first, when its start is
+    already a numbered markdown heading. This core emits the promoted start,
     the next core the rest of the line as it is.
-    A core's first line passes through untransformed unless a newline
-    directly precedes it: otherwise it continues a line from the previous
-    core, or it is indented, and an indented line is never a heading.
+    A core's first line passes through untransformed unless a line break
+    directly precedes it (``ConverterTurn.after_line_break``): otherwise it
+    continues a line from the previous core, or it is indented, and an
+    indented line is never a heading.
     """
 
     max_heading_words = 12
 
     def convert(self, turn: ConverterTurn) -> str:
-        raw = turn.core_text.split("\n")
+        pieces = _LINE_BREAK_RE.split(turn.core_text)  # line, break, line, ..., line
+        raw, breaks = pieces[::2], pieces[1::2]
         lines = [self._transform(line) for line in raw]
         if turn.core_ends_mid_line():
             lines[-1] = self._transform_start(raw[-1], turn)
         if turn.core_starts_mid_line():
             lines[0] = raw[0]
-        return "\n".join(lines)
+        return "".join(line + brk for line, brk in zip(lines, breaks + [""]))
 
     def _transform_start(self, start: str, turn: ConverterTurn) -> str:
         """Promoted form of ``start``, a line cut by the core end, when the
-        whole line is a heading; ``start`` itself otherwise."""
-        line_end = turn.current_input.find("\n", turn.core_end)
-        if line_end < 0:
-            if not turn.reaches_end:
-                return start  # the padding ends before the line does
+        whole line is a heading, or when the window ends before the line and
+        ``start`` is a numbered markdown heading; ``start`` itself otherwise."""
+        line_break = _LINE_BREAK_RE.search(turn.current_input, turn.core_end)
+        if line_break:
+            line_end = line_break.start()
+        elif turn.reaches_end:
             line_end = len(turn.current_input)
+        else:  # the padding ends before the line does; no title unmakes a markdown heading
+            return self._markdown_heading(start) or start
         tail = turn.current_input[turn.core_end : line_end]
         whole = start + tail
         promoted = self._transform(whole)
@@ -171,11 +184,18 @@ class HeadingPromotionConverter:
         starts = [word.start() for word in _WORD_RE.finditer(promoted)] + [len(promoted)]
         return promoted[: starts[-1 - count_words(tail)]].rstrip()
 
-    def _transform(self, line: str) -> str:
+    def _markdown_heading(self, line: str) -> str | None:
+        """``line`` promoted when it is a markdown heading whose first token is
+        a dotted number, whatever its title; None otherwise."""
         md = _MD_HEADING_RE.match(line)
         if md and _NUMBER_RE.match(md.group(2)):
-            title = md.group(3) or ""
-            return f"# {md.group(2)} {title}".rstrip()
+            return f"# {md.group(2)} {md.group(3) or ''}".rstrip()
+        return None
+
+    def _transform(self, line: str) -> str:
+        promoted = self._markdown_heading(line)
+        if promoted is not None:
+            return promoted
         plain = _PLAIN_HEADING_RE.match(line)
         if plain and self._looks_like_heading(plain.group(2)):
             return f"# {plain.group(1)} {plain.group(2).strip()}"
@@ -225,7 +245,7 @@ def convert_document(doc_text: str, converter: DocumentConverter, plan: WindowPl
     for t in range(1, plan.iterations + 1):
         span_start, span_end = plan.spans[t - 1]
         core_start, core_end = plan.core(t)
-        window_lo = words[span_start].start()
+        window_lo, core_lo = words[span_start].start(), words[core_start].start()
         window_hi = words[span_end - 1].end()
         turn = ConverterTurn(
             index=t,
@@ -233,9 +253,10 @@ def convert_document(doc_text: str, converter: DocumentConverter, plan: WindowPl
             current_input=doc_text[window_lo:window_hi],
             previous_input=previous_input,
             previous_output=previous_output,
-            core_start=words[core_start].start() - window_lo,
+            core_start=core_lo - window_lo,
             core_end=words[core_end - 1].end() - window_lo,
             reaches_end=span_end == plan.total_words,
+            after_line_break=core_lo > 0 and doc_text[core_lo - 1] in _LINE_BREAKS,
         )
         try:
             fragment = converter.convert(turn)

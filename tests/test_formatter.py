@@ -296,18 +296,39 @@ class TestHeadingPromotionConverter:
 
     @settings(max_examples=500, deadline=None)
     @given(lines=st.lists(st.tuples(st.sampled_from(["", " ", "\t"]), st.lists(
-               st.tuples(st.sampled_from(_CONVERTER_TOKENS), st.sampled_from(_GAPS)), max_size=6)),
-               max_size=10),
-           newline=st.sampled_from(["\n", "\r\n"]), end=st.booleans(),
-           w=st.integers(1, 8), extra=st.integers(0, 3))
-    def test_padding_as_long_as_any_line_parses_as_one_window(self, lines, newline, end, w, extra):
-        # Lines break at "\n" only, the one line break the converter knows.
-        lines = [indent + "".join(token + gap for token, gap in tokens) for indent, tokens in lines]
-        text = newline.join(lines) + (newline if end else "")
+               st.tuples(st.sampled_from(_CONVERTER_TOKENS), st.sampled_from(_GAPS)), max_size=6),
+               st.sampled_from(_LINE_BREAKS)), max_size=10),
+           end=st.booleans(), w=st.integers(1, 8), extra=st.integers(0, 3))
+    def test_padding_as_long_as_any_line_parses_as_one_window(self, lines, end, w, extra):
+        # Each line ends with any str.splitlines break, the last one only when `end`.
+        # A "\r" line followed by an empty "\n" line makes one "\r\n" break: the word
+        # counts per line stay the same.
+        text = "".join(indent + "".join(token + gap for token, gap in tokens) + brk
+                       for indent, tokens, brk in lines)
+        if lines and not end:
+            text = text[: -len(lines[-1][2])]
         n = count_words(text)
-        k = max(map(count_words, lines), default=0) + extra
+        k = max((len(tokens) for _, tokens, _ in lines), default=0) + extra
         windowed = convert_document(text, HeadingPromotionConverter(), plan_windows(n, w, k))
         whole = convert_document(text, HeadingPromotionConverter(), plan_windows(n, max(n, 1)))
+        assert parse_markdown(windowed, "doc") == parse_markdown(whole, "doc")
+
+    @pytest.mark.parametrize("brk", _LINE_BREAKS)
+    def test_a_heading_title_stops_at_any_line_break(self, brk):
+        out = self.run(f"## 1{brk}body text")
+        assert out == f"# 1{brk}body text"
+        assert [(s.segment_id, s.title, s.content) for s in parse_markdown(out, "doc")] == [
+            ("1", "", "body text")]
+
+    @pytest.mark.parametrize("text", ["# 1 intro\n## 3.2 electrical ratings\nvcc",
+                                      "# 1 intro\n3.2 electrical ratings"])
+    def test_core_after_a_line_break_without_padding_parses_as_one_window(self, text):
+        # The second 3-word core starts the heading line, and no padding shows the break
+        # before it. In the first text the core ends after "electrical".
+        n = count_words(text)
+        windowed = convert_document(text, HeadingPromotionConverter(), plan_windows(n, 3, 0))
+        whole = convert_document(text, HeadingPromotionConverter(), plan_windows(n, n))
+        assert [s.segment_id for s in parse_markdown(windowed, "doc")] == ["1", "3.2"]
         assert parse_markdown(windowed, "doc") == parse_markdown(whole, "doc")
 
     def test_cut_line_that_is_no_heading_passes_through(self):
