@@ -329,10 +329,10 @@ def build_vector_index(segments: Sequence[Segment], embedder: Embedder) -> Vecto
     """Embed every augmented segment as a unit vector, skipping one whose vector
     is zero, not finite or of the wrong dimension. :class:`HashingEmbedder` builds
     blocks of rows from the shared token scan; others embed each text in turn.
-    The rows are filled in place, then copied once into a column-major matrix."""
+    The matrix is column-major; it is copied once more when a row was skipped."""
     scan = _scan(segments)
     rows = np.empty(len(scan), dtype=np.intp)
-    matrix = np.empty((len(scan), embedder.dim), dtype=np.float32)
+    matrix = np.empty((len(scan), embedder.dim), dtype=np.float32, order="F")
     n = 0  # vectors kept so far
     if type(embedder) is HashingEmbedder:
         terms, ids, offsets, _ = scan.tokens
