@@ -32,7 +32,7 @@ _MD_HEADING_RE = re.compile(r"^(#{1,6})\s+(\S+)(?:\s+(.*))?$")
 _PLAIN_HEADING_RE = re.compile(r"^(\d+(?:\.\d+)*)[.)]?\s+(\S.*)$")
 _IMAGE_LINE_RE = re.compile(r"^!\[[^\]]*\]\([^)]*\)\s*$")
 _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"  # where str.splitlines breaks
-_LINE_BREAK_RE = re.compile(f"(\r\n|[{_LINE_BREAKS}])")
+_LINE_BREAK_RE = re.compile(f"[{_LINE_BREAKS}]")
 
 
 class ConversionError(Exception):
@@ -155,14 +155,14 @@ class HeadingPromotionConverter:
     max_heading_words = 12
 
     def convert(self, turn: ConverterTurn) -> str:
-        pieces = _LINE_BREAK_RE.split(turn.core_text)  # line, break, line, ..., line
-        raw, breaks = pieces[::2], pieces[1::2]
+        pieces = turn.core_text.splitlines(keepends=True)
+        raw = [piece.rstrip(_LINE_BREAKS) for piece in pieces]  # a piece ends in one break
         lines = [self._transform(line) for line in raw]
         if turn.core_ends_mid_line():
             lines[-1] = self._transform_start(raw[-1], turn)
         if turn.core_starts_mid_line():
             lines[0] = raw[0]
-        return "".join(line + brk for line, brk in zip(lines, breaks + [""]))
+        return "".join([line + piece[len(body):] for line, piece, body in zip(lines, pieces, raw)])
 
     def _transform_start(self, start: str, turn: ConverterTurn) -> str:
         """Promoted form of ``start``, a line cut by the core end, when the
@@ -174,7 +174,8 @@ class HeadingPromotionConverter:
         elif turn.reaches_end:
             line_end = len(turn.current_input)
         else:  # the padding ends before the line does; no title unmakes a markdown heading
-            return self._markdown_heading(start) or start
+            md = _MD_HEADING_RE.match(start)
+            return self._transform(start) if md and _NUMBER_RE.match(md.group(2)) else start
         tail = turn.current_input[turn.core_end : line_end]
         whole = start + tail
         promoted = self._transform(whole)
@@ -184,18 +185,11 @@ class HeadingPromotionConverter:
         starts = [word.start() for word in _WORD_RE.finditer(promoted)] + [len(promoted)]
         return promoted[: starts[-1 - count_words(tail)]].rstrip()
 
-    def _markdown_heading(self, line: str) -> str | None:
-        """``line`` promoted when it is a markdown heading whose first token is
-        a dotted number, whatever its title; None otherwise."""
+    def _transform(self, line: str) -> str:
         md = _MD_HEADING_RE.match(line)
         if md and _NUMBER_RE.match(md.group(2)):
-            return f"# {md.group(2)} {md.group(3) or ''}".rstrip()
-        return None
-
-    def _transform(self, line: str) -> str:
-        promoted = self._markdown_heading(line)
-        if promoted is not None:
-            return promoted
+            title = md.group(3) or ""
+            return f"# {md.group(2)} {title}".rstrip()
         plain = _PLAIN_HEADING_RE.match(line)
         if plain and self._looks_like_heading(plain.group(2)):
             return f"# {plain.group(1)} {plain.group(2).strip()}"
