@@ -155,13 +155,15 @@ class HeadingPromotionConverter:
     max_heading_words = 12
 
     def convert(self, turn: ConverterTurn) -> str:
-        pieces = turn.core_text.splitlines(keepends=True)
-        raw = [piece.rstrip(_LINE_BREAKS) for piece in pieces]  # a piece ends in one break
+        raw = turn.core_text.splitlines()
         lines = [self._transform(line) for line in raw]
         if turn.core_ends_mid_line():
             lines[-1] = self._transform_start(raw[-1], turn)
         if turn.core_starts_mid_line():
             lines[0] = raw[0]
+        if "\n".join(raw) == turn.core_text:  # every break is "\n": join at C speed
+            return "\n".join(lines)
+        pieces = turn.core_text.splitlines(keepends=True)
         return "".join([line + piece[len(body):] for line, piece, body in zip(lines, pieces, raw)])
 
     def _transform_start(self, start: str, turn: ConverterTurn) -> str:
