@@ -18,7 +18,6 @@ from hiret.index import (
     InconsistentIndexError,
     IndexBundle,
     VectorIndex,
-    unit_vector,
     bm25_score,
     bm25_scores,
     build_bm25_index,
@@ -26,6 +25,7 @@ from hiret.index import (
     build_keyword_table,
     extract_keywords,
     save_index,
+    unit_vector,
 )
 from hiret.retriever import (
     RankedResult,
