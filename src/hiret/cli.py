@@ -196,8 +196,8 @@ def run_query(cfg: AppConfig, query_text: str) -> dict:
     bundle = _load_bundle(cfg)
     outcome = retriever.retrieve(query_text, bundle, cfg.retrieval())
     results = []
-    for row, seg_row in zip(outcome.top, outcome.ranking.top_rows(len(outcome.top))):
-        seg = bundle.segments[seg_row]
+    for row in outcome.top:
+        seg = bundle.segments[outcome.ranking.row_of(row.segment_key)]
         results.append(
             {
                 "rank": row.rank,

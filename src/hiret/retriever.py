@@ -76,9 +76,9 @@ class Ranking(Sequence[RankedResult]):
     the row ranked ``i + 1``: one sort of every row, made when first needed
     (``order`` itself, iteration, ``==`` or the last position) and kept.
     Until then, reading the first ``k`` positions sorts only the rows whose
-    fused score reaches the k-th largest (:meth:`top_rows`), and
-    :meth:`rank_of` sorts nothing. Rows read as :class:`RankedResult` with
-    Python ``float``/``int`` fields.
+    fused score reaches the k-th largest, and :meth:`rank_of` sorts
+    nothing. Rows read as :class:`RankedResult` with Python
+    ``float``/``int`` fields.
     """
 
     def __init__(self, keys: list[str], key_order: np.ndarray, score_v: np.ndarray,
@@ -102,7 +102,7 @@ class Ranking(Sequence[RankedResult]):
     def _sorted(self, rows: np.ndarray) -> np.ndarray:  # rows: a subset of key_order, in its order
         return rows[np.lexsort((-self.score_v[rows], -self.fused[rows]))]
 
-    def top_rows(self, k: int) -> np.ndarray:
+    def _top_rows(self, k: int) -> np.ndarray:
         """The rows ranked 1..k, in rank order. Unless the full order is known,
         only the rows whose fused score reaches the k-th largest are sorted."""
         n = len(self)
@@ -121,7 +121,7 @@ class Ranking(Sequence[RankedResult]):
         """The rows at 0-based rank ``positions``, in that order."""
         if not positions:
             return
-        order = self.top_rows(max(positions) + 1)[np.array(positions, dtype=np.intp)]
+        order = self._top_rows(max(positions) + 1)[np.array(positions, dtype=np.intp)]
         columns = zip(positions, order.tolist(), self.score_v[order].tolist(),
                       self.score_r[order].tolist(), self.hits[order].tolist(),
                       self.fused[order].tolist())
@@ -144,14 +144,20 @@ class Ranking(Sequence[RankedResult]):
 
     __hash__ = None
 
+    def row_of(self, key: str) -> int | None:
+        """Row of ``key`` in the score columns, or None when it is not ranked."""
+        i = bisect_left(self.key_order, key, key=self.keys.__getitem__)
+        if i == len(self.key_order) or self.keys[self.key_order[i]] != key:
+            return None
+        return int(self.key_order[i])
+
     def rank_of(self, key: str) -> int | None:
         """1-based rank of ``key``, or None when the key is not ranked: one
         plus the rows ranked ahead of it, counted without sorting. Key strings
         are compared only for rows tied with it on both scores."""
-        i = bisect_left(self.key_order, key, key=self.keys.__getitem__)
-        if i == len(self.key_order) or self.keys[self.key_order[i]] != key:
+        row = self.row_of(key)
+        if row is None:
             return None
-        row = self.key_order[i]
         fused, v = self.fused[row], self.score_v[row]
         level = np.flatnonzero(self.fused == fused)
         ahead = np.count_nonzero(self.fused > fused) + np.count_nonzero(self.score_v[level] > v)

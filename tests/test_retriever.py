@@ -418,10 +418,11 @@ class TestRanking:
         assert [ranking.rank_of(key) for key in keys] == [by_rank.index(i) + 1
                                                           for i in range(len(keys))]
         assert ranking.rank_of("ghost") is None
+        assert [ranking.row_of(key) for key in keys] == list(range(len(keys)))
+        assert ranking.row_of("ghost") is None
         assert ranking._order is None
         for k in range(len(keys) + 3):
             assert fresh()[:k] == expected[:k]
-            assert fresh().top_rows(k).tolist() == by_rank[:k]
         if keys:
             position = data.draw(st.integers(-len(keys), len(keys) - 1))
             assert fresh()[position] == expected[position]
@@ -440,17 +441,24 @@ class TestRanking:
         relevant = frozenset({"d#4", "d#7"})
         evaluate_query(outcome.ranking, EvalQuery("q", "alpha text 1", relevant), 1.0)
         assert len(outcome.top) == 3 and outcome.ranking._order is None
-        seen = []
+        seen, top_reads = [], []
+        top_rows = Ranking._top_rows
 
         def spy(*args, **kwargs):
             seen.append(retrieve(*args, **kwargs))
             return seen[-1]
 
+        def counted(self, k):
+            top_reads.append(k)
+            return top_rows(self, k)
+
         monkeypatch.setattr(retriever, "retrieve", spy)
+        monkeypatch.setattr(Ranking, "_top_rows", counted)
         shown = run_query(AppConfig(index_dir=str(tmp_path / "index"), top_k=3), "alpha text 1")
         assert [row["segment_key"] for row in shown["results"]] == [
             row.segment_key for row in outcome.top]
         assert seen[0].ranking._order is None
+        assert top_reads == [3]  # the top rows are selected once per query
 
     def test_fuse_and_rank_result_looks_keys_up(self):
         ranking = fuse_and_rank({"b": 0.2, "a": 0.9}, {}, {"c": 1}, RetrievalConfig(beta=1.0))
