@@ -19,6 +19,8 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, count
+from operator import is_not
 from typing import Protocol
 
 from .corpus import Segment
@@ -161,10 +163,10 @@ class HeadingPromotionConverter:
             lines[-1] = self._transform_start(raw[-1], turn)
         if turn.core_starts_mid_line():
             lines[0] = raw[0]
-        if "\n".join(raw) == turn.core_text:  # every break is "\n": join at C speed
-            return "\n".join(lines)
         pieces = turn.core_text.splitlines(keepends=True)
-        return "".join([line + piece[len(body):] for line, piece, body in zip(lines, pieces, raw)])
+        for i in compress(count(), map(is_not, lines, raw)):  # a kept line is raw's own object
+            pieces[i] = lines[i] + pieces[i][len(raw[i]):]  # the new line, then the old break
+        return "".join(pieces)
 
     def _transform_start(self, start: str, turn: ConverterTurn) -> str:
         """Promoted form of ``start``, a line cut by the core end, when the
