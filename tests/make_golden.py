@@ -3,10 +3,11 @@
 The fixture under ``tests/data/`` is 20 near-identical datasheets (a table,
 an image and part numbers each), a keyword dictionary and a question bank.
 ``golden.json`` records what ingesting it gives: the sha256 of every index
-file and, per bank query, digests of the full ranking's ``order``, of the
-float64 bytes of ``fused`` and of ``hits``, and the ``repr`` of its log-rank
-score, which reads every relevant key's rank through ``rank_of``. Regenerate
-both with
+file and, per bank query, digests of the full ranking in rank order (its keys,
+the float64 bytes of ``fused`` and the bytes of ``hits``) and the ``repr`` of
+its log-rank score, which reads every relevant key's rank through ``rank_of``.
+The query digests name segments by key, not by row, so they hold across any
+change of the index's row order. Regenerate both with
 
     PYTHONPATH=src python tests/make_golden.py
 
@@ -118,10 +119,11 @@ def golden_record(root: Path, index_dir: Path) -> dict:
     queries = {}
     for eq in load_question_bank(root / "bank.jsonl"):
         ranking = retrieve(eq.query, bundle, cfg, user_keywords=eq.user_keywords).ranking
+        order = ranking.order
         queries[eq.query_id] = {
-            "order": _sha256(ranking.order.astype("<i8").tobytes()),
-            "fused": _sha256(ranking.fused.astype("<f8").tobytes()),
-            "hits": _sha256(ranking.hits.astype("<i8").tobytes()),
+            "order": _sha256("\n".join(ranking.keys[row] for row in order).encode("utf-8")),
+            "fused": _sha256(ranking.fused[order].astype("<f8").tobytes()),
+            "hits": _sha256(ranking.hits[order].astype("<i8").tobytes()),
             "logrank": repr(evaluate_query(ranking, eq, 1.0)),
         }
     files = {name: _sha256((index_dir / name).read_bytes())
