@@ -1,15 +1,16 @@
 """Retrieval substrates: hashed vector index, BM25 index, keyword table.
 
 All three are built from one tokenization of the augmented ``embedding_text``
-of each segment, keyed by ``doc_id#segment_id``. The segment list is the one
-source of the key order: every index's ``keys`` is that order and its arrays
-hold segment rows (the vector matrix holds a unit vector per embeddable segment,
-at ascending ``rows``). An :class:`IndexBundle` checks at construction that the
-three indices are over its keys.
+of each segment, keyed by ``doc_id#segment_id``. The segments are stored in key
+order, so row ``i`` is the ``i``-th key in sorted order: every index's ``keys``
+is that order and its arrays hold segment rows (the vector matrix holds a unit
+vector per embeddable segment, at ascending ``rows``). An :class:`IndexBundle`
+checks at construction that its keys ascend and that the three indices are
+over them.
 
 An index persists to a directory as ``.npy`` arrays, a few small JSON files and
 one blob of per-segment JSON lines, described by a manifest that records each
-file's size and sha256 (format 4: each fact once). Postings and keywords are
+file's size and sha256 (format 5: each fact once, rows in key order). Postings and keywords are
 :class:`InvertedLists` over the arrays their files hold, saved and loaded as
 they are. Saving is atomic and deterministic: the files go into a sibling
 directory that then replaces the old index, and re-saving an unchanged index
@@ -33,6 +34,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, zip_longest
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Protocol
 
@@ -42,7 +44,7 @@ from .corpus import Segment
 
 log = logging.getLogger(__name__)
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 DEFAULT_DIM = 256
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
@@ -59,7 +61,7 @@ INDEX_FILES = (
     "keywords_terms.json",  # sorted critical keywords
     "keywords_offsets.npy",  # <i8 keyword i holds rows offsets[i]:offsets[i + 1]
     "keywords_rows.npy",  # <i4 segment row holding the keyword
-    "segment_keys.json",  # segment keys in segment order
+    "segment_keys.json",  # segment keys, sorted
     "segments.jsonl",  # one JSON line per segment, UTF-8
     "segment_offsets.npy",  # <i8 segment i is bytes offsets[i]:offsets[i + 1]
 )
@@ -488,11 +490,11 @@ class StoredSegments(Sequence[Segment]):
 class IndexBundle:
     """Everything a query needs: the three indices plus segment payloads.
 
-    The segments, in corpus order, are the ranking universe: ``keys``
-    follows that order and ``key_order`` holds its rows sorted by key.
-    Construction raises :class:`InconsistentIndexError` unless the keys are
-    unique, every index's ``keys`` is that order, and the vector rows are
-    ascending rows of it (some segments have no vector).
+    The segments are the ranking universe, in key order: row ``i`` of every
+    index is ``keys[i]``, the ``i``-th key in sorted order. Construction raises
+    :class:`InconsistentIndexError` unless the keys strictly ascend, every
+    index's ``keys`` is that order, and the vector rows are ascending rows of
+    it (some segments have no vector).
     """
 
     vectors: VectorIndex
@@ -502,18 +504,19 @@ class IndexBundle:
     embedder_spec: dict
     user_keywords: list[str] = field(default_factory=list)
     keys: list[str] = field(init=False, repr=False, compare=False)
-    key_order: np.ndarray = field(init=False, repr=False, compare=False)  # rows by key
 
     def __post_init__(self):
         if isinstance(self.segments, StoredSegments):
             keys = self.keys = self.segments.keys
         else:
             keys = self.keys = [seg.key for seg in self.segments]
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        dupes = sorted({keys[a] for a, b in zip(order, order[1:]) if keys[a] == keys[b]})
-        if dupes:
-            raise InconsistentIndexError(f"duplicate segment keys: {dupes}")
-        self.key_order = np.array(order, dtype=np.intp)
+        if not all(map(str.__lt__, keys, keys[1:])):
+            dupes = sorted({a for a, b in zip(keys, keys[1:]) if a == b})
+            if dupes:
+                raise InconsistentIndexError(f"duplicate segment keys: {dupes}")
+            row = next(row for row in range(1, len(keys)) if keys[row] < keys[row - 1])
+            raise InconsistentIndexError(f"segments are not in key order: row {row} is "
+                                         f"{keys[row]!r}, after {keys[row - 1]!r}")
         for name, index in (("vector index", self.vectors), ("bm25 index", self.bm25),
                             ("keyword table", self.keywords)):
             if index.keys != keys:
@@ -526,8 +529,9 @@ class IndexBundle:
 
 def build_indices(segments: Sequence[Segment], embedder: Embedder, k1: float = DEFAULT_K1,
                   b: float = DEFAULT_B, user_keywords: Iterable[str] | None = None) -> IndexBundle:
-    """Build all three substrates over one augmented segment list and one token scan."""
-    scan = _Scan(segments)  # decodes stored segments once, not per index
+    """Build all three substrates over one augmented segment list, sorted by key,
+    and one token scan."""
+    scan = _Scan(sorted(segments, key=attrgetter("key")))  # decodes stored segments once
     user = sorted({kw.casefold().strip() for kw in user_keywords or [] if kw.strip()})
     return IndexBundle(
         vectors=build_vector_index(scan, embedder),

@@ -8,9 +8,10 @@ are min-max normalized per query, then fused as
 
 and every segment in the corpus receives a rank (ties broken by vector
 score, then key), so downstream evaluation always sees a full permutation.
-Every route is a numpy array aligned to ``IndexBundle.keys``; the ranking
-keeps those arrays, sorts every row only when every row is read, and builds
-a :class:`RankedResult` only when one is read.
+Every route is a numpy array aligned to ``IndexBundle.keys``, which are in
+key order, so a lower row breaks the last tie; the ranking keeps those
+arrays, sorts every row only when every row is read, and builds a
+:class:`RankedResult` only when one is read.
 """
 
 from __future__ import annotations
@@ -71,9 +72,9 @@ class RankedResult:
 class Ranking(Sequence[RankedResult]):
     """Every segment in rank order; a row is built only when it is read.
 
-    The score columns are aligned to ``keys`` and ``key_order`` lists their
-    rows by key. The rank order is (-fused, -score_v, key). ``order[i]`` is
-    the row ranked ``i + 1``: one sort of every row, made when first needed
+    The score columns are aligned to ``keys``, which ascend, so the rank order
+    (-fused, -score_v, key) is (-fused, -score_v, row). ``order[i]`` is the
+    row ranked ``i + 1``: one sort of every row, made when first needed
     (``order`` itself, iteration, ``==`` or the last position) and kept.
     Until then, reading the first ``k`` positions sorts only the rows whose
     fused score reaches the k-th largest, and :meth:`rank_of` sorts
@@ -81,10 +82,9 @@ class Ranking(Sequence[RankedResult]):
     ``float``/``int`` fields.
     """
 
-    def __init__(self, keys: list[str], key_order: np.ndarray, score_v: np.ndarray,
-                 score_r: np.ndarray, hits: np.ndarray, fused: np.ndarray):
+    def __init__(self, keys: list[str], score_v: np.ndarray, score_r: np.ndarray,
+                 hits: np.ndarray, fused: np.ndarray):
         self.keys = keys
-        self.key_order = key_order
         self.score_v = score_v
         self.score_r = score_r
         self.hits = hits
@@ -93,14 +93,10 @@ class Ranking(Sequence[RankedResult]):
 
     @property
     def order(self) -> np.ndarray:
-        """Every row in rank order: a stable sort of the rows taken in key
-        order breaks the last ties by key."""
+        """Every row in rank order: a stable sort breaks the last ties by row."""
         if self._order is None:
-            self._order = self._sorted(self.key_order)
+            self._order = np.lexsort((-self.score_v, -self.fused))
         return self._order
-
-    def _sorted(self, rows: np.ndarray) -> np.ndarray:  # rows: a subset of key_order, in its order
-        return rows[np.lexsort((-self.score_v[rows], -self.fused[rows]))]
 
     def _top_rows(self, k: int) -> np.ndarray:
         """The rows ranked 1..k, in rank order. Unless the full order is known,
@@ -108,11 +104,9 @@ class Ranking(Sequence[RankedResult]):
         n = len(self)
         if self._order is not None or k >= n:
             return self.order[:k]
-        if k <= 0:
-            return self.key_order[:0]
         kth = -np.partition(-self.fused, k - 1)[k - 1]  # on tied scores 3x faster than n - k
-        reaching = self.fused >= kth
-        return self._sorted(self.key_order[reaching[self.key_order]])[:k]
+        rows = np.flatnonzero(self.fused >= kth)  # ascending
+        return rows[np.lexsort((-self.score_v[rows], -self.fused[rows]))][:k]
 
     def __len__(self) -> int:
         return len(self.fused)
@@ -146,23 +140,20 @@ class Ranking(Sequence[RankedResult]):
 
     def row_of(self, key: str) -> int | None:
         """Row of ``key`` in the score columns, or None when it is not ranked."""
-        i = bisect_left(self.key_order, key, key=self.keys.__getitem__)
-        if i == len(self.key_order) or self.keys[self.key_order[i]] != key:
-            return None
-        return int(self.key_order[i])
+        row = bisect_left(self.keys, key)
+        return row if row < len(self.keys) and self.keys[row] == key else None
 
     def rank_of(self, key: str) -> int | None:
         """1-based rank of ``key``, or None when the key is not ranked: one
-        plus the rows ranked ahead of it, counted without sorting. Key strings
-        are compared only for rows tied with it on both scores."""
+        plus the rows ranked ahead of it, counted without sorting. Of the
+        rows tied with it on both scores, those below its row rank ahead."""
         row = self.row_of(key)
         if row is None:
             return None
         fused, v = self.fused[row], self.score_v[row]
         level = np.flatnonzero(self.fused == fused)
         ahead = np.count_nonzero(self.fused > fused) + np.count_nonzero(self.score_v[level] > v)
-        tied = level[self.score_v[level] == v].tolist()
-        return ahead + sum(self.keys[t] < key for t in tied) + 1
+        return ahead + np.count_nonzero(self.score_v[level[level < row]] == v) + 1
 
 
 @dataclass(frozen=True)
@@ -228,12 +219,12 @@ def normalize_scores(raw: np.ndarray) -> np.ndarray:
     return (raw - lo) / (hi - lo)
 
 
-def _fuse(keys: list[str], key_order: np.ndarray, v: np.ndarray, r: np.ndarray,
-          hits: np.ndarray, cfg: RetrievalConfig) -> Ranking:
-    """Fuse aligned route columns into a :class:`Ranking` of every row."""
+def _fuse(keys: list[str], v: np.ndarray, r: np.ndarray, hits: np.ndarray,
+          cfg: RetrievalConfig) -> Ranking:
+    """Fuse route columns aligned to the ascending ``keys`` into a :class:`Ranking`."""
     log_hits = np.array([math.log(1 + c) for c in range(int(hits.max(initial=0)) + 1)])
     fused = cfg.alpha * v + (1.0 - cfg.alpha) * r + cfg.beta * log_hits[hits]
-    return Ranking(keys, key_order, v, r, hits, fused)
+    return Ranking(keys, v, r, hits, fused)
 
 
 def fuse_and_rank(
@@ -251,7 +242,7 @@ def fuse_and_rank(
     v = np.array([scores_v.get(key, 0.0) for key in keys], dtype=np.float64)
     r = np.array([scores_r.get(key, 0.0) for key in keys], dtype=np.float64)
     c = np.array([hits.get(key, 0) for key in keys], dtype=np.int64)
-    return _fuse(keys, np.arange(len(keys)), v, r, c, cfg)
+    return _fuse(keys, v, r, c, cfg)
 
 
 def retrieve(
@@ -282,5 +273,5 @@ def retrieve(
     r = normalize_scores(bm25_route(bundle.bm25, query))
     keywords = set(bundle.user_keywords).union(user_keywords or ())
     hits = keyword_hits(query, bundle.keywords, keywords)
-    ranking = _fuse(bundle.keys, bundle.key_order, v, r, hits, cfg)
+    ranking = _fuse(bundle.keys, v, r, hits, cfg)
     return RetrievalOutcome(top=ranking[: cfg.top_k], ranking=ranking)

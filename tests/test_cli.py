@@ -334,7 +334,17 @@ class TestQuery:
         code = main(["--index-dir", str(index_dir), "query", "pinout"])
         assert code == 2
         err = capsys.readouterr().err
-        assert "format_version 3 (expected 4)" in err and "run 'hiret ingest'" in err
+        assert "format_version 3 (expected 5)" in err and "run 'hiret ingest'" in err
+
+    def test_format_4_index_in_corpus_order_asks_for_a_reingest(self, manual_setup, capsys):
+        cfg, _ = manual_setup
+        manifest = Path(cfg.index_dir) / "manifest.json"
+        text = manifest.read_text(encoding="utf-8")
+        manifest.write_text(text.replace('"format_version": 5', '"format_version": 4'),
+                            encoding="utf-8")
+        assert main(["--index-dir", cfg.index_dir, "query", "pinout"]) == 2
+        err = capsys.readouterr().err
+        assert "format_version 4 (expected 5)" in err and "run 'hiret ingest'" in err
 
     @pytest.mark.parametrize("edit,named", [
         (lambda m: m.update(embedder={"kind": "subprocess", "command": ["w"]}), "lacks ['dim']"),

@@ -25,12 +25,11 @@ TWO_RELEVANT_EXAMPLE = 0.7614393726401688  # (1 + (1 - ln 3 / ln 10)) / 2
 
 def ranking_of(keys):
     """A ranking holding ``keys`` at ranks 1..n."""
-    keys = list(keys)
-    n = len(keys)
-    zeros = np.zeros(n)
-    key_order = np.array(sorted(range(n), key=keys.__getitem__), dtype=np.intp)
-    return Ranking(keys, key_order, zeros, zeros, np.zeros(n, dtype=np.int64),
-                   np.arange(n, 0, -1, dtype=np.float64))
+    fused = {key: float(len(keys) - rank) for rank, key in enumerate(keys)}
+    ordered = sorted(fused)  # a ranking's rows are in key order
+    zeros = np.zeros(len(ordered))
+    return Ranking(ordered, zeros, zeros, np.zeros(len(ordered), dtype=np.int64),
+                   np.array([fused[key] for key in ordered]))
 
 
 def unit(v):

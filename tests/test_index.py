@@ -440,6 +440,7 @@ class TestOneScanMatchesTheOracles:
     equals the route the independent oracles build from the raw text."""
 
     def assert_bundle_matches(self, segments, bundle, user):
+        segments = sorted(segments, key=lambda s: s.key)  # the bundle's row order
         vectors = build_vector_index(segments, OracleEmbedder(bundle.vectors.dim))
         assert bundle.vectors.rows.tolist() == vectors.rows.tolist()
         assert bundle.vectors.matrix.tobytes() == vectors.matrix.tobytes()
@@ -509,6 +510,7 @@ def test_datasheet_index_bytes_equal_the_oracle_bundle(tmp_path):
     _, segments = load_and_ingest(write_datasheet_corpus(tmp_path / "ds"))
     user = ["kvrms", "pinout"]
     built = build_indices(segments, HashingEmbedder(), user_keywords=user)
+    segments = sorted(segments, key=lambda s: s.key)  # the built rows' order
     oracle = IndexBundle(
         vectors=build_vector_index(segments, OracleEmbedder(256)),
         bm25=oracle_bm25(segments),
@@ -687,12 +689,22 @@ class TestPersistence:
     def test_segment_row_holding_another_key_is_refused_when_read(self, tmp_path):
         save_index(self.build_bundle(), tmp_path)
         keys = json.loads((tmp_path / "segment_keys.json").read_text(encoding="utf-8"))
-        keys[0], keys[1] = keys[1], keys[0]
+        keys[0] = "d1#0"  # still in key order
         (tmp_path / "segment_keys.json").write_text(json.dumps(keys), encoding="utf-8")
         restamp_manifest(tmp_path, "segment_keys.json")
         loaded = load_index(tmp_path)
-        with pytest.raises(IndexFormatError, match="segment row 0 holds 'd1#1', not 'd1#1.1'"):
+        with pytest.raises(IndexFormatError, match="segment row 0 holds 'd1#1', not 'd1#0'"):
             loaded.segments[0]
+
+    def test_keys_out_of_key_order_are_refused_at_load(self, tmp_path):
+        save_index(self.build_bundle(), tmp_path)
+        keys = json.loads((tmp_path / "segment_keys.json").read_text(encoding="utf-8"))
+        keys[1], keys[2] = keys[2], keys[1]
+        (tmp_path / "segment_keys.json").write_text(json.dumps(keys), encoding="utf-8")
+        restamp_manifest(tmp_path, "segment_keys.json")
+        with pytest.raises(InconsistentIndexError, match=re.escape(
+                f"segments are not in key order: row 2 is {keys[2]!r}, after {keys[1]!r}")):
+            load_index(tmp_path)
 
     def test_version_mismatch_refuses_to_load(self, tmp_path):
         save_index(self.build_bundle(), tmp_path)

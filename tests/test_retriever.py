@@ -401,18 +401,18 @@ class TestRanking:
            st.data())
     def test_lazy_reads_agree_with_the_full_sort(self, rows, data):
         # fused and v drawn from three values, so most rows tie on both
+        rows = sorted(rows)  # a ranking's rows are in key order
         keys = [key for key, _, _ in rows]
         v = np.array([v for _, v, _ in rows], dtype=np.float64)
         fused = np.array([f for _, _, f in rows], dtype=np.float64)
         r = np.arange(len(rows), dtype=np.float64)
         hits = np.arange(len(rows), dtype=np.int64)
-        key_order = np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.intp)
         by_rank = sorted(range(len(keys)), key=lambda i: (-fused[i], -v[i], keys[i]))
         expected = [RankedResult(keys[i], float(v[i]), float(r[i]), int(hits[i]),
                                  float(fused[i]), rank) for rank, i in enumerate(by_rank, 1)]
 
         def fresh():  # no full order computed yet
-            return Ranking(keys, key_order, v, r, hits, fused)
+            return Ranking(keys, v, r, hits, fused)
 
         ranking = fresh()
         assert [ranking.rank_of(key) for key in keys] == [by_rank.index(i) + 1
