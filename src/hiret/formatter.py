@@ -85,10 +85,12 @@ class ConverterTurn:
     are character offsets of the unpadded core within ``current_input``;
     the returned fragment must cover only that core region. ``index`` and
     ``total`` are the 1-based turn number and turn count. ``reaches_end``
-    is True when ``current_input`` runs to the end of the document, and
-    ``after_line_break`` when a line break directly precedes the core in the
-    document, which a window without left padding does not show. A line
-    break is any at which ``str.splitlines`` splits.
+    is True when ``current_input`` runs to the end of the document. Two flags
+    say what a window without padding does not show: ``after_line_break``
+    that a line break directly precedes the core in the document, and
+    ``before_line_break`` that a line break, or the document end, follows
+    the core before any other word. A line break is any at which
+    ``str.splitlines`` splits.
     """
 
     index: int
@@ -100,6 +102,7 @@ class ConverterTurn:
     core_end: int
     reaches_end: bool = False
     after_line_break: bool = False
+    before_line_break: bool = False
 
     @property
     def core_text(self) -> str:
@@ -113,12 +116,7 @@ class ConverterTurn:
 
     def core_ends_mid_line(self) -> bool:
         """True when the last core line continues past the core boundary."""
-        for ch in self.current_input[self.core_end :]:
-            if ch in _LINE_BREAKS:
-                return False
-            if not ch.isspace():
-                return True
-        return self.index < self.total  # the padding ends before the line does
+        return not self.before_line_break
 
 
 class DocumentConverter(Protocol):
@@ -244,7 +242,8 @@ def convert_document(doc_text: str, converter: DocumentConverter, plan: WindowPl
         span_start, span_end = plan.spans[t - 1]
         core_start, core_end = plan.core(t)
         window_lo, core_lo = words[span_start].start(), words[core_start].start()
-        window_hi = words[span_end - 1].end()
+        window_hi, core_hi = words[span_end - 1].end(), words[core_end - 1].end()
+        next_word = words[core_end].start() if core_end < len(words) else len(doc_text)
         turn = ConverterTurn(
             index=t,
             total=plan.iterations,
@@ -252,9 +251,11 @@ def convert_document(doc_text: str, converter: DocumentConverter, plan: WindowPl
             previous_input=previous_input,
             previous_output=previous_output,
             core_start=core_lo - window_lo,
-            core_end=words[core_end - 1].end() - window_lo,
+            core_end=core_hi - window_lo,
             reaches_end=span_end == plan.total_words,
             after_line_break=core_lo > 0 and doc_text[core_lo - 1] in _LINE_BREAKS,
+            before_line_break=(core_end == len(words)
+                               or _LINE_BREAK_RE.search(doc_text, core_hi, next_word) is not None),
         )
         try:
             fragment = converter.convert(turn)

@@ -331,6 +331,15 @@ class TestHeadingPromotionConverter:
         assert [s.segment_id for s in parse_markdown(windowed, "doc")] == ["1", "3.2"]
         assert parse_markdown(windowed, "doc") == parse_markdown(whole, "doc")
 
+    def test_heading_ending_a_core_without_padding_parses_as_one_window(self):
+        # The second 3-word core is the whole plain heading line, and no padding shows
+        # the line break after it.
+        text = "# 1 intro\n3.2 electrical ratings\nvcc is five volts"
+        for padding in (0, 1):
+            windowed = convert_document(text, HeadingPromotionConverter(),
+                                        plan_windows(count_words(text), 3, padding))
+            assert [s.segment_id for s in parse_markdown(windowed, "doc")] == ["1", "3.2"]
+
     def test_cut_line_that_is_no_heading_passes_through(self):
         body = " ".join(f"b{i}" for i in range(396))
         text = f"# 1 introduction\n{body}\n3.2 volts is applied to the rail, then it settles."
