@@ -1,10 +1,13 @@
 import hashlib
 import json
 import math
+import os
 import random
 import re
+import shutil
 import tempfile
 from collections import Counter
+from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +24,7 @@ from conftest import (
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import hiret.index
 from hiret.corpus import Segment
 from hiret.index import (
     _KEYWORD_TOKEN_RE,
@@ -768,31 +772,70 @@ class TestAtomicSave:
 
     def test_save_that_raises_between_writes_keeps_the_previous_index(self, tmp_path,
                                                                      monkeypatch):
+        # For every k, the save fails at its k-th file write, rename or removal.
         target = tmp_path / "index"
-        before = self.bundle(["alpha beta CA-IS3641", "gamma", "alpha epsilon"])
-        save_index(before, target)
-        saved = {p.name: p.read_bytes() for p in target.iterdir()}
+        old = self.bundle(["alpha beta CA-IS3641", "gamma", "alpha epsilon"])
+        new = self.bundle(["other", "texts"])
+
+        def contents():
+            return {p.name: p.read_bytes() for p in target.iterdir()}
+
+        save_index(new, target)
+        new_bytes = contents()
+        save_index(old, target)
+        old_bytes = contents()
         cfg = RetrievalConfig()
         expected = [retrieve(q, load_index(target), cfg).ranking for q in ["alpha", "ca-is3641"]]
+        real_open, steps, fail_at = open, [], 0
 
-        real_save, calls = np.save, []
+        def step(name):
+            steps.append(name)
+            if len(steps) == fail_at:
+                raise OSError(f"{name} failed")
 
-        def save_then_fail(*args, **kwargs):
-            calls.append(1)
-            if len(calls) == 2:  # vectors.npy is written, vector_rows.npy is not
-                raise OSError("disk full")
-            return real_save(*args, **kwargs)
+        def counted(name, real):
+            def call(*args, **kwargs):
+                step(name)
+                return real(*args, **kwargs)
+            return call
 
-        monkeypatch.setattr(np, "save", save_then_fail)
-        with pytest.raises(OSError, match="disk full"):
-            save_index(self.bundle(["other", "texts"]), target)
-        monkeypatch.undo()
+        def opened(file, mode="r", *args, **kwargs):  # reads are not steps
+            if "w" in mode:
+                step("open")
+            return real_open(file, mode, *args, **kwargs)
 
-        assert len(calls) == 2
-        assert [p.name for p in tmp_path.iterdir()] == ["index"]
-        assert {p.name: p.read_bytes() for p in target.iterdir()} == saved
-        loaded = load_index(target)
-        assert [retrieve(q, loaded, cfg).ranking for q in ["alpha", "ca-is3641"]] == expected
+        for fail_at in count(1):
+            steps.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(hiret.index, "open", opened, raising=False)
+                patch.setattr(np, "save", counted("np.save", np.save))
+                patch.setattr(Path, "write_bytes", counted("write_bytes", Path.write_bytes))
+                patch.setattr(os, "rename", counted("rename", os.rename))
+                patch.setattr(shutil, "rmtree", counted("rmtree", shutil.rmtree))
+                try:
+                    save_index(new, target)
+                except OSError:
+                    pass
+                else:
+                    break
+            assert contents() in (old_bytes, new_bytes), steps
+            # A removal that fails after the swap leaves the replaced index beside the new one.
+            left = [p for p in tmp_path.iterdir() if p != target]
+            assert all(p.name.startswith(".index.old-") for p in left), steps
+            assert not left or (steps[-1] == "rmtree" and contents() == new_bytes), steps
+            for p in left:
+                shutil.rmtree(p)
+            loaded = load_index(target)
+            if contents() == old_bytes:
+                assert [retrieve(q, loaded, cfg).ranking for q in ["alpha", "ca-is3641"]
+                        ] == expected
+            else:
+                assert loaded.keys == new.keys
+            save_index(old, target)  # the next save succeeds
+            assert contents() == old_bytes
+        assert fail_at == len(steps) + 1
+        assert {"open", "np.save", "write_bytes", "rename", "rmtree"} <= set(steps), steps
+        assert contents() == new_bytes
 
     def test_refuses_a_directory_holding_other_files(self, tmp_path):
         target = tmp_path / "index"
