@@ -10,12 +10,12 @@ over them.
 
 An index persists to a directory as ``.npy`` arrays, a few small JSON files and
 one blob of per-segment JSON lines, described by a manifest that records each
-file's size and sha256 (format 5: each fact once, rows in key order). Postings and keywords are
-:class:`InvertedLists` over the arrays their files hold, saved and loaded as
-they are. Saving is atomic and deterministic: the files go into a sibling
-directory that then replaces the old index, and re-saving an unchanged index
-reproduces them byte for byte. Loading checks every file against the manifest,
-maps every array from disk and decodes a segment only when it is read.
+file's size and sha256 (format 5: each fact once, rows in key order). Postings
+and keywords are :class:`InvertedLists` over the arrays their files hold, saved
+and loaded as they are. Saving is atomic and deterministic: the files go into a
+sibling directory that then replaces the old index, and re-saving an unchanged
+index reproduces them byte for byte. Loading checks every file against the
+manifest, maps every array from disk and decodes a segment only when it is read.
 """
 
 from __future__ import annotations
