@@ -58,12 +58,12 @@ class AppConfig:
     index_dir: str = "index"
     window: int = 400
     padding: int = 50
-    alpha: float = 0.5
-    beta: float = 0.1
-    gamma: float = 1.0
-    top_k: int = 5
-    k1: float = 1.2
-    b: float = 0.75
+    alpha: float = retriever.RetrievalConfig.alpha
+    beta: float = retriever.RetrievalConfig.beta
+    gamma: float = retriever.RetrievalConfig.gamma
+    top_k: int = retriever.RetrievalConfig.top_k
+    k1: float = index.DEFAULT_K1
+    b: float = index.DEFAULT_B
     embedder: dict | None = None  # None means the default hashing embedder
     keyword_dict: str | None = None
     captioner: dict | None = None
@@ -72,9 +72,6 @@ class AppConfig:
         return retriever.RetrievalConfig(
             alpha=self.alpha, beta=self.beta, top_k=self.top_k, gamma=self.gamma
         )
-
-    def embedder_spec(self) -> dict:
-        return self.embedder or {"kind": "hash", "dim": index.DEFAULT_DIM}
 
 
 def load_config(path: str | Path | None) -> AppConfig:
@@ -113,10 +110,9 @@ def _load_keyword_dict(path: str | None) -> list[str]:
     if not path:
         return []
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        return Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise DataError(f"cannot read keyword dictionary {path}: {exc}") from exc
-    return [line.strip() for line in lines if line.strip()]
 
 
 def _make_captioner(spec: dict | None):
@@ -134,10 +130,7 @@ def _make_captioner(spec: dict | None):
 
 def run_ingest(cfg: AppConfig) -> dict:
     """Convert, augment, and index the corpus; returns the ingest report."""
-    if cfg.window < 1:
-        raise UsageError(f"window must be >= 1, got {cfg.window}")
-    if cfg.padding < 0:
-        raise UsageError(f"padding must be >= 0, got {cfg.padding}")
+    plan_windows(0, cfg.window, cfg.padding)  # refuses a bad window before any conversion
     index._check_bm25_params(cfg.k1, cfg.b)
     user_keywords = _load_keyword_dict(cfg.keyword_dict)
     records = load_corpus(cfg.corpus_dir)
@@ -146,7 +139,7 @@ def run_ingest(cfg: AppConfig) -> dict:
 
     converter = HeadingPromotionConverter()
     captioner = _make_captioner(cfg.captioner)
-    embedder = index.make_embedder(cfg.embedder_spec())
+    embedder = index.make_embedder(cfg.embedder or {})
     warnings: list[str] = []
     all_segments = []
     try:
@@ -193,8 +186,9 @@ def _close_quietly(obj) -> None:
 
 def run_query(cfg: AppConfig, query_text: str) -> dict:
     """Retrieve top-k segments; returns the serializable context bundle."""
+    rcfg = cfg.retrieval()
     bundle = _load_bundle(cfg)
-    outcome = retriever.retrieve(query_text, bundle, cfg.retrieval())
+    outcome = retriever.retrieve(query_text, bundle, rcfg)
     results = []
     for row in outcome.top:
         seg = bundle.segments[outcome.ranking.row_of(row.segment_key)]
@@ -217,11 +211,9 @@ def run_query(cfg: AppConfig, query_text: str) -> dict:
 
 def run_eval(cfg: AppConfig, bank_path: str | Path) -> evalkit.EvalReport:
     """Evaluate a JSONL question bank against the persisted index."""
+    rcfg = cfg.retrieval()
     bundle = _load_bundle(cfg)
-    try:
-        queries = evalkit.load_question_bank(bank_path)
-    except evalkit.QuestionBankError as exc:
-        raise DataError(str(exc)) from exc
+    queries = evalkit.load_question_bank(bank_path)
 
     universe = set(bundle.keys)
     offenders = [
@@ -232,7 +224,6 @@ def run_eval(cfg: AppConfig, bank_path: str | Path) -> evalkit.EvalReport:
             f"question bank references unknown segment keys in queries: {offenders}"
         )
 
-    rcfg = cfg.retrieval()
     embedder = index.make_embedder(bundle.embedder_spec)
 
     def rank_fn(eq: evalkit.EvalQuery):
@@ -348,7 +339,7 @@ def _print_query_result(result: dict) -> None:
         print("no results (empty index)")
         return
     for row in result["results"]:
-        path = " > ".join(row["metadata_path"])
+        path = hca.PATH_SEPARATOR.join(row["metadata_path"])
         snippet = " ".join(row["content"].split())
         if len(snippet) > 160:
             snippet = snippet[:157] + "..."
@@ -411,7 +402,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (CorpusError, ConversionError, DataError, index.IndexFormatError,
-            *_plugin_errors()) as exc:
+            evalkit.QuestionBankError, *_plugin_errors()) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -86,11 +86,12 @@ class ConverterTurn:
     the returned fragment must cover only that core region. ``index`` and
     ``total`` are the 1-based turn number and turn count. ``reaches_end``
     is True when ``current_input`` runs to the end of the document. Two flags
-    say what a window without padding does not show: ``after_line_break``
-    that a line break directly precedes the core in the document, and
-    ``before_line_break`` that a line break, or the document end, follows
-    the core before any other word. A line break is any at which
-    ``str.splitlines`` splits.
+    say what a window without padding does not show: ``starts_mid_line``
+    that the first core word does not begin its line in the document (the
+    line began in an earlier core, if only with indentation; never at the
+    first turn), and ``ends_mid_line`` that the core's last line goes on
+    past the core, to a word before any line break (never at the document
+    end). A line break is any at which ``str.splitlines`` splits.
     """
 
     index: int
@@ -101,22 +102,12 @@ class ConverterTurn:
     core_start: int
     core_end: int
     reaches_end: bool = False
-    after_line_break: bool = False
-    before_line_break: bool = False
+    starts_mid_line: bool = False
+    ends_mid_line: bool = False
 
     @property
     def core_text(self) -> str:
         return self.current_input[self.core_start : self.core_end]
-
-    def core_starts_mid_line(self) -> bool:
-        """True when the first core word does not begin its line: the line
-        began earlier, if only with indentation. The first core begins the
-        document's first line."""
-        return self.index > 1 and not self.after_line_break
-
-    def core_ends_mid_line(self) -> bool:
-        """True when the last core line continues past the core boundary."""
-        return not self.before_line_break
 
 
 class DocumentConverter(Protocol):
@@ -141,13 +132,13 @@ class HeadingPromotionConverter:
     Lines end at every line break ``str.splitlines`` knows, as in
     :func:`parse_markdown`, and each break is kept as it is. Output covers
     exactly the core words, so conversion never drops or duplicates content.
-    A line cut by the end of the core is promoted when the right padding
-    shows the whole line, up to its line break or the end of the document,
-    and it is a heading; or, where the padding ends first, when its start is
-    already a numbered markdown heading. This core emits the promoted start,
-    the next core the rest of the line as it is.
-    A core's first line passes through untransformed unless a line break
-    directly precedes it (``ConverterTurn.after_line_break``): otherwise it
+    A line cut by the end of the core (``ConverterTurn.ends_mid_line``) is
+    promoted when the right padding shows the whole line, up to its line
+    break or the end of the document, and it is a heading; or, where the
+    padding ends first, when its start is already a numbered markdown
+    heading. This core emits the promoted start, the next core the rest of
+    the line as it is. A core's first line passes through untransformed
+    when it starts mid-line (``ConverterTurn.starts_mid_line``): it
     continues a line from the previous core, or it is indented, and an
     indented line is never a heading.
     """
@@ -157,9 +148,9 @@ class HeadingPromotionConverter:
     def convert(self, turn: ConverterTurn) -> str:
         raw = turn.core_text.splitlines()
         lines = [self._transform(line) for line in raw]
-        if turn.core_ends_mid_line():
+        if turn.ends_mid_line:
             lines[-1] = self._transform_start(raw[-1], turn)
-        if turn.core_starts_mid_line():
+        if turn.starts_mid_line:
             lines[0] = raw[0]
         pieces = turn.core_text.splitlines(keepends=True)
         for i in compress(count(), map(is_not, lines, raw)):  # a kept line is raw's own object
@@ -243,7 +234,6 @@ def convert_document(doc_text: str, converter: DocumentConverter, plan: WindowPl
         core_start, core_end = plan.core(t)
         window_lo, core_lo = words[span_start].start(), words[core_start].start()
         window_hi, core_hi = words[span_end - 1].end(), words[core_end - 1].end()
-        next_word = words[core_end].start() if core_end < len(words) else len(doc_text)
         turn = ConverterTurn(
             index=t,
             total=plan.iterations,
@@ -253,9 +243,9 @@ def convert_document(doc_text: str, converter: DocumentConverter, plan: WindowPl
             core_start=core_lo - window_lo,
             core_end=core_hi - window_lo,
             reaches_end=span_end == plan.total_words,
-            after_line_break=core_lo > 0 and doc_text[core_lo - 1] in _LINE_BREAKS,
-            before_line_break=(core_end == len(words)
-                               or _LINE_BREAK_RE.search(doc_text, core_hi, next_word) is not None),
+            starts_mid_line=t > 1 and doc_text[core_lo - 1] not in _LINE_BREAKS,
+            ends_mid_line=core_end < len(words) and _LINE_BREAK_RE.search(
+                doc_text, core_hi, words[core_end].start()) is None,
         )
         try:
             fragment = converter.convert(turn)

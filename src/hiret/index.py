@@ -637,8 +637,8 @@ def save_index(bundle: IndexBundle, path: str | Path) -> dict:
     The files are written into a new sibling directory, which then takes
     the place of ``path``, or of the directory a symlinked ``path`` names:
     an interrupted save leaves the previous index (or none) in place and no
-    partial one. A ``path`` that holds anything but index files is refused
-    with :class:`IndexFormatError`.
+    partial one. A directory it cannot remove is logged, not raised. A
+    ``path`` holding anything but index files raises :class:`IndexFormatError`.
     """
     target = Path(os.path.realpath(path))
     if target.is_dir():
@@ -654,7 +654,7 @@ def save_index(bundle: IndexBundle, path: str | Path) -> dict:
     def sibling(tag: str) -> Path:
         return target.with_name(f".{target.name}.{tag}-{os.urandom(4).hex()}")
 
-    staging = sibling("new")
+    leftover = staging = sibling("new")
     staging.mkdir()
     try:
         manifest = _write_files(bundle, staging)
@@ -666,11 +666,15 @@ def save_index(bundle: IndexBundle, path: str | Path) -> dict:
             except BaseException:
                 os.rename(old, target)
                 raise
-            shutil.rmtree(old)
+            leftover = old
         else:
             os.rename(staging, target)
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
+    finally:  # the save has swapped, or is failing already: a removal cannot fail it
+        try:
+            if leftover.exists():  # not once the staging directory is the index
+                shutil.rmtree(leftover)
+        except OSError as exc:
+            log.warning("could not remove %s: %s", leftover, exc)
     return manifest
 
 

@@ -1,10 +1,14 @@
 import csv
+import hashlib
 import json
 import math
 import os
+import random
 import re
+import shutil
 import subprocess
 import sys
+import time
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -33,6 +37,7 @@ from hiret.cli import (
     run_ingest,
 )
 from hiret.index import InconsistentIndexError, IndexFormatError, load_index
+from make_golden import DATA_DIR
 
 SRC_DIR = str(Path(hiret.__file__).resolve().parents[1])
 
@@ -180,6 +185,60 @@ class TestIngest:
         result = run_query(cfg, "regulator power")
         assert result["results"][0]["segment_key"] == "b#1"
         assert result["results"][0]["keyword_hits"] == 1
+
+    def test_keyword_dictionary_lines_are_stripped_folded_and_deduplicated(self, tmp_path):
+        corpus = write_manual_corpus(tmp_path / "corpus", 1)
+        words = tmp_path / "dict.txt"
+        words.write_text("  Regulator \n\n\t\nregulator\r\nPINOUT\n", encoding="utf-8")
+        run_ingest(AppConfig(corpus_dir=str(corpus), index_dir=str(tmp_path / "index"),
+                             keyword_dict=str(words)))
+        assert load_index(tmp_path / "index").user_keywords == ["pinout", "regulator"]
+
+
+class TestKilledIngest:
+    def test_sigkill_mid_ingest_leaves_the_old_or_the_new_index(self, tmp_path):
+        # Index A has no keyword dictionary; the killed ingest writes index B, with one.
+        target = tmp_path / "index"
+        flags = ["--corpus-dir", str(DATA_DIR / "corpus"), "--index-dir", str(target)]
+        command = [sys.executable, "-m", "hiret.cli", *flags,
+                   "--keywords", str(DATA_DIR / "keywords.txt"), "ingest"]
+        env = {**os.environ, "PYTHONPATH": SRC_DIR}
+
+        def digests(directory):
+            return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                    for p in directory.iterdir()}
+
+        def ingest_a():  # uninterrupted, and it must succeed
+            assert main([*flags, "ingest"]) == 0
+            return digests(target)
+
+        index_a = ingest_a()
+        started = time.perf_counter()
+        subprocess.run(command, env=env, check=True, capture_output=True, timeout=60)
+        run_s = time.perf_counter() - started
+        index_b = digests(target)
+        assert index_a.keys() == index_b.keys() and index_a != index_b
+        rng = random.Random(6)
+        for delay in sorted(rng.uniform(0, run_s) for _ in range(5)):
+            assert ingest_a() == index_a
+            proc = subprocess.Popen(command, env=env, stdout=subprocess.DEVNULL,
+                                    stderr=subprocess.DEVNULL)
+            try:
+                time.sleep(delay)
+            finally:
+                proc.kill()
+                proc.wait(timeout=60)
+            siblings = [p for p in tmp_path.iterdir() if p != target]
+            assert all(p.name.startswith((".index.new-", ".index.old-")) for p in siblings)
+            if target.exists():
+                load_index(target)
+                assert digests(target) in (index_a, index_b), delay
+            else:  # killed between the save's two renames: A is aside, under its old- name
+                old = [p for p in siblings if p.name.startswith(".index.old-")]
+                assert len(old) == 1 and digests(old[0]) == index_a, delay
+            for p in siblings:
+                shutil.rmtree(p)
+        assert ingest_a() == index_a
 
 
 class TestPluginFailures:
@@ -601,9 +660,10 @@ class TestConfigAndExitCodes:
     @pytest.mark.parametrize("flags, code, says", [
         (["--k1", "inf"], 1, "k1 must be finite"),
         (["--b", "2"], 1, "b must be in [0, 1]"),
-        (["--window", "0"], 1, "window must be >= 1"),
+        (["--window", "0"], 1, "window_size must be >= 1"),
+        (["--padding", "-1"], 1, "padding must be >= 0"),
         (["--keywords", "missing.txt"], 2, "cannot read keyword dictionary"),
-    ], ids=["k1-inf", "b-2", "window-0", "missing-keywords"])
+    ], ids=["k1-inf", "b-2", "window-0", "padding-negative", "missing-keywords"])
     def test_bad_ingest_setting_is_refused_before_any_conversion(self, tmp_path, capsys,
                                                                   monkeypatch, flags, code, says):
         calls = []
@@ -615,6 +675,20 @@ class TestConfigAndExitCodes:
         assert says in capsys.readouterr().err
         assert calls == []
         assert not (tmp_path / "index").exists()
+
+    @pytest.mark.parametrize("flags, says", [
+        (["--alpha", "2", "query", "foo"], "alpha must be in [0, 1]"),
+        (["--top-k", "0", "query", "foo"], "top_k must be >= 1"),
+        (["--alpha", "2", "eval", "bank.jsonl"], "alpha must be in [0, 1]"),
+        (["--top-k", "0", "eval", "bank.jsonl"], "top_k must be >= 1"),
+    ], ids=["query-alpha", "query-top-k", "eval-alpha", "eval-top-k"])
+    def test_bad_query_setting_is_refused_before_the_index_is_read(self, tmp_path, capsys,
+                                                                   monkeypatch, flags, says):
+        calls = []
+        monkeypatch.setattr("hiret.index.load_index", lambda *args: calls.append(args))
+        assert main(["--index-dir", str(tmp_path / "missing"), *flags]) == 1
+        assert f"usage error: {says}" in capsys.readouterr().err
+        assert calls == []
 
     def test_invalid_alpha_is_usage_error(self, manual_setup, capsys):
         cfg, _ = manual_setup

@@ -1,5 +1,7 @@
 import random
 import re
+from bisect import bisect_right
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -200,6 +202,39 @@ class TestConvertDocument:
             convert_document(text, converter, plan)
         assert err.value.turn == 3
         assert words_of(err.value.partial_output) == [f"w{i}" for i in range(200)]
+
+    @pytest.mark.parametrize("padding", [0, 1, 3])
+    def test_each_turn_says_whether_its_core_starts_and_ends_mid_line(self, padding):
+        # Oracle per word, from str.splitlines alone: its line, and whether it begins it.
+        rng = random.Random(padding)
+        gaps = [" ", "\t", " \xa0", *_LINE_BREAKS, "\n  ", "\u2028\t"]  # the last two indent
+        seen = set()
+        for _ in range(60):
+            n = rng.randint(1, 12)
+            text = (rng.choice(["", " ", "\n", "\t"])
+                    + "".join(f"w{i}" + rng.choice(gaps) for i in range(n - 1))
+                    + f"w{n - 1}" + rng.choice(["", "\n", " ", "\r\n"]))
+            lines = text.splitlines(keepends=True)
+            line_starts = [0, *accumulate(map(len, lines))][:len(lines)]
+            offsets = [m.start() for m in re.finditer(r"\S+", text)]
+            line_of = [bisect_right(line_starts, o) - 1 for o in offsets]
+            begins = [o == line_starts[line] for o, line in zip(offsets, line_of)]
+            plan = plan_windows(n, rng.randint(1, 4), padding)
+            converter = RecordingConverter()
+            convert_document(text, converter, plan)
+            for turn in converter.turns:
+                start, end = plan.core(turn.index)
+                assert turn.starts_mid_line == (turn.index > 1 and not begins[start]), text
+                assert turn.ends_mid_line == (end < n and line_of[end - 1] == line_of[end]), text
+                seen.add(("starts", turn.index > 1, turn.starts_mid_line))
+                seen.add(("ends", end < n, turn.ends_mid_line))
+                if turn.index > 1 and line_of[start - 1] != line_of[start] and not begins[start]:
+                    seen.add("indented core start")
+            assert not converter.turns[0].starts_mid_line
+            assert not converter.turns[-1].ends_mid_line
+        assert seen == {("starts", True, True), ("starts", True, False), ("starts", False, False),
+                        ("ends", True, True), ("ends", True, False), ("ends", False, False),
+                        "indented core start"}
 
     def test_plan_and_text_must_agree(self):
         plan = plan_windows(10, 5, 0)

@@ -771,7 +771,7 @@ class TestAtomicSave:
         assert load_index(target).keys == ["d#0"]
 
     def test_save_that_raises_between_writes_keeps_the_previous_index(self, tmp_path,
-                                                                     monkeypatch):
+                                                                     monkeypatch, caplog):
         # For every k, the save fails at its k-th file write, rename or removal.
         target = tmp_path / "index"
         old = self.bundle(["alpha beta CA-IS3641", "gamma", "alpha epsilon"])
@@ -806,6 +806,7 @@ class TestAtomicSave:
 
         for fail_at in count(1):
             steps.clear()
+            caplog.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(hiret.index, "open", opened, raising=False)
                 patch.setattr(np, "save", counted("np.save", np.save))
@@ -813,16 +814,22 @@ class TestAtomicSave:
                 patch.setattr(os, "rename", counted("rename", os.rename))
                 patch.setattr(shutil, "rmtree", counted("rmtree", shutil.rmtree))
                 try:
-                    save_index(new, target)
+                    manifest = save_index(new, target)
                 except OSError:
-                    pass
-                else:
-                    break
+                    manifest = None
+            if len(steps) < fail_at:  # every step ran and none failed
+                break
             assert contents() in (old_bytes, new_bytes), steps
-            # A removal that fails after the swap leaves the replaced index beside the new one.
             left = [p for p in tmp_path.iterdir() if p != target]
-            assert all(p.name.startswith(".index.old-") for p in left), steps
-            assert not left or (steps[-1] == "rmtree" and contents() == new_bytes), steps
+            if manifest is None:
+                assert left == [], steps
+            else:
+                # Only the removal after the swap fails without failing the save: the new
+                # index is in place, the replaced one beside it, and a warning names it.
+                assert steps[fail_at - 1] == "rmtree" and contents() == new_bytes, steps
+                assert [p.name.startswith(".index.old-") for p in left] == [True], steps
+                assert manifest == json.loads(contents()["manifest.json"])
+                assert "could not remove" in caplog.text and left[0].name in caplog.text
             for p in left:
                 shutil.rmtree(p)
             loaded = load_index(target)
