@@ -15,6 +15,7 @@ from pathlib import Path
 log = logging.getLogger(__name__)
 
 DOCUMENT_SUFFIXES = (".md", ".txt")
+PATH_SEPARATOR = " > "
 
 
 class CorpusError(Exception):
@@ -24,6 +25,12 @@ class CorpusError(Exception):
 def segment_key(doc_id: str, segment_id: str) -> str:
     """Globally unique key for a segment, used by all indices."""
     return f"{doc_id}#{segment_id}"
+
+
+def path_text(metadata_path: list[str], body: str) -> str:
+    """The path joined by `` > ``, then a line break and ``body`` unless it is empty."""
+    prefix = PATH_SEPARATOR.join(metadata_path)
+    return f"{prefix}\n{body}" if body else prefix
 
 
 @dataclass

@@ -17,11 +17,9 @@ import re
 from dataclasses import replace
 from typing import Protocol
 
-from .corpus import DocumentRecord, ImageAsset, Segment
+from .corpus import PATH_SEPARATOR, DocumentRecord, ImageAsset, Segment, path_text
 
 log = logging.getLogger(__name__)
-
-PATH_SEPARATOR = " > "
 
 _IMAGE_REF_RE = re.compile(r"^!\[(?P<alt>[^\]]*)\]\((?P<ref>[^)]*)\)\s*$")
 _TABLE_SEPARATOR_RE = re.compile(r"^:?-{2,}:?$|^-+$")
@@ -148,7 +146,6 @@ def augment_document(
             path = parent + [label] if label else list(parent)
             latest[seg.chapter_number] = path
         seg.metadata_path = path
-        prefix = PATH_SEPARATOR.join(path)
         if seg.kind == "table":
             body = augment_table(seg)
         elif seg.kind == "image":
@@ -167,7 +164,7 @@ def augment_document(
                 continue
         else:
             body = seg.content
-        seg.embedding_text = f"{prefix}\n{body}" if body else prefix
+        seg.embedding_text = path_text(path, body)
     return list(doc.segments)
 
 

@@ -10,12 +10,13 @@ over them.
 
 An index persists to a directory as ``.npy`` arrays, a few small JSON files and
 one blob of per-segment JSON lines, described by a manifest that records each
-file's size and sha256 (format 5: each fact once, rows in key order). Postings
-and keywords are :class:`InvertedLists` over the arrays their files hold, saved
-and loaded as they are. Saving is atomic and deterministic: the files go into a
-sibling directory that then replaces the old index, and re-saving an unchanged
-index reproduces them byte for byte. Loading checks every file against the
-manifest, maps every array from disk and decodes a segment only when it is read.
+file's size and crc32 (format 6: each fact once, rows in key order, no derivable
+``embedding_text``). Postings and keywords are :class:`InvertedLists` over the
+arrays their files hold, saved and loaded as they are. Saving is atomic and
+deterministic: the files go into a sibling directory that then replaces the old
+index, and re-saving an unchanged index reproduces them byte for byte. Loading
+checks every file against the manifest, maps every array and the segment blob
+and decodes a segment only when it is read.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import mmap
 import os
 import re
 import shutil
+import zlib
 from array import array
 from bisect import bisect_left
 from collections.abc import Mapping, Sequence
@@ -40,11 +42,11 @@ from typing import Iterable, Protocol
 
 import numpy as np
 
-from .corpus import Segment
+from .corpus import Segment, path_text
 
 log = logging.getLogger(__name__)
 
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 DEFAULT_DIM = 256
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
@@ -455,13 +457,11 @@ class StoredSegments(Sequence[Segment]):
 
     ``keys`` is the segment key order; reading row ``i`` decodes a fresh
     :class:`Segment` from ``blob[offsets[i]:offsets[i + 1]]``, so a query
-    decodes only the rows it shows.
+    decodes only the rows it shows, deriving an ``embedding_text`` a line leaves out.
     """
 
-    def __init__(self, keys: list[str], blob: bytes, offsets: list[int]):
-        self.keys = keys
-        self._blob = blob
-        self._offsets = offsets
+    def __init__(self, keys: list[str], blob: bytes | mmap.mmap, offsets: list[int]):
+        self.keys, self._blob, self._offsets = keys, blob, offsets
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -471,7 +471,10 @@ class StoredSegments(Sequence[Segment]):
         if isinstance(index, slice):
             return [self[i] for i in row]
         try:
-            seg = Segment(**json.loads(self._blob[self._offsets[row]:self._offsets[row + 1]]))
+            fields = json.loads(self._blob[self._offsets[row]:self._offsets[row + 1]])
+            seg = Segment(**fields)
+            if "embedding_text" not in fields:
+                seg.embedding_text = path_text(seg.metadata_path, seg.content)
         except (TypeError, ValueError) as exc:  # not JSON, not an object, not Segment's fields
             raise IndexFormatError(f"segment row {row} is not a segment: {exc}") from exc
         if seg.key != self.keys[row]:
@@ -585,17 +588,25 @@ def _json_bytes(payload: object, indent: int | None = None) -> bytes:
 
 
 def _file_entry(path: Path) -> dict:
-    """The size and sha256 of the bytes on disk, read back in blocks."""
-    digest = hashlib.sha256()
+    """The size and crc32 of the bytes on disk, read back in blocks."""
+    crc = 0
     with open(path, "rb") as f:
         while block := f.read(1 << 20):
-            digest.update(block)
-        return {"bytes": f.tell(), "sha256": digest.hexdigest()}
+            crc = zlib.crc32(block, crc)
+        return {"bytes": f.tell(), "crc32": f"{crc:08x}"}
+
+
+def _segment_line(seg: Segment) -> bytes:
+    """``seg``'s JSON line, without an ``embedding_text`` that :func:`path_text` derives."""
+    fields = dict(vars(seg))
+    if seg.embedding_text == path_text(seg.metadata_path, seg.content):
+        del fields["embedding_text"]
+    return _json_bytes(fields)
 
 
 def _write_files(bundle: IndexBundle, directory: Path) -> dict:
     """Write every index file, then the manifest that lists their sizes and
-    sha256 digests; returns the manifest."""
+    crc32 checksums; returns the manifest."""
     files = {}
 
     def put(name: str, data: bytes | np.ndarray, dtype: str = "") -> None:  # dtype: as .npy
@@ -615,7 +626,7 @@ def _write_files(bundle: IndexBundle, directory: Path) -> dict:
     put("postings_tf.npy", bundle.bm25.tf, "<i4")
     put("segment_keys.json", _json_bytes(bundle.keys))
     with open(directory / "segments.jsonl", "wb") as f:  # line by line: no blob on the heap
-        lengths = [f.write(_json_bytes(vars(seg))) for seg in bundle.segments]
+        lengths = [f.write(_segment_line(seg)) for seg in bundle.segments]
     files["segments.jsonl"] = _file_entry(directory / "segments.jsonl")
     put("segment_offsets.npy", np.cumsum([0] + lengths), "<i8")
 
@@ -637,8 +648,9 @@ def save_index(bundle: IndexBundle, path: str | Path) -> dict:
     The files are written into a new sibling directory, which then takes
     the place of ``path``, or of the directory a symlinked ``path`` names:
     an interrupted save leaves the previous index (or none) in place and no
-    partial one. A directory it cannot remove is logged, not raised. A
-    ``path`` holding anything but index files raises :class:`IndexFormatError`.
+    partial one. Then it removes its own and older ``.<name>.(new|old)-<8 hex>``
+    siblings, logging one it cannot remove. A ``path`` holding anything but
+    index files raises :class:`IndexFormatError`.
     """
     target = Path(os.path.realpath(path))
     if target.is_dir():
@@ -654,7 +666,7 @@ def save_index(bundle: IndexBundle, path: str | Path) -> dict:
     def sibling(tag: str) -> Path:
         return target.with_name(f".{target.name}.{tag}-{os.urandom(4).hex()}")
 
-    leftover = staging = sibling("new")
+    staging = sibling("new")
     staging.mkdir()
     try:
         manifest = _write_files(bundle, staging)
@@ -666,15 +678,15 @@ def save_index(bundle: IndexBundle, path: str | Path) -> dict:
             except BaseException:
                 os.rename(old, target)
                 raise
-            leftover = old
         else:
             os.rename(staging, target)
     finally:  # the save has swapped, or is failing already: a removal cannot fail it
-        try:
-            if leftover.exists():  # not once the staging directory is the index
+        stale = re.compile(rf"\.{re.escape(target.name)}\.(new|old)-[0-9a-f]{{8}}")
+        for leftover in filter(lambda p: stale.fullmatch(p.name), target.parent.iterdir()):
+            try:  # a killed save's too; concurrent saves to one target are not supported
                 shutil.rmtree(leftover)
-        except OSError as exc:
-            log.warning("could not remove %s: %s", leftover, exc)
+            except OSError as exc:
+                log.warning("could not remove %s: %s", leftover, exc)
     return manifest
 
 
@@ -704,14 +716,14 @@ def _read_manifest(directory: Path) -> dict:
         raise IndexFormatError(f"manifest {manifest_path} does not list the index files")
     for name, entry in files.items():
         if not (isinstance(entry, dict) and isinstance(entry.get("bytes"), int)
-                and isinstance(entry.get("sha256"), str)):
+                and isinstance(entry.get("crc32"), str)):
             raise IndexFormatError(f"manifest {manifest_path}: files[{name!r}] needs "
-                                   "an int 'bytes' and a str 'sha256'")
+                                   "an int 'bytes' and a str 'crc32'")
     return manifest
 
 
 def _read_checked(path: Path, entry: dict, mapped: bool = False) -> bytes | mmap.mmap:
-    """The bytes of ``path`` once their size and sha256 match ``entry``; with
+    """The bytes of ``path`` once their size and crc32 match ``entry``; with
     ``mapped``, a read-only map of the file, checked without a heap copy."""
     try:
         with open(path, "rb") as f:
@@ -722,8 +734,8 @@ def _read_checked(path: Path, entry: dict, mapped: bool = False) -> bytes | mmap
         raise IndexFormatError(
             f"index file {path} holds {len(data)} bytes, the manifest says {entry['bytes']}"
         )
-    if hashlib.sha256(data).hexdigest() != entry["sha256"]:
-        raise IndexFormatError(f"index file {path} does not match its sha256 in the manifest")
+    if f"{zlib.crc32(data):08x}" != entry["crc32"]:
+        raise IndexFormatError(f"index file {path} does not match its crc32 in the manifest")
     return data
 
 
@@ -751,10 +763,10 @@ def _check_rows(name: str, rows: np.ndarray, count: int,
 def load_index(path: str | Path) -> IndexBundle:
     """Load a bundle persisted by :func:`save_index`; round-trip is exact.
 
-    Every file must match the size and sha256 the manifest records. Every
-    array is memory-mapped read-only and segments are decoded when read
-    (:class:`StoredSegments`). Raises :class:`IndexFormatError` for a
-    missing, corrupt, other-version or inconsistent index.
+    Every file must match the size and crc32 the manifest records. Every
+    array and the segment blob are memory-mapped read-only and segments are
+    decoded when read (:class:`StoredSegments`). Raises :class:`IndexFormatError`
+    for a missing, corrupt, other-version or inconsistent index.
     """
     directory = Path(path)
     manifest = _read_manifest(directory)
@@ -782,7 +794,8 @@ def load_index(path: str | Path) -> IndexBundle:
     keys = parse("segment_keys.json")
     if not (isinstance(keys, list) and set(map(type, keys)) <= {str}):
         raise IndexFormatError("segment_keys.json does not hold a list of strings")
-    blob = read("segments.jsonl")
+    # An index of no segments has an empty blob, which cannot be mapped.
+    blob = read("segments.jsonl", mapped=manifest["files"]["segments.jsonl"]["bytes"] > 0)
     segment_offsets = array("segment_offsets.npy", "<i8")
     _check_offsets("segment_offsets.npy", segment_offsets, len(keys), len(blob))
     segments = StoredSegments(keys, blob, segment_offsets.tolist())

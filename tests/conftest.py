@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -188,12 +188,12 @@ def write_datasheet_corpus(root: Path) -> Path:
 
 
 def restamp_manifest(index_dir: Path, name: str) -> None:
-    """Record the current size and sha256 of index file ``name`` in the
+    """Record the current size and crc32 of index file ``name`` in the
     manifest, as if the file had been saved as it now is."""
     path = Path(index_dir) / "manifest.json"
     manifest = json.loads(path.read_text(encoding="utf-8"))
     data = (Path(index_dir) / name).read_bytes()
-    manifest["files"][name] = {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
+    manifest["files"][name] = {"bytes": len(data), "crc32": f"{zlib.crc32(data):08x}"}
     path.write_text(json.dumps(manifest), encoding="utf-8")
 
 

@@ -393,17 +393,17 @@ class TestQuery:
         code = main(["--index-dir", str(index_dir), "query", "pinout"])
         assert code == 2
         err = capsys.readouterr().err
-        assert "format_version 3 (expected 5)" in err and "run 'hiret ingest'" in err
+        assert "format_version 3 (expected 6)" in err and "run 'hiret ingest'" in err
 
-    def test_format_4_index_in_corpus_order_asks_for_a_reingest(self, manual_setup, capsys):
+    def test_format_5_index_asks_for_a_reingest(self, manual_setup, capsys):
         cfg, _ = manual_setup
         manifest = Path(cfg.index_dir) / "manifest.json"
         text = manifest.read_text(encoding="utf-8")
-        manifest.write_text(text.replace('"format_version": 5', '"format_version": 4'),
+        manifest.write_text(text.replace('"format_version": 6', '"format_version": 5'),
                             encoding="utf-8")
         assert main(["--index-dir", cfg.index_dir, "query", "pinout"]) == 2
         err = capsys.readouterr().err
-        assert "format_version 4 (expected 5)" in err and "run 'hiret ingest'" in err
+        assert "format_version 5 (expected 6)" in err and "run 'hiret ingest'" in err
 
     @pytest.mark.parametrize("edit,named", [
         (lambda m: m.update(embedder={"kind": "subprocess", "command": ["w"]}), "lacks ['dim']"),
@@ -414,7 +414,7 @@ class TestQuery:
         (lambda m: m.update(k1=0), "k1 must be > 0, got 0"),
         (lambda m: m.update(k1=math.inf), "k1 must be finite, got inf"),
         (lambda m: m.update(b=1.5), "b must be in [0, 1], got 1.5"),
-        (lambda m: m["files"]["keywords_rows.npy"].pop("sha256"),
+        (lambda m: m["files"]["keywords_rows.npy"].pop("crc32"),
          "files['keywords_rows.npy'] needs"),
         (lambda m: m["files"].update({"vectors.npy": 7}), "files['vectors.npy'] needs"),
         (lambda m: m.update(embedder={"kind": "bogus"}), "unknown embedder kind: 'bogus'"),
@@ -424,7 +424,7 @@ class TestQuery:
         (lambda m: m.update(embedder={"kind": "hash", "dim": 64}),
          "vector matrix shape (50, 256) != (50, 64)"),
     ], ids=["no-dim", "null-k1", "string-b", "null-dictionary", "null-dictionary-word",
-            "zero-k1", "infinite-k1", "b-above-1", "no-sha256", "entry-not-object", "unknown-embedder",
+            "zero-k1", "infinite-k1", "b-above-1", "no-crc32", "entry-not-object", "unknown-embedder",
             "embedder-no-command", "embedder-string-command", "embedder-other-dim"])
     def test_bad_manifest_field_is_named_and_asks_for_a_reingest(self, manual_setup, capsys,
                                                                  edit, named):

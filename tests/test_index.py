@@ -25,7 +25,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import hiret.index
-from hiret.corpus import Segment
+from hiret.corpus import DocumentRecord, ImageAsset, Segment, path_text
+from hiret.hca import augment_document, without_augmentation
 from hiret.index import (
     _KEYWORD_TOKEN_RE,
     _TOKEN_RE,
@@ -620,7 +621,7 @@ class TestPersistence:
         data = bytearray((tmp_path / name).read_bytes())
         data[len(data) // 2] ^= 0x01
         (tmp_path / name).write_bytes(bytes(data))
-        with pytest.raises(IndexFormatError, match=f"{name} does not match its sha256"):
+        with pytest.raises(IndexFormatError, match=f"{name} does not match its crc32"):
             load_index(tmp_path)
 
     def test_missing_file_is_refused(self, tmp_path):
@@ -758,6 +759,59 @@ class TestStoredSegments:
         assert stored[0].title == "0"
 
 
+class TestDerivableText:
+    """A stored segment line leaves out the ``embedding_text`` that ``path_text``
+    derives from its path and content; every other text is stored as it is."""
+
+    def segments(self):
+        parts = [("1", "intro", "text", "the CA-IS3641 transceiver"),
+                 ("2", "empty", "text", ""),
+                 ("3", "ratings", "table", "Table: supply\n| parameter | max |\n|---|---|\n"
+                                           "| vcc | 5.5 |"),
+                 ("4", "package", "image", "![pinout](pinout.png)\nseen from above"),
+                 ("5", "layout", "image", "![board](board.png)"),
+                 ("6", "notes", "text", " padded\u2028body\n")]
+        doc = DocumentRecord(doc_id="d", title="CA-IS3641 datasheet", source_path="d.md",
+                             images=[ImageAsset("img1", "pinout.png", "sixteen pin package")])
+        doc.attach_segments([Segment(segment_id=number, chapter_number=number, level=1,
+                                     title=title, kind=kind, content=content)
+                             for number, title, kind, content in parts])
+        return augment_document(doc)
+
+    def stored_lines(self, directory):
+        lines = (directory / "segments.jsonl").read_bytes().splitlines()
+        return [json.loads(line) for line in lines]
+
+    def test_only_a_derivable_text_is_left_out_and_each_round_trips(self, tmp_path):
+        segments = self.segments()
+        by_id = {s.segment_id: s for s in segments}
+        assert by_id["2"].embedding_text == "CA-IS3641 datasheet > 2 empty"
+        assert by_id["4"].embedding_text.startswith("CA-IS3641 datasheet > 4 package\nsixteen")
+        assert by_id["5"].embedding_text == ""  # an image with no description
+        first, rebuilt = tmp_path / "first", tmp_path / "rebuilt"
+        save_index(build_indices(segments, HashingEmbedder()), first)
+        stored = {line["segment_id"]: line.get("embedding_text") for line in
+                  self.stored_lines(first)}
+        assert stored == {"1": None, "2": None, "3": by_id["3"].embedding_text,
+                          "4": by_id["4"].embedding_text, "5": "", "6": None}
+        loaded = load_index(first)
+        assert list(loaded.segments) == segments
+        # the loaded segments, derived texts included, rebuild the index byte for byte
+        save_index(build_indices(loaded.segments, HashingEmbedder()), rebuilt)
+        assert all((first / name).read_bytes() == (rebuilt / name).read_bytes()
+                   for name in ["manifest.json", *INDEX_FILES])
+
+    def test_baseline_segments_round_trip(self, tmp_path):
+        plain = without_augmentation(self.segments())
+        save_index(build_indices(plain, HashingEmbedder()), tmp_path)
+        # content under no path derives "\n" + content, so only the empty one is left out
+        stored = {line["segment_id"]: line.get("embedding_text") for line in
+                  self.stored_lines(tmp_path)}
+        assert [sid for sid, text in stored.items() if text is None] == ["2"]
+        assert list(load_index(tmp_path).segments) == plain
+        assert path_text([], "") == "" and path_text(["a", "b"], "c") == "a > b\nc"
+
+
 class TestAtomicSave:
     def bundle(self, texts):
         segments = [seg("d", str(i), text) for i, text in enumerate(texts)]
@@ -843,6 +897,25 @@ class TestAtomicSave:
         assert fail_at == len(steps) + 1
         assert {"open", "np.save", "write_bytes", "rename", "rmtree"} <= set(steps), steps
         assert contents() == new_bytes
+
+    def test_removes_stale_siblings_of_killed_saves(self, tmp_path):
+        target = tmp_path / "index"
+        save_index(self.bundle(["alpha"]), target)
+        for name in (".index.new-deadbeef", ".index.old-0badf00d", ".index.notes",
+                     ".index.new-deadbeef0", ".other.new-deadbeef"):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "manifest.json").write_text("{}", encoding="utf-8")
+        save_index(self.bundle(["beta"]), target)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            ".index.new-deadbeef0", ".index.notes", ".other.new-deadbeef", "index"]
+        assert load_index(target).keys == ["d#0"]
+
+    def test_stale_sibling_that_cannot_be_removed_is_logged(self, tmp_path, caplog):
+        (tmp_path / ".index.old-0badf00d").write_text("a file, not a directory",
+                                                      encoding="utf-8")
+        save_index(self.bundle(["alpha"]), tmp_path / "index")
+        assert "could not remove" in caplog.text and ".index.old-0badf00d" in caplog.text
+        assert load_index(tmp_path / "index").keys == ["d#0"]
 
     def test_refuses_a_directory_holding_other_files(self, tmp_path):
         target = tmp_path / "index"
