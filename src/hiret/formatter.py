@@ -18,7 +18,7 @@ import logging
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import compress, count
 from operator import is_not
 from typing import Protocol
@@ -211,6 +211,12 @@ def count_words(text: str) -> int:
     return len(text.split())  # the same whitespace test as _WORD_RE
 
 
+@lru_cache(maxsize=64)
+def _skip_words(m: int) -> re.Pattern[str]:
+    """Matches the next ``m`` words from a word end or the start, none split; group 1: the last."""
+    return re.compile(rf"\s*(?:\S+\s+){{{m - 1}}}(\S+)")
+
+
 def convert_document(doc_text: str, converter: DocumentConverter, plan: WindowPlan) -> str:
     """Run the converter over every window in order and join the fragments.
 
@@ -220,20 +226,23 @@ def convert_document(doc_text: str, converter: DocumentConverter, plan: WindowPl
     whole. On converter failure the raised ConversionError carries the turn
     number and the output assembled so far, for resumption.
     """
-    words = list(_WORD_RE.finditer(doc_text))
-    if len(words) != plan.total_words:
-        raise ValueError(
-            f"plan covers {plan.total_words} words but document has {len(words)}"
-        )
+    edges = {i for t, (lo, hi) in enumerate(plan.spans, 1)  # the words whose offsets turns read
+             for i in (lo, hi - 1, plan.core(t)[0], plan.core(t)[1] - 1)}
+    starts, ends, pos, last = {}, {}, 0, -1
+    for i in sorted(edges):  # skip ahead to each, with no Match for the words between
+        if not (word := _skip_words(i - last).match(doc_text, pos)):
+            break
+        (starts[i], ends[i]), pos, last = word.span(1), word.end(), i
+    if len(starts) < len(edges) or _WORD_RE.search(doc_text, pos):
+        raise ValueError(f"plan covers {plan.total_words} words but document has "
+                         f"{count_words(doc_text)}")
 
     parts: list[str] = []
-    previous_input = ""
-    previous_output = ""
-    for t in range(1, plan.iterations + 1):
-        span_start, span_end = plan.spans[t - 1]
+    previous_input = previous_output = ""
+    for t, (span_start, span_end) in enumerate(plan.spans, 1):
         core_start, core_end = plan.core(t)
-        window_lo, core_lo = words[span_start].start(), words[core_start].start()
-        window_hi, core_hi = words[span_end - 1].end(), words[core_end - 1].end()
+        window_lo, core_lo = starts[span_start], starts[core_start]
+        window_hi, core_hi = ends[span_end - 1], ends[core_end - 1]
         turn = ConverterTurn(
             index=t,
             total=plan.iterations,
@@ -244,18 +253,17 @@ def convert_document(doc_text: str, converter: DocumentConverter, plan: WindowPl
             core_end=core_hi - window_lo,
             reaches_end=span_end == plan.total_words,
             starts_mid_line=t > 1 and doc_text[core_lo - 1] not in _LINE_BREAKS,
-            ends_mid_line=core_end < len(words) and _LINE_BREAK_RE.search(
-                doc_text, core_hi, words[core_end].start()) is None,
+            ends_mid_line=core_end < plan.total_words and _LINE_BREAK_RE.search(
+                doc_text, core_hi, starts[core_end]) is None,
         )
         try:
             fragment = converter.convert(turn)
         except Exception as exc:
             raise ConversionError(t, "".join(parts), str(exc)) from exc
         if t > 1:
-            parts.append(doc_text[words[core_start - 1].end() : words[core_start].start()])
+            parts.append(doc_text[ends[core_start - 1] : core_lo])
         parts.append(fragment)
-        previous_input = turn.current_input
-        previous_output = fragment
+        previous_input, previous_output = turn.current_input, fragment
     return "".join(parts)
 
 

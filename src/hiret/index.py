@@ -70,9 +70,6 @@ INDEX_FILES = (
 # The manifest fields load_index reads and the JSON types they hold.
 _MANIFEST_FIELDS = {"k1": (int, float), "b": (int, float), "embedder": dict,
                     "user_keywords": list, "files": dict}
-# Files of earlier formats; save_index may replace a directory holding them.
-_OLD_FORMAT_FILES = ("vectors.bin", "postings.json", "segments.json", "keywords.json",
-                     "bm25_lengths.npy")
 
 # Unicode letter/digit runs; underscores and hyphens split tokens.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -137,7 +134,8 @@ class HashingEmbedder:
 
     def embed(self, text: str) -> np.ndarray:
         codes = np.fromiter(map(self._code, tokenize(text)), np.intp)
-        return self._vectors(codes, [len(codes)])[0]
+        vec = np.bincount(codes >> 1, weights=(codes & 1) * 2.0 - 1.0, minlength=self.dim)
+        return vec / (math.sqrt(vec.dot(vec)) or 1.0)  # one row of _vectors, exactly
 
     def _code(self, term: str) -> int:
         """``2 * bucket + 1`` for a +1 sign, ``2 * bucket`` for -1."""
@@ -283,10 +281,14 @@ def _keyword(token: str) -> str:
     return ""
 
 
-def _with_user_keywords(found: set[str], text: str, user_keywords: Iterable[str]) -> set[str]:
-    """``found`` less the no-keyword verdict "", plus the user keywords in ``text``."""
+def _user_words(user_keywords: Iterable[str] | None) -> list[str]:
+    """The user dictionary's words, case-folded and stripped, blanks dropped."""
+    return [word for word in (raw.casefold().strip() for raw in user_keywords or ()) if word]
+
+
+def _with_user_keywords(found: set[str], text: str, words: list[str]) -> set[str]:
+    """``found`` less the no-keyword verdict "", plus the :func:`_user_words` in ``text``."""
     found.discard("")
-    words = [word for word in (raw.casefold().strip() for raw in user_keywords) if word]
     folded_text = text.casefold() if words else ""
     found.update(word for word in words if word in folded_text)
     return found
@@ -296,7 +298,7 @@ def extract_keywords(text: str, user_keywords: Iterable[str] | None = None) -> s
     """Tokens of ``text`` that mix letters and digits, plus the
     user-dictionary keywords it contains, all case-folded."""
     return _with_user_keywords(set(map(_keyword, _KEYWORD_TOKEN_RE.findall(text))), text,
-                               user_keywords or ())
+                               _user_words(user_keywords))
 
 
 class _Scan(list):
@@ -442,8 +444,7 @@ def bm25_scores(index: Bm25Index, query: str) -> dict[str, float]:
 def build_keyword_table(segments: Sequence[Segment],
                         user_keywords: Iterable[str] | None = None) -> KeywordTable:
     """:func:`extract_keywords` of every segment (the token scan's verdicts), inverted."""
-    user = list(user_keywords or [])
-    scan = _scan(segments)
+    scan, user = _scan(segments), _user_words(user_keywords)  # the dictionary once, not per row
     found = [_with_user_keywords(words, seg.embedding_text, user)
              for seg, words in zip(scan, scan.tokens[3])]
     ids: dict[str, int] = {}
@@ -535,7 +536,7 @@ def build_indices(segments: Sequence[Segment], embedder: Embedder, k1: float = D
     """Build all three substrates over one augmented segment list, sorted by key,
     and one token scan."""
     scan = _Scan(sorted(segments, key=attrgetter("key")))  # decodes stored segments once
-    user = sorted({kw.casefold().strip() for kw in user_keywords or [] if kw.strip()})
+    user = sorted(set(_user_words(user_keywords)))
     return IndexBundle(
         vectors=build_vector_index(scan, embedder),
         bm25=build_bm25_index(scan, k1=k1, b=b),
@@ -580,11 +581,13 @@ def make_embedder(spec: dict) -> Embedder:
     return plugins.SubprocessEmbedder(command=list(spec["command"]), dim=spec["dim"])
 
 
-def _json_bytes(payload: object, indent: int | None = None) -> bytes:
-    separators = (",", ": ") if indent else (",", ":")
-    text = json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=indent,
-                      separators=separators)
-    return (text + "\n").encode("utf-8")
+# Built once: json.dumps would build an encoder for each of the index's segment lines.
+_COMPACT_JSON = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+_MANIFEST_JSON = json.JSONEncoder(sort_keys=True, ensure_ascii=False, indent=2)
+
+
+def _json_bytes(payload: object, encoder: json.JSONEncoder = _COMPACT_JSON) -> bytes:
+    return (encoder.encode(payload) + "\n").encode("utf-8")
 
 
 def _file_entry(path: Path) -> dict:
@@ -638,8 +641,17 @@ def _write_files(bundle: IndexBundle, directory: Path) -> dict:
         "user_keywords": bundle.user_keywords,
         "files": files,
     }
-    (directory / MANIFEST_FILE).write_bytes(_json_bytes(manifest, indent=2))
+    (directory / MANIFEST_FILE).write_bytes(_json_bytes(manifest, _MANIFEST_JSON))
     return manifest
+
+
+def _older_index(directory: Path) -> bool:
+    """Whether ``directory``'s manifest holds an integer ``format_version`` not this one's."""
+    try:
+        version = json.loads((directory / MANIFEST_FILE).read_bytes()).get("format_version")
+    except (OSError, ValueError, AttributeError):  # no manifest, not JSON, not an object
+        return False
+    return type(version) is int and version != FORMAT_VERSION
 
 
 def save_index(bundle: IndexBundle, path: str | Path) -> dict:
@@ -649,14 +661,14 @@ def save_index(bundle: IndexBundle, path: str | Path) -> dict:
     the place of ``path``, or of the directory a symlinked ``path`` names:
     an interrupted save leaves the previous index (or none) in place and no
     partial one. Then it removes its own and older ``.<name>.(new|old)-<8 hex>``
-    siblings, logging one it cannot remove. A ``path`` holding anything but
-    index files raises :class:`IndexFormatError`.
+    siblings, logging one it cannot remove. A ``path`` holding anything but index
+    files raises :class:`IndexFormatError`, unless it is an index of an older format.
     """
     target = Path(os.path.realpath(path))
     if target.is_dir():
-        known = {MANIFEST_FILE, *INDEX_FILES, *_OLD_FORMAT_FILES}
+        known = {MANIFEST_FILE, *INDEX_FILES}
         stray = sorted(p.name for p in target.iterdir() if p.name not in known)
-        if stray:
+        if stray and not _older_index(target):
             raise IndexFormatError(f"refusing to replace {target}: it holds {stray}, "
                                    "which are not index files")
     elif target.exists():

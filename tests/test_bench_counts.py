@@ -37,6 +37,11 @@ def test_traced_ingest_counts_the_postings_the_index_holds(tmp_path):
         result = cli.run_query(cfg, "HX-3600A00 isolated bus transceiver ordering")
         tracer.op = None
     ops = spans.per_op(tracer)
+    # Every ingest layer runs, through the attribute the tracer wraps (the plug-in
+    # protocol only with a plug-in embedder), so no per-layer figure reads 0.
+    for _, _, name in spans.INGEST_WRAPS:
+        if name != "plugins.request":
+            assert ops["ingest"].get(f"{name}.calls", 0) >= 1, name
     docs = load_corpus(cfg.corpus_dir)
     windows = [plan_windows(count_words(doc.text), cfg.window, cfg.padding).iterations
                for doc in docs]

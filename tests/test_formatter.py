@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hiret.formatter import _LINE_BREAKS as LINE_BREAK_CHARS
 from hiret.formatter import (
     ConversionError,
     ConverterTurn,
@@ -71,6 +72,45 @@ class RecordingConverter:
     def convert(self, turn: ConverterTurn) -> str:
         self.turns.append(turn)
         return turn.core_text
+
+
+def word_list_conversion(text, plan):
+    """The output and the turns of an echoing conversion, every offset read off the
+    full list of ``\\S+`` matches: the oracle for the converter's word location."""
+    words = list(re.finditer(r"\S+", text))
+    assert len(words) == plan.total_words
+    parts, turns, previous_input, previous_output = [], [], "", ""
+    for t in range(1, plan.iterations + 1):
+        span_start, span_end = plan.spans[t - 1]
+        core_start, core_end = plan.core(t)
+        window_lo, core_lo = words[span_start].start(), words[core_start].start()
+        window_hi, core_hi = words[span_end - 1].end(), words[core_end - 1].end()
+        turn = ConverterTurn(
+            index=t, total=plan.iterations, current_input=text[window_lo:window_hi],
+            previous_input=previous_input, previous_output=previous_output,
+            core_start=core_lo - window_lo, core_end=core_hi - window_lo,
+            reaches_end=span_end == len(words),
+            starts_mid_line=t > 1 and text[core_lo - 1] not in LINE_BREAK_CHARS,
+            ends_mid_line=core_end < len(words) and not any(
+                c in LINE_BREAK_CHARS for c in text[core_hi:words[core_end].start()]),
+        )
+        turns.append(turn)
+        if t > 1:
+            parts.append(text[words[core_start - 1].end():core_lo])
+        parts.append(turn.core_text)
+        previous_input, previous_output = turn.current_input, turn.core_text
+    return "".join(parts), turns
+
+
+# Whitespace around and between words: every line break, no-break and ideographic spaces, tabs.
+_WINDOW_SPACES = [*LINE_BREAK_CHARS, "\xa0", "\u3000", "\t", " ", "\x1f", "\u2009"]
+_WINDOW_TEXTS = st.builds(
+    lambda lead, body, trail: lead + body + trail,
+    st.text(st.sampled_from(_WINDOW_SPACES), max_size=3),
+    st.one_of(st.text(), st.text(st.sampled_from(_WINDOW_SPACES + _NOT_SPACES + ["1", ".", "é"])),
+              st.text(st.sampled_from(_WINDOW_SPACES))),  # the last: no words at all
+    st.text(st.sampled_from(_WINDOW_SPACES), max_size=3),
+)
 
 
 class FailingConverter:
@@ -236,10 +276,38 @@ class TestConvertDocument:
                         ("ends", True, True), ("ends", True, False), ("ends", False, False),
                         "indented core start"}
 
+    @settings(max_examples=400, deadline=None)
+    @given(text=_WINDOW_TEXTS, w=st.integers(1, 8),
+           k=st.one_of(st.just(0), st.integers(1, 3), st.integers(8, 12)))  # 8+: k >= w
+    def test_turns_and_output_match_the_full_word_list(self, text, w, k):
+        plan = plan_windows(count_words(text), w, k)
+        converter = RecordingConverter()
+        output = convert_document(text, converter, plan)
+        assert (output, converter.turns) == word_list_conversion(text, plan)
+
     def test_plan_and_text_must_agree(self):
         plan = plan_windows(10, 5, 0)
         with pytest.raises(ValueError, match="words"):
             convert_document("just three words", IdentityConverter(), plan)
+
+    # One word, a text of none, and texts whose words a skip that split them could stretch:
+    # a window of 5 or 8 skips several words at once to the end of the last core.
+    _MISCOUNTED = ["abc", "", " \u3000\n", "just three words", "\ta\xa0bb\u2028ccc ",
+                   " ".join(f"w{i}" for i in range(40))]
+
+    @pytest.mark.parametrize("text", _MISCOUNTED)
+    @pytest.mark.parametrize("w, k", [(1, 0), (2, 1), (3, 5), (5, 0), (8, 2)])
+    def test_a_plan_of_one_word_too_many_is_refused(self, text, w, k):
+        n = count_words(text)
+        with pytest.raises(ValueError, match=f"^plan covers {n + 1} words but document has {n}$"):
+            convert_document(text, IdentityConverter(), plan_windows(n + 1, w, k))
+
+    @pytest.mark.parametrize("text", [text for text in _MISCOUNTED if count_words(text)])
+    @pytest.mark.parametrize("w, k", [(1, 0), (2, 1), (3, 5), (5, 0), (8, 2)])
+    def test_a_plan_of_one_word_too_few_is_refused(self, text, w, k):
+        n = count_words(text)
+        with pytest.raises(ValueError, match=f"^plan covers {n - 1} words but document has {n}$"):
+            convert_document(text, IdentityConverter(), plan_windows(n - 1, w, k))
 
     def test_empty_document_converts_to_empty(self):
         plan = plan_windows(0, 5, 2)

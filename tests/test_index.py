@@ -189,6 +189,13 @@ class TestHashingEmbedder:
             assert vec.dtype == np.float64
             assert vec.tobytes() == oracle_embed(text, dim).tobytes()
 
+    @settings(max_examples=200, deadline=None)
+    @given(text=st.one_of(_TEXTS, st.text()), dim=st.sampled_from([1, 7, 256]))
+    def test_one_text_embeds_as_a_row_of_the_block_builder(self, text, dim):
+        embedder = HashingEmbedder(dim)
+        codes = np.fromiter(map(embedder._code, tokenize(text)), np.intp)
+        assert embedder.embed(text).tobytes() == embedder._vectors(codes, [len(codes)])[0].tobytes()
+
     def test_instances_of_different_dim_do_not_share_buckets(self):
         small, large = HashingEmbedder(dim=8), HashingEmbedder(dim=256)
         for text in ["Vcc VCC vcc", "alpha x9", "Vcc alpha"]:
@@ -417,6 +424,22 @@ class TestKeywords:
 
     def test_user_keyword_absent_from_text_not_added(self):
         assert extract_keywords("nothing here", user_keywords={"iphone15"}) == set()
+
+    @settings(max_examples=200, deadline=None)
+    @given(texts=st.lists(_TEXTS, max_size=5),
+           extra=st.lists(st.one_of(_WORDS, st.text(max_size=4)), max_size=3))
+    def test_raw_dictionary_is_read_as_extract_keywords_reads_it(self, texts, extra):
+        # Mixed case, surrounding spaces, blank lines and duplicates, as a file holds them.
+        raw = ["  IPhone15 ", "iphone15", "", "   ", "\t", "Vcc", "VCC\t", " stra\u00dfe"] + extra
+        segments = [seg("d", str(i), t) for i, t in enumerate(texts + ["iPhone15 VCC STRASSE"])]
+        for user in (raw, iter(raw)):  # a single-pass iterable too
+            table = build_keyword_table(segments, user)
+            expected = keyword_table(table.keys, [extract_keywords(s.embedding_text, raw)
+                                                  for s in segments]).rows
+            assert table.rows.terms == expected.terms
+            assert table.rows.offsets.tolist() == expected.offsets.tolist()
+            assert table.rows.rows.tolist() == expected.rows.tolist()
+        assert {"iphone15", "vcc", "strasse"} <= keyword_sets(table)[-1]  # "\u00df" folds to "ss"
 
     def test_table_built_per_segment(self):
         segments = [seg("d", "1", "uses CA-IS3641"), seg("d", "2", "no parts")]
@@ -933,15 +956,33 @@ class TestAtomicSave:
 
     def test_replaces_an_index_of_the_previous_format(self, tmp_path):
         format_2 = ["vectors.bin", "postings.json", "keywords.json", "segments.json"]
-        for old in (format_2, FORMAT_3_FILES):
-            target = tmp_path / f"index{len(old)}"
+        for version, old in ((2, format_2), (3, FORMAT_3_FILES), (5, INDEX_FILES)):
+            target = tmp_path / f"index{version}"
             target.mkdir()
-            for name in ["manifest.json", *old]:
+            for name in old:
                 (target / name).write_text("{}", encoding="utf-8")
+            (target / "manifest.json").write_text(json.dumps({"format_version": version}),
+                                                  encoding="utf-8")
             save_index(self.bundle(["alpha"]), target)
             assert sorted(p.name for p in target.iterdir()) == sorted(
                 ["manifest.json", *INDEX_FILES])
             assert load_index(target).keys == ["d#0"]
+
+    @pytest.mark.parametrize("manifest", [
+        b"{}", f'{{"format_version": {FORMAT_VERSION}}}'.encode(), b'{"format_version": "5"}',
+        b'{"format_version": true}', b'{"format_version": 5.0}', b"[5]", b"5", b"not json",
+        b"\xff\xfe", None])
+    def test_refuses_other_files_beside_a_manifest_of_no_older_format(self, tmp_path, manifest):
+        target = tmp_path / "index"
+        target.mkdir()
+        (target / "vectors.bin").write_text("{}", encoding="utf-8")
+        if manifest is not None:
+            (target / "manifest.json").write_bytes(manifest)
+        with pytest.raises(IndexFormatError, match="vectors.bin"):
+            save_index(self.bundle(["alpha"]), target)
+        assert sorted(p.name for p in target.iterdir()) == (
+            ["vectors.bin"] if manifest is None else ["manifest.json", "vectors.bin"])
+        assert [p.name for p in tmp_path.iterdir()] == ["index"]
 
 
 BUNDLE_WORDS = ["alpha", "beta", "CA-IS3641", "\u00e9t\u00e9", "\u4e2d\u6587", "x9", "", "--",
