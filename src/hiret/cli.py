@@ -14,12 +14,12 @@ import logging
 import os
 import sys
 from collections import defaultdict
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
 from . import evalkit, hca, index, retriever
-from .corpus import CorpusError, load_corpus
+from .corpus import PATH_SEPARATOR, CorpusError, load_corpus
 from .formatter import (
     ConversionError,
     HeadingPromotionConverter,
@@ -42,6 +42,7 @@ COHESION_COLUMNS = [
     "x",
     "y",
 ]
+GROUPINGS = ("by-document", "by-section-title")  # cohesion groupings; the first is the default
 
 
 class UsageError(Exception):
@@ -69,9 +70,8 @@ class AppConfig:
     captioner: dict | None = None
 
     def retrieval(self) -> retriever.RetrievalConfig:
-        return retriever.RetrievalConfig(
-            alpha=self.alpha, beta=self.beta, top_k=self.top_k, gamma=self.gamma
-        )
+        names = (f.name for f in fields(retriever.RetrievalConfig))
+        return retriever.RetrievalConfig(**{name: getattr(self, name) for name in names})
 
 
 def load_config(path: str | Path | None) -> AppConfig:
@@ -111,7 +111,7 @@ def _load_keyword_dict(path: str | None) -> list[str]:
         return []
     try:
         return Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read keyword dictionary {path}: {exc}") from exc
 
 
@@ -159,8 +159,9 @@ def run_ingest(cfg: AppConfig) -> dict:
         )
         index.save_index(bundle, cfg.index_dir)
     finally:
-        _close_quietly(embedder)
-        _close_quietly(captioner)
+        embedder.close()
+        if captioner:
+            captioner.close()
     return {
         "documents": len(records),
         "segments": len(all_segments),
@@ -178,12 +179,6 @@ def _load_bundle(cfg: AppConfig) -> index.IndexBundle:
         raise DataError(f"{exc} (run 'hiret ingest' to build the index)") from exc
 
 
-def _close_quietly(obj) -> None:
-    close = getattr(obj, "close", None)
-    if callable(close):
-        close()
-
-
 def run_query(cfg: AppConfig, query_text: str) -> dict:
     """Retrieve top-k segments; returns the serializable context bundle."""
     rcfg = cfg.retrieval()
@@ -192,20 +187,8 @@ def run_query(cfg: AppConfig, query_text: str) -> dict:
     results = []
     for row in outcome.top:
         seg = bundle.segments[outcome.ranking.row_of(row.segment_key)]
-        results.append(
-            {
-                "rank": row.rank,
-                "segment_key": row.segment_key,
-                "fused_score": row.fused_score,
-                "score_v": row.score_v,
-                "score_r": row.score_r,
-                "keyword_hits": row.keyword_hits,
-                "metadata_path": seg.metadata_path,
-                "title": seg.title,
-                "kind": seg.kind,
-                "content": seg.content,
-            }
-        )
+        results.append({**asdict(row), "metadata_path": seg.metadata_path, "title": seg.title,
+                        "kind": seg.kind, "content": seg.content})
     return {"query": query_text, "top_k": cfg.top_k, "results": results}
 
 
@@ -236,7 +219,7 @@ def run_eval(cfg: AppConfig, bank_path: str | Path) -> evalkit.EvalReport:
     except (ValueError, evalkit.EvalError) as exc:
         raise DataError(str(exc)) from exc
     finally:
-        _close_quietly(embedder)
+        embedder.close()
 
 
 def write_eval_csv(report: evalkit.EvalReport, path: str | Path) -> None:
@@ -250,7 +233,7 @@ def write_eval_csv(report: evalkit.EvalReport, path: str | Path) -> None:
 
 def run_cohesion(cfg: AppConfig, grouping: str) -> list[list]:
     """Cohesion stats plus PCA coordinates, for augmented and raw texts."""
-    if grouping not in ("by-document", "by-section-title"):
+    if grouping not in GROUPINGS:
         raise UsageError(f"unknown grouping: {grouping!r}")
     bundle = _load_bundle(cfg)
     embedder = index.make_embedder(bundle.embedder_spec)
@@ -261,7 +244,7 @@ def run_cohesion(cfg: AppConfig, grouping: str) -> list[list]:
     try:
         raw = index.build_vector_index(hca.without_augmentation(segments), embedder)
     finally:
-        _close_quietly(embedder)
+        embedder.close()
 
     rows: list[list] = []
     variants = [("augmented", bundle.vectors.entries), ("raw", raw.entries)]
@@ -303,14 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--corpus-dir", dest="corpus_dir")
     parser.add_argument("--index-dir", dest="index_dir")
-    parser.add_argument("--window", type=int)
-    parser.add_argument("--padding", type=int)
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--beta", type=float)
-    parser.add_argument("--gamma", type=float)
-    parser.add_argument("--top-k", dest="top_k", type=int)
-    parser.add_argument("--k1", type=float)
-    parser.add_argument("--b", type=float)
+    hints = get_type_hints(AppConfig)
+    for f in fields(AppConfig):  # one flag per numeric field, in field order
+        if hints[f.name] in (int, float):
+            parser.add_argument(f"--{f.name.replace('_', '-')}", type=hints[f.name])
     parser.add_argument("--keywords", dest="keyword_dict", help="user keyword dictionary (one per line)")
 
     commands = parser.add_subparsers(dest="command", required=True)
@@ -325,11 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--output", default="eval_report.csv", help="per-query CSV path")
 
     cohesion = commands.add_parser("cohesion", help="embedding cohesion statistics")
-    cohesion.add_argument(
-        "--grouping",
-        choices=["by-document", "by-section-title"],
-        default="by-document",
-    )
+    cohesion.add_argument("--grouping", choices=GROUPINGS, default=GROUPINGS[0])
     cohesion.add_argument("--output", default="cohesion_report.csv", help="CSV path")
     return parser
 
@@ -339,7 +314,7 @@ def _print_query_result(result: dict) -> None:
         print("no results (empty index)")
         return
     for row in result["results"]:
-        path = hca.PATH_SEPARATOR.join(row["metadata_path"])
+        path = PATH_SEPARATOR.join(row["metadata_path"])
         snippet = " ".join(row["content"].split())
         if len(snippet) > 160:
             snippet = snippet[:157] + "..."

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -16,6 +17,8 @@ log = logging.getLogger(__name__)
 
 DOCUMENT_SUFFIXES = (".md", ".txt")
 PATH_SEPARATOR = " > "
+# A markdown image reference alone on its line: ``![alt](ref)``.
+IMAGE_LINE_RE = re.compile(r"^!\[(?P<alt>[^\]]*)\]\((?P<ref>[^)]*)\)\s*$")
 
 
 class CorpusError(Exception):

@@ -208,7 +208,7 @@ def load_question_bank(path: str | Path) -> list[EvalQuery]:
     seen: set[str] = set()
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise QuestionBankError(f"unreadable question bank {path}: {exc}") from exc
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():

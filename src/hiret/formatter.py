@@ -23,7 +23,7 @@ from itertools import compress, count
 from operator import is_not
 from typing import Protocol
 
-from .corpus import Segment
+from .corpus import IMAGE_LINE_RE, Segment
 
 log = logging.getLogger(__name__)
 
@@ -32,7 +32,6 @@ _HEADING_RE = re.compile(r"^#\s+(\S+)(?:\s+(.*))?$")
 _NUMBER_RE = re.compile(r"^\d+(\.\d+)*$")
 _MD_HEADING_RE = re.compile(r"^(#{1,6})\s+(\S+)(?:\s+(.*))?$")
 _PLAIN_HEADING_RE = re.compile(r"^(\d+(?:\.\d+)*)[.)]?\s+(\S.*)$")
-_IMAGE_LINE_RE = re.compile(r"^!\[[^\]]*\]\([^)]*\)\s*$")
 _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"  # where str.splitlines breaks
 _LINE_BREAK_RE = re.compile(f"[{_LINE_BREAKS}]")
 
@@ -271,7 +270,7 @@ def _detect_kind(content: str) -> str:
     first = next((line.strip() for line in content.splitlines() if line.strip()), "")
     if first.startswith(("|", "Table:")):
         return "table"
-    return "image" if _IMAGE_LINE_RE.match(first) else "text"
+    return "image" if IMAGE_LINE_RE.match(first) else "text"
 
 
 def _finish_content(lines: list[str]) -> str:

@@ -17,11 +17,10 @@ import re
 from dataclasses import replace
 from typing import Protocol
 
-from .corpus import PATH_SEPARATOR, DocumentRecord, ImageAsset, Segment, path_text
+from .corpus import IMAGE_LINE_RE, DocumentRecord, ImageAsset, Segment, path_text
 
 log = logging.getLogger(__name__)
 
-_IMAGE_REF_RE = re.compile(r"^!\[(?P<alt>[^\]]*)\]\((?P<ref>[^)]*)\)\s*$")
 _TABLE_SEPARATOR_RE = re.compile(r"^:?-{2,}:?$|^-+$")
 
 
@@ -101,7 +100,7 @@ def _resolve_image(seg: Segment, doc: DocumentRecord) -> tuple[ImageAsset, str]:
     alt = ""
     rest: list[str] = []
     for line in seg.content.splitlines():
-        match = _IMAGE_REF_RE.match(line.strip())
+        match = IMAGE_LINE_RE.match(line.strip())
         if match and not ref:
             ref = match.group("ref")
             alt = match.group("alt")

@@ -71,9 +71,8 @@ INDEX_FILES = (
 _MANIFEST_FIELDS = {"k1": (int, float), "b": (int, float), "embedder": dict,
                     "user_keywords": list, "files": dict}
 
-# Unicode letter/digit runs; underscores and hyphens split tokens.
-_TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
-# Keyword candidates keep interior hyphens so part numbers survive intact.
+# Unicode letter/digit runs joined by single hyphens: keyword candidates keep
+# part numbers intact, and their ``-`` pieces are the BM25 and vector terms.
 _KEYWORD_TOKEN_RE = re.compile(r"[^\W_]+(?:-[^\W_]+)*", re.UNICODE)
 _HAS_LETTER_RE = re.compile(r"[^\W\d_]", re.UNICODE)
 _HAS_DIGIT_RE = re.compile(r"\d")
@@ -89,8 +88,9 @@ class InconsistentIndexError(IndexFormatError):
 
 
 def tokenize(text: str) -> list[str]:
-    """Case-folded alphanumeric tokens ("CA-IS3641" -> ["ca", "is3641"])."""
-    return [t.casefold() for t in _TOKEN_RE.findall(text)]
+    """Case-folded ``-`` pieces of the keyword tokens ("CA-IS3641" -> ["ca", "is3641"])."""
+    return [piece.casefold() for token in _KEYWORD_TOKEN_RE.findall(text)
+            for piece in token.split("-")]
 
 
 class Embedder(Protocol):
@@ -101,6 +101,8 @@ class Embedder(Protocol):
     def embed(self, text: str) -> np.ndarray: ...
 
     def spec(self) -> dict: ...
+
+    def close(self) -> None: ...
 
 
 class _Memo(dict):
@@ -128,8 +130,8 @@ class HashingEmbedder:
     """
 
     def __init__(self, dim: int = DEFAULT_DIM):
-        if dim < 1:
-            raise ValueError(f"dim must be >= 1, got {dim}")
+        if problem := _embedder_spec_problem({"dim": dim}):
+            raise ValueError(problem)
         self.dim = dim
 
     def embed(self, text: str) -> np.ndarray:
@@ -153,6 +155,9 @@ class HashingEmbedder:
 
     def spec(self) -> dict:
         return {"kind": "hash", "dim": self.dim}
+
+    def close(self) -> None:
+        """Nothing to release."""
 
 
 def unit_vector(vector: np.ndarray, dim: int) -> tuple[np.ndarray | None, str]:
@@ -304,7 +309,7 @@ def extract_keywords(text: str, user_keywords: Iterable[str] | None = None) -> s
 class _Scan(list):
     """Segments, their keys and, once a builder reads :attr:`tokens`, the one pass of
     ``_KEYWORD_TOKEN_RE`` over their embedding_text that all three builders share. A
-    keyword token's ``-`` pieces are its ``_TOKEN_RE`` tokens, its term ids once folded."""
+    keyword token's ``-`` pieces are its :func:`tokenize` terms, its term ids once folded."""
 
     @cached_property
     def keys(self) -> list[str]:
@@ -333,8 +338,9 @@ def _scan(segments: Sequence[Segment]) -> _Scan:  # the scan segments carry, or 
 
 def build_vector_index(segments: Sequence[Segment], embedder: Embedder) -> VectorIndex:
     """Embed every augmented segment as a unit vector, skipping one whose vector
-    is zero, not finite or of the wrong dimension. :class:`HashingEmbedder` builds
-    blocks of rows from the shared token scan; others embed each text in turn.
+    is zero, not finite or of the wrong dimension; an empty text is the zero vector,
+    whatever the embedder. :class:`HashingEmbedder` builds blocks of rows from the
+    shared token scan; others embed each non-empty text in turn.
     The matrix is column-major; it is copied once more when a row was skipped."""
     scan = _scan(segments)
     rows = np.empty(len(scan), dtype=np.intp)
@@ -356,7 +362,9 @@ def build_vector_index(segments: Sequence[Segment], embedder: Embedder) -> Vecto
                             "vector index", scan.keys[lo + i])
     else:
         for row, seg in enumerate(scan):
-            vector, problem = unit_vector(embedder.embed(seg.embedding_text), embedder.dim)
+            text = seg.embedding_text
+            vector = embedder.embed(text) if text else np.zeros(embedder.dim)
+            vector, problem = unit_vector(vector, embedder.dim)
             if vector is None:
                 log.warning("segment %s: vector %s; skipped from vector index", seg.key, problem)
                 continue

@@ -61,12 +61,12 @@ class RetrievalConfig:
 
 @dataclass(frozen=True)
 class RankedResult:
+    rank: int
     segment_key: str
+    fused_score: float
     score_v: float  # normalized vector-route score
     score_r: float  # normalized BM25-route score
     keyword_hits: int
-    fused_score: float
-    rank: int
 
 
 class Ranking(Sequence[RankedResult]):
@@ -120,7 +120,7 @@ class Ranking(Sequence[RankedResult]):
                       self.score_r[order].tolist(), self.hits[order].tolist(),
                       self.fused[order].tolist())
         for position, row, v, r, c, fused in columns:
-            yield RankedResult(self.keys[row], v, r, c, fused, position + 1)
+            yield RankedResult(position + 1, self.keys[row], fused, v, r, c)
 
     def __getitem__(self, index):
         positions = range(len(self))[index]  # list semantics, IndexError included
@@ -266,7 +266,7 @@ def retrieve(
     try:
         raw_v = vector_route(query, bundle.vectors, embedder)
     finally:
-        if made and hasattr(embedder, "close"):
+        if made:
             embedder.close()
     v = np.zeros(len(bundle.keys))
     v[bundle.vectors.rows] = normalize_scores(raw_v)

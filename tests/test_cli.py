@@ -28,6 +28,7 @@ from conftest import (
 )
 from hiret.cli import (
     AppConfig,
+    UsageError,
     _apply_overrides,
     build_parser,
     load_config,
@@ -35,6 +36,7 @@ from hiret.cli import (
     run_cohesion,
     run_eval,
     run_ingest,
+    run_query,
 )
 from hiret.index import InconsistentIndexError, IndexFormatError, load_index
 from make_golden import DATA_DIR
@@ -193,6 +195,17 @@ class TestIngest:
         run_ingest(AppConfig(corpus_dir=str(corpus), index_dir=str(tmp_path / "index"),
                              keyword_dict=str(words)))
         assert load_index(tmp_path / "index").user_keywords == ["pinout", "regulator"]
+
+    def test_keyword_dictionary_that_is_not_utf8_is_a_data_error(self, tmp_path, capsys):
+        corpus = write_manual_corpus(tmp_path / "corpus", 1)
+        words = tmp_path / "dict.txt"
+        words.write_bytes(b"\xffregulator\n")
+        code = main(["--corpus-dir", str(corpus), "--index-dir", str(tmp_path / "index"),
+                     "--keywords", str(words), "ingest"])
+        assert code == 2
+        assert f"error: cannot read keyword dictionary {words}: 'utf-8' codec" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "index").exists()
 
 
 class TestKilledIngest:
@@ -533,6 +546,14 @@ class TestEval:
         assert code == 2
         assert "bad-one" in capsys.readouterr().err
 
+    def test_bank_that_is_not_utf8_is_a_data_error(self, manual_setup, capsys):
+        cfg, tmp_path = manual_setup
+        bank = tmp_path / "bank.jsonl"
+        bank.write_bytes(b'\xff{"query": "pinout", "relevant": ["x#1"]}\n')
+        code = main(["--index-dir", cfg.index_dir, "eval", str(bank)])
+        assert code == 2
+        assert f"error: unreadable question bank {bank}: 'utf-8' codec" in capsys.readouterr().err
+
     def test_empty_bank_is_error(self, manual_setup, capsys):
         cfg, tmp_path = manual_setup
         bank = tmp_path / "bank.jsonl"
@@ -569,6 +590,11 @@ class TestCohesion:
             rows = list(csv.reader(handle))
         assert rows[0][0] == "record"
         assert len(rows) == 1 + 2 * (5 + 50)
+
+    def test_unknown_grouping_is_a_usage_error(self, tmp_path):
+        cfg = AppConfig(index_dir=str(tmp_path / "index"))
+        with pytest.raises(UsageError, match="unknown grouping: 'by-chapter'"):
+            run_cohesion(cfg, "by-chapter")
 
     def test_singleton_group_marked_undefined(self, tmp_path):
         corpus = tmp_path / "corpus"
@@ -639,6 +665,12 @@ class TestConfigAndExitCodes:
         cfg = _apply_overrides(load_config(args.config), args)
         assert asdict(cfg) == {**self.FILE_VALUES, name: value}
 
+    def test_config_that_is_not_an_object_is_usage_error(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps([{"alpha": 0.9}]), encoding="utf-8")
+        with pytest.raises(UsageError, match="must hold a JSON object"):
+            load_config(config)
+
     def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"alhpa": 0.9}), encoding="utf-8")
@@ -695,6 +727,34 @@ class TestConfigAndExitCodes:
         code = main(["--index-dir", cfg.index_dir, "--alpha", "2.0", "query", "x"])
         assert code == 1
         assert "alpha" in capsys.readouterr().err
+
+    def test_query_results_hold_the_ranked_then_the_segment_fields(self, manual_setup):
+        cfg, _ = manual_setup
+        results = run_query(cfg, "pinout")["results"]
+        assert len(results) == cfg.top_k
+        for row in results:
+            assert list(row) == ["rank", "segment_key", "fused_score", "score_v", "score_r",
+                                 "keyword_hits", "metadata_path", "title", "kind", "content"]
+
+    def test_numeric_flags_parse_to_their_field_types(self):
+        args = build_parser().parse_args(["--window", "3", "--padding", "1", "--alpha", ".5",
+                                          "--beta", ".1", "--gamma", "2", "--top-k", "4",
+                                          "--k1", "1.5", "--b", ".5", "ingest"])
+        parsed = {name: getattr(args, name)
+                  for name in ("window", "padding", "alpha", "beta", "gamma", "top_k", "k1", "b")}
+        assert parsed == {"window": 3, "padding": 1, "alpha": 0.5, "beta": 0.1, "gamma": 2.0,
+                          "top_k": 4, "k1": 1.5, "b": 0.5}
+        assert {name: type(value) for name, value in parsed.items()} == {
+            "window": int, "padding": int, "alpha": float, "beta": float, "gamma": float,
+            "top_k": int, "k1": float, "b": float}
+
+    def test_cohesion_grouping_accepts_exactly_the_two_groupings(self):
+        parser = build_parser()
+        assert parser.parse_args(["cohesion"]).grouping == "by-document"
+        for grouping in ("by-document", "by-section-title"):
+            assert parser.parse_args(["cohesion", "--grouping", grouping]).grouping == grouping
+        with pytest.raises(UsageError, match="invalid choice: 'by-chapter'"):
+            parser.parse_args(["cohesion", "--grouping", "by-chapter"])
 
     def test_importing_the_cli_loads_no_plugin_machinery(self):
         # Every `hiret query` pays for what `import hiret.cli` loads; plug-ins

@@ -69,6 +69,18 @@ def test_non_string_sidecar_value_is_refused(tmp_path, capsys, meta, named):
     assert not (tmp_path / "idx").exists()
 
 
+@pytest.mark.parametrize("text,named", [
+    ("{not json", "unreadable sidecar {}: "),
+    ('["title"]', "sidecar {} must hold a JSON object"),
+    ('{"images": ["p3.png"]}', "sidecar {}: images[0] must be an object"),
+], ids=["not-json", "list", "image-not-object"])
+def test_malformed_sidecar_is_refused(tmp_path, text, named):
+    (tmp_path / "ds.md").write_text("# 1 Intro\nfig\n", encoding="utf-8")
+    (tmp_path / "ds.meta.json").write_text(text, encoding="utf-8")
+    with pytest.raises(CorpusError, match=re.escape(named.format(tmp_path / "ds.meta.json"))):
+        load_corpus(tmp_path)
+
+
 def test_ordering_is_stable_by_path(tmp_path):
     for name in ["b.md", "a.txt", "c.md"]:
         (tmp_path / name).write_text("x", encoding="utf-8")

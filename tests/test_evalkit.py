@@ -351,6 +351,12 @@ class TestQuestionBank:
         with pytest.raises(QuestionBankError, match=re.escape(f"{bank}:2: {named}")):
             load_question_bank(bank)
 
+    def test_empty_relevant_list_rejected_with_line(self, tmp_path):
+        bank = tmp_path / "bank.jsonl"
+        bank.write_text('{"id": "q1", "query": "a", "relevant": []}\n', encoding="utf-8")
+        with pytest.raises(QuestionBankError, match=re.escape(f"{bank}:1: empty relevant set")):
+            load_question_bank(bank)
+
     def test_empty_bank_rejected(self, tmp_path):
         bank = tmp_path / "bank.jsonl"
         bank.write_text("\n")

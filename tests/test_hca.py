@@ -3,9 +3,8 @@ from dataclasses import fields
 
 import pytest
 
-from hiret.corpus import DocumentRecord, ImageAsset, Segment
+from hiret.corpus import PATH_SEPARATOR, DocumentRecord, ImageAsset, Segment
 from hiret.hca import (
-    PATH_SEPARATOR,
     augment_document,
     augment_image,
     augment_table,

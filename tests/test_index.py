@@ -28,8 +28,6 @@ import hiret.index
 from hiret.corpus import DocumentRecord, ImageAsset, Segment, path_text
 from hiret.hca import augment_document, without_augmentation
 from hiret.index import (
-    _KEYWORD_TOKEN_RE,
-    _TOKEN_RE,
     FORMAT_VERSION,
     INDEX_FILES,
     Bm25Index,
@@ -209,6 +207,12 @@ class TestHashingEmbedder:
     def test_bad_dim_rejected(self):
         with pytest.raises(ValueError):
             HashingEmbedder(dim=0)
+
+    @pytest.mark.parametrize("dim", [2.5, True, "8"])
+    def test_dim_is_an_int_not_a_bool(self, dim):
+        # the rule make_embedder applies to a spec's dim, refused before any embed
+        with pytest.raises(ValueError, match="embedder 'dim' must be an integer >= 1"):
+            HashingEmbedder(dim=dim)
 
 
 class TestVectorIndex:
@@ -458,9 +462,9 @@ _SCAN_TEXTS = st.one_of(_TEXTS, st.text(), st.text(st.sampled_from(
 @settings(max_examples=500, deadline=None)
 @given(text=_SCAN_TEXTS)
 def test_keyword_token_pieces_are_the_bm25_tokens(text):
-    """The identity the one-pass ingest rests on."""
-    pieces = [piece for token in _KEYWORD_TOKEN_RE.findall(text) for piece in token.split("-")]
-    assert _TOKEN_RE.findall(text) == pieces
+    """The identity the one-pass ingest rests on: the ``-`` pieces of the keyword
+    tokens are the letter/digit runs, with underscores and hyphens splitting them."""
+    assert tokenize(text) == [run.casefold() for run in re.findall(r"[^\W_]+", text)]
 
 
 class TestOneScanMatchesTheOracles:
@@ -530,7 +534,7 @@ class TestOneScanMatchesTheOracles:
         segments = [seg("d", str(i), t) for i, t in enumerate(rows)]
         for embedder in (Recording(), Subclassed(16)):
             bundle = build_indices(segments, embedder, user_keywords=["beta"])
-            assert embedder.texts == rows
+            assert embedder.texts == [text for text in rows if text]  # "" is never sent
             self.assert_bundle_matches(segments, bundle, ["beta"])
 
 
@@ -651,6 +655,30 @@ class TestPersistence:
         save_index(self.build_bundle(), tmp_path)
         (tmp_path / "postings_rows.npy").unlink()
         with pytest.raises(IndexFormatError, match="postings_rows.npy"):
+            load_index(tmp_path)
+
+    @pytest.mark.parametrize("name, data, says", [
+        ("vector_rows.npy", np.zeros(3, "<i8"), "holds int64 1-d data, expected <i4 1-d"),
+        ("vectors.npy", np.zeros(3, "<f4"), "holds float32 1-d data, expected <f4 2-d"),
+    ], ids=["dtype", "ndim"])
+    def test_array_of_another_dtype_or_ndim_is_refused(self, tmp_path, name, data, says):
+        save_index(self.build_bundle(), tmp_path)
+        np.save(tmp_path / name, data)
+        restamp_manifest(tmp_path, name)  # the manifest vouches for the file
+        with pytest.raises(IndexFormatError, match=re.escape(f"{name} {says}")):
+            load_index(tmp_path)
+
+    def test_terms_file_that_is_not_json_is_refused(self, tmp_path):
+        save_index(self.build_bundle(), tmp_path)
+        (tmp_path / "postings_terms.json").write_bytes(b'["alpha", ')
+        restamp_manifest(tmp_path, "postings_terms.json")
+        with pytest.raises(IndexFormatError, match="corrupt index file .*postings_terms.json"):
+            load_index(tmp_path)
+
+    def test_manifest_that_is_not_json_is_refused(self, tmp_path):
+        save_index(self.build_bundle(), tmp_path)
+        (tmp_path / "manifest.json").write_text('{"format_version": ', encoding="utf-8")
+        with pytest.raises(IndexFormatError, match="corrupt manifest .*manifest.json"):
             load_index(tmp_path)
 
     def test_manifest_must_list_every_file(self, tmp_path):

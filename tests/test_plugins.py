@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from hiret import plugins
-from hiret.index import build_indices, build_vector_index, make_embedder
+from hiret.cli import AppConfig, run_ingest
+from hiret.index import build_indices, build_vector_index, load_index, make_embedder
 from hiret.corpus import Segment
 from hiret.retriever import RetrievalConfig, retrieve
 from hiret.plugins import (
@@ -42,6 +43,11 @@ def py(script):
     return [sys.executable, "-c", script]
 
 
+def answering(response):
+    """A worker that answers every request with the JSON text ``response``."""
+    return py(f"import sys\nfor line in sys.stdin:\n    print({response!r}, flush=True)\n")
+
+
 class TestSubprocessEmbedder:
     def test_round_trip(self):
         with SubprocessEmbedder(py(EMBED_WORKER), dim=3) as embedder:
@@ -67,6 +73,11 @@ class TestSubprocessEmbedder:
                   f"    print(json.dumps({{'vector': {vector!r}}}), flush=True)\n")
         with SubprocessEmbedder(py(worker), dim=3) as embedder:
             with pytest.raises(PluginError, match=r"plug-in \[.*'vector' of JSON numbers"):
+                embedder.embed("x")
+
+    def test_answer_that_is_not_an_object_raises(self):
+        with SubprocessEmbedder(answering("[1, 2]"), dim=2) as embedder:
+            with pytest.raises(PluginError, match="must answer a JSON object"):
                 embedder.embed("x")
 
     def test_invalid_response_raises(self):
@@ -176,3 +187,40 @@ class TestSubprocessCaptioner:
     def test_describe(self):
         with SubprocessCaptioner(py(CAPTION_WORKER)) as captioner:
             assert captioner.describe("pinout.png", "context") == "image of pinout.png"
+
+    def test_caption_that_is_not_a_string_raises(self):
+        with SubprocessCaptioner(answering('{"caption": 3}')) as captioner:
+            with pytest.raises(PluginError, match="must answer a 'caption' string"):
+                captioner.describe("pinout.png", "context")
+
+
+def test_undescribed_image_never_reaches_the_embedder(tmp_path, monkeypatch, caplog):
+    class Constant:  # embeds every text alike, "" included, as a plug-in may
+        dim = 4
+
+        def __init__(self):
+            self.texts = []
+
+        def embed(self, text):
+            self.texts.append(text)
+            return np.array([1.0, 0.0, 0.0, 0.0])
+
+        def spec(self):
+            return {"kind": "subprocess", "command": ["constant"], "dim": self.dim}
+
+        def close(self):
+            pass
+
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "d.md").write_text("# 1 Intro\nplain text\n# 2 Figure\n![pinout](p3.png)\n",
+                                 encoding="utf-8")
+    embedder = Constant()
+    monkeypatch.setattr("hiret.index.make_embedder", lambda spec: embedder)
+    report = run_ingest(AppConfig(corpus_dir=str(corpus), index_dir=str(tmp_path / "index")))
+    assert report["skipped"] == 1
+    assert embedder.texts == ["d > 1 Intro\nplain text"]  # "" is never sent
+    assert "segment d#2: vector is zero (no embeddable text); skipped" in caplog.text
+    bundle = load_index(tmp_path / "index")
+    assert bundle.keys == ["d#1", "d#2"]
+    assert bundle.vectors.rows.tolist() == [0]  # the image d#2 has no vector

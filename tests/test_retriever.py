@@ -411,8 +411,9 @@ class TestRanking:
         r = np.arange(len(rows), dtype=np.float64)
         hits = np.arange(len(rows), dtype=np.int64)
         by_rank = sorted(range(len(keys)), key=lambda i: (-fused[i], -v[i], keys[i]))
-        expected = [RankedResult(keys[i], float(v[i]), float(r[i]), int(hits[i]),
-                                 float(fused[i]), rank) for rank, i in enumerate(by_rank, 1)]
+        expected = [RankedResult(segment_key=keys[i], score_v=float(v[i]), score_r=float(r[i]),
+                                 keyword_hits=int(hits[i]), fused_score=float(fused[i]),
+                                 rank=rank) for rank, i in enumerate(by_rank, 1)]
 
         def fresh():  # no full order computed yet
             return Ranking(keys, v, r, hits, fused)
