@@ -92,6 +92,10 @@ def _string(entry: dict, name: str, default: str, where: str) -> str:
     value = entry.get(name, default)
     if not isinstance(value, str):
         raise CorpusError(f"{where}: {name!r} must be a string, got {value!r}")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:  # JSON "\ud800" decodes to a lone surrogate
+        raise CorpusError(f"{where}: {name!r} must be UTF-8 text, got {value!r}") from None
     return value
 
 

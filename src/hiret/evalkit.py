@@ -44,7 +44,7 @@ class EvalQuery:
 
     def __post_init__(self):
         if not self.relevant_keys:
-            raise ValueError(f"query {self.query_id!r} has no relevant keys")
+            raise ValueError(f"empty relevant set for query {self.query_id!r}")
 
 
 @dataclass
@@ -230,17 +230,11 @@ def load_question_bank(path: str | Path) -> list[EvalQuery]:
         if query_id in seen:
             raise QuestionBankError(f"{path}:{lineno}: duplicate query id {query_id!r}")
         seen.add(query_id)
-        relevant = frozenset(data["relevant"])
-        if not relevant:
-            raise QuestionBankError(f"{path}:{lineno}: empty relevant set")
-        queries.append(
-            EvalQuery(
-                query_id=query_id,
-                query=data["query"],
-                relevant_keys=relevant,
-                user_keywords=frozenset(data.get("keywords", [])),
-            )
-        )
+        try:
+            queries.append(EvalQuery(query_id, data["query"], frozenset(data["relevant"]),
+                                     frozenset(data.get("keywords", []))))
+        except ValueError as exc:  # the query's own checks
+            raise QuestionBankError(f"{path}:{lineno}: {exc}") from exc
     if not queries:
         raise QuestionBankError(f"question bank {path} holds no queries")
     return queries

@@ -35,7 +35,7 @@ from bisect import bisect_left
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, zip_longest
+from itertools import zip_longest
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Protocol
@@ -74,6 +74,10 @@ _MANIFEST_FIELDS = {"k1": (int, float), "b": (int, float), "embedder": dict,
 # Unicode letter/digit runs joined by single hyphens: keyword candidates keep
 # part numbers intact, and their ``-`` pieces are the BM25 and vector terms.
 _KEYWORD_TOKEN_RE = re.compile(r"[^\W_]+(?:-[^\W_]+)*", re.UNICODE)
+# bytes.translate table: each ASCII byte that no token holds becomes a space; letters,
+# digits, "-" and every byte of a multibyte UTF-8 character stay, so no character is cut.
+_RUN_BREAKS = bytes(32 if b < 128 and not _KEYWORD_TOKEN_RE.fullmatch(f"a{chr(b)}a") else b
+                    for b in range(256))
 _HAS_LETTER_RE = re.compile(r"[^\W\d_]", re.UNICODE)
 _HAS_DIGIT_RE = re.compile(r"\d")
 
@@ -309,7 +313,9 @@ def extract_keywords(text: str, user_keywords: Iterable[str] | None = None) -> s
 class _Scan(list):
     """Segments, their keys and, once a builder reads :attr:`tokens`, the one pass of
     ``_KEYWORD_TOKEN_RE`` over their embedding_text that all three builders share. A
-    keyword token's ``-`` pieces are its :func:`tokenize` terms, its term ids once folded."""
+    keyword token's ``-`` pieces are its :func:`tokenize` terms, its term ids once folded.
+    The scan cuts each text at the :data:`_RUN_BREAKS` bytes and tokenizes each distinct
+    run once: no token holds a break, so a text's tokens are its runs' tokens in order."""
 
     @cached_property
     def keys(self) -> list[str]:
@@ -320,15 +326,20 @@ class _Scan(list):
         """Term ids in order of first use; every row's term ids, row ``i``'s
         being ``ids[offsets[i]:offsets[i + 1]]``; each row's verdict set."""
         terms: dict[str, int] = {}
-        term_ids = _Memo(lambda token: [terms.setdefault(piece.casefold(), len(terms))
-                                        for piece in token.split("-")])
-        verdict = _Memo(_keyword)
+
+        def run_tokens(run: bytes) -> list[str]:  # a run holds whole characters
+            return _KEYWORD_TOKEN_RE.findall(run.decode("utf-8", "surrogatepass"))
+        term_ids = _Memo(lambda run: array("i", [  # as bytes, so a row joins its runs' ids
+            terms.setdefault(piece.casefold(), len(terms))
+            for token in run_tokens(run) for piece in token.split("-")]).tobytes())
+        verdict = _Memo(lambda run: frozenset(map(_keyword, run_tokens(run))))
         ids, offsets, verdicts = array("i"), array("q", [0]), []
-        for seg in self:
-            tokens = _KEYWORD_TOKEN_RE.findall(seg.embedding_text)
-            ids.extend(chain.from_iterable(map(term_ids.__getitem__, tokens)))
+        for seg in self:  # surrogatepass: findall takes a lone surrogate, so the scan does too
+            text = seg.embedding_text.encode("utf-8", "surrogatepass")
+            runs = text.translate(_RUN_BREAKS).split()
+            ids.frombytes(b"".join(map(term_ids.__getitem__, runs)))
             offsets.append(len(ids))
-            verdicts.append(set(map(verdict.__getitem__, tokens)))
+            verdicts.append(set().union(*map(verdict.__getitem__, runs)))
         return terms, np.frombuffer(ids, np.intc), np.frombuffer(offsets, np.int64), verdicts
 
 
@@ -337,10 +348,11 @@ def _scan(segments: Sequence[Segment]) -> _Scan:  # the scan segments carry, or 
 
 
 def build_vector_index(segments: Sequence[Segment], embedder: Embedder) -> VectorIndex:
-    """Embed every augmented segment as a unit vector, skipping one whose vector
-    is zero, not finite or of the wrong dimension; an empty text is the zero vector,
-    whatever the embedder. :class:`HashingEmbedder` builds blocks of rows from the
-    shared token scan; others embed each non-empty text in turn.
+    """Embed every augmented segment as a unit vector, skipping with a warning one whose
+    vector is zero, not finite or of the wrong dimension. An empty text is skipped without
+    one, whatever the embedder: in an ingest it is an undescribed image, which HCA warned of.
+    :class:`HashingEmbedder` builds blocks of rows from the shared token scan; others
+    embed each non-empty text in turn.
     The matrix is column-major; it is copied once more when a row was skipped."""
     scan = _scan(segments)
     rows = np.empty(len(scan), dtype=np.intp)
@@ -358,13 +370,14 @@ def build_vector_index(segments: Sequence[Segment], embedder: Embedder) -> Vecto
             rows[n:n + len(kept)] = kept + lo
             n += len(kept)
             for i in np.flatnonzero(norms == 0).tolist():
-                log.warning("segment %s: vector is zero (no embeddable text); skipped from "
-                            "vector index", scan.keys[lo + i])
+                if scan[lo + i].embedding_text:
+                    log.warning("segment %s: vector is zero (no embeddable text); skipped from "
+                                "vector index", scan.keys[lo + i])
     else:
         for row, seg in enumerate(scan):
-            text = seg.embedding_text
-            vector = embedder.embed(text) if text else np.zeros(embedder.dim)
-            vector, problem = unit_vector(vector, embedder.dim)
+            if not (text := seg.embedding_text):
+                continue
+            vector, problem = unit_vector(embedder.embed(text), embedder.dim)
             if vector is None:
                 log.warning("segment %s: vector %s; skipped from vector index", seg.key, problem)
                 continue

@@ -141,6 +141,38 @@ class TestIngest:
         assert run_ingest(cfg)["segments"] == 3
         assert len(set(load_index(cfg.index_dir).keys)) == 3
 
+    def test_fixture_ingest_warns_once_per_undescribed_image(self, tmp_path, capsys, caplog):
+        code = main(["--corpus-dir", str(DATA_DIR / "corpus"), "--index-dir",
+                     str(tmp_path / "index"), "ingest"])
+        assert code == 0
+        assert "(5 skipped, 5 warnings)" in capsys.readouterr().out
+        warned = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warned) == 5
+        assert all(w.endswith(": image has no description and no captioner; excluded from "
+                              "the vector index") for w in warned)
+
+    @pytest.mark.parametrize("sidecar, field", [
+        ({"title": "Doc \ud800 one"}, "'title'"),
+        ({"images": [{"id": "fig1", "description": "pinout \udfff view"}]},
+         "images[0]: 'description'"),
+    ], ids=["title", "image-description"])
+    def test_sidecar_string_with_a_lone_surrogate_is_a_data_error(self, tmp_path, capsys,
+                                                                   monkeypatch, sidecar, field):
+        corpus = write_manual_corpus(tmp_path / "corpus", 2)
+        meta = corpus / f"{manual_doc_stem(2)}.meta.json"
+        meta.write_text(json.dumps(sidecar), encoding="utf-8")  # the surrogate as a \u escape
+
+        def convert_document(*args):
+            raise AssertionError("converted a document of a corpus that does not load")
+
+        monkeypatch.setattr("hiret.cli.convert_document", convert_document)
+        code = main(["--corpus-dir", str(corpus), "--index-dir", str(tmp_path / "index"),
+                     "ingest"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: sidecar {meta}: {field} must be UTF-8 text, got ")
+        assert [p.name for p in tmp_path.iterdir()] == ["corpus"]  # no index, no staging sibling
+
     def test_missing_corpus_is_data_error(self, tmp_path, capsys):
         code = main(["--corpus-dir", str(tmp_path / "nope"), "ingest"])
         assert code == 2

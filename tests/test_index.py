@@ -30,12 +30,14 @@ from hiret.hca import augment_document, without_augmentation
 from hiret.index import (
     FORMAT_VERSION,
     INDEX_FILES,
+    _RUN_BREAKS,
     Bm25Index,
     HashingEmbedder,
     InconsistentIndexError,
     IndexBundle,
     IndexFormatError,
     StoredSegments,
+    _Scan,
     _invert,
     bm25_route,
     bm25_score,
@@ -252,6 +254,18 @@ class TestVectorIndex:
                              ("zero", "is zero")]:
             assert f"segment d#{key}: vector {problem}" in warned
 
+    @pytest.mark.parametrize("embedder", [HashingEmbedder(16), OracleEmbedder(16)],
+                             ids=["hashing", "plug-in"])
+    def test_empty_text_is_skipped_silently_and_punctuation_warns_once(self, embedder,
+                                                                        caplog):
+        # "" is an undescribed image, which HCA has warned of; "-- .." holds no token.
+        segments = [seg("d", "1", "alpha"), seg("d", "2", ""), seg("d", "3", "-- ..")]
+        with caplog.at_level("WARNING", logger="hiret.index"):
+            index = build_vector_index(segments, embedder)
+        assert list(index.entries) == ["d#1"]
+        assert [r.getMessage() for r in caplog.records] == [
+            "segment d#3: vector is zero (no embeddable text); skipped from vector index"]
+
     def test_self_cosine_is_one(self):
         segments = [seg("d", str(i), f"text number {i}") for i in range(5)]
         index = build_vector_index(segments, HashingEmbedder())
@@ -453,10 +467,30 @@ class TestKeywords:
 
 
 # Texts rich in what the shared token scan must split alike: hyphen runs,
-# underscores, case folds that change length, combining marks, punctuation.
-_SCAN_TEXTS = st.one_of(_TEXTS, st.text(), st.text(st.sampled_from(
+# underscores, case folds that change length, combining marks, punctuation, every
+# ASCII control character, Unicode spaces, non-ASCII letters against "-" and "_",
+# and lone surrogates, which the scan's byte runs must carry through whole.
+_SCAN_TEXTS = st.one_of(_TEXTS, st.text(), st.lists(st.one_of(st.sampled_from(
     ["a", "Z", "9", "-", "_", " ", ".", "\u00df", "\u0130", "\u0301", "\u00b2",
-     "\u0660", "\u4e2d", "!", "\n"]), max_size=30))
+     "\u0660", "\u4e2d", "!", "\n", "\x85", "\u2028", "\xa0", "\u3000", "\u00e9-",
+     "-\u00e9", "\u00e9_", "_\u00e9", "\u4e2d-\u00df", "\u0430_\u0660"]
+    + [chr(code) for code in range(32)] + ["\x7f"]),
+    st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF)), max_size=30).map("".join))
+
+
+def test_run_breaks_are_the_ascii_characters_no_token_holds():
+    for code in range(128):
+        holds = re.fullmatch(r"[^\W_]|-", chr(code)) is not None
+        assert _RUN_BREAKS[code] == (code if holds else ord(" ")), repr(chr(code))
+    assert _RUN_BREAKS[128:] == bytes(range(128, 256))  # multibyte characters stay whole
+
+
+def test_a_lone_surrogate_scans_without_raising():
+    segments = [seg("d", "1", "CA-IS3641\ud800x9 \udfffgain"), seg("d", "2", "\udc00")]
+    terms, ids, offsets, verdicts = _Scan(segments).tokens
+    assert list(terms) == ["ca", "is3641", "x9", "gain"]
+    assert ids.tolist() == [0, 1, 2, 3] and offsets.tolist() == [0, 4, 4]
+    assert verdicts == [{"ca-is3641", "x9", ""}, set()]
 
 
 @settings(max_examples=500, deadline=None)

@@ -220,7 +220,9 @@ def test_undescribed_image_never_reaches_the_embedder(tmp_path, monkeypatch, cap
     report = run_ingest(AppConfig(corpus_dir=str(corpus), index_dir=str(tmp_path / "index")))
     assert report["skipped"] == 1
     assert embedder.texts == ["d > 1 Intro\nplain text"]  # "" is never sent
-    assert "segment d#2: vector is zero (no embeddable text); skipped" in caplog.text
+    assert [r.getMessage() for r in caplog.records if "d#2" in r.getMessage()] == [
+        "segment d#2: image has no description and no captioner; excluded from the vector "
+        "index"]  # HCA's warning, and no second one from the index
     bundle = load_index(tmp_path / "index")
     assert bundle.keys == ["d#1", "d#2"]
     assert bundle.vectors.rows.tolist() == [0]  # the image d#2 has no vector
