@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -127,8 +128,8 @@ def _read_sidecar(path: Path) -> tuple[str, list[ImageAsset]]:
 def load_corpus(root_dir: str | Path) -> list[DocumentRecord]:
     """Load every document file under ``root_dir``, ordered by path.
 
-    One record per file; doc_id is the filename stem and must be unique
-    across the corpus.
+    One record per file; doc_id is the filename stem, which must be UTF-8
+    and unique across the corpus.
     """
     root = Path(root_dir)
     if not root.is_dir():
@@ -142,7 +143,9 @@ def load_corpus(root_dir: str | Path) -> list[DocumentRecord]:
     records: list[DocumentRecord] = []
     seen_ids: dict[str, Path] = {}
     for path in paths:
-        doc_id = path.stem
+        doc_id = path.stem  # a file name byte that is not UTF-8 decodes to a lone surrogate
+        if doc_id.encode("utf-8", "replace").decode("utf-8") != doc_id:
+            raise CorpusError(f"document file name is not UTF-8: {os.fsencode(path)!r}")
         if doc_id in seen_ids:
             raise CorpusError(
                 f"duplicate doc_id {doc_id!r}: {seen_ids[doc_id]} and {path}"

@@ -146,7 +146,8 @@ class HeadingPromotionConverter:
 
     def convert(self, turn: ConverterTurn) -> str:
         raw = turn.core_text.splitlines()
-        lines = [self._transform(line) for line in raw]
+        lines = [self._transform(line) if line[:1] == "#" or line[:1].isdecimal() else line
+                 for line in raw]  # both heading patterns start with "#" or \d, i.e. isdecimal
         if turn.ends_mid_line:
             lines[-1] = self._transform_start(raw[-1], turn)
         if turn.starts_mid_line:

@@ -326,20 +326,30 @@ class _Scan(list):
         """Term ids in order of first use; every row's term ids, row ``i``'s
         being ``ids[offsets[i]:offsets[i + 1]]``; each row's verdict set."""
         terms: dict[str, int] = {}
+        plain_runs, keyword_runs, keywords_of = set(), set(), {}
 
-        def run_tokens(run: bytes) -> list[str]:  # a run holds whole characters
-            return _KEYWORD_TOKEN_RE.findall(run.decode("utf-8", "surrogatepass"))
-        term_ids = _Memo(lambda run: array("i", [  # as bytes, so a row joins its runs' ids
-            terms.setdefault(piece.casefold(), len(terms))
-            for token in run_tokens(run) for piece in token.split("-")]).tobytes())
-        verdict = _Memo(lambda run: frozenset(map(_keyword, run_tokens(run))))
+        def run_ids(run: bytes) -> bytes:  # as bytes, so a row joins its runs' ids
+            tokens = _KEYWORD_TOKEN_RE.findall(run.decode("utf-8", "surrogatepass"))
+            found = set(map(_keyword, tokens))  # a run holds whole characters
+            if "" in found:
+                plain_runs.add(run)
+                found.discard("")
+            if found:
+                keyword_runs.add(run)
+                keywords_of[run] = found
+            return array("i", [terms.setdefault(piece.casefold(), len(terms))
+                               for token in tokens for piece in token.split("-")]).tobytes()
+        term_ids = _Memo(run_ids)
         ids, offsets, verdicts = array("i"), array("q", [0]), []
         for seg in self:  # surrogatepass: findall takes a lone surrogate, so the scan does too
             text = seg.embedding_text.encode("utf-8", "surrogatepass")
             runs = text.translate(_RUN_BREAKS).split()
             ids.frombytes(b"".join(map(term_ids.__getitem__, runs)))
             offsets.append(len(ids))
-            verdicts.append(set().union(*map(verdict.__getitem__, runs)))
+            found = set().union(*map(keywords_of.__getitem__, keyword_runs.intersection(runs)))
+            if not plain_runs.isdisjoint(runs):
+                found.add("")
+            verdicts.append(found)
         return terms, np.frombuffer(ids, np.intc), np.frombuffer(offsets, np.int64), verdicts
 
 
@@ -602,8 +612,9 @@ def make_embedder(spec: dict) -> Embedder:
     return plugins.SubprocessEmbedder(command=list(spec["command"]), dim=spec["dim"])
 
 
-# Built once: json.dumps would build an encoder for each of the index's segment lines.
+# Built once, not per file as json.dumps would; _segment_line writes with its escaper, _quote.
 _COMPACT_JSON = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+_quote = json.encoder.encode_basestring
 _MANIFEST_JSON = json.JSONEncoder(sort_keys=True, ensure_ascii=False, indent=2)
 
 
@@ -621,11 +632,16 @@ def _file_entry(path: Path) -> dict:
 
 
 def _segment_line(seg: Segment) -> bytes:
-    """``seg``'s JSON line, without an ``embedding_text`` that :func:`path_text` derives."""
-    fields = dict(vars(seg))
-    if seg.embedding_text == path_text(seg.metadata_path, seg.content):
-        del fields["embedding_text"]
-    return _json_bytes(fields)
+    """``seg``'s line as :data:`_COMPACT_JSON` writes it, without an ``embedding_text`` that
+    :func:`path_text` derives; a field not of its annotated type raises ``TypeError``."""
+    q, level, path, text = _quote, seg.level, seg.metadata_path, seg.embedding_text
+    if type(level) is bool or not isinstance(path, list):  # the encoder writes a bool as true
+        raise TypeError(f"segment {seg.key}: not an int level or list path: {level!r}, {path!r}")
+    text_field = "" if text == path_text(path, seg.content) else f'"embedding_text":{q(text)},'
+    return (f'{{"chapter_number":{q(seg.chapter_number)},"content":{q(seg.content)},'
+            f'"doc_id":{q(seg.doc_id)},{text_field}"kind":{q(seg.kind)},'
+            f'"level":{int.__repr__(level)},"metadata_path":[{",".join(map(q, path))}],'
+            f'"segment_id":{q(seg.segment_id)},"title":{q(seg.title)}}}\n').encode("utf-8")
 
 
 def _write_files(bundle: IndexBundle, directory: Path) -> dict:

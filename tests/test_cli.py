@@ -173,6 +173,18 @@ class TestIngest:
             f"error: sidecar {meta}: {field} must be UTF-8 text, got ")
         assert [p.name for p in tmp_path.iterdir()] == ["corpus"]  # no index, no staging sibling
 
+    def test_file_name_that_is_not_utf8_is_a_data_error(self, tmp_path, capsys):
+        corpus = write_manual_corpus(tmp_path / "corpus", 2)
+        name = os.fsencode(corpus) + b"/ds\xff.md"  # "ds\udcff.md" as a str: no doc_id
+        with open(name, "w", encoding="utf-8") as f:
+            f.write("# 1 Overview\nBody.\n")
+        code = main(["--corpus-dir", str(corpus), "--index-dir", str(tmp_path / "index"),
+                     "ingest"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: document file name is not UTF-8: {name!r}")
+        assert [p.name for p in tmp_path.iterdir()] == ["corpus"]  # no index, no staging sibling
+
     def test_missing_corpus_is_data_error(self, tmp_path, capsys):
         code = main(["--corpus-dir", str(tmp_path / "nope"), "ingest"])
         assert code == 2

@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 from bisect import bisect_right
 from itertools import accumulate
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hiret.formatter import _LINE_BREAKS as LINE_BREAK_CHARS
+from hiret.formatter import _MD_HEADING_RE, _PLAIN_HEADING_RE
 from hiret.formatter import (
     ConversionError,
     ConverterTurn,
@@ -460,6 +462,22 @@ class TestHeadingPromotionConverter:
         plain = [w for w in words_of(out) if not w.startswith("#")]
         original_plain = [w for w in words_of(text) if not w.startswith("#")]
         assert plain == original_plain
+
+    def test_no_heading_starts_with_a_character_convert_skips(self):
+        # convert transforms only lines whose first character is "#" or isdecimal
+        def heading(line):
+            return bool(_MD_HEADING_RE.match(line) or _PLAIN_HEADING_RE.match(line))
+
+        assert heading("# 1 Title") and heading("11 Title")
+        starts = [hex(ord(c)) for c in map(chr, range(sys.maxunicode + 1))
+                  if c != "#" and not c.isdecimal()
+                  and (heading(c + "1 Title") or heading(c + " 1 Title"))]
+        assert starts == []
+
+    def test_the_regex_digit_class_is_isdecimal(self):
+        differ = [hex(code) for code, c in enumerate(map(chr, range(sys.maxunicode + 1)))
+                  if (re.match(r"\d", c) is not None) != c.isdecimal()]
+        assert differ == []
 
 
 class TestParseMarkdown:

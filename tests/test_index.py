@@ -37,8 +37,10 @@ from hiret.index import (
     IndexBundle,
     IndexFormatError,
     StoredSegments,
+    _json_bytes,
     _Scan,
     _invert,
+    _segment_line,
     bm25_route,
     bm25_score,
     bm25_scores,
@@ -469,11 +471,14 @@ class TestKeywords:
 # Texts rich in what the shared token scan must split alike: hyphen runs,
 # underscores, case folds that change length, combining marks, punctuation, every
 # ASCII control character, Unicode spaces, non-ASCII letters against "-" and "_",
-# and lone surrogates, which the scan's byte runs must carry through whole.
+# lone surrogates, which the scan's byte runs must carry through whole, and a run
+# ("ab12\u00b7word": U+00B7 is no ASCII break, but no token holds it) with a keyword and
+# a plain token.
 _SCAN_TEXTS = st.one_of(_TEXTS, st.text(), st.lists(st.one_of(st.sampled_from(
     ["a", "Z", "9", "-", "_", " ", ".", "\u00df", "\u0130", "\u0301", "\u00b2",
      "\u0660", "\u4e2d", "!", "\n", "\x85", "\u2028", "\xa0", "\u3000", "\u00e9-",
-     "-\u00e9", "\u00e9_", "_\u00e9", "\u4e2d-\u00df", "\u0430_\u0660"]
+     "-\u00e9", "\u00e9_", "_\u00e9", "\u4e2d-\u00df", "\u0430_\u0660", "ab12\u00b7word",
+     "\u00b7", "x9"]
     + [chr(code) for code in range(32)] + ["\x7f"]),
     st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF)), max_size=30).map("".join))
 
@@ -491,6 +496,15 @@ def test_a_lone_surrogate_scans_without_raising():
     assert list(terms) == ["ca", "is3641", "x9", "gain"]
     assert ids.tolist() == [0, 1, 2, 3] and offsets.tolist() == [0, 4, 4]
     assert verdicts == [{"ca-is3641", "x9", ""}, set()]
+
+
+def test_keyword_verdicts_are_kept_per_run():
+    rows = ["ab12\u00b7word", "x9 CA-IS3641 x9", "", "\u00b7 -- _", "x9 gain",
+            "gain ab12\u00b7word"]
+    verdicts = _Scan([seg("d", str(i), text) for i, text in enumerate(rows)]).tokens[3]
+    # "" (a plain token) only where a run holds one; each row's set is its own
+    assert verdicts == [{"ab12", ""}, {"x9", "ca-is3641"}, set(), set(), {"x9", ""}, {"ab12", ""}]
+    assert len({id(found) for found in verdicts}) == len(rows)
 
 
 @settings(max_examples=500, deadline=None)
@@ -895,6 +909,52 @@ class TestDerivableText:
         assert [sid for sid, text in stored.items() if text is None] == ["2"]
         assert list(load_index(tmp_path).segments) == plain
         assert path_text([], "") == "" and path_text(["a", "b"], "c") == "a > b\nc"
+
+
+# Strings the segment-line writer must escape as the encoder does: quotes, backslashes,
+# control characters, line and paragraph separators, the path separator, non-ASCII.
+_LINE_TEXTS = st.lists(st.one_of(st.sampled_from(
+    ['"', "\\", "/", "\x7f", "\u2028", "\u2029", "\u00e9", "\u4e2d", "\U0001f600", " > ", "a"]),
+    st.characters(max_codepoint=0x1F),
+    st.characters(blacklist_categories=("Cs",))), max_size=8).map("".join)
+
+
+@st.composite
+def _line_segments(draw):
+    path = draw(st.lists(_LINE_TEXTS, max_size=3))  # an empty path too
+    content = draw(_LINE_TEXTS)
+    derivable = draw(st.booleans())
+    return Segment(segment_id=draw(_LINE_TEXTS), chapter_number=draw(_LINE_TEXTS),
+                   level=draw(st.integers(-(2 ** 70), 2 ** 70)), title=draw(_LINE_TEXTS),
+                   kind=draw(_LINE_TEXTS), content=content, doc_id=draw(_LINE_TEXTS),
+                   embedding_text=path_text(path, content) if derivable else draw(_LINE_TEXTS),
+                   metadata_path=path)
+
+
+class TestSegmentLine:
+    @settings(max_examples=300, deadline=None)
+    @given(segment=_line_segments())
+    def test_is_the_compact_encoders_line(self, segment):
+        fields = dict(vars(segment))
+        if segment.embedding_text == path_text(segment.metadata_path, segment.content):
+            del fields["embedding_text"]
+        assert _segment_line(segment) == _json_bytes(fields)
+
+    @pytest.mark.parametrize("name, value", [("level", True), ("metadata_path", ["d", 1])])
+    def test_a_field_of_another_type_raises_at_save_and_keeps_the_index(self, tmp_path,
+                                                                       name, value):
+        target = tmp_path / "index"
+        save_index(build_indices([seg("d", "1", "alpha")], HashingEmbedder()), target)
+        def contents():
+            return {p.name: p.read_bytes() for p in target.iterdir()}
+
+        before = contents()
+        bundle = build_indices([seg("d", "1", "beta")], HashingEmbedder())
+        setattr(bundle.segments[0], name, value)  # the encoder would write true, or 1
+        with pytest.raises(TypeError):
+            save_index(bundle, target)
+        assert contents() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["index"]  # no staging sibling
 
 
 class TestAtomicSave:
