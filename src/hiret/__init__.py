@@ -1,11 +1,12 @@
 """Hierarchical metadata-augmented multi-route retrieval engine.
 
 Pipeline: load a corpus of text/markdown documents, convert each to
-structured markdown through a sliding-window converter, split into
-chapter segments, cascade the root-to-chapter title path into every
-segment's embedding text, then index and query through three fused
-routes (vector similarity, BM25, critical keywords). A log-rank
-evaluation kit scores full rankings against ground-truth question banks.
+structured markdown through a sliding-window converter and one heading
+promotion pass, split into chapter segments, cascade the root-to-chapter
+title path into every segment's embedding text, then index and query
+through three fused routes (vector similarity, BM25, critical
+keywords). A log-rank evaluation kit scores full rankings against
+ground-truth question banks.
 """
 
 from .corpus import CorpusError, DocumentRecord, ImageAsset, Segment, load_corpus, segment_key
@@ -22,13 +23,13 @@ from .evalkit import (
 from .formatter import (
     ConversionError,
     ConverterTurn,
-    HeadingPromotionConverter,
     IdentityConverter,
     WindowPlan,
     convert_document,
     count_words,
     parse_markdown,
     plan_windows,
+    promote_headings,
 )
 from .hca import (
     augment_document,

@@ -22,11 +22,12 @@ from . import evalkit, hca, index, retriever
 from .corpus import PATH_SEPARATOR, CorpusError, load_corpus
 from .formatter import (
     ConversionError,
-    HeadingPromotionConverter,
+    IdentityConverter,
     convert_document,
     count_words,
     parse_markdown,
     plan_windows,
+    promote_headings,
 )
 
 log = logging.getLogger(__name__)
@@ -137,7 +138,6 @@ def run_ingest(cfg: AppConfig) -> dict:
     if not records:
         log.warning("corpus %s holds no documents; writing empty indices", cfg.corpus_dir)
 
-    converter = HeadingPromotionConverter()
     captioner = _make_captioner(cfg.captioner)
     embedder = index.make_embedder(cfg.embedder or {})
     warnings: list[str] = []
@@ -145,7 +145,7 @@ def run_ingest(cfg: AppConfig) -> dict:
     try:
         for doc in records:
             plan = plan_windows(count_words(doc.text), cfg.window, cfg.padding)
-            markdown = convert_document(doc.text, converter, plan)
+            markdown = promote_headings(convert_document(doc.text, IdentityConverter(), plan))
             doc.attach_segments(parse_markdown(markdown, doc.title, warnings))
             hca.augment_document(doc, captioner=captioner, warnings=warnings)
             all_segments.extend(doc.segments)

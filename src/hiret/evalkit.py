@@ -173,10 +173,10 @@ def export_coordinates(
     """
     keys = list(vectors)
     if len(keys) < 2:
-        raise ValueError("pca2d needs at least 2 vectors")
+        raise ValueError("the 2-D projection needs at least 2 vectors")
     matrix = np.stack([np.asarray(vectors[k], dtype=np.float64) for k in keys])
     if np.unique(matrix, axis=0).shape[0] < 2:
-        raise ValueError("pca2d needs at least 2 distinct vectors")
+        raise ValueError("the 2-D projection needs at least 2 distinct vectors")
 
     centered = matrix - matrix.mean(axis=0)
     cov = (centered.T @ centered) / (matrix.shape[0] - 1)

@@ -7,8 +7,9 @@ turn's input and output for calibration. Only the unpadded core of each
 window may contribute to the assembled output, so the cores tile the
 document exactly once.
 
-The converter itself is pluggable; the shipped default is a rule-based
-pass that promotes existing markdown or numbered headings to the
+The converter itself is pluggable. The shipped pipeline echoes each core
+(:class:`IdentityConverter`); then :func:`promote_headings` rewrites numbered
+headings in the joined text, where no line is cut, to the
 ``# <dotted-number> <title>`` form the parser expects.
 """
 
@@ -19,8 +20,6 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import compress, count
-from operator import is_not
 from typing import Protocol
 
 from .corpus import IMAGE_LINE_RE, Segment
@@ -32,8 +31,7 @@ _HEADING_RE = re.compile(r"^#\s+(\S+)(?:\s+(.*))?$")
 _NUMBER_RE = re.compile(r"^\d+(\.\d+)*$")
 _MD_HEADING_RE = re.compile(r"^(#{1,6})\s+(\S+)(?:\s+(.*))?$")
 _PLAIN_HEADING_RE = re.compile(r"^(\d+(?:\.\d+)*)[.)]?\s+(\S.*)$")
-_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"  # where str.splitlines breaks
-_LINE_BREAK_RE = re.compile(f"[{_LINE_BREAKS}]")
+_MAX_HEADING_WORDS = 12  # a longer plain numbered line is a sentence, not a heading
 
 
 class ConversionError(Exception):
@@ -83,14 +81,9 @@ class ConverterTurn:
     values (empty strings at the first turn). ``core_start``/``core_end``
     are character offsets of the unpadded core within ``current_input``;
     the returned fragment must cover only that core region. ``index`` and
-    ``total`` are the 1-based turn number and turn count. ``reaches_end``
-    is True when ``current_input`` runs to the end of the document. Two flags
-    say what a window without padding does not show: ``starts_mid_line``
-    that the first core word does not begin its line in the document (the
-    line began in an earlier core, if only with indentation; never at the
-    first turn), and ``ends_mid_line`` that the core's last line goes on
-    past the core, to a word before any line break (never at the document
-    end). A line break is any at which ``str.splitlines`` splits.
+    ``total`` are the 1-based turn number and turn count. A core starts
+    and ends at a word, so it may cut a line; :func:`convert_document`
+    joins the fragments with the whitespace between the cores.
     """
 
     index: int
@@ -100,9 +93,6 @@ class ConverterTurn:
     previous_output: str
     core_start: int
     core_end: int
-    reaches_end: bool = False
-    starts_mid_line: bool = False
-    ends_mid_line: bool = False
 
     @property
     def core_text(self) -> str:
@@ -122,77 +112,31 @@ class IdentityConverter:
         return turn.core_text
 
 
-class HeadingPromotionConverter:
-    """Rule-based default converter.
+def _promote(line: str) -> str:
+    """``line`` as a ``# <dotted-number> <title>`` heading when it is a numbered one."""
+    md = _MD_HEADING_RE.match(line)
+    if md and _NUMBER_RE.match(md.group(2)):
+        return f"# {md.group(2)} {md.group(3) or ''}".rstrip()
+    plain = _PLAIN_HEADING_RE.match(line)  # a title of \S.*: at least one word
+    if plain and len(plain.group(2).split()) <= _MAX_HEADING_WORDS and not (
+            plain.group(2).rstrip().endswith((".", ",", ";", ":"))):
+        return f"# {plain.group(1)} {plain.group(2).strip()}"
+    return line
 
-    Promotes markdown headings of any depth whose first token is a dotted
-    number ("## 3.2 Title") and short plain numbered lines ("3.2 Title") to
-    first-level ``# 3.2 Title`` headings; all other lines pass through.
-    Lines end at every line break ``str.splitlines`` knows, as in
-    :func:`parse_markdown`, and each break is kept as it is. Output covers
-    exactly the core words, so conversion never drops or duplicates content.
-    A line cut by the end of the core (``ConverterTurn.ends_mid_line``) is
-    promoted when the right padding shows the whole line, up to its line
-    break or the end of the document, and it is a heading; or, where the
-    padding ends first, when its start is already a numbered markdown
-    heading. This core emits the promoted start, the next core the rest of
-    the line as it is. A core's first line passes through untransformed
-    when it starts mid-line (``ConverterTurn.starts_mid_line``): it
-    continues a line from the previous core, or it is indented, and an
-    indented line is never a heading.
+
+def promote_headings(markdown: str) -> str:
+    """Rewrite each numbered heading as the ``# <dotted-number> <title>`` line
+    :func:`parse_markdown` splits at: a markdown heading of any depth whose first
+    token is a dotted number ("## 3.2 Title"), or a short plain numbered line
+    ("3.2 Title"). Other lines, and every line break ``str.splitlines`` knows,
+    pass through as they are; an indented line is never a heading.
     """
-
-    max_heading_words = 12
-
-    def convert(self, turn: ConverterTurn) -> str:
-        raw = turn.core_text.splitlines()
-        lines = [self._transform(line) if line[:1] == "#" or line[:1].isdecimal() else line
-                 for line in raw]  # both heading patterns start with "#" or \d, i.e. isdecimal
-        if turn.ends_mid_line:
-            lines[-1] = self._transform_start(raw[-1], turn)
-        if turn.starts_mid_line:
-            lines[0] = raw[0]
-        pieces = turn.core_text.splitlines(keepends=True)
-        for i in compress(count(), map(is_not, lines, raw)):  # a kept line is raw's own object
-            pieces[i] = lines[i] + pieces[i][len(raw[i]):]  # the new line, then the old break
-        return "".join(pieces)
-
-    def _transform_start(self, start: str, turn: ConverterTurn) -> str:
-        """Promoted form of ``start``, a line cut by the core end, when the
-        whole line is a heading, or when the window ends before the line and
-        ``start`` is a numbered markdown heading; ``start`` itself otherwise."""
-        line_break = _LINE_BREAK_RE.search(turn.current_input, turn.core_end)
-        if line_break:
-            line_end = line_break.start()
-        elif turn.reaches_end:
-            line_end = len(turn.current_input)
-        else:  # the padding ends before the line does; no title unmakes a markdown heading
-            md = _MD_HEADING_RE.match(start)
-            return self._transform(start) if md and _NUMBER_RE.match(md.group(2)) else start
-        tail = turn.current_input[turn.core_end : line_end]
-        whole = start + tail
-        promoted = self._transform(whole)
-        if promoted == whole:
-            return start
-        # Promotion keeps a heading's last words; the tail's go to the next core.
-        starts = [word.start() for word in _WORD_RE.finditer(promoted)] + [len(promoted)]
-        return promoted[: starts[-1 - count_words(tail)]].rstrip()
-
-    def _transform(self, line: str) -> str:
-        md = _MD_HEADING_RE.match(line)
-        if md and _NUMBER_RE.match(md.group(2)):
-            title = md.group(3) or ""
-            return f"# {md.group(2)} {title}".rstrip()
-        plain = _PLAIN_HEADING_RE.match(line)
-        if plain and self._looks_like_heading(plain.group(2)):
-            return f"# {plain.group(1)} {plain.group(2).strip()}"
-        return line
-
-    def _looks_like_heading(self, title: str) -> bool:
-        words = title.split()
-        return 0 < len(words) <= self.max_heading_words and not title.rstrip().endswith(
-            (".", ",", ";", ":")
-        )
+    lines = markdown.splitlines()
+    pieces = markdown.splitlines(keepends=True)
+    for i, line in enumerate(lines):
+        if line[:1] == "#" or line[:1].isdecimal():  # both heading patterns start so
+            pieces[i] = _promote(line) + pieces[i][len(line):]  # the new line, then its break
+    return "".join(pieces)
 
 
 def plan_windows(total_words: int, window_size: int, padding: int = 0) -> WindowPlan:
@@ -251,10 +195,6 @@ def convert_document(doc_text: str, converter: DocumentConverter, plan: WindowPl
             previous_output=previous_output,
             core_start=core_lo - window_lo,
             core_end=core_hi - window_lo,
-            reaches_end=span_end == plan.total_words,
-            starts_mid_line=t > 1 and doc_text[core_lo - 1] not in _LINE_BREAKS,
-            ends_mid_line=core_end < plan.total_words and _LINE_BREAK_RE.search(
-                doc_text, core_hi, starts[core_end]) is None,
         )
         try:
             fragment = converter.convert(turn)
@@ -306,9 +246,7 @@ def parse_markdown(
     warning is recorded. A segment's id is ``preamble`` for the preamble
     and otherwise its chapter number; a number the document has already
     used takes the first free ``<number>+2``, ``<number>+3``, ….
-    :class:`HeadingPromotionConverter` promotes a heading cut by a window
-    boundary whole, on the document's last line too, so it arrives here
-    as one line.
+    :func:`promote_headings` puts other numbered headings in this form.
     """
     chunks: list[tuple[re.Match[str] | None, list[str]]] = [(None, [])]
     for line in markdown.splitlines():

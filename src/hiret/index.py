@@ -691,17 +691,35 @@ def _older_index(directory: Path) -> bool:
     return type(version) is int and version != FORMAT_VERSION
 
 
+def _siblings(target: Path, tags: str) -> list[Path]:
+    """The ``.<name>.<tag>-<8 hex>`` siblings of ``target`` whose tag matches ``tags``."""
+    pattern = re.compile(rf"\.{re.escape(target.name)}\.({tags})-[0-9a-f]{{8}}")
+    return [p for p in target.parent.iterdir() if pattern.fullmatch(p.name)]
+
+
+def _set_aside(target: Path) -> Path | None:
+    """With no ``target``, its one ``.<name>.old-<8 hex>`` sibling holding a
+    manifest: the index a save that died between its two renames set aside."""
+    if target.exists() or not target.parent.is_dir():
+        return None
+    old = _siblings(target, "old")
+    return old[0] if len(old) == 1 and (old[0] / MANIFEST_FILE).is_file() else None
+
+
 def save_index(bundle: IndexBundle, path: str | Path) -> dict:
     """Persist the bundle to a directory; returns the manifest written.
 
     The files are written into a new sibling directory, which then takes
     the place of ``path``, or of the directory a symlinked ``path`` names:
-    an interrupted save leaves the previous index (or none) in place and no
-    partial one. Then it removes its own and older ``.<name>.(new|old)-<8 hex>``
-    siblings, logging one it cannot remove. A ``path`` holding anything but index
-    files raises :class:`IndexFormatError`, unless it is an index of an older format.
+    a failed save leaves the previous index (or none) and no partial one, and
+    the next save first renames back an index that a dead one set aside. Then
+    it removes its own and older ``.<name>.(new|old)-<8 hex>`` siblings,
+    logging one it cannot remove. A ``path`` holding anything but index files
+    raises :class:`IndexFormatError`, unless it is an index of an older format.
     """
     target = Path(os.path.realpath(path))
+    if aside := _set_aside(target):  # before the sweep below can remove it
+        os.rename(aside, target)
     if target.is_dir():
         known = {MANIFEST_FILE, *INDEX_FILES}
         stray = sorted(p.name for p in target.iterdir() if p.name not in known)
@@ -730,8 +748,7 @@ def save_index(bundle: IndexBundle, path: str | Path) -> dict:
         else:
             os.rename(staging, target)
     finally:  # the save has swapped, or is failing already: a removal cannot fail it
-        stale = re.compile(rf"\.{re.escape(target.name)}\.(new|old)-[0-9a-f]{{8}}")
-        for leftover in filter(lambda p: stale.fullmatch(p.name), target.parent.iterdir()):
+        for leftover in _siblings(target, "new|old"):
             try:  # a killed save's too; concurrent saves to one target are not supported
                 shutil.rmtree(leftover)
             except OSError as exc:
@@ -814,10 +831,12 @@ def load_index(path: str | Path) -> IndexBundle:
 
     Every file must match the size and crc32 the manifest records. Every
     array and the segment blob are memory-mapped read-only and segments are
-    decoded when read (:class:`StoredSegments`). Raises :class:`IndexFormatError`
-    for a missing, corrupt, other-version or inconsistent index.
+    decoded when read (:class:`StoredSegments`). An index a dead save set aside
+    is read where it lies, renaming nothing, as a save may be swapping. Raises
+    :class:`IndexFormatError` for a missing, corrupt, other-version or
+    inconsistent index.
     """
-    directory = Path(path)
+    directory = _set_aside(Path(os.path.realpath(path))) or Path(path)
     manifest = _read_manifest(directory)
 
     def read(name: str, mapped: bool = False) -> bytes | mmap.mmap:

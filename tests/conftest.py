@@ -10,11 +10,12 @@ import numpy as np
 
 from hiret.corpus import DocumentRecord, load_corpus
 from hiret.formatter import (
-    HeadingPromotionConverter,
+    IdentityConverter,
     convert_document,
     count_words,
     parse_markdown,
     plan_windows,
+    promote_headings,
 )
 from hiret.hca import augment_document
 from hiret.index import InvertedLists, KeywordTable
@@ -135,11 +136,10 @@ def manual_queries(n_docs: int) -> list[dict]:
 
 def ingest_records(records: list[DocumentRecord], window: int = 400, padding: int = 50):
     """Run the convert/parse/augment pipeline in place; returns all segments."""
-    converter = HeadingPromotionConverter()
     segments = []
     for doc in records:
         plan = plan_windows(count_words(doc.text), window, padding)
-        markdown = convert_document(doc.text, converter, plan)
+        markdown = promote_headings(convert_document(doc.text, IdentityConverter(), plan))
         doc.attach_segments(parse_markdown(markdown, doc.title))
         augment_document(doc)
         segments.extend(doc.segments)

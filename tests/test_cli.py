@@ -185,6 +185,23 @@ class TestIngest:
             f"error: document file name is not UTF-8: {name!r}")
         assert [p.name for p in tmp_path.iterdir()] == ["corpus"]  # no index, no staging sibling
 
+    @pytest.mark.parametrize("heading, padding", [
+        ("## 3.2 " + " ".join(f"t{i}" for i in range(8)), 5),  # the core ends after "##"
+        *(("3.2 electrical ratings", k) for k in (0, 1, 2)),  # the core ends after "3.2"
+    ])
+    def test_heading_cut_by_a_core_end_the_padding_does_not_close_is_promoted(
+            self, tmp_path, heading, padding):
+        # The first 7-word core ends inside the heading line, and the padding shows
+        # neither the end of that line nor the end of the document.
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "doc.md").write_text(f"# 1 intro\nbody words here\n{heading}\n"
+                                       "vcc is five volts", encoding="utf-8")
+        code = main(["--corpus-dir", str(corpus), "--index-dir", str(tmp_path / "index"),
+                     "--window", "7", "--padding", str(padding), "ingest"])
+        assert code == 0
+        assert load_index(tmp_path / "index").keys == ["doc#1", "doc#3.2"]
+
     def test_missing_corpus_is_data_error(self, tmp_path, capsys):
         code = main(["--corpus-dir", str(tmp_path / "nope"), "ingest"])
         assert code == 2
@@ -293,9 +310,43 @@ class TestKilledIngest:
             else:  # killed between the save's two renames: A is aside, under its old- name
                 old = [p for p in siblings if p.name.startswith(".index.old-")]
                 assert len(old) == 1 and digests(old[0]) == index_a, delay
+                assert load_index(target).user_keywords == [], delay
             for p in siblings:
                 shutil.rmtree(p)
         assert ingest_a() == index_a
+
+    @pytest.mark.parametrize("renames", [1, 2])
+    def test_ingest_that_dies_after_a_rename_of_its_save_leaves_a_loadable_index(
+            self, tmp_path, renames):
+        # Index A has no keyword dictionary; the dying ingest writes index B, with one.
+        target = tmp_path / "index"
+        flags = ["--corpus-dir", str(DATA_DIR / "corpus"), "--index-dir", str(target)]
+        assert main([*flags, "ingest"]) == 0
+        index_a = dir_bytes(target)
+        dying = ("import os, sys, hiret.cli\n"
+                 "rename, done = os.rename, []\n"
+                 "def rename_then_maybe_die(*args):\n"
+                 "    rename(*args)\n"
+                 "    done.append(args)\n"
+                 f"    if len(done) == {renames}:\n"
+                 "        os._exit(3)\n"
+                 "os.rename = rename_then_maybe_die\n"
+                 "sys.exit(hiret.cli.main(sys.argv[1:]))\n")
+        proc = subprocess.run([sys.executable, "-c", dying, *flags,
+                               "--keywords", str(DATA_DIR / "keywords.txt"), "ingest"],
+                              env={**os.environ, "PYTHONPATH": SRC_DIR},
+                              capture_output=True, timeout=60)
+        assert proc.returncode == 3, proc.stderr
+        left = sorted(p.name[:11] for p in tmp_path.iterdir())
+        # After the first rename A is aside and B staged; after the second B is in place.
+        assert left == ([".index.new-", ".index.old-"] if renames == 1
+                        else [".index.old-", "index"])
+        loaded = load_index(target)
+        assert sorted(p.name[:11] for p in tmp_path.iterdir()) == left  # nothing renamed
+        assert bool(loaded.user_keywords) == (renames == 2)  # B has a dictionary, A none
+        assert main([*flags, "ingest"]) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["index"]
+        assert dir_bytes(target) == index_a
 
 
 class TestPluginFailures:
@@ -651,6 +702,18 @@ class TestCohesion:
         stat = next(r for r in rows if r[0] == "stat" and r[1] == "augmented" and r[2] == "two")
         assert stat[4] == ""  # undefined mean pairwise cosine
         assert stat[6] == 1
+
+    def test_one_segment_index_is_a_data_error_in_plain_words(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "one.md").write_text("# 1 alpha\nalpha body\n", encoding="utf-8")
+        index_dir = str(tmp_path / "index")
+        assert main(["--corpus-dir", str(corpus), "--index-dir", index_dir, "ingest"]) == 0
+        capsys.readouterr()
+        code = main(["--index-dir", index_dir, "cohesion", "--output", str(tmp_path / "c.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: cohesion (augmented): the 2-D projection needs at least 2 vectors\n")
 
 
 class TestConfigAndExitCodes:

@@ -1,24 +1,21 @@
 import random
 import re
 import sys
-from bisect import bisect_right
-from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hiret.formatter import _LINE_BREAKS as LINE_BREAK_CHARS
 from hiret.formatter import _MD_HEADING_RE, _PLAIN_HEADING_RE
 from hiret.formatter import (
     ConversionError,
     ConverterTurn,
-    HeadingPromotionConverter,
     IdentityConverter,
     convert_document,
     count_words,
     parse_markdown,
     plan_windows,
+    promote_headings,
 )
 
 
@@ -44,6 +41,7 @@ _GAPS = ["", " ", " ", "  ", "\t", "\xa0", "\u3000", "\x1f"]
 # and a space. A heading with an empty title and a malformed number is titled by its number.
 _LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
                 "\u2029"]
+_LINE_BREAK_CHARS = sorted(set("".join(_LINE_BREAKS)))
 _H_SPACES = [" ", "\t", "\xa0", "\u3000", "\x1f"]
 _WELL_FORMED_NUMBERS = ["1", "2", "3.2", "1.1.4", "10"]
 _PARSE_HEADINGS = st.builds(
@@ -91,10 +89,6 @@ def word_list_conversion(text, plan):
             index=t, total=plan.iterations, current_input=text[window_lo:window_hi],
             previous_input=previous_input, previous_output=previous_output,
             core_start=core_lo - window_lo, core_end=core_hi - window_lo,
-            reaches_end=span_end == len(words),
-            starts_mid_line=t > 1 and text[core_lo - 1] not in LINE_BREAK_CHARS,
-            ends_mid_line=core_end < len(words) and not any(
-                c in LINE_BREAK_CHARS for c in text[core_hi:words[core_end].start()]),
         )
         turns.append(turn)
         if t > 1:
@@ -105,7 +99,7 @@ def word_list_conversion(text, plan):
 
 
 # Whitespace around and between words: every line break, no-break and ideographic spaces, tabs.
-_WINDOW_SPACES = [*LINE_BREAK_CHARS, "\xa0", "\u3000", "\t", " ", "\x1f", "\u2009"]
+_WINDOW_SPACES = [*_LINE_BREAK_CHARS, "\xa0", "\u3000", "\t", " ", "\x1f", "\u2009"]
 _WINDOW_TEXTS = st.builds(
     lambda lead, body, trail: lead + body + trail,
     st.text(st.sampled_from(_WINDOW_SPACES), max_size=3),
@@ -245,39 +239,6 @@ class TestConvertDocument:
         assert err.value.turn == 3
         assert words_of(err.value.partial_output) == [f"w{i}" for i in range(200)]
 
-    @pytest.mark.parametrize("padding", [0, 1, 3])
-    def test_each_turn_says_whether_its_core_starts_and_ends_mid_line(self, padding):
-        # Oracle per word, from str.splitlines alone: its line, and whether it begins it.
-        rng = random.Random(padding)
-        gaps = [" ", "\t", " \xa0", *_LINE_BREAKS, "\n  ", "\u2028\t"]  # the last two indent
-        seen = set()
-        for _ in range(60):
-            n = rng.randint(1, 12)
-            text = (rng.choice(["", " ", "\n", "\t"])
-                    + "".join(f"w{i}" + rng.choice(gaps) for i in range(n - 1))
-                    + f"w{n - 1}" + rng.choice(["", "\n", " ", "\r\n"]))
-            lines = text.splitlines(keepends=True)
-            line_starts = [0, *accumulate(map(len, lines))][:len(lines)]
-            offsets = [m.start() for m in re.finditer(r"\S+", text)]
-            line_of = [bisect_right(line_starts, o) - 1 for o in offsets]
-            begins = [o == line_starts[line] for o, line in zip(offsets, line_of)]
-            plan = plan_windows(n, rng.randint(1, 4), padding)
-            converter = RecordingConverter()
-            convert_document(text, converter, plan)
-            for turn in converter.turns:
-                start, end = plan.core(turn.index)
-                assert turn.starts_mid_line == (turn.index > 1 and not begins[start]), text
-                assert turn.ends_mid_line == (end < n and line_of[end - 1] == line_of[end]), text
-                seen.add(("starts", turn.index > 1, turn.starts_mid_line))
-                seen.add(("ends", end < n, turn.ends_mid_line))
-                if turn.index > 1 and line_of[start - 1] != line_of[start] and not begins[start]:
-                    seen.add("indented core start")
-            assert not converter.turns[0].starts_mid_line
-            assert not converter.turns[-1].ends_mid_line
-        assert seen == {("starts", True, True), ("starts", True, False), ("starts", False, False),
-                        ("ends", True, True), ("ends", True, False), ("ends", False, False),
-                        "indented core start"}
-
     @settings(max_examples=400, deadline=None)
     @given(text=_WINDOW_TEXTS, w=st.integers(1, 8),
            k=st.one_of(st.just(0), st.integers(1, 3), st.integers(8, 12)))  # 8+: k >= w
@@ -317,9 +278,11 @@ class TestConvertDocument:
 
 
 class TestHeadingPromotionConverter:
+    """The shipped conversion: the cores echoed and joined, then promote_headings."""
+
     def run(self, text, window=50, padding=10):
         plan = plan_windows(count_words(text), window, padding)
-        return convert_document(text, HeadingPromotionConverter(), plan)
+        return promote_headings(convert_document(text, IdentityConverter(), plan))
 
     def test_promotes_deep_markdown_headings(self):
         out = self.run("## 3.2 Electrical Characteristics\nVcc = 5V")
@@ -403,20 +366,15 @@ class TestHeadingPromotionConverter:
     @given(lines=st.lists(st.tuples(st.sampled_from(["", " ", "\t"]), st.lists(
                st.tuples(st.sampled_from(_CONVERTER_TOKENS), st.sampled_from(_GAPS)), max_size=6),
                st.sampled_from(_LINE_BREAKS)), max_size=10),
-           end=st.booleans(), w=st.integers(1, 8), extra=st.integers(0, 3))
-    def test_padding_as_long_as_any_line_parses_as_one_window(self, lines, end, w, extra):
+           end=st.booleans(), w=st.integers(1, 8), k=st.integers(0, 8))
+    def test_any_window_and_padding_converts_as_one_window(self, lines, end, w, k):
         # Each line ends with any str.splitlines break, the last one only when `end`.
-        # A "\r" line followed by an empty "\n" line makes one "\r\n" break: the word
-        # counts per line stay the same.
+        # Lines hold up to 6 words, so a padding may show less than the line it cuts.
         text = "".join(indent + "".join(token + gap for token, gap in tokens) + brk
                        for indent, tokens, brk in lines)
         if lines and not end:
             text = text[: -len(lines[-1][2])]
-        n = count_words(text)
-        k = max((len(tokens) for _, tokens, _ in lines), default=0) + extra
-        windowed = convert_document(text, HeadingPromotionConverter(), plan_windows(n, w, k))
-        whole = convert_document(text, HeadingPromotionConverter(), plan_windows(n, max(n, 1)))
-        assert parse_markdown(windowed, "doc") == parse_markdown(whole, "doc")
+        assert self.run(text, w, k) == self.run(text, max(count_words(text), 1), 0)
 
     @pytest.mark.parametrize("brk", _LINE_BREAKS)
     def test_a_heading_title_stops_at_any_line_break(self, brk):
@@ -430,19 +388,16 @@ class TestHeadingPromotionConverter:
     def test_core_after_a_line_break_without_padding_parses_as_one_window(self, text):
         # The second 3-word core starts the heading line, and no padding shows the break
         # before it. In the first text the core ends after "electrical".
-        n = count_words(text)
-        windowed = convert_document(text, HeadingPromotionConverter(), plan_windows(n, 3, 0))
-        whole = convert_document(text, HeadingPromotionConverter(), plan_windows(n, n))
+        windowed = self.run(text, 3, 0)
         assert [s.segment_id for s in parse_markdown(windowed, "doc")] == ["1", "3.2"]
-        assert parse_markdown(windowed, "doc") == parse_markdown(whole, "doc")
+        assert windowed == self.run(text, count_words(text), 0)
 
     def test_heading_ending_a_core_without_padding_parses_as_one_window(self):
         # The second 3-word core is the whole plain heading line, and no padding shows
         # the line break after it.
         text = "# 1 intro\n3.2 electrical ratings\nvcc is five volts"
         for padding in (0, 1):
-            windowed = convert_document(text, HeadingPromotionConverter(),
-                                        plan_windows(count_words(text), 3, padding))
+            windowed = self.run(text, 3, padding)
             assert [s.segment_id for s in parse_markdown(windowed, "doc")] == ["1", "3.2"]
 
     def test_cut_line_that_is_no_heading_passes_through(self):

@@ -1055,6 +1055,42 @@ class TestAtomicSave:
             ".index.new-deadbeef0", ".index.notes", ".other.new-deadbeef", "index"]
         assert load_index(target).keys == ["d#0"]
 
+    def test_an_index_set_aside_by_a_dead_save_is_read_and_then_put_back(self, tmp_path,
+                                                                         monkeypatch):
+        target = tmp_path / "index"
+        save_index(self.bundle(["alpha"]), target)
+        os.rename(target, tmp_path / ".index.old-0badf00d")  # a save died after this rename
+        save_index(self.bundle(["beta", "gamma"]), tmp_path / "staged")
+        os.rename(tmp_path / "staged", tmp_path / ".index.new-deadbeef")
+        left = sorted(p.name for p in tmp_path.iterdir())
+        assert load_index(target).keys == ["d#0"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == left  # read where it lies
+
+        def failing(bundle, directory):
+            raise OSError("disk full")
+
+        with monkeypatch.context() as patch:  # the next save fails partway, then one succeeds
+            patch.setattr(hiret.index, "_write_files", failing)
+            with pytest.raises(OSError, match="disk full"):
+                save_index(self.bundle(["delta"]), target)
+        assert [p.name for p in tmp_path.iterdir()] == ["index"]
+        assert load_index(target).keys == ["d#0"]
+        save_index(self.bundle(["delta", "epsilon"]), target)
+        assert load_index(target).keys == ["d#0", "d#1"]
+
+    @pytest.mark.parametrize("indices, empty", [
+        ([".index.old-0badf00d", ".index.old-deadbeef"], []),  # two: which one was replaced?
+        ([".index.new-0badf00d", ".index.old-0badf0"], []),  # no old-<8 hex> sibling
+        ([], [".index.old-0badf00d"]),  # one that holds no manifest
+    ])
+    def test_no_lone_old_sibling_with_a_manifest_is_no_index(self, tmp_path, indices, empty):
+        for name in indices:
+            save_index(self.bundle(["alpha"]), tmp_path / name)
+        for name in empty:
+            (tmp_path / name).mkdir()
+        with pytest.raises(IndexFormatError, match="no index manifest"):
+            load_index(tmp_path / "index")
+
     def test_stale_sibling_that_cannot_be_removed_is_logged(self, tmp_path, caplog):
         (tmp_path / ".index.old-0badf00d").write_text("a file, not a directory",
                                                       encoding="utf-8")
