@@ -22,11 +22,18 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Protocol
 
+import numpy as np
+
 from .corpus import IMAGE_LINE_RE, Segment
 
 log = logging.getLogger(__name__)
 
-_WORD_RE = re.compile(r"\S+")
+# Every code point str.isspace() holds, the whitespace str.split() and \s split at. The
+# word finder's table is False at each; its last entry, True, stands for every code point above.
+_WHITESPACE = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004"
+               "\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
+_IN_WORD = np.ones(ord(_WHITESPACE[-1]) + 2, dtype=bool)
+_IN_WORD[np.frombuffer(_WHITESPACE.encode("utf-32-le"), dtype="<u4")] = False
 _HEADING_RE = re.compile(r"^#\s+(\S+)(?:\s+(.*))?$")
 _NUMBER_RE = re.compile(r"^\d+(\.\d+)*$")
 _MD_HEADING_RE = re.compile(r"^(#{1,6})\s+(\S+)(?:\s+(.*))?$")
@@ -131,11 +138,11 @@ def promote_headings(markdown: str) -> str:
     ("3.2 Title"). Other lines, and every line break ``str.splitlines`` knows,
     pass through as they are; an indented line is never a heading.
     """
-    lines = markdown.splitlines()
     pieces = markdown.splitlines(keepends=True)
-    for i, line in enumerate(lines):
-        if line[:1] == "#" or line[:1].isdecimal():  # both heading patterns start so
-            pieces[i] = _promote(line) + pieces[i][len(line):]  # the new line, then its break
+    for i, piece in enumerate(pieces):
+        if piece[:1] == "#" or piece[:1].isdecimal():  # both heading patterns start so
+            line = piece.splitlines()[0]
+            pieces[i] = _promote(line) + piece[len(line):]  # the new line, then its break
     return "".join(pieces)
 
 
@@ -150,15 +157,21 @@ def plan_windows(total_words: int, window_size: int, padding: int = 0) -> Window
     return WindowPlan(window_size=window_size, padding=padding, total_words=total_words)
 
 
+@lru_cache(maxsize=1)  # count_words, then convert_document, read one document's words
+def _word_bounds(text: str) -> np.ndarray:
+    """The start and end offset of each whitespace-delimited word of ``text``, in
+    turn: word ``i`` is ``text[bounds[2 * i]:bounds[2 * i + 1]]``, as ``str.split()``
+    cuts it. One pass over the code points marks where a word starts or ends."""
+    points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    in_word = np.zeros(len(points) + 2, dtype=bool)  # and no word on either side
+    _IN_WORD.take(points, out=in_word[1:-1], mode="clip")
+    return np.flatnonzero(in_word[1:] != in_word[:-1])
+
+
 def count_words(text: str) -> int:
-    """Number of whitespace-delimited tokens, the unit of window planning."""
-    return len(text.split())  # the same whitespace test as _WORD_RE
-
-
-@lru_cache(maxsize=64)
-def _skip_words(m: int) -> re.Pattern[str]:
-    """Matches the next ``m`` words from a word end or the start, none split; group 1: the last."""
-    return re.compile(rf"\s*(?:\S+\s+){{{m - 1}}}(\S+)")
+    """Number of whitespace-delimited tokens, the unit of window planning: ``len(text.split())``,
+    read off the word bounds :func:`convert_document` then finds the windows' edges in."""
+    return len(_word_bounds(text)) // 2
 
 
 def convert_document(doc_text: str, converter: DocumentConverter, plan: WindowPlan) -> str:
@@ -168,25 +181,21 @@ def convert_document(doc_text: str, converter: DocumentConverter, plan: WindowPl
     and output. Fragments are joined with the whitespace that separates
     their cores in ``doc_text``, so a line cut by a core boundary comes out
     whole. On converter failure the raised ConversionError carries the turn
-    number and the output assembled so far, for resumption.
+    number and the output assembled so far, for resumption. The words are
+    :func:`count_words`'s, found once for both.
     """
-    edges = {i for t, (lo, hi) in enumerate(plan.spans, 1)  # the words whose offsets turns read
-             for i in (lo, hi - 1, plan.core(t)[0], plan.core(t)[1] - 1)}
-    starts, ends, pos, last = {}, {}, 0, -1
-    for i in sorted(edges):  # skip ahead to each, with no Match for the words between
-        if not (word := _skip_words(i - last).match(doc_text, pos)):
-            break
-        (starts[i], ends[i]), pos, last = word.span(1), word.end(), i
-    if len(starts) < len(edges) or _WORD_RE.search(doc_text, pos):
+    bounds = _word_bounds(doc_text)
+    if plan.total_words != len(bounds) // 2:
         raise ValueError(f"plan covers {plan.total_words} words but document has "
-                         f"{count_words(doc_text)}")
+                         f"{len(bounds) // 2}")
+    starts, ends = bounds[0::2].item, bounds[1::2].item  # word i's offsets as ints
 
     parts: list[str] = []
     previous_input = previous_output = ""
     for t, (span_start, span_end) in enumerate(plan.spans, 1):
         core_start, core_end = plan.core(t)
-        window_lo, core_lo = starts[span_start], starts[core_start]
-        window_hi, core_hi = ends[span_end - 1], ends[core_end - 1]
+        window_lo, core_lo = starts(span_start), starts(core_start)
+        window_hi, core_hi = ends(span_end - 1), ends(core_end - 1)
         turn = ConverterTurn(
             index=t,
             total=plan.iterations,
@@ -201,23 +210,21 @@ def convert_document(doc_text: str, converter: DocumentConverter, plan: WindowPl
         except Exception as exc:
             raise ConversionError(t, "".join(parts), str(exc)) from exc
         if t > 1:
-            parts.append(doc_text[ends[core_start - 1] : core_lo])
+            parts.append(doc_text[ends(core_start - 1) : core_lo])
         parts.append(fragment)
         previous_input, previous_output = turn.current_input, fragment
     return "".join(parts)
 
 
-def _detect_kind(content: str) -> str:
-    first = next((line.strip() for line in content.splitlines() if line.strip()), "")
-    if first.startswith(("|", "Table:")):
-        return "table"
-    return "image" if IMAGE_LINE_RE.match(first) else "text"
-
-
-def _finish_content(lines: list[str]) -> str:
-    while lines and not lines[-1].strip():
+def _finish_content(lines: list[str]) -> tuple[str, str]:
+    """The content of a segment's right-stripped ``lines``, and its kind, read off its
+    first non-blank line."""
+    while lines and not lines[-1]:
         lines.pop()
-    return "\n".join(line.rstrip() for line in lines)
+    first = next(filter(None, lines), "").lstrip()
+    kind = ("table" if first.startswith(("|", "Table:"))
+            else "image" if IMAGE_LINE_RE.match(first) else "text")
+    return "\n".join(lines), kind
 
 
 def _unique_id(base: str, used: dict[str, int]) -> str:
@@ -248,18 +255,18 @@ def parse_markdown(
     used takes the first free ``<number>+2``, ``<number>+3``, ….
     :func:`promote_headings` puts other numbered headings in this form.
     """
-    chunks: list[tuple[re.Match[str] | None, list[str]]] = [(None, [])]
+    lines: list[str] = []
+    chunks: list[tuple[re.Match[str] | None, list[str]]] = [(None, lines)]
     for line in markdown.splitlines():
-        match = _HEADING_RE.match(line)
-        if match:
-            chunks.append((match, []))
+        if line[:1] == "#" and (match := _HEADING_RE.match(line)):
+            chunks.append((match, lines := []))
         else:
-            chunks[-1][1].append(line)
+            lines.append(line.rstrip())
 
     segments: list[Segment] = []
     used_ids: dict[str, int] = {}
     for match, lines in chunks:
-        content = _finish_content(lines)
+        content, kind = _finish_content(lines)
         if match is None:  # the lines before the first heading
             if not content:
                 continue
@@ -279,5 +286,5 @@ def parse_markdown(
             title = title.strip()
         segment_id = _unique_id(number or "preamble", used_ids)
         segments.append(Segment(segment_id=segment_id, chapter_number=number, level=level,
-                                title=title, kind=_detect_kind(content), content=content))
+                                title=title, kind=kind, content=content))
     return segments

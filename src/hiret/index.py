@@ -376,7 +376,7 @@ def build_vector_index(segments: Sequence[Segment], embedder: Embedder) -> Vecto
             block = embedder._vectors(codes[ids[bounds[0]:bounds[-1]]], np.diff(bounds))
             norms = np.sqrt([row.dot(row) for row in block])[:, None]  # unit_vector's, per row
             kept = np.flatnonzero(norms)
-            matrix[n:n + len(kept)] = block[kept] / norms[kept]
+            np.divide(block[kept], norms[kept], out=matrix[n:n + len(kept)], casting="same_kind")
             rows[n:n + len(kept)] = kept + lo
             n += len(kept)
             for i in np.flatnonzero(norms == 0).tolist():
@@ -631,14 +631,15 @@ def _file_entry(path: Path) -> dict:
         return {"bytes": f.tell(), "crc32": f"{crc:08x}"}
 
 
-def _segment_line(seg: Segment) -> bytes:
+def _segment_line(seg: Segment, quoted: _Memo) -> bytes:
     """``seg``'s line as :data:`_COMPACT_JSON` writes it, without an ``embedding_text`` that
-    :func:`path_text` derives; a field not of its annotated type raises ``TypeError``."""
-    q, level, path, text = _quote, seg.level, seg.metadata_path, seg.embedding_text
+    :func:`path_text` derives; a field not of its annotated type raises ``TypeError``.
+    ``quoted``, one ``_Memo(_quote)`` per save, quotes the short fields; no body enters it."""
+    q, level, path, text = quoted.__getitem__, seg.level, seg.metadata_path, seg.embedding_text
     if type(level) is bool or not isinstance(path, list):  # the encoder writes a bool as true
         raise TypeError(f"segment {seg.key}: not an int level or list path: {level!r}, {path!r}")
-    text_field = "" if text == path_text(path, seg.content) else f'"embedding_text":{q(text)},'
-    return (f'{{"chapter_number":{q(seg.chapter_number)},"content":{q(seg.content)},'
+    text_field = "" if text == path_text(path, seg.content) else f'"embedding_text":{_quote(text)},'
+    return (f'{{"chapter_number":{q(seg.chapter_number)},"content":{_quote(seg.content)},'
             f'"doc_id":{q(seg.doc_id)},{text_field}"kind":{q(seg.kind)},'
             f'"level":{int.__repr__(level)},"metadata_path":[{",".join(map(q, path))}],'
             f'"segment_id":{q(seg.segment_id)},"title":{q(seg.title)}}}\n').encode("utf-8")
@@ -666,7 +667,8 @@ def _write_files(bundle: IndexBundle, directory: Path) -> dict:
     put("postings_tf.npy", bundle.bm25.tf, "<i4")
     put("segment_keys.json", _json_bytes(bundle.keys))
     with open(directory / "segments.jsonl", "wb") as f:  # line by line: no blob on the heap
-        lengths = [f.write(_segment_line(seg)) for seg in bundle.segments]
+        quoted = _Memo(_quote)
+        lengths = [f.write(_segment_line(seg, quoted)) for seg in bundle.segments]
     files["segments.jsonl"] = _file_entry(directory / "segments.jsonl")
     put("segment_offsets.npy", np.cumsum([0] + lengths), "<i8")
 

@@ -6,7 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hiret.formatter import _MD_HEADING_RE, _PLAIN_HEADING_RE
+from hiret.corpus import IMAGE_LINE_RE, Segment
+from hiret.formatter import (
+    _HEADING_RE,
+    _MD_HEADING_RE,
+    _NUMBER_RE,
+    _PLAIN_HEADING_RE,
+    _promote,
+    _unique_id,
+    _word_bounds,
+)
 from hiret.formatter import (
     ConversionError,
     ConverterTurn,
@@ -23,9 +32,8 @@ def words_of(text):
     return text.split()
 
 
-# Unicode whitespace (str.isspace) beyond ASCII, and look-alikes that are not.
-_SPACES = ["\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u1680", "\u2000", "\u2009",
-           "\u2028", "\u2029", "\u202f", "\u205f", "\u3000", " ", "\t", "\n", "\x0b", "\r"]
+# Every str.isspace() code point, the whitespace str.split() cuts at, and look-alikes that are not.
+_SPACES = [*filter(str.isspace, map(chr, range(sys.maxunicode + 1)))]
 _NOT_SPACES = ["\u200b", "\u180e", "\ufeff", "\u2060", "a", "\u00e9", "#"]
 
 
@@ -169,12 +177,21 @@ class TestPlanWindows:
 
 
 class TestConvertDocument:
-    @settings(max_examples=300, deadline=None)
-    @given(text=st.one_of(st.text(), st.text(st.sampled_from(_SPACES + _NOT_SPACES))))
+    @settings(max_examples=500, deadline=None)
+    @given(text=st.one_of(st.text(), st.text(st.sampled_from(_SPACES + _NOT_SPACES + ["\ud800"]))))
     def test_count_words_is_the_word_pattern_count(self, text):
-        assert count_words(text) == len(re.findall(r"\S+", text))
+        assert count_words(text) == len(re.findall(r"\S+", text)) == len(text.split())
+        bounds = _word_bounds(text).tolist()  # the words' offsets cut out str.split()'s words
+        assert [text[lo:hi] for lo, hi in zip(bounds[0::2], bounds[1::2])] == text.split()
         # A plan from count_words passes convert_document's own word check.
         convert_document(text, IdentityConverter(), plan_windows(count_words(text), 3, 1))
+
+    def test_the_whitespace_is_exactly_str_isspace(self):
+        every = "".join(map(chr, range(sys.maxunicode + 1)))  # each code point once
+        bounds = _word_bounds(every).tolist()
+        in_words = "".join(every[lo:hi] for lo, hi in zip(bounds[0::2], bounds[1::2]))
+        outside = set(map(ord, every)) - set(map(ord, in_words))
+        assert outside == {c for c in range(sys.maxunicode + 1) if chr(c).isspace()}
 
     @settings(max_examples=300, deadline=None)
     @given(text=st.one_of(st.text(), st.text(st.sampled_from(_SPACES + _NOT_SPACES))),
@@ -433,6 +450,103 @@ class TestHeadingPromotionConverter:
         differ = [hex(code) for code, c in enumerate(map(chr, range(sys.maxunicode + 1)))
                   if (re.match(r"\d", c) is not None) != c.isdecimal()]
         assert differ == []
+
+
+def line_by_line_promote_headings(markdown):
+    """promote_headings as it was before it split the text once: the oracle."""
+    lines = markdown.splitlines()
+    pieces = markdown.splitlines(keepends=True)
+    for i, line in enumerate(lines):
+        if line[:1] == "#" or line[:1].isdecimal():
+            pieces[i] = _promote(line) + pieces[i][len(line):]
+    return "".join(pieces)
+
+
+def line_by_line_parse_markdown(markdown, doc_title, warnings):
+    """parse_markdown as it was before it read each line once: every line tried as a
+    heading, each segment's kind read off a second split of its content. The oracle."""
+    def detect_kind(content):
+        first = next((line.strip() for line in content.splitlines() if line.strip()), "")
+        if first.startswith(("|", "Table:")):
+            return "table"
+        return "image" if IMAGE_LINE_RE.match(first) else "text"
+
+    def finish_content(lines):
+        while lines and not lines[-1].strip():
+            lines.pop()
+        return "\n".join(line.rstrip() for line in lines)
+
+    chunks = [(None, [])]
+    for line in markdown.splitlines():
+        match = _HEADING_RE.match(line)
+        if match:
+            chunks.append((match, []))
+        else:
+            chunks[-1][1].append(line)
+    segments, used_ids = [], {}
+    for match, lines in chunks:
+        content = finish_content(lines)
+        if match is None:
+            if not content:
+                continue
+            number, level, title = "", 0, doc_title
+        else:
+            number, title = match.group(1), match.group(2) or ""
+            if _NUMBER_RE.match(number):
+                level = number.count(".") + 1
+            else:
+                level = 1
+                warnings.append(f"malformed heading number {number!r} in line "
+                                f"{match.string!r}; kept at level 1")
+                title = title or number
+            title = title.strip()
+        segment_id = _unique_id(number or "preamble", used_ids)
+        segments.append(Segment(segment_id=segment_id, chapter_number=number, level=level,
+                                title=title, kind=detect_kind(content), content=content))
+    return segments
+
+
+# Markdown lines: heading marks, well-formed and malformed numbers, table, caption and image
+# starts, words, and the whitespace before, between and after them (a line of it alone too).
+_ORACLE_TOKENS = ["#", "##", "1", "3.2", "1.1.4", "2)", "4.", "3.x", "1..2", "1+2", ".5", "A",
+                  "alpha", "volts.", "x,", "|", "|---|", "Table:", "![p](p.png)", "![a](b)x",
+                  "\u200b", "\u0663", "preamble"]
+_ORACLE_SPACES = ["", " ", "  ", "\t", "\xa0", "\u3000", "\x1f"]
+_ORACLE_LINES = st.one_of(
+    st.builds(
+        lambda lead, words, trail: lead + "".join(word + gap for word, gap in words) + trail,
+        st.sampled_from(_ORACLE_SPACES),
+        st.lists(st.tuples(st.sampled_from(_ORACLE_TOKENS), st.sampled_from(_ORACLE_SPACES)),
+                 max_size=14),  # past _MAX_HEADING_WORDS
+        st.sampled_from(_ORACLE_SPACES),
+    ),
+    st.builds(  # a heading, or a near miss, of every kind
+        lambda mark, number, title: mark + number + title,
+        st.sampled_from(["# ", "#\t", "#\xa0", "## ", "###  ", "#", ""]),
+        st.sampled_from(["1", "3.2", "1.1.4", "3.x", "1..2", "A", "1+2", "2)", "4.", "\u0663"]),
+        st.sampled_from(["", " ", " Title", "\tA  b ", "\u3000x", " volts, then.",
+                         " a b c d e f g h i j k l m"]),
+    ),
+    st.sampled_from(["![p](p.png)", "  ![a](b) \t", "![a](b)x", " | a |", "Table: t", "", " ",
+                     "\xa0\u3000"]),  # a segment's first line, whole
+)
+
+
+class TestAgainstTheLineByLineParser:
+    @settings(max_examples=1000, deadline=None)
+    @given(lines=st.lists(st.tuples(_ORACLE_LINES, st.sampled_from(_LINE_BREAKS))),
+           end=st.booleans())
+    def test_parse_and_promote_are_unchanged(self, lines, end):
+        markdown = "".join(line + brk for line, brk in lines)
+        if not end and lines:
+            markdown = markdown[: -len(lines[-1][1])]
+        promoted = promote_headings(markdown)
+        assert promoted == line_by_line_promote_headings(markdown)
+        for text in (markdown, promoted):
+            warnings, expected_warnings = [], []
+            assert (parse_markdown(text, "Doc", warnings)
+                    == line_by_line_parse_markdown(text, "Doc", expected_warnings))
+            assert warnings == expected_warnings
 
 
 class TestParseMarkdown:

@@ -38,8 +38,10 @@ from hiret.index import (
     IndexFormatError,
     StoredSegments,
     _json_bytes,
+    _Memo,
     _Scan,
     _invert,
+    _quote,
     _segment_line,
     bm25_route,
     bm25_score,
@@ -938,7 +940,9 @@ class TestSegmentLine:
         fields = dict(vars(segment))
         if segment.embedding_text == path_text(segment.metadata_path, segment.content):
             del fields["embedding_text"]
-        assert _segment_line(segment) == _json_bytes(fields)
+        quoted = _Memo(_quote)  # the second line reads every short string from the memo
+        line = _segment_line(segment, quoted)
+        assert line == _json_bytes(fields) == _segment_line(segment, quoted)
 
     @pytest.mark.parametrize("name, value", [("level", True), ("metadata_path", ["d", 1])])
     def test_a_field_of_another_type_raises_at_save_and_keeps_the_index(self, tmp_path,
