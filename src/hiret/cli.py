@@ -44,6 +44,7 @@ COHESION_COLUMNS = [
     "y",
 ]
 GROUPINGS = ("by-document", "by-section-title")  # cohesion groupings; the first is the default
+_WINDOW, _PADDING = 400, 50  # in words; the echo converter's segments do not depend on them
 
 
 class UsageError(Exception):
@@ -58,8 +59,6 @@ class DataError(Exception):
 class AppConfig:
     corpus_dir: str = "corpus"
     index_dir: str = "index"
-    window: int = 400
-    padding: int = 50
     alpha: float = retriever.RetrievalConfig.alpha
     beta: float = retriever.RetrievalConfig.beta
     gamma: float = retriever.RetrievalConfig.gamma
@@ -130,24 +129,27 @@ def _make_captioner(spec: dict | None):
 
 
 def run_ingest(cfg: AppConfig) -> dict:
-    """Convert, augment, and index the corpus; returns the ingest report."""
-    plan_windows(0, cfg.window, cfg.padding)  # refuses a bad window before any conversion
+    """Convert, augment, and index the corpus; returns the ingest report, whose
+    warnings are those that reach the ``hiret`` logger during the ingest."""
     index._check_bm25_params(cfg.k1, cfg.b)
     user_keywords = _load_keyword_dict(cfg.keyword_dict)
     records = load_corpus(cfg.corpus_dir)
-    if not records:
-        log.warning("corpus %s holds no documents; writing empty indices", cfg.corpus_dir)
 
     captioner = _make_captioner(cfg.captioner)
     embedder = index.make_embedder(cfg.embedder or {})
     warnings: list[str] = []
+    collector = logging.Handler(logging.WARNING)  # not logging.handlers: a costly import
+    collector.emit = lambda record: warnings.append(record.getMessage())
+    logging.getLogger(__package__).addHandler(collector)
     all_segments = []
     try:
+        if not records:
+            log.warning("corpus %s holds no documents; writing empty indices", cfg.corpus_dir)
         for doc in records:
-            plan = plan_windows(count_words(doc.text), cfg.window, cfg.padding)
+            plan = plan_windows(count_words(doc.text), _WINDOW, _PADDING)
             markdown = promote_headings(convert_document(doc.text, IdentityConverter(), plan))
-            doc.attach_segments(parse_markdown(markdown, doc.title, warnings))
-            hca.augment_document(doc, captioner=captioner, warnings=warnings)
+            doc.attach_segments(parse_markdown(markdown, doc.title))
+            hca.augment_document(doc, captioner=captioner)
             all_segments.extend(doc.segments)
 
         bundle = index.build_indices(
@@ -159,6 +161,7 @@ def run_ingest(cfg: AppConfig) -> dict:
         )
         index.save_index(bundle, cfg.index_dir)
     finally:
+        logging.getLogger(__package__).removeHandler(collector)
         embedder.close()
         if captioner:
             captioner.close()

@@ -239,18 +239,14 @@ def _unique_id(base: str, used: dict[str, int]) -> str:
     return segment_id
 
 
-def parse_markdown(
-    markdown: str,
-    doc_title: str,
-    warnings: list[str] | None = None,
-) -> list[Segment]:
+def parse_markdown(markdown: str, doc_title: str) -> list[Segment]:
     """Split structured markdown into one Segment per numbered heading.
 
     Headings are lines of the form ``# <dotted-number> <title>``. Lines
     before the first heading become a level-0 preamble segment titled with
     the document title, kept only when they hold text. A heading whose
     number token is not purely numeric is accepted at level 1, and a
-    warning is recorded. A segment's id is ``preamble`` for the preamble
+    warning is logged. A segment's id is ``preamble`` for the preamble
     and otherwise its chapter number; a number the document has already
     used takes the first free ``<number>+2``, ``<number>+3``, ….
     :func:`promote_headings` puts other numbered headings in this form.
@@ -277,11 +273,8 @@ def parse_markdown(
                 level = number.count(".") + 1
             else:
                 level = 1
-                message = (f"malformed heading number {number!r} in line {match.string!r}; "
-                           "kept at level 1")
-                log.warning(message)
-                if warnings is not None:
-                    warnings.append(message)
+                log.warning("malformed heading number %r in line %r; kept at level 1",
+                            number, match.string)
                 title = title or number
             title = title.strip()
         segment_id = _unique_id(number or "preamble", used_ids)

@@ -113,11 +113,7 @@ def _resolve_image(seg: Segment, doc: DocumentRecord) -> tuple[ImageAsset, str]:
     return ImageAsset(image_id=ref, file_ref=ref, description=""), surrounding
 
 
-def augment_document(
-    doc: DocumentRecord,
-    captioner: Captioner | None = None,
-    warnings: list[str] | None = None,
-) -> list[Segment]:
+def augment_document(doc: DocumentRecord, captioner: Captioner | None = None) -> list[Segment]:
     """Set each segment's ``metadata_path`` and prepend it to its embedding text.
 
     "1.2.1" with no "1.2" yet hangs under "1"; a repeated number takes over
@@ -152,13 +148,8 @@ def augment_document(
             body = augment_image(asset, surrounding, captioner)
             if not body:
                 name = seg.key if seg.doc_id else seg.segment_id
-                message = (
-                    f"segment {name}: image has no description "
-                    "and no captioner; excluded from the vector index"
-                )
-                log.warning(message)
-                if warnings is not None:
-                    warnings.append(message)
+                log.warning("segment %s: image has no description and no captioner; "
+                            "excluded from the vector index", name)
                 seg.embedding_text = ""
                 continue
         else:

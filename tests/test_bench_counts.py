@@ -24,12 +24,14 @@ def load_spans():
     return module
 
 
-def test_traced_ingest_counts_the_postings_the_index_holds(tmp_path):
+def test_traced_ingest_counts_the_postings_the_index_holds(tmp_path, monkeypatch):
     spans = load_spans()
     tracer = spans.Tracer()
     # A window small enough that every fixture document takes several.
+    monkeypatch.setattr(cli, "_WINDOW", 64)
+    monkeypatch.setattr(cli, "_PADDING", 16)
     cfg = cli.AppConfig(corpus_dir=str(DATA_DIR / "corpus"), index_dir=str(tmp_path / "index"),
-                        keyword_dict=str(DATA_DIR / "keywords.txt"), window=64, padding=16)
+                        keyword_dict=str(DATA_DIR / "keywords.txt"))
     with tracer.installed(spans.INGEST_WRAPS + spans.QUERY_WRAPS):
         tracer.op = "ingest"
         cli.run_ingest(cfg)
@@ -43,7 +45,7 @@ def test_traced_ingest_counts_the_postings_the_index_holds(tmp_path):
         if name != "plugins.request":
             assert ops["ingest"].get(f"{name}.calls", 0) >= 1, name
     docs = load_corpus(cfg.corpus_dir)
-    windows = [plan_windows(count_words(doc.text), cfg.window, cfg.padding).iterations
+    windows = [plan_windows(count_words(doc.text), cli._WINDOW, cli._PADDING).iterations
                for doc in docs]
     assert min(windows) > 1
     assert ops["ingest"]["formatter.windows"] == sum(windows)

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import logging
 import math
 import os
 import random
@@ -151,6 +152,27 @@ class TestIngest:
         assert all(w.endswith(": image has no description and no captioner; excluded from "
                               "the vector index") for w in warned)
 
+    def test_report_counts_every_warning_logged_during_the_ingest(self, tmp_path, capsys,
+                                                                  caplog, monkeypatch):
+        # A punctuation-only document has no embeddable text: the vector index
+        # warns that it skips the segment, and the report counts that warning.
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "a.md").write_text("---\n", encoding="utf-8")
+        (corpus / "a.meta.json").write_text(json.dumps({"title": "..."}), encoding="utf-8")
+        reports = []
+        monkeypatch.setattr("hiret.cli.run_ingest",
+                            lambda cfg: reports.append(run_ingest(cfg)) or reports[-1])
+        code = main(["--corpus-dir", str(corpus), "--index-dir", str(tmp_path / "index"),
+                     "ingest"])
+        assert code == 0
+        assert "(1 skipped, 1 warnings)" in capsys.readouterr().out
+        warned = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+        assert warned == ["segment a#preamble: vector is zero (no embeddable text); "
+                          "skipped from vector index"]
+        assert reports[0]["warning_messages"] == warned
+        assert logging.getLogger("hiret").handlers == []  # the ingest's handler is gone
+
     @pytest.mark.parametrize("sidecar, field", [
         ({"title": "Doc \ud800 one"}, "'title'"),
         ({"images": [{"id": "fig1", "description": "pinout \udfff view"}]},
@@ -184,23 +206,6 @@ class TestIngest:
         assert capsys.readouterr().err.startswith(
             f"error: document file name is not UTF-8: {name!r}")
         assert [p.name for p in tmp_path.iterdir()] == ["corpus"]  # no index, no staging sibling
-
-    @pytest.mark.parametrize("heading, padding", [
-        ("## 3.2 " + " ".join(f"t{i}" for i in range(8)), 5),  # the core ends after "##"
-        *(("3.2 electrical ratings", k) for k in (0, 1, 2)),  # the core ends after "3.2"
-    ])
-    def test_heading_cut_by_a_core_end_the_padding_does_not_close_is_promoted(
-            self, tmp_path, heading, padding):
-        # The first 7-word core ends inside the heading line, and the padding shows
-        # neither the end of that line nor the end of the document.
-        corpus = tmp_path / "corpus"
-        corpus.mkdir()
-        (corpus / "doc.md").write_text(f"# 1 intro\nbody words here\n{heading}\n"
-                                       "vcc is five volts", encoding="utf-8")
-        code = main(["--corpus-dir", str(corpus), "--index-dir", str(tmp_path / "index"),
-                     "--window", "7", "--padding", str(padding), "ingest"])
-        assert code == 0
-        assert load_index(tmp_path / "index").keys == ["doc#1", "doc#3.2"]
 
     def test_missing_corpus_is_data_error(self, tmp_path, capsys):
         code = main(["--corpus-dir", str(tmp_path / "nope"), "ingest"])
@@ -723,7 +728,7 @@ class TestConfigAndExitCodes:
         cfg = load_config(config)
         assert cfg.alpha == 0.9 and cfg.top_k == 3
 
-    @pytest.mark.parametrize("data", [{"window": "400"}, {"embedder": "hash"}])
+    @pytest.mark.parametrize("data", [{"top_k": "5"}, {"embedder": "hash"}])
     def test_mistyped_config_value_is_usage_error(self, tmp_path, capsys, data):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(data), encoding="utf-8")
@@ -740,7 +745,7 @@ class TestConfigAndExitCodes:
         assert asdict(load_config(config)) == {**asdict(AppConfig()), **data}
 
     FILE_VALUES = {
-        "corpus_dir": "c1", "index_dir": "i1", "window": 100, "padding": 3,
+        "corpus_dir": "c1", "index_dir": "i1",
         "alpha": 0.75, "beta": 0.2, "gamma": 3.0, "top_k": 4, "k1": 1.1, "b": 0.6,
         "keyword_dict": "file.txt", "embedder": {"kind": "hash", "dim": 64},
         "captioner": {"kind": "subprocess", "command": ["describe"]},
@@ -748,8 +753,6 @@ class TestConfigAndExitCodes:
     FLAGS = [
         ("--corpus-dir", "c2", "corpus_dir", "c2"),
         ("--index-dir", "i2", "index_dir", "i2"),
-        ("--window", "300", "window", 300),
-        ("--padding", "7", "padding", 7),
         ("--alpha", "0.25", "alpha", 0.25),
         ("--beta", "0.5", "beta", 0.5),
         ("--gamma", "2.0", "gamma", 2.0),
@@ -799,16 +802,21 @@ class TestConfigAndExitCodes:
     @pytest.mark.parametrize("flags, code, says", [
         (["--k1", "inf"], 1, "k1 must be finite"),
         (["--b", "2"], 1, "b must be in [0, 1]"),
-        (["--window", "0"], 1, "window_size must be >= 1"),
-        (["--padding", "-1"], 1, "padding must be >= 0"),
         (["--keywords", "missing.txt"], 2, "cannot read keyword dictionary"),
-    ], ids=["k1-inf", "b-2", "window-0", "padding-negative", "missing-keywords"])
+        # The conversion window is fixed: no flag or config key sets it. Before the
+        # command, argparse takes the 7 of `--window 7` for the command.
+        (["--window", "7"], 1, "invalid choice: '7'"),
+        (["--window=7"], 1, "unrecognized arguments: --window=7"),
+        (["--config", "window.json"], 1, "unknown keys: ['window']"),
+    ], ids=["k1-inf", "b-2", "missing-keywords", "window-flag", "window-flag-equals",
+            "window-config-key"])
     def test_bad_ingest_setting_is_refused_before_any_conversion(self, tmp_path, capsys,
                                                                   monkeypatch, flags, code, says):
         calls = []
         monkeypatch.setattr("hiret.cli.convert_document", lambda *args: calls.append(args) or "")
         corpus = write_manual_corpus(tmp_path / "corpus", 2)
-        flags = [str(tmp_path / f) if f.endswith(".txt") else f for f in flags]
+        (tmp_path / "window.json").write_text(json.dumps({"window": 400}), encoding="utf-8")
+        flags = [str(tmp_path / f) if f.endswith((".txt", ".json")) else f for f in flags]
         assert main(["--corpus-dir", str(corpus), "--index-dir", str(tmp_path / "index"),
                      *flags, "ingest"]) == code
         assert says in capsys.readouterr().err
@@ -844,16 +852,15 @@ class TestConfigAndExitCodes:
                                  "keyword_hits", "metadata_path", "title", "kind", "content"]
 
     def test_numeric_flags_parse_to_their_field_types(self):
-        args = build_parser().parse_args(["--window", "3", "--padding", "1", "--alpha", ".5",
-                                          "--beta", ".1", "--gamma", "2", "--top-k", "4",
-                                          "--k1", "1.5", "--b", ".5", "ingest"])
+        args = build_parser().parse_args(["--alpha", ".5", "--beta", ".1", "--gamma", "2",
+                                          "--top-k", "4", "--k1", "1.5", "--b", ".5", "ingest"])
         parsed = {name: getattr(args, name)
-                  for name in ("window", "padding", "alpha", "beta", "gamma", "top_k", "k1", "b")}
-        assert parsed == {"window": 3, "padding": 1, "alpha": 0.5, "beta": 0.1, "gamma": 2.0,
-                          "top_k": 4, "k1": 1.5, "b": 0.5}
+                  for name in ("alpha", "beta", "gamma", "top_k", "k1", "b")}
+        assert parsed == {"alpha": 0.5, "beta": 0.1, "gamma": 2.0, "top_k": 4, "k1": 1.5,
+                          "b": 0.5}
         assert {name: type(value) for name, value in parsed.items()} == {
-            "window": int, "padding": int, "alpha": float, "beta": float, "gamma": float,
-            "top_k": int, "k1": float, "b": float}
+            "alpha": float, "beta": float, "gamma": float, "top_k": int, "k1": float,
+            "b": float}
 
     def test_cohesion_grouping_accepts_exactly_the_two_groupings(self):
         parser = build_parser()
@@ -865,9 +872,10 @@ class TestConfigAndExitCodes:
 
     def test_importing_the_cli_loads_no_plugin_machinery(self):
         # Every `hiret query` pays for what `import hiret.cli` loads; plug-ins
-        # (and subprocess with them) load only when a spec asks for one.
-        code = ("import sys, hiret.cli; "
-                "print(sorted({'subprocess', 'hiret.plugins'} & set(sys.modules)))")
+        # (and subprocess with them) load only when a spec asks for one, and the
+        # ingest's warning counter is a plain logging.Handler, not logging.handlers.
+        code = ("import sys, hiret.cli; print(sorted("
+                "{'subprocess', 'hiret.plugins', 'logging.handlers'} & set(sys.modules)))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": SRC_DIR}, check=True)
         assert proc.stdout == "[]\n"

@@ -230,15 +230,16 @@ class TestAugmentImage:
         asset = ImageAsset("img1", "p3.png", "")
         assert augment_image(asset, "context") == ""
 
-    def test_cascade_excludes_undescribed_image_with_warning(self):
+    def test_cascade_excludes_undescribed_image_with_warning(self, caplog):
         doc = DocumentRecord(doc_id="d", title="T", source_path="d.md")
         doc.attach_segments(
             [make_segment("1", "Fig", content="![alt text](missing.png)", kind="image")]
         )
-        warnings = []
-        (seg,) = augment_document(doc, warnings=warnings)
+        (seg,) = augment_document(doc)
         assert seg.embedding_text == ""
-        assert len(warnings) == 1
+        assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("hiret.hca", "WARNING", "segment d#1: image has no description and no captioner; "
+                                     "excluded from the vector index")]
 
     def test_cascade_resolves_asset_by_file_ref(self):
         doc = DocumentRecord(
