@@ -283,6 +283,21 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit code 1 for usage errors, not argparse's 2
         raise UsageError(message)
 
+    def parse_args(self, args=None, namespace=None):
+        """Name first an unknown ``--flag`` ahead of the command, which argparse would
+        set aside, reading its value as the command (``invalid choice: '7'``)."""
+        args = sys.argv[1:] if args is None else args
+        commands = next((action.choices for action in self._actions
+                         if isinstance(action, argparse._SubParsersAction)), {})
+        for token in args:
+            if token in commands or token == "--":
+                break
+            name = token.partition("=")[0]
+            if name.startswith("--") and not any(option.startswith(name)  # as abbreviated
+                                                 for option in self._option_string_actions):
+                self.error(f"unrecognized arguments: {token}")
+        return super().parse_args(args, namespace)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hiret", description="Hierarchical multi-route retrieval engine")

@@ -3,20 +3,21 @@
 All three are built from one tokenization of the augmented ``embedding_text``
 of each segment, keyed by ``doc_id#segment_id``. The segments are stored in key
 order, so row ``i`` is the ``i``-th key in sorted order: every index's ``keys``
-is that order and its arrays hold segment rows (the vector matrix holds a unit
+is that order and its arrays hold segment rows (the vector index holds a unit
 vector per embeddable segment, at ascending ``rows``). An :class:`IndexBundle`
 checks at construction that its keys ascend and that the three indices are
 over them.
 
 An index persists to a directory as ``.npy`` arrays, a few small JSON files and
 one blob of per-segment JSON lines, described by a manifest that records each
-file's size and crc32 (format 6: each fact once, rows in key order, no derivable
-``embedding_text``). Postings and keywords are :class:`InvertedLists` over the
-arrays their files hold, saved and loaded as they are. Saving is atomic and
-deterministic: the files go into a sibling directory that then replaces the old
-index, and re-saving an unchanged index reproduces them byte for byte. Loading
-checks every file against the manifest, maps every array and the segment blob
-and decodes a segment only when it is read.
+file's size and crc32 (format 7: each fact once, rows in key order, no derivable
+``embedding_text``, vectors by column with only their non-zero components).
+Postings and keywords are :class:`InvertedLists` over the arrays their files hold,
+saved and loaded as they are. Saving is atomic and deterministic: the files go
+into a sibling directory that then replaces the old index, and re-saving an
+unchanged index reproduces them byte for byte. Loading checks every file against
+the manifest, maps every array and the segment blob and decodes a segment only
+when it is read.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .corpus import Segment, path_text
 
 log = logging.getLogger(__name__)
 
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 DEFAULT_DIM = 256
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
@@ -54,12 +55,14 @@ DEFAULT_B = 0.75
 MANIFEST_FILE = "manifest.json"
 # Every file the manifest describes.
 INDEX_FILES = (
-    "vectors.npy",  # float32 (n_vectors, dim) unit vectors
     "vector_rows.npy",  # <i4 segment row of each vector
+    "vector_offsets.npy",  # <i8 dimension j holds entries offsets[j]:offsets[j + 1]
+    "vector_ordinals.npy",  # <i4 vector (its place in vector_rows) of each entry
+    "vector_values.npy",  # <f4 non-zero component of each entry
     "postings_terms.json",  # sorted BM25 terms
     "postings_offsets.npy",  # <i8 term i holds entries offsets[i]:offsets[i + 1]
     "postings_rows.npy",  # <i4 segment row of each posting entry
-    "postings_tf.npy",  # <i4 term count of each posting entry
+    "postings_tf.npy",  # term count of each posting entry, as the first of _TF_DTYPES that fits
     "keywords_terms.json",  # sorted critical keywords
     "keywords_offsets.npy",  # <i8 keyword i holds rows offsets[i]:offsets[i + 1]
     "keywords_rows.npy",  # <i4 segment row holding the keyword
@@ -67,6 +70,7 @@ INDEX_FILES = (
     "segments.jsonl",  # one JSON line per segment, UTF-8
     "segment_offsets.npy",  # <i8 segment i is bytes offsets[i]:offsets[i + 1]
 )
+_TF_DTYPES = ("<u1", "<u2", "<u4")
 # The manifest fields load_index reads and the JSON types they hold.
 _MANIFEST_FIELDS = {"k1": (int, float), "b": (int, float), "embedder": dict,
                     "user_keywords": list, "files": dict}
@@ -182,27 +186,32 @@ def unit_vector(vector: np.ndarray, dim: int) -> tuple[np.ndarray | None, str]:
 
 @dataclass(eq=False)
 class VectorIndex:
-    """Unit vectors over ``keys``: row ``i`` of the float32 ``(len(rows), dim)``
-    matrix is the vector of segment row ``rows[i]``; ``rows`` ascends. A built
-    matrix is column-major, so the vector route reads each dimension in one run."""
+    """Unit vectors over ``keys``, stored by column: vector ``i`` is that of
+    segment row ``rows[i]``, and ``rows`` ascends. Only the non-zero float32
+    components are kept: dimension ``j`` owns the entries
+    ``offsets[j]:offsets[j + 1]``, entry ``e`` being component ``values[e]`` of
+    vector ``ordinals[e]``, and the ordinals ascend within each dimension."""
 
     dim: int
     keys: list[str] = field(default_factory=list)
     rows: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
-    matrix: np.ndarray | None = None  # None: no vectors
+    offsets: np.ndarray | None = None  # None: no entries
+    ordinals: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int32))
+    values: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.float32))
 
     def __post_init__(self):
-        if self.matrix is None:
-            self.matrix = np.zeros((0, self.dim), dtype=np.float32)
-        if self.matrix.shape != (len(self.rows), self.dim):
-            raise ValueError(
-                f"vector matrix shape {self.matrix.shape} != ({len(self.rows)}, {self.dim})"
-            )
+        if self.offsets is None:
+            self.offsets = np.zeros(self.dim + 1, dtype=np.int64)
+        if len(self.values) != len(self.ordinals):
+            raise ValueError(f"{len(self.values)} vector values for {len(self.ordinals)} "
+                             "vector entries")
 
     @property
     def entries(self) -> dict[str, np.ndarray]:
-        """Each vector's segment key to its row of the matrix (views, not copies)."""
-        return {self.keys[row]: vector for row, vector in zip(self.rows.tolist(), self.matrix)}
+        """Each vector's segment key to its dense float32 row, all densified in one scatter."""
+        dense = np.zeros((len(self.rows), self.dim), dtype=np.float32)
+        dense[self.ordinals, np.repeat(np.arange(self.dim), np.diff(self.offsets))] = self.values
+        return dict(zip(map(self.keys.__getitem__, self.rows.tolist()), dense))
 
 
 class InvertedLists(Mapping[str, np.ndarray]):
@@ -362,12 +371,20 @@ def build_vector_index(segments: Sequence[Segment], embedder: Embedder) -> Vecto
     vector is zero, not finite or of the wrong dimension. An empty text is skipped without
     one, whatever the embedder: in an ingest it is an undescribed image, which HCA warned of.
     :class:`HashingEmbedder` builds blocks of rows from the shared token scan; others
-    embed each non-empty text in turn.
-    The matrix is column-major; it is copied once more when a row was skipped."""
+    embed each non-empty text in turn into a block. No dense matrix of every vector is
+    made: each block's non-zero components are taken once the rows are float32, so one
+    that underflows there is left out, as a dense float32 store would read it as 0."""
     scan = _scan(segments)
-    rows = np.empty(len(scan), dtype=np.intp)
-    matrix = np.empty((len(scan), embedder.dim), dtype=np.float32, order="F")
-    n = 0  # vectors kept so far
+    dim, rows = embedder.dim, []
+    small = np.min_scalar_type(dim - 1)  # dimensions as numpy sorts them fastest, stably
+    pieces = [(np.zeros(0, np.int32), np.zeros(0, small), np.zeros(0, np.float32))]
+
+    def keep(block: np.ndarray, block_rows: list[int]) -> None:  # unit float32 vectors
+        ordinals, dims = np.divmod(np.flatnonzero(block != 0), dim)  # -0.0 too: it adds 0
+        pieces.append((ordinals.astype(np.int32) + len(rows), dims.astype(small),
+                       block[ordinals, dims]))
+        rows.extend(block_rows)
+
     if type(embedder) is HashingEmbedder:
         terms, ids, offsets, _ = scan.tokens
         codes = np.fromiter(map(embedder._code, terms), np.intp, len(terms))
@@ -376,25 +393,33 @@ def build_vector_index(segments: Sequence[Segment], embedder: Embedder) -> Vecto
             block = embedder._vectors(codes[ids[bounds[0]:bounds[-1]]], np.diff(bounds))
             norms = np.sqrt([row.dot(row) for row in block])[:, None]  # unit_vector's, per row
             kept = np.flatnonzero(norms)
-            np.divide(block[kept], norms[kept], out=matrix[n:n + len(kept)], casting="same_kind")
-            rows[n:n + len(kept)] = kept + lo
-            n += len(kept)
+            keep(np.divide(block[kept], norms[kept], out=np.empty((len(kept), dim), np.float32),
+                           casting="same_kind"), (kept + lo).tolist())
             for i in np.flatnonzero(norms == 0).tolist():
                 if scan[lo + i].embedding_text:
                     log.warning("segment %s: vector is zero (no embeddable text); skipped from "
                                 "vector index", scan.keys[lo + i])
     else:
+        block, block_rows = np.empty((1024, dim), dtype=np.float32), []
         for row, seg in enumerate(scan):
             if not (text := seg.embedding_text):
                 continue
-            vector, problem = unit_vector(embedder.embed(text), embedder.dim)
+            vector, problem = unit_vector(embedder.embed(text), dim)
             if vector is None:
                 log.warning("segment %s: vector %s; skipped from vector index", seg.key, problem)
                 continue
-            matrix[n], rows[n] = vector, row
-            n += 1
-    return VectorIndex(dim=embedder.dim, keys=scan.keys, rows=rows[:n],
-                       matrix=np.asfortranarray(matrix[:n]))
+            block[len(block_rows)] = vector
+            block_rows.append(row)
+            if len(block_rows) == len(block):
+                keep(block, block_rows)
+                block_rows = []
+        keep(block[:len(block_rows)], block_rows)
+    ordinals, dims, values = (np.concatenate(parts) for parts in zip(*pieces))
+    by_dim = np.argsort(dims, kind="stable")  # the ordinals ascend within each dimension
+    offsets = np.zeros(dim + 1, dtype=np.int64)
+    np.cumsum(np.bincount(dims, minlength=dim), out=offsets[1:])
+    return VectorIndex(dim=dim, keys=scan.keys, rows=np.array(rows, dtype=np.intp),
+                       offsets=offsets, ordinals=ordinals[by_dim], values=values[by_dim])
 
 
 def _invert(terms: list[str], ids: np.ndarray,
@@ -658,13 +683,17 @@ def _write_files(bundle: IndexBundle, directory: Path) -> dict:
                 f.write(data)
         files[name] = _file_entry(directory / name)
 
-    put("vectors.npy", bundle.vectors.matrix, "<f4")
-    put("vector_rows.npy", bundle.vectors.rows, "<i4")
+    vectors, tf = bundle.vectors, bundle.bm25.tf
+    put("vector_rows.npy", vectors.rows, "<i4")
+    put("vector_offsets.npy", vectors.offsets, "<i8")
+    put("vector_ordinals.npy", vectors.ordinals, "<i4")
+    put("vector_values.npy", vectors.values, "<f4")
     for stem, lists in (("postings", bundle.bm25.postings), ("keywords", bundle.keywords.rows)):
         put(f"{stem}_terms.json", _json_bytes(lists.terms))
         put(f"{stem}_offsets.npy", lists.offsets, "<i8")
         put(f"{stem}_rows.npy", lists.rows, "<i4")
-    put("postings_tf.npy", bundle.bm25.tf, "<i4")
+    most = int(tf.max(initial=0))
+    put("postings_tf.npy", tf, next(t for t in _TF_DTYPES if most <= np.iinfo(t).max))
     put("segment_keys.json", _json_bytes(bundle.keys))
     with open(directory / "segments.jsonl", "wb") as f:  # line by line: no blob on the heap
         quoted = _Memo(_quote)
@@ -807,19 +836,23 @@ def _read_checked(path: Path, entry: dict, mapped: bool = False) -> bytes | mmap
     return data
 
 
-def _check_offsets(name: str, offsets: np.ndarray, count: int, end: int) -> None:
+def _check_offsets(name: str, offsets: np.ndarray, count: int, end: int,
+                   empty: bool = False) -> None:
+    """Raise :class:`IndexFormatError` unless ``offsets`` splits ``end`` entries into
+    ``count`` parts, each non-empty unless ``empty``."""
     if (offsets.shape != (count + 1,) or offsets[0] != 0 or offsets[-1] != end
-            or np.any(offsets[1:] <= offsets[:-1])):
-        raise IndexFormatError(f"{name} does not split {end} entries into {count} non-empty parts")
+            or np.any(np.diff(offsets) < (0 if empty else 1))):
+        parts = "parts" if empty else "non-empty parts"
+        raise IndexFormatError(f"{name} does not split {end} entries into {count} {parts}")
 
 
 def _check_rows(name: str, rows: np.ndarray, count: int,
-                offsets: np.ndarray | None = None) -> None:
+                offsets: np.ndarray | None = None, of: str = "segments") -> None:
     """Raise :class:`InconsistentIndexError` unless ``rows`` are rows of ``count``
-    segments, strictly ascending within each list ``rows[offsets[i]:offsets[i + 1]]``
-    (without ``offsets``, one list)."""
+    segments (or other items ``of`` names), strictly ascending within each list
+    ``rows[offsets[i]:offsets[i + 1]]`` (without ``offsets``, one list)."""
     if rows.size and (rows.min() < 0 or rows.max() >= count):
-        raise InconsistentIndexError(f"{name} holds rows outside the {count} segments")
+        raise InconsistentIndexError(f"{name} holds rows outside the {count} {of}")
     stalls = rows[1:] <= rows[:-1]  # stalls[j]: rows[j + 1] does not ascend from rows[j]
     if offsets is not None:  # unless rows[j + 1] begins a list
         stalls[offsets[(offsets > 0) & (offsets < len(rows))] - 1] = False
@@ -850,15 +883,15 @@ def load_index(path: str | Path) -> IndexBundle:
         except ValueError as exc:
             raise IndexFormatError(f"corrupt index file {directory / name}: {exc}") from exc
 
-    def array(name: str, dtype: str, ndim: int = 1) -> np.ndarray:
+    def array(name: str, *dtypes: str) -> np.ndarray:  # 1-d, of one of ``dtypes``
         read(name, mapped=True).close()  # checked; np.load maps the file itself
         try:
             loaded = np.asarray(np.load(directory / name, mmap_mode="r", allow_pickle=False))
         except ValueError as exc:
             raise IndexFormatError(f"corrupt index file {directory / name}: {exc}") from exc
-        if loaded.dtype != np.dtype(dtype) or loaded.ndim != ndim:
+        if loaded.dtype not in map(np.dtype, dtypes) or loaded.ndim != 1:
             raise IndexFormatError(f"index file {directory / name} holds {loaded.dtype} "
-                                   f"{loaded.ndim}-d data, expected {dtype} {ndim}-d")
+                                   f"{loaded.ndim}-d data, expected {' or '.join(dtypes)} 1-d")
         return loaded
 
     keys = parse("segment_keys.json")
@@ -881,13 +914,22 @@ def load_index(path: str | Path) -> IndexBundle:
         _check_rows(f"{stem}_rows.npy", rows, len(keys), offsets)
         return InvertedLists(terms, offsets, rows.astype(np.intp))
 
+    def vectors() -> VectorIndex:  # the ordinals stay mapped <i4: the route reads few of them
+        dim = manifest["embedder"].get("dim", DEFAULT_DIM)
+        rows = array("vector_rows.npy", "<i4").astype(np.intp)
+        offsets = array("vector_offsets.npy", "<i8")
+        ordinals = array("vector_ordinals.npy", "<i4")
+        _check_offsets("vector_offsets.npy", offsets, dim, len(ordinals), empty=True)
+        _check_rows("vector_ordinals.npy", ordinals, len(rows), offsets, of="vectors")
+        return VectorIndex(dim=dim, keys=keys, rows=rows, offsets=offsets, ordinals=ordinals,
+                           values=array("vector_values.npy", "<f4"))
+
     try:
         return IndexBundle(
-            vectors=VectorIndex(dim=manifest["embedder"].get("dim", DEFAULT_DIM), keys=keys,
-                                rows=array("vector_rows.npy", "<i4").astype(np.intp),
-                                matrix=array("vectors.npy", "<f4", ndim=2)),
+            vectors=vectors(),
             bm25=Bm25Index(k1=float(manifest["k1"]), b=float(manifest["b"]), keys=keys,
-                           postings=inverted("postings"), tf=array("postings_tf.npy", "<i4")),
+                           postings=inverted("postings"),
+                           tf=array("postings_tf.npy", *_TF_DTYPES)),
             keywords=KeywordTable(keys, inverted("keywords")),
             segments=segments,
             embedder_spec=dict(manifest["embedder"]),

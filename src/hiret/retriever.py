@@ -168,12 +168,15 @@ def vector_route(query: str, vindex: VectorIndex, embedder: Embedder) -> np.ndar
     """Raw cosine similarity of the query against every stored vector.
 
     Float64 scores in ``vindex.rows`` order. Only the query's non-zero
-    dimensions are read: from zeros, each row adds ``matrix[row, j] * q[j]``
-    in float64 for every such ``j`` in ascending order. That order is fixed
-    whatever numpy's build, SIMD width or thread count, and a score does not
-    depend on the other rows. A column-major matrix (as built and saved)
-    makes each column one contiguous read. A zero or non-finite query vector
-    scores every row 0; a query vector of the wrong dimension raises ValueError.
+    dimensions are read: from zeros, each vector adds its component ``j``
+    times ``q[j]`` in float64 for every such ``j`` in ascending order. That
+    order is fixed whatever numpy's build, SIMD width or thread count, and a
+    score does not depend on the other rows. Dimension ``j`` adds only its
+    stored entries, each to a distinct vector; an absent (zero) component
+    would add ``+0.0`` or ``-0.0``, which changes no score, as no score is
+    ``-0.0``. So each score is bit for bit the sum over the dense vector. A
+    zero or non-finite query vector scores every row 0; a query vector of the
+    wrong dimension raises ValueError.
     """
     if embedder.dim != vindex.dim:
         raise ValueError(f"embedder dim {embedder.dim} != index dim {vindex.dim}")
@@ -185,8 +188,10 @@ def vector_route(query: str, vindex: VectorIndex, embedder: Embedder) -> np.ndar
     if q is None:
         log.warning("query %r: vector %s; vector route scores all zero", query, problem)
         return scores
-    for j in np.flatnonzero(q):
-        scores += np.multiply(vindex.matrix[:, j], q[j], dtype=np.float64)
+    offsets, ordinals, values = vindex.offsets, vindex.ordinals, vindex.values
+    for j in np.flatnonzero(q).tolist():
+        lo, hi = offsets[j], offsets[j + 1]
+        np.add.at(scores, ordinals[lo:hi], np.multiply(values[lo:hi], q[j], dtype=np.float64))
     return scores
 
 

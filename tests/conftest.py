@@ -18,7 +18,7 @@ from hiret.formatter import (
     promote_headings,
 )
 from hiret.hca import augment_document
-from hiret.index import InvertedLists, KeywordTable
+from hiret.index import InvertedLists, KeywordTable, VectorIndex
 
 SECTION_TITLES = [
     "overview",
@@ -197,10 +197,22 @@ def restamp_manifest(index_dir: Path, name: str) -> None:
     path.write_text(json.dumps(manifest), encoding="utf-8")
 
 
+# The files of a format-6 index (and of format 5), which format 7 replaces.
+FORMAT_6_FILES = ["vectors.npy", "vector_rows.npy", "postings_terms.json",
+                  "postings_offsets.npy", "postings_rows.npy", "postings_tf.npy",
+                  "keywords_terms.json", "keywords_offsets.npy", "keywords_rows.npy",
+                  "segment_keys.json", "segments.jsonl", "segment_offsets.npy"]
+
 # The files of a format-3 index, which format 4 replaces.
 FORMAT_3_FILES = ["vectors.npy", "vector_rows.npy", "bm25_lengths.npy", "postings_terms.json",
                   "postings_offsets.npy", "postings_rows.npy", "postings_tf.npy", "keywords.json",
                   "segment_keys.json", "segments.jsonl", "segment_offsets.npy"]
+
+
+def dense(vectors: VectorIndex) -> np.ndarray:
+    """The ``(len(rows), dim)`` float32 matrix of the vectors, read through ``entries``."""
+    return np.array(list(vectors.entries.values()), dtype=np.float32).reshape(
+        len(vectors.rows), vectors.dim)
 
 
 def keyword_sets(table: KeywordTable) -> list[set[str]]:

@@ -20,6 +20,7 @@ import hiret
 
 from conftest import (
     FORMAT_3_FILES,
+    dense,
     manual_doc_stem,
     manual_doc_title,
     manual_queries,
@@ -69,8 +70,10 @@ class TestIngest:
         names = {p.name for p in (tmp_path / "index").iterdir()}
         assert names == {
             "manifest.json",
-            "vectors.npy",
             "vector_rows.npy",
+            "vector_offsets.npy",
+            "vector_ordinals.npy",
+            "vector_values.npy",
             "postings_terms.json",
             "postings_offsets.npy",
             "postings_rows.npy",
@@ -232,7 +235,7 @@ class TestIngest:
         manifest = json.loads((tmp_path / "index" / "manifest.json").read_text())
         assert "dim" not in manifest  # the embedder's dim is the one vector width
         assert manifest["embedder"] == {"dim": 64, "kind": "hash"}
-        assert load_index(cfg.index_dir).vectors.matrix.shape == (10, 64)
+        assert dense(load_index(cfg.index_dir).vectors).shape == (10, 64)
 
     def test_keyword_dictionary_persists_and_boosts(self, tmp_path):
         corpus = tmp_path / "corpus"
@@ -506,17 +509,19 @@ class TestQuery:
         code = main(["--index-dir", str(index_dir), "query", "pinout"])
         assert code == 2
         err = capsys.readouterr().err
-        assert "format_version 3 (expected 6)" in err and "run 'hiret ingest'" in err
+        assert "format_version 3 (expected 7)" in err and "run 'hiret ingest'" in err
 
     def test_format_5_index_asks_for_a_reingest(self, manual_setup, capsys):
         cfg, _ = manual_setup
         manifest = Path(cfg.index_dir) / "manifest.json"
         text = manifest.read_text(encoding="utf-8")
-        manifest.write_text(text.replace('"format_version": 6', '"format_version": 5'),
-                            encoding="utf-8")
-        assert main(["--index-dir", cfg.index_dir, "query", "pinout"]) == 2
-        err = capsys.readouterr().err
-        assert "format_version 5 (expected 6)" in err and "run 'hiret ingest'" in err
+        for version in (5, 6):  # format 6 has format 5's files
+            manifest.write_text(text.replace('"format_version": 7',
+                                             f'"format_version": {version}'), encoding="utf-8")
+            assert main(["--index-dir", cfg.index_dir, "query", "pinout"]) == 2
+            err = capsys.readouterr().err
+            assert f"format_version {version} (expected 7)" in err
+            assert "run 'hiret ingest'" in err
 
     @pytest.mark.parametrize("edit,named", [
         (lambda m: m.update(embedder={"kind": "subprocess", "command": ["w"]}), "lacks ['dim']"),
@@ -529,13 +534,14 @@ class TestQuery:
         (lambda m: m.update(b=1.5), "b must be in [0, 1], got 1.5"),
         (lambda m: m["files"]["keywords_rows.npy"].pop("crc32"),
          "files['keywords_rows.npy'] needs"),
-        (lambda m: m["files"].update({"vectors.npy": 7}), "files['vectors.npy'] needs"),
+        (lambda m: m["files"].update({"vector_values.npy": 7}),
+         "files['vector_values.npy'] needs"),
         (lambda m: m.update(embedder={"kind": "bogus"}), "unknown embedder kind: 'bogus'"),
         (lambda m: m.update(embedder={"kind": "subprocess", "dim": 256}), "lacks ['command']"),
         (lambda m: m.update(embedder={"kind": "subprocess", "command": "w", "dim": 256}),
          "'command' must be a non-empty list of strings"),
         (lambda m: m.update(embedder={"kind": "hash", "dim": 64}),
-         "vector matrix shape (50, 256) != (50, 64)"),
+         "vector_offsets.npy does not split 1361 entries into 64 parts"),
     ], ids=["no-dim", "null-k1", "string-b", "null-dictionary", "null-dictionary-word",
             "zero-k1", "infinite-k1", "b-above-1", "no-crc32", "entry-not-object", "unknown-embedder",
             "embedder-no-command", "embedder-string-command", "embedder-other-dim"])
@@ -804,8 +810,8 @@ class TestConfigAndExitCodes:
         (["--b", "2"], 1, "b must be in [0, 1]"),
         (["--keywords", "missing.txt"], 2, "cannot read keyword dictionary"),
         # The conversion window is fixed: no flag or config key sets it. Before the
-        # command, argparse takes the 7 of `--window 7` for the command.
-        (["--window", "7"], 1, "invalid choice: '7'"),
+        # command, the flag is named, not the 7 argparse would take for the command.
+        (["--window", "7"], 1, "unrecognized arguments: --window\n"),
         (["--window=7"], 1, "unrecognized arguments: --window=7"),
         (["--config", "window.json"], 1, "unknown keys: ['window']"),
     ], ids=["k1-inf", "b-2", "missing-keywords", "window-flag", "window-flag-equals",
@@ -828,7 +834,8 @@ class TestConfigAndExitCodes:
         (["--top-k", "0", "query", "foo"], "top_k must be >= 1"),
         (["--alpha", "2", "eval", "bank.jsonl"], "alpha must be in [0, 1]"),
         (["--top-k", "0", "eval", "bank.jsonl"], "top_k must be >= 1"),
-    ], ids=["query-alpha", "query-top-k", "eval-alpha", "eval-top-k"])
+        (["--topk", "5", "query", "x"], "unrecognized arguments: --topk\n"),
+    ], ids=["query-alpha", "query-top-k", "eval-alpha", "eval-top-k", "query-topk-flag"])
     def test_bad_query_setting_is_refused_before_the_index_is_read(self, tmp_path, capsys,
                                                                    monkeypatch, flags, says):
         calls = []

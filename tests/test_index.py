@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 from conftest import (
     FORMAT_3_FILES,
+    FORMAT_6_FILES,
+    dense,
     inverted_lists,
     keyword_sets,
     keyword_table,
@@ -251,7 +253,7 @@ class TestVectorIndex:
         with caplog.at_level("WARNING", logger="hiret.index"):
             index = build_vector_index(segments, Fixed())
         assert list(index.entries) == ["d#good"]
-        assert index.matrix.tolist() == [[np.float32(0.6), np.float32(0.8)]]
+        assert dense(index).tolist() == [[np.float32(0.6), np.float32(0.8)]]
         warned = "\n".join(r.getMessage() for r in caplog.records)
         for key, problem in [("nan", "is not finite"), ("inf", "is not finite"),
                              ("huge", "is not finite"), ("wrong", "has shape (3,)"),
@@ -269,6 +271,16 @@ class TestVectorIndex:
         assert list(index.entries) == ["d#1"]
         assert [r.getMessage() for r in caplog.records] == [
             "segment d#3: vector is zero (no embeddable text); skipped from vector index"]
+
+    def test_plugin_blocks_store_what_the_hashing_blocks_store(self):
+        # over two blocks of 1024 rows, with some rows that have no vector
+        segments = [seg("d", f"{i:04d}", f"w{i % 97} w{i % 13} x{i % 7}" if i % 50 else "")
+                    for i in range(2100)]
+        hashed = build_vector_index(segments, HashingEmbedder(16))
+        plugged = build_vector_index(segments, OracleEmbedder(16))
+        assert len(hashed.rows) == 2058
+        for name in ("rows", "offsets", "ordinals", "values"):
+            assert getattr(hashed, name).tobytes() == getattr(plugged, name).tobytes(), name
 
     def test_self_cosine_is_one(self):
         segments = [seg("d", str(i), f"text number {i}") for i in range(5)]
@@ -525,7 +537,8 @@ class TestOneScanMatchesTheOracles:
         segments = sorted(segments, key=lambda s: s.key)  # the bundle's row order
         vectors = build_vector_index(segments, OracleEmbedder(bundle.vectors.dim))
         assert bundle.vectors.rows.tolist() == vectors.rows.tolist()
-        assert bundle.vectors.matrix.tobytes() == vectors.matrix.tobytes()
+        for name in ("offsets", "ordinals", "values"):
+            assert getattr(bundle.vectors, name).tobytes() == getattr(vectors, name).tobytes()
         bm25 = oracle_bm25(segments)
         assert bundle.bm25.lengths.tobytes() == bm25.lengths.tobytes()
         assert list(bundle.bm25.postings) == list(bm25.postings)
@@ -668,13 +681,13 @@ class TestPersistence:
 
     def test_corrupted_magic_refuses_to_load(self, tmp_path):
         save_index(self.build_bundle(), tmp_path)
-        blob = (tmp_path / "vectors.npy").read_bytes()
-        (tmp_path / "vectors.npy").write_bytes(b"XXXXXX" + blob[6:])  # the .npy magic
-        with pytest.raises(IndexFormatError, match="vectors.npy"):
+        blob = (tmp_path / "vector_values.npy").read_bytes()
+        (tmp_path / "vector_values.npy").write_bytes(b"XXXXXX" + blob[6:])  # the .npy magic
+        with pytest.raises(IndexFormatError, match="vector_values.npy"):
             load_index(tmp_path)
         # a manifest that vouches for the bad file does not get it parsed either
-        restamp_manifest(tmp_path, "vectors.npy")
-        with pytest.raises(IndexFormatError, match="corrupt index file .*vectors.npy"):
+        restamp_manifest(tmp_path, "vector_values.npy")
+        with pytest.raises(IndexFormatError, match="corrupt index file .*vector_values.npy"):
             load_index(tmp_path)
 
     @pytest.mark.parametrize("name", INDEX_FILES)
@@ -688,7 +701,7 @@ class TestPersistence:
     @pytest.mark.parametrize("name", INDEX_FILES)
     def test_emptied_file_is_refused(self, tmp_path, name):
         save_index(self.build_bundle(), tmp_path)
-        (tmp_path / name).write_bytes(b"")  # the memory-mapped vectors.npy cannot even be mapped
+        (tmp_path / name).write_bytes(b"")  # a memory-mapped array cannot even be mapped
         with pytest.raises(IndexFormatError, match=f"{name}"):
             load_index(tmp_path)
 
@@ -709,8 +722,11 @@ class TestPersistence:
 
     @pytest.mark.parametrize("name, data, says", [
         ("vector_rows.npy", np.zeros(3, "<i8"), "holds int64 1-d data, expected <i4 1-d"),
-        ("vectors.npy", np.zeros(3, "<f4"), "holds float32 1-d data, expected <f4 2-d"),
-    ], ids=["dtype", "ndim"])
+        ("vector_values.npy", np.zeros((3, 1), "<f4"),
+         "holds float32 2-d data, expected <f4 1-d"),
+        ("postings_tf.npy", np.ones(14, "<i4"),
+         "holds int32 1-d data, expected <u1 or <u2 or <u4 1-d"),
+    ], ids=["dtype", "ndim", "tf-dtype"])
     def test_array_of_another_dtype_or_ndim_is_refused(self, tmp_path, name, data, says):
         save_index(self.build_bundle(), tmp_path)
         np.save(tmp_path / name, data)
@@ -781,6 +797,64 @@ class TestPersistence:
         refused({"keywords_offsets.npy": np.array([0, 0, 2], "<i8")},  # ca-is3641 owns no row
                 "keywords_offsets.npy does not split 2 entries into 2 non-empty parts")
         load_index(tmp_path)  # each change undone, the index loads again
+
+    def vector_arrays(self, tmp_path):
+        save_index(self.build_bundle(), tmp_path)
+        arrays = {name: np.load(tmp_path / f"vector_{name}.npy")
+                  for name in ("offsets", "ordinals", "values")}
+        # the 3 vectors leave most of the 256 dimensions without an entry, which is legal
+        assert (np.diff(arrays["offsets"]) == 0).any()
+        return arrays
+
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda a: {"offsets": a["offsets"][:-1]}, "vector_offsets.npy does not split"),
+        (lambda a: {"offsets": np.concatenate([[-1], a["offsets"][1:]])},
+         "vector_offsets.npy does not split"),
+        (lambda a: {"offsets": np.concatenate([a["offsets"][:-1], a["offsets"][-1:] + 1])},
+         "vector_offsets.npy does not split"),
+        (lambda a: {"offsets": np.concatenate([a["offsets"][:1], a["offsets"][-2:0:-1],
+                                               a["offsets"][-1:]])},
+         "vector_offsets.npy does not split"),
+        (lambda a: {"ordinals": np.concatenate([a["ordinals"][:-1], [3]]).astype("<i4")},
+         "vector_ordinals.npy holds rows outside the 3 vectors"),
+        (lambda a: {"ordinals": np.concatenate([a["ordinals"][:-1], [-1]]).astype("<i4")},
+         "vector_ordinals.npy holds rows outside the 3 vectors"),
+        (lambda a: {"values": a["values"][:-1]}, "vector values for"),
+    ], ids=["offsets-shape", "offsets-start", "offsets-end", "offsets-decrease",
+            "ordinal-past-the-vectors", "ordinal-negative", "values-length"])
+    def test_vector_store_that_does_not_fit_is_refused(self, tmp_path, edit, problem):
+        """Each change keeps every file's sum in the manifest right."""
+        arrays = self.vector_arrays(tmp_path)
+        for name, data in edit(arrays).items():
+            np.save(tmp_path / f"vector_{name}.npy", data)
+            restamp_manifest(tmp_path, f"vector_{name}.npy")
+        with pytest.raises(IndexFormatError, match=problem):
+            load_index(tmp_path)
+
+    @pytest.mark.parametrize("swap", [True, False], ids=["swapped", "repeated"])
+    def test_ordinals_that_do_not_ascend_in_a_dimension_are_refused(self, tmp_path, swap):
+        arrays = self.vector_arrays(tmp_path)
+        offsets, ordinals = arrays["offsets"], arrays["ordinals"]
+        lo = int(offsets[np.flatnonzero(np.diff(offsets) >= 2)[0]])  # a dimension of 2 or more
+        ordinals[lo:lo + 2] = ordinals[[lo + 1, lo]] if swap else ordinals[lo]
+        np.save(tmp_path / "vector_ordinals.npy", ordinals)
+        restamp_manifest(tmp_path, "vector_ordinals.npy")
+        with pytest.raises(InconsistentIndexError, match="vector_ordinals.npy holds a list of "
+                                                         "rows that is not strictly ascending"):
+            load_index(tmp_path)
+
+    def test_term_counts_past_a_byte_are_stored_in_two_bytes(self, tmp_path):
+        segments = [seg("d", "1", "vcc " * 256 + "gain"), seg("d", "2", "vcc gain gain")]
+        bundle = build_indices(segments, HashingEmbedder(dim=16))
+        save_index(bundle, tmp_path)
+        assert np.load(tmp_path / "postings_tf.npy").dtype == np.dtype("<u2")
+        loaded = load_index(tmp_path)
+        assert loaded.bm25.tf.tolist() == bundle.bm25.tf.tolist() == [1, 2, 256, 1]
+        for query in ["vcc", "gain vcc vcc", "none"]:
+            for key in bundle.keys:
+                assert (bm25_scores(loaded.bm25, query)[key]
+                        == bm25_score(loaded.bm25, query, key)
+                        == bm25_score(bundle.bm25, query, key))
 
     @pytest.mark.parametrize("keys", [7, "d1#1", {"d1#1": 0}, ["d1#1", 7, "d2#1"],
                                       ["d1#1", None, "d2#1"]])
@@ -1118,13 +1192,17 @@ class TestAtomicSave:
 
     def test_replaces_an_index_of_the_previous_format(self, tmp_path):
         format_2 = ["vectors.bin", "postings.json", "keywords.json", "segments.json"]
-        for version, old in ((2, format_2), (3, FORMAT_3_FILES), (5, INDEX_FILES)):
+        for version, old in ((2, format_2), (3, FORMAT_3_FILES), (5, FORMAT_6_FILES),
+                             (6, FORMAT_6_FILES)):
             target = tmp_path / f"index{version}"
             target.mkdir()
             for name in old:
                 (target / name).write_text("{}", encoding="utf-8")
             (target / "manifest.json").write_text(json.dumps({"format_version": version}),
                                                   encoding="utf-8")
+            with pytest.raises(IndexFormatError, match=re.escape(
+                    f"unsupported index format_version {version} (expected {FORMAT_VERSION})")):
+                load_index(target)
             save_index(self.bundle(["alpha"]), target)
             assert sorted(p.name for p in target.iterdir()) == sorted(
                 ["manifest.json", *INDEX_FILES])

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import keyword_sets, load_and_ingest, write_datasheet_corpus
+from conftest import dense, keyword_sets, load_and_ingest, write_datasheet_corpus
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -102,7 +102,7 @@ class TestVectorRoute:
         # a 2-dim plug-in answering [3, 4] used to score a "cosine" of 5.0
         embedder = FakeEmbedder(2)
         bundle = build_indices([seg("d", "1", "alpha"), seg("d", "2", "beta")], embedder)
-        assert bundle.vectors.matrix.tolist() == [[0.6000000238418579, 0.800000011920929]] * 2
+        assert dense(bundle.vectors).tolist() == [[0.6000000238418579, 0.800000011920929]] * 2
         scores = vector_route("query", bundle.vectors, embedder)
         assert scores.tolist() == pytest.approx([1.0, 1.0], abs=1e-7)
 
@@ -584,7 +584,7 @@ class TestRankingCoreProperties:
                 continue
             scores = raw_vector_scores(forward, query, embedder)
             assert scores == raw_vector_scores(backward, query, embedder)
-            assert list(scores.values()) == scalar_cosines(forward.vectors.matrix, q)
+            assert list(scores.values()) == scalar_cosines(dense(forward.vectors), q)
 
 
 def scalar_cosines(matrix, q):
@@ -599,14 +599,49 @@ def scalar_cosines(matrix, q):
     return scores
 
 
+def stored_and_scored(rows, query):
+    """The float32 unit vectors an index of plug-in ``rows`` stores (a row that is
+    not a unit vector's is left out) and the vector route's scores of ``query``."""
+    dim = len(query)
+    names = [f"{i:03d}" for i in range(len(rows))]  # in key order
+    embedder = FakeEmbedder(dim, dict(zip(names, rows)) | {"q": query})
+    vectors = build_indices([seg("d", name, name) for name in names], embedder).vectors
+    stored = [v for v in (unit_vector(row, dim)[0] for row in rows) if v is not None]
+    stored = np.array(stored, np.float32).reshape(-1, dim)
+    return vectors, stored, vector_route("q", vectors, embedder)
+
+
 @pytest.mark.parametrize("dim", [2, 24, 256])
-def test_dense_query_scores_the_scalar_sum_in_either_matrix_order(dim):
+def test_dense_query_scores_the_scalar_sum(dim):
     rng = np.random.default_rng(dim)
-    matrix = rng.standard_normal((40, dim)).astype(np.float32)
+    rows = list(rng.standard_normal((40, dim)))
     query = rng.standard_normal(dim)
-    embedder = FakeEmbedder(dim, {"q": query})
-    scores = [vector_route("q", VectorIndex(dim, [f"k{i}" for i in range(40)], np.arange(40),
-                                            layout(matrix)), embedder)
-              for layout in (np.ascontiguousarray, np.asfortranarray)]
-    assert scores[0].tobytes() == scores[1].tobytes()
-    assert scores[0].tolist() == scalar_cosines(matrix, unit_vector(query, dim)[0])
+    vectors, stored, scores = stored_and_scored(rows, query)
+    assert dense(vectors).tobytes() == stored.tobytes()
+    assert scores.tolist() == scalar_cosines(stored, unit_vector(query, dim)[0])
+
+
+# Components that are zero, negative zero, or underflow to zero in float32 (1e-46 as
+# the only non-zero component of a row does not: it scales to 1.0 first).
+_COMPONENTS = st.one_of(st.sampled_from([0.0, -0.0, 1e-46, -1e-46, 1e-40, 1.0, -2.5]),
+                        st.floats(-1e3, 1e3, allow_nan=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 6), n=st.integers(0, 7),
+       density=st.sampled_from(["sparse", "dense"]))
+def test_vector_route_is_the_scalar_sum_over_dense_rows(data, dim, n, density):
+    """Whatever the matrix (sparse or fully dense, with negative components,
+    -0.0, float32 underflow and empty columns) and the query (zero dimensions
+    included), the route equals the scalar oracle over the dense float32 rows."""
+    component = _COMPONENTS if density == "sparse" else (st.floats(1e-3, 1e3)
+                                                         | st.floats(-1e3, -1e-3))
+    rows = data.draw(st.lists(st.lists(component, min_size=dim, max_size=dim),
+                              min_size=n, max_size=n))
+    query = np.array(data.draw(st.lists(_COMPONENTS, min_size=dim, max_size=dim)))
+    vectors, stored, scores = stored_and_scored(rows, query)
+    assert dense(vectors).tobytes() == (stored + np.float32(0.0)).tobytes()  # -0.0 reads 0.0
+    assert len(vectors.values) == np.count_nonzero(stored)  # no zero is stored
+    q = unit_vector(query, dim)[0]
+    expected = scalar_cosines(stored, q) if q is not None else [0.0] * len(stored)
+    assert scores.tobytes() == np.array(expected, dtype=np.float64).tobytes()
