@@ -1,8 +1,8 @@
 """Hierarchical metadata-augmented multi-route retrieval engine.
 
 Pipeline: load a corpus of text/markdown documents, convert each to
-structured markdown through a sliding-window converter and one heading
-promotion pass, split into chapter segments, cascade the root-to-chapter
+structured markdown through a sliding-window converter, split it into
+chapter segments at its numbered headings, cascade the root-to-chapter
 title path into every segment's embedding text, then index and query
 through three fused routes (vector similarity, BM25, critical
 keywords). A log-rank evaluation kit scores full rankings against
@@ -29,7 +29,6 @@ from .formatter import (
     count_words,
     parse_markdown,
     plan_windows,
-    promote_headings,
 )
 from .hca import (
     augment_document,

@@ -27,7 +27,6 @@ from .formatter import (
     count_words,
     parse_markdown,
     plan_windows,
-    promote_headings,
 )
 
 log = logging.getLogger(__name__)
@@ -147,7 +146,7 @@ def run_ingest(cfg: AppConfig) -> dict:
             log.warning("corpus %s holds no documents; writing empty indices", cfg.corpus_dir)
         for doc in records:
             plan = plan_windows(count_words(doc.text), _WINDOW, _PADDING)
-            markdown = promote_headings(convert_document(doc.text, IdentityConverter(), plan))
+            markdown = convert_document(doc.text, IdentityConverter(), plan)
             doc.attach_segments(parse_markdown(markdown, doc.title))
             hca.augment_document(doc, captioner=captioner)
             all_segments.extend(doc.segments)
@@ -284,18 +283,25 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
     def parse_args(self, args=None, namespace=None):
-        """Name first an unknown ``--flag`` ahead of the command, which argparse would
-        set aside, reading its value as the command (``invalid choice: '7'``)."""
+        """Name first an unknown flag ahead of the command, which argparse would set
+        aside, reading its value as the command (``invalid choice: '7'``). The value of
+        a known flag written without ``=`` is skipped, whatever it names."""
         args = sys.argv[1:] if args is None else args
         commands = next((action.choices for action in self._actions
                          if isinstance(action, argparse._SubParsersAction)), {})
-        for token in args:
+        tokens, known = iter(args), self._option_string_actions
+        for token in tokens:
             if token in commands or token == "--":
                 break
-            name = token.partition("=")[0]
-            if name.startswith("--") and not any(option.startswith(name)  # as abbreviated
-                                                 for option in self._option_string_actions):
+            if not token.startswith("-"):
+                continue
+            name, equals, _ = token.partition("=")
+            actions = ({known[name]} if name in known  # else as abbreviated
+                       else {action for option, action in known.items() if option.startswith(name)})
+            if not actions:
                 self.error(f"unrecognized arguments: {token}")
+            if len(actions) == 1 and not equals and actions.pop().nargs is None:
+                next(tokens, None)  # the flag's one value
         return super().parse_args(args, namespace)
 
 

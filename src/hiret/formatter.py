@@ -8,9 +8,8 @@ window may contribute to the assembled output, so the cores tile the
 document exactly once.
 
 The converter itself is pluggable. The shipped pipeline echoes each core
-(:class:`IdentityConverter`); then :func:`promote_headings` rewrites numbered
-headings in the joined text, where no line is cut, to the
-``# <dotted-number> <title>`` form the parser expects.
+(:class:`IdentityConverter`); then :func:`parse_markdown` reads the joined
+text, where no line is cut, and splits it at every numbered heading.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ _WHITESPACE = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\
                "\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
 _IN_WORD = np.ones(ord(_WHITESPACE[-1]) + 2, dtype=bool)
 _IN_WORD[np.frombuffer(_WHITESPACE.encode("utf-32-le"), dtype="<u4")] = False
-_HEADING_RE = re.compile(r"^#\s+(\S+)(?:\s+(.*))?$")
 _NUMBER_RE = re.compile(r"^\d+(\.\d+)*$")
 _MD_HEADING_RE = re.compile(r"^(#{1,6})\s+(\S+)(?:\s+(.*))?$")
 _PLAIN_HEADING_RE = re.compile(r"^(\d+(?:\.\d+)*)[.)]?\s+(\S.*)$")
@@ -119,31 +117,19 @@ class IdentityConverter:
         return turn.core_text
 
 
-def _promote(line: str) -> str:
-    """``line`` as a ``# <dotted-number> <title>`` heading when it is a numbered one."""
+def _heading(line: str) -> tuple[str, str] | None:
+    """The number and title of ``line`` when it is a heading: a markdown heading of any
+    depth whose first token is a dotted number ("## 3.2 Title"), a short plain numbered
+    line ("3.2 Title"), or a ``#`` heading whose first token is no number. An indented
+    line is never a heading."""
     md = _MD_HEADING_RE.match(line)
-    if md and _NUMBER_RE.match(md.group(2)):
-        return f"# {md.group(2)} {md.group(3) or ''}".rstrip()
+    if md and (md.group(1) == "#" or _NUMBER_RE.match(md.group(2))):
+        return md.group(2), md.group(3) or ""
     plain = _PLAIN_HEADING_RE.match(line)  # a title of \S.*: at least one word
     if plain and len(plain.group(2).split()) <= _MAX_HEADING_WORDS and not (
             plain.group(2).rstrip().endswith((".", ",", ";", ":"))):
-        return f"# {plain.group(1)} {plain.group(2).strip()}"
-    return line
-
-
-def promote_headings(markdown: str) -> str:
-    """Rewrite each numbered heading as the ``# <dotted-number> <title>`` line
-    :func:`parse_markdown` splits at: a markdown heading of any depth whose first
-    token is a dotted number ("## 3.2 Title"), or a short plain numbered line
-    ("3.2 Title"). Other lines, and every line break ``str.splitlines`` knows,
-    pass through as they are; an indented line is never a heading.
-    """
-    pieces = markdown.splitlines(keepends=True)
-    for i, piece in enumerate(pieces):
-        if piece[:1] == "#" or piece[:1].isdecimal():  # both heading patterns start so
-            line = piece.splitlines()[0]
-            pieces[i] = _promote(line) + piece[len(line):]  # the new line, then its break
-    return "".join(pieces)
+        return plain.group(1), plain.group(2)
+    return None
 
 
 def plan_windows(total_words: int, window_size: int, padding: int = 0) -> WindowPlan:
@@ -242,39 +228,39 @@ def _unique_id(base: str, used: dict[str, int]) -> str:
 def parse_markdown(markdown: str, doc_title: str) -> list[Segment]:
     """Split structured markdown into one Segment per numbered heading.
 
-    Headings are lines of the form ``# <dotted-number> <title>``. Lines
-    before the first heading become a level-0 preamble segment titled with
-    the document title, kept only when they hold text. A heading whose
-    number token is not purely numeric is accepted at level 1, and a
-    warning is logged. A segment's id is ``preamble`` for the preamble
-    and otherwise its chapter number; a number the document has already
-    used takes the first free ``<number>+2``, ``<number>+3``, ….
-    :func:`promote_headings` puts other numbered headings in this form.
+    A heading is a ``# <dotted-number> <title>`` line, a markdown heading of any
+    depth whose first token is a dotted number, or a short plain numbered line
+    (``3.2 <title>``). Lines before the first heading become a level-0 preamble
+    segment titled with the document title, kept only when they hold text. A
+    ``#`` heading whose number token is not purely numeric is accepted at level
+    1, and a warning is logged. A segment's id is ``preamble`` for the preamble
+    and otherwise its chapter number; a number the document has already used
+    takes the first free ``<number>+2``, ``<number>+3``, ….
     """
     lines: list[str] = []
-    chunks: list[tuple[re.Match[str] | None, list[str]]] = [(None, lines)]
-    for line in markdown.splitlines():
-        if line[:1] == "#" and (match := _HEADING_RE.match(line)):
-            chunks.append((match, lines := []))
+    chunks: list[tuple[tuple[str, str, str] | None, list[str]]] = [(None, lines)]
+    for line in markdown.splitlines():  # both heading patterns start with "#" or a digit
+        if (line[:1] == "#" or line[:1].isdecimal()) and (heading := _heading(line)):
+            chunks.append(((*heading, line), lines := []))
         else:
             lines.append(line.rstrip())
 
     segments: list[Segment] = []
     used_ids: dict[str, int] = {}
-    for match, lines in chunks:
+    for heading, lines in chunks:
         content, kind = _finish_content(lines)
-        if match is None:  # the lines before the first heading
+        if heading is None:  # the lines before the first heading
             if not content:
                 continue
             number, level, title = "", 0, doc_title
         else:
-            number, title = match.group(1), match.group(2) or ""
+            number, title, line = heading
             if _NUMBER_RE.match(number):
                 level = number.count(".") + 1
             else:
                 level = 1
                 log.warning("malformed heading number %r in line %r; kept at level 1",
-                            number, match.string)
+                            number, line)
                 title = title or number
             title = title.strip()
         segment_id = _unique_id(number or "preamble", used_ids)

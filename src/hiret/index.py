@@ -305,8 +305,7 @@ def _user_words(user_keywords: Iterable[str] | None) -> list[str]:
 
 
 def _with_user_keywords(found: set[str], text: str, words: list[str]) -> set[str]:
-    """``found`` less the no-keyword verdict "", plus the :func:`_user_words` in ``text``."""
-    found.discard("")
+    """``found`` plus the :func:`_user_words` in ``text``."""
     folded_text = text.casefold() if words else ""
     found.update(word for word in words if word in folded_text)
     return found
@@ -315,7 +314,7 @@ def _with_user_keywords(found: set[str], text: str, words: list[str]) -> set[str
 def extract_keywords(text: str, user_keywords: Iterable[str] | None = None) -> set[str]:
     """Tokens of ``text`` that mix letters and digits, plus the
     user-dictionary keywords it contains, all case-folded."""
-    return _with_user_keywords(set(map(_keyword, _KEYWORD_TOKEN_RE.findall(text))), text,
+    return _with_user_keywords(set(map(_keyword, _KEYWORD_TOKEN_RE.findall(text))) - {""}, text,
                                _user_words(user_keywords))
 
 
@@ -333,16 +332,13 @@ class _Scan(list):
     @cached_property
     def tokens(self) -> tuple[dict[str, int], np.ndarray, np.ndarray, list[set[str]]]:
         """Term ids in order of first use; every row's term ids, row ``i``'s
-        being ``ids[offsets[i]:offsets[i + 1]]``; each row's verdict set."""
+        being ``ids[offsets[i]:offsets[i + 1]]``; each row's critical keywords."""
         terms: dict[str, int] = {}
-        plain_runs, keyword_runs, keywords_of = set(), set(), {}
+        keyword_runs, keywords_of = set(), {}
 
         def run_ids(run: bytes) -> bytes:  # as bytes, so a row joins its runs' ids
             tokens = _KEYWORD_TOKEN_RE.findall(run.decode("utf-8", "surrogatepass"))
-            found = set(map(_keyword, tokens))  # a run holds whole characters
-            if "" in found:
-                plain_runs.add(run)
-                found.discard("")
+            found = set(map(_keyword, tokens)) - {""}  # a run holds whole characters
             if found:
                 keyword_runs.add(run)
                 keywords_of[run] = found
@@ -355,10 +351,8 @@ class _Scan(list):
             runs = text.translate(_RUN_BREAKS).split()
             ids.frombytes(b"".join(map(term_ids.__getitem__, runs)))
             offsets.append(len(ids))
-            found = set().union(*map(keywords_of.__getitem__, keyword_runs.intersection(runs)))
-            if not plain_runs.isdisjoint(runs):
-                found.add("")
-            verdicts.append(found)
+            verdicts.append(set().union(*map(keywords_of.__getitem__,
+                                             keyword_runs.intersection(runs))))
         return terms, np.frombuffer(ids, np.intc), np.frombuffer(offsets, np.int64), verdicts
 
 

@@ -15,7 +15,6 @@ from hiret.formatter import (
     count_words,
     parse_markdown,
     plan_windows,
-    promote_headings,
 )
 from hiret.hca import augment_document
 from hiret.index import InvertedLists, KeywordTable, VectorIndex
@@ -139,7 +138,7 @@ def ingest_records(records: list[DocumentRecord], window: int = 400, padding: in
     segments = []
     for doc in records:
         plan = plan_windows(count_words(doc.text), window, padding)
-        markdown = promote_headings(convert_document(doc.text, IdentityConverter(), plan))
+        markdown = convert_document(doc.text, IdentityConverter(), plan)
         doc.attach_segments(parse_markdown(markdown, doc.title))
         augment_document(doc)
         segments.extend(doc.segments)

@@ -814,8 +814,11 @@ class TestConfigAndExitCodes:
         (["--window", "7"], 1, "unrecognized arguments: --window\n"),
         (["--window=7"], 1, "unrecognized arguments: --window=7"),
         (["--config", "window.json"], 1, "unknown keys: ['window']"),
+        # A known flag's value that names a command is skipped, not taken for it.
+        (["--index-dir", "ingest", "--window", "7"], 1, "unrecognized arguments: --window\n"),
+        (["-x", "7"], 1, "unrecognized arguments: -x\n"),
     ], ids=["k1-inf", "b-2", "missing-keywords", "window-flag", "window-flag-equals",
-            "window-config-key"])
+            "window-config-key", "window-flag-after-a-command-value", "single-dash-flag"])
     def test_bad_ingest_setting_is_refused_before_any_conversion(self, tmp_path, capsys,
                                                                   monkeypatch, flags, code, says):
         calls = []
@@ -835,7 +838,13 @@ class TestConfigAndExitCodes:
         (["--alpha", "2", "eval", "bank.jsonl"], "alpha must be in [0, 1]"),
         (["--top-k", "0", "eval", "bank.jsonl"], "top_k must be >= 1"),
         (["--topk", "5", "query", "x"], "unrecognized arguments: --topk\n"),
-    ], ids=["query-alpha", "query-top-k", "eval-alpha", "eval-top-k", "query-topk-flag"])
+        (["--index-dir", "query", "--topk", "5", "query", "x"],
+         "unrecognized arguments: --topk\n"),
+        (["-x", "5", "query", "x"], "unrecognized arguments: -x\n"),
+        (["--alpha", "-0.5", "query", "x"], "alpha must be in [0, 1]"),  # a value, not a flag
+    ], ids=["query-alpha", "query-top-k", "eval-alpha", "eval-top-k", "query-topk-flag",
+            "query-topk-flag-after-a-command-value", "query-single-dash-flag",
+            "query-negative-alpha"])
     def test_bad_query_setting_is_refused_before_the_index_is_read(self, tmp_path, capsys,
                                                                    monkeypatch, flags, says):
         calls = []

@@ -10,11 +10,8 @@ from hypothesis import strategies as st
 
 from hiret.corpus import IMAGE_LINE_RE, Segment
 from hiret.formatter import (
-    _HEADING_RE,
     _MD_HEADING_RE,
-    _NUMBER_RE,
     _PLAIN_HEADING_RE,
-    _promote,
     _unique_id,
     _word_bounds,
 )
@@ -26,7 +23,6 @@ from hiret.formatter import (
     count_words,
     parse_markdown,
     plan_windows,
-    promote_headings,
 )
 
 
@@ -217,6 +213,14 @@ class TestConvertDocument:
         out = convert_document(text, IdentityConverter(), plan_windows(count_words(text), w, k))
         assert words_of(out) == words_of(text)
 
+    @settings(max_examples=500, deadline=None)
+    @given(text=st.one_of(st.text(), st.text(st.sampled_from(_SPACES + _NOT_SPACES)),
+                          st.text(st.sampled_from(_SPACES))),  # the last: no words at all
+           w=st.integers(1, 12), k=st.integers(0, 12))
+    def test_identity_gives_the_text_from_its_first_word_to_its_last(self, text, w, k):
+        plan = plan_windows(count_words(text), w, k)
+        assert convert_document(text, IdentityConverter(), plan) == text.strip()
+
     def test_identity_is_word_exact_without_padding(self):
         text = " ".join(f"w{i}" for i in range(997))
         plan = plan_windows(count_words(text), 100, 0)
@@ -312,32 +316,35 @@ class TestConvertDocument:
 
 
 class TestHeadingPromotionConverter:
-    """The shipped conversion: the cores echoed and joined, then promote_headings."""
+    """The shipped conversion: the cores echoed and joined, then parse_markdown, which
+    reads every numbered heading form."""
 
     def run(self, text, window=50, padding=10):
         plan = plan_windows(count_words(text), window, padding)
-        return promote_headings(convert_document(text, IdentityConverter(), plan))
+        return parse_markdown(convert_document(text, IdentityConverter(), plan), "doc")
 
     def test_promotes_deep_markdown_headings(self):
-        out = self.run("## 3.2 Electrical Characteristics\nVcc = 5V")
-        assert out.splitlines()[0] == "# 3.2 Electrical Characteristics"
+        (seg,) = self.run("## 3.2 Electrical Characteristics\nVcc = 5V")
+        assert (seg.chapter_number, seg.level, seg.title, seg.content) == (
+            "3.2", 2, "Electrical Characteristics", "Vcc = 5V")
 
     def test_promotes_plain_numbered_headings(self):
-        out = self.run("1.2 Supply Pins\nbody text follows here")
-        assert "# 1.2 Supply Pins" in out.splitlines()
+        (seg,) = self.run("1.2 Supply Pins\nbody text follows here")
+        assert (seg.chapter_number, seg.level, seg.title, seg.content) == (
+            "1.2", 2, "Supply Pins", "body text follows here")
 
     def test_keeps_existing_level_one_headings(self):
-        out = self.run("# 4 Specs\ncontent")
-        assert out.splitlines()[0] == "# 4 Specs"
+        (seg,) = self.run("# 4 Specs\ncontent")
+        assert (seg.chapter_number, seg.level, seg.title) == ("4", 1, "Specs")
 
     def test_ignores_sentences_starting_with_numbers(self):
         line = "5 volts is applied to the rail, then the driver settles."
-        out = self.run(line)
-        assert "# 5" not in out
+        (seg,) = self.run(line)
+        assert (seg.segment_id, seg.content) == ("preamble", line)
 
     def test_ignores_unnumbered_headings(self):
-        out = self.run("## Introduction\nbody")
-        assert out.splitlines()[0] == "## Introduction"
+        (seg,) = self.run("## Introduction\nbody")
+        assert (seg.segment_id, seg.content) == ("preamble", "## Introduction\nbody")
 
     @pytest.mark.parametrize("body_words", [394, 395, 396])
     def test_heading_cut_by_core_boundary_stays_whole(self, body_words):
@@ -346,9 +353,7 @@ class TestHeadingPromotionConverter:
         lines = ["# 1 introduction"]
         lines += [" ".join(body[i : i + 10]) for i in range(0, body_words, 10)]
         lines += ["# 3.2 electrical ratings", "vcc is five volts"]
-        text = "\n".join(lines)
-        out = self.run(text, window=400, padding=50)
-        segments = parse_markdown(out, "doc")
+        segments = self.run("\n".join(lines), window=400, padding=50)
         assert [(s.segment_id, s.title) for s in segments] == [
             ("1", "introduction"),
             ("3.2", "electrical ratings"),
@@ -366,9 +371,7 @@ class TestHeadingPromotionConverter:
         lines = ["# 1 introduction"]
         lines += [" ".join(body[i : i + 10]) for i in range(0, body_words, 10)]
         lines += [heading, "vcc is five volts"]
-        out = self.run("\n".join(lines), window=400, padding=50)
-        assert "# 3.2 electrical ratings" in out.splitlines()
-        segments = parse_markdown(out, "doc")
+        segments = self.run("\n".join(lines), window=400, padding=50)
         assert [(s.segment_id, s.title) for s in segments] == [
             ("1", "introduction"),
             ("3.2", "electrical ratings"),
@@ -379,15 +382,14 @@ class TestHeadingPromotionConverter:
     def test_heading_on_the_last_line_cut_by_a_core_boundary_is_promoted(self, end):
         # the first window holds all 9 words; its 7-word core ends after "3.2"
         text = "# 1 intro\nbody words here\n3.2 electrical ratings" + end
-        out = self.run(text, window=7, padding=5)
-        assert [s.segment_id for s in parse_markdown(out, "doc")] == ["1", "3.2"]
+        assert [s.segment_id for s in self.run(text, window=7, padding=5)] == ["1", "3.2"]
 
     @pytest.mark.parametrize("heading", ["##\t3.2  electrical ratings",
                                          "##  3.2\telectrical ratings"])
     def test_widely_spaced_heading_cut_after_its_marker_is_promoted(self, heading):
         # the first 7-word core ends after "##"
         text = f"# 1 intro\nbody words here\n{heading}\nvcc is five volts"
-        segments = parse_markdown(self.run(text, window=7, padding=5), "doc")
+        segments = self.run(text, window=7, padding=5)
         assert [(s.segment_id, s.title) for s in segments] == [("1", "intro"),
                                                                ("3.2", "electrical ratings")]
 
@@ -400,13 +402,15 @@ class TestHeadingPromotionConverter:
         # The first 7-word core ends inside the heading line, and the padding shows
         # neither the end of that line nor the end of the document.
         text = f"# 1 intro\nbody words here\n{heading}\nvcc is five volts"
-        segments = parse_markdown(self.run(text, window=7, padding=padding), "doc")
+        segments = self.run(text, window=7, padding=padding)
         assert [s.chapter_number for s in segments] == ["1", "3.2"]
 
     def test_indented_numbered_line_at_a_core_start_passes_through(self):
         # the second core starts at "3.2"; a single window keeps the indented line too
         text = "# 1 intro\nbody words here\n  3.2 electrical ratings\nvcc"
-        assert self.run(text, window=6, padding=5) == text
+        (seg,) = self.run(text, window=6, padding=5)
+        assert (seg.segment_id, seg.content) == (
+            "1", "body words here\n  3.2 electrical ratings\nvcc")
 
     @settings(max_examples=500, deadline=None)
     @given(lines=st.lists(st.tuples(st.sampled_from(["", " ", "\t"]), st.lists(
@@ -424,9 +428,8 @@ class TestHeadingPromotionConverter:
 
     @pytest.mark.parametrize("brk", _LINE_BREAKS)
     def test_a_heading_title_stops_at_any_line_break(self, brk):
-        out = self.run(f"## 1{brk}body text")
-        assert out == f"# 1{brk}body text"
-        assert [(s.segment_id, s.title, s.content) for s in parse_markdown(out, "doc")] == [
+        segments = self.run(f"## 1{brk}body text")
+        assert [(s.segment_id, s.title, s.content) for s in segments] == [
             ("1", "", "body text")]
 
     @pytest.mark.parametrize("text", ["# 1 intro\n## 3.2 electrical ratings\nvcc",
@@ -435,7 +438,7 @@ class TestHeadingPromotionConverter:
         # The second 3-word core starts the heading line, and no padding shows the break
         # before it. In the first text the core ends after "electrical".
         windowed = self.run(text, 3, 0)
-        assert [s.segment_id for s in parse_markdown(windowed, "doc")] == ["1", "3.2"]
+        assert [s.segment_id for s in windowed] == ["1", "3.2"]
         assert windowed == self.run(text, count_words(text), 0)
 
     def test_heading_ending_a_core_without_padding_parses_as_one_window(self):
@@ -443,29 +446,26 @@ class TestHeadingPromotionConverter:
         # the line break after it.
         text = "# 1 intro\n3.2 electrical ratings\nvcc is five volts"
         for padding in (0, 1):
-            windowed = self.run(text, 3, padding)
-            assert [s.segment_id for s in parse_markdown(windowed, "doc")] == ["1", "3.2"]
+            assert [s.segment_id for s in self.run(text, 3, padding)] == ["1", "3.2"]
 
     def test_cut_line_that_is_no_heading_passes_through(self):
         body = " ".join(f"b{i}" for i in range(396))
-        text = f"# 1 introduction\n{body}\n3.2 volts is applied to the rail, then it settles."
-        out = self.run(text, window=400, padding=50)
-        assert out == text
+        last = "3.2 volts is applied to the rail, then it settles."
+        (seg,) = self.run(f"# 1 introduction\n{body}\n{last}", window=400, padding=50)
+        assert (seg.segment_id, seg.content) == ("1", f"{body}\n{last}")
 
     def test_word_content_preserved_across_windows(self):
         lines = []
         for i in range(1, 21):
             lines.append(f"## {i} section {i}")
             lines.append(" ".join(f"t{i}w{j}" for j in range(30)))
-        text = "\n".join(lines)
-        out = self.run(text, window=40, padding=20)
-        assert words_of(out)[0] == "#"
-        plain = [w for w in words_of(out) if not w.startswith("#")]
-        original_plain = [w for w in words_of(text) if not w.startswith("#")]
-        assert plain == original_plain
+        segments = self.run("\n".join(lines), window=40, padding=20)
+        assert [(s.segment_id, s.title) for s in segments] == [
+            (str(i), f"section {i}") for i in range(1, 21)]
+        assert words_of(" ".join(s.content for s in segments)) == words_of(" ".join(lines[1::2]))
 
     def test_no_heading_starts_with_a_character_convert_skips(self):
-        # convert transforms only lines whose first character is "#" or isdecimal
+        # parse_markdown tries only lines whose first character is "#" or isdecimal
         def heading(line):
             return bool(_MD_HEADING_RE.match(line) or _PLAIN_HEADING_RE.match(line))
 
@@ -481,14 +481,42 @@ class TestHeadingPromotionConverter:
         assert differ == []
 
 
+# The heading rule as two passes, frozen as it was before parse_markdown took it over:
+# promotion rewrote each numbered heading as "# <number> <title>", then the parser split
+# at the lines its own heading pattern matched. The oracle.
+_HEADING_RE = re.compile(r"^#\s+(\S+)(?:\s+(.*))?$")
+_NUMBER_RE = re.compile(r"^\d+(\.\d+)*$")
+_FROZEN_MD_HEADING_RE = re.compile(r"^(#{1,6})\s+(\S+)(?:\s+(.*))?$")
+_FROZEN_PLAIN_HEADING_RE = re.compile(r"^(\d+(?:\.\d+)*)[.)]?\s+(\S.*)$")
+
+
+def _promote(line):
+    """``line`` as a ``# <dotted-number> <title>`` heading when it is a numbered one."""
+    md = _FROZEN_MD_HEADING_RE.match(line)
+    if md and _NUMBER_RE.match(md.group(2)):
+        return f"# {md.group(2)} {md.group(3) or ''}".rstrip()
+    plain = _FROZEN_PLAIN_HEADING_RE.match(line)
+    if plain and len(plain.group(2).split()) <= 12 and not (
+            plain.group(2).rstrip().endswith((".", ",", ";", ":"))):
+        return f"# {plain.group(1)} {plain.group(2).strip()}"
+    return line
+
+
 def line_by_line_promote_headings(markdown):
-    """promote_headings as it was before it split the text once: the oracle."""
+    """Heading promotion, each line tried on its own: the oracle."""
     lines = markdown.splitlines()
     pieces = markdown.splitlines(keepends=True)
     for i, line in enumerate(lines):
         if line[:1] == "#" or line[:1].isdecimal():
             pieces[i] = _promote(line) + pieces[i][len(line):]
     return "".join(pieces)
+
+
+def promoted_heading(line):
+    """The (number, title) of a body line that promotion makes a heading, else None.
+    Promotion writes only well-formed numbers, so the title is never the number."""
+    match = _HEADING_RE.match(_promote(line))
+    return match and (match.group(1), (match.group(2) or "").strip())
 
 
 def line_by_line_parse_markdown(markdown, doc_title, warnings):
@@ -553,8 +581,8 @@ _ORACLE_LINES = st.one_of(
         lambda mark, number, title: mark + number + title,
         st.sampled_from(["# ", "#\t", "#\xa0", "## ", "###  ", "#", ""]),
         st.sampled_from(["1", "3.2", "1.1.4", "3.x", "1..2", "A", "1+2", "2)", "4.", "\u0663"]),
-        st.sampled_from(["", " ", " Title", "\tA  b ", "\u3000x", " volts, then.",
-                         " a b c d e f g h i j k l m"]),
+        st.sampled_from(["", " ", " Title", "\tA  b ", "\u3000x", " volts, then.", " ratings:",
+                         " a b c d e f g h i j k l", " a b c d e f g h i j k l m"]),
     ),
     st.sampled_from(["![p](p.png)", "  ![a](b) \t", "![a](b)x", " | a |", "Table: t", "", " ",
                      "\xa0\u3000"]),  # a segment's first line, whole
@@ -569,13 +597,12 @@ class TestAgainstTheLineByLineParser:
         markdown = "".join(line + brk for line, brk in lines)
         if not end and lines:
             markdown = markdown[: -len(lines[-1][1])]
-        promoted = promote_headings(markdown)
-        assert promoted == line_by_line_promote_headings(markdown)
-        for text in (markdown, promoted):
+        for text in (markdown, line_by_line_promote_headings(markdown)):
             expected_warnings = []
             with logged_warnings() as warnings:
                 segments = parse_markdown(text, "Doc")
-            assert segments == line_by_line_parse_markdown(text, "Doc", expected_warnings)
+            assert segments == line_by_line_parse_markdown(
+                line_by_line_promote_headings(text), "Doc", expected_warnings)
             assert warnings == expected_warnings
 
 
@@ -652,6 +679,8 @@ class TestParseMarkdown:
         if not end and lines:
             text = text[: -len(lines[-1][1])]
         segments = parse_markdown(text, "Doc")
+        # A body line such as "## 3.2 x" or "5 alpha" reads as the heading promotion made it.
+        lines = [((heading or promoted_heading(line), line), brk) for (heading, line), brk in lines]
 
         kept = [seg_line for seg in segments for seg_line in seg.content.split("\n")]
         body = [line for (heading, line), _ in lines if heading is None]

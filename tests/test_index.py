@@ -509,15 +509,15 @@ def test_a_lone_surrogate_scans_without_raising():
     terms, ids, offsets, verdicts = _Scan(segments).tokens
     assert list(terms) == ["ca", "is3641", "x9", "gain"]
     assert ids.tolist() == [0, 1, 2, 3] and offsets.tolist() == [0, 4, 4]
-    assert verdicts == [{"ca-is3641", "x9", ""}, set()]
+    assert verdicts == [{"ca-is3641", "x9"}, set()]
 
 
 def test_keyword_verdicts_are_kept_per_run():
     rows = ["ab12\u00b7word", "x9 CA-IS3641 x9", "", "\u00b7 -- _", "x9 gain",
             "gain ab12\u00b7word"]
     verdicts = _Scan([seg("d", str(i), text) for i, text in enumerate(rows)]).tokens[3]
-    # "" (a plain token) only where a run holds one; each row's set is its own
-    assert verdicts == [{"ab12", ""}, {"x9", "ca-is3641"}, set(), set(), {"x9", ""}, {"ab12", ""}]
+    # each row's set is its own
+    assert verdicts == [{"ab12"}, {"x9", "ca-is3641"}, set(), set(), {"x9"}, {"ab12"}]
     assert len({id(found) for found in verdicts}) == len(rows)
 
 
