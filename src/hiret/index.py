@@ -258,7 +258,10 @@ class Bm25Index:
 
     Row ``i`` is segment ``keys[i]``; ``postings`` lists the rows holding each
     term and ``tf[j]`` counts it in row ``postings.rows[j]``. Each row's token
-    count ``lengths`` (its counts' sum), ``avgdl`` and length ``norm`` are derived.
+    count ``lengths`` (its counts' sum), ``avgdl`` and length ``norm`` are derived
+    once and never mutated. ``contributions`` keeps, per queried term the index
+    holds, its float64 contribution to each of its rows: 8 bytes per posting
+    entry at most, never evicted. Two threads at worst compute one term twice.
     """
 
     k1: float
@@ -269,6 +272,7 @@ class Bm25Index:
     lengths: np.ndarray = field(init=False, repr=False)
     avgdl: float = field(init=False)
     norm: np.ndarray = field(init=False, repr=False)
+    contributions: dict[str, np.ndarray] = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         _check_bm25_params(self.k1, self.b)
@@ -475,15 +479,23 @@ def bm25_score(index: Bm25Index, query: str, key: str) -> float:
 def bm25_route(index: Bm25Index, query: str) -> np.ndarray:
     """BM25 score of every row (0.0 where nothing matches), as float64.
 
-    Bit-identical to :func:`bm25_score` per key: each query token adds its
-    contribution to the rows holding it, in query-token order.
+    Bit-identical to :func:`bm25_score` per key: each query token, repeats
+    included, adds its contribution (kept in ``index.contributions``; an absent
+    term is not stored) to the rows holding it. One ``np.bincount`` adds them in
+    query-token order, the order of one add per token.
     """
-    scores = np.zeros(len(index.keys))
+    memo, rows, values = index.contributions, [], []
     for token in tokenize(query):
         lo, hi = index.postings.span(token)  # an absent term adds to no row
-        rows, tf, idf = index.postings.rows[lo:hi], index.tf[lo:hi], _idf(index, hi - lo)
-        scores[rows] += idf * (tf * (index.k1 + 1.0)) / (tf + index.k1 * index.norm[rows])
-    return scores
+        if lo < hi:
+            rows.append(index.postings.rows[lo:hi])
+            if token not in memo:
+                tf, idf = index.tf[lo:hi], _idf(index, hi - lo)
+                memo[token] = idf * (tf * (index.k1 + 1.0)) / (tf + index.k1 * index.norm[rows[-1]])
+            values.append(memo[token])
+    if not rows:  # bincount of nothing would be int64
+        return np.zeros(len(index.keys))
+    return np.bincount(np.concatenate(rows), np.concatenate(values), len(index.keys))
 
 
 def bm25_scores(index: Bm25Index, query: str) -> dict[str, float]:

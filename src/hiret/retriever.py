@@ -21,6 +21,7 @@ import math
 from bisect import bisect_left
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,6 +54,8 @@ class RetrievalConfig:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
         if not 0.0 <= self.beta < math.inf:
             raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
+        if type(self.top_k) is not int:
+            raise ValueError(f"top_k must be an int, got {self.top_k!r}")
         if self.top_k < 1:
             raise ValueError(f"top_k must be >= 1, got {self.top_k}")
         if not 0.0 < self.gamma < math.inf:
@@ -158,10 +161,14 @@ class Ranking(Sequence[RankedResult]):
 
 @dataclass(frozen=True)
 class RetrievalOutcome:
-    """Top-k slice for serving plus the full ranking for evaluation."""
+    """The full ranking for evaluation; its top-k slice :attr:`top` is selected when first read."""
 
-    top: list[RankedResult]
     ranking: Ranking
+    top_k: int
+
+    @cached_property
+    def top(self) -> list[RankedResult]:
+        return self.ranking[:self.top_k]
 
 
 def vector_route(query: str, vindex: VectorIndex, embedder: Embedder) -> np.ndarray:
@@ -257,7 +264,7 @@ def retrieve(
     user_keywords: set[str] | None = None,
     embedder: Embedder | None = None,
 ) -> RetrievalOutcome:
-    """Run all three routes, fuse, and return top-k plus the full ranking.
+    """Run all three routes, fuse, and return the full ranking with ``cfg.top_k``.
 
     The keyword route applies the bundle's own dictionary
     (``bundle.user_keywords``); ``user_keywords`` adds per-query words to it.
@@ -279,4 +286,4 @@ def retrieve(
     keywords = set(bundle.user_keywords).union(user_keywords or ())
     hits = keyword_hits(query, bundle.keywords, keywords)
     ranking = _fuse(bundle.keys, v, r, hits, cfg)
-    return RetrievalOutcome(top=ranking[: cfg.top_k], ranking=ranking)
+    return RetrievalOutcome(ranking, cfg.top_k)

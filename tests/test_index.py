@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import math
@@ -290,6 +291,13 @@ class TestVectorIndex:
             assert abs(float(v @ v) - 1.0) <= 1e-6
 
 
+@functools.cache
+def _fixture_bm25() -> Bm25Index:
+    """The BM25 index of the committed fixture corpus."""
+    _, segments = load_and_ingest(Path(__file__).parent / "data" / "corpus")
+    return build_bm25_index(segments)
+
+
 class TestBm25:
     def two_doc_index(self):
         return build_bm25_index([seg("c", "d1", "a b"), seg("c", "d2", "a")], k1=1.2, b=0.75)
@@ -359,6 +367,58 @@ class TestBm25:
                 expected = naive_bm25(token_lists, query_tokens, key, k1, b)
                 assert bm25_score(index, query, key) == pytest.approx(expected, abs=1e-9)
                 assert bulk[key] == bm25_score(index, query, key)  # bit-identical paths
+
+    def test_a_second_route_is_served_from_the_memo_bit_for_bit(self):
+        index = build_bm25_index([seg("c", str(i), f"alpha beta{i % 3} gamma {'alpha ' * i}")
+                                  for i in range(9)])
+        query = "alpha beta1 gamma"
+        first = bm25_route(index, query)
+        kept = dict(index.contributions)
+        assert sorted(kept) == ["alpha", "beta1", "gamma"]
+        second = bm25_route(index, query)
+        assert second.tobytes() == first.tobytes()
+        assert all(index.contributions[term] is kept[term] for term in kept)  # not recomputed
+        assert [float(x) for x in second] == [bm25_score(index, query, key) for key in index.keys]
+
+    def test_a_repeated_term_adds_twice_and_an_absent_term_is_not_stored(self):
+        index = self.two_doc_index()
+        scores = bm25_route(index, "b zzz b a")
+        assert list(index.contributions) == ["b", "a"]
+        assert scores.tolist() == [bm25_score(index, "b zzz b a", key) for key in index.keys]
+        assert scores[0] == 2 * bm25_score(index, "b", "c#d1") + bm25_score(index, "a", "c#d1")
+        assert bm25_route(index, "zzz").tobytes() == np.zeros(2).tobytes()
+        assert list(index.contributions) == ["b", "a"]
+
+    def test_the_memo_holds_at_most_one_float_per_posting_entry(self):
+        index = build_bm25_index([seg("c", str(i), f"w{i % 5} w{i % 7} x{i}") for i in range(30)])
+        terms = list(index.postings)
+        for query in terms + [" ".join(terms), "absent words only"]:
+            bm25_route(index, query)
+            assert len(index.contributions) <= len(index.postings)
+        assert len(index.contributions) == len(index.postings)
+        assert sum(v.nbytes for v in index.contributions.values()) == 8 * len(index.tf)
+
+    def test_a_built_index_and_its_loaded_copy_each_start_an_empty_memo(self, tmp_path):
+        bundle = build_indices([seg("d", "1", "alpha beta"), seg("d", "2", "alpha")],
+                               HashingEmbedder())
+        assert bundle.bm25.contributions == {}
+        bm25_route(bundle.bm25, "alpha")
+        save_index(bundle, tmp_path)
+        loaded = load_index(tmp_path)
+        assert loaded.bm25.contributions == {}
+        assert list(bundle.bm25.contributions) == ["alpha"]
+        bm25_route(loaded.bm25, "beta")
+        assert list(bundle.bm25.contributions) == ["alpha"]
+        assert list(loaded.bm25.contributions) == ["beta"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_any_query_sequence_scores_what_a_fresh_index_scores(self, data):
+        index = _fixture_bm25()  # one index whose memo every example adds to
+        words = st.sampled_from(list(index.postings) + ["absent", "CA-IS3641"])
+        for query in data.draw(st.lists(st.lists(words, max_size=6).map(" ".join), max_size=4)):
+            fresh = Bm25Index(index.k1, index.b, index.keys, index.postings, index.tf)
+            assert bm25_route(index, query).tobytes() == bm25_route(fresh, query).tobytes()
 
 
 class TestBm25Build:

@@ -81,6 +81,12 @@ class TestRetrievalConfig:
         with pytest.raises(ValueError, match=name):
             RetrievalConfig(**{name: value})
 
+    @pytest.mark.parametrize("top_k", [2.5, True, math.nan, 3.0])
+    def test_top_k_that_is_not_an_int_is_refused(self, top_k):
+        # 2.5 used to construct, and retrieve then raised a bare TypeError from slicing
+        with pytest.raises(ValueError, match="top_k must be an int"):
+            RetrievalConfig(top_k=top_k)
+
 
 class FakeEmbedder:
     """A plug-in-like embedder that answers ``vectors[text]``, or ``default``."""
@@ -441,10 +447,6 @@ class TestRanking:
     def test_retrieve_evaluate_and_run_query_sort_no_full_order(self, tmp_path, monkeypatch):
         bundle = bundle_for({str(i): f"alpha text {i % 3}" for i in range(20)})
         save_index(bundle, tmp_path / "index")
-        outcome = retrieve("alpha text 1", bundle, RetrievalConfig(top_k=3))
-        relevant = frozenset({"d#4", "d#7"})
-        evaluate_query(outcome.ranking, EvalQuery("q", "alpha text 1", relevant), 1.0)
-        assert len(outcome.top) == 3 and outcome.ranking._order is None
         seen, top_reads = [], []
         top_rows = Ranking._top_rows
 
@@ -456,13 +458,29 @@ class TestRanking:
             top_reads.append(k)
             return top_rows(self, k)
 
-        monkeypatch.setattr(retriever, "retrieve", spy)
         monkeypatch.setattr(Ranking, "_top_rows", counted)
+        outcome = retrieve("alpha text 1", bundle, RetrievalConfig(top_k=3))
+        relevant = frozenset({"d#4", "d#7"})
+        evaluate_query(outcome.ranking, EvalQuery("q", "alpha text 1", relevant), 1.0)
+        # evaluation selects no top-k and sorts no full ranking
+        assert top_reads == [] and "top" not in outcome.__dict__
+        assert outcome.ranking._order is None
+        assert len(outcome.top) == 3 and top_reads == [3]
+        monkeypatch.setattr(retriever, "retrieve", spy)
         shown = run_query(AppConfig(index_dir=str(tmp_path / "index"), top_k=3), "alpha text 1")
         assert [row["segment_key"] for row in shown["results"]] == [
             row.segment_key for row in outcome.top]
         assert seen[0].ranking._order is None
-        assert top_reads == [3]  # the top rows are selected once per query
+        assert top_reads == [3, 3]  # the top rows are selected once per query
+
+    def test_top_is_selected_when_first_read_and_kept(self):
+        bundle = bundle_for({str(i): f"alpha text {i % 3}" for i in range(20)})
+        outcome = retrieve("alpha text 1", bundle, RetrievalConfig(top_k=4))
+        assert "top" not in outcome.__dict__ and outcome.top_k == 4
+        top = outcome.top
+        assert top == outcome.ranking[:4] and len(top) == 4
+        assert outcome.top is top
+        assert RetrievalOutcome(outcome.ranking, 2).top == top[:2]
 
     def test_fuse_and_rank_result_looks_keys_up(self):
         ranking = fuse_and_rank({"b": 0.2, "a": 0.9}, {}, {"c": 1}, RetrievalConfig(beta=1.0))
