@@ -16,8 +16,8 @@ Postings and keywords are :class:`InvertedLists` over the arrays their files hol
 saved and loaded as they are. Saving is atomic and deterministic: the files go
 into a sibling directory that then replaces the old index, and re-saving an
 unchanged index reproduces them byte for byte. Loading checks every file against
-the manifest, maps every array and the segment blob and decodes a segment only
-when it is read.
+the manifest through a map it drops as it sums, maps every array and the segment
+blob and decodes a segment only when it is read.
 """
 
 from __future__ import annotations
@@ -71,6 +71,7 @@ INDEX_FILES = (
     "segment_offsets.npy",  # <i8 segment i is bytes offsets[i]:offsets[i + 1]
 )
 _TF_DTYPES = ("<u1", "<u2", "<u4")
+_WINDOW, _CHUNK = 1 << 20, 1 << 16  # bytes _crc32 sums, entries Bm25Index counts, at a time
 # The manifest fields load_index reads and the JSON types they hold.
 _MANIFEST_FIELDS = {"k1": (int, float), "b": (int, float), "embedder": dict,
                     "user_keywords": list, "files": dict}
@@ -279,7 +280,10 @@ class Bm25Index:
         rows = self.postings.rows
         if len(self.tf) != len(rows):
             raise ValueError(f"{len(self.tf)} posting counts for {len(rows)} posting rows")
-        self.lengths = np.bincount(rows, self.tf, len(self.keys)).astype(np.int64)  # exact sums
+        self.lengths = np.zeros(len(self.keys), np.int64)  # exact sums, with a float64 copy
+        for lo in range(0, len(rows), _CHUNK):  # of one chunk of the counts, not of them all
+            self.lengths += np.bincount(rows[lo:lo + _CHUNK], self.tf[lo:lo + _CHUNK],
+                                        len(self.keys)).astype(np.int64)
         self.avgdl = int(self.lengths.sum()) / len(self.keys) if self.keys else 0.0
         ratio = self.lengths / self.avgdl if self.avgdl > 0 else np.zeros(len(self.keys))
         self.norm = 1.0 - self.b + self.b * ratio
@@ -523,7 +527,7 @@ class StoredSegments(Sequence[Segment]):
     decodes only the rows it shows, deriving an ``embedding_text`` a line leaves out.
     """
 
-    def __init__(self, keys: list[str], blob: bytes | mmap.mmap, offsets: list[int]):
+    def __init__(self, keys: list[str], blob: mmap.mmap | memoryview, offsets: np.ndarray):
         self.keys, self._blob, self._offsets = keys, blob, offsets
 
     def __len__(self) -> int:
@@ -653,13 +657,29 @@ def _json_bytes(payload: object, encoder: json.JSONEncoder = _COMPACT_JSON) -> b
     return (encoder.encode(payload) + "\n").encode("utf-8")
 
 
-def _file_entry(path: Path) -> dict:
-    """The size and crc32 of the bytes on disk, read back in blocks."""
-    crc = 0
+def _mapped(path: Path) -> mmap.mmap | memoryview:
+    """A read-only map of ``path``; an empty view for an empty file, which cannot be mapped."""
     with open(path, "rb") as f:
-        while block := f.read(1 << 20):
-            crc = zlib.crc32(block, crc)
-        return {"bytes": f.tell(), "crc32": f"{crc:08x}"}
+        size = os.fstat(f.fileno()).st_size
+        return mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) if size else memoryview(b"")
+
+
+def _crc32(data: mmap.mmap | memoryview) -> str:
+    """The crc32 of ``data`` in hex, summed a 1 MiB window at a time; a map's window is then
+    dropped (``MADV_DONTNEED``, where it exists), so none of the file stays resident."""
+    crc, drop = 0, getattr(mmap, "MADV_DONTNEED", None) if isinstance(data, mmap.mmap) else None
+    with memoryview(data) as view:
+        for lo in range(0, len(view), _WINDOW):
+            crc = zlib.crc32(view[lo:lo + _WINDOW], crc)
+            if drop is not None:
+                data.madvise(drop, lo, _WINDOW)
+    return f"{crc:08x}"
+
+
+def _file_entry(path: Path) -> dict:
+    """The size and :func:`_crc32` of the bytes on disk, read back through a map."""
+    with _mapped(path) as data:
+        return {"bytes": len(data), "crc32": _crc32(data)}
 
 
 def _segment_line(seg: Segment, quoted: _Memo) -> bytes:
@@ -825,21 +845,21 @@ def _read_manifest(directory: Path) -> dict:
     return manifest
 
 
-def _read_checked(path: Path, entry: dict, mapped: bool = False) -> bytes | mmap.mmap:
-    """The bytes of ``path`` once their size and crc32 match ``entry``; with
-    ``mapped``, a read-only map of the file, checked without a heap copy."""
+def _read_checked(path: Path, entry: dict) -> mmap.mmap | memoryview:
+    """A read-only map of ``path`` (:func:`_mapped`) once its size and :func:`_crc32`
+    match ``entry``."""
     try:
-        with open(path, "rb") as f:
-            data = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) if mapped else f.read()
-    except (OSError, ValueError) as exc:  # ValueError: an empty file cannot be mapped
+        data = _mapped(path)
+    except OSError as exc:
         raise IndexFormatError(f"cannot read index file {path}: {exc}") from exc
     if len(data) != entry["bytes"]:
-        raise IndexFormatError(
-            f"index file {path} holds {len(data)} bytes, the manifest says {entry['bytes']}"
-        )
-    if f"{zlib.crc32(data):08x}" != entry["crc32"]:
-        raise IndexFormatError(f"index file {path} does not match its crc32 in the manifest")
-    return data
+        problem = f"holds {len(data)} bytes, the manifest says {entry['bytes']}"
+    elif _crc32(data) != entry["crc32"]:
+        problem = "does not match its crc32 in the manifest"
+    else:
+        return data
+    with data:  # closed, not kept open by the traceback
+        raise IndexFormatError(f"index file {path} {problem}")
 
 
 def _check_offsets(name: str, offsets: np.ndarray, count: int, end: int,
@@ -870,30 +890,31 @@ def _check_rows(name: str, rows: np.ndarray, count: int,
 def load_index(path: str | Path) -> IndexBundle:
     """Load a bundle persisted by :func:`save_index`; round-trip is exact.
 
-    Every file must match the size and crc32 the manifest records. Every
-    array and the segment blob are memory-mapped read-only and segments are
-    decoded when read (:class:`StoredSegments`). An index a dead save set aside
-    is read where it lies, renaming nothing, as a save may be swapping. Raises
-    :class:`IndexFormatError` for a missing, corrupt, other-version or
-    inconsistent index.
+    Every file must match the size and crc32 the manifest records (:func:`_crc32`
+    leaves none of it resident). Every array and the segment blob are mapped
+    read-only and segments are decoded when read (:class:`StoredSegments`). An
+    index a dead save set aside is read where it lies, renaming nothing, as a
+    save may be swapping. Raises :class:`IndexFormatError` for a missing,
+    corrupt, other-version or inconsistent index.
     """
     directory = _set_aside(Path(os.path.realpath(path))) or Path(path)
     manifest = _read_manifest(directory)
 
-    def read(name: str, mapped: bool = False) -> bytes | mmap.mmap:
-        return _read_checked(directory / name, manifest["files"][name], mapped)
+    def read(name: str) -> mmap.mmap | memoryview:
+        return _read_checked(directory / name, manifest["files"][name])
 
     def parse(name: str):
         try:
-            return json.loads(read(name))
+            with read(name) as data:
+                return json.loads(bytes(data))
         except ValueError as exc:
             raise IndexFormatError(f"corrupt index file {directory / name}: {exc}") from exc
 
     def array(name: str, *dtypes: str) -> np.ndarray:  # 1-d, of one of ``dtypes``
-        read(name, mapped=True).close()  # checked; np.load maps the file itself
         try:
-            loaded = np.asarray(np.load(directory / name, mmap_mode="r", allow_pickle=False))
-        except ValueError as exc:
+            with read(name):  # checked; np.load maps the file itself
+                loaded = np.asarray(np.load(directory / name, mmap_mode="r", allow_pickle=False))
+        except (ValueError, EOFError) as exc:  # EOFError: an empty file
             raise IndexFormatError(f"corrupt index file {directory / name}: {exc}") from exc
         if loaded.dtype not in map(np.dtype, dtypes) or loaded.ndim != 1:
             raise IndexFormatError(f"index file {directory / name} holds {loaded.dtype} "
@@ -903,11 +924,10 @@ def load_index(path: str | Path) -> IndexBundle:
     keys = parse("segment_keys.json")
     if not (isinstance(keys, list) and set(map(type, keys)) <= {str}):
         raise IndexFormatError("segment_keys.json does not hold a list of strings")
-    # An index of no segments has an empty blob, which cannot be mapped.
-    blob = read("segments.jsonl", mapped=manifest["files"]["segments.jsonl"]["bytes"] > 0)
+    blob = read("segments.jsonl")
     segment_offsets = array("segment_offsets.npy", "<i8")
     _check_offsets("segment_offsets.npy", segment_offsets, len(keys), len(blob))
-    segments = StoredSegments(keys, blob, segment_offsets.tolist())
+    segments = StoredSegments(keys, blob, segment_offsets)
 
     def inverted(stem: str) -> InvertedLists:  # the rows widened to intp once
         terms = parse(f"{stem}_terms.json")

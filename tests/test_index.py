@@ -7,6 +7,7 @@ import random
 import re
 import shutil
 import tempfile
+import zlib
 from collections import Counter
 from itertools import count
 from pathlib import Path
@@ -40,6 +41,7 @@ from hiret.index import (
     IndexBundle,
     IndexFormatError,
     StoredSegments,
+    _file_entry,
     _json_bytes,
     _Memo,
     _Scan,
@@ -445,6 +447,24 @@ class TestBm25Build:
         assert build_bm25_index(everywhere).postings["every"].tolist() == list(
             range(len(everywhere)))
 
+    @pytest.mark.parametrize("most, dtype", [(3, "<u1"), (300, "<u2"), (70_000, "<u4")])
+    def test_lengths_summed_by_chunks_are_the_exact_row_sums(self, tmp_path, most, dtype):
+        """80 000 posting entries (1000 rows of 80 distinct terms) span the 65 536-entry
+        chunk; one row holds a term ``most`` times, so the counts load as ``dtype``."""
+        segments = [seg("d", f"{i:04d}", " ".join(f"t{(i + j) % 997}" for j in range(80)))
+                    for i in range(1000)]
+        segments.append(seg("d", "heavy", "t1 " * most))
+        bundle = build_indices(segments, HashingEmbedder(dim=16))
+        save_index(bundle, tmp_path)
+        loaded = load_index(tmp_path)
+        assert loaded.bm25.tf.dtype == np.dtype(dtype)
+        for index in (bundle.bm25, loaded.bm25):
+            assert len(index.tf) > 1 << 16
+            whole = np.bincount(index.postings.rows, index.tf, len(index.keys)).astype(np.int64)
+            assert index.lengths.dtype == np.int64
+            assert index.lengths.tobytes() == whole.tobytes()
+        assert loaded.bm25.lengths[-1] == most  # the heavy row sorts last
+
 
 # Unicode terms, some drawn often enough to repeat within a row and across rows.
 _TERMS = st.one_of(st.sampled_from(["a", "B", "\u00df", "\u4e2d\u6587", "x9"]),
@@ -765,6 +785,14 @@ class TestPersistence:
         with pytest.raises(IndexFormatError, match=f"{name}"):
             load_index(tmp_path)
 
+    @pytest.mark.parametrize("name", [n for n in INDEX_FILES if n != "segments.jsonl"])
+    def test_emptied_file_the_manifest_vouches_for_is_corrupt(self, tmp_path, name):
+        save_index(self.build_bundle(), tmp_path)
+        (tmp_path / name).write_bytes(b"")
+        restamp_manifest(tmp_path, name)  # 0 bytes, crc32 0: the check passes
+        with pytest.raises(IndexFormatError, match=f"corrupt index file .*{name}"):
+            load_index(tmp_path)
+
     @pytest.mark.parametrize("name", INDEX_FILES)
     def test_flipped_byte_is_refused(self, tmp_path, name):
         save_index(self.build_bundle(), tmp_path)
@@ -992,6 +1020,74 @@ class TestStoredSegments:
         _, stored = self.saved(tmp_path)
         stored[0].title = "changed"
         assert stored[0].title == "0"
+
+
+@pytest.mark.parametrize("size", [0, 1, (1 << 20) - 1, 1 << 20, (1 << 20) + 1,
+                                  3 * (1 << 20) + 7])
+def test_file_entry_sums_every_window(tmp_path, size):
+    data = random.Random(size).randbytes(size)
+    (tmp_path / "file").write_bytes(data)
+    assert _file_entry(tmp_path / "file") == {"bytes": size, "crc32": f"{zlib.crc32(data):08x}"}
+
+
+def _mappings(path: Path) -> list[int]:
+    """The ``Rss`` in kB of each mapping of ``path`` in ``/proc/self/smaps``."""
+    rss, mine = [], False
+    for line in Path("/proc/self/smaps").read_text().splitlines():
+        if re.match(r"[0-9a-f]+-[0-9a-f]+ ", line):  # a mapping's first line ends in its path
+            mine = line.endswith(f" {path}")
+        elif mine and line.startswith("Rss:"):
+            rss.append(int(line.split()[1]))
+    return rss
+
+
+@pytest.fixture(scope="module")
+def large_index(tmp_path_factory) -> Path:
+    """An index whose segments.jsonl is over 4 MiB (six windows), saved once for the module."""
+    body = "isolation voltage " * 240
+    segments = [seg("d", f"{i:04d}", f"part {i} {body}") for i in range(600)]
+    directory = Path(os.path.realpath(tmp_path_factory.mktemp("large"))) / "index"
+    save_index(build_indices(segments, HashingEmbedder(dim=16)), directory)
+    assert (directory / "segments.jsonl").stat().st_size >= 4 << 20
+    return directory
+
+
+class TestWindowedChecks:
+    """Each file's crc32 is summed through a map one 1 MiB window at a time, and each
+    window is dropped once summed: the segment map a loaded index keeps holds only the
+    rows a query decodes, and a refused file is left neither open nor mapped."""
+
+    @pytest.mark.skipif(not Path("/proc/self/smaps").exists(), reason="no /proc/self/smaps")
+    def test_the_kept_segment_map_holds_only_the_rows_read(self, large_index):
+        blob = large_index / "segments.jsonl"
+        loaded = load_index(large_index)
+        [rss] = _mappings(blob)  # StoredSegments' map, the one mapping of the file
+        assert rss < 1024
+        row = len(loaded.segments) // 2
+        assert loaded.segments[row].key == loaded.keys[row]
+        [rss] = _mappings(blob)
+        assert rss < 1024
+
+    @pytest.mark.parametrize("damage", ["flip", "cut"])
+    def test_damage_in_the_last_window_is_refused_and_unmapped(self, large_index, tmp_path,
+                                                               damage):
+        directory = Path(os.path.realpath(shutil.copytree(large_index, tmp_path / "index")))
+        blob = directory / "segments.jsonl"
+        data = bytearray(blob.read_bytes())
+        last = (len(data) - 1) >> 20 << 20  # where the last window starts
+        assert last >= 3 << 20
+        if damage == "flip":
+            data[(last + len(data)) // 2] ^= 0x01
+            says = "segments.jsonl does not match its crc32"
+        else:
+            del data[-1]
+            says = f"segments.jsonl holds {len(data)} bytes, the manifest says {len(data) + 1}"
+        blob.write_bytes(bytes(data))
+        with pytest.raises(IndexFormatError, match=says) as refused:
+            load_index(directory)
+        if Path("/proc/self/maps").exists():  # the traceback, still held, keeps no map open
+            assert refused.value.__traceback__ is not None
+            assert str(blob) not in Path("/proc/self/maps").read_text()
 
 
 class TestDerivableText:
