@@ -20,14 +20,9 @@ from typing import get_type_hints
 
 from . import evalkit, hca, index, retriever
 from .corpus import PATH_SEPARATOR, CorpusError, load_corpus
-from .formatter import (
-    ConversionError,
-    IdentityConverter,
-    convert_document,
-    count_words,
-    parse_markdown,
-    plan_windows,
-)
+from .formatter import parse_markdown
+# bench/spans.py wraps these two by name until ROADMAP item 6 deletes them.
+from .formatter import convert_document, plan_windows  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -43,7 +38,6 @@ COHESION_COLUMNS = [
     "y",
 ]
 GROUPINGS = ("by-document", "by-section-title")  # cohesion groupings; the first is the default
-_WINDOW, _PADDING = 400, 50  # in words; the echo converter's segments do not depend on them
 
 
 class UsageError(Exception):
@@ -128,7 +122,7 @@ def _make_captioner(spec: dict | None):
 
 
 def run_ingest(cfg: AppConfig) -> dict:
-    """Convert, augment, and index the corpus; returns the ingest report, whose
+    """Parse, augment, and index the corpus; returns the ingest report, whose
     warnings are those that reach the ``hiret`` logger during the ingest."""
     index._check_bm25_params(cfg.k1, cfg.b)
     user_keywords = _load_keyword_dict(cfg.keyword_dict)
@@ -145,9 +139,7 @@ def run_ingest(cfg: AppConfig) -> dict:
         if not records:
             log.warning("corpus %s holds no documents; writing empty indices", cfg.corpus_dir)
         for doc in records:
-            plan = plan_windows(count_words(doc.text), _WINDOW, _PADDING)
-            markdown = convert_document(doc.text, IdentityConverter(), plan)
-            doc.attach_segments(parse_markdown(markdown, doc.title))
+            doc.attach_segments(parse_markdown(doc.text.strip(), doc.title))
             hca.augment_document(doc, captioner=captioner)
             all_segments.extend(doc.segments)
 
@@ -158,7 +150,10 @@ def run_ingest(cfg: AppConfig) -> dict:
             b=cfg.b,
             user_keywords=user_keywords,
         )
-        index.save_index(bundle, cfg.index_dir)
+        try:
+            index.save_index(bundle, cfg.index_dir)
+        except OSError as exc:
+            raise DataError(f"cannot write {cfg.index_dir}: {exc}") from exc
     finally:
         logging.getLogger(__package__).removeHandler(collector)
         embedder.close()
@@ -224,13 +219,20 @@ def run_eval(cfg: AppConfig, bank_path: str | Path) -> evalkit.EvalReport:
         embedder.close()
 
 
+def _write_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
+    """Write ``header`` and ``rows`` to ``path``; an OSError doing so is a data error."""
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(header)
+            writer.writerows(rows)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
+
+
 def write_eval_csv(report: evalkit.EvalReport, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["query_id", "score"])
-        for query_id, score in report.per_query_scores.items():
-            writer.writerow([query_id, repr(score)])
-        writer.writerow(["summary", repr(report.mean)])
+    rows = [[query_id, repr(score)] for query_id, score in report.per_query_scores.items()]
+    _write_csv(path, ["query_id", "score"], [*rows, ["summary", repr(report.mean)]])
 
 
 def run_cohesion(cfg: AppConfig, grouping: str) -> list[list]:
@@ -272,10 +274,7 @@ def run_cohesion(cfg: AppConfig, grouping: str) -> list[list]:
 
 
 def write_cohesion_csv(rows: list[list], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(COHESION_COLUMNS)
-        writer.writerows(rows)
+    _write_csv(path, COHESION_COLUMNS, rows)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -317,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--keywords", dest="keyword_dict", help="user keyword dictionary (one per line)")
 
     commands = parser.add_subparsers(dest="command", required=True)
-    commands.add_parser("ingest", help="convert, augment, and index the corpus")
+    commands.add_parser("ingest", help="parse, augment, and index the corpus")
 
     query = commands.add_parser("query", help="retrieve top-k segments")
     query.add_argument("text", help="query text")
@@ -400,7 +399,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (CorpusError, ConversionError, DataError, index.IndexFormatError,
+    except (CorpusError, DataError, index.IndexFormatError,
             evalkit.QuestionBankError, *_plugin_errors()) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,15 +1,14 @@
 """Sliding-window document conversion and structural markdown parsing.
 
-Long documents are converted to structured markdown in fixed word-count
-windows. Each window carries extra padding on both sides so the converter
-can see across window boundaries, and each turn also receives the previous
-turn's input and output for calibration. Only the unpadded core of each
-window may contribute to the assembled output, so the cores tile the
-document exactly once.
-
-The converter itself is pluggable. The shipped pipeline echoes each core
-(:class:`IdentityConverter`); then :func:`parse_markdown` reads the joined
-text, where no line is cut, and splits it at every numbered heading.
+A pluggable converter with a bounded context (e.g. an LLM bridge) sees a
+document in fixed word-count windows. Each window carries extra padding on both
+sides so the converter can see across window boundaries, and each turn also
+receives the previous turn's input and output for calibration. Only the unpadded
+core of each window may contribute to the assembled output, so the cores tile
+the document exactly once; :class:`IdentityConverter`'s cores join back to the
+text from its first word to its last. The CLI converts nothing: it hands each
+document's stripped text to :func:`parse_markdown`, which splits it at every
+numbered heading.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import logging
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Protocol
 
 import numpy as np
@@ -143,7 +142,6 @@ def plan_windows(total_words: int, window_size: int, padding: int = 0) -> Window
     return WindowPlan(window_size=window_size, padding=padding, total_words=total_words)
 
 
-@lru_cache(maxsize=1)  # count_words, then convert_document, read one document's words
 def _word_bounds(text: str) -> np.ndarray:
     """The start and end offset of each whitespace-delimited word of ``text``, in
     turn: word ``i`` is ``text[bounds[2 * i]:bounds[2 * i + 1]]``, as ``str.split()``
@@ -156,7 +154,7 @@ def _word_bounds(text: str) -> np.ndarray:
 
 def count_words(text: str) -> int:
     """Number of whitespace-delimited tokens, the unit of window planning: ``len(text.split())``,
-    read off the word bounds :func:`convert_document` then finds the windows' edges in."""
+    read off the word bounds :func:`convert_document` finds the windows' edges in."""
     return len(_word_bounds(text)) // 2
 
 
@@ -167,8 +165,8 @@ def convert_document(doc_text: str, converter: DocumentConverter, plan: WindowPl
     and output. Fragments are joined with the whitespace that separates
     their cores in ``doc_text``, so a line cut by a core boundary comes out
     whole. On converter failure the raised ConversionError carries the turn
-    number and the output assembled so far, for resumption. The words are
-    :func:`count_words`'s, found once for both.
+    number and the output assembled so far, for resumption. The plan must count
+    the words as :func:`count_words` does.
     """
     bounds = _word_bounds(doc_text)
     if plan.total_words != len(bounds) // 2:

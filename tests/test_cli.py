@@ -187,10 +187,10 @@ class TestIngest:
         meta = corpus / f"{manual_doc_stem(2)}.meta.json"
         meta.write_text(json.dumps(sidecar), encoding="utf-8")  # the surrogate as a \u escape
 
-        def convert_document(*args):
-            raise AssertionError("converted a document of a corpus that does not load")
+        def parse_markdown(*args):
+            raise AssertionError("parsed a document of a corpus that does not load")
 
-        monkeypatch.setattr("hiret.cli.convert_document", convert_document)
+        monkeypatch.setattr("hiret.cli.parse_markdown", parse_markdown)
         code = main(["--corpus-dir", str(corpus), "--index-dir", str(tmp_path / "index"),
                      "ingest"])
         assert code == 2
@@ -809,8 +809,8 @@ class TestConfigAndExitCodes:
         (["--k1", "inf"], 1, "k1 must be finite"),
         (["--b", "2"], 1, "b must be in [0, 1]"),
         (["--keywords", "missing.txt"], 2, "cannot read keyword dictionary"),
-        # The conversion window is fixed: no flag or config key sets it. Before the
-        # command, the flag is named, not the 7 argparse would take for the command.
+        # No flag or config key sets a conversion window. Before the command, the
+        # flag is named, not the 7 argparse would take for the command.
         (["--window", "7"], 1, "unrecognized arguments: --window\n"),
         (["--window=7"], 1, "unrecognized arguments: --window=7"),
         (["--config", "window.json"], 1, "unknown keys: ['window']"),
@@ -822,7 +822,7 @@ class TestConfigAndExitCodes:
     def test_bad_ingest_setting_is_refused_before_any_conversion(self, tmp_path, capsys,
                                                                   monkeypatch, flags, code, says):
         calls = []
-        monkeypatch.setattr("hiret.cli.convert_document", lambda *args: calls.append(args) or "")
+        monkeypatch.setattr("hiret.cli.parse_markdown", lambda *args: calls.append(args) or [])
         corpus = write_manual_corpus(tmp_path / "corpus", 2)
         (tmp_path / "window.json").write_text(json.dumps({"window": 400}), encoding="utf-8")
         flags = [str(tmp_path / f) if f.endswith((".txt", ".json")) else f for f in flags]
@@ -831,6 +831,27 @@ class TestConfigAndExitCodes:
         assert says in capsys.readouterr().err
         assert calls == []
         assert not (tmp_path / "index").exists()
+
+    @pytest.mark.parametrize("args, target", [
+        (["--index-dir", "afile/idx", "ingest"], "afile/idx"),
+        (["--index-dir", "index", "eval", "bank.jsonl", "--output", "nodir/x.csv"],
+         "nodir/x.csv"),
+        (["--index-dir", "index", "cohesion", "--output", "nodir/x.csv"], "nodir/x.csv"),
+    ], ids=["ingest-under-a-file", "eval-csv-in-no-directory", "cohesion-csv-in-no-directory"])
+    def test_unwritable_output_is_a_data_error(self, manual_setup, capsys, monkeypatch,
+                                               args, target):
+        _, tmp_path = manual_setup
+        (tmp_path / "afile").write_text("a file, not a directory\n", encoding="utf-8")
+        (tmp_path / "bank.jsonl").write_text(
+            "".join(json.dumps(query) + "\n" for query in manual_queries(5)), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["--corpus-dir", "corpus", *args]) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot write {target}: [Errno " in err
+        assert "Traceback" not in err
+        # Nothing is left behind: no CSV, no index and no .idx.new-* staging sibling.
+        assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("flags, says", [
         (["--alpha", "2", "query", "foo"], "alpha must be in [0, 1]"),
