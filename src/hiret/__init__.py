@@ -1,12 +1,12 @@
 """Hierarchical metadata-augmented multi-route retrieval engine.
 
-Pipeline: load a corpus of text/markdown documents, convert each to
-structured markdown through a sliding-window converter, split it into
+Pipeline: load a corpus of text/markdown documents, parse each into
 chapter segments at its numbered headings, cascade the root-to-chapter
 title path into every segment's embedding text, then index and query
 through three fused routes (vector similarity, BM25, critical
 keywords). A log-rank evaluation kit scores full rankings against
-ground-truth question banks.
+ground-truth question banks. A sliding-window converter, which the CLI
+does not run, can turn raw text into structured markdown first.
 """
 
 from .corpus import CorpusError, DocumentRecord, ImageAsset, Segment, load_corpus, segment_key

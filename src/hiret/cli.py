@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
 import logging
 import os
@@ -121,11 +122,25 @@ def _make_captioner(spec: dict | None):
     return plugins.SubprocessCaptioner(command)
 
 
+def _refuse_unwritable(path: str | Path, makes_parents: bool = False) -> None:
+    """Raise the data error writing ``path`` would, before any work is done: the directory
+    it goes in must exist, or, for a writer that ``makes_parents`` as ``save_index`` does,
+    its nearest existing ancestor must be a directory. A write can still fail after this
+    passes; the writer maps its own OSError."""
+    parent = Path(os.path.realpath(path) if makes_parents else path).parent
+    while makes_parents and not parent.exists() and parent != parent.parent:
+        parent = parent.parent
+    if not parent.is_dir():
+        code = errno.ENOTDIR if parent.exists() else errno.ENOENT
+        raise DataError(f"cannot write {path}: {OSError(code, os.strerror(code), str(parent))}")
+
+
 def run_ingest(cfg: AppConfig) -> dict:
     """Parse, augment, and index the corpus; returns the ingest report, whose
     warnings are those that reach the ``hiret`` logger during the ingest."""
     index._check_bm25_params(cfg.k1, cfg.b)
     user_keywords = _load_keyword_dict(cfg.keyword_dict)
+    _refuse_unwritable(cfg.index_dir, makes_parents=True)
     records = load_corpus(cfg.corpus_dir)
 
     captioner = _make_captioner(cfg.captioner)
@@ -378,6 +393,7 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 _print_query_result(result)
         elif args.command == "eval":
+            _refuse_unwritable(args.output)
             report = run_eval(cfg, args.bank)
             write_eval_csv(report, args.output)
             print(
@@ -386,6 +402,7 @@ def main(argv: list[str] | None = None) -> int:
                 f"(gamma={report.gamma}, N={report.corpus_size}) -> {args.output}"
             )
         elif args.command == "cohesion":
+            _refuse_unwritable(args.output)
             rows = run_cohesion(cfg, args.grouping)
             write_cohesion_csv(rows, args.output)
             print(f"wrote {len(rows)} rows -> {args.output}")

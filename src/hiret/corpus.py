@@ -133,7 +133,8 @@ def load_corpus(root_dir: str | Path) -> list[DocumentRecord]:
     """
     root = Path(root_dir)
     if not root.is_dir():
-        raise CorpusError(f"corpus directory not found: {root}")
+        problem = "is not a directory" if root.exists() else "not found"
+        raise CorpusError(f"corpus directory {problem}: {root}")
 
     paths = sorted(
         (p for p in root.rglob("*") if p.is_file() and p.suffix.lower() in DOCUMENT_SUFFIXES),

@@ -20,18 +20,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Protocol
 
-import numpy as np
-
 from .corpus import IMAGE_LINE_RE, Segment
 
 log = logging.getLogger(__name__)
 
-# Every code point str.isspace() holds, the whitespace str.split() and \s split at. The
-# word finder's table is False at each; its last entry, True, stands for every code point above.
-_WHITESPACE = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004"
-               "\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
-_IN_WORD = np.ones(ord(_WHITESPACE[-1]) + 2, dtype=bool)
-_IN_WORD[np.frombuffer(_WHITESPACE.encode("utf-32-le"), dtype="<u4")] = False
+_WORD_RE = re.compile(r"\S+")  # \s holds exactly the code points str.isspace() does
 _NUMBER_RE = re.compile(r"^\d+(\.\d+)*$")
 _MD_HEADING_RE = re.compile(r"^(#{1,6})\s+(\S+)(?:\s+(.*))?$")
 _PLAIN_HEADING_RE = re.compile(r"^(\d+(?:\.\d+)*)[.)]?\s+(\S.*)$")
@@ -142,20 +135,17 @@ def plan_windows(total_words: int, window_size: int, padding: int = 0) -> Window
     return WindowPlan(window_size=window_size, padding=padding, total_words=total_words)
 
 
-def _word_bounds(text: str) -> np.ndarray:
+def _word_bounds(text: str) -> list[int]:
     """The start and end offset of each whitespace-delimited word of ``text``, in
     turn: word ``i`` is ``text[bounds[2 * i]:bounds[2 * i + 1]]``, as ``str.split()``
-    cuts it. One pass over the code points marks where a word starts or ends."""
-    points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
-    in_word = np.zeros(len(points) + 2, dtype=bool)  # and no word on either side
-    _IN_WORD.take(points, out=in_word[1:-1], mode="clip")
-    return np.flatnonzero(in_word[1:] != in_word[:-1])
+    cuts it."""
+    return [offset for word in _WORD_RE.finditer(text) for offset in word.span()]
 
 
 def count_words(text: str) -> int:
-    """Number of whitespace-delimited tokens, the unit of window planning: ``len(text.split())``,
-    read off the word bounds :func:`convert_document` finds the windows' edges in."""
-    return len(_word_bounds(text)) // 2
+    """Number of whitespace-delimited tokens, the unit of window planning: the words
+    ``str.split()`` cuts, each of which :func:`_word_bounds` finds as one run of ``\\S``."""
+    return len(text.split())
 
 
 def convert_document(doc_text: str, converter: DocumentConverter, plan: WindowPlan) -> str:
@@ -169,17 +159,17 @@ def convert_document(doc_text: str, converter: DocumentConverter, plan: WindowPl
     the words as :func:`count_words` does.
     """
     bounds = _word_bounds(doc_text)
-    if plan.total_words != len(bounds) // 2:
+    starts, ends = bounds[0::2], bounds[1::2]  # word i is doc_text[starts[i]:ends[i]]
+    if plan.total_words != len(starts):
         raise ValueError(f"plan covers {plan.total_words} words but document has "
-                         f"{len(bounds) // 2}")
-    starts, ends = bounds[0::2].item, bounds[1::2].item  # word i's offsets as ints
+                         f"{len(starts)}")
 
     parts: list[str] = []
     previous_input = previous_output = ""
     for t, (span_start, span_end) in enumerate(plan.spans, 1):
         core_start, core_end = plan.core(t)
-        window_lo, core_lo = starts(span_start), starts(core_start)
-        window_hi, core_hi = ends(span_end - 1), ends(core_end - 1)
+        window_lo, core_lo = starts[span_start], starts[core_start]
+        window_hi, core_hi = ends[span_end - 1], ends[core_end - 1]
         turn = ConverterTurn(
             index=t,
             total=plan.iterations,
@@ -194,7 +184,7 @@ def convert_document(doc_text: str, converter: DocumentConverter, plan: WindowPl
         except Exception as exc:
             raise ConversionError(t, "".join(parts), str(exc)) from exc
         if t > 1:
-            parts.append(doc_text[ends(core_start - 1) : core_lo])
+            parts.append(doc_text[ends[core_start - 1] : core_lo])
         parts.append(fragment)
         previous_input, previous_output = turn.current_input, fragment
     return "".join(parts)

@@ -845,13 +845,24 @@ class TestConfigAndExitCodes:
         (tmp_path / "bank.jsonl").write_text(
             "".join(json.dumps(query) + "\n" for query in manual_queries(5)), encoding="utf-8")
         monkeypatch.chdir(tmp_path)
+        calls = []  # the output is refused before a document is parsed or the index is read
+        for name in ("parse_markdown", "run_eval", "run_cohesion"):
+            monkeypatch.setattr(f"hiret.cli.{name}", lambda *args: calls.append(args) or [])
         before = sorted(tmp_path.rglob("*"))
         assert main(["--corpus-dir", "corpus", *args]) == 2
         err = capsys.readouterr().err
         assert f"error: cannot write {target}: [Errno " in err
         assert "Traceback" not in err
+        assert calls == []
         # Nothing is left behind: no CSV, no index and no .idx.new-* staging sibling.
         assert sorted(tmp_path.rglob("*")) == before
+
+    def test_ingest_makes_the_missing_parents_of_the_index(self, tmp_path, capsys):
+        corpus = write_manual_corpus(tmp_path / "corpus", 2)
+        index_dir = tmp_path / "new" / "deeper" / "index"
+        assert main(["--corpus-dir", str(corpus), "--index-dir", str(index_dir), "ingest"]) == 0
+        assert f"-> {index_dir}" in capsys.readouterr().out
+        assert (index_dir / "manifest.json").is_file()
 
     @pytest.mark.parametrize("flags, says", [
         (["--alpha", "2", "query", "foo"], "alpha must be in [0, 1]"),

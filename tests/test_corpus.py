@@ -16,6 +16,12 @@ def test_missing_directory_raises(tmp_path):
         load_corpus(tmp_path / "nope")
 
 
+def test_regular_file_as_directory_raises(tmp_path):
+    (tmp_path / "afile").write_text("a file, not a directory\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match="is not a directory: .*afile$"):
+        load_corpus(tmp_path / "afile")
+
+
 def test_title_defaults_to_filename_stem(tmp_path):
     (tmp_path / "a.md").write_text("hello world", encoding="utf-8")
     records = load_corpus(tmp_path)

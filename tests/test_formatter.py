@@ -194,14 +194,14 @@ class TestConvertDocument:
     @given(text=st.one_of(st.text(), st.text(st.sampled_from(_SPACES + _NOT_SPACES + ["\ud800"]))))
     def test_count_words_is_the_word_pattern_count(self, text):
         assert count_words(text) == len(re.findall(r"\S+", text)) == len(text.split())
-        bounds = _word_bounds(text).tolist()  # the words' offsets cut out str.split()'s words
+        bounds = _word_bounds(text)  # the words' offsets cut out str.split()'s words
         assert [text[lo:hi] for lo, hi in zip(bounds[0::2], bounds[1::2])] == text.split()
         # A plan from count_words passes convert_document's own word check.
         convert_document(text, IdentityConverter(), plan_windows(count_words(text), 3, 1))
 
     def test_the_whitespace_is_exactly_str_isspace(self):
         every = "".join(map(chr, range(sys.maxunicode + 1)))  # each code point once
-        bounds = _word_bounds(every).tolist()
+        bounds = _word_bounds(every)
         in_words = "".join(every[lo:hi] for lo, hi in zip(bounds[0::2], bounds[1::2]))
         outside = set(map(ord, every)) - set(map(ord, in_words))
         assert outside == {c for c in range(sys.maxunicode + 1) if chr(c).isspace()}
