@@ -416,24 +416,34 @@ def build_vector_index(segments: Sequence[Segment], embedder: Embedder) -> Vecto
                 keep(block, block_rows)
                 block_rows = []
         keep(block[:len(block_rows)], block_rows)
-    ordinals, dims, values = (np.concatenate(parts) for parts in zip(*pieces))
+    ordinals, dims, values = map(list, zip(*pieces))  # joined one column at a time (peak RSS)
+    pieces.clear()  # ``keep`` holds the list, so each column's pieces go once it is joined
+    dims = np.concatenate(dims)
     by_dim = np.argsort(dims, kind="stable")  # the ordinals ascend within each dimension
     offsets = np.zeros(dim + 1, dtype=np.int64)
     np.cumsum(np.bincount(dims, minlength=dim), out=offsets[1:])
+    ordinals = np.concatenate(ordinals)[by_dim]
+    values = np.concatenate(values)[by_dim]
     return VectorIndex(dim=dim, keys=scan.keys, rows=np.array(rows, dtype=np.intp),
-                       offsets=offsets, ordinals=ordinals[by_dim], values=values[by_dim])
+                       offsets=offsets, ordinals=ordinals, values=values)
 
 
 def _invert(terms: list[str], ids: np.ndarray,
             lengths: np.ndarray) -> tuple[InvertedLists, np.ndarray]:
     """Invert rows of term ids (row ``r`` holds the next ``lengths[r]`` of ``ids``):
-    the rows holding each of ``terms`` and how often each listed row holds it,
+    the rows holding each of ``terms`` and how often (int32) each listed row holds it,
     from one sort of all (term rank, row) pairs, the terms ranked in sorted order."""
     n = len(lengths)
     order = sorted(range(len(terms)), key=terms.__getitem__)
-    rank = np.argsort(order)  # the inverse permutation
-    rows = np.repeat(np.arange(n, dtype=np.int64), lengths)  # lives through the sort (peak RSS)
-    pairs, counts = np.unique(rank[ids] * np.int64(n) + rows, return_counts=True)
+    rank = np.argsort(order) * n  # the inverse permutation, scaled: each term's pair with row 0
+    pairs = rank[ids]  # every pair, built and sorted in place (peak RSS)
+    pairs += np.repeat(np.arange(n, dtype=np.min_scalar_type(n)), lengths)
+    pairs.sort()
+    starts = np.ones(len(pairs) + 1, bool)  # where each run of equal pairs starts, and the end
+    np.not_equal(pairs[1:], pairs[:-1], out=starts[1:-1])
+    pairs = pairs[starts[:-1]]  # each pair once, and the sorted copy freed before counting
+    bounds = np.flatnonzero(starts)
+    counts = np.subtract(bounds[1:], bounds[:-1], out=np.empty(len(bounds) - 1, np.int32))
     offsets = np.searchsorted(pairs, np.arange(len(terms) + 1, dtype=np.int64) * n)
     rows = np.remainder(pairs, max(n, 1), out=pairs).astype(np.intp, copy=False)
     return InvertedLists([terms[i] for i in order], offsets, rows), counts
@@ -445,7 +455,7 @@ def build_bm25_index(segments: Sequence[Segment], k1: float = DEFAULT_K1,
     scan = _scan(segments)
     terms, ids, offsets, _ = scan.tokens
     postings, tf = _invert(list(terms), ids, np.diff(offsets))
-    return Bm25Index(k1=k1, b=b, keys=scan.keys, postings=postings, tf=tf.astype(np.int32))
+    return Bm25Index(k1=k1, b=b, keys=scan.keys, postings=postings, tf=tf)
 
 
 def _idf(index: Bm25Index, n: int) -> float:  # n: the rows holding the term

@@ -7,6 +7,7 @@ import random
 import re
 import shutil
 import tempfile
+import tracemalloc
 import zlib
 from collections import Counter
 from itertools import count
@@ -502,6 +503,38 @@ def test_invert_lists_each_terms_distinct_rows_and_counts(pairs, empty_rows, abs
         assert lists.get(missing) is None
         with pytest.raises(KeyError):
             lists[missing]
+
+
+@pytest.mark.parametrize("terms, ids, lengths, rows, counts", [
+    ([], [], [], [], []),  # no rows
+    ([], [], [0, 0, 0], [], []),  # no terms: every row empty
+    (["b", "a"], [0, 1, 0], [3], [0, 0], [1, 2]),  # one row
+    (["b", "a"], [1, 1, 0], [0, 2, 0, 1, 0], [1, 3], [2, 1]),  # rows of length 0 around them
+])
+def test_invert_edge_cases(terms, ids, lengths, rows, counts):
+    lists, found = _invert(terms, np.array(ids, np.intc), np.array(lengths, np.intp))
+    assert lists.terms == sorted(terms)
+    assert lists.rows.dtype == np.intp and lists.rows.tolist() == rows
+    assert found.tolist() == counts
+    assert lists.offsets[0] == 0 and lists.offsets[-1] == len(rows)
+
+
+def test_invert_peak_memory_stays_near_four_key_widths():
+    """numpy reports its buffers to tracemalloc. Over 1 M ids, nearly each a distinct
+    (term, row) pair, ``_invert`` peaks below four times the 8-byte key of each id
+    (about 2.6 times); inverting with ``np.unique`` over the keys peaked at 6.05."""
+    rng = np.random.default_rng(7)
+    lengths = np.full(20_000, 50)
+    ids = rng.integers(0, 900, int(lengths.sum())).astype(np.intc)
+    terms = [f"t{i}" for i in range(900)]
+    tracemalloc.start()
+    try:
+        lists, counts = _invert(terms, ids, lengths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.sum() == len(ids) and len(lists.rows) > 0.9 * len(ids)
+    assert peak < 4 * 8 * len(ids)
 
 
 class TestKeywords:
