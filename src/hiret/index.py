@@ -10,14 +10,14 @@ over them.
 
 An index persists to a directory as ``.npy`` arrays, a few small JSON files and
 one blob of per-segment JSON lines, described by a manifest that records each
-file's size and crc32 (format 7: each fact once, rows in key order, no derivable
-``embedding_text``, vectors by column with only their non-zero components).
-Postings and keywords are :class:`InvertedLists` over the arrays their files hold,
-saved and loaded as they are. Saving is atomic and deterministic: the files go
-into a sibling directory that then replaces the old index, and re-saving an
-unchanged index reproduces them byte for byte. Loading checks every file against
-the manifest through a map it drops as it sums, maps every array and the segment
-blob and decodes a segment only when it is read.
+file's size and crc32 (format 8: each fact once, rows in key order, row arrays in
+their narrowest unsigned type, no segment field the decoder derives, vectors by
+column with only their non-zero components). Postings and keywords are
+:class:`InvertedLists` over the arrays their files hold, saved and loaded as they
+are. Saving is atomic and deterministic: the files go into a sibling directory
+that then replaces the old index, and re-saving an unchanged index reproduces
+them byte for byte. Loading checks each file through one map, dropping the pages
+it reads, reads each array from that map as stored and decodes a segment when read.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .corpus import Segment, path_text
 
 log = logging.getLogger(__name__)
 
-FORMAT_VERSION = 7
+FORMAT_VERSION = 8
 DEFAULT_DIM = 256
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
@@ -55,22 +55,22 @@ DEFAULT_B = 0.75
 MANIFEST_FILE = "manifest.json"
 # Every file the manifest describes.
 INDEX_FILES = (
-    "vector_rows.npy",  # <i4 segment row of each vector
+    "vector_rows.npy",  # _narrowest(segments) segment row of each vector
     "vector_offsets.npy",  # <i8 dimension j holds entries offsets[j]:offsets[j + 1]
-    "vector_ordinals.npy",  # <i4 vector (its place in vector_rows) of each entry
+    "vector_ordinals.npy",  # _narrowest(vectors) vector (its place in vector_rows) of each entry
     "vector_values.npy",  # <f4 non-zero component of each entry
     "postings_terms.json",  # sorted BM25 terms
     "postings_offsets.npy",  # <i8 term i holds entries offsets[i]:offsets[i + 1]
-    "postings_rows.npy",  # <i4 segment row of each posting entry
-    "postings_tf.npy",  # term count of each posting entry, as the first of _TF_DTYPES that fits
+    "postings_rows.npy",  # _narrowest(segments) segment row of each posting entry
+    "postings_tf.npy",  # _narrowest(largest) term count of each posting entry
     "keywords_terms.json",  # sorted critical keywords
     "keywords_offsets.npy",  # <i8 keyword i holds rows offsets[i]:offsets[i + 1]
-    "keywords_rows.npy",  # <i4 segment row holding the keyword
+    "keywords_rows.npy",  # _narrowest(segments) segment row holding the keyword
     "segment_keys.json",  # segment keys, sorted
-    "segments.jsonl",  # one JSON line per segment, UTF-8
+    "segments.jsonl",  # one JSON line per segment, UTF-8, less what StoredSegments derives
     "segment_offsets.npy",  # <i8 segment i is bytes offsets[i]:offsets[i + 1]
 )
-_TF_DTYPES = ("<u1", "<u2", "<u4")
+_UNSIGNED = ("<u1", "<u2", "<u4")  # the types _narrowest picks from
 _WINDOW, _CHUNK = 1 << 20, 1 << 16  # bytes _crc32 sums, entries Bm25Index counts, at a time
 # The manifest fields load_index reads and the JSON types they hold.
 _MANIFEST_FIELDS = {"k1": (int, float), "b": (int, float), "embedder": dict,
@@ -169,6 +169,11 @@ class HashingEmbedder:
         """Nothing to release."""
 
 
+def _narrowest(count: int) -> str:
+    """The first of :data:`_UNSIGNED` that holds ``count``: of rows, ordinals or term counts."""
+    return next(dtype for dtype in _UNSIGNED if count <= np.iinfo(dtype).max)
+
+
 def unit_vector(vector: np.ndarray, dim: int) -> tuple[np.ndarray | None, str]:
     """``vector`` as float64 scaled to unit L2 norm, and ``""``; or None and
     why it cannot be: a shape other than ``(dim,)``, a non-finite component
@@ -187,17 +192,17 @@ def unit_vector(vector: np.ndarray, dim: int) -> tuple[np.ndarray | None, str]:
 
 @dataclass(eq=False)
 class VectorIndex:
-    """Unit vectors over ``keys``, stored by column: vector ``i`` is that of
-    segment row ``rows[i]``, and ``rows`` ascends. Only the non-zero float32
-    components are kept: dimension ``j`` owns the entries
-    ``offsets[j]:offsets[j + 1]``, entry ``e`` being component ``values[e]`` of
-    vector ``ordinals[e]``, and the ordinals ascend within each dimension."""
+    """Unit vectors over ``keys``, stored by column: vector ``i`` is that of segment
+    row ``rows[i]`` (``intp``: each query scatters through all of them), and ``rows``
+    ascends. Only the non-zero float32 components are kept: dimension ``j`` owns the
+    entries ``offsets[j]:offsets[j + 1]``, entry ``e`` being component ``values[e]`` of
+    vector ``ordinals[e]`` (:func:`_narrowest`), ordinals ascending within a dimension."""
 
     dim: int
     keys: list[str] = field(default_factory=list)
     rows: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
     offsets: np.ndarray | None = None  # None: no entries
-    ordinals: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int32))
+    ordinals: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.uint8))
     values: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.float32))
 
     def __post_init__(self):
@@ -216,8 +221,8 @@ class VectorIndex:
 
 
 class InvertedLists(Mapping[str, np.ndarray]):
-    """Read-only term -> rows lists over the arrays an index stores: term ``i``
-    of the sorted, distinct ``terms`` owns the ascending ``intp`` rows
+    """Read-only term -> rows lists over the arrays an index stores: term ``i`` of the
+    sorted, distinct ``terms`` owns the ascending :func:`_narrowest`-typed rows
     ``rows[offsets[i]:offsets[i + 1]]`` (a view), and every term owns a row."""
 
     def __init__(self, terms: list[str], offsets: np.ndarray, rows: np.ndarray):
@@ -422,7 +427,7 @@ def build_vector_index(segments: Sequence[Segment], embedder: Embedder) -> Vecto
     by_dim = np.argsort(dims, kind="stable")  # the ordinals ascend within each dimension
     offsets = np.zeros(dim + 1, dtype=np.int64)
     np.cumsum(np.bincount(dims, minlength=dim), out=offsets[1:])
-    ordinals = np.concatenate(ordinals)[by_dim]
+    ordinals = np.concatenate(ordinals, dtype=_narrowest(len(rows)), casting="unsafe")[by_dim]
     values = np.concatenate(values)[by_dim]
     return VectorIndex(dim=dim, keys=scan.keys, rows=np.array(rows, dtype=np.intp),
                        offsets=offsets, ordinals=ordinals, values=values)
@@ -430,9 +435,9 @@ def build_vector_index(segments: Sequence[Segment], embedder: Embedder) -> Vecto
 
 def _invert(terms: list[str], ids: np.ndarray,
             lengths: np.ndarray) -> tuple[InvertedLists, np.ndarray]:
-    """Invert rows of term ids (row ``r`` holds the next ``lengths[r]`` of ``ids``):
-    the rows holding each of ``terms`` and how often (int32) each listed row holds it,
-    from one sort of all (term rank, row) pairs, the terms ranked in sorted order."""
+    """Invert rows of term ids (row ``r`` holds the next ``lengths[r]`` of ``ids``): the
+    rows (:func:`_narrowest`) holding each of ``terms`` and how often (int32) each holds
+    it, from one sort of all (term rank, row) pairs, the terms ranked in sorted order."""
     n = len(lengths)
     order = sorted(range(len(terms)), key=terms.__getitem__)
     rank = np.argsort(order) * n  # the inverse permutation, scaled: each term's pair with row 0
@@ -445,7 +450,7 @@ def _invert(terms: list[str], ids: np.ndarray,
     bounds = np.flatnonzero(starts)
     counts = np.subtract(bounds[1:], bounds[:-1], out=np.empty(len(bounds) - 1, np.int32))
     offsets = np.searchsorted(pairs, np.arange(len(terms) + 1, dtype=np.int64) * n)
-    rows = np.remainder(pairs, max(n, 1), out=pairs).astype(np.intp, copy=False)
+    rows = np.remainder(pairs, max(n, 1), out=pairs).astype(_narrowest(n))
     return InvertedLists([terms[i] for i in order], offsets, rows), counts
 
 
@@ -533,8 +538,8 @@ class StoredSegments(Sequence[Segment]):
     """Segments of a saved index, decoded from their JSON line when read.
 
     ``keys`` is the segment key order; reading row ``i`` decodes a fresh
-    :class:`Segment` from ``blob[offsets[i]:offsets[i + 1]]``, so a query
-    decodes only the rows it shows, deriving an ``embedding_text`` a line leaves out.
+    :class:`Segment` from ``blob[offsets[i]:offsets[i + 1]]``, so a query decodes only
+    the rows it shows, deriving the fields :func:`_segment_line` leaves out.
     """
 
     def __init__(self, keys: list[str], blob: mmap.mmap | memoryview, offsets: np.ndarray):
@@ -549,10 +554,15 @@ class StoredSegments(Sequence[Segment]):
             return [self[i] for i in row]
         try:
             fields = json.loads(self._blob[self._offsets[row]:self._offsets[row + 1]])
+            if "doc_id" not in fields:  # the ids are the key's two parts
+                fields["doc_id"], _, fields["segment_id"] = self.keys[row].partition("#")
+            if "parent_path" in fields:  # the path then ends in the chapter's HCA label
+                fields["metadata_path"] = fields.pop("parent_path") + [
+                    f"{fields['chapter_number']} {fields['title']}".strip()]
             seg = Segment(**fields)
             if "embedding_text" not in fields:
                 seg.embedding_text = path_text(seg.metadata_path, seg.content)
-        except (TypeError, ValueError) as exc:  # not JSON, not an object, not Segment's fields
+        except (TypeError, ValueError, LookupError, AttributeError) as exc:  # not a segment
             raise IndexFormatError(f"segment row {row} is not a segment: {exc}") from exc
         if seg.key != self.keys[row]:
             raise IndexFormatError(f"segment row {row} holds {seg.key!r}, not {self.keys[row]!r}")
@@ -693,17 +703,23 @@ def _file_entry(path: Path) -> dict:
 
 
 def _segment_line(seg: Segment, quoted: _Memo) -> bytes:
-    """``seg``'s line as :data:`_COMPACT_JSON` writes it, without an ``embedding_text`` that
-    :func:`path_text` derives; a field not of its annotated type raises ``TypeError``.
-    ``quoted``, one ``_Memo(_quote)`` per save, quotes the short fields; no body enters it."""
+    """``seg``'s line as :data:`_COMPACT_JSON` writes it, without the ids when ``doc_id``
+    holds no ``#``, a last path element that is the chapter's HCA label (writing the rest
+    as ``parent_path``) or an ``embedding_text`` that :func:`path_text` gives: each is
+    derived when read. A field not of its annotated type raises ``TypeError``. ``quoted``,
+    one ``_Memo(_quote)`` per save, quotes the short fields; no body enters it."""
     q, level, path, text = quoted.__getitem__, seg.level, seg.metadata_path, seg.embedding_text
     if type(level) is bool or not isinstance(path, list):  # the encoder writes a bool as true
         raise TypeError(f"segment {seg.key}: not an int level or list path: {level!r}, {path!r}")
     text_field = "" if text == path_text(path, seg.content) else f'"embedding_text":{_quote(text)},'
+    ids = f'"doc_id":{q(seg.doc_id)},', f'"segment_id":{q(seg.segment_id)},'  # type-checked
+    doc_id, segment_id = ids if "#" in seg.doc_id else ("", "")  # or the key parts give them
+    labelled = path[-1:] == [f"{seg.chapter_number} {seg.title}".strip()]
+    path_field, path = ("parent_path", path[:-1]) if labelled else ("metadata_path", path)
     return (f'{{"chapter_number":{q(seg.chapter_number)},"content":{_quote(seg.content)},'
-            f'"doc_id":{q(seg.doc_id)},{text_field}"kind":{q(seg.kind)},'
-            f'"level":{int.__repr__(level)},"metadata_path":[{",".join(map(q, path))}],'
-            f'"segment_id":{q(seg.segment_id)},"title":{q(seg.title)}}}\n').encode("utf-8")
+            f'{doc_id}{text_field}"kind":{q(seg.kind)},"level":{int.__repr__(level)},'
+            f'"{path_field}":[{",".join(map(q, path))}],{segment_id}"title":{q(seg.title)}}}\n'
+            ).encode("utf-8")
 
 
 def _write_files(bundle: IndexBundle, directory: Path) -> dict:
@@ -719,17 +735,16 @@ def _write_files(bundle: IndexBundle, directory: Path) -> dict:
                 f.write(data)
         files[name] = _file_entry(directory / name)
 
-    vectors, tf = bundle.vectors, bundle.bm25.tf
-    put("vector_rows.npy", vectors.rows, "<i4")
+    vectors, tf, rows = bundle.vectors, bundle.bm25.tf, _narrowest(len(bundle.keys))
+    put("vector_rows.npy", vectors.rows, rows)
     put("vector_offsets.npy", vectors.offsets, "<i8")
-    put("vector_ordinals.npy", vectors.ordinals, "<i4")
+    put("vector_ordinals.npy", vectors.ordinals, _narrowest(len(vectors.rows)))
     put("vector_values.npy", vectors.values, "<f4")
     for stem, lists in (("postings", bundle.bm25.postings), ("keywords", bundle.keywords.rows)):
         put(f"{stem}_terms.json", _json_bytes(lists.terms))
         put(f"{stem}_offsets.npy", lists.offsets, "<i8")
-        put(f"{stem}_rows.npy", lists.rows, "<i4")
-    most = int(tf.max(initial=0))
-    put("postings_tf.npy", tf, next(t for t in _TF_DTYPES if most <= np.iinfo(t).max))
+        put(f"{stem}_rows.npy", lists.rows, rows)
+    put("postings_tf.npy", tf, _narrowest(int(tf.max(initial=0))))
     put("segment_keys.json", _json_bytes(bundle.keys))
     with open(directory / "segments.jsonl", "wb") as f:  # line by line: no blob on the heap
         quoted = _Memo(_quote)
@@ -900,9 +915,9 @@ def _check_rows(name: str, rows: np.ndarray, count: int,
 def load_index(path: str | Path) -> IndexBundle:
     """Load a bundle persisted by :func:`save_index`; round-trip is exact.
 
-    Every file must match the size and crc32 the manifest records (:func:`_crc32`
-    leaves none of it resident). Every array and the segment blob are mapped
-    read-only and segments are decoded when read (:class:`StoredSegments`). An
+    Every file is mapped once and must match the size and crc32 the manifest records;
+    each array is a view of that map, as stored, and what the load checks read of it
+    is dropped. Segments are decoded when read (:class:`StoredSegments`). An
     index a dead save set aside is read where it lies, renaming nothing, as a
     save may be swapping. Raises :class:`IndexFormatError` for a missing,
     corrupt, other-version or inconsistent index.
@@ -920,16 +935,23 @@ def load_index(path: str | Path) -> IndexBundle:
         except ValueError as exc:
             raise IndexFormatError(f"corrupt index file {directory / name}: {exc}") from exc
 
+    maps = []  # each array's, whose pages are dropped once the checks have read them
+
     def array(name: str, *dtypes: str) -> np.ndarray:  # 1-d, of one of ``dtypes``
+        data = read(name)  # the array is a view of this checked map: the path is not reopened
         try:
-            with read(name):  # checked; np.load maps the file itself
-                loaded = np.asarray(np.load(directory / name, mmap_mode="r", allow_pickle=False))
-        except (ValueError, EOFError) as exc:  # EOFError: an empty file
-            raise IndexFormatError(f"corrupt index file {directory / name}: {exc}") from exc
-        if loaded.dtype not in map(np.dtype, dtypes) or loaded.ndim != 1:
-            raise IndexFormatError(f"index file {directory / name} holds {loaded.dtype} "
-                                   f"{loaded.ndim}-d data, expected {' or '.join(dtypes)} 1-d")
-        return loaded
+            if not len(data) or np.lib.format.read_magic(data) != (1, 0):  # empty: no map
+                raise ValueError("not a version 1.0 .npy file")
+            shape, _, dtype = np.lib.format.read_array_header_1_0(data)
+            if dtype in map(np.dtype, dtypes) and len(shape) == 1:
+                maps.append(data)
+                return np.frombuffer(data, dtype, shape[0], data.tell())
+            refusal = (f"index file {directory / name} holds {dtype} {len(shape)}-d data, "
+                       f"expected {' or '.join(dtypes)} 1-d")
+        except ValueError as exc:
+            refusal = f"corrupt index file {directory / name}: {exc}"
+        with data:  # closed, not kept open by the traceback
+            raise IndexFormatError(refusal)
 
     keys = parse("segment_keys.json")
     if not (isinstance(keys, list) and set(map(type, keys)) <= {str}):
@@ -939,33 +961,33 @@ def load_index(path: str | Path) -> IndexBundle:
     _check_offsets("segment_offsets.npy", segment_offsets, len(keys), len(blob))
     segments = StoredSegments(keys, blob, segment_offsets)
 
-    def inverted(stem: str) -> InvertedLists:  # the rows widened to intp once
+    def inverted(stem: str) -> InvertedLists:
         terms = parse(f"{stem}_terms.json")
         if not (isinstance(terms, list) and set(map(type, terms)) <= {str}
                 and all(map(str.__lt__, terms, terms[1:]))):
             raise IndexFormatError(f"{stem}_terms.json does not hold distinct sorted strings")
         offsets = array(f"{stem}_offsets.npy", "<i8")
-        rows = array(f"{stem}_rows.npy", "<i4")
+        rows = array(f"{stem}_rows.npy", *_UNSIGNED)
         _check_offsets(f"{stem}_offsets.npy", offsets, len(terms), len(rows))
         _check_rows(f"{stem}_rows.npy", rows, len(keys), offsets)
-        return InvertedLists(terms, offsets, rows.astype(np.intp))
+        return InvertedLists(terms, offsets, rows)
 
-    def vectors() -> VectorIndex:  # the ordinals stay mapped <i4: the route reads few of them
+    def vectors() -> VectorIndex:
         dim = manifest["embedder"].get("dim", DEFAULT_DIM)
-        rows = array("vector_rows.npy", "<i4").astype(np.intp)
+        rows = array("vector_rows.npy", *_UNSIGNED).astype(np.intp)
         offsets = array("vector_offsets.npy", "<i8")
-        ordinals = array("vector_ordinals.npy", "<i4")
+        ordinals = array("vector_ordinals.npy", *_UNSIGNED)
         _check_offsets("vector_offsets.npy", offsets, dim, len(ordinals), empty=True)
         _check_rows("vector_ordinals.npy", ordinals, len(rows), offsets, of="vectors")
         return VectorIndex(dim=dim, keys=keys, rows=rows, offsets=offsets, ordinals=ordinals,
                            values=array("vector_values.npy", "<f4"))
 
     try:
-        return IndexBundle(
+        bundle = IndexBundle(
             vectors=vectors(),
             bm25=Bm25Index(k1=float(manifest["k1"]), b=float(manifest["b"]), keys=keys,
                            postings=inverted("postings"),
-                           tf=array("postings_tf.npy", *_TF_DTYPES)),
+                           tf=array("postings_tf.npy", *_UNSIGNED)),
             keywords=KeywordTable(keys, inverted("keywords")),
             segments=segments,
             embedder_spec=dict(manifest["embedder"]),
@@ -973,3 +995,6 @@ def load_index(path: str | Path) -> IndexBundle:
         )
     except ValueError as exc:  # shapes that do not fit together
         raise IndexFormatError(f"corrupt index {directory}: {exc}") from exc
+    for data in maps if hasattr(mmap, "MADV_DONTNEED") else ():  # a query faults back its pages
+        data.madvise(mmap.MADV_DONTNEED)
+    return bundle

@@ -216,10 +216,12 @@ def dense(vectors: VectorIndex) -> np.ndarray:
 
 def keyword_sets(table: KeywordTable) -> list[set[str]]:
     """Each row's keywords, read back from the table's keyword -> rows lists,
-    which must hold ascending, distinct ``intp`` rows."""
+    which must hold ascending, distinct rows in the narrowest unsigned type that holds
+    the row count (the type an index stores them in)."""
     sets: list[set[str]] = [set() for _ in table.keys]
     for word, rows in table.rows.items():
-        assert rows.dtype == np.intp and rows.tolist() == sorted(set(rows.tolist())), word
+        assert rows.dtype == np.min_scalar_type(len(table.keys)), word
+        assert rows.tolist() == sorted(set(rows.tolist())), word
         for row in rows.tolist():
             sets[row].add(word)
     return sets

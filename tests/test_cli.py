@@ -509,18 +509,19 @@ class TestQuery:
         code = main(["--index-dir", str(index_dir), "query", "pinout"])
         assert code == 2
         err = capsys.readouterr().err
-        assert "format_version 3 (expected 7)" in err and "run 'hiret ingest'" in err
+        assert "format_version 3 (expected 8)" in err and "run 'hiret ingest'" in err
 
     def test_format_5_index_asks_for_a_reingest(self, manual_setup, capsys):
         cfg, _ = manual_setup
         manifest = Path(cfg.index_dir) / "manifest.json"
         text = manifest.read_text(encoding="utf-8")
-        for version in (5, 6):  # format 6 has format 5's files
-            manifest.write_text(text.replace('"format_version": 7',
+        # format 6 has format 5's files, format 7 format 8's (with <i4 rows, every field stored)
+        for version in (5, 6, 7):
+            manifest.write_text(text.replace('"format_version": 8',
                                              f'"format_version": {version}'), encoding="utf-8")
             assert main(["--index-dir", cfg.index_dir, "query", "pinout"]) == 2
             err = capsys.readouterr().err
-            assert f"format_version {version} (expected 7)" in err
+            assert f"format_version {version} (expected 8)" in err
             assert "run 'hiret ingest'" in err
 
     @pytest.mark.parametrize("edit,named", [

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import json
 import math
+import mmap
 import os
 import random
 import re
@@ -47,6 +48,7 @@ from hiret.index import (
     _Memo,
     _Scan,
     _invert,
+    _narrowest,
     _quote,
     _segment_line,
     bm25_route,
@@ -431,7 +433,8 @@ class TestBm25Build:
         assert index.lengths.tolist() == [len(tokenize(s.embedding_text)) for s in segments]
         assert index.lengths.dtype == np.int64
         assert list(index.postings) == list(oracle.postings)
-        assert index.postings.rows.dtype == np.intp and index.tf.dtype == np.int32
+        assert index.postings.rows.dtype == np.min_scalar_type(len(segments))
+        assert index.tf.dtype == np.int32
         for term, expected in oracle.postings.items():
             got = index.postings[term]
             assert got.tolist() == expected.tolist(), term
@@ -490,7 +493,7 @@ def test_invert_lists_each_terms_distinct_rows_and_counts(pairs, empty_rows, abs
     multiplicity = Counter(pairs)
     for term in terms:
         rows = lists[term]
-        assert rows.dtype == np.intp
+        assert rows.dtype == np.min_scalar_type(n)
         assert rows.tolist() == sorted({row for t, row in pairs if t == term})
         lo, hi = lists.span(term)
         assert lists.rows[lo:hi].tolist() == rows.tolist()
@@ -514,7 +517,7 @@ def test_invert_lists_each_terms_distinct_rows_and_counts(pairs, empty_rows, abs
 def test_invert_edge_cases(terms, ids, lengths, rows, counts):
     lists, found = _invert(terms, np.array(ids, np.intc), np.array(lengths, np.intp))
     assert lists.terms == sorted(terms)
-    assert lists.rows.dtype == np.intp and lists.rows.tolist() == rows
+    assert lists.rows.dtype == np.min_scalar_type(len(lengths)) and lists.rows.tolist() == rows
     assert found.tolist() == counts
     assert lists.offsets[0] == 0 and lists.offsets[-1] == len(rows)
 
@@ -842,7 +845,8 @@ class TestPersistence:
             load_index(tmp_path)
 
     @pytest.mark.parametrize("name, data, says", [
-        ("vector_rows.npy", np.zeros(3, "<i8"), "holds int64 1-d data, expected <i4 1-d"),
+        ("vector_rows.npy", np.zeros(3, "<i8"),
+         "holds int64 1-d data, expected <u1 or <u2 or <u4 1-d"),
         ("vector_values.npy", np.zeros((3, 1), "<f4"),
          "holds float32 2-d data, expected <f4 1-d"),
         ("postings_tf.npy", np.ones(14, "<i4"),
@@ -852,8 +856,23 @@ class TestPersistence:
         save_index(self.build_bundle(), tmp_path)
         np.save(tmp_path / name, data)
         restamp_manifest(tmp_path, name)  # the manifest vouches for the file
-        with pytest.raises(IndexFormatError, match=re.escape(f"{name} {says}")):
+        with pytest.raises(IndexFormatError, match=re.escape(f"{name} {says}")) as refused:
             load_index(tmp_path)
+        if Path("/proc/self/maps").exists():  # the traceback, still held, keeps no map open
+            assert refused.value.__traceback__ is not None
+            assert str(tmp_path.resolve() / name) not in Path("/proc/self/maps").read_text()
+
+    def test_array_shorter_than_its_header_says_is_corrupt(self, tmp_path):
+        save_index(self.build_bundle(), tmp_path)
+        path = tmp_path / "postings_rows.npy"
+        path.write_bytes(path.read_bytes()[:-1])  # the header still counts every row
+        restamp_manifest(tmp_path, "postings_rows.npy")
+        says = "corrupt index file .*postings_rows.npy"
+        with pytest.raises(IndexFormatError, match=says) as refused:
+            load_index(tmp_path)
+        if Path("/proc/self/maps").exists():  # the traceback, still held, keeps no map open
+            assert refused.value.__traceback__ is not None
+            assert str(path.resolve()) not in Path("/proc/self/maps").read_text()
 
     def test_terms_file_that_is_not_json_is_refused(self, tmp_path):
         save_index(self.build_bundle(), tmp_path)
@@ -903,7 +922,7 @@ class TestPersistence:
                 restamp_manifest(tmp_path, name)
 
         not_ascending = "holds a list of rows that is not strictly ascending"
-        refused({"keywords_rows.npy": np.array([0, 0, 2], "<i4"),  # row 0 holds ca-is3641 twice
+        refused({"keywords_rows.npy": np.array([0, 0, 2], "<u1"),  # row 0 holds ca-is3641 twice
                  "keywords_offsets.npy": np.array([0, 2, 3], "<i8")},
                 f"keywords_rows.npy {not_ascending}")
         refused({"keywords_terms.json": ["epsilon", "ca-is3641"]},
@@ -911,7 +930,7 @@ class TestPersistence:
         refused({"postings_terms.json": sorted(terms + terms[:1])},
                 "postings_terms.json does not hold distinct sorted strings")
         refused({"postings_rows.npy": postings_rows}, f"postings_rows.npy {not_ascending}")
-        refused({"vector_rows.npy": np.array([1, 0, 2], "<i4")}, f"vector index {not_ascending}")
+        refused({"vector_rows.npy": np.array([1, 0, 2], "<u1")}, f"vector index {not_ascending}")
         tf = np.load(tmp_path / "postings_tf.npy")
         refused({"postings_tf.npy": tf[:-1]},
                 f"{len(tf) - 1} posting counts for {len(tf)} posting rows")
@@ -936,10 +955,11 @@ class TestPersistence:
         (lambda a: {"offsets": np.concatenate([a["offsets"][:1], a["offsets"][-2:0:-1],
                                                a["offsets"][-1:]])},
          "vector_offsets.npy does not split"),
-        (lambda a: {"ordinals": np.concatenate([a["ordinals"][:-1], [3]]).astype("<i4")},
+        (lambda a: {"ordinals": np.concatenate([a["ordinals"][:-1], [3]]).astype("<u1")},
          "vector_ordinals.npy holds rows outside the 3 vectors"),
+        # an ordinal below 0 needs a signed type, which is refused
         (lambda a: {"ordinals": np.concatenate([a["ordinals"][:-1], [-1]]).astype("<i4")},
-         "vector_ordinals.npy holds rows outside the 3 vectors"),
+         "vector_ordinals.npy holds int32 1-d data, expected <u1 or <u2 or <u4 1-d"),
         (lambda a: {"values": a["values"][:-1]}, "vector values for"),
     ], ids=["offsets-shape", "offsets-start", "offsets-end", "offsets-decrease",
             "ordinal-past-the-vectors", "ordinal-negative", "values-length"])
@@ -988,14 +1008,19 @@ class TestPersistence:
             load_index(tmp_path)
 
     def test_segment_row_holding_another_key_is_refused_when_read(self, tmp_path):
-        save_index(self.build_bundle(), tmp_path)
+        """A line stores its ids only when its doc_id holds "#"; then they must make
+        the row's key. A line without them takes them from the key."""
+        save_index(build_indices([seg("d#1", "1", "alpha"), seg("d1", "1", "beta")],
+                                 HashingEmbedder()), tmp_path)
         keys = json.loads((tmp_path / "segment_keys.json").read_text(encoding="utf-8"))
-        keys[0] = "d1#0"  # still in key order
+        assert keys == ["d#1#1", "d1#1"]
+        keys = ["d#1#0", "d1#0"]  # still in key order
         (tmp_path / "segment_keys.json").write_text(json.dumps(keys), encoding="utf-8")
         restamp_manifest(tmp_path, "segment_keys.json")
         loaded = load_index(tmp_path)
-        with pytest.raises(IndexFormatError, match="segment row 0 holds 'd1#1', not 'd1#0'"):
+        with pytest.raises(IndexFormatError, match="segment row 0 holds 'd#1#1', not 'd#1#0'"):
             loaded.segments[0]
+        assert (loaded.segments[1].doc_id, loaded.segments[1].segment_id) == ("d1", "0")
 
     def test_keys_out_of_key_order_are_refused_at_load(self, tmp_path):
         save_index(self.build_bundle(), tmp_path)
@@ -1123,6 +1148,50 @@ class TestWindowedChecks:
             assert str(blob) not in Path("/proc/self/maps").read_text()
 
 
+class TestOneMapPerFile:
+    """Each array is a view of the one map whose crc32 the load checked, and the pages
+    the load checks read are dropped once they have read them."""
+
+    def test_a_file_swapped_after_its_check_is_not_the_one_loaded(self, tmp_path, monkeypatch):
+        segments = [seg("d", f"{i:02d}", f"alpha beta w{i} " * (i + 1)) for i in range(20)]
+        directory = tmp_path / "index"
+        save_index(build_indices(segments, HashingEmbedder(dim=16)), directory)
+        checked = {name: np.load(directory / name) for name in ("vector_values.npy",
+                                                                 "postings_tf.npy")}
+        read_checked = hiret.index._read_checked
+
+        def swapping(path, entry):  # a save renames another valid file in after the check
+            data = read_checked(path, entry)
+            if path.name in checked:
+                np.save(tmp_path / "other.npy", checked[path.name] * 2)
+                os.replace(tmp_path / "other.npy", path)
+            return data
+
+        monkeypatch.setattr(hiret.index, "_read_checked", swapping)
+        loaded = load_index(directory)
+        assert np.load(directory / "postings_tf.npy").tolist() == (checked["postings_tf.npy"]
+                                                                  * 2).tolist()
+        assert loaded.vectors.values.tobytes() == checked["vector_values.npy"].tobytes()
+        assert loaded.bm25.tf.tobytes() == checked["postings_tf.npy"].tobytes()
+        assert loaded.bm25.lengths.tolist() == [3 * (i + 1) for i in range(20)]
+
+    @pytest.mark.skipif(not (Path("/proc/self/smaps").exists() and hasattr(mmap, "MADV_DONTNEED")),
+                        reason="no /proc/self/smaps or no MADV_DONTNEED")
+    def test_the_checked_arrays_are_not_left_resident(self, tmp_path):
+        text = " ".join(f"t{j}" for j in range(1000))  # 400 000 postings: 800 KB of <u2 rows
+        segments = [seg("d", f"{i:03d}", f"{text} x{i}") for i in range(400)]
+        bundle = build_indices(segments, HashingEmbedder(dim=16))
+        save_index(bundle, tmp_path)
+        loaded = load_index(tmp_path)
+        for name in ("postings_rows.npy", "postings_tf.npy", "vector_ordinals.npy",
+                     "keywords_rows.npy"):
+            [rss] = _mappings(Path(os.path.realpath(tmp_path)) / name)  # its one map
+            assert rss < 64, name  # kB; the load checks read every byte of each
+        assert (tmp_path / "postings_rows.npy").stat().st_size > 800_000
+        assert loaded.bm25.lengths.tolist() == [1001] * 400  # read again, through the map
+        assert loaded.bm25.postings.rows.tobytes() == bundle.bm25.postings.rows.tobytes()
+
+
 class TestDerivableText:
     """A stored segment line leaves out the ``embedding_text`` that ``path_text``
     derives from its path and content; every other text is stored as it is."""
@@ -1142,9 +1211,13 @@ class TestDerivableText:
                              for number, title, kind, content in parts])
         return augment_document(doc)
 
-    def stored_lines(self, directory):
+    def stored_texts(self, directory):
+        """Each segment id's stored ``embedding_text``, None where the line leaves it out;
+        a line leaves out the ids its key gives, so they are read from the keys."""
         lines = (directory / "segments.jsonl").read_bytes().splitlines()
-        return [json.loads(line) for line in lines]
+        keys = json.loads((directory / "segment_keys.json").read_bytes())
+        return {key.partition("#")[2]: json.loads(line).get("embedding_text")
+                for key, line in zip(keys, lines, strict=True)}
 
     def test_only_a_derivable_text_is_left_out_and_each_round_trips(self, tmp_path):
         segments = self.segments()
@@ -1154,8 +1227,7 @@ class TestDerivableText:
         assert by_id["5"].embedding_text == ""  # an image with no description
         first, rebuilt = tmp_path / "first", tmp_path / "rebuilt"
         save_index(build_indices(segments, HashingEmbedder()), first)
-        stored = {line["segment_id"]: line.get("embedding_text") for line in
-                  self.stored_lines(first)}
+        stored = self.stored_texts(first)
         assert stored == {"1": None, "2": None, "3": by_id["3"].embedding_text,
                           "4": by_id["4"].embedding_text, "5": "", "6": None}
         loaded = load_index(first)
@@ -1169,28 +1241,147 @@ class TestDerivableText:
         plain = without_augmentation(self.segments())
         save_index(build_indices(plain, HashingEmbedder()), tmp_path)
         # content under no path derives "\n" + content, so only the empty one is left out
-        stored = {line["segment_id"]: line.get("embedding_text") for line in
-                  self.stored_lines(tmp_path)}
+        stored = self.stored_texts(tmp_path)
         assert [sid for sid, text in stored.items() if text is None] == ["2"]
         assert list(load_index(tmp_path).segments) == plain
         assert path_text([], "") == "" and path_text(["a", "b"], "c") == "a > b\nc"
 
 
+class TestDerivedSegmentFields:
+    """A stored line leaves out the ``doc_id`` and ``segment_id`` that its key partitions
+    into (unless ``doc_id`` holds "#"), and a last path element that is the chapter's HCA
+    label, writing the rest of the path as ``parent_path``. Every case decodes to the
+    segments saved, and re-saving the loaded index reproduces every file."""
+
+    def document(self, doc_id, title, chapters):
+        """HCA's segments of a document of ``(segment id, number, level, title)`` chapters."""
+        doc = DocumentRecord(doc_id=doc_id, title=title, source_path=f"{doc_id}.md")
+        doc.attach_segments([Segment(segment_id=sid, chapter_number=number, level=level,
+                                     title=name, kind="text", content=f"body of {sid}")
+                             for sid, number, level, name in chapters])
+        return augment_document(doc)
+
+    def round_trip(self, tmp_path, segments) -> list[dict]:
+        """The stored lines, once the segments round-trip and re-save byte for byte."""
+        first, again = tmp_path / "first", tmp_path / "again"
+        save_index(build_indices(segments, HashingEmbedder(dim=16)), first)
+        stored = load_index(first).segments
+        assert isinstance(stored, StoredSegments)
+        assert list(stored) == sorted(segments, key=lambda s: s.key)
+        save_index(load_index(first), again)
+        for name in ["manifest.json", *INDEX_FILES]:
+            assert (first / name).read_bytes() == (again / name).read_bytes(), name
+        return [json.loads(line) for line in (first / "segments.jsonl").read_bytes().splitlines()]
+
+    def test_a_doc_id_holding_the_key_separator_stores_both_ids(self, tmp_path):
+        segments = self.document("a#b", "A", [("1", "1", 1, "x"), ("1.1", "1.1", 2, "y")])
+        segments += self.document("a", "A", [("b#1", "1", 1, "x")])  # key "a#b#1" too, no "#"
+        segments[-1].segment_id = "b#1"
+        lines = self.round_trip(tmp_path, segments[:2])
+        assert [(line["doc_id"], line["segment_id"]) for line in lines] == [
+            ("a#b", "1"), ("a#b", "1.1")]
+        (line,) = self.round_trip(tmp_path / "plain", segments[2:])
+        assert "doc_id" not in line and "segment_id" not in line
+
+    def test_a_preamble_keeps_the_title_as_its_label(self, tmp_path):
+        segments = self.document("d", "Doc", [("preamble", "", 0, "Doc"), ("1", "1", 1, "x")])
+        assert [s.metadata_path for s in segments] == [["Doc"], ["Doc", "1 x"]]
+        lines = self.round_trip(tmp_path, segments)
+        assert [line["parent_path"] for line in lines] == [["Doc"], []]  # key order: 1, preamble
+        assert all("metadata_path" not in line for line in lines)
+
+    def test_an_empty_chapter_title_is_labelled_by_its_number(self, tmp_path):
+        segments = self.document("d", "Doc", [("1", "1", 1, ""), ("1.1", "1.1", 2, "")])
+        assert segments[1].metadata_path == ["Doc", "1", "1.1"]
+        lines = self.round_trip(tmp_path, segments)
+        assert [line["parent_path"] for line in lines] == [["Doc"], ["Doc", "1"]]
+
+    def test_a_repeated_chapter_number_takes_over_its_subchapters(self, tmp_path):
+        segments = self.document("d", "Doc", [("1", "1", 1, "x"), ("1+2", "1", 1, "y"),
+                                              ("1.1", "1.1", 2, "z")])
+        assert segments[2].metadata_path == ["Doc", "1 y", "1.1 z"]
+        self.round_trip(tmp_path, segments)
+
+    def test_an_empty_document_title_adds_no_root(self, tmp_path):
+        segments = self.document("d", "", [("1", "1", 1, "x"), ("1.1", "1.1", 2, "y")])
+        assert [s.metadata_path for s in segments] == [["1 x"], ["1 x", "1.1 y"]]
+        lines = self.round_trip(tmp_path, segments)
+        assert [line["parent_path"] for line in lines] == [[], ["1 x"]]
+
+    def test_a_path_not_ending_in_its_label_is_stored_whole(self, tmp_path):
+        hand_built = Segment(segment_id="1", chapter_number="1", level=1, title="x",
+                             kind="text", content="body", doc_id="d",
+                             embedding_text="X > 1 y\nbody", metadata_path=["X", "1 y"])
+        near_miss = Segment(segment_id="2", chapter_number="2", level=1, title=" x ",
+                            kind="text", content="", doc_id="d", metadata_path=["2 x "])
+        lines = self.round_trip(tmp_path, [hand_built, near_miss])
+        assert [line["metadata_path"] for line in lines] == [["X", "1 y"], ["2 x "]]
+        assert all("parent_path" not in line for line in lines)
+
+    def test_segments_without_augmentation_store_their_empty_path(self, tmp_path):
+        segments = without_augmentation(self.document("d", "Doc", [("1", "1", 1, "x"),
+                                                                   ("2", "2", 1, "")]))
+        lines = self.round_trip(tmp_path, segments)
+        assert [line["metadata_path"] for line in lines] == [[], []]
+
+
+@pytest.mark.parametrize("count, dtype", [(0, "<u1"), (255, "<u1"), (256, "<u2"),
+                                          (65_535, "<u2"), (65_536, "<u4"),
+                                          (2 ** 32 - 1, "<u4")])
+def test_the_narrowest_type_holds_the_count(count, dtype):
+    assert _narrowest(count) == dtype
+
+
+@pytest.mark.parametrize("n, dtype", [(255, "<u1"), (257, "<u2")])
+def test_row_arrays_are_stored_and_loaded_in_the_narrowest_type(tmp_path, n, dtype):
+    """257 segments cross from <u1 rows to <u2: row 256 is one past a byte. In memory the
+    vector rows are intp, which every query scatters through."""
+    segments = [seg("d", f"{i:03d}", f"common w{i} w{i}") for i in range(n)]  # never cancels
+    bundle = build_indices(segments, HashingEmbedder(dim=16))
+    save_index(bundle, tmp_path / "first")
+    stored = {name: np.load(tmp_path / "first" / name) for name in INDEX_FILES
+              if name.endswith(("_rows.npy", "_ordinals.npy", "_tf.npy"))}
+    assert {name: a.dtype for name, a in stored.items()} == {
+        "vector_rows.npy": np.dtype(dtype), "vector_ordinals.npy": np.dtype(dtype),  # n vectors
+        "postings_rows.npy": np.dtype(dtype), "keywords_rows.npy": np.dtype(dtype),
+        "postings_tf.npy": np.dtype("<u1")}
+    loaded = load_index(tmp_path / "first")
+    assert bundle.vectors.rows.dtype == loaded.vectors.rows.dtype == np.intp  # scattered through
+    assert bundle.vectors.rows.tolist() == loaded.vectors.rows.tolist() == list(range(n))
+    for built, read in ((bundle.vectors.ordinals, loaded.vectors.ordinals),
+                        (bundle.bm25.postings.rows, loaded.bm25.postings.rows),
+                        (bundle.keywords.rows.rows, loaded.keywords.rows.rows)):
+        assert built.dtype == read.dtype == np.dtype(dtype)
+        assert built.tolist() == read.tolist()
+    assert loaded.bm25.postings["common"].tolist() == list(range(n))
+    assert bm25_route(loaded.bm25, "common w200").tobytes() == bm25_route(
+        bundle.bm25, "common w200").tobytes()
+    save_index(loaded, tmp_path / "again")
+    for name in ["manifest.json", *INDEX_FILES]:
+        assert (tmp_path / "first" / name).read_bytes() == (
+            tmp_path / "again" / name).read_bytes(), name
+
+
 # Strings the segment-line writer must escape as the encoder does: quotes, backslashes,
-# control characters, line and paragraph separators, the path separator, non-ASCII.
+# control characters, line and paragraph separators, the path separator, non-ASCII; and
+# the key separator "#" and the space a chapter label strips.
 _LINE_TEXTS = st.lists(st.one_of(st.sampled_from(
-    ['"', "\\", "/", "\x7f", "\u2028", "\u2029", "\u00e9", "\u4e2d", "\U0001f600", " > ", "a"]),
+    ['"', "\\", "/", "\x7f", "\u2028", "\u2029", "\u00e9", "\u4e2d", "\U0001f600", " > ", "a",
+     "#", " "]),
     st.characters(max_codepoint=0x1F),
     st.characters(blacklist_categories=("Cs",))), max_size=8).map("".join)
 
 
 @st.composite
 def _line_segments(draw):
+    number, title = draw(_LINE_TEXTS), draw(_LINE_TEXTS)
     path = draw(st.lists(_LINE_TEXTS, max_size=3))  # an empty path too
+    if draw(st.booleans()):  # ending in the label HCA gives the chapter
+        path.append(f"{number} {title}".strip())
     content = draw(_LINE_TEXTS)
     derivable = draw(st.booleans())
-    return Segment(segment_id=draw(_LINE_TEXTS), chapter_number=draw(_LINE_TEXTS),
-                   level=draw(st.integers(-(2 ** 70), 2 ** 70)), title=draw(_LINE_TEXTS),
+    return Segment(segment_id=draw(_LINE_TEXTS), chapter_number=number,
+                   level=draw(st.integers(-(2 ** 70), 2 ** 70)), title=title,
                    kind=draw(_LINE_TEXTS), content=content, doc_id=draw(_LINE_TEXTS),
                    embedding_text=path_text(path, content) if derivable else draw(_LINE_TEXTS),
                    metadata_path=path)
@@ -1203,9 +1394,21 @@ class TestSegmentLine:
         fields = dict(vars(segment))
         if segment.embedding_text == path_text(segment.metadata_path, segment.content):
             del fields["embedding_text"]
+        if "#" not in segment.doc_id:  # the key partitions back into both ids
+            del fields["doc_id"], fields["segment_id"]
+        if segment.metadata_path[-1:] == [f"{segment.chapter_number} {segment.title}".strip()]:
+            fields["parent_path"] = fields.pop("metadata_path")[:-1]
         quoted = _Memo(_quote)  # the second line reads every short string from the memo
         line = _segment_line(segment, quoted)
         assert line == _json_bytes(fields) == _segment_line(segment, quoted)
+
+    @settings(max_examples=300, deadline=None)
+    @given(segment=_line_segments())
+    def test_decodes_to_the_segment_it_was_written_from(self, segment):
+        line = _segment_line(segment, _Memo(_quote))
+        (decoded,) = StoredSegments([segment.key], line, np.array([0, len(line)]))
+        assert decoded == segment
+        assert _segment_line(decoded, _Memo(_quote)) == line
 
     @pytest.mark.parametrize("name, value", [("level", True), ("metadata_path", ["d", 1])])
     def test_a_field_of_another_type_raises_at_save_and_keeps_the_index(self, tmp_path,
@@ -1382,7 +1585,7 @@ class TestAtomicSave:
     def test_replaces_an_index_of_the_previous_format(self, tmp_path):
         format_2 = ["vectors.bin", "postings.json", "keywords.json", "segments.json"]
         for version, old in ((2, format_2), (3, FORMAT_3_FILES), (5, FORMAT_6_FILES),
-                             (6, FORMAT_6_FILES)):
+                             (6, FORMAT_6_FILES), (7, INDEX_FILES)):
             target = tmp_path / f"index{version}"
             target.mkdir()
             for name in old:
