@@ -141,9 +141,7 @@ def run_ingest(cfg: AppConfig) -> dict:
     index._check_bm25_params(cfg.k1, cfg.b)
     user_keywords = _load_keyword_dict(cfg.keyword_dict)
     _refuse_unwritable(cfg.index_dir, makes_parents=True)
-    records = load_corpus(cfg.corpus_dir)
-
-    captioner = _make_captioner(cfg.captioner)
+    captioner = _make_captioner(cfg.captioner)  # neither plug-in starts a process until used
     embedder = index.make_embedder(cfg.embedder or {})
     warnings: list[str] = []
     collector = logging.Handler(logging.WARNING)  # not logging.handlers: a costly import
@@ -151,6 +149,7 @@ def run_ingest(cfg: AppConfig) -> dict:
     logging.getLogger(__package__).addHandler(collector)
     all_segments = []
     try:
+        records = load_corpus(cfg.corpus_dir)
         if not records:
             log.warning("corpus %s holds no documents; writing empty indices", cfg.corpus_dir)
         for doc in records:
@@ -245,11 +244,6 @@ def _write_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
         raise DataError(f"cannot write {path}: {exc}") from exc
 
 
-def write_eval_csv(report: evalkit.EvalReport, path: str | Path) -> None:
-    rows = [[query_id, repr(score)] for query_id, score in report.per_query_scores.items()]
-    _write_csv(path, ["query_id", "score"], [*rows, ["summary", repr(report.mean)]])
-
-
 def run_cohesion(cfg: AppConfig, grouping: str) -> list[list]:
     """Cohesion stats plus PCA coordinates, for augmented and raw texts."""
     if grouping not in GROUPINGS:
@@ -286,10 +280,6 @@ def run_cohesion(cfg: AppConfig, grouping: str) -> list[list]:
         for key, x, y, group in projection.rows:
             rows.append(["point", variant, key, group, "", "", "", repr(x), repr(y)])
     return rows
-
-
-def write_cohesion_csv(rows: list[list], path: str | Path) -> None:
-    _write_csv(path, COHESION_COLUMNS, rows)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -395,7 +385,8 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "eval":
             _refuse_unwritable(args.output)
             report = run_eval(cfg, args.bank)
-            write_eval_csv(report, args.output)
+            rows = [[qid, repr(score)] for qid, score in report.per_query_scores.items()]
+            _write_csv(args.output, ["query_id", "score"], rows + [["summary", repr(report.mean)]])
             print(
                 f"queries={len(report.per_query_scores)} mean={report.mean:.6f} "
                 f"max={report.max:.6f} min={report.min:.6f} std={report.std:.6f} "
@@ -404,7 +395,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "cohesion":
             _refuse_unwritable(args.output)
             rows = run_cohesion(cfg, args.grouping)
-            write_cohesion_csv(rows, args.output)
+            _write_csv(args.output, COHESION_COLUMNS, rows)
             print(f"wrote {len(rows)} rows -> {args.output}")
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return 0
@@ -413,14 +404,11 @@ def main(argv: list[str] | None = None) -> int:
         # the output, including what is still buffered for the exit flush.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
     except (CorpusError, DataError, index.IndexFormatError,
             evalkit.QuestionBankError, *_plugin_errors()) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
 

@@ -175,7 +175,7 @@ def export_coordinates(
     if len(keys) < 2:
         raise ValueError("the 2-D projection needs at least 2 vectors")
     matrix = np.stack([np.asarray(vectors[k], dtype=np.float64) for k in keys])
-    if np.unique(matrix, axis=0).shape[0] < 2:
+    if not (matrix != matrix[0]).any():
         raise ValueError("the 2-D projection needs at least 2 distinct vectors")
 
     centered = matrix - matrix.mean(axis=0)

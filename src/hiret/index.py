@@ -10,14 +10,14 @@ over them.
 
 An index persists to a directory as ``.npy`` arrays, a few small JSON files and
 one blob of per-segment JSON lines, described by a manifest that records each
-file's size and crc32 (format 8: each fact once, rows in key order, row arrays in
-their narrowest unsigned type, no segment field the decoder derives, vectors by
-column with only their non-zero components). Postings and keywords are
-:class:`InvertedLists` over the arrays their files hold, saved and loaded as they
-are. Saving is atomic and deterministic: the files go into a sibling directory
-that then replaces the old index, and re-saving an unchanged index reproduces
-them byte for byte. Loading checks each file through one map, dropping the pages
-it reads, reads each array from that map as stored and decodes a segment when read.
+file's size and crc32, which its name holds (format 9: each fact once, rows in key
+order, row arrays in their narrowest unsigned type, no segment field the decoder
+derives, vectors by column with only their non-zero components). Postings and
+keywords are :class:`InvertedLists` over the arrays their files hold, saved and
+loaded as they are. Saving is atomic and deterministic: the manifest's rename
+commits it, and re-saving an unchanged index reproduces every name and byte. Loading
+checks each file through one map, dropping the pages it reads, reads each array from
+that map as stored and decodes a segment when read.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import math
 import mmap
 import os
 import re
-import shutil
 import zlib
 from array import array
 from bisect import bisect_left
@@ -47,13 +46,13 @@ from .corpus import Segment, path_text
 
 log = logging.getLogger(__name__)
 
-FORMAT_VERSION = 8
+FORMAT_VERSION = 9
 DEFAULT_DIM = 256
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
 
 MANIFEST_FILE = "manifest.json"
-# Every file the manifest describes.
+# Every file the manifest describes, by its logical name; :func:`_stored_name` gives its own.
 INDEX_FILES = (
     "vector_rows.npy",  # _narrowest(segments) segment row of each vector
     "vector_offsets.npy",  # <i8 dimension j holds entries offsets[j]:offsets[j + 1]
@@ -70,6 +69,7 @@ INDEX_FILES = (
     "segments.jsonl",  # one JSON line per segment, UTF-8, less what StoredSegments derives
     "segment_offsets.npy",  # <i8 segment i is bytes offsets[i]:offsets[i + 1]
 )
+_CRC32_RE = re.compile("[0-9a-f]{8}")  # a manifest's crc32, which names a stored file
 _UNSIGNED = ("<u1", "<u2", "<u4")  # the types _narrowest picks from
 _WINDOW, _CHUNK = 1 << 20, 1 << 16  # bytes _crc32 sums, entries Bm25Index counts, at a time
 # The manifest fields load_index reads and the JSON types they hold.
@@ -722,18 +722,41 @@ def _segment_line(seg: Segment, quoted: _Memo) -> bytes:
             ).encode("utf-8")
 
 
+def _stored_name(name: str, crc32: str) -> str:
+    """``segments.jsonl`` of crc32 ``639e8103`` is stored as ``segments.639e8103.jsonl``."""
+    stem, _, suffix = name.partition(".")
+    return f"{stem}.{crc32}.{suffix}"
+
+
+_FIXED_ENTRIES = {MANIFEST_FILE, *(f".{name}.tmp" for name in (MANIFEST_FILE, *INDEX_FILES))}
+
+
+def _index_entry(name: str) -> bool:
+    """Whether a save may find ``name`` in an index directory, and remove it: the manifest,
+    a save's temporary (a dead one leaves its own) or a file of any manifest, stored."""
+    stem, _, rest = name.partition(".")
+    crc32, _, suffix = rest.partition(".")
+    return name in _FIXED_ENTRIES or (f"{stem}.{suffix}" in INDEX_FILES
+                                      and bool(_CRC32_RE.fullmatch(crc32)))
+
+
 def _write_files(bundle: IndexBundle, directory: Path) -> dict:
-    """Write every index file, then the manifest that lists their sizes and
-    crc32 checksums; returns the manifest."""
+    """Write each index file to ``.<name>.tmp``, read back its size and crc32 and rename
+    it onto its stored name (a new inode: a loaded index's maps keep the old one); then
+    the manifest the same way, whose rename commits the save. Returns the manifest."""
     files = {}
 
+    def rename_in(name: str) -> None:  # the written temporary onto its stored name
+        entry = files[name] = _file_entry(directory / f".{name}.tmp")
+        os.replace(directory / f".{name}.tmp", directory / _stored_name(name, entry["crc32"]))
+
     def put(name: str, data: bytes | np.ndarray, dtype: str = "") -> None:  # dtype: as .npy
-        with open(directory / name, "wb") as f:
+        with open(directory / f".{name}.tmp", "wb") as f:
             if dtype:  # np.save writes a C- or F-ordered array from its buffer: no heap copy
                 np.save(f, np.asarray(data, dtype=dtype), allow_pickle=False)
             else:
                 f.write(data)
-        files[name] = _file_entry(directory / name)
+        rename_in(name)
 
     vectors, tf, rows = bundle.vectors, bundle.bm25.tf, _narrowest(len(bundle.keys))
     put("vector_rows.npy", vectors.rows, rows)
@@ -746,10 +769,10 @@ def _write_files(bundle: IndexBundle, directory: Path) -> dict:
         put(f"{stem}_rows.npy", lists.rows, rows)
     put("postings_tf.npy", tf, _narrowest(int(tf.max(initial=0))))
     put("segment_keys.json", _json_bytes(bundle.keys))
-    with open(directory / "segments.jsonl", "wb") as f:  # line by line: no blob on the heap
+    with open(directory / ".segments.jsonl.tmp", "wb") as f:  # line by line: no heap blob
         quoted = _Memo(_quote)
         lengths = [f.write(_segment_line(seg, quoted)) for seg in bundle.segments]
-    files["segments.jsonl"] = _file_entry(directory / "segments.jsonl")
+    rename_in("segments.jsonl")
     put("segment_offsets.npy", np.cumsum([0] + lengths), "<i8")
 
     manifest = {
@@ -760,7 +783,8 @@ def _write_files(bundle: IndexBundle, directory: Path) -> dict:
         "user_keywords": bundle.user_keywords,
         "files": files,
     }
-    (directory / MANIFEST_FILE).write_bytes(_json_bytes(manifest, _MANIFEST_JSON))
+    (directory / f".{MANIFEST_FILE}.tmp").write_bytes(_json_bytes(manifest, _MANIFEST_JSON))
+    os.replace(directory / f".{MANIFEST_FILE}.tmp", directory / MANIFEST_FILE)
     return manifest
 
 
@@ -773,66 +797,34 @@ def _older_index(directory: Path) -> bool:
     return type(version) is int and version != FORMAT_VERSION
 
 
-def _siblings(target: Path, tags: str) -> list[Path]:
-    """The ``.<name>.<tag>-<8 hex>`` siblings of ``target`` whose tag matches ``tags``."""
-    pattern = re.compile(rf"\.{re.escape(target.name)}\.({tags})-[0-9a-f]{{8}}")
-    return [p for p in target.parent.iterdir() if pattern.fullmatch(p.name)]
-
-
-def _set_aside(target: Path) -> Path | None:
-    """With no ``target``, its one ``.<name>.old-<8 hex>`` sibling holding a
-    manifest: the index a save that died between its two renames set aside."""
-    if target.exists() or not target.parent.is_dir():
-        return None
-    old = _siblings(target, "old")
-    return old[0] if len(old) == 1 and (old[0] / MANIFEST_FILE).is_file() else None
-
-
 def save_index(bundle: IndexBundle, path: str | Path) -> dict:
-    """Persist the bundle to a directory; returns the manifest written.
-
-    The files are written into a new sibling directory, which then takes
-    the place of ``path``, or of the directory a symlinked ``path`` names:
-    a failed save leaves the previous index (or none) and no partial one, and
-    the next save first renames back an index that a dead one set aside. Then
-    it removes its own and older ``.<name>.(new|old)-<8 hex>`` siblings,
-    logging one it cannot remove. A ``path`` holding anything but index files
-    raises :class:`IndexFormatError`, unless it is an index of an older format.
-    """
+    """Persist the bundle to a directory (that a symlinked ``path`` names); returns the
+    manifest, whose rename commits the save: one that raises or is killed leaves the
+    previous index (or none) loadable. A committed save removes every entry the manifest
+    does not name, a failed one every entry it made, logging one it cannot remove. Any
+    other name than an :func:`_index_entry` raises :class:`IndexFormatError`, unless
+    the directory is an index of an older format."""
     target = Path(os.path.realpath(path))
-    if aside := _set_aside(target):  # before the sweep below can remove it
-        os.rename(aside, target)
-    if target.is_dir():
-        known = {MANIFEST_FILE, *INDEX_FILES}
-        stray = sorted(p.name for p in target.iterdir() if p.name not in known)
-        if stray and not _older_index(target):
-            raise IndexFormatError(f"refusing to replace {target}: it holds {stray}, "
-                                   "which are not index files")
-    elif target.exists():
+    if target.exists() and not target.is_dir():
         raise IndexFormatError(f"refusing to replace {target}: it is not a directory")
-    target.parent.mkdir(parents=True, exist_ok=True)
-
-    def sibling(tag: str) -> Path:
-        return target.with_name(f".{target.name}.{tag}-{os.urandom(4).hex()}")
-
-    staging = sibling("new")
-    staging.mkdir()
+    made, manifest = not target.exists(), None
+    target.mkdir(parents=True, exist_ok=True)
+    before = set(os.listdir(target))
+    stray = sorted(name for name in before if not _index_entry(name))
+    if stray and not _older_index(target):
+        raise IndexFormatError(f"refusing to replace {target}: it holds {stray}, "
+                               "which are not index files")
     try:
-        manifest = _write_files(bundle, staging)
-        if target.exists():
-            old = sibling("old")
-            os.rename(target, old)
-            try:
-                os.rename(staging, target)
-            except BaseException:
-                os.rename(old, target)
-                raise
-        else:
-            os.rename(staging, target)
-    finally:  # the save has swapped, or is failing already: a removal cannot fail it
-        for leftover in _siblings(target, "new|old"):
-            try:  # a killed save's too; concurrent saves to one target are not supported
-                shutil.rmtree(leftover)
+        manifest = _write_files(bundle, target)
+    finally:  # committed, or failing already: a removal cannot fail the save
+        keep = before if manifest is None else {MANIFEST_FILE, *(
+            _stored_name(name, entry["crc32"]) for name, entry in manifest["files"].items())}
+        leftovers = [target / name for name in sorted(set(os.listdir(target)) - keep)]
+        if made and manifest is None:
+            leftovers.append(target)  # emptied by then
+        for leftover in leftovers:
+            try:  # concurrent saves to one directory are not supported
+                (os.rmdir if leftover == target else os.unlink)(leftover)
             except OSError as exc:
                 log.warning("could not remove %s: %s", leftover, exc)
     return manifest
@@ -864,9 +856,9 @@ def _read_manifest(directory: Path) -> dict:
         raise IndexFormatError(f"manifest {manifest_path} does not list the index files")
     for name, entry in files.items():
         if not (isinstance(entry, dict) and isinstance(entry.get("bytes"), int)
-                and isinstance(entry.get("crc32"), str)):
-            raise IndexFormatError(f"manifest {manifest_path}: files[{name!r}] needs "
-                                   "an int 'bytes' and a str 'crc32'")
+                and isinstance(entry.get("crc32"), str) and _CRC32_RE.fullmatch(entry["crc32"])):
+            raise IndexFormatError(f"manifest {manifest_path}: files[{name!r}] needs an int "
+                                   "'bytes' and a 'crc32' of 8 lowercase hex digits")
     return manifest
 
 
@@ -915,25 +907,25 @@ def _check_rows(name: str, rows: np.ndarray, count: int,
 def load_index(path: str | Path) -> IndexBundle:
     """Load a bundle persisted by :func:`save_index`; round-trip is exact.
 
-    Every file is mapped once and must match the size and crc32 the manifest records;
-    each array is a view of that map, as stored, and what the load checks read of it
-    is dropped. Segments are decoded when read (:class:`StoredSegments`). An
-    index a dead save set aside is read where it lies, renaming nothing, as a
-    save may be swapping. Raises :class:`IndexFormatError` for a missing,
-    corrupt, other-version or inconsistent index.
+    Every file is opened by the stored name its manifest entry gives, mapped once and
+    must match the size and crc32 the manifest records; each array is a view of that
+    map, as stored, and what the load checks read of it is dropped. Segments are
+    decoded when read (:class:`StoredSegments`). Raises :class:`IndexFormatError` for
+    a missing, corrupt, other-version or inconsistent index.
     """
-    directory = _set_aside(Path(os.path.realpath(path))) or Path(path)
-    manifest = _read_manifest(directory)
+    directory = Path(path)
+    files = (manifest := _read_manifest(directory))["files"]
+    paths = {name: directory / _stored_name(name, entry["crc32"]) for name, entry in files.items()}
 
     def read(name: str) -> mmap.mmap | memoryview:
-        return _read_checked(directory / name, manifest["files"][name])
+        return _read_checked(paths[name], files[name])
 
     def parse(name: str):
         try:
             with read(name) as data:
                 return json.loads(bytes(data))
         except ValueError as exc:
-            raise IndexFormatError(f"corrupt index file {directory / name}: {exc}") from exc
+            raise IndexFormatError(f"corrupt index file {paths[name]}: {exc}") from exc
 
     maps = []  # each array's, whose pages are dropped once the checks have read them
 
@@ -946,10 +938,10 @@ def load_index(path: str | Path) -> IndexBundle:
             if dtype in map(np.dtype, dtypes) and len(shape) == 1:
                 maps.append(data)
                 return np.frombuffer(data, dtype, shape[0], data.tell())
-            refusal = (f"index file {directory / name} holds {dtype} {len(shape)}-d data, "
+            refusal = (f"index file {paths[name]} holds {dtype} {len(shape)}-d data, "
                        f"expected {' or '.join(dtypes)} 1-d")
         except ValueError as exc:
-            refusal = f"corrupt index file {directory / name}: {exc}"
+            refusal = f"corrupt index file {paths[name]}: {exc}"
         with data:  # closed, not kept open by the traceback
             raise IndexFormatError(refusal)
 

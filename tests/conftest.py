@@ -186,14 +186,24 @@ def write_datasheet_corpus(root: Path) -> Path:
     return root
 
 
+def stored(index_dir: Path, name: str) -> Path:
+    """Where index file ``name`` (one of ``INDEX_FILES``) is stored in ``index_dir``: at
+    ``<stem>.<crc32>.<suffix>``, the crc32 its manifest records."""
+    manifest = json.loads((Path(index_dir) / "manifest.json").read_text(encoding="utf-8"))
+    stem, _, suffix = name.partition(".")
+    return Path(index_dir) / f"{stem}.{manifest['files'][name]['crc32']}.{suffix}"
+
+
 def restamp_manifest(index_dir: Path, name: str) -> None:
-    """Record the current size and crc32 of index file ``name`` in the
-    manifest, as if the file had been saved as it now is."""
+    """Record the current size and crc32 of index file ``name`` in the manifest and
+    move the file to the stored name they give, as if it had been saved as it now is."""
     path = Path(index_dir) / "manifest.json"
     manifest = json.loads(path.read_text(encoding="utf-8"))
-    data = (Path(index_dir) / name).read_bytes()
+    old = stored(index_dir, name)
+    data = old.read_bytes()
     manifest["files"][name] = {"bytes": len(data), "crc32": f"{zlib.crc32(data):08x}"}
     path.write_text(json.dumps(manifest), encoding="utf-8")
+    old.rename(stored(index_dir, name))
 
 
 # The files of a format-6 index (and of format 5), which format 7 replaces.

@@ -3,7 +3,8 @@
 The fixture under ``tests/data/`` is 20 near-identical datasheets (a table,
 an image and part numbers each), a keyword dictionary and a question bank.
 ``golden.json`` records what ingesting it gives: the sha256 of every index
-file and, per bank query, digests of the full ranking in rank order (its keys,
+file, by its logical name (``segments.jsonl``, not the stored name that holds its
+crc32) and, per bank query, digests of the full ranking in rank order (its keys,
 the float64 bytes of ``fused`` and the bytes of ``hits``) and the ``repr`` of
 its log-rank score, which reads every relevant key's rank through ``rank_of``.
 The query digests name segments by key, not by row, so they hold across any
@@ -24,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from conftest import stored
 from hiret.cli import AppConfig, run_ingest
 from hiret.evalkit import evaluate_query, load_question_bank
 from hiret.index import MANIFEST_FILE, INDEX_FILES, load_index
@@ -126,8 +128,8 @@ def golden_record(root: Path, index_dir: Path) -> dict:
             "hits": _sha256(ranking.hits[order].astype("<i8").tobytes()),
             "logrank": repr(evaluate_query(ranking, eq, 1.0)),
         }
-    files = {name: _sha256((index_dir / name).read_bytes())
-             for name in (MANIFEST_FILE, *INDEX_FILES)}
+    files = {name: _sha256(stored(index_dir, name).read_bytes()) for name in INDEX_FILES}
+    files[MANIFEST_FILE] = _sha256((index_dir / MANIFEST_FILE).read_bytes())
     return {"numpy": np.__version__, "files": files, "queries": queries}
 
 

@@ -6,7 +6,6 @@ import math
 import os
 import random
 import re
-import shutil
 import subprocess
 import sys
 import time
@@ -25,6 +24,7 @@ from conftest import (
     manual_doc_title,
     manual_queries,
     restamp_manifest,
+    stored,
     write_datasheet_corpus,
     write_manual_corpus,
 )
@@ -67,9 +67,9 @@ class TestIngest:
         assert report["documents"] == 1
         assert report["segments"] == 5  # preamble + 4 chapters
         assert report["skipped"] == 0
-        names = {p.name for p in (tmp_path / "index").iterdir()}
-        assert names == {
-            "manifest.json",
+        index_dir = tmp_path / "index"
+        manifest = json.loads((index_dir / "manifest.json").read_text(encoding="utf-8"))
+        assert set(manifest["files"]) == {
             "vector_rows.npy",
             "vector_offsets.npy",
             "vector_ordinals.npy",
@@ -85,7 +85,11 @@ class TestIngest:
             "segments.jsonl",
             "segment_offsets.npy",
         }
-        assert [p.name for p in tmp_path.iterdir()] == ["corpus", "index"]  # no staging left
+        crc32 = manifest["files"]["segments.jsonl"]["crc32"]
+        assert stored(index_dir, "segments.jsonl").name == f"segments.{crc32}.jsonl"
+        assert {p.name for p in index_dir.iterdir()} == {
+            "manifest.json", *(stored(index_dir, name).name for name in manifest["files"])}
+        assert [p.name for p in tmp_path.iterdir()] == ["corpus", "index"]
 
     def test_refuses_to_replace_a_directory_of_other_files(self, tmp_path, capsys):
         corpus = write_manual_corpus(tmp_path / "corpus", 1)
@@ -115,7 +119,7 @@ class TestIngest:
         assert {key.split("#")[0] for key in load_index(tmp_path / "link").keys} == {
             manual_doc_stem(i) for i in (1, 2, 3)}
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "corpus2", "corpus3", "link", "real"]  # no staging or old directory left
+            "corpus2", "corpus3", "link", "real"]
 
     def test_empty_corpus_is_ok_with_warning(self, tmp_path, capsys):
         (tmp_path / "corpus").mkdir()
@@ -196,7 +200,7 @@ class TestIngest:
         assert code == 2
         assert capsys.readouterr().err.startswith(
             f"error: sidecar {meta}: {field} must be UTF-8 text, got ")
-        assert [p.name for p in tmp_path.iterdir()] == ["corpus"]  # no index, no staging sibling
+        assert [p.name for p in tmp_path.iterdir()] == ["corpus"]  # no index
 
     def test_file_name_that_is_not_utf8_is_a_data_error(self, tmp_path, capsys):
         corpus = write_manual_corpus(tmp_path / "corpus", 2)
@@ -208,7 +212,7 @@ class TestIngest:
         assert code == 2
         assert capsys.readouterr().err.startswith(
             f"error: document file name is not UTF-8: {name!r}")
-        assert [p.name for p in tmp_path.iterdir()] == ["corpus"]  # no index, no staging sibling
+        assert [p.name for p in tmp_path.iterdir()] == ["corpus"]  # no index
 
     def test_missing_corpus_is_data_error(self, tmp_path, capsys):
         code = main(["--corpus-dir", str(tmp_path / "nope"), "ingest"])
@@ -286,23 +290,29 @@ class TestKilledIngest:
                    "--keywords", str(DATA_DIR / "keywords.txt"), "ingest"]
         env = {**os.environ, "PYTHONPATH": SRC_DIR}
 
-        def digests(directory):
-            return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                    for p in directory.iterdir()}
+        def digests(names):
+            return {name: hashlib.sha256((target / name).read_bytes()).hexdigest()
+                    for name in names}
 
         def ingest_a():  # uninterrupted, and it must succeed
             assert main([*flags, "ingest"]) == 0
-            return digests(target)
+            return digests(os.listdir(target))
+
+        def committed():  # the manifest and the files it names
+            manifest = json.loads((target / "manifest.json").read_text(encoding="utf-8"))
+            return digests(["manifest.json", *(stored(target, name).name
+                                               for name in manifest["files"])])
 
         index_a = ingest_a()
+        assert len(index_a) == 15
         started = time.perf_counter()
         subprocess.run(command, env=env, check=True, capture_output=True, timeout=60)
         run_s = time.perf_counter() - started
-        index_b = digests(target)
-        assert index_a.keys() == index_b.keys() and index_a != index_b
+        index_b = committed()
+        assert index_a != index_b
         rng = random.Random(6)
         for delay in sorted(rng.uniform(0, run_s) for _ in range(5)):
-            assert ingest_a() == index_a
+            assert ingest_a() == index_a  # and it left exactly its 15 entries
             proc = subprocess.Popen(command, env=env, stdout=subprocess.DEVNULL,
                                     stderr=subprocess.DEVNULL)
             try:
@@ -310,50 +320,40 @@ class TestKilledIngest:
             finally:
                 proc.kill()
                 proc.wait(timeout=60)
-            siblings = [p for p in tmp_path.iterdir() if p != target]
-            assert all(p.name.startswith((".index.new-", ".index.old-")) for p in siblings)
-            if target.exists():
-                load_index(target)
-                assert digests(target) in (index_a, index_b), delay
-            else:  # killed between the save's two renames: A is aside, under its old- name
-                old = [p for p in siblings if p.name.startswith(".index.old-")]
-                assert len(old) == 1 and digests(old[0]) == index_a, delay
-                assert load_index(target).user_keywords == [], delay
-            for p in siblings:
-                shutil.rmtree(p)
+            assert [p.name for p in tmp_path.iterdir()] == ["index"]
+            loaded, got = load_index(target), committed()
+            assert got in (index_a, index_b), delay
+            assert bool(loaded.user_keywords) == (got == index_b), delay
         assert ingest_a() == index_a
 
-    @pytest.mark.parametrize("renames", [1, 2])
+    @pytest.mark.parametrize("replaces", range(1, 16))
     def test_ingest_that_dies_after_a_rename_of_its_save_leaves_a_loadable_index(
-            self, tmp_path, renames):
+            self, tmp_path, replaces):
         # Index A has no keyword dictionary; the dying ingest writes index B, with one.
+        # A save renames its 14 files into place, then the manifest, the 15th: the commit.
         target = tmp_path / "index"
         flags = ["--corpus-dir", str(DATA_DIR / "corpus"), "--index-dir", str(target)]
         assert main([*flags, "ingest"]) == 0
         index_a = dir_bytes(target)
         dying = ("import os, sys, hiret.cli\n"
-                 "rename, done = os.rename, []\n"
-                 "def rename_then_maybe_die(*args):\n"
-                 "    rename(*args)\n"
+                 "replace, done = os.replace, []\n"
+                 "def replace_then_maybe_die(*args):\n"
+                 "    replace(*args)\n"
                  "    done.append(args)\n"
-                 f"    if len(done) == {renames}:\n"
+                 f"    if len(done) == {replaces}:\n"
                  "        os._exit(3)\n"
-                 "os.rename = rename_then_maybe_die\n"
+                 "os.replace = replace_then_maybe_die\n"
                  "sys.exit(hiret.cli.main(sys.argv[1:]))\n")
         proc = subprocess.run([sys.executable, "-c", dying, *flags,
                                "--keywords", str(DATA_DIR / "keywords.txt"), "ingest"],
                               env={**os.environ, "PYTHONPATH": SRC_DIR},
                               capture_output=True, timeout=60)
         assert proc.returncode == 3, proc.stderr
-        left = sorted(p.name[:11] for p in tmp_path.iterdir())
-        # After the first rename A is aside and B staged; after the second B is in place.
-        assert left == ([".index.new-", ".index.old-"] if renames == 1
-                        else [".index.old-", "index"])
-        loaded = load_index(target)
-        assert sorted(p.name[:11] for p in tmp_path.iterdir()) == left  # nothing renamed
-        assert bool(loaded.user_keywords) == (renames == 2)  # B has a dictionary, A none
-        assert main([*flags, "ingest"]) == 0
         assert [p.name for p in tmp_path.iterdir()] == ["index"]
+        assert set(index_a) <= set(os.listdir(target))  # only a live save sweeps
+        loaded = load_index(target)
+        assert bool(loaded.user_keywords) == (replaces == 15)  # B has a dictionary, A none
+        assert main([*flags, "ingest"]) == 0
         assert dir_bytes(target) == index_a
 
 
@@ -408,6 +408,22 @@ class TestPluginFailures:
         assert err == ("usage error: subprocess captioner 'command' must be a non-empty "
                        "list of strings\n")
         assert not (tmp_path / "index").exists()
+
+    @pytest.mark.parametrize("config, says", [
+        ({"embedder": {"kind": "bogus"}}, "unknown embedder kind: 'bogus'"),
+        ({"captioner": {"kind": "nope"}}, "unknown captioner kind: 'nope'"),
+    ], ids=["embedder", "captioner"])
+    def test_bad_spec_is_refused_before_the_corpus_is_read(self, tmp_path, capsys, monkeypatch,
+                                                          config, says):
+        calls = []
+        monkeypatch.setattr("hiret.cli.load_corpus", lambda *args: calls.append(args) or [])
+        (tmp_path / "bad.json").write_text(json.dumps(config), encoding="utf-8")
+        code = main(["--config", str(tmp_path / "bad.json"), "--corpus-dir",
+                     str(tmp_path / "nowhere"), "--index-dir", str(tmp_path / "i"), "ingest"])
+        assert code == 1
+        assert capsys.readouterr().err == f"usage error: {says}\n"
+        assert calls == []
+        assert not (tmp_path / "i").exists()
 
     @pytest.mark.parametrize("role", ["embedder", "captioner"])
     def test_spec_without_command_is_usage_error(self, tmp_path, capsys, role):
@@ -471,7 +487,7 @@ class TestQuery:
     def test_inconsistent_index_is_refused_at_load(self, manual_setup, capsys):
         cfg, _ = manual_setup
         index_dir = Path(cfg.index_dir)
-        saved = dir_bytes(index_dir)
+        saved_keys = stored(index_dir, "segment_keys.json").read_bytes()
 
         def refused(error, named):
             with pytest.raises(error, match=re.escape(named)):
@@ -481,19 +497,19 @@ class TestQuery:
             assert named in err and "run 'hiret ingest'" in err
 
         # Consistent file sums, bad contents: a key twice in the key order ...
-        keys = json.loads(saved["segment_keys.json"])
+        keys = json.loads(saved_keys)
         duplicated = keys[0]
         keys[1] = duplicated
-        (index_dir / "segment_keys.json").write_text(json.dumps(keys), encoding="utf-8")
+        stored(index_dir, "segment_keys.json").write_text(json.dumps(keys), encoding="utf-8")
         restamp_manifest(index_dir, "segment_keys.json")
         refused(InconsistentIndexError, f"duplicate segment keys: [{duplicated!r}]")
 
         # ... and a keyword row past the last segment.
-        (index_dir / "segment_keys.json").write_bytes(saved["segment_keys.json"])
+        stored(index_dir, "segment_keys.json").write_bytes(saved_keys)
         restamp_manifest(index_dir, "segment_keys.json")
-        rows = np.load(index_dir / "keywords_rows.npy")
+        rows = np.load(stored(index_dir, "keywords_rows.npy"))
         rows[-1] = len(keys)
-        np.save(index_dir / "keywords_rows.npy", rows)
+        np.save(stored(index_dir, "keywords_rows.npy"), rows)
         restamp_manifest(index_dir, "keywords_rows.npy")
         refused(IndexFormatError, f"keywords_rows.npy holds rows outside the {len(keys)} segments")
 
@@ -509,19 +525,20 @@ class TestQuery:
         code = main(["--index-dir", str(index_dir), "query", "pinout"])
         assert code == 2
         err = capsys.readouterr().err
-        assert "format_version 3 (expected 8)" in err and "run 'hiret ingest'" in err
+        assert "format_version 3 (expected 9)" in err and "run 'hiret ingest'" in err
 
     def test_format_5_index_asks_for_a_reingest(self, manual_setup, capsys):
         cfg, _ = manual_setup
         manifest = Path(cfg.index_dir) / "manifest.json"
         text = manifest.read_text(encoding="utf-8")
-        # format 6 has format 5's files, format 7 format 8's (with <i4 rows, every field stored)
-        for version in (5, 6, 7):
-            manifest.write_text(text.replace('"format_version": 8',
+        # format 6 has format 5's files, format 7 format 8's (with <i4 rows, every field
+        # stored), and format 8 format 9's under their logical names
+        for version in (5, 6, 7, 8):
+            manifest.write_text(text.replace('"format_version": 9',
                                              f'"format_version": {version}'), encoding="utf-8")
             assert main(["--index-dir", cfg.index_dir, "query", "pinout"]) == 2
             err = capsys.readouterr().err
-            assert f"format_version {version} (expected 8)" in err
+            assert f"format_version {version} (expected 9)" in err
             assert "run 'hiret ingest'" in err
 
     @pytest.mark.parametrize("edit,named", [
@@ -565,10 +582,10 @@ class TestQuery:
                                                                   line):
         cfg, _ = manual_setup
         index_dir = Path(cfg.index_dir)
-        lines = (index_dir / "segments.jsonl").read_bytes().splitlines(keepends=True)
+        lines = stored(index_dir, "segments.jsonl").read_bytes().splitlines(keepends=True)
         lines[3] = line + b"\n"
-        (index_dir / "segments.jsonl").write_bytes(b"".join(lines))
-        np.save(index_dir / "segment_offsets.npy",
+        stored(index_dir, "segments.jsonl").write_bytes(b"".join(lines))
+        np.save(stored(index_dir, "segment_offsets.npy"),
                 np.cumsum([0] + [len(seg_line) for seg_line in lines], dtype="<i8"))
         for name in ("segments.jsonl", "segment_offsets.npy"):
             restamp_manifest(index_dir, name)
@@ -578,12 +595,12 @@ class TestQuery:
 
     def test_damaged_file_is_refused_with_its_name(self, manual_setup, capsys):
         cfg, _ = manual_setup
-        path = Path(cfg.index_dir) / "postings_tf.npy"
+        path = stored(Path(cfg.index_dir), "postings_tf.npy")
         path.write_bytes(path.read_bytes()[:-4])
         code = main(["--index-dir", cfg.index_dir, "query", "pinout"])
         assert code == 2
         err = capsys.readouterr().err
-        assert "postings_tf.npy" in err and "run 'hiret ingest'" in err
+        assert f"index file {path} holds" in err and "run 'hiret ingest'" in err
 
     def test_closed_stdout_pipe_exits_cleanly(self, manual_setup):
         # `hiret query ... | head`: the reader is gone before the output is written
@@ -855,7 +872,7 @@ class TestConfigAndExitCodes:
         assert f"error: cannot write {target}: [Errno " in err
         assert "Traceback" not in err
         assert calls == []
-        # Nothing is left behind: no CSV, no index and no .idx.new-* staging sibling.
+        # Nothing is left behind: no CSV and no index.
         assert sorted(tmp_path.rglob("*")) == before
 
     def test_ingest_makes_the_missing_parents_of_the_index(self, tmp_path, capsys):

@@ -269,8 +269,13 @@ class TestExportCoordinates:
         assert coords["a"] == coords["b"]
 
     def test_all_identical_vectors_rejected(self):
-        vectors = {"a": np.ones(4), "b": np.ones(4)}
+        vectors = {"a": np.ones(4), "b": np.ones(4), "c": np.ones(4)}
         with pytest.raises(ValueError, match="distinct"):
+            export_coordinates(vectors)
+
+    def test_vectors_differing_only_in_the_sign_of_a_zero_rejected(self):
+        vectors = {"a": np.array([0.0, 1.0, -0.0]), "b": np.array([-0.0, 1.0, 0.0])}
+        with pytest.raises(ValueError, match="distinct"):  # -0.0 == 0.0
             export_coordinates(vectors)
 
     def test_fewer_than_two_vectors_rejected(self):
