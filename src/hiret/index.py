@@ -8,16 +8,16 @@ vector per embeddable segment, at ascending ``rows``). An :class:`IndexBundle`
 checks at construction that its keys ascend and that the three indices are
 over them.
 
-An index persists to a directory as ``.npy`` arrays, a few small JSON files and
-one blob of per-segment JSON lines, described by a manifest that records each
-file's size and crc32, which its name holds (format 9: each fact once, rows in key
-order, row arrays in their narrowest unsigned type, no segment field the decoder
-derives, vectors by column with only their non-zero components). Postings and
-keywords are :class:`InvertedLists` over the arrays their files hold, saved and
-loaded as they are. Saving is atomic and deterministic: the manifest's rename
-commits it, and re-saving an unchanged index reproduces every name and byte. Loading
-checks each file through one map, dropping the pages it reads, reads each array from
-that map as stored and decodes a segment when read.
+An index persists to a directory as one file, :data:`INDEX_FILE` (format 10): the
+per-segment JSON lines from offset 0, each array of :data:`_ARRAYS` at a multiple of 8
+bytes, a compact JSON header, its length and a trailer of the crc32 of every byte before
+it and a magic (each fact once, rows in key order, row arrays in their narrowest unsigned
+type, no segment field the decoder derives, vectors by column with only their non-zero
+components). Postings and keywords are :class:`InvertedLists` over the arrays as stored.
+Saving is atomic, durable and deterministic: the file is written to a temporary, fsynced
+and renamed into place, which commits it, and re-saving an unchanged index reproduces
+every byte. Loading maps the file once, checks its crc32 dropping the pages it reads,
+views each array in that map as stored and decodes a segment when read.
 """
 
 from __future__ import annotations
@@ -46,35 +46,34 @@ from .corpus import Segment, path_text
 
 log = logging.getLogger(__name__)
 
-FORMAT_VERSION = 9
+FORMAT_VERSION = 10
 DEFAULT_DIM = 256
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
 
-MANIFEST_FILE = "manifest.json"
-# Every file the manifest describes, by its logical name; :func:`_stored_name` gives its own.
-INDEX_FILES = (
-    "vector_rows.npy",  # _narrowest(segments) segment row of each vector
-    "vector_offsets.npy",  # <i8 dimension j holds entries offsets[j]:offsets[j + 1]
-    "vector_ordinals.npy",  # _narrowest(vectors) vector (its place in vector_rows) of each entry
-    "vector_values.npy",  # <f4 non-zero component of each entry
-    "postings_terms.json",  # sorted BM25 terms
-    "postings_offsets.npy",  # <i8 term i holds entries offsets[i]:offsets[i + 1]
-    "postings_rows.npy",  # _narrowest(segments) segment row of each posting entry
-    "postings_tf.npy",  # _narrowest(largest) term count of each posting entry
-    "keywords_terms.json",  # sorted critical keywords
-    "keywords_offsets.npy",  # <i8 keyword i holds rows offsets[i]:offsets[i + 1]
-    "keywords_rows.npy",  # _narrowest(segments) segment row holding the keyword
-    "segment_keys.json",  # segment keys, sorted
-    "segments.jsonl",  # one JSON line per segment, UTF-8, less what StoredSegments derives
-    "segment_offsets.npy",  # <i8 segment i is bytes offsets[i]:offsets[i + 1]
-)
-_CRC32_RE = re.compile("[0-9a-f]{8}")  # a manifest's crc32, which names a stored file
 _UNSIGNED = ("<u1", "<u2", "<u4")  # the types _narrowest picks from
+INDEX_FILE = "index.hiret"  # an index directory's one file
+# Each array of an index file, in the order it is stored, and the types it may hold.
+_ARRAYS = {
+    "vector_rows": _UNSIGNED,  # _narrowest(segments) segment row of each vector
+    "vector_offsets": ("<i8",),  # dimension j holds entries offsets[j]:offsets[j + 1]
+    "vector_ordinals": _UNSIGNED,  # _narrowest(vectors) place in vector_rows of each entry
+    "vector_values": ("<f4",),  # non-zero component of each entry
+    "postings_offsets": ("<i8",),  # term i holds entries offsets[i]:offsets[i + 1]
+    "postings_rows": _UNSIGNED,  # _narrowest(segments) segment row of each posting entry
+    "postings_tf": _UNSIGNED,  # _narrowest(largest) term count of each posting entry
+    "keywords_offsets": ("<i8",),  # keyword i holds rows offsets[i]:offsets[i + 1]
+    "keywords_rows": _UNSIGNED,  # _narrowest(segments) segment row holding the keyword
+    "segment_offsets": ("<i8",),  # segment i is bytes offsets[i]:offsets[i + 1] of the lines
+}
+# The header fields load_index reads and the JSON types they hold.
+_HEADER_FIELDS = {"k1": (int, float), "b": (int, float), "embedder": dict, "user_keywords": list,
+                  "keys": list, "postings_terms": list, "keywords_terms": list, "lines": int,
+                  "arrays": dict}
+_MAGIC = b"HIRETIDX"  # an index file's last 8 bytes
+_TAIL = 20  # bytes after the header: its length (<u8), then the trailer's crc32 (<u4) and _MAGIC
+_OLD_MANIFEST = "manifest.json"  # what an index of format 9 or older is recognized by
 _WINDOW, _CHUNK = 1 << 20, 1 << 16  # bytes _crc32 sums, entries Bm25Index counts, at a time
-# The manifest fields load_index reads and the JSON types they hold.
-_MANIFEST_FIELDS = {"k1": (int, float), "b": (int, float), "embedder": dict,
-                    "user_keywords": list, "files": dict}
 
 # Unicode letter/digit runs joined by single hyphens: keyword candidates keep
 # part numbers intact, and their ``-`` pieces are the BM25 and vector terms.
@@ -656,7 +655,7 @@ def _command_problem(role: str, command: object) -> str:  # the embedder's and c
 
 
 def make_embedder(spec: dict) -> Embedder:
-    """Instantiate an embedder from its manifest descriptor."""
+    """Instantiate an embedder from its descriptor, as an index's header stores it."""
     problem = _embedder_spec_problem(spec)
     if problem:
         raise ValueError(problem)
@@ -667,39 +666,25 @@ def make_embedder(spec: dict) -> Embedder:
     return plugins.SubprocessEmbedder(command=list(spec["command"]), dim=spec["dim"])
 
 
-# Built once, not per file as json.dumps would; _segment_line writes with its escaper, _quote.
+# Built once, not per call as json.dumps would; _segment_line writes with its escaper, _quote.
 _COMPACT_JSON = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":"))
 _quote = json.encoder.encode_basestring
-_MANIFEST_JSON = json.JSONEncoder(sort_keys=True, ensure_ascii=False, indent=2)
 
 
-def _json_bytes(payload: object, encoder: json.JSONEncoder = _COMPACT_JSON) -> bytes:
-    return (encoder.encode(payload) + "\n").encode("utf-8")
+def _json_bytes(payload: object) -> bytes:
+    return (_COMPACT_JSON.encode(payload) + "\n").encode("utf-8")
 
 
-def _mapped(path: Path) -> mmap.mmap | memoryview:
-    """A read-only map of ``path``; an empty view for an empty file, which cannot be mapped."""
-    with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        return mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) if size else memoryview(b"")
-
-
-def _crc32(data: mmap.mmap | memoryview) -> str:
-    """The crc32 of ``data`` in hex, summed a 1 MiB window at a time; a map's window is then
+def _crc32(data: mmap.mmap, end: int) -> int:
+    """The crc32 of ``data[:end]``, summed a 1 MiB window at a time; each window is then
     dropped (``MADV_DONTNEED``, where it exists), so none of the file stays resident."""
-    crc, drop = 0, getattr(mmap, "MADV_DONTNEED", None) if isinstance(data, mmap.mmap) else None
+    crc, drop = 0, getattr(mmap, "MADV_DONTNEED", None)
     with memoryview(data) as view:
-        for lo in range(0, len(view), _WINDOW):
-            crc = zlib.crc32(view[lo:lo + _WINDOW], crc)
+        for lo in range(0, end, _WINDOW):
+            crc = zlib.crc32(view[lo:min(lo + _WINDOW, end)], crc)
             if drop is not None:
                 data.madvise(drop, lo, _WINDOW)
-    return f"{crc:08x}"
-
-
-def _file_entry(path: Path) -> dict:
-    """The size and :func:`_crc32` of the bytes on disk, read back through a map."""
-    with _mapped(path) as data:
-        return {"bytes": len(data), "crc32": _crc32(data)}
+    return crc
 
 
 def _segment_line(seg: Segment, quoted: _Memo) -> bytes:
@@ -722,161 +707,156 @@ def _segment_line(seg: Segment, quoted: _Memo) -> bytes:
             ).encode("utf-8")
 
 
-def _stored_name(name: str, crc32: str) -> str:
-    """``segments.jsonl`` of crc32 ``639e8103`` is stored as ``segments.639e8103.jsonl``."""
-    stem, _, suffix = name.partition(".")
-    return f"{stem}.{crc32}.{suffix}"
+def _write_index(bundle: IndexBundle, f) -> dict:
+    """Write ``bundle`` to the binary file ``f``: the segment lines from offset 0, each of
+    :data:`_ARRAYS` at the next multiple of 8 bytes, the header, its length and the trailer,
+    whose crc32 is summed as the bytes before it are written. Returns the header."""
+    crc = 0
 
+    def put(data: bytes | np.ndarray) -> int:  # an array is written from its buffer
+        nonlocal crc
+        crc = zlib.crc32(data, crc)
+        return f.write(data)
 
-_FIXED_ENTRIES = {MANIFEST_FILE, *(f".{name}.tmp" for name in (MANIFEST_FILE, *INDEX_FILES))}
-
-
-def _index_entry(name: str) -> bool:
-    """Whether a save may find ``name`` in an index directory, and remove it: the manifest,
-    a save's temporary (a dead one leaves its own) or a file of any manifest, stored."""
-    stem, _, rest = name.partition(".")
-    crc32, _, suffix = rest.partition(".")
-    return name in _FIXED_ENTRIES or (f"{stem}.{suffix}" in INDEX_FILES
-                                      and bool(_CRC32_RE.fullmatch(crc32)))
-
-
-def _write_files(bundle: IndexBundle, directory: Path) -> dict:
-    """Write each index file to ``.<name>.tmp``, read back its size and crc32 and rename
-    it onto its stored name (a new inode: a loaded index's maps keep the old one); then
-    the manifest the same way, whose rename commits the save. Returns the manifest."""
-    files = {}
-
-    def rename_in(name: str) -> None:  # the written temporary onto its stored name
-        entry = files[name] = _file_entry(directory / f".{name}.tmp")
-        os.replace(directory / f".{name}.tmp", directory / _stored_name(name, entry["crc32"]))
-
-    def put(name: str, data: bytes | np.ndarray, dtype: str = "") -> None:  # dtype: as .npy
-        with open(directory / f".{name}.tmp", "wb") as f:
-            if dtype:  # np.save writes a C- or F-ordered array from its buffer: no heap copy
-                np.save(f, np.asarray(data, dtype=dtype), allow_pickle=False)
-            else:
-                f.write(data)
-        rename_in(name)
-
+    quoted = _Memo(_quote)
+    lengths = [put(_segment_line(seg, quoted)) for seg in bundle.segments]  # no heap blob
     vectors, tf, rows = bundle.vectors, bundle.bm25.tf, _narrowest(len(bundle.keys))
-    put("vector_rows.npy", vectors.rows, rows)
-    put("vector_offsets.npy", vectors.offsets, "<i8")
-    put("vector_ordinals.npy", vectors.ordinals, _narrowest(len(vectors.rows)))
-    put("vector_values.npy", vectors.values, "<f4")
-    for stem, lists in (("postings", bundle.bm25.postings), ("keywords", bundle.keywords.rows)):
-        put(f"{stem}_terms.json", _json_bytes(lists.terms))
-        put(f"{stem}_offsets.npy", lists.offsets, "<i8")
-        put(f"{stem}_rows.npy", lists.rows, rows)
-    put("postings_tf.npy", tf, _narrowest(int(tf.max(initial=0))))
-    put("segment_keys.json", _json_bytes(bundle.keys))
-    with open(directory / ".segments.jsonl.tmp", "wb") as f:  # line by line: no heap blob
-        quoted = _Memo(_quote)
-        lengths = [f.write(_segment_line(seg, quoted)) for seg in bundle.segments]
-    rename_in("segments.jsonl")
-    put("segment_offsets.npy", np.cumsum([0] + lengths), "<i8")
-
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "k1": bundle.bm25.k1,
-        "b": bundle.bm25.b,
-        "embedder": bundle.embedder_spec,
-        "user_keywords": bundle.user_keywords,
-        "files": files,
-    }
-    (directory / f".{MANIFEST_FILE}.tmp").write_bytes(_json_bytes(manifest, _MANIFEST_JSON))
-    os.replace(directory / f".{MANIFEST_FILE}.tmp", directory / MANIFEST_FILE)
-    return manifest
+    postings, keywords = bundle.bm25.postings, bundle.keywords.rows
+    stored = {"vector_rows": (vectors.rows, rows), "vector_offsets": (vectors.offsets, "<i8"),
+              "vector_ordinals": (vectors.ordinals, _narrowest(len(vectors.rows))),
+              "vector_values": (vectors.values, "<f4"),
+              "postings_offsets": (postings.offsets, "<i8"), "postings_rows": (postings.rows, rows),
+              "postings_tf": (tf, _narrowest(int(tf.max(initial=0)))),
+              "keywords_offsets": (keywords.offsets, "<i8"), "keywords_rows": (keywords.rows, rows),
+              "segment_offsets": (np.cumsum([0] + lengths), "<i8")}
+    arrays, end = {}, sum(lengths)
+    for name, (values, dtype) in stored.items():
+        array = np.ascontiguousarray(values, dtype)
+        end += put(bytes(-end % 8))
+        arrays[name] = [dtype, end, len(array)]
+        end += put(array)
+    header = {"format_version": FORMAT_VERSION, "k1": bundle.bm25.k1, "b": bundle.bm25.b,
+              "embedder": bundle.embedder_spec, "user_keywords": bundle.user_keywords,
+              "keys": bundle.keys, "postings_terms": postings.terms,
+              "keywords_terms": keywords.terms, "lines": sum(lengths), "arrays": arrays}
+    encoded = _json_bytes(header)
+    put(encoded + len(encoded).to_bytes(8, "little"))
+    f.write(crc.to_bytes(4, "little") + _MAGIC)
+    return header
 
 
-def _older_index(directory: Path) -> bool:
-    """Whether ``directory``'s manifest holds an integer ``format_version`` not this one's."""
+def _older_index(directory: Path) -> int | None:
+    """The integer ``format_version`` other than this one's in ``directory``'s
+    ``manifest.json``, which an index of format 9 or older holds; else None."""
     try:
-        version = json.loads((directory / MANIFEST_FILE).read_bytes()).get("format_version")
+        version = json.loads((directory / _OLD_MANIFEST).read_bytes()).get("format_version")
     except (OSError, ValueError, AttributeError):  # no manifest, not JSON, not an object
-        return False
-    return type(version) is int and version != FORMAT_VERSION
+        return None
+    return version if type(version) is int and version != FORMAT_VERSION else None
 
 
 def save_index(bundle: IndexBundle, path: str | Path) -> dict:
     """Persist the bundle to a directory (that a symlinked ``path`` names); returns the
-    manifest, whose rename commits the save: one that raises or is killed leaves the
-    previous index (or none) loadable. A committed save removes every entry the manifest
-    does not name, a failed one every entry it made, logging one it cannot remove. Any
-    other name than an :func:`_index_entry` raises :class:`IndexFormatError`, unless
-    the directory is an index of an older format."""
+    header. The file is written to ``.index.hiret.tmp`` and fsynced, and its rename onto
+    :data:`INDEX_FILE` commits the save (the directory is then fsynced): one that raises
+    or is killed before it leaves the previous index (or none) loadable. A committed save
+    removes every other entry, an older index's ``manifest.json`` last; a failed one every
+    entry it made and its temporary, and the directory if it made it. A removal that fails
+    is logged, and keeps that manifest. Any other entry than the file and its temporary raises
+    :class:`IndexFormatError`, unless the directory is an index of an older format."""
     target = Path(os.path.realpath(path))
     if target.exists() and not target.is_dir():
         raise IndexFormatError(f"refusing to replace {target}: it is not a directory")
-    made, manifest = not target.exists(), None
+    made, committed = not target.exists(), False
     target.mkdir(parents=True, exist_ok=True)
-    before = set(os.listdir(target))
-    stray = sorted(name for name in before if not _index_entry(name))
-    if stray and not _older_index(target):
+    temporary, before = target / f".{INDEX_FILE}.tmp", set(os.listdir(target))
+    stray = sorted(before - {INDEX_FILE, temporary.name})
+    if stray and _older_index(target) is None:
         raise IndexFormatError(f"refusing to replace {target}: it holds {stray}, "
                                "which are not index files")
     try:
-        manifest = _write_files(bundle, target)
+        with open(temporary, "wb") as f:
+            header = _write_index(bundle, f)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(temporary, target / INDEX_FILE)  # a new inode: loaded maps keep the old
+        committed = True
+        directory = os.open(target, os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
     finally:  # committed, or failing already: a removal cannot fail the save
-        keep = before if manifest is None else {MANIFEST_FILE, *(
-            _stored_name(name, entry["crc32"]) for name, entry in manifest["files"].items())}
-        leftovers = [target / name for name in sorted(set(os.listdir(target)) - keep)]
-        if made and manifest is None:
+        keep = {INDEX_FILE} if committed else before - {temporary.name}
+        # an older index's manifest goes last: until then the directory is still that index
+        names = sorted(set(os.listdir(target)) - keep, key=lambda n: (n == _OLD_MANIFEST, n))
+        leftovers = [target / name for name in names]
+        if made and not committed:
             leftovers.append(target)  # emptied by then
+        failed = False
         for leftover in leftovers:
+            if failed and leftover.name == _OLD_MANIFEST:
+                break
             try:  # concurrent saves to one directory are not supported
                 (os.rmdir if leftover == target else os.unlink)(leftover)
             except OSError as exc:
+                failed = True
                 log.warning("could not remove %s: %s", leftover, exc)
-    return manifest
+    return header
 
 
-def _read_manifest(directory: Path) -> dict:
-    manifest_path = directory / MANIFEST_FILE
-    if not manifest_path.exists():
-        raise IndexFormatError(f"no index manifest at {manifest_path}")
+def _checked_header(file: Path, data: mmap.mmap) -> dict:
+    """The header of the index file ``file``, mapped as ``data``, once the trailer's magic
+    and crc32 match and the header holds every field :func:`load_index` reads, each array
+    a view it can take."""
+    size = len(data)
+    if size < _TAIL or data[-8:] != _MAGIC:
+        raise IndexFormatError(f"index file {file} does not end in an index's magic")
+    if _crc32(data, size - 12) != int.from_bytes(data[-12:-8], "little"):
+        raise IndexFormatError(f"index file {file} does not match its crc32")
+    start = size - _TAIL - int.from_bytes(data[-_TAIL:-12], "little")
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        if start < 0:
+            raise ValueError("the header's length runs past the start of the file")
+        header = json.loads(data[start:size - _TAIL])
     except ValueError as exc:
-        raise IndexFormatError(f"corrupt manifest {manifest_path}: {exc}") from exc
-    version = manifest.get("format_version") if isinstance(manifest, dict) else None
+        raise IndexFormatError(f"corrupt index file {file}: {exc}") from exc
+    version = header.get("format_version") if isinstance(header, dict) else None
     if version != FORMAT_VERSION:
         raise IndexFormatError(
             f"unsupported index format_version {version!r} (expected {FORMAT_VERSION})"
         )
-    for name, kind in _MANIFEST_FIELDS.items():
-        if isinstance(manifest.get(name), bool) or not isinstance(manifest.get(name), kind):
-            raise IndexFormatError(f"manifest {manifest_path}: {name!r} is missing or mistyped")
-    problem = _embedder_spec_problem(manifest["embedder"])
-    if not all(isinstance(word, str) for word in manifest["user_keywords"]):
-        problem = "'user_keywords' must be a list of strings"
+    problem = _header_problem(header, start)
     if problem:
-        raise IndexFormatError(f"manifest {manifest_path}: {problem}")
-    files = manifest["files"]
-    if sorted(files) != sorted(INDEX_FILES):
-        raise IndexFormatError(f"manifest {manifest_path} does not list the index files")
-    for name, entry in files.items():
-        if not (isinstance(entry, dict) and isinstance(entry.get("bytes"), int)
-                and isinstance(entry.get("crc32"), str) and _CRC32_RE.fullmatch(entry["crc32"])):
-            raise IndexFormatError(f"manifest {manifest_path}: files[{name!r}] needs an int "
-                                   "'bytes' and a 'crc32' of 8 lowercase hex digits")
-    return manifest
+        raise IndexFormatError(f"index file {file}: {problem}")
+    return header
 
 
-def _read_checked(path: Path, entry: dict) -> mmap.mmap | memoryview:
-    """A read-only map of ``path`` (:func:`_mapped`) once its size and :func:`_crc32`
-    match ``entry``."""
-    try:
-        data = _mapped(path)
-    except OSError as exc:
-        raise IndexFormatError(f"cannot read index file {path}: {exc}") from exc
-    if len(data) != entry["bytes"]:
-        problem = f"holds {len(data)} bytes, the manifest says {entry['bytes']}"
-    elif _crc32(data) != entry["crc32"]:
-        problem = "does not match its crc32 in the manifest"
-    else:
-        return data
-    with data:  # closed, not kept open by the traceback
-        raise IndexFormatError(f"index file {path} {problem}")
+def _header_problem(header: dict, start: int) -> str:
+    """Why :func:`load_index` cannot read ``header``, which starts at offset ``start``;
+    "" when it can."""
+    for name, kind in _HEADER_FIELDS.items():
+        if isinstance(header.get(name), bool) or not isinstance(header.get(name), kind):
+            return f"{name!r} is missing or mistyped"
+    for name in ("user_keywords", "keys", "postings_terms", "keywords_terms"):
+        if not set(map(type, words := header[name])) <= {str}:
+            return f"{name!r} must be a list of strings"
+        if name.endswith("_terms") and not all(map(str.__lt__, words, words[1:])):
+            return f"{name!r} must hold distinct strings in sorted order"
+    if not 0 <= header["lines"] <= start:
+        return f"its {header['lines']} bytes of segment lines do not end before the header"
+    for name, dtypes in _ARRAYS.items():
+        entry = header["arrays"].get(name)
+        if not (isinstance(entry, list) and len(entry) == 3
+                and all(type(n) is int for n in entry[1:])):
+            return f"arrays[{name!r}] is not a [dtype, offset, count]"
+        if entry[0] not in dtypes:
+            return f"arrays[{name!r}] holds {entry[0]!r}, expected {' or '.join(dtypes)}"
+        if entry[1] % 8:
+            return f"arrays[{name!r}] starts at {entry[1]}, not at a multiple of 8"
+        if not 0 <= entry[1] <= entry[1] + entry[2] * np.dtype(entry[0]).itemsize <= start:
+            return f"arrays[{name!r}] does not lie before the header"
+    return _embedder_spec_problem(header["embedder"])
 
 
 def _check_offsets(name: str, offsets: np.ndarray, count: int, end: int,
@@ -907,86 +887,65 @@ def _check_rows(name: str, rows: np.ndarray, count: int,
 def load_index(path: str | Path) -> IndexBundle:
     """Load a bundle persisted by :func:`save_index`; round-trip is exact.
 
-    Every file is opened by the stored name its manifest entry gives, mapped once and
-    must match the size and crc32 the manifest records; each array is a view of that
-    map, as stored, and what the load checks read of it is dropped. Segments are
-    decoded when read (:class:`StoredSegments`). Raises :class:`IndexFormatError` for
-    a missing, corrupt, other-version or inconsistent index.
+    The index file is mapped once and must end in the magic and the crc32 of the bytes
+    before it; each array is a view of that map, as stored, and once the bundle is built
+    the map's pages are dropped. Segments are decoded when read (:class:`StoredSegments`).
+    Raises :class:`IndexFormatError` for a missing, corrupt, other-version or inconsistent
+    index.
     """
     directory = Path(path)
-    files = (manifest := _read_manifest(directory))["files"]
-    paths = {name: directory / _stored_name(name, entry["crc32"]) for name, entry in files.items()}
+    file = directory / INDEX_FILE
+    try:
+        with open(file, "rb") as f:
+            data = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+    except FileNotFoundError:
+        version = _older_index(directory)
+        raise IndexFormatError(f"no index at {file}" if version is None else
+                               f"unsupported index format_version {version} "
+                               f"(expected {FORMAT_VERSION})") from None
+    except (OSError, ValueError) as exc:  # ValueError: an empty file, which cannot be mapped
+        raise IndexFormatError(f"cannot read index file {file}: {exc}") from exc
+    try:
+        header = _checked_header(file, data)
+    except IndexFormatError:
+        data.close()  # not kept open by the traceback
+        raise
+    keys = header["keys"]
 
-    def read(name: str) -> mmap.mmap | memoryview:
-        return _read_checked(paths[name], files[name])
+    def array(name: str) -> np.ndarray:
+        dtype, offset, count = header["arrays"][name]
+        return np.frombuffer(data, dtype, count, offset)
 
-    def parse(name: str):
-        try:
-            with read(name) as data:
-                return json.loads(bytes(data))
-        except ValueError as exc:
-            raise IndexFormatError(f"corrupt index file {paths[name]}: {exc}") from exc
-
-    maps = []  # each array's, whose pages are dropped once the checks have read them
-
-    def array(name: str, *dtypes: str) -> np.ndarray:  # 1-d, of one of ``dtypes``
-        data = read(name)  # the array is a view of this checked map: the path is not reopened
-        try:
-            if not len(data) or np.lib.format.read_magic(data) != (1, 0):  # empty: no map
-                raise ValueError("not a version 1.0 .npy file")
-            shape, _, dtype = np.lib.format.read_array_header_1_0(data)
-            if dtype in map(np.dtype, dtypes) and len(shape) == 1:
-                maps.append(data)
-                return np.frombuffer(data, dtype, shape[0], data.tell())
-            refusal = (f"index file {paths[name]} holds {dtype} {len(shape)}-d data, "
-                       f"expected {' or '.join(dtypes)} 1-d")
-        except ValueError as exc:
-            refusal = f"corrupt index file {paths[name]}: {exc}"
-        with data:  # closed, not kept open by the traceback
-            raise IndexFormatError(refusal)
-
-    keys = parse("segment_keys.json")
-    if not (isinstance(keys, list) and set(map(type, keys)) <= {str}):
-        raise IndexFormatError("segment_keys.json does not hold a list of strings")
-    blob = read("segments.jsonl")
-    segment_offsets = array("segment_offsets.npy", "<i8")
-    _check_offsets("segment_offsets.npy", segment_offsets, len(keys), len(blob))
-    segments = StoredSegments(keys, blob, segment_offsets)
+    segment_offsets = array("segment_offsets")
+    _check_offsets("segment_offsets", segment_offsets, len(keys), header["lines"])
 
     def inverted(stem: str) -> InvertedLists:
-        terms = parse(f"{stem}_terms.json")
-        if not (isinstance(terms, list) and set(map(type, terms)) <= {str}
-                and all(map(str.__lt__, terms, terms[1:]))):
-            raise IndexFormatError(f"{stem}_terms.json does not hold distinct sorted strings")
-        offsets = array(f"{stem}_offsets.npy", "<i8")
-        rows = array(f"{stem}_rows.npy", *_UNSIGNED)
-        _check_offsets(f"{stem}_offsets.npy", offsets, len(terms), len(rows))
-        _check_rows(f"{stem}_rows.npy", rows, len(keys), offsets)
-        return InvertedLists(terms, offsets, rows)
+        offsets, rows = array(f"{stem}_offsets"), array(f"{stem}_rows")
+        _check_offsets(f"{stem}_offsets", offsets, len(header[f"{stem}_terms"]), len(rows))
+        _check_rows(f"{stem}_rows", rows, len(keys), offsets)
+        return InvertedLists(header[f"{stem}_terms"], offsets, rows)
 
     def vectors() -> VectorIndex:
-        dim = manifest["embedder"].get("dim", DEFAULT_DIM)
-        rows = array("vector_rows.npy", *_UNSIGNED).astype(np.intp)
-        offsets = array("vector_offsets.npy", "<i8")
-        ordinals = array("vector_ordinals.npy", *_UNSIGNED)
-        _check_offsets("vector_offsets.npy", offsets, dim, len(ordinals), empty=True)
-        _check_rows("vector_ordinals.npy", ordinals, len(rows), offsets, of="vectors")
+        dim = header["embedder"].get("dim", DEFAULT_DIM)
+        rows = array("vector_rows").astype(np.intp)
+        offsets, ordinals = array("vector_offsets"), array("vector_ordinals")
+        _check_offsets("vector_offsets", offsets, dim, len(ordinals), empty=True)
+        _check_rows("vector_ordinals", ordinals, len(rows), offsets, of="vectors")
         return VectorIndex(dim=dim, keys=keys, rows=rows, offsets=offsets, ordinals=ordinals,
-                           values=array("vector_values.npy", "<f4"))
+                           values=array("vector_values"))
 
     try:
         bundle = IndexBundle(
             vectors=vectors(),
-            bm25=Bm25Index(k1=float(manifest["k1"]), b=float(manifest["b"]), keys=keys,
-                           postings=inverted("postings"),
-                           tf=array("postings_tf.npy", *_UNSIGNED)),
+            bm25=Bm25Index(k1=float(header["k1"]), b=float(header["b"]), keys=keys,
+                           postings=inverted("postings"), tf=array("postings_tf")),
             keywords=KeywordTable(keys, inverted("keywords")),
-            segments=segments,
-            embedder_spec=dict(manifest["embedder"]),
-            user_keywords=list(manifest["user_keywords"]),
+            segments=StoredSegments(keys, data, segment_offsets),
+            embedder_spec=dict(header["embedder"]),
+            user_keywords=list(header["user_keywords"]),
         )
     except ValueError as exc:  # shapes that do not fit together
         raise IndexFormatError(f"corrupt index {directory}: {exc}") from exc
-    for data in maps if hasattr(mmap, "MADV_DONTNEED") else ():  # a query faults back its pages
+    if hasattr(mmap, "MADV_DONTNEED"):  # a query faults back the pages it reads
         data.madvise(mmap.MADV_DONTNEED)
     return bundle

@@ -186,25 +186,46 @@ def write_datasheet_corpus(root: Path) -> Path:
     return root
 
 
-def stored(index_dir: Path, name: str) -> Path:
-    """Where index file ``name`` (one of ``INDEX_FILES``) is stored in ``index_dir``: at
-    ``<stem>.<crc32>.<suffix>``, the crc32 its manifest records."""
-    manifest = json.loads((Path(index_dir) / "manifest.json").read_text(encoding="utf-8"))
-    stem, _, suffix = name.partition(".")
-    return Path(index_dir) / f"{stem}.{manifest['files'][name]['crc32']}.{suffix}"
+def edit_index(index_dir: Path, regions=None, header=None) -> dict:
+    """The regions of ``index_dir``'s index file: its ``lines`` (bytes), each array by name
+    and its ``header`` (a dict). With an edit the file is written again: ``regions(parts)``
+    may replace the lines or any array (of any type or length), which are then laid out
+    as a save lays them out; then ``header(parts["header"])`` may edit the header as it is
+    written, and the trailer is re-stamped with the crc32 of the new bytes, as if the index
+    had been saved so. Returns the regions as written."""
+    path = Path(index_dir) / "index.hiret"
+    data = path.read_bytes()
+    head = json.loads(data[len(data) - 20 - int.from_bytes(data[-20:-12], "little"):-20])
+    parts = {"lines": data[:head["lines"]], "header": head, **{
+        name: np.frombuffer(data, dtype, count, offset).copy()
+        for name, (dtype, offset, count) in head["arrays"].items()}}
+    if regions is None and header is None:
+        return parts
+    if regions is not None:
+        regions(parts)
+    out = bytearray(parts["lines"])
+    for name in sorted(head["arrays"], key=lambda name: head["arrays"][name][1]):
+        out += bytes(-len(out) % 8)
+        head["arrays"][name] = [parts[name].dtype.str.replace("|", "<"), len(out),
+                                len(parts[name])]
+        out += parts[name].tobytes()
+    head["lines"] = len(parts["lines"])
+    if header is not None:
+        header(head)
+    encoded = (json.dumps(head, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+               + "\n").encode("utf-8")
+    out += encoded + len(encoded).to_bytes(8, "little")
+    path.write_bytes(out + zlib.crc32(out).to_bytes(4, "little") + data[-8:])
+    return parts
 
 
-def restamp_manifest(index_dir: Path, name: str) -> None:
-    """Record the current size and crc32 of index file ``name`` in the manifest and
-    move the file to the stored name they give, as if it had been saved as it now is."""
-    path = Path(index_dir) / "manifest.json"
-    manifest = json.loads(path.read_text(encoding="utf-8"))
-    old = stored(index_dir, name)
-    data = old.read_bytes()
-    manifest["files"][name] = {"bytes": len(data), "crc32": f"{zlib.crc32(data):08x}"}
-    path.write_text(json.dumps(manifest), encoding="utf-8")
-    old.rename(stored(index_dir, name))
-
+# The files of a format-8 index (and of format 7), which format 9 stored under names
+# holding their crc32s.
+FORMAT_8_FILES = ["vector_rows.npy", "vector_offsets.npy", "vector_ordinals.npy",
+                  "vector_values.npy", "postings_terms.json", "postings_offsets.npy",
+                  "postings_rows.npy", "postings_tf.npy", "keywords_terms.json",
+                  "keywords_offsets.npy", "keywords_rows.npy", "segment_keys.json",
+                  "segments.jsonl", "segment_offsets.npy"]
 
 # The files of a format-6 index (and of format 5), which format 7 replaces.
 FORMAT_6_FILES = ["vectors.npy", "vector_rows.npy", "postings_terms.json",

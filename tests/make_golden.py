@@ -2,9 +2,9 @@
 
 The fixture under ``tests/data/`` is 20 near-identical datasheets (a table,
 an image and part numbers each), a keyword dictionary and a question bank.
-``golden.json`` records what ingesting it gives: the sha256 of every index
-file, by its logical name (``segments.jsonl``, not the stored name that holds its
-crc32) and, per bank query, digests of the full ranking in rank order (its keys,
+``golden.json`` records what ingesting it gives: the sha256 of each region of
+the index file (its segment ``lines``, each array by name and the ``header``)
+and, per bank query, digests of the full ranking in rank order (its keys,
 the float64 bytes of ``fused`` and the bytes of ``hits``) and the ``repr`` of
 its log-rank score, which reads every relevant key's rank through ``rank_of``.
 The query digests name segments by key, not by row, so they hold across any
@@ -25,10 +25,10 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import stored
+from conftest import edit_index
 from hiret.cli import AppConfig, run_ingest
 from hiret.evalkit import evaluate_query, load_question_bank
-from hiret.index import MANIFEST_FILE, INDEX_FILES, load_index
+from hiret.index import INDEX_FILE, load_index
 from hiret.retriever import RetrievalConfig, retrieve
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
@@ -113,7 +113,7 @@ def _sha256(data: bytes) -> str:
 
 def golden_record(root: Path, index_dir: Path) -> dict:
     """Ingest the fixture at ``root`` into ``index_dir``, load it back and
-    digest the index files and every bank query's full ranking."""
+    digest the index file's regions and every bank query's full ranking."""
     run_ingest(AppConfig(corpus_dir=str(root / "corpus"), index_dir=str(index_dir),
                          keyword_dict=str(root / "keywords.txt")))
     bundle = load_index(index_dir)
@@ -128,8 +128,10 @@ def golden_record(root: Path, index_dir: Path) -> dict:
             "hits": _sha256(ranking.hits[order].astype("<i8").tobytes()),
             "logrank": repr(evaluate_query(ranking, eq, 1.0)),
         }
-    files = {name: _sha256(stored(index_dir, name).read_bytes()) for name in INDEX_FILES}
-    files[MANIFEST_FILE] = _sha256((index_dir / MANIFEST_FILE).read_bytes())
+    parts, data = edit_index(index_dir), (index_dir / INDEX_FILE).read_bytes()
+    files = {name: _sha256(parts[name].tobytes()) for name in parts["header"]["arrays"]}
+    files["lines"] = _sha256(parts["lines"])
+    files["header"] = _sha256(data[len(data) - 20 - int.from_bytes(data[-20:-12], "little"):-20])
     return {"numpy": np.__version__, "files": files, "queries": queries}
 
 

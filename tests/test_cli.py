@@ -22,9 +22,8 @@ from conftest import (
     dense,
     manual_doc_stem,
     manual_doc_title,
+    edit_index,
     manual_queries,
-    restamp_manifest,
-    stored,
     write_datasheet_corpus,
     write_manual_corpus,
 )
@@ -40,7 +39,7 @@ from hiret.cli import (
     run_ingest,
     run_query,
 )
-from hiret.index import InconsistentIndexError, IndexFormatError, load_index
+from hiret.index import INDEX_FILE, InconsistentIndexError, IndexFormatError, load_index
 from make_golden import DATA_DIR
 
 SRC_DIR = str(Path(hiret.__file__).resolve().parents[1])
@@ -68,27 +67,21 @@ class TestIngest:
         assert report["segments"] == 5  # preamble + 4 chapters
         assert report["skipped"] == 0
         index_dir = tmp_path / "index"
-        manifest = json.loads((index_dir / "manifest.json").read_text(encoding="utf-8"))
-        assert set(manifest["files"]) == {
-            "vector_rows.npy",
-            "vector_offsets.npy",
-            "vector_ordinals.npy",
-            "vector_values.npy",
-            "postings_terms.json",
-            "postings_offsets.npy",
-            "postings_rows.npy",
-            "postings_tf.npy",
-            "keywords_terms.json",
-            "keywords_offsets.npy",
-            "keywords_rows.npy",
-            "segment_keys.json",
-            "segments.jsonl",
-            "segment_offsets.npy",
-        }
-        crc32 = manifest["files"]["segments.jsonl"]["crc32"]
-        assert stored(index_dir, "segments.jsonl").name == f"segments.{crc32}.jsonl"
-        assert {p.name for p in index_dir.iterdir()} == {
-            "manifest.json", *(stored(index_dir, name).name for name in manifest["files"])}
+        assert os.listdir(index_dir) == [INDEX_FILE]
+        header = edit_index(index_dir)["header"]
+        assert header["format_version"] == 10
+        assert list(header["arrays"]) == [
+            "keywords_offsets",
+            "keywords_rows",
+            "postings_offsets",
+            "postings_rows",
+            "postings_tf",
+            "segment_offsets",
+            "vector_offsets",
+            "vector_ordinals",
+            "vector_rows",
+            "vector_values",
+        ]
         assert [p.name for p in tmp_path.iterdir()] == ["corpus", "index"]
 
     def test_refuses_to_replace_a_directory_of_other_files(self, tmp_path, capsys):
@@ -228,7 +221,7 @@ class TestIngest:
         bundle = load_index(cfg.index_dir)
         assert len(bundle.keys) == len(set(bundle.keys)) == 40
 
-    def test_embedder_config_flows_to_manifest(self, tmp_path):
+    def test_embedder_config_flows_to_the_header(self, tmp_path):
         corpus = write_manual_corpus(tmp_path / "corpus", 1)
         cfg = AppConfig(
             corpus_dir=str(corpus),
@@ -236,9 +229,9 @@ class TestIngest:
             embedder={"kind": "hash", "dim": 64},
         )
         run_ingest(cfg)
-        manifest = json.loads((tmp_path / "index" / "manifest.json").read_text())
-        assert "dim" not in manifest  # the embedder's dim is the one vector width
-        assert manifest["embedder"] == {"dim": 64, "kind": "hash"}
+        header = edit_index(tmp_path / "index")["header"]
+        assert "dim" not in header  # the embedder's dim is the one vector width
+        assert header["embedder"] == {"dim": 64, "kind": "hash"}
         assert dense(load_index(cfg.index_dir).vectors).shape == (10, 64)
 
     def test_keyword_dictionary_persists_and_boosts(self, tmp_path):
@@ -298,13 +291,11 @@ class TestKilledIngest:
             assert main([*flags, "ingest"]) == 0
             return digests(os.listdir(target))
 
-        def committed():  # the manifest and the files it names
-            manifest = json.loads((target / "manifest.json").read_text(encoding="utf-8"))
-            return digests(["manifest.json", *(stored(target, name).name
-                                               for name in manifest["files"])])
+        def committed():  # the index file, beside which a killed save may leave its temporary
+            return digests([INDEX_FILE])
 
         index_a = ingest_a()
-        assert len(index_a) == 15
+        assert list(index_a) == [INDEX_FILE]
         started = time.perf_counter()
         subprocess.run(command, env=env, check=True, capture_output=True, timeout=60)
         run_s = time.perf_counter() - started
@@ -312,7 +303,7 @@ class TestKilledIngest:
         assert index_a != index_b
         rng = random.Random(6)
         for delay in sorted(rng.uniform(0, run_s) for _ in range(5)):
-            assert ingest_a() == index_a  # and it left exactly its 15 entries
+            assert ingest_a() == index_a  # and it left exactly its one entry
             proc = subprocess.Popen(command, env=env, stdout=subprocess.DEVNULL,
                                     stderr=subprocess.DEVNULL)
             try:
@@ -326,23 +317,21 @@ class TestKilledIngest:
             assert bool(loaded.user_keywords) == (got == index_b), delay
         assert ingest_a() == index_a
 
-    @pytest.mark.parametrize("replaces", range(1, 16))
-    def test_ingest_that_dies_after_a_rename_of_its_save_leaves_a_loadable_index(
-            self, tmp_path, replaces):
+    @pytest.mark.parametrize("dies", ["before", "after"])
+    def test_ingest_that_dies_at_the_rename_of_its_save_leaves_a_loadable_index(
+            self, tmp_path, dies):
         # Index A has no keyword dictionary; the dying ingest writes index B, with one.
-        # A save renames its 14 files into place, then the manifest, the 15th: the commit.
+        # A save's one rename commits it: A loads before it, B after it.
         target = tmp_path / "index"
         flags = ["--corpus-dir", str(DATA_DIR / "corpus"), "--index-dir", str(target)]
         assert main([*flags, "ingest"]) == 0
         index_a = dir_bytes(target)
         dying = ("import os, sys, hiret.cli\n"
-                 "replace, done = os.replace, []\n"
-                 "def replace_then_maybe_die(*args):\n"
-                 "    replace(*args)\n"
-                 "    done.append(args)\n"
-                 f"    if len(done) == {replaces}:\n"
-                 "        os._exit(3)\n"
-                 "os.replace = replace_then_maybe_die\n"
+                 "replace = os.replace\n"
+                 "def die_at_the_rename(*args):\n"
+                 f"    {'replace(*args)' if dies == 'after' else 'pass'}\n"
+                 "    os._exit(3)\n"
+                 "os.replace = die_at_the_rename\n"
                  "sys.exit(hiret.cli.main(sys.argv[1:]))\n")
         proc = subprocess.run([sys.executable, "-c", dying, *flags,
                                "--keywords", str(DATA_DIR / "keywords.txt"), "ingest"],
@@ -350,9 +339,13 @@ class TestKilledIngest:
                               capture_output=True, timeout=60)
         assert proc.returncode == 3, proc.stderr
         assert [p.name for p in tmp_path.iterdir()] == ["index"]
-        assert set(index_a) <= set(os.listdir(target))  # only a live save sweeps
+        if dies == "before":  # none of A's entries is removed before the rename
+            assert {name: dir_bytes(target)[name] for name in index_a} == index_a
+            assert sorted(os.listdir(target)) == sorted([*index_a, f".{INDEX_FILE}.tmp"])
+        else:
+            assert os.listdir(target) == [INDEX_FILE]
         loaded = load_index(target)
-        assert bool(loaded.user_keywords) == (replaces == 15)  # B has a dictionary, A none
+        assert bool(loaded.user_keywords) == (dies == "after")  # B has a dictionary, A none
         assert main([*flags, "ingest"]) == 0
         assert dir_bytes(target) == index_a
 
@@ -487,7 +480,7 @@ class TestQuery:
     def test_inconsistent_index_is_refused_at_load(self, manual_setup, capsys):
         cfg, _ = manual_setup
         index_dir = Path(cfg.index_dir)
-        saved_keys = stored(index_dir, "segment_keys.json").read_bytes()
+        saved = (index_dir / INDEX_FILE).read_bytes()
 
         def refused(error, named):
             with pytest.raises(error, match=re.escape(named)):
@@ -496,22 +489,21 @@ class TestQuery:
             err = capsys.readouterr().err
             assert named in err and "run 'hiret ingest'" in err
 
-        # Consistent file sums, bad contents: a key twice in the key order ...
-        keys = json.loads(saved_keys)
+        # A trailer that vouches for the file, bad contents: a key twice in the key order ...
+        keys = edit_index(index_dir)["header"]["keys"]
         duplicated = keys[0]
         keys[1] = duplicated
-        stored(index_dir, "segment_keys.json").write_text(json.dumps(keys), encoding="utf-8")
-        restamp_manifest(index_dir, "segment_keys.json")
+        edit_index(index_dir, header=lambda header: header.update(keys=keys))
         refused(InconsistentIndexError, f"duplicate segment keys: [{duplicated!r}]")
 
         # ... and a keyword row past the last segment.
-        stored(index_dir, "segment_keys.json").write_bytes(saved_keys)
-        restamp_manifest(index_dir, "segment_keys.json")
-        rows = np.load(stored(index_dir, "keywords_rows.npy"))
-        rows[-1] = len(keys)
-        np.save(stored(index_dir, "keywords_rows.npy"), rows)
-        restamp_manifest(index_dir, "keywords_rows.npy")
-        refused(IndexFormatError, f"keywords_rows.npy holds rows outside the {len(keys)} segments")
+        (index_dir / INDEX_FILE).write_bytes(saved)
+
+        def past_the_last(parts):
+            parts["keywords_rows"][-1] = len(keys)
+
+        edit_index(index_dir, past_the_last)
+        refused(IndexFormatError, f"keywords_rows holds rows outside the {len(keys)} segments")
 
     def test_previous_format_asks_for_a_reingest(self, tmp_path, capsys):
         index_dir = tmp_path / "index"
@@ -525,20 +517,21 @@ class TestQuery:
         code = main(["--index-dir", str(index_dir), "query", "pinout"])
         assert code == 2
         err = capsys.readouterr().err
-        assert "format_version 3 (expected 9)" in err and "run 'hiret ingest'" in err
+        assert "format_version 3 (expected 10)" in err and "run 'hiret ingest'" in err
 
-    def test_format_5_index_asks_for_a_reingest(self, manual_setup, capsys):
-        cfg, _ = manual_setup
-        manifest = Path(cfg.index_dir) / "manifest.json"
-        text = manifest.read_text(encoding="utf-8")
+    def test_format_5_to_9_index_asks_for_a_reingest(self, tmp_path, capsys):
         # format 6 has format 5's files, format 7 format 8's (with <i4 rows, every field
-        # stored), and format 8 format 9's under their logical names
-        for version in (5, 6, 7, 8):
-            manifest.write_text(text.replace('"format_version": 9',
-                                             f'"format_version": {version}'), encoding="utf-8")
-            assert main(["--index-dir", cfg.index_dir, "query", "pinout"]) == 2
+        # stored), format 8 format 9's under their logical names, and format 9 its files
+        # under names holding their crc32s, beside a manifest.json
+        index_dir = tmp_path / "index"
+        index_dir.mkdir()
+        (index_dir / "segments.639e8103.jsonl").write_text("{}\n", encoding="utf-8")
+        for version in (5, 6, 7, 8, 9):
+            (index_dir / "manifest.json").write_text(
+                json.dumps({"format_version": version, "files": {}}), encoding="utf-8")
+            assert main(["--index-dir", str(index_dir), "query", "pinout"]) == 2
             err = capsys.readouterr().err
-            assert f"format_version {version} (expected 9)" in err
+            assert f"format_version {version} (expected 10)" in err
             assert "run 'hiret ingest'" in err
 
     @pytest.mark.parametrize("edit,named", [
@@ -550,26 +543,24 @@ class TestQuery:
         (lambda m: m.update(k1=0), "k1 must be > 0, got 0"),
         (lambda m: m.update(k1=math.inf), "k1 must be finite, got inf"),
         (lambda m: m.update(b=1.5), "b must be in [0, 1], got 1.5"),
-        (lambda m: m["files"]["keywords_rows.npy"].pop("crc32"),
-         "files['keywords_rows.npy'] needs"),
-        (lambda m: m["files"].update({"vector_values.npy": 7}),
-         "files['vector_values.npy'] needs"),
+        (lambda m: m["arrays"]["keywords_rows"].pop(),
+         "arrays['keywords_rows'] is not a [dtype, offset, count]"),
+        (lambda m: m["arrays"].update(vector_values=7),
+         "arrays['vector_values'] is not a [dtype, offset, count]"),
         (lambda m: m.update(embedder={"kind": "bogus"}), "unknown embedder kind: 'bogus'"),
         (lambda m: m.update(embedder={"kind": "subprocess", "dim": 256}), "lacks ['command']"),
         (lambda m: m.update(embedder={"kind": "subprocess", "command": "w", "dim": 256}),
          "'command' must be a non-empty list of strings"),
         (lambda m: m.update(embedder={"kind": "hash", "dim": 64}),
-         "vector_offsets.npy does not split 1361 entries into 64 parts"),
+         "vector_offsets does not split 1361 entries into 64 parts"),
     ], ids=["no-dim", "null-k1", "string-b", "null-dictionary", "null-dictionary-word",
-            "zero-k1", "infinite-k1", "b-above-1", "no-crc32", "entry-not-object", "unknown-embedder",
+            "zero-k1", "infinite-k1", "b-above-1", "short-array-entry", "array-entry-not-a-list",
+            "unknown-embedder",
             "embedder-no-command", "embedder-string-command", "embedder-other-dim"])
-    def test_bad_manifest_field_is_named_and_asks_for_a_reingest(self, manual_setup, capsys,
-                                                                 edit, named):
+    def test_bad_header_field_is_named_and_asks_for_a_reingest(self, manual_setup, capsys,
+                                                               edit, named):
         cfg, _ = manual_setup
-        path = Path(cfg.index_dir) / "manifest.json"
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-        edit(manifest)
-        path.write_text(json.dumps(manifest), encoding="utf-8")
+        edit_index(cfg.index_dir, header=edit)  # the trailer vouches for the header
         with pytest.raises(IndexFormatError, match=re.escape(named)):
             load_index(cfg.index_dir)
         code = main(["--index-dir", cfg.index_dir, "query", "pinout"])
@@ -582,25 +573,23 @@ class TestQuery:
                                                                   line):
         cfg, _ = manual_setup
         index_dir = Path(cfg.index_dir)
-        lines = stored(index_dir, "segments.jsonl").read_bytes().splitlines(keepends=True)
+        lines = edit_index(index_dir)["lines"].splitlines(keepends=True)
         lines[3] = line + b"\n"
-        stored(index_dir, "segments.jsonl").write_bytes(b"".join(lines))
-        np.save(stored(index_dir, "segment_offsets.npy"),
-                np.cumsum([0] + [len(seg_line) for seg_line in lines], dtype="<i8"))
-        for name in ("segments.jsonl", "segment_offsets.npy"):
-            restamp_manifest(index_dir, name)
+        edit_index(index_dir, lambda parts: parts.update(
+            lines=b"".join(lines),
+            segment_offsets=np.cumsum([0] + [len(seg_line) for seg_line in lines], dtype="<i8")))
         code = main(["--index-dir", cfg.index_dir, "--top-k", str(len(lines)), "query", "pinout"])
         assert code == 2
         assert "error: segment row 3 is not a segment" in capsys.readouterr().err
 
     def test_damaged_file_is_refused_with_its_name(self, manual_setup, capsys):
         cfg, _ = manual_setup
-        path = stored(Path(cfg.index_dir), "postings_tf.npy")
+        path = Path(cfg.index_dir) / INDEX_FILE
         path.write_bytes(path.read_bytes()[:-4])
         code = main(["--index-dir", cfg.index_dir, "query", "pinout"])
         assert code == 2
         err = capsys.readouterr().err
-        assert f"index file {path} holds" in err and "run 'hiret ingest'" in err
+        assert f"index file {path} does not end in" in err and "run 'hiret ingest'" in err
 
     def test_closed_stdout_pipe_exits_cleanly(self, manual_setup):
         # `hiret query ... | head`: the reader is gone before the output is written
@@ -880,7 +869,7 @@ class TestConfigAndExitCodes:
         index_dir = tmp_path / "new" / "deeper" / "index"
         assert main(["--corpus-dir", str(corpus), "--index-dir", str(index_dir), "ingest"]) == 0
         assert f"-> {index_dir}" in capsys.readouterr().out
-        assert (index_dir / "manifest.json").is_file()
+        assert (index_dir / INDEX_FILE).is_file()
 
     @pytest.mark.parametrize("flags, says", [
         (["--alpha", "2", "query", "foo"], "alpha must be in [0, 1]"),

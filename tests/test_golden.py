@@ -1,7 +1,7 @@
-"""The golden ranking: ingesting the committed fixture reproduces every index
-file byte for byte (each named by its logical name, as ``INDEX_FILES`` lists
-it), every bank query's full ranking bit for bit and its log-rank score to the
-last digit of its ``repr``.
+"""The golden ranking: ingesting the committed fixture reproduces each region of
+the index file byte for byte (its segment lines, each array by name and the
+header), every bank query's full ranking bit for bit and its log-rank score to
+the last digit of its ``repr``.
 
 A change that moves a ranking on purpose regenerates ``tests/data/golden.json``
 with ``PYTHONPATH=src python tests/make_golden.py`` and says why.

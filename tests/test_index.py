@@ -19,13 +19,13 @@ import pytest
 from conftest import (
     FORMAT_3_FILES,
     FORMAT_6_FILES,
+    FORMAT_8_FILES,
     dense,
+    edit_index,
     inverted_lists,
     keyword_sets,
     keyword_table,
     load_and_ingest,
-    restamp_manifest,
-    stored,
     write_datasheet_corpus,
 )
 from hypothesis import HealthCheck, given, settings
@@ -36,7 +36,8 @@ from hiret.corpus import DocumentRecord, ImageAsset, Segment, path_text
 from hiret.hca import augment_document, without_augmentation
 from hiret.index import (
     FORMAT_VERSION,
-    INDEX_FILES,
+    INDEX_FILE,
+    _ARRAYS,
     _RUN_BREAKS,
     Bm25Index,
     HashingEmbedder,
@@ -44,7 +45,7 @@ from hiret.index import (
     IndexBundle,
     IndexFormatError,
     StoredSegments,
-    _file_entry,
+    _crc32,
     _json_bytes,
     _Memo,
     _Scan,
@@ -73,6 +74,24 @@ BM25_WORKED_EXAMPLE = 0.6099695188927519  # ln 2 * 0.88, recomputed by hand
 def dir_bytes(directory):
     """Every entry of ``directory``, by name: an index's names and bytes."""
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+# The regions of an index file, in the order it stores them.
+REGIONS = ("lines", *_ARRAYS, "header", "header length", "crc32", "magic")
+
+
+def file_regions(directory) -> dict[str, tuple[int, int]]:
+    """Each of :data:`REGIONS` of ``directory``'s index file: its bytes ``lo:hi``."""
+    data = (directory / INDEX_FILE).read_bytes()
+    header = edit_index(directory)["header"]
+    spans = {"lines": (0, header["lines"])}
+    for name, (dtype, offset, count) in header["arrays"].items():
+        spans[name] = (offset, offset + count * np.dtype(dtype).itemsize)
+    tail = len(data) - 20
+    spans.update({"header": (tail - int.from_bytes(data[tail:tail + 8], "little"), tail),
+                  "header length": (tail, tail + 8), "crc32": (tail + 8, tail + 12),
+                  "magic": (tail + 12, len(data))})
+    return {name: spans[name] for name in REGIONS}
 
 
 def seg(doc_id, segment_id, text):
@@ -750,6 +769,13 @@ def test_duplicate_segment_keys_are_refused():
         build_indices(segments, HashingEmbedder())
 
 
+def _entry_edit(name, i, change):
+    """A header edit: field ``i`` of array ``name``'s entry becomes ``change(field)``."""
+    def edit(header):
+        header["arrays"][name][i] = change(header["arrays"][name][i])
+    return edit
+
+
 class TestPersistence:
     def build_bundle(self):
         segments = [
@@ -796,208 +822,205 @@ class TestPersistence:
         for query in ["alpha beta", "ca-is3641 gamma", "epsilon"]:
             assert bm25_scores(bundle.bm25, query) == bm25_scores(loaded.bm25, query)
 
-    def test_corrupted_magic_refuses_to_load(self, tmp_path):
+    def saved(self, tmp_path) -> Path:
         save_index(self.build_bundle(), tmp_path)
-        path = stored(tmp_path, "vector_values.npy")
-        path.write_bytes(b"XXXXXX" + path.read_bytes()[6:])  # the .npy magic
-        with pytest.raises(IndexFormatError, match=re.escape(str(path))):
-            load_index(tmp_path)
-        # a manifest that vouches for the bad file does not get it parsed either
-        restamp_manifest(tmp_path, "vector_values.npy")
-        path = stored(tmp_path, "vector_values.npy")
-        with pytest.raises(IndexFormatError, match=re.escape(f"corrupt index file {path}")):
-            load_index(tmp_path)
+        return tmp_path / INDEX_FILE
 
-    @pytest.mark.parametrize("name", INDEX_FILES)
-    def test_truncated_file_is_refused(self, tmp_path, name):
-        save_index(self.build_bundle(), tmp_path)
-        path = stored(tmp_path, name)
-        data = path.read_bytes()
-        path.write_bytes(data[: len(data) // 2])
-        with pytest.raises(IndexFormatError, match=f"{path.name} holds {len(data) // 2} bytes"):
-            load_index(tmp_path)
-
-    @pytest.mark.parametrize("name", INDEX_FILES)
-    def test_emptied_file_is_refused(self, tmp_path, name):
-        save_index(self.build_bundle(), tmp_path)
-        path = stored(tmp_path, name)
-        path.write_bytes(b"")  # a memory-mapped array cannot even be mapped
-        with pytest.raises(IndexFormatError, match=path.name):
-            load_index(tmp_path)
-
-    @pytest.mark.parametrize("name", [n for n in INDEX_FILES if n != "segments.jsonl"])
-    def test_emptied_file_the_manifest_vouches_for_is_corrupt(self, tmp_path, name):
-        save_index(self.build_bundle(), tmp_path)
-        stored(tmp_path, name).write_bytes(b"")
-        restamp_manifest(tmp_path, name)  # 0 bytes, crc32 0: the check passes
-        stem, _, suffix = name.partition(".")
-        with pytest.raises(IndexFormatError,
-                           match=f"corrupt index file .*{stem}.00000000.{suffix}"):
-            load_index(tmp_path)
-
-    @pytest.mark.parametrize("name", INDEX_FILES)
-    def test_flipped_byte_is_refused(self, tmp_path, name):
-        save_index(self.build_bundle(), tmp_path)
-        path = stored(tmp_path, name)
+    @pytest.mark.parametrize("region", REGIONS)
+    def test_flipped_byte_is_refused(self, tmp_path, region):
+        path = self.saved(tmp_path)
+        lo, hi = file_regions(tmp_path)[region]
+        assert lo < hi, region  # every region of this index holds a byte
         data = bytearray(path.read_bytes())
-        data[len(data) // 2] ^= 0x01
+        data[(lo + hi) // 2] ^= 0x01
         path.write_bytes(bytes(data))
-        with pytest.raises(IndexFormatError, match=f"{path.name} does not match its crc32"):
+        says = "does not end in an index's magic" if region == "magic" else (
+            "does not match its crc32")
+        with pytest.raises(IndexFormatError,
+                           match=re.escape(f"index file {path} {says}")) as refused:
+            load_index(tmp_path)
+        if Path("/proc/self/maps").exists():  # the traceback, still held, keeps no map open
+            assert refused.value.__traceback__ is not None
+            assert str(path.resolve()) not in Path("/proc/self/maps").read_text()
+
+    def assert_cut_is_refused(self, path, data, cut):
+        path.write_bytes(data[:cut])
+        says = "cannot read index file" if cut == 0 else "does not end in an index's magic"
+        with pytest.raises(IndexFormatError, match=re.escape(says)) as refused:
+            load_index(path.parent)
+        assert str(path) in str(refused.value), cut
+
+    @pytest.mark.parametrize("region", REGIONS)
+    def test_file_cut_at_a_region_boundary_is_refused(self, tmp_path, region):
+        path = self.saved(tmp_path)
+        data = path.read_bytes()
+        lo, hi = file_regions(tmp_path)[region]
+        assert (lo == 0) == (region == "lines") and lo < len(data)
+        for cut in (lo, hi) if hi < len(data) else (lo,):  # the magic ends the file
+            self.assert_cut_is_refused(path, data, cut)
+
+    @pytest.mark.parametrize("region", REGIONS)
+    def test_file_cut_inside_a_region_is_refused(self, tmp_path, region):
+        path = self.saved(tmp_path)
+        data = path.read_bytes()
+        lo, hi = file_regions(tmp_path)[region]
+        assert hi - lo >= 2, region  # every region of this index holds a byte past its first
+        self.assert_cut_is_refused(path, data, (lo + hi) // 2)
+
+    @pytest.mark.parametrize("name", ["lines", *_ARRAYS])
+    def test_emptied_region_the_header_vouches_for_is_refused(self, tmp_path, name):
+        self.saved(tmp_path)
+        edit_index(tmp_path, lambda parts: parts.update(
+            {name: b"" if name == "lines" else parts[name][:0]}))
+        with pytest.raises(IndexFormatError):
             load_index(tmp_path)
 
     def test_missing_file_is_refused(self, tmp_path):
-        save_index(self.build_bundle(), tmp_path)
-        path = stored(tmp_path, "postings_rows.npy")
-        path.unlink()
-        with pytest.raises(IndexFormatError, match=f"cannot read index file {path}"):
+        self.saved(tmp_path).unlink()
+        with pytest.raises(IndexFormatError,
+                           match=re.escape(f"no index at {tmp_path / INDEX_FILE}")):
             load_index(tmp_path)
 
-    @pytest.mark.parametrize("name, data, says", [
-        ("vector_rows.npy", np.zeros(3, "<i8"),
-         "holds int64 1-d data, expected <u1 or <u2 or <u4 1-d"),
-        ("vector_values.npy", np.zeros((3, 1), "<f4"),
-         "holds float32 2-d data, expected <f4 1-d"),
-        ("postings_tf.npy", np.ones(14, "<i4"),
-         "holds int32 1-d data, expected <u1 or <u2 or <u4 1-d"),
-    ], ids=["dtype", "ndim", "tf-dtype"])
-    def test_array_of_another_dtype_or_ndim_is_refused(self, tmp_path, name, data, says):
-        save_index(self.build_bundle(), tmp_path)
-        np.save(stored(tmp_path, name), data)
-        restamp_manifest(tmp_path, name)  # the manifest vouches for the file
-        path = stored(tmp_path, name)
-        with pytest.raises(IndexFormatError, match=re.escape(f"{path.name} {says}")) as refused:
+    @pytest.mark.parametrize("edit, says", [
+        (_entry_edit("postings_rows", 1, lambda offset: offset + 1),
+         "arrays['postings_rows'] starts at"),
+        (_entry_edit("vector_values", 2, lambda count: count + 600),
+         "arrays['vector_values'] does not lie before the header"),
+        (_entry_edit("segment_offsets", 1, lambda offset: -8),
+         "arrays['segment_offsets'] does not lie before the header"),
+        (_entry_edit("keywords_rows", 2, lambda count: -1),
+         "arrays['keywords_rows'] does not lie before the header"),
+        (_entry_edit("vector_rows", 0, lambda dtype: "<i8"),
+         "arrays['vector_rows'] holds '<i8', expected <u1 or <u2 or <u4"),
+        (_entry_edit("vector_values", 0, lambda dtype: "<f8"),
+         "arrays['vector_values'] holds '<f8', expected <f4"),
+        (_entry_edit("postings_tf", 0, lambda dtype: "<i4"),
+         "arrays['postings_tf'] holds '<i4', expected <u1 or <u2 or <u4"),
+        (lambda header: header["arrays"].pop("segment_offsets"),
+         "arrays['segment_offsets'] is not a [dtype, offset, count]"),
+        (_entry_edit("keywords_rows", 2, float),
+         "arrays['keywords_rows'] is not a [dtype, offset, count]"),
+        (lambda header: header.update(lines=10 ** 6),
+         "its 1000000 bytes of segment lines do not end before the header"),
+    ], ids=["unaligned", "past-the-header", "negative-offset", "negative-count", "rows-dtype",
+            "values-dtype", "tf-dtype", "missing", "float-count", "lines-past-the-header"])
+    def test_array_entry_that_cannot_be_viewed_is_refused(self, tmp_path, edit, says):
+        path = self.saved(tmp_path)
+        edit_index(tmp_path, header=edit)  # the trailer vouches for the header
+        with pytest.raises(IndexFormatError,
+                           match=re.escape(f"index file {path}: {says}")) as refused:
             load_index(tmp_path)
         if Path("/proc/self/maps").exists():  # the traceback, still held, keeps no map open
             assert refused.value.__traceback__ is not None
             assert str(path.resolve()) not in Path("/proc/self/maps").read_text()
 
-    def test_array_shorter_than_its_header_says_is_corrupt(self, tmp_path):
-        save_index(self.build_bundle(), tmp_path)
-        path = stored(tmp_path, "postings_rows.npy")
-        path.write_bytes(path.read_bytes()[:-1])  # the header still counts every row
-        restamp_manifest(tmp_path, "postings_rows.npy")
-        path = stored(tmp_path, "postings_rows.npy")
-        says = f"corrupt index file .*{path.name}"
-        with pytest.raises(IndexFormatError, match=says) as refused:
-            load_index(tmp_path)
-        if Path("/proc/self/maps").exists():  # the traceback, still held, keeps no map open
-            assert refused.value.__traceback__ is not None
-            assert str(path.resolve()) not in Path("/proc/self/maps").read_text()
-
-    def test_terms_file_that_is_not_json_is_refused(self, tmp_path):
-        save_index(self.build_bundle(), tmp_path)
-        stored(tmp_path, "postings_terms.json").write_bytes(b'["alpha", ')
-        restamp_manifest(tmp_path, "postings_terms.json")
-        path = stored(tmp_path, "postings_terms.json")
-        with pytest.raises(IndexFormatError, match=f"corrupt index file .*{path.name}"):
-            load_index(tmp_path)
-
-    def test_manifest_that_is_not_json_is_refused(self, tmp_path):
-        save_index(self.build_bundle(), tmp_path)
-        (tmp_path / "manifest.json").write_text('{"format_version": ', encoding="utf-8")
-        with pytest.raises(IndexFormatError, match="corrupt manifest .*manifest.json"):
-            load_index(tmp_path)
-
-    def test_manifest_must_list_every_file(self, tmp_path):
-        save_index(self.build_bundle(), tmp_path)
-        manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
-        del manifest["files"]["segments.jsonl"]
-        (tmp_path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
-        with pytest.raises(IndexFormatError, match="does not list the index files"):
-            load_index(tmp_path)
-
-    @pytest.mark.parametrize("crc32", ["../../x", "0BADF00D", "0badf00", "0badf00d0",
-                                       "0badf00d\n"])
-    def test_crc32_that_is_not_8_lowercase_hex_digits_is_refused_before_a_file_is_opened(
-            self, tmp_path, monkeypatch, crc32):
-        save_index(self.build_bundle(), tmp_path)
-        path = tmp_path / "manifest.json"
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-        manifest["files"]["segments.jsonl"]["crc32"] = crc32  # it names the file: a path
-        path.write_text(json.dumps(manifest), encoding="utf-8")
-        opened = []
-        monkeypatch.setattr(hiret.index, "_mapped", opened.append)
+    @pytest.mark.parametrize("field", ["k1", "b", "embedder", "user_keywords", "keys",
+                                       "postings_terms", "keywords_terms", "lines", "arrays"])
+    def test_header_without_a_field_is_refused(self, tmp_path, field):
+        path = self.saved(tmp_path)
+        edit_index(tmp_path, header=lambda header: header.pop(field))
         with pytest.raises(IndexFormatError, match=re.escape(
-                "files['segments.jsonl'] needs an int 'bytes' and a 'crc32' of 8 lowercase "
-                "hex digits")):
+                f"index file {path}: {field!r} is missing or mistyped")):
             load_index(tmp_path)
-        assert opened == []
+
+    def test_header_without_a_format_version_is_refused(self, tmp_path):
+        self.saved(tmp_path)
+        edit_index(tmp_path, header=lambda header: header.pop("format_version"))
+        with pytest.raises(IndexFormatError, match=re.escape(
+                f"unsupported index format_version None (expected {FORMAT_VERSION})")):
+            load_index(tmp_path)
+
+    @pytest.mark.parametrize("name", _ARRAYS)
+    def test_header_without_an_array_entry_is_refused(self, tmp_path, name):
+        path = self.saved(tmp_path)
+        edit_index(tmp_path, header=lambda header: header["arrays"].pop(name))
+        with pytest.raises(IndexFormatError, match=re.escape(
+                f"index file {path}: arrays[{name!r}] is not a [dtype, offset, count]")):
+            load_index(tmp_path)
+
+    @pytest.mark.parametrize("header, says", [
+        (b'{"format_version": ', "Expecting value"),
+        (b"\xff{}", "codec can't decode"),
+        (None, "the header's length runs past the start of the file"),
+    ], ids=["not-json", "not-utf8", "longer-than-the-file"])
+    def test_header_that_cannot_be_read_is_refused(self, tmp_path, header, says):
+        path = self.saved(tmp_path)
+        data = path.read_bytes()
+        lo, hi = file_regions(tmp_path)["header"]
+        body = data[:lo] + (header or data[lo:hi])
+        body += (len(data) if header is None else len(header)).to_bytes(8, "little")
+        path.write_bytes(body + zlib.crc32(body).to_bytes(4, "little") + data[-8:])
+        with pytest.raises(IndexFormatError, match=re.escape(f"corrupt index file {path}: ")
+                           + f".*{says}"):
+            load_index(tmp_path)
 
     def test_rows_and_terms_out_of_order_are_refused(self, tmp_path):
-        """Each change below keeps every file's sum in the manifest right."""
-        save_index(self.build_bundle(), tmp_path)
-        saved = {name: stored(tmp_path, name).read_bytes() for name in INDEX_FILES}
-        assert json.loads(saved["keywords_terms.json"]) == ["ca-is3641", "epsilon"]
-        assert np.load(stored(tmp_path, "keywords_rows.npy")).tolist() == [0, 2]
-        terms = json.loads(saved["postings_terms.json"])
-        offsets = np.load(stored(tmp_path, "postings_offsets.npy"))
+        """Each change below is re-stamped: the trailer's crc32 holds."""
+        self.saved(tmp_path)
+        saved = (tmp_path / INDEX_FILE).read_bytes()
+        parts = edit_index(tmp_path)
+        assert parts["header"]["keywords_terms"] == ["ca-is3641", "epsilon"]
+        assert parts["keywords_rows"].tolist() == [0, 2]
+        terms, offsets = parts["header"]["postings_terms"], parts["postings_offsets"]
         lo, hi = offsets[terms.index("alpha")], offsets[terms.index("alpha") + 1]
-        postings_rows = np.load(stored(tmp_path, "postings_rows.npy"))
+        postings_rows = parts["postings_rows"].copy()
         assert postings_rows[lo:hi].tolist() == [0, 2]
         postings_rows[lo:hi] = [2, 0]
 
-        def refused(changes: dict, problem: str) -> None:
-            for name, data in changes.items():
-                if isinstance(data, np.ndarray):
-                    np.save(stored(tmp_path, name), data)
-                else:
-                    stored(tmp_path, name).write_text(json.dumps(data), encoding="utf-8")
-                restamp_manifest(tmp_path, name)
+        def refused(problem: str, arrays: dict | None = None, **header) -> None:
+            edit_index(tmp_path, lambda parts: parts.update(arrays or {}),
+                       lambda h: h.update(header))
             with pytest.raises(IndexFormatError, match=problem):
                 load_index(tmp_path)
-            for name in changes:
-                stored(tmp_path, name).write_bytes(saved[name])
-                restamp_manifest(tmp_path, name)
+            (tmp_path / INDEX_FILE).write_bytes(saved)
 
         not_ascending = "holds a list of rows that is not strictly ascending"
-        refused({"keywords_rows.npy": np.array([0, 0, 2], "<u1"),  # row 0 holds ca-is3641 twice
-                 "keywords_offsets.npy": np.array([0, 2, 3], "<i8")},
-                f"keywords_rows.npy {not_ascending}")
-        refused({"keywords_terms.json": ["epsilon", "ca-is3641"]},
-                "keywords_terms.json does not hold distinct sorted strings")
-        refused({"postings_terms.json": sorted(terms + terms[:1])},
-                "postings_terms.json does not hold distinct sorted strings")
-        refused({"postings_rows.npy": postings_rows}, f"postings_rows.npy {not_ascending}")
-        refused({"vector_rows.npy": np.array([1, 0, 2], "<u1")}, f"vector index {not_ascending}")
-        tf = np.load(stored(tmp_path, "postings_tf.npy"))
-        refused({"postings_tf.npy": tf[:-1]},
-                f"{len(tf) - 1} posting counts for {len(tf)} posting rows")
-        refused({"keywords_offsets.npy": np.array([0, 0, 2], "<i8")},  # ca-is3641 owns no row
-                "keywords_offsets.npy does not split 2 entries into 2 non-empty parts")
+        refused(f"keywords_rows {not_ascending}",  # row 0 holds ca-is3641 twice
+                {"keywords_rows": np.array([0, 0, 2], "<u1"),
+                 "keywords_offsets": np.array([0, 2, 3], "<i8")})
+        refused("'keywords_terms' must hold distinct strings in sorted order",
+                keywords_terms=["epsilon", "ca-is3641"])
+        refused("'postings_terms' must hold distinct strings in sorted order",
+                postings_terms=sorted(terms + terms[:1]))
+        refused(f"postings_rows {not_ascending}", {"postings_rows": postings_rows})
+        refused(f"vector index {not_ascending}", {"vector_rows": np.array([1, 0, 2], "<u1")})
+        tf = parts["postings_tf"]
+        refused(f"{len(tf) - 1} posting counts for {len(tf)} posting rows",
+                {"postings_tf": tf[:-1]})
+        refused("keywords_offsets does not split 2 entries into 2 non-empty parts",
+                {"keywords_offsets": np.array([0, 0, 2], "<i8")})  # ca-is3641 owns no row
         load_index(tmp_path)  # each change undone, the index loads again
 
     def vector_arrays(self, tmp_path):
-        save_index(self.build_bundle(), tmp_path)
-        arrays = {name: np.load(stored(tmp_path, f"vector_{name}.npy"))
+        arrays = {name: edit_index(self.saved(tmp_path).parent)[f"vector_{name}"]
                   for name in ("offsets", "ordinals", "values")}
         # the 3 vectors leave most of the 256 dimensions without an entry, which is legal
         assert (np.diff(arrays["offsets"]) == 0).any()
         return arrays
 
     @pytest.mark.parametrize("edit, problem", [
-        (lambda a: {"offsets": a["offsets"][:-1]}, "vector_offsets.npy does not split"),
+        (lambda a: {"offsets": a["offsets"][:-1]}, "vector_offsets does not split"),
         (lambda a: {"offsets": np.concatenate([[-1], a["offsets"][1:]])},
-         "vector_offsets.npy does not split"),
+         "vector_offsets does not split"),
         (lambda a: {"offsets": np.concatenate([a["offsets"][:-1], a["offsets"][-1:] + 1])},
-         "vector_offsets.npy does not split"),
+         "vector_offsets does not split"),
         (lambda a: {"offsets": np.concatenate([a["offsets"][:1], a["offsets"][-2:0:-1],
                                                a["offsets"][-1:]])},
-         "vector_offsets.npy does not split"),
+         "vector_offsets does not split"),
         (lambda a: {"ordinals": np.concatenate([a["ordinals"][:-1], [3]]).astype("<u1")},
-         "vector_ordinals.npy holds rows outside the 3 vectors"),
+         "vector_ordinals holds rows outside the 3 vectors"),
         # an ordinal below 0 needs a signed type, which is refused
         (lambda a: {"ordinals": np.concatenate([a["ordinals"][:-1], [-1]]).astype("<i4")},
-         r"vector_ordinals\.[0-9a-f]{8}\.npy holds int32 1-d data, expected <u1 or <u2 or <u4 1-d"),
+         "arrays['vector_ordinals'] holds '<i4', expected <u1 or <u2 or <u4"),
         (lambda a: {"values": a["values"][:-1]}, "vector values for"),
     ], ids=["offsets-shape", "offsets-start", "offsets-end", "offsets-decrease",
             "ordinal-past-the-vectors", "ordinal-negative", "values-length"])
     def test_vector_store_that_does_not_fit_is_refused(self, tmp_path, edit, problem):
-        """Each change keeps every file's sum in the manifest right."""
-        arrays = self.vector_arrays(tmp_path)
-        for name, data in edit(arrays).items():
-            np.save(stored(tmp_path, f"vector_{name}.npy"), data)
-            restamp_manifest(tmp_path, f"vector_{name}.npy")
-        with pytest.raises(IndexFormatError, match=problem):
+        """Each change is re-stamped: the trailer's crc32 holds."""
+        changes = {f"vector_{name}": data for name, data in
+                   edit(self.vector_arrays(tmp_path)).items()}
+        edit_index(tmp_path, lambda parts: parts.update(changes))
+        with pytest.raises(IndexFormatError, match=re.escape(problem)):
             load_index(tmp_path)
 
     @pytest.mark.parametrize("swap", [True, False], ids=["swapped", "repeated"])
@@ -1006,9 +1029,8 @@ class TestPersistence:
         offsets, ordinals = arrays["offsets"], arrays["ordinals"]
         lo = int(offsets[np.flatnonzero(np.diff(offsets) >= 2)[0]])  # a dimension of 2 or more
         ordinals[lo:lo + 2] = ordinals[[lo + 1, lo]] if swap else ordinals[lo]
-        np.save(stored(tmp_path, "vector_ordinals.npy"), ordinals)
-        restamp_manifest(tmp_path, "vector_ordinals.npy")
-        with pytest.raises(InconsistentIndexError, match="vector_ordinals.npy holds a list of "
+        edit_index(tmp_path, lambda parts: parts.update(vector_ordinals=ordinals))
+        with pytest.raises(InconsistentIndexError, match="vector_ordinals holds a list of "
                                                          "rows that is not strictly ascending"):
             load_index(tmp_path)
 
@@ -1016,7 +1038,7 @@ class TestPersistence:
         segments = [seg("d", "1", "vcc " * 256 + "gain"), seg("d", "2", "vcc gain gain")]
         bundle = build_indices(segments, HashingEmbedder(dim=16))
         save_index(bundle, tmp_path)
-        assert np.load(stored(tmp_path, "postings_tf.npy")).dtype == np.dtype("<u2")
+        assert edit_index(tmp_path)["postings_tf"].dtype == np.dtype("<u2")
         loaded = load_index(tmp_path)
         assert loaded.bm25.tf.tolist() == bundle.bm25.tf.tolist() == [1, 2, 256, 1]
         for query in ["vcc", "gain vcc vcc", "none"]:
@@ -1025,14 +1047,14 @@ class TestPersistence:
                         == bm25_score(loaded.bm25, query, key)
                         == bm25_score(bundle.bm25, query, key))
 
-    @pytest.mark.parametrize("keys", [7, "d1#1", {"d1#1": 0}, ["d1#1", 7, "d2#1"],
-                                      ["d1#1", None, "d2#1"]])
-    def test_keys_file_that_is_not_a_list_of_strings_is_refused(self, tmp_path, keys):
-        save_index(self.build_bundle(), tmp_path)
-        stored(tmp_path, "segment_keys.json").write_text(json.dumps(keys), encoding="utf-8")
-        restamp_manifest(tmp_path, "segment_keys.json")
-        with pytest.raises(IndexFormatError,
-                           match="segment_keys.json does not hold a list of strings"):
+    @pytest.mark.parametrize("keys, says", [
+        (7, "is missing or mistyped"), ("d1#1", "is missing or mistyped"),
+        ({"d1#1": 0}, "is missing or mistyped"), (["d1#1", 7, "d2#1"], "must be a list of strings"),
+        (["d1#1", None, "d2#1"], "must be a list of strings")])
+    def test_keys_that_are_not_a_list_of_strings_are_refused(self, tmp_path, keys, says):
+        self.saved(tmp_path)
+        edit_index(tmp_path, header=lambda h: h.update(keys=keys))
+        with pytest.raises(IndexFormatError, match=re.escape(f"'keys' {says}")):
             load_index(tmp_path)
 
     def test_segment_row_holding_another_key_is_refused_when_read(self, tmp_path):
@@ -1040,39 +1062,34 @@ class TestPersistence:
         the row's key. A line without them takes them from the key."""
         save_index(build_indices([seg("d#1", "1", "alpha"), seg("d1", "1", "beta")],
                                  HashingEmbedder()), tmp_path)
-        keys = json.loads(stored(tmp_path, "segment_keys.json").read_text(encoding="utf-8"))
-        assert keys == ["d#1#1", "d1#1"]
-        keys = ["d#1#0", "d1#0"]  # still in key order
-        stored(tmp_path, "segment_keys.json").write_text(json.dumps(keys), encoding="utf-8")
-        restamp_manifest(tmp_path, "segment_keys.json")
+        assert edit_index(tmp_path)["header"]["keys"] == ["d#1#1", "d1#1"]
+        edit_index(tmp_path, header=lambda h: h.update(keys=["d#1#0", "d1#0"]))  # in key order
         loaded = load_index(tmp_path)
         with pytest.raises(IndexFormatError, match="segment row 0 holds 'd#1#1', not 'd#1#0'"):
             loaded.segments[0]
         assert (loaded.segments[1].doc_id, loaded.segments[1].segment_id) == ("d1", "0")
 
     def test_keys_out_of_key_order_are_refused_at_load(self, tmp_path):
-        save_index(self.build_bundle(), tmp_path)
-        keys = json.loads(stored(tmp_path, "segment_keys.json").read_text(encoding="utf-8"))
+        self.saved(tmp_path)
+        keys = edit_index(tmp_path)["header"]["keys"]
         keys[1], keys[2] = keys[2], keys[1]
-        stored(tmp_path, "segment_keys.json").write_text(json.dumps(keys), encoding="utf-8")
-        restamp_manifest(tmp_path, "segment_keys.json")
+        edit_index(tmp_path, header=lambda h: h.update(keys=keys))
         with pytest.raises(InconsistentIndexError, match=re.escape(
                 f"segments are not in key order: row 2 is {keys[2]!r}, after {keys[1]!r}")):
             load_index(tmp_path)
 
     def test_version_mismatch_refuses_to_load(self, tmp_path):
-        save_index(self.build_bundle(), tmp_path)
-        manifest = (tmp_path / "manifest.json").read_text(encoding="utf-8")
-        (tmp_path / "manifest.json").write_text(
-            manifest.replace(f'"format_version": {FORMAT_VERSION}', '"format_version": 99'),
-            encoding="utf-8",
-        )
-        with pytest.raises(IndexFormatError, match="format_version"):
+        self.saved(tmp_path)
+        edit_index(tmp_path, header=lambda h: h.update(format_version=99))
+        with pytest.raises(IndexFormatError, match=re.escape(
+                f"unsupported index format_version 99 (expected {FORMAT_VERSION})")):
             load_index(tmp_path)
 
-    def test_missing_manifest_is_instructive(self, tmp_path):
-        with pytest.raises(IndexFormatError, match="manifest"):
-            load_index(tmp_path / "empty")
+    def test_missing_index_is_instructive(self, tmp_path):
+        for directory in (tmp_path / "empty", tmp_path):
+            with pytest.raises(IndexFormatError, match=re.escape(
+                    f"no index at {directory / INDEX_FILE}")):
+                load_index(directory)
 
     def test_empty_index_round_trips(self, tmp_path):
         bundle = build_indices([], HashingEmbedder())
@@ -1110,10 +1127,12 @@ class TestStoredSegments:
 
 @pytest.mark.parametrize("size", [0, 1, (1 << 20) - 1, 1 << 20, (1 << 20) + 1,
                                   3 * (1 << 20) + 7])
-def test_file_entry_sums_every_window(tmp_path, size):
-    data = random.Random(size).randbytes(size)
+def test_crc32_sums_every_window_of_a_prefix(tmp_path, size):
+    data = random.Random(size).randbytes(size + 20)  # a prefix, as of an index file's trailer
     (tmp_path / "file").write_bytes(data)
-    assert _file_entry(tmp_path / "file") == {"bytes": size, "crc32": f"{zlib.crc32(data):08x}"}
+    with open(tmp_path / "file", "rb") as f:
+        with mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) as data_map:
+            assert _crc32(data_map, size) == zlib.crc32(data[:size])
 
 
 def _mappings(path: Path) -> list[int]:
@@ -1129,78 +1148,76 @@ def _mappings(path: Path) -> list[int]:
 
 @pytest.fixture(scope="module")
 def large_index(tmp_path_factory) -> Path:
-    """An index whose segments.jsonl is over 4 MiB (six windows), saved once for the module."""
+    """An index whose segment lines are over 4 MiB (six windows), saved once for the module."""
     body = "isolation voltage " * 240
     segments = [seg("d", f"{i:04d}", f"part {i} {body}") for i in range(600)]
     directory = Path(os.path.realpath(tmp_path_factory.mktemp("large"))) / "index"
     save_index(build_indices(segments, HashingEmbedder(dim=16)), directory)
-    assert stored(directory, "segments.jsonl").stat().st_size >= 4 << 20
+    assert edit_index(directory)["header"]["lines"] >= 4 << 20
     return directory
 
 
 class TestWindowedChecks:
-    """Each file's crc32 is summed through a map one 1 MiB window at a time, and each
-    window is dropped once summed: the segment map a loaded index keeps holds only the
-    rows a query decodes, and a refused file is left neither open nor mapped."""
+    """The file's crc32 is summed through its map one 1 MiB window at a time, and each
+    window is dropped once summed: the map a loaded index keeps holds only the rows a
+    query decodes, and a refused file is left neither open nor mapped."""
 
     @pytest.mark.skipif(not Path("/proc/self/smaps").exists(), reason="no /proc/self/smaps")
     def test_the_kept_segment_map_holds_only_the_rows_read(self, large_index):
-        blob = stored(large_index, "segments.jsonl")
         loaded = load_index(large_index)
-        [rss] = _mappings(blob)  # StoredSegments' map, the one mapping of the file
+        [rss] = _mappings(large_index / INDEX_FILE)  # the one mapping of the file
         assert rss < 1024
         row = len(loaded.segments) // 2
         assert loaded.segments[row].key == loaded.keys[row]
-        [rss] = _mappings(blob)
+        [rss] = _mappings(large_index / INDEX_FILE)
         assert rss < 1024
 
     @pytest.mark.parametrize("damage", ["flip", "cut"])
     def test_damage_in_the_last_window_is_refused_and_unmapped(self, large_index, tmp_path,
                                                                damage):
         directory = Path(os.path.realpath(shutil.copytree(large_index, tmp_path / "index")))
-        blob = stored(directory, "segments.jsonl")
-        data = bytearray(blob.read_bytes())
-        last = (len(data) - 1) >> 20 << 20  # where the last window starts
+        path = directory / INDEX_FILE
+        data = bytearray(path.read_bytes())
+        last = (len(data) - 13) >> 20 << 20  # where the last window the crc32 sums starts
         assert last >= 3 << 20
         if damage == "flip":
-            data[(last + len(data)) // 2] ^= 0x01
-            says = f"{blob.name} does not match its crc32"
+            data[(last + len(data) - 12) // 2] ^= 0x01
+            says = f"index file {path} does not match its crc32"
         else:
             del data[-1]
-            says = f"{blob.name} holds {len(data)} bytes, the manifest says {len(data) + 1}"
-        blob.write_bytes(bytes(data))
-        with pytest.raises(IndexFormatError, match=says) as refused:
+            says = f"index file {path} does not end in an index's magic"
+        path.write_bytes(bytes(data))
+        with pytest.raises(IndexFormatError, match=re.escape(says)) as refused:
             load_index(directory)
         if Path("/proc/self/maps").exists():  # the traceback, still held, keeps no map open
             assert refused.value.__traceback__ is not None
-            assert str(blob) not in Path("/proc/self/maps").read_text()
+            assert str(path) not in Path("/proc/self/maps").read_text()
 
 
-class TestOneMapPerFile:
-    """Each array is a view of the one map whose crc32 the load checked, and the pages
-    the load checks read are dropped once they have read them."""
+class TestOneMap:
+    """Each array is a view of the one map whose crc32 the load checked, and the map's
+    pages are dropped once the bundle is built."""
 
     def test_a_file_swapped_after_its_check_is_not_the_one_loaded(self, tmp_path, monkeypatch):
         segments = [seg("d", f"{i:02d}", f"alpha beta w{i} " * (i + 1)) for i in range(20)]
-        directory = tmp_path / "index"
+        directory, other = tmp_path / "index", tmp_path / "other"
         save_index(build_indices(segments, HashingEmbedder(dim=16)), directory)
-        values, tf = stored(directory, "vector_values.npy"), stored(directory, "postings_tf.npy")
-        checked = {path: np.load(path) for path in (values, tf)}
-        read_checked = hiret.index._read_checked
+        save_index(build_indices(segments[:3], HashingEmbedder(dim=16)), other)
+        checked = edit_index(directory)
+        crc32 = hiret.index._crc32
 
-        def swapping(path, entry):  # another valid file is renamed in after the check
-            data = read_checked(path, entry)
-            if path in checked:
-                np.save(tmp_path / "other.npy", checked[path] * 2)
-                os.replace(tmp_path / "other.npy", path)
-            return data
+        def swapping(data, end):  # another valid index is renamed in after the check
+            crc = crc32(data, end)
+            os.replace(other / INDEX_FILE, directory / INDEX_FILE)
+            return crc
 
-        monkeypatch.setattr(hiret.index, "_read_checked", swapping)
+        monkeypatch.setattr(hiret.index, "_crc32", swapping)
         loaded = load_index(directory)
-        assert np.load(tf).tolist() == (checked[tf] * 2).tolist()
-        assert loaded.vectors.values.tobytes() == checked[values].tobytes()
-        assert loaded.bm25.tf.tobytes() == checked[tf].tobytes()
+        assert len(edit_index(directory)["header"]["keys"]) == 3
+        assert loaded.vectors.values.tobytes() == checked["vector_values"].tobytes()
+        assert loaded.bm25.tf.tobytes() == checked["postings_tf"].tobytes()
         assert loaded.bm25.lengths.tolist() == [3 * (i + 1) for i in range(20)]
+        assert list(loaded.segments) == sorted(segments, key=lambda s: s.key)
 
     @pytest.mark.skipif(not (Path("/proc/self/smaps").exists() and hasattr(mmap, "MADV_DONTNEED")),
                         reason="no /proc/self/smaps or no MADV_DONTNEED")
@@ -1210,11 +1227,10 @@ class TestOneMapPerFile:
         bundle = build_indices(segments, HashingEmbedder(dim=16))
         save_index(bundle, tmp_path)
         loaded = load_index(tmp_path)
-        for name in ("postings_rows.npy", "postings_tf.npy", "vector_ordinals.npy",
-                     "keywords_rows.npy"):
-            [rss] = _mappings(stored(Path(os.path.realpath(tmp_path)), name))  # its one map
-            assert rss < 64, name  # kB; the load checks read every byte of each
-        assert stored(tmp_path, "postings_rows.npy").stat().st_size > 800_000
+        [rss] = _mappings(Path(os.path.realpath(tmp_path)) / INDEX_FILE)  # its one map
+        assert rss < 64  # kB; the load checks read every row, ordinal and term count
+        lo, hi = file_regions(tmp_path)["postings_rows"]
+        assert hi - lo > 800_000
         assert loaded.bm25.lengths.tolist() == [1001] * 400  # read again, through the map
         assert loaded.bm25.postings.rows.tobytes() == bundle.bm25.postings.rows.tobytes()
 
@@ -1241,8 +1257,8 @@ class TestDerivableText:
     def stored_texts(self, directory):
         """Each segment id's stored ``embedding_text``, None where the line leaves it out;
         a line leaves out the ids its key gives, so they are read from the keys."""
-        lines = stored(directory, "segments.jsonl").read_bytes().splitlines()
-        keys = json.loads(stored(directory, "segment_keys.json").read_bytes())
+        parts = edit_index(directory)
+        lines, keys = parts["lines"].splitlines(), parts["header"]["keys"]
         return {key.partition("#")[2]: json.loads(line).get("embedding_text")
                 for key, line in zip(keys, lines, strict=True)}
 
@@ -1296,8 +1312,7 @@ class TestDerivedSegmentFields:
         assert list(loaded) == sorted(segments, key=lambda s: s.key)
         save_index(load_index(first), again)
         assert dir_bytes(first) == dir_bytes(again)
-        lines = stored(first, "segments.jsonl").read_bytes().splitlines()
-        return [json.loads(line) for line in lines]
+        return [json.loads(line) for line in edit_index(first)["lines"].splitlines()]
 
     def test_a_doc_id_holding_the_key_separator_stores_both_ids(self, tmp_path):
         segments = self.document("a#b", "A", [("1", "1", 1, "x"), ("1.1", "1.1", 2, "y")])
@@ -1365,12 +1380,12 @@ def test_row_arrays_are_stored_and_loaded_in_the_narrowest_type(tmp_path, n, dty
     segments = [seg("d", f"{i:03d}", f"common w{i} w{i}") for i in range(n)]  # never cancels
     bundle = build_indices(segments, HashingEmbedder(dim=16))
     save_index(bundle, tmp_path / "first")
-    arrays = {name: np.load(stored(tmp_path / "first", name)) for name in INDEX_FILES
-              if name.endswith(("_rows.npy", "_ordinals.npy", "_tf.npy"))}
-    assert {name: a.dtype for name, a in arrays.items()} == {
-        "vector_rows.npy": np.dtype(dtype), "vector_ordinals.npy": np.dtype(dtype),  # n vectors
-        "postings_rows.npy": np.dtype(dtype), "keywords_rows.npy": np.dtype(dtype),
-        "postings_tf.npy": np.dtype("<u1")}
+    parts = edit_index(tmp_path / "first")
+    assert {name: parts[name].dtype for name in _ARRAYS
+            if name.endswith(("_rows", "_ordinals", "_tf"))} == {
+        "vector_rows": np.dtype(dtype), "vector_ordinals": np.dtype(dtype),  # n vectors
+        "postings_rows": np.dtype(dtype), "keywords_rows": np.dtype(dtype),
+        "postings_tf": np.dtype("<u1")}
     loaded = load_index(tmp_path / "first")
     assert bundle.vectors.rows.dtype == loaded.vectors.rows.dtype == np.intp  # scattered through
     assert bundle.vectors.rows.tolist() == loaded.vectors.rows.tolist() == list(range(n))
@@ -1456,31 +1471,36 @@ class TestAtomicSave:
         segments = [seg("d", str(i), text) for i, text in enumerate(texts)]
         return build_indices(segments, HashingEmbedder())
 
-    def committed(self, target):
-        """The names a committed save leaves: the manifest and the 14 files it names."""
-        return sorted(["manifest.json", *(stored(target, name).name for name in INDEX_FILES)])
+    def older_index(self, target, version, names):
+        """An index directory of format ``version``: its ``names`` and a manifest."""
+        target.mkdir()
+        for name in names:
+            (target / name).write_text("{}", encoding="utf-8")
+        (target / "manifest.json").write_text(json.dumps({"format_version": version}),
+                                              encoding="utf-8")
 
     def test_replaces_an_index_and_leaves_no_staging_directory(self, tmp_path):
         target = tmp_path / "index"
         save_index(self.bundle(["alpha", "beta"]), target)
         save_index(self.bundle(["gamma delta"]), target)
         assert [p.name for p in tmp_path.iterdir()] == ["index"]
-        assert sorted(os.listdir(target)) == self.committed(target)
+        assert os.listdir(target) == [INDEX_FILE]
         assert load_index(target).keys == ["d#0"]
 
     def test_a_loaded_index_reads_on_after_a_save_replaces_its_files(self, tmp_path):
         target = tmp_path / "index"
         save_index(self.bundle(["alpha", "beta"]), target)
         loaded = load_index(target)
-        save_index(loaded, target)  # every name and byte again, each file a new inode
+        save_index(loaded, target)  # every byte again, in a new inode
         assert list(load_index(target).segments) == list(loaded.segments)
-        save_index(self.bundle(["gamma delta"]), target)  # removes every file loaded holds
+        save_index(self.bundle(["gamma delta"]), target)  # removes the file loaded maps
         assert [s.content for s in loaded.segments] == ["alpha", "beta"]
         assert loaded.bm25.postings["beta"].tolist() == [1]
 
-    def test_save_that_raises_between_writes_keeps_the_previous_index(self, tmp_path,
-                                                                     monkeypatch, caplog):
-        # For every k, the save fails at its k-th file write, rename or removal.
+    def test_save_that_raises_at_any_step_keeps_the_previous_or_the_new_index(
+            self, tmp_path, monkeypatch):
+        # For every k, the save fails at its k-th open, write, fsync or rename. The rename
+        # commits it, so the directory's fsync after it fails a save that is in place.
         target = tmp_path / "index"
         old = self.bundle(["alpha beta CA-IS3641", "gamma", "alpha epsilon"])
         new = self.bundle(["other", "texts"])
@@ -1507,55 +1527,64 @@ class TestAtomicSave:
                 return real(*args, **kwargs)
             return call
 
+        class Written:  # a file opened for writing, each write a step
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                step("write")
+                return self.f.write(data)
+
+            def __getattr__(self, name):
+                return getattr(self.f, name)
+
         def opened(file, mode="r", *args, **kwargs):  # reads are not steps
-            if "w" in mode:
-                step("open")
-            return real_open(file, mode, *args, **kwargs)
+            if "w" not in mode:
+                return real_open(file, mode, *args, **kwargs)
+            step("open")
+            return Written(real_open(file, mode, *args, **kwargs))
 
         for fail_at in count(1):
             steps.clear()
-            caplog.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(hiret.index, "open", opened, raising=False)
-                patch.setattr(np, "save", counted("np.save", np.save))
-                patch.setattr(Path, "write_bytes", counted("write_bytes", Path.write_bytes))
+                patch.setattr(os, "fsync", counted("fsync", os.fsync))
                 patch.setattr(os, "replace", counted("replace", os.replace))
-                patch.setattr(os, "unlink", counted("unlink", os.unlink))
                 try:
-                    manifest = save_index(new, target)
+                    save_index(new, target)
                 except OSError:
-                    manifest = None
+                    pass
+                else:
+                    assert len(steps) < fail_at, steps
             if len(steps) < fail_at:  # every step ran and none failed
                 break
             assert [p.name for p in tmp_path.iterdir()] == ["index"], steps
-            if manifest is None:  # failed before the commit: the old index, as it was
+            if "replace" in steps[:fail_at - 1]:  # committed: only the directory's fsync
+                assert steps[fail_at - 1:] == ["fsync"], steps
+                assert contents() == new_bytes, steps
+                assert load_index(target).keys == new.keys
+            else:  # the old index, as it was, and the temporary removed
                 assert contents() == old_bytes, steps
-            else:
-                # Only a removal after the commit fails without failing the save: the new
-                # index is in place, one file of the old beside it, and a warning names it.
-                assert steps[fail_at - 1] == "unlink", steps
-                (left,) = set(contents()) - set(new_bytes)
-                assert contents() == {**new_bytes, left: old_bytes[left]}, steps
-                assert manifest == json.loads(contents()["manifest.json"])
-                assert "could not remove" in caplog.text and left in caplog.text
-            loaded = load_index(target)
-            if contents() == old_bytes:
-                assert [retrieve(q, loaded, cfg).ranking for q in ["alpha", "ca-is3641"]
-                        ] == expected
-            else:
-                assert loaded.keys == new.keys
-            save_index(old, target)  # the next save succeeds, and removes what is left
+                assert [retrieve(q, load_index(target), cfg).ranking
+                        for q in ["alpha", "ca-is3641"]] == expected
+            save_index(old, target)
             assert contents() == old_bytes
         assert fail_at == len(steps) + 1
-        assert steps.count("replace") == 15  # the 14 files, then the manifest: the commit
-        assert {"open", "np.save", "write_bytes", "replace", "unlink"} <= set(steps), steps
+        assert steps[0] == "open" and steps[-3:] == ["fsync", "replace", "fsync"], steps
+        assert set(steps) == {"open", "write", "fsync", "replace"}, steps
         assert contents() == new_bytes
 
     def test_first_save_that_raises_leaves_no_directory(self, tmp_path, monkeypatch):
         def failing(*args):
             raise OSError("disk full")
 
-        monkeypatch.setattr(hiret.index, "_file_entry", failing)
+        monkeypatch.setattr(os, "fsync", failing)
         with pytest.raises(OSError, match="disk full"):
             save_index(self.bundle(["alpha"]), tmp_path / "index")
         assert list(tmp_path.iterdir()) == []
@@ -1563,23 +1592,56 @@ class TestAtomicSave:
     def test_removes_what_killed_saves_left_and_leaves_siblings_alone(self, tmp_path):
         target = tmp_path / "index"
         save_index(self.bundle(["alpha"]), target)
-        left = [".manifest.json.tmp", ".segments.jsonl.tmp", "vector_rows.0badf00d.npy",
-                "segments.deadbeef.jsonl"]
-        for name in left:
-            (target / name).write_text("{}", encoding="utf-8")
+        (target / f".{INDEX_FILE}.tmp").write_text("{}", encoding="utf-8")
         (tmp_path / ".index.old-0badf00d").mkdir()  # a format-8 save's, no longer swept
         save_index(self.bundle(["beta"]), target)
-        assert sorted(os.listdir(target)) == self.committed(target)
+        assert os.listdir(target) == [INDEX_FILE]
         assert sorted(p.name for p in tmp_path.iterdir()) == [".index.old-0badf00d", "index"]
         assert load_index(target).keys == ["d#0"]
 
     def test_entry_that_cannot_be_removed_is_logged(self, tmp_path, caplog):
         target = tmp_path / "index"
-        (target / "vector_rows.0badf00d.npy").mkdir(parents=True)  # unlink cannot remove it
+        self.older_index(target, 9, ["vector_rows.0badf00d.npy"])
+        (target / "segments.0badf00d.jsonl").mkdir()  # unlink cannot remove it
         save_index(self.bundle(["alpha"]), target)
-        assert "could not remove" in caplog.text and "vector_rows.0badf00d.npy" in caplog.text
+        assert "could not remove" in caplog.text and "segments.0badf00d.jsonl" in caplog.text
+        # still an older index, so the next save replaces what is left
         assert sorted(os.listdir(target)) == sorted(
-            ["vector_rows.0badf00d.npy", *self.committed(target)])
+            [INDEX_FILE, "manifest.json", "segments.0badf00d.jsonl"])
+        assert load_index(target).keys == ["d#0"]
+        (target / "segments.0badf00d.jsonl").rmdir()
+        save_index(self.bundle(["beta"]), target)
+        assert os.listdir(target) == [INDEX_FILE]
+
+    @pytest.mark.parametrize("error", [OSError, SystemExit], ids=["fails", "dies"])
+    def test_sweep_that_stops_at_its_second_unlink_leaves_an_older_index(
+            self, tmp_path, monkeypatch, error):
+        target = tmp_path / "index"
+        old = [f"{stem}.0badf00d.{suffix}" for stem, _, suffix in
+               (name.partition(".") for name in FORMAT_8_FILES)]
+        self.older_index(target, 9, old)
+        unlink, unlinked = os.unlink, []
+
+        def second_fails(path):
+            unlinked.append(Path(path).name)
+            if len(unlinked) == 2:
+                raise error("unlink stopped")
+            unlink(path)
+
+        monkeypatch.setattr(os, "unlink", second_fails)
+        if error is SystemExit:  # a death in the sweep: the save is committed
+            with pytest.raises(SystemExit):
+                save_index(self.bundle(["alpha"]), target)
+        else:
+            save_index(self.bundle(["alpha"]), target)
+        monkeypatch.undo()
+        assert unlinked[:2] == sorted(old)[:2]
+        # a failed removal is logged and the sweep goes on; a death ends it
+        left = [unlinked[1]] if error is OSError else sorted(set(old) - {unlinked[0]})
+        assert sorted(os.listdir(target)) == sorted([INDEX_FILE, "manifest.json", *left])
+        assert load_index(target).keys == ["d#0"]
+        save_index(self.bundle(["beta"]), target)  # a re-ingest replaces the older index
+        assert os.listdir(target) == [INDEX_FILE]
         assert load_index(target).keys == ["d#0"]
 
     def test_refuses_a_directory_holding_other_files(self, tmp_path):
@@ -1598,19 +1660,18 @@ class TestAtomicSave:
 
     def test_replaces_an_index_of_the_previous_format(self, tmp_path):
         format_2 = ["vectors.bin", "postings.json", "keywords.json", "segments.json"]
+        format_9 = [f"{stem}.0badf00d.{suffix}" for stem, _, suffix in
+                    (name.partition(".") for name in FORMAT_8_FILES)]
         for version, old in ((2, format_2), (3, FORMAT_3_FILES), (5, FORMAT_6_FILES),
-                             (6, FORMAT_6_FILES), (7, INDEX_FILES), (8, INDEX_FILES)):
+                             (6, FORMAT_6_FILES), (7, FORMAT_8_FILES), (8, FORMAT_8_FILES),
+                             (9, format_9)):
             target = tmp_path / f"index{version}"
-            target.mkdir()
-            for name in old:
-                (target / name).write_text("{}", encoding="utf-8")
-            (target / "manifest.json").write_text(json.dumps({"format_version": version}),
-                                                  encoding="utf-8")
+            self.older_index(target, version, old)
             with pytest.raises(IndexFormatError, match=re.escape(
                     f"unsupported index format_version {version} (expected {FORMAT_VERSION})")):
                 load_index(target)
             save_index(self.bundle(["alpha"]), target)
-            assert sorted(os.listdir(target)) == self.committed(target)
+            assert os.listdir(target) == [INDEX_FILE]
             assert load_index(target).keys == ["d#0"]
 
     @pytest.mark.parametrize("manifest", [

@@ -36,7 +36,7 @@ def test_cli_block_runs_each_command(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # the commands name their files relative to it
     for line in lines:
         assert cli.main(shlex.split(line)[1:]) == 0, line
-    assert (tmp_path / "idx" / "manifest.json").is_file()
+    assert (tmp_path / "idx" / "index.hiret").is_file()
     assert (tmp_path / "report.csv").is_file() and (tmp_path / "cohesion.csv").is_file()
     out = capsys.readouterr().out
     assert out.startswith("ingested 5 documents") and "[unit03a7#3]" in out
