@@ -141,6 +141,10 @@ def run_ingest(cfg: AppConfig) -> dict:
     index._check_bm25_params(cfg.k1, cfg.b)
     user_keywords = _load_keyword_dict(cfg.keyword_dict)
     _refuse_unwritable(cfg.index_dir, makes_parents=True)
+    try:  # the directory the save would refuse, refused before the work
+        index._check_replaceable(cfg.index_dir)
+    except OSError as exc:
+        raise DataError(f"cannot write {cfg.index_dir}: {exc}") from exc
     captioner = _make_captioner(cfg.captioner)  # neither plug-in starts a process until used
     embedder = index.make_embedder(cfg.embedder or {})
     warnings: list[str] = []

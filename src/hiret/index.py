@@ -16,8 +16,9 @@ type, no segment field the decoder derives, vectors by column with only their no
 components). Postings and keywords are :class:`InvertedLists` over the arrays as stored.
 Saving is atomic, durable and deterministic: the file is written to a temporary, fsynced
 and renamed into place, which commits it, and re-saving an unchanged index reproduces
-every byte. Loading maps the file once, checks its crc32 dropping the pages it reads,
-views each array in that map as stored and decodes a segment when read.
+every byte. A save refuses a directory holding anything else, an older index included.
+Loading maps the file once, checks its crc32 dropping the pages it reads, views each
+array in that map as stored and decodes a segment when read.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from bisect import bisect_left
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import zip_longest
+from itertools import takewhile, zip_longest
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Protocol
@@ -72,7 +73,6 @@ _HEADER_FIELDS = {"k1": (int, float), "b": (int, float), "embedder": dict, "user
                   "arrays": dict}
 _MAGIC = b"HIRETIDX"  # an index file's last 8 bytes
 _TAIL = 20  # bytes after the header: its length (<u8), then the trailer's crc32 (<u4) and _MAGIC
-_OLD_MANIFEST = "manifest.json"  # what an index of format 9 or older is recognized by
 _WINDOW, _CHUNK = 1 << 20, 1 << 16  # bytes _crc32 sums, entries Bm25Index counts, at a time
 
 # Unicode letter/digit runs joined by single hyphens: keyword candidates keep
@@ -87,8 +87,8 @@ _HAS_DIGIT_RE = re.compile(r"\d")
 
 
 class IndexFormatError(Exception):
-    """A persisted index is missing, corrupt, or from another version, or a
-    save would replace a directory that is not an index."""
+    """A persisted index is missing, corrupt, or from another version, or a save
+    would replace a directory that holds more than this format's index file."""
 
 
 class InconsistentIndexError(IndexFormatError):
@@ -745,63 +745,51 @@ def _write_index(bundle: IndexBundle, f) -> dict:
     return header
 
 
-def _older_index(directory: Path) -> int | None:
-    """The integer ``format_version`` other than this one's in ``directory``'s
-    ``manifest.json``, which an index of format 9 or older holds; else None."""
-    try:
-        version = json.loads((directory / _OLD_MANIFEST).read_bytes()).get("format_version")
-    except (OSError, ValueError, AttributeError):  # no manifest, not JSON, not an object
-        return None
-    return version if type(version) is int and version != FORMAT_VERSION else None
+def _check_replaceable(path: str | Path) -> Path:
+    """The directory ``path`` names, through a symlink; :class:`IndexFormatError` unless it
+    is missing or holds nothing but :data:`INDEX_FILE` and its temporary (no older index)."""
+    target = Path(os.path.realpath(path))
+    if target.is_dir():
+        stray = sorted(set(os.listdir(target)) - {INDEX_FILE, f".{INDEX_FILE}.tmp"})
+        if stray:
+            raise IndexFormatError(f"refusing to replace {target}: it holds {stray}, which are "
+                                   "not index files; remove them or choose another directory")
+    elif target.exists():
+        raise IndexFormatError(f"refusing to replace {target}: it is not a directory")
+    return target
 
 
 def save_index(bundle: IndexBundle, path: str | Path) -> dict:
-    """Persist the bundle to a directory (that a symlinked ``path`` names); returns the
-    header. The file is written to ``.index.hiret.tmp`` and fsynced, and its rename onto
-    :data:`INDEX_FILE` commits the save (the directory is then fsynced): one that raises
-    or is killed before it leaves the previous index (or none) loadable. A committed save
-    removes every other entry, an older index's ``manifest.json`` last; a failed one every
-    entry it made and its temporary, and the directory if it made it. A removal that fails
-    is logged, and keeps that manifest. Any other entry than the file and its temporary raises
-    :class:`IndexFormatError`, unless the directory is an index of an older format."""
-    target = Path(os.path.realpath(path))
-    if target.exists() and not target.is_dir():
-        raise IndexFormatError(f"refusing to replace {target}: it is not a directory")
-    made, committed = not target.exists(), False
+    """Persist the bundle to a :func:`_check_replaceable` directory; returns the header.
+    The file is written to ``.index.hiret.tmp`` and fsynced, and its rename onto
+    :data:`INDEX_FILE` commits the save; the directory and the parent of each directory the
+    save made are then fsynced. A save that raises or is killed before the rename leaves
+    the previous index (or none) loadable; one that raises removes its temporary and every
+    directory it made."""
+    target = _check_replaceable(path)
+    made = list(takewhile(lambda directory: not directory.exists(), (target, *target.parents)))
     target.mkdir(parents=True, exist_ok=True)
-    temporary, before = target / f".{INDEX_FILE}.tmp", set(os.listdir(target))
-    stray = sorted(before - {INDEX_FILE, temporary.name})
-    if stray and _older_index(target) is None:
-        raise IndexFormatError(f"refusing to replace {target}: it holds {stray}, "
-                               "which are not index files")
+    temporary = target / f".{INDEX_FILE}.tmp"
     try:
         with open(temporary, "wb") as f:
             header = _write_index(bundle, f)
             f.flush()
             os.fsync(f.fileno())
         os.replace(temporary, target / INDEX_FILE)  # a new inode: loaded maps keep the old
-        committed = True
-        directory = os.open(target, os.O_RDONLY)
+    except BaseException:
+        try:  # a removal that fails is logged, and the save's own error raised
+            temporary.unlink(missing_ok=True)
+            for directory in made:  # deepest first, each emptied by the one before
+                directory.rmdir()
+        except OSError as exc:
+            log.warning("a failed save could not remove what it made: %s", exc)
+        raise
+    for directory in [target, *(made_dir.parent for made_dir in made)]:
+        fd = os.open(directory, os.O_RDONLY)
         try:
-            os.fsync(directory)
+            os.fsync(fd)
         finally:
-            os.close(directory)
-    finally:  # committed, or failing already: a removal cannot fail the save
-        keep = {INDEX_FILE} if committed else before - {temporary.name}
-        # an older index's manifest goes last: until then the directory is still that index
-        names = sorted(set(os.listdir(target)) - keep, key=lambda n: (n == _OLD_MANIFEST, n))
-        leftovers = [target / name for name in names]
-        if made and not committed:
-            leftovers.append(target)  # emptied by then
-        failed = False
-        for leftover in leftovers:
-            if failed and leftover.name == _OLD_MANIFEST:
-                break
-            try:  # concurrent saves to one directory are not supported
-                (os.rmdir if leftover == target else os.unlink)(leftover)
-            except OSError as exc:
-                failed = True
-                log.warning("could not remove %s: %s", leftover, exc)
+            os.close(fd)
     return header
 
 
@@ -899,10 +887,13 @@ def load_index(path: str | Path) -> IndexBundle:
         with open(file, "rb") as f:
             data = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
     except FileNotFoundError:
-        version = _older_index(directory)
-        raise IndexFormatError(f"no index at {file}" if version is None else
-                               f"unsupported index format_version {version} "
-                               f"(expected {FORMAT_VERSION})") from None
+        try:  # an index of format 9 or older is a directory with a manifest.json
+            version = json.loads((directory / "manifest.json").read_bytes()).get("format_version")
+        except (OSError, ValueError, AttributeError):  # no manifest, not JSON, not an object
+            version = None
+        older = type(version) is int and version != FORMAT_VERSION
+        raise IndexFormatError(f"unsupported index format_version {version} (expected "
+                               f"{FORMAT_VERSION})" if older else f"no index at {file}") from None
     except (OSError, ValueError) as exc:  # ValueError: an empty file, which cannot be mapped
         raise IndexFormatError(f"cannot read index file {file}: {exc}") from exc
     try:

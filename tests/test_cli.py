@@ -93,6 +93,17 @@ class TestIngest:
         assert dir_bytes(corpus) == before
         assert [p.name for p in tmp_path.iterdir()] == ["corpus"]
 
+    def test_refuses_an_older_index_directory_before_reading_the_corpus(self, tmp_path, capsys):
+        index_dir = tmp_path / "index"  # format 9's, with no corpus to ingest
+        index_dir.mkdir()
+        (index_dir / "manifest.json").write_text('{"format_version": 9}', encoding="utf-8")
+        code = main(["--corpus-dir", str(tmp_path / "missing"), "--index-dir", str(index_dir),
+                     "ingest"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "['manifest.json'], which are not index files" in err and "missing" not in err
+        assert os.listdir(index_dir) == ["manifest.json"]
+
     def test_reingest_is_byte_identical(self, tmp_path):
         corpus = write_manual_corpus(tmp_path / "corpus", 3)
         cfg = AppConfig(corpus_dir=str(corpus), index_dir=str(tmp_path / "index"))

@@ -1580,14 +1580,38 @@ class TestAtomicSave:
         assert set(steps) == {"open", "write", "fsync", "replace"}, steps
         assert contents() == new_bytes
 
-    def test_first_save_that_raises_leaves_no_directory(self, tmp_path, monkeypatch):
+    def test_first_save_that_raises_leaves_no_directory(self, tmp_path, monkeypatch, caplog):
         def failing(*args):
             raise OSError("disk full")
 
         monkeypatch.setattr(os, "fsync", failing)
         with pytest.raises(OSError, match="disk full"):
-            save_index(self.bundle(["alpha"]), tmp_path / "index")
+            save_index(self.bundle(["alpha"]), tmp_path / "a" / "b" / "index")
         assert list(tmp_path.iterdir()) == []
+
+        def busy(*args):
+            raise OSError("busy")
+
+        monkeypatch.setattr(Path, "rmdir", busy)  # logged, and the save's own error raised
+        with pytest.raises(OSError, match="disk full"):
+            save_index(self.bundle(["alpha"]), tmp_path / "a" / "b" / "index")
+        assert "could not remove what it made: busy" in caplog.text
+
+    def test_fsyncs_the_parent_of_each_directory_it_made(self, tmp_path, monkeypatch):
+        fsync, fsyncs = os.fsync, []
+
+        def counted(fd):
+            fsyncs.append(fd)
+            return fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counted)
+        target = tmp_path / "a" / "b" / "index"
+        save_index(self.bundle(["alpha"]), target)
+        assert len(fsyncs) == 5  # the file, then index, b, a and tmp_path
+        fsyncs.clear()
+        save_index(self.bundle(["beta"]), target)
+        assert len(fsyncs) == 2  # the file and index
+        assert load_index(target).keys == ["d#0"]
 
     def test_removes_what_killed_saves_left_and_leaves_siblings_alone(self, tmp_path):
         target = tmp_path / "index"
@@ -1597,51 +1621,6 @@ class TestAtomicSave:
         save_index(self.bundle(["beta"]), target)
         assert os.listdir(target) == [INDEX_FILE]
         assert sorted(p.name for p in tmp_path.iterdir()) == [".index.old-0badf00d", "index"]
-        assert load_index(target).keys == ["d#0"]
-
-    def test_entry_that_cannot_be_removed_is_logged(self, tmp_path, caplog):
-        target = tmp_path / "index"
-        self.older_index(target, 9, ["vector_rows.0badf00d.npy"])
-        (target / "segments.0badf00d.jsonl").mkdir()  # unlink cannot remove it
-        save_index(self.bundle(["alpha"]), target)
-        assert "could not remove" in caplog.text and "segments.0badf00d.jsonl" in caplog.text
-        # still an older index, so the next save replaces what is left
-        assert sorted(os.listdir(target)) == sorted(
-            [INDEX_FILE, "manifest.json", "segments.0badf00d.jsonl"])
-        assert load_index(target).keys == ["d#0"]
-        (target / "segments.0badf00d.jsonl").rmdir()
-        save_index(self.bundle(["beta"]), target)
-        assert os.listdir(target) == [INDEX_FILE]
-
-    @pytest.mark.parametrize("error", [OSError, SystemExit], ids=["fails", "dies"])
-    def test_sweep_that_stops_at_its_second_unlink_leaves_an_older_index(
-            self, tmp_path, monkeypatch, error):
-        target = tmp_path / "index"
-        old = [f"{stem}.0badf00d.{suffix}" for stem, _, suffix in
-               (name.partition(".") for name in FORMAT_8_FILES)]
-        self.older_index(target, 9, old)
-        unlink, unlinked = os.unlink, []
-
-        def second_fails(path):
-            unlinked.append(Path(path).name)
-            if len(unlinked) == 2:
-                raise error("unlink stopped")
-            unlink(path)
-
-        monkeypatch.setattr(os, "unlink", second_fails)
-        if error is SystemExit:  # a death in the sweep: the save is committed
-            with pytest.raises(SystemExit):
-                save_index(self.bundle(["alpha"]), target)
-        else:
-            save_index(self.bundle(["alpha"]), target)
-        monkeypatch.undo()
-        assert unlinked[:2] == sorted(old)[:2]
-        # a failed removal is logged and the sweep goes on; a death ends it
-        left = [unlinked[1]] if error is OSError else sorted(set(old) - {unlinked[0]})
-        assert sorted(os.listdir(target)) == sorted([INDEX_FILE, "manifest.json", *left])
-        assert load_index(target).keys == ["d#0"]
-        save_index(self.bundle(["beta"]), target)  # a re-ingest replaces the older index
-        assert os.listdir(target) == [INDEX_FILE]
         assert load_index(target).keys == ["d#0"]
 
     def test_refuses_a_directory_holding_other_files(self, tmp_path):
@@ -1658,7 +1637,7 @@ class TestAtomicSave:
         with pytest.raises(IndexFormatError, match="not a directory"):
             save_index(self.bundle(["alpha"]), tmp_path / "index")
 
-    def test_replaces_an_index_of_the_previous_format(self, tmp_path):
+    def test_refuses_an_index_of_a_previous_format_and_leaves_it_as_it_was(self, tmp_path):
         format_2 = ["vectors.bin", "postings.json", "keywords.json", "segments.json"]
         format_9 = [f"{stem}.0badf00d.{suffix}" for stem, _, suffix in
                     (name.partition(".") for name in FORMAT_8_FILES)]
@@ -1667,28 +1646,25 @@ class TestAtomicSave:
                              (9, format_9)):
             target = tmp_path / f"index{version}"
             self.older_index(target, version, old)
+            before = {p.name: p.read_bytes() for p in target.iterdir()}
+            with pytest.raises(IndexFormatError, match="'manifest.json'.* not index files"):
+                save_index(self.bundle(["alpha"]), target)
+            assert {p.name: p.read_bytes() for p in target.iterdir()} == before
             with pytest.raises(IndexFormatError, match=re.escape(
                     f"unsupported index format_version {version} (expected {FORMAT_VERSION})")):
                 load_index(target)
-            save_index(self.bundle(["alpha"]), target)
-            assert os.listdir(target) == [INDEX_FILE]
-            assert load_index(target).keys == ["d#0"]
 
     @pytest.mark.parametrize("manifest", [
         b"{}", f'{{"format_version": {FORMAT_VERSION}}}'.encode(), b'{"format_version": "5"}',
         b'{"format_version": true}', b'{"format_version": 5.0}', b"[5]", b"5", b"not json",
         b"\xff\xfe", None])
-    def test_refuses_other_files_beside_a_manifest_of_no_older_format(self, tmp_path, manifest):
+    def test_a_manifest_of_no_older_format_loads_as_no_index(self, tmp_path, manifest):
         target = tmp_path / "index"
         target.mkdir()
-        (target / "vectors.bin").write_text("{}", encoding="utf-8")
         if manifest is not None:
             (target / "manifest.json").write_bytes(manifest)
-        with pytest.raises(IndexFormatError, match="vectors.bin"):
-            save_index(self.bundle(["alpha"]), target)
-        assert sorted(p.name for p in target.iterdir()) == (
-            ["vectors.bin"] if manifest is None else ["manifest.json", "vectors.bin"])
-        assert [p.name for p in tmp_path.iterdir()] == ["index"]
+        with pytest.raises(IndexFormatError, match=re.escape(f"no index at {target / INDEX_FILE}")):
+            load_index(target)
 
 
 BUNDLE_WORDS = ["alpha", "beta", "CA-IS3641", "\u00e9t\u00e9", "\u4e2d\u6587", "x9", "", "--",
