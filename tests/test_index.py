@@ -1597,6 +1597,33 @@ class TestAtomicSave:
             save_index(self.bundle(["alpha"]), tmp_path / "a" / "b" / "index")
         assert "could not remove what it made: busy" in caplog.text
 
+    def test_interrupted_save_removes_what_it_made_and_reraises(self, tmp_path, monkeypatch):
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "replace", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            save_index(self.bundle(["alpha"]), tmp_path / "a" / "index")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_save_into_an_empty_directory_that_raises_keeps_the_directory(
+            self, tmp_path, monkeypatch):
+        target = tmp_path / "index"
+        target.mkdir()
+
+        def failing(*args):
+            raise OSError("disk full")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "fsync", failing)
+            with pytest.raises(OSError, match="disk full"):
+                save_index(self.bundle(["alpha"]), target)
+        assert [p.name for p in tmp_path.iterdir()] == ["index"]
+        assert os.listdir(target) == []
+        save_index(self.bundle(["beta"]), target)  # an empty directory is replaceable
+        assert os.listdir(target) == [INDEX_FILE]
+        assert load_index(target).keys == ["d#0"]
+
     def test_fsyncs_the_parent_of_each_directory_it_made(self, tmp_path, monkeypatch):
         fsync, fsyncs = os.fsync, []
 
