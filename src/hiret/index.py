@@ -8,17 +8,17 @@ vector per embeddable segment, at ascending ``rows``). An :class:`IndexBundle`
 checks at construction that its keys ascend and that the three indices are
 over them.
 
-An index persists to a directory as one file, :data:`INDEX_FILE` (format 10): the
+An index persists to a directory as one file, :data:`INDEX_FILE` (format 11): the
 per-segment JSON lines from offset 0, each array of :data:`_ARRAYS` at a multiple of 8
 bytes, a compact JSON header, its length and a trailer of the crc32 of every byte before
 it and a magic (each fact once, rows in key order, row arrays in their narrowest unsigned
-type, no segment field the decoder derives, vectors by column with only their non-zero
-components). Postings and keywords are :class:`InvertedLists` over the arrays as stored.
-Saving is atomic, durable and deterministic: the file is written to a temporary, fsynced
-and renamed into place, which commits it, and re-saving an unchanged index reproduces
-every byte. A save refuses a directory holding anything else, an older index included.
-Loading maps the file once, checks its crc32 dropping the pages it reads, views each
-array in that map as stored and decodes a segment when read.
+type, HCA's heading tree as parent rows, no segment field the decoder derives, vectors by
+column, non-zero components only). Postings and keywords are :class:`InvertedLists` over
+the arrays as stored. Saving is atomic, durable and deterministic: the file is written to
+a temporary, fsynced and renamed into place, which commits it, and re-saving an unchanged
+index reproduces every byte. A save refuses a directory holding anything else, an older
+index included. Loading maps the file once, checks its crc32 dropping the pages it reads,
+views each array in that map as stored and decodes a segment when read.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from bisect import bisect_left
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import takewhile, zip_longest
+from itertools import repeat, takewhile, zip_longest
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Protocol
@@ -47,7 +47,7 @@ from .corpus import Segment, path_text
 
 log = logging.getLogger(__name__)
 
-FORMAT_VERSION = 10
+FORMAT_VERSION = 11
 DEFAULT_DIM = 256
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
@@ -66,11 +66,14 @@ _ARRAYS = {
     "keywords_offsets": ("<i8",),  # keyword i holds rows offsets[i]:offsets[i + 1]
     "keywords_rows": _UNSIGNED,  # _narrowest(segments) segment row holding the keyword
     "segment_offsets": ("<i8",),  # segment i is bytes offsets[i]:offsets[i + 1] of the lines
+    "segment_parents": _UNSIGNED,  # _narrowest(segments) lower parent row, or segments: the title
+    "segment_kinds": ("<u1",),  # each segment's kind in _KINDS (0 where its line holds it)
 }
+_KINDS = ("text", "table", "image")
 # The header fields load_index reads and the JSON types they hold.
 _HEADER_FIELDS = {"k1": (int, float), "b": (int, float), "embedder": dict, "user_keywords": list,
                   "keys": list, "postings_terms": list, "keywords_terms": list, "lines": int,
-                  "arrays": dict}
+                  "arrays": dict, "titles": dict}
 _MAGIC = b"HIRETIDX"  # an index file's last 8 bytes
 _TAIL = 20  # bytes after the header: its length (<u8), then the trailer's crc32 (<u4) and _MAGIC
 _WINDOW, _CHUNK = 1 << 20, 1 << 16  # bytes _crc32 sums, entries Bm25Index counts, at a time
@@ -536,35 +539,50 @@ def build_keyword_table(segments: Sequence[Segment],
 class StoredSegments(Sequence[Segment]):
     """Segments of a saved index, decoded from their JSON line when read.
 
-    ``keys`` is the segment key order; reading row ``i`` decodes a fresh
-    :class:`Segment` from ``blob[offsets[i]:offsets[i + 1]]``, so a query decodes only
-    the rows it shows, deriving the fields :func:`_segment_line` leaves out.
+    ``keys`` is the segment key order; reading row ``i`` decodes a fresh :class:`Segment`
+    from ``blob[offsets[i]:offsets[i + 1]]`` and its ``parents`` chain of lower rows, so a
+    query decodes only the rows it shows, deriving the fields :func:`_segment_line` leaves out.
     """
 
-    def __init__(self, keys: list[str], blob: mmap.mmap | memoryview, offsets: np.ndarray):
+    def __init__(self, keys: list[str], blob: mmap.mmap | memoryview, offsets: np.ndarray,
+                 parents: np.ndarray, kinds: np.ndarray, titles: dict[str, str]):
         self.keys, self._blob, self._offsets = keys, blob, offsets
+        self._parents, self._kinds, self._titles = parents, kinds, titles
 
     def __len__(self) -> int:
         return len(self.keys)
 
+    def __iter__(self):  # one dict of paths, whose parents come first: each line decoded once
+        return map(self._decode, range(len(self)), repeat({}))
+
     def __getitem__(self, index):
         row = range(len(self))[index]  # list semantics, IndexError included
-        if isinstance(index, slice):
-            return [self[i] for i in row]
-        try:
-            fields = json.loads(self._blob[self._offsets[row]:self._offsets[row + 1]])
-            if "doc_id" not in fields:  # the ids are the key's two parts
-                fields["doc_id"], _, fields["segment_id"] = self.keys[row].partition("#")
-            if "parent_path" in fields:  # the path then ends in the chapter's HCA label
-                fields["metadata_path"] = fields.pop("parent_path") + [
-                    f"{fields['chapter_number']} {fields['title']}".strip()]
-            seg = Segment(**fields)
-            if "embedding_text" not in fields:
-                seg.embedding_text = path_text(seg.metadata_path, seg.content)
-        except (TypeError, ValueError, LookupError, AttributeError) as exc:  # not a segment
-            raise IndexFormatError(f"segment row {row} is not a segment: {exc}") from exc
-        if seg.key != self.keys[row]:
-            raise IndexFormatError(f"segment row {row} holds {seg.key!r}, not {self.keys[row]!r}")
+        return [self[i] for i in row] if isinstance(index, slice) else self._decode(row, {})
+
+    def _decode(self, row: int, paths: dict[int, list[str]]) -> Segment:
+        chain = [row]  # and its parents, each lower, up to one whose path is in paths
+        while (up := int(self._parents[chain[-1]])) < len(self) and up not in paths:
+            chain.append(up)
+        for row in reversed(chain):  # each parent's path into paths before its child's
+            try:
+                fields = json.loads(self._blob[self._offsets[row]:self._offsets[row + 1]])
+                if "doc_id" not in fields:  # the ids are the key's two parts
+                    fields["doc_id"], _, fields["segment_id"] = self.keys[row].partition("#")
+                number = fields.setdefault("chapter_number", fields["segment_id"])
+                if "metadata_path" not in fields:  # its parent's path, then its HCA label
+                    up = int(self._parents[row])  # len(self): its document's title, if not ""
+                    head = paths[up] if up < len(self) else [
+                        title for title in [self._titles[fields["doc_id"]]] if title]
+                    fields["metadata_path"] = head + [f"{number} {fields['title']}".strip()]
+                path = paths[row] = fields["metadata_path"][:]  # the segment's own may change
+                seg = Segment(**{"kind": _KINDS[self._kinds[row]], "level": len(path) - 1,
+                                 **fields})
+                if "embedding_text" not in fields:
+                    seg.embedding_text = path_text(seg.metadata_path, seg.content)
+            except (TypeError, ValueError, LookupError, AttributeError) as exc:  # not a segment
+                raise IndexFormatError(f"segment row {row} is not a segment: {exc}") from exc
+            if seg.key != (key := self.keys[row]):
+                raise IndexFormatError(f"segment row {row} holds {seg.key!r}, not {key!r}")
         return seg
 
     def __eq__(self, other):
@@ -687,24 +705,25 @@ def _crc32(data: mmap.mmap, end: int) -> int:
     return crc
 
 
-def _segment_line(seg: Segment, quoted: _Memo) -> bytes:
-    """``seg``'s line as :data:`_COMPACT_JSON` writes it, without the ids when ``doc_id``
-    holds no ``#``, a last path element that is the chapter's HCA label (writing the rest
-    as ``parent_path``) or an ``embedding_text`` that :func:`path_text` gives: each is
-    derived when read. A field not of its annotated type raises ``TypeError``. ``quoted``,
-    one ``_Memo(_quote)`` per save, quotes the short fields; no body enters it."""
+def _segment_line(seg: Segment, quoted: _Memo, derived: bool) -> bytes:
+    """``seg``'s line as :data:`_COMPACT_JSON` writes it, less each field the decoder derives:
+    the ids when ``doc_id`` holds no ``#``, a ``chapter_number`` equal to the ``segment_id``, a
+    kind of :data:`_KINDS`, a level of the path's length minus 1, an ``embedding_text`` that
+    :func:`path_text` gives and a path ``derived`` from the heading tree. A field not of its
+    annotated type raises ``TypeError``. ``quoted``, one ``_Memo(_quote)`` per save, quotes
+    the short fields; no body enters it."""
     q, level, path, text = quoted.__getitem__, seg.level, seg.metadata_path, seg.embedding_text
-    if type(level) is bool or not isinstance(path, list):  # the encoder writes a bool as true
+    if type(level) is not int or not isinstance(path, list):  # a bool would be written true
         raise TypeError(f"segment {seg.key}: not an int level or list path: {level!r}, {path!r}")
     text_field = "" if text == path_text(path, seg.content) else f'"embedding_text":{_quote(text)},'
     ids = f'"doc_id":{q(seg.doc_id)},', f'"segment_id":{q(seg.segment_id)},'  # type-checked
     doc_id, segment_id = ids if "#" in seg.doc_id else ("", "")  # or the key parts give them
-    labelled = path[-1:] == [f"{seg.chapter_number} {seg.title}".strip()]
-    path_field, path = ("parent_path", path[:-1]) if labelled else ("metadata_path", path)
-    return (f'{{"chapter_number":{q(seg.chapter_number)},"content":{_quote(seg.content)},'
-            f'{doc_id}{text_field}"kind":{q(seg.kind)},"level":{int.__repr__(level)},'
-            f'"{path_field}":[{",".join(map(q, path))}],{segment_id}"title":{q(seg.title)}}}\n'
-            ).encode("utf-8")
+    number = f'"chapter_number":{q(seg.chapter_number)},' * (seg.chapter_number != seg.segment_id)
+    kind = f'"kind":{q(seg.kind)},' * (seg.kind not in _KINDS)
+    level = f'"level":{int.__repr__(level)},' * (level != len(path) - 1)
+    path = "" if derived else f'"metadata_path":[{",".join(map(q, path))}],'
+    return (f'{{{number}"content":{_quote(seg.content)},{doc_id}{text_field}{kind}{level}'
+            f'{path}{segment_id}"title":{q(seg.title)}}}\n').encode("utf-8")
 
 
 def _write_index(bundle: IndexBundle, f) -> dict:
@@ -718,9 +737,21 @@ def _write_index(bundle: IndexBundle, f) -> dict:
         crc = zlib.crc32(data, crc)
         return f.write(data)
 
-    quoted = _Memo(_quote)
-    lengths = [put(_segment_line(seg, quoted)) for seg in bundle.segments]  # no heap blob
-    vectors, tf, rows = bundle.vectors, bundle.bm25.tf, _narrowest(len(bundle.keys))
+    quoted, n, titles, lengths, doc_id = _Memo(_quote), len(bundle.keys), {}, [], None
+    parents, kinds = [], []  # each row's parent row (n: its document's title) and kind code
+    for row, seg in enumerate(bundle.segments):  # no heap blob
+        if seg.doc_id != doc_id:  # the paths of one run of a document's rows, not all (peak RSS)
+            doc_id, tree = seg.doc_id, {}
+        path, key = seg.metadata_path, tuple(seg.metadata_path)
+        kinds.append(_KINDS.index(seg.kind) if seg.kind in _KINDS else 0)
+        head = key[:-1] if path[-1:] == [f"{seg.chapter_number} {seg.title}".strip()] else None
+        parent = tree.get(head, n)  # a row before it in this run whose path is its head, or n
+        title = "".join(head) if head is not None and len(head) < 2 and "" not in head else None
+        derived = parent < n or title is not None and titles.setdefault(doc_id, title) == title
+        parents.append(parent)  # under its document's title (the first given): () for ""
+        lengths.append(put(_segment_line(seg, quoted, derived)))
+        tree[key] = row
+    vectors, tf, rows = bundle.vectors, bundle.bm25.tf, _narrowest(n)
     postings, keywords = bundle.bm25.postings, bundle.keywords.rows
     stored = {"vector_rows": (vectors.rows, rows), "vector_offsets": (vectors.offsets, "<i8"),
               "vector_ordinals": (vectors.ordinals, _narrowest(len(vectors.rows))),
@@ -728,7 +759,8 @@ def _write_index(bundle: IndexBundle, f) -> dict:
               "postings_offsets": (postings.offsets, "<i8"), "postings_rows": (postings.rows, rows),
               "postings_tf": (tf, _narrowest(int(tf.max(initial=0)))),
               "keywords_offsets": (keywords.offsets, "<i8"), "keywords_rows": (keywords.rows, rows),
-              "segment_offsets": (np.cumsum([0] + lengths), "<i8")}
+              "segment_offsets": (np.cumsum([0] + lengths), "<i8"),
+              "segment_parents": (parents, rows), "segment_kinds": (kinds, "<u1")}
     arrays, end = {}, sum(lengths)
     for name, (values, dtype) in stored.items():
         array = np.ascontiguousarray(values, dtype)
@@ -737,7 +769,7 @@ def _write_index(bundle: IndexBundle, f) -> dict:
         end += put(array)
     header = {"format_version": FORMAT_VERSION, "k1": bundle.bm25.k1, "b": bundle.bm25.b,
               "embedder": bundle.embedder_spec, "user_keywords": bundle.user_keywords,
-              "keys": bundle.keys, "postings_terms": postings.terms,
+              "keys": bundle.keys, "postings_terms": postings.terms, "titles": titles,
               "keywords_terms": keywords.terms, "lines": sum(lengths), "arrays": arrays}
     encoded = _json_bytes(header)
     put(encoded + len(encoded).to_bytes(8, "little"))
@@ -831,6 +863,8 @@ def _header_problem(header: dict, start: int) -> str:
             return f"{name!r} must be a list of strings"
         if name.endswith("_terms") and not all(map(str.__lt__, words, words[1:])):
             return f"{name!r} must hold distinct strings in sorted order"
+    if not set(map(type, header["titles"].values())) <= {str}:
+        return "'titles' must map document ids to strings"
     if not 0 <= header["lines"] <= start:
         return f"its {header['lines']} bytes of segment lines do not end before the header"
     for name, dtypes in _ARRAYS.items():
@@ -907,8 +941,13 @@ def load_index(path: str | Path) -> IndexBundle:
         dtype, offset, count = header["arrays"][name]
         return np.frombuffer(data, dtype, count, offset)
 
-    segment_offsets = array("segment_offsets")
-    _check_offsets("segment_offsets", segment_offsets, len(keys), header["lines"])
+    segment_offsets, n = array("segment_offsets"), len(keys)
+    _check_offsets("segment_offsets", segment_offsets, n, header["lines"])
+    parents, kinds = array("segment_parents"), array("segment_kinds")
+    if not (len(parents) == len(kinds) == n and np.all(kinds < len(_KINDS)) and np.all(
+            (parents < np.arange(n)) | (parents == n))):  # a lower row or a title: no cycle
+        raise IndexFormatError(f"segment_parents and segment_kinds must give each of the {n} "
+                               f"segments a lower row or {n} (its title) and a kind of {_KINDS}")
 
     def inverted(stem: str) -> InvertedLists:
         offsets, rows = array(f"{stem}_offsets"), array(f"{stem}_rows")
@@ -931,7 +970,7 @@ def load_index(path: str | Path) -> IndexBundle:
             bm25=Bm25Index(k1=float(header["k1"]), b=float(header["b"]), keys=keys,
                            postings=inverted("postings"), tf=array("postings_tf")),
             keywords=KeywordTable(keys, inverted("keywords")),
-            segments=StoredSegments(keys, data, segment_offsets),
+            segments=StoredSegments(keys, data, segment_offsets, parents, kinds, header["titles"]),
             embedder_spec=dict(header["embedder"]),
             user_keywords=list(header["user_keywords"]),
         )

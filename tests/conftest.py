@@ -219,6 +219,17 @@ def edit_index(index_dir: Path, regions=None, header=None) -> dict:
     return parts
 
 
+def as_format_10(index_dir: Path) -> None:
+    """Rewrite ``index_dir``'s index file as format 10 laid it out: one file of the same
+    name, without the heading tree's arrays and titles, its header saying version 10."""
+    def drop_tree(parts):
+        for name in ("segment_parents", "segment_kinds"):
+            del parts[name], parts["header"]["arrays"][name]
+        del parts["header"]["titles"]
+
+    edit_index(index_dir, drop_tree, lambda header: header.update(format_version=10))
+
+
 # The files of a format-8 index (and of format 7), which format 9 stored under names
 # holding their crc32s.
 FORMAT_8_FILES = ["vector_rows.npy", "vector_offsets.npy", "vector_ordinals.npy",

@@ -19,6 +19,7 @@ import hiret
 
 from conftest import (
     FORMAT_3_FILES,
+    as_format_10,
     dense,
     manual_doc_stem,
     manual_doc_title,
@@ -39,7 +40,8 @@ from hiret.cli import (
     run_ingest,
     run_query,
 )
-from hiret.index import INDEX_FILE, InconsistentIndexError, IndexFormatError, load_index
+from hiret.index import (FORMAT_VERSION, INDEX_FILE, InconsistentIndexError, IndexFormatError,
+                         load_index)
 from make_golden import DATA_DIR
 
 SRC_DIR = str(Path(hiret.__file__).resolve().parents[1])
@@ -69,14 +71,16 @@ class TestIngest:
         index_dir = tmp_path / "index"
         assert os.listdir(index_dir) == [INDEX_FILE]
         header = edit_index(index_dir)["header"]
-        assert header["format_version"] == 10
+        assert header["format_version"] == FORMAT_VERSION
         assert list(header["arrays"]) == [
             "keywords_offsets",
             "keywords_rows",
             "postings_offsets",
             "postings_rows",
             "postings_tf",
+            "segment_kinds",
             "segment_offsets",
+            "segment_parents",
             "vector_offsets",
             "vector_ordinals",
             "vector_rows",
@@ -528,7 +532,8 @@ class TestQuery:
         code = main(["--index-dir", str(index_dir), "query", "pinout"])
         assert code == 2
         err = capsys.readouterr().err
-        assert "format_version 3 (expected 10)" in err and "run 'hiret ingest'" in err
+        assert f"format_version 3 (expected {FORMAT_VERSION})" in err
+        assert "run 'hiret ingest'" in err
 
     def test_format_5_to_9_index_asks_for_a_reingest(self, tmp_path, capsys):
         # format 6 has format 5's files, format 7 format 8's (with <i4 rows, every field
@@ -542,8 +547,19 @@ class TestQuery:
                 json.dumps({"format_version": version, "files": {}}), encoding="utf-8")
             assert main(["--index-dir", str(index_dir), "query", "pinout"]) == 2
             err = capsys.readouterr().err
-            assert f"format_version {version} (expected 10)" in err
+            assert f"format_version {version} (expected {FORMAT_VERSION})" in err
             assert "run 'hiret ingest'" in err
+
+    def test_format_10_index_asks_for_a_reingest(self, tmp_path, capsys):
+        corpus = write_datasheet_corpus(tmp_path / "corpus")
+        index_dir = tmp_path / "index"
+        assert main(["--corpus-dir", str(corpus), "--index-dir", str(index_dir), "ingest"]) == 0
+        as_format_10(index_dir)
+        capsys.readouterr()
+        assert main(["--index-dir", str(index_dir), "query", "pinout"]) == 2
+        err = capsys.readouterr().err
+        assert f"unsupported index format_version 10 (expected {FORMAT_VERSION})" in err
+        assert "run 'hiret ingest'" in err
 
     @pytest.mark.parametrize("edit,named", [
         (lambda m: m.update(embedder={"kind": "subprocess", "command": ["w"]}), "lacks ['dim']"),

@@ -7,6 +7,7 @@ import os
 import random
 import re
 import shutil
+import sys
 import tempfile
 import tracemalloc
 import zlib
@@ -20,6 +21,7 @@ from conftest import (
     FORMAT_3_FILES,
     FORMAT_6_FILES,
     FORMAT_8_FILES,
+    as_format_10,
     dense,
     edit_index,
     inverted_lists,
@@ -38,6 +40,7 @@ from hiret.index import (
     FORMAT_VERSION,
     INDEX_FILE,
     _ARRAYS,
+    _KINDS,
     _RUN_BREAKS,
     Bm25Index,
     HashingEmbedder,
@@ -1291,63 +1294,131 @@ class TestDerivableText:
 
 class TestDerivedSegmentFields:
     """A stored line leaves out the ``doc_id`` and ``segment_id`` that its key partitions
-    into (unless ``doc_id`` holds "#"), and a last path element that is the chapter's HCA
-    label, writing the rest of the path as ``parent_path``. Every case decodes to the
-    segments saved, and re-saving the loaded index reproduces every file."""
+    into (unless ``doc_id`` holds "#"), a ``chapter_number`` that is its ``segment_id``,
+    a kind of ``_KINDS`` (the ``segment_kinds`` array holds it), a ``level`` of the path's
+    length minus 1, and a path that is its parent's plus its HCA label: the parent is a
+    lower row of the same run of its document's rows (``segment_parents``) or, for the
+    reserved value ``len(keys)``, its document's title in the header's ``titles``. Every
+    other field is stored. Every case decodes to the segments saved, and re-saving the
+    loaded index reproduces every byte."""
 
-    def document(self, doc_id, title, chapters):
+    def document(self, doc_id, title, chapters, kind="text"):
         """HCA's segments of a document of ``(segment id, number, level, title)`` chapters."""
         doc = DocumentRecord(doc_id=doc_id, title=title, source_path=f"{doc_id}.md")
         doc.attach_segments([Segment(segment_id=sid, chapter_number=number, level=level,
-                                     title=name, kind="text", content=f"body of {sid}")
+                                     title=name, kind=kind, content=f"body of {sid}")
                              for sid, number, level, name in chapters])
         return augment_document(doc)
 
     def round_trip(self, tmp_path, segments) -> list[dict]:
-        """The stored lines, once the segments round-trip and re-save byte for byte."""
+        """The stored lines, once the segments round-trip and re-save byte for byte; each
+        line also gets its row's ``parent`` (None for the title) and its ``title_of``."""
         first, again = tmp_path / "first", tmp_path / "again"
         save_index(build_indices(segments, HashingEmbedder(dim=16)), first)
         loaded = load_index(first).segments
         assert isinstance(loaded, StoredSegments)
         assert list(loaded) == sorted(segments, key=lambda s: s.key)
+        assert [loaded[row] for row in range(len(loaded))] == list(loaded)  # read alone too
         save_index(load_index(first), again)
         assert dir_bytes(first) == dir_bytes(again)
-        return [json.loads(line) for line in edit_index(first)["lines"].splitlines()]
+        parts = edit_index(first)
+        n, titles = len(segments), parts["header"]["titles"]
+        assert parts["segment_parents"].dtype == np.dtype(_narrowest(n))
+        lines = [json.loads(line) for line in parts["lines"].splitlines()]
+        for row, (line, parent) in enumerate(zip(lines, parts["segment_parents"].tolist())):
+            assert parent < row or parent == n  # a lower row, or the title
+            line.update(parent=None if parent == n else parent)
+        return lines, titles
 
     def test_a_doc_id_holding_the_key_separator_stores_both_ids(self, tmp_path):
         segments = self.document("a#b", "A", [("1", "1", 1, "x"), ("1.1", "1.1", 2, "y")])
         segments += self.document("a", "A", [("b#1", "1", 1, "x")])  # key "a#b#1" too, no "#"
         segments[-1].segment_id = "b#1"
-        lines = self.round_trip(tmp_path, segments[:2])
+        lines, titles = self.round_trip(tmp_path, segments[:2])
         assert [(line["doc_id"], line["segment_id"]) for line in lines] == [
             ("a#b", "1"), ("a#b", "1.1")]
-        (line,) = self.round_trip(tmp_path / "plain", segments[2:])
+        assert [line["parent"] for line in lines] == [None, 0] and titles == {"a#b": "A"}
+        assert all("metadata_path" not in line for line in lines)
+        (line,), _ = self.round_trip(tmp_path / "plain", segments[2:])
         assert "doc_id" not in line and "segment_id" not in line
+        assert line["chapter_number"] == "1"  # not the segment id "b#1"
 
-    def test_a_preamble_keeps_the_title_as_its_label(self, tmp_path):
+    def test_a_preamble_keeps_its_path_whole_unless_it_is_first(self, tmp_path):
         segments = self.document("d", "Doc", [("preamble", "", 0, "Doc"), ("1", "1", 1, "x")])
         assert [s.metadata_path for s in segments] == [["Doc"], ["Doc", "1 x"]]
-        lines = self.round_trip(tmp_path, segments)
-        assert [line["parent_path"] for line in lines] == [["Doc"], []]  # key order: 1, preamble
-        assert all("metadata_path" not in line for line in lines)
+        lines, titles = self.round_trip(tmp_path, segments)  # key order: 1, preamble
+        assert titles == {"d": "Doc"}  # from "1 x", whose path less its label is ["Doc"]
+        assert [line.get("metadata_path") for line in lines] == [None, ["Doc"]]
+        assert [line.get("chapter_number") for line in lines] == [None, ""]
+        assert all("level" not in line and "kind" not in line for line in lines)
 
     def test_an_empty_chapter_title_is_labelled_by_its_number(self, tmp_path):
         segments = self.document("d", "Doc", [("1", "1", 1, ""), ("1.1", "1.1", 2, "")])
         assert segments[1].metadata_path == ["Doc", "1", "1.1"]
-        lines = self.round_trip(tmp_path, segments)
-        assert [line["parent_path"] for line in lines] == [["Doc"], ["Doc", "1"]]
+        lines, _ = self.round_trip(tmp_path, segments)
+        assert [line["parent"] for line in lines] == [None, 0]
+        assert lines == [{"content": "body of 1", "parent": None, "title": ""},
+                         {"content": "body of 1.1", "parent": 0, "title": ""}]
+
+    def test_a_chapter_with_no_parent_chapter_hangs_from_the_title(self, tmp_path):
+        segments = self.document("d", "Doc", [("1", "1", 1, "x"), ("2.1", "2.1", 2, "y")])
+        assert segments[1].metadata_path == ["Doc", "2.1 y"]
+        lines, titles = self.round_trip(tmp_path, segments)
+        assert [line["parent"] for line in lines] == [None, None] and titles == {"d": "Doc"}
+        assert [line.get("level") for line in lines] == [None, 2]  # not the path length - 1
+
+    def test_a_chapter_with_no_parent_hangs_under_the_nearest_prefix(self, tmp_path):
+        segments = self.document("d", "Doc", [("1", "1", 1, "x"), ("1.2.1", "1.2.1", 3, "y")])
+        assert segments[1].metadata_path == ["Doc", "1 x", "1.2.1 y"]
+        lines, _ = self.round_trip(tmp_path, segments)
+        assert [line["parent"] for line in lines] == [None, 0]
+        assert [line.get("level") for line in lines] == [None, 3]
 
     def test_a_repeated_chapter_number_takes_over_its_subchapters(self, tmp_path):
-        segments = self.document("d", "Doc", [("1", "1", 1, "x"), ("1+2", "1", 1, "y"),
-                                              ("1.1", "1.1", 2, "z")])
-        assert segments[2].metadata_path == ["Doc", "1 y", "1.1 z"]
-        self.round_trip(tmp_path, segments)
+        segments = self.document("d", "Doc", [("3", "3", 1, "x"), ("3+2", "3", 1, "y"),
+                                              ("3.1", "3.1", 2, "z")])
+        assert segments[2].metadata_path == ["Doc", "3 y", "3.1 z"]
+        lines, _ = self.round_trip(tmp_path, segments)  # key order: 3, 3+2, 3.1
+        assert [line["parent"] for line in lines] == [None, None, 1]
+        assert [line.get("chapter_number") for line in lines] == [None, "3", None]
 
     def test_an_empty_document_title_adds_no_root(self, tmp_path):
         segments = self.document("d", "", [("1", "1", 1, "x"), ("1.1", "1.1", 2, "y")])
         assert [s.metadata_path for s in segments] == [["1 x"], ["1 x", "1.1 y"]]
-        lines = self.round_trip(tmp_path, segments)
-        assert [line["parent_path"] for line in lines] == [[], ["1 x"]]
+        lines, titles = self.round_trip(tmp_path, segments)
+        assert titles == {"d": ""} and [line["parent"] for line in lines] == [None, 0]
+        assert [line["level"] for line in lines] == [1, 2]  # the path lengths - 1 are 0, 1
+        assert all("metadata_path" not in line for line in lines)
+
+    def test_a_document_split_by_another_documents_rows(self, tmp_path):
+        """Doc "a"'s rows are 0 and 2, split by doc "a#b"'s row 1: a path under a row of an
+        earlier run of the document is stored whole, one under the title is not."""
+        segments = self.document("a", "A", [("1", "1", 1, "x"), ("c", "1.1", 2, "y"),
+                                            ("z", "2", 1, "w")])
+        segments += self.document("a#b", "B", [("1", "1", 1, "v")])
+        lines, titles = self.round_trip(tmp_path, segments)
+        assert [s.key for s in sorted(segments, key=lambda s: s.key)] == [
+            "a#1", "a#b#1", "a#c", "a#z"]
+        assert titles == {"a": "A", "a#b": "B"}
+        assert [line["parent"] for line in lines] == [None, None, None, None]
+        assert [line.get("metadata_path") for line in lines] == [None, None, ["A", "1 x", "1.1 y"],
+                                                                 None]
+        assert [line.get("level") for line in lines] == [None, None, None, None]
+
+    def test_a_document_whose_segments_disagree_on_the_title(self, tmp_path):
+        segments = self.document("d", "Doc", [("1", "1", 1, "x")])
+        segments += self.document("d", "Other", [("2", "2", 1, "y")])
+        lines, titles = self.round_trip(tmp_path, segments)
+        assert titles == {"d": "Doc"}  # the first row's
+        assert [line.get("metadata_path") for line in lines] == [None, ["Other", "2 y"]]
+
+    def test_a_kind_outside_the_three_is_stored(self, tmp_path):
+        segments = self.document("d", "Doc", [("1", "1", 1, "x"), ("2", "2", 1, "y")])
+        segments[1].kind = "weird"
+        segments += self.document("e", "E", [("1", "1", 1, "z")], kind="table")
+        lines, _ = self.round_trip(tmp_path, segments)
+        assert [line.get("kind") for line in lines] == [None, "weird", None]
+        assert edit_index(tmp_path / "first")["segment_kinds"].tolist() == [0, 0, 1]
 
     def test_a_path_not_ending_in_its_label_is_stored_whole(self, tmp_path):
         hand_built = Segment(segment_id="1", chapter_number="1", level=1, title="x",
@@ -1355,15 +1426,81 @@ class TestDerivedSegmentFields:
                              embedding_text="X > 1 y\nbody", metadata_path=["X", "1 y"])
         near_miss = Segment(segment_id="2", chapter_number="2", level=1, title=" x ",
                             kind="text", content="", doc_id="d", metadata_path=["2 x "])
-        lines = self.round_trip(tmp_path, [hand_built, near_miss])
+        lines, titles = self.round_trip(tmp_path, [hand_built, near_miss])
         assert [line["metadata_path"] for line in lines] == [["X", "1 y"], ["2 x "]]
-        assert all("parent_path" not in line for line in lines)
+        assert titles == {}
 
     def test_segments_without_augmentation_store_their_empty_path(self, tmp_path):
         segments = without_augmentation(self.document("d", "Doc", [("1", "1", 1, "x"),
                                                                    ("2", "2", 1, "")]))
-        lines = self.round_trip(tmp_path, segments)
+        lines, _ = self.round_trip(tmp_path, segments)
         assert [line["metadata_path"] for line in lines] == [[], []]
+        assert [line["level"] for line in lines] == [1, 1]
+
+    def test_a_chain_deeper_than_the_recursion_limit_decodes(self, tmp_path):
+        depth = sys.getrecursionlimit() + 100
+        numbers = [f"{i:04d}" for i in range(depth)]
+        segments = [Segment(segment_id=number, chapter_number=number, level=i, title="",
+                            kind="text", content="", doc_id="d", embedding_text="x",
+                            metadata_path=numbers[:i + 1]) for i, number in enumerate(numbers)]
+        save_index(build_indices(segments, HashingEmbedder(dim=16)), tmp_path)
+        assert edit_index(tmp_path)["segment_parents"].tolist() == [depth, *range(depth - 1)]
+        stored = load_index(tmp_path).segments
+        assert stored[-1] == segments[-1]  # read alone, up a chain of every row
+        assert list(stored) == segments
+
+    TREE_PROBLEM = ("segment_parents and segment_kinds must give each of the 3 segments a lower "
+                    f"row or 3 (its title) and a kind of {_KINDS}")
+
+    @pytest.mark.parametrize("arrays, titles, says", [
+        ({"segment_parents": [3, 1, 3]}, None, TREE_PROBLEM),  # row 1 its own parent: a cycle
+        ({"segment_parents": [1, 0, 3]}, None, TREE_PROBLEM),  # rows 0 and 1 each other's
+        ({"segment_parents": [4, 0, 3]}, None, TREE_PROBLEM),  # past the title's value
+        ({"segment_parents": [3, 0]}, None, TREE_PROBLEM),
+        ({"segment_kinds": [0, 3, 0]}, None, TREE_PROBLEM),
+        ({"segment_kinds": [0, 0]}, None, TREE_PROBLEM),
+        ({}, {"d": 7}, "'titles' must map document ids to strings"),
+    ], ids=["own-row", "higher-row", "past-the-title", "short-parents", "kind-past-the-three",
+            "short-kinds", "title-not-a-string"])
+    def test_a_heading_tree_that_is_not_one_is_refused_at_load(self, tmp_path, arrays, titles,
+                                                               says):
+        """Each change is re-stamped: the trailer's crc32 holds."""
+        segments = self.document("d", "Doc", [("1", "1", 1, "x"), ("1.1", "1.1", 2, "y"),
+                                              ("2", "2", 1, "z")])
+        save_index(build_indices(segments, HashingEmbedder(dim=16)), tmp_path)
+        parts = edit_index(tmp_path)
+        assert parts["segment_parents"].tolist() == [3, 0, 3]
+        assert parts["header"]["titles"] == {"d": "Doc"}
+        edit_index(tmp_path, lambda parts: parts.update(
+            {name: np.array(values, "<u1") for name, values in arrays.items()}),
+            lambda header: header.update(titles=titles or header["titles"]))
+        with pytest.raises(IndexFormatError, match=re.escape(says)):
+            load_index(tmp_path)
+
+    def test_a_title_missing_from_the_table_is_refused_when_read(self, tmp_path):
+        segments = self.document("d", "Doc", [("1", "1", 1, "x"), ("1.1", "1.1", 2, "y")])
+        save_index(build_indices(segments, HashingEmbedder(dim=16)), tmp_path)
+        edit_index(tmp_path, header=lambda header: header.update(titles={}))
+        stored = load_index(tmp_path).segments
+        for row in (0, 1):  # row 1's parent, row 0, hangs from the title
+            with pytest.raises(IndexFormatError, match="segment row 0 is not a segment: 'd'"):
+                stored[row]
+
+    def test_iterating_decodes_each_line_once(self, tmp_path, monkeypatch):
+        segments = self.document("d", "Doc", [("1", "1", 1, "x"), ("1.1", "1.1", 2, "y"),
+                                              ("1.1.1", "1.1.1", 3, "z"), ("2", "2", 1, "w")])
+        save_index(build_indices(segments, HashingEmbedder(dim=16)), tmp_path)
+        stored, loads = load_index(tmp_path).segments, []
+        monkeypatch.setattr(json, "loads", lambda data: loads.append(bytes(data))
+                            or json.JSONDecoder().decode(bytes(data).decode("utf-8")))
+        assert list(stored) == segments
+        assert len(loads) == len(set(loads)) == 4  # each row's line once
+        loads.clear()
+        assert stored[2] == segments[2]  # read alone, "1.1.1" decodes its parent chain
+        assert len(loads) == 3
+        iterated = iter(stored)
+        next(iterated).metadata_path.append("changed")  # a read segment is its reader's
+        assert list(iterated) == segments[1:]
 
 
 @pytest.mark.parametrize("count, dtype", [(0, "<u1"), (255, "<u1"), (256, "<u2"),
@@ -1413,43 +1550,63 @@ _LINE_TEXTS = st.lists(st.one_of(st.sampled_from(
 
 @st.composite
 def _line_segments(draw):
+    """A segment, and whether its path is derived: it ends in its HCA label, and the rest
+    is the root of a document title (the tree's other parent, a lower row, needs a second
+    line; the round-trip tests cover it)."""
     number, title = draw(_LINE_TEXTS), draw(_LINE_TEXTS)
     path = draw(st.lists(_LINE_TEXTS, max_size=3))  # an empty path too
-    if draw(st.booleans()):  # ending in the label HCA gives the chapter
+    labelled = draw(st.booleans())
+    if labelled:  # ending in the label HCA gives the chapter
         path.append(f"{number} {title}".strip())
+    root = len(path[:-1]) < 2 and path[:-1] != [""]  # [] or [title]: the root of a title
     content = draw(_LINE_TEXTS)
     derivable = draw(st.booleans())
-    return Segment(segment_id=draw(_LINE_TEXTS), chapter_number=number,
-                   level=draw(st.integers(-(2 ** 70), 2 ** 70)), title=title,
-                   kind=draw(_LINE_TEXTS), content=content, doc_id=draw(_LINE_TEXTS),
+    return Segment(segment_id=draw(st.one_of(st.just(number), _LINE_TEXTS)),
+                   chapter_number=number,
+                   level=draw(st.one_of(st.just(len(path) - 1),
+                                        st.integers(-(2 ** 70), 2 ** 70))), title=title,
+                   kind=draw(st.one_of(st.sampled_from(_KINDS), _LINE_TEXTS)), content=content,
+                   doc_id=draw(_LINE_TEXTS),
                    embedding_text=path_text(path, content) if derivable else draw(_LINE_TEXTS),
-                   metadata_path=path)
+                   metadata_path=path), labelled and root and draw(st.booleans())
 
 
 class TestSegmentLine:
     @settings(max_examples=300, deadline=None)
-    @given(segment=_line_segments())
-    def test_is_the_compact_encoders_line(self, segment):
+    @given(drawn=_line_segments())
+    def test_is_the_compact_encoders_line(self, drawn):
+        segment, derived = drawn
         fields = dict(vars(segment))
         if segment.embedding_text == path_text(segment.metadata_path, segment.content):
             del fields["embedding_text"]
         if "#" not in segment.doc_id:  # the key partitions back into both ids
             del fields["doc_id"], fields["segment_id"]
-        if segment.metadata_path[-1:] == [f"{segment.chapter_number} {segment.title}".strip()]:
-            fields["parent_path"] = fields.pop("metadata_path")[:-1]
+        if segment.chapter_number == segment.segment_id:
+            del fields["chapter_number"]
+        if segment.kind in _KINDS:  # segment_kinds holds it
+            del fields["kind"]
+        if segment.level == len(segment.metadata_path) - 1:
+            del fields["level"]
+        if derived:  # segment_parents and the header's titles give it
+            del fields["metadata_path"]
         quoted = _Memo(_quote)  # the second line reads every short string from the memo
-        line = _segment_line(segment, quoted)
-        assert line == _json_bytes(fields) == _segment_line(segment, quoted)
+        line = _segment_line(segment, quoted, derived)
+        assert line == _json_bytes(fields) == _segment_line(segment, quoted, derived)
 
     @settings(max_examples=300, deadline=None)
-    @given(segment=_line_segments())
-    def test_decodes_to_the_segment_it_was_written_from(self, segment):
-        line = _segment_line(segment, _Memo(_quote))
-        (decoded,) = StoredSegments([segment.key], line, np.array([0, len(line)]))
+    @given(drawn=_line_segments())
+    def test_decodes_to_the_segment_it_was_written_from(self, drawn):
+        segment, derived = drawn
+        line = _segment_line(segment, _Memo(_quote), derived)
+        kind = _KINDS.index(segment.kind) if segment.kind in _KINDS else 0
+        titles = {segment.doc_id: "".join(segment.metadata_path[:-1])} if derived else {}
+        (decoded,) = StoredSegments([segment.key], line, np.array([0, len(line)]),
+                                    np.array([1], "<u1"), np.array([kind], "<u1"), titles)
         assert decoded == segment
-        assert _segment_line(decoded, _Memo(_quote)) == line
+        assert _segment_line(decoded, _Memo(_quote), derived) == line
 
-    @pytest.mark.parametrize("name, value", [("level", True), ("metadata_path", ["d", 1])])
+    @pytest.mark.parametrize("name, value", [("level", True), ("metadata_path", ["d", 1]),
+                                             ("level", -1.0)])  # the path's length - 1
     def test_a_field_of_another_type_raises_at_save_and_keeps_the_index(self, tmp_path,
                                                                        name, value):
         target = tmp_path / "index"
@@ -1486,6 +1643,19 @@ class TestAtomicSave:
         assert [p.name for p in tmp_path.iterdir()] == ["index"]
         assert os.listdir(target) == [INDEX_FILE]
         assert load_index(target).keys == ["d#0"]
+
+    def test_replaces_a_format_10_index_of_the_same_file_name(self, tmp_path):
+        target = tmp_path / "index"
+        save_index(self.bundle(["alpha", "beta"]), target)
+        as_format_10(target)
+        assert "titles" not in edit_index(target)["header"]
+        with pytest.raises(IndexFormatError, match=re.escape(
+                f"unsupported index format_version 10 (expected {FORMAT_VERSION})")):
+            load_index(target)
+        save_index(self.bundle(["gamma delta"]), target)
+        assert os.listdir(target) == [INDEX_FILE]
+        assert edit_index(target)["header"]["format_version"] == FORMAT_VERSION
+        assert [s.content for s in load_index(target).segments] == ["gamma delta"]
 
     def test_a_loaded_index_reads_on_after_a_save_replaces_its_files(self, tmp_path):
         target = tmp_path / "index"
