@@ -24,7 +24,6 @@ from .formatter import (
     ConversionError,
     ConverterTurn,
     IdentityConverter,
-    WindowPlan,
     convert_document,
     count_words,
     parse_markdown,

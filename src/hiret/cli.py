@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
-from . import evalkit, hca, index, retriever
+from . import evalkit, hca, index, retriever, store
 from .corpus import PATH_SEPARATOR, CorpusError, load_corpus
 from .formatter import parse_markdown
 # bench/spans.py wraps these two by name until ROADMAP item 6 deletes them.
@@ -122,14 +122,10 @@ def _make_captioner(spec: dict | None):
     return plugins.SubprocessCaptioner(command)
 
 
-def _refuse_unwritable(path: str | Path, makes_parents: bool = False) -> None:
-    """Raise the data error writing ``path`` would, before any work is done: the directory
-    it goes in must exist, or, for a writer that ``makes_parents`` as ``save_index`` does,
-    its nearest existing ancestor must be a directory. A write can still fail after this
-    passes; the writer maps its own OSError."""
-    parent = Path(os.path.realpath(path) if makes_parents else path).parent
-    while makes_parents and not parent.exists() and parent != parent.parent:
-        parent = parent.parent
+def _refuse_unwritable(path: str | Path) -> None:
+    """Raise the data error writing ``path`` would, before any work is done: the directory it
+    goes in must exist. A write can still fail after this; the writer maps its own OSError."""
+    parent = Path(path).parent
     if not parent.is_dir():
         code = errno.ENOTDIR if parent.exists() else errno.ENOENT
         raise DataError(f"cannot write {path}: {OSError(code, os.strerror(code), str(parent))}")
@@ -140,9 +136,8 @@ def run_ingest(cfg: AppConfig) -> dict:
     warnings are those that reach the ``hiret`` logger during the ingest."""
     index._check_bm25_params(cfg.k1, cfg.b)
     user_keywords = _load_keyword_dict(cfg.keyword_dict)
-    _refuse_unwritable(cfg.index_dir, makes_parents=True)
     try:  # the directory the save would refuse, refused before the work
-        index._check_replaceable(cfg.index_dir)
+        store._check_replaceable(cfg.index_dir)
     except OSError as exc:
         raise DataError(f"cannot write {cfg.index_dir}: {exc}") from exc
     captioner = _make_captioner(cfg.captioner)  # neither plug-in starts a process until used

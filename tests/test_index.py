@@ -7,6 +7,7 @@ import os
 import random
 import re
 import shutil
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -33,29 +34,22 @@ from conftest import (
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import hiret.index
+import hiret.store
 from hiret.corpus import DocumentRecord, ImageAsset, Segment, path_text
 from hiret.hca import augment_document, without_augmentation
 from hiret.index import (
     FORMAT_VERSION,
     INDEX_FILE,
-    _ARRAYS,
-    _KINDS,
     _RUN_BREAKS,
     Bm25Index,
     HashingEmbedder,
     InconsistentIndexError,
     IndexBundle,
     IndexFormatError,
-    StoredSegments,
-    _crc32,
-    _json_bytes,
     _Memo,
     _Scan,
     _invert,
     _narrowest,
-    _quote,
-    _segment_line,
     bm25_route,
     bm25_score,
     bm25_scores,
@@ -70,6 +64,8 @@ from hiret.index import (
     unit_vector,
 )
 from hiret.retriever import RetrievalConfig, keyword_hits, retrieve, vector_route
+from hiret.store import (_ARRAYS, _KINDS, StoredSegments, _crc32, _json_bytes, _quote,
+                         _segment_line)
 
 BM25_WORKED_EXAMPLE = 0.6099695188927519  # ln 2 * 0.88, recomputed by hand
 
@@ -1207,14 +1203,14 @@ class TestOneMap:
         save_index(build_indices(segments, HashingEmbedder(dim=16)), directory)
         save_index(build_indices(segments[:3], HashingEmbedder(dim=16)), other)
         checked = edit_index(directory)
-        crc32 = hiret.index._crc32
+        crc32 = hiret.store._crc32
 
         def swapping(data, end):  # another valid index is renamed in after the check
             crc = crc32(data, end)
             os.replace(other / INDEX_FILE, directory / INDEX_FILE)
             return crc
 
-        monkeypatch.setattr(hiret.index, "_crc32", swapping)
+        monkeypatch.setattr(hiret.store, "_crc32", swapping)
         loaded = load_index(directory)
         assert len(edit_index(directory)["header"]["keys"]) == 3
         assert loaded.vectors.values.tobytes() == checked["vector_values"].tobytes()
@@ -1723,7 +1719,7 @@ class TestAtomicSave:
         for fail_at in count(1):
             steps.clear()
             with monkeypatch.context() as patch:
-                patch.setattr(hiret.index, "open", opened, raising=False)
+                patch.setattr(hiret.store, "open", opened, raising=False)
                 patch.setattr(os, "fsync", counted("fsync", os.fsync))
                 patch.setattr(os, "replace", counted("replace", os.replace))
                 try:
@@ -1834,6 +1830,14 @@ class TestAtomicSave:
         with pytest.raises(IndexFormatError, match="not a directory"):
             save_index(self.bundle(["alpha"]), tmp_path / "index")
 
+    def test_refuses_a_missing_directory_under_a_file_and_makes_nothing(self, tmp_path):
+        (tmp_path / "index").write_text("x", encoding="utf-8")
+        with pytest.raises(NotADirectoryError) as raised:
+            save_index(self.bundle(["alpha"]), tmp_path / "index" / "sub" / "idx")
+        assert raised.value.filename == os.path.realpath(tmp_path / "index")  # not the target
+        assert [p.name for p in tmp_path.iterdir()] == ["index"]
+        assert (tmp_path / "index").read_text(encoding="utf-8") == "x"
+
     def test_refuses_an_index_of_a_previous_format_and_leaves_it_as_it_was(self, tmp_path):
         format_2 = ["vectors.bin", "postings.json", "keywords.json", "segments.json"]
         format_9 = [f"{stem}.0badf00d.{suffix}" for stem, _, suffix in
@@ -1862,6 +1866,18 @@ class TestAtomicSave:
             (target / "manifest.json").write_bytes(manifest)
         with pytest.raises(IndexFormatError, match=re.escape(f"no index at {target / INDEX_FILE}")):
             load_index(target)
+
+
+@pytest.mark.parametrize("first", ["hiret.store", "hiret.index"])
+def test_either_module_imports_first_and_the_index_names_the_stores_save_and_load(first):
+    # The store imports the index, which re-exports the store's names in its last statement;
+    # the bench's spans wrap hiret.index.save_index and load_index by attribute.
+    code = (f"import {first}, hiret.index, hiret.store\n"
+            "for name in ('save_index', 'load_index', 'INDEX_FILE', 'FORMAT_VERSION'):\n"
+            "    assert getattr(hiret.index, name) is getattr(hiret.store, name), name\n")
+    src = str(Path(hiret.store.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                   check=True, timeout=60)
 
 
 BUNDLE_WORDS = ["alpha", "beta", "CA-IS3641", "\u00e9t\u00e9", "\u4e2d\u6587", "x9", "", "--",
